@@ -3,7 +3,11 @@
 Eight nation agents pick escalation-scored actions over a 14-day loop; the
 experiment layer sweeps sampling temperature and prompt variants across
 replicated runs and reports the resulting escalation statistics.
+
+The report and statistics names load on first use (PEP 562), so running
+simulations does not import scipy.
 """
+import importlib
 
 from .agents import (
     AgentPolicy,
@@ -36,7 +40,6 @@ from .orchestrator import (
     run_simulation,
 )
 from .prompts import PromptBundle, PromptVariant, build_prompts
-from .report import ReportBundle, build_report
 from .scenario import (
     ChosenAction,
     DailyRecord,
@@ -55,14 +58,6 @@ from .scoring import (
     daily_score,
     run_score,
 )
-from .stats import (
-    DailySeriesStats,
-    SummaryStats,
-    ci95_per_day,
-    percent_reduction,
-    significance_test,
-    summarize,
-)
 from .taxonomy import (
     ActionCategory,
     ActionSpec,
@@ -72,3 +67,26 @@ from .taxonomy import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = {
+    "ReportBundle": "report",
+    "build_report": "report",
+    "DailySeriesStats": "stats",
+    "SummaryStats": "stats",
+    "ci95_per_day": "stats",
+    "percent_reduction": "stats",
+    "significance_test": "stats",
+    "summarize": "stats",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -106,7 +106,7 @@ def _validate_action_entry(
 
 
 def parse_agent_response(
-    content: str,
+    content: str | None,
     taxonomy: ActionTaxonomy,
     scenario: Scenario,
     nation: str,
@@ -117,7 +117,11 @@ def parse_agent_response(
     Extraction tolerates surrounding prose by locating the first well-formed
     JSON object in the text.  A missing private-thoughts field under a
     reflection variant is a logged protocol deviation, not a failure.
+    Content that is not text (endpoints send ``null`` on refusals) is an
+    ``empty_reply`` failure.
     """
+    if not isinstance(content, str):
+        return ParseFailure("empty_reply", f"reply content is {type(content).__name__}, not text")
     document = _first_json_object(content)
     if document is None:
         return ParseFailure("no_document", "no JSON object found in response")

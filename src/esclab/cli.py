@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .orchestrator import Treatment, run_simulation
 from .prompts import PromptVariant, build_prompts, extension_word_count
-from .report import build_report
 from .scenario import initial_world, load_scenario, default_scenario_path
 from .scoring import Aggregator
 from .taxonomy import default_taxonomy_path, load_taxonomy
@@ -171,6 +170,10 @@ def _print_table(header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    # Imported here: only this command needs scipy, which takes about a
+    # second to import.
+    from .report import build_report
+
     bundle = build_report(
         args.manifest,
         args.out,

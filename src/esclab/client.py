@@ -130,7 +130,14 @@ class RequestBudget:
 
 
 class Transport:
-    """Base transport: request counting, optional budget, body capture."""
+    """Base transport: request counting, optional budget, body capture.
+
+    ``in_process`` is true when ``send_once`` only computes in this process
+    and never waits on a remote endpoint; callers then gain nothing from
+    issuing requests on several threads.
+    """
+
+    in_process = False
 
     def __init__(self, budget: RequestBudget | None = None, capture: bool = False):
         self.budget = budget
@@ -162,6 +169,8 @@ class MockTransport(Transport):
     ``responder`` maps a ChatRequest to the response content.  Plain strings
     and per-tag mappings are accepted for convenience.
     """
+
+    in_process = True
 
     def __init__(
         self,
@@ -304,6 +313,8 @@ class ReplayTransport(Transport):
     most once, in file order per key.
     """
 
+    in_process = True
+
     def __init__(
         self,
         path: str | Path,
@@ -352,6 +363,10 @@ class RecordingTransport(Transport):
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()
+
+    @property
+    def in_process(self) -> bool:
+        return self.inner.in_process
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         response = self.inner.send_once(request)

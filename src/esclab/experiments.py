@@ -276,19 +276,22 @@ def build_updater(plan: ExperimentPlan, transport: Transport) -> WorldUpdater:
     return LlmUpdater(transport, model=plan.model)
 
 
-def _transcript_complete(handle: RunHandle, scenario: Scenario) -> bool:
+def _completed_run(handle: RunHandle, scenario: Scenario) -> SimulationRun | None:
+    """The run read back from its transcript, if that holds this run completed."""
     if not handle.transcript_path.exists():
-        return False
+        return None
     try:
         run = ts.load_run(handle.transcript_path)
     except ParseError:
-        return False
-    return (
+        return None
+    if (
         run.completed
         and run.seed == handle.seed
         and run.treatment_label == handle.treatment.label
         and len(run.days) == scenario.days
-    )
+    ):
+        return SimulationRun.from_transcript(run, handle.treatment, handle.transcript_path)
+    return None
 
 
 @contextlib.contextmanager
@@ -403,9 +406,10 @@ def _execute(
     skipped = 0
     to_run: list[RunHandle] = []
     for handle in handles:
-        if _transcript_complete(handle, scenario):
+        run = _completed_run(handle, scenario)
+        if run is not None:
             skipped += 1
-            results[handle.run_id] = None  # filled from transcript below
+            results[handle.run_id] = run
             _record(handle, "completed", None)
         else:
             to_run.append(handle)
@@ -437,14 +441,7 @@ def _execute(
         for handle in to_run:
             _run_one(handle)
 
-    runs: list[SimulationRun] = []
-    for handle in handles:
-        run = results.get(handle.run_id)
-        if run is None:
-            from .orchestrator import _run_from_transcript
-
-            run = _run_from_transcript(str(handle.transcript_path), handle.treatment)
-        runs.append(run)
+    runs = [results[handle.run_id] for handle in handles]
     new_requests = transport.request_count - before
     log.info(
         "experiment finished: %d runs (%d skipped), %d new requests",

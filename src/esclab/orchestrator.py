@@ -2,18 +2,26 @@
 
 Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
-The transcript is written incrementally and a crashed run resumes from its
-last completed day, reproducing the uninterrupted bytes exactly.
+The day's nation queries are therefore independent, and when the policy's
+transport waits on an endpoint (anything but an in-process mock, replay or a
+recording of one) they are issued concurrently, one thread per nation.  Each
+query's records are buffered and written in roster order once it settles, so
+the transcript bytes do not depend on completion order.  Scripted and replay
+policies, in-process transports and ``intra_day_visibility`` runs query the
+nations one after another.  The transcript is written incrementally and a
+crashed run resumes from its last completed day, reproducing the
+uninterrupted bytes exactly.
 """
 from __future__ import annotations
 
 import hashlib
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import transcript as ts
-from .agents import AgentPolicy, AgentTurn, decide_with_retry
+from .agents import AgentPolicy, AgentTurn, LlmPolicy, decide_with_retry
 from .client import Transport, chat_request, complete
 from .errors import BudgetExceeded, TransportError, ValidationError
 from .prompts import PromptVariant, build_prompts
@@ -66,6 +74,23 @@ class SimulationRun:
     @property
     def completed(self) -> bool:
         return self.status == "completed"
+
+    @classmethod
+    def from_transcript(
+        cls, run: ts.TranscriptRun, treatment: Treatment, transcript_path: str | Path
+    ) -> "SimulationRun":
+        """The outcome of a run already read back from its transcript."""
+        return cls(
+            run_id=run.run_id,
+            treatment=treatment,
+            seed=run.seed,
+            scenario_name=run.scenario_name,
+            days=run.days,
+            status=run.status,
+            transcript_path=str(transcript_path),
+            abort_reason=run.abort_reason,
+            fallbacks=run.fallbacks,
+        )
 
 
 class WorldUpdater:
@@ -169,7 +194,7 @@ class LlmUpdater(WorldUpdater):
                 },
             )
         response = complete(self.transport, request, recorder=client_recorder)
-        text = response.content.strip()
+        text = response.content.strip() if isinstance(response.content, str) else ""
         if not text:
             log.warning("world updater returned empty text on day %d; using template", day)
             return self._fallback.update(world, turns, treatment)
@@ -213,21 +238,6 @@ def _replay_world(scenario: Scenario, days: list[DailyRecord]) -> WorldState:
     for record in days:
         world = advance_day(world, record)
     return world
-
-
-def _run_from_transcript(path: str, treatment: Treatment) -> SimulationRun:
-    run = ts.load_run(path)
-    return SimulationRun(
-        run_id=run.run_id,
-        treatment=treatment,
-        seed=run.seed,
-        scenario_name=run.scenario_name,
-        days=run.days,
-        status=run.status,
-        transcript_path=str(path),
-        abort_reason=run.abort_reason,
-        fallbacks=run.fallbacks,
-    )
 
 
 def run_simulation(
@@ -280,7 +290,7 @@ def run_simulation(
                 )
             prior = ts.reconstruct_run(records)
             if prior.completed:
-                return _run_from_transcript(transcript_path, treatment)
+                return SimulationRun.from_transcript(prior, treatment, transcript_path)
             kept = ts.complete_day_prefix(records)
             ts.rewrite(transcript_path, kept)
             resumed = ts.reconstruct_run(kept)
@@ -295,6 +305,14 @@ def run_simulation(
     elif transcript_path.exists():
         transcript_path.unlink()
     writer = ts.TranscriptWriter(transcript_path, start_seq=start_seq)
+    # Threads overlap only waiting: on an in-process transport they would
+    # just contend for the interpreter lock.
+    concurrent = (
+        not intra_day_visibility
+        and isinstance(policy, LlmPolicy)
+        and not policy.transport.in_process
+    )
+    pool = ThreadPoolExecutor(len(scenario.nation_names)) if concurrent else None
     status = "completed"
     abort_reason = None
     try:
@@ -314,18 +332,10 @@ def run_simulation(
         try:
             while world.current_day < scenario.days:
                 day = world.current_day + 1
-                turns: dict[str, AgentTurn] = {}
-                for nation in scenario.nation_names:
-                    view = (
-                        _world_with_partial_day(world, turns)
-                        if intra_day_visibility
-                        else world
-                    )
+                buffers = {nation: [] for nation in scenario.nation_names}
 
-                    def recorder(type_, payload, _nation=nation, _day=day):
-                        writer.write(type_, payload, day=_day, nation=_nation)
-
-                    turn = decide_with_retry(
+                def ask(nation, view, _day=day, _buffers=buffers):
+                    return decide_with_retry(
                         policy,
                         scenario,
                         taxonomy,
@@ -333,9 +343,31 @@ def run_simulation(
                         nation,
                         treatment.variant,
                         max_parse_retries=max_parse_retries,
-                        request_tag=f"{run_id}|d{day:02d}|{nation}",
-                        recorder=recorder,
+                        request_tag=f"{run_id}|d{_day:02d}|{nation}",
+                        recorder=lambda type_, payload: _buffers[nation].append(
+                            (type_, payload)
+                        ),
                     )
+
+                if pool is not None:
+                    futures = {
+                        nation: pool.submit(ask, nation, world)
+                        for nation in scenario.nation_names
+                    }
+                turns: dict[str, AgentTurn] = {}
+                for nation in scenario.nation_names:
+                    # A failing query still leaves its records, as when the
+                    # nations are asked one by one; later nations' are dropped.
+                    try:
+                        if pool is not None:
+                            turn = futures[nation].result()
+                        elif intra_day_visibility:
+                            turn = ask(nation, _world_with_partial_day(world, turns))
+                        else:
+                            turn = ask(nation, world)
+                    finally:
+                        for type_, payload in buffers[nation]:
+                            writer.write(type_, payload, day=day, nation=nation)
                     if turn.fallback:
                         fallbacks += 1
                     turns[nation] = turn
@@ -372,6 +404,8 @@ def run_simulation(
             },
         )
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         writer.close()
     return SimulationRun(
         run_id=run_id,

@@ -163,13 +163,25 @@ def _response_format_text(variant: PromptVariant) -> str:
 def _action_log_text(world: WorldState) -> str:
     if not world.history:
         return "(none yet; this is the first day)"
-    lines = []
-    for record in world.history:
-        for nation in world.scenario.nation_names:
-            for action in record.actions_by_nation.get(nation, ()):
-                suffix = f" targeting {action.target}" if action.target else ""
-                lines.append(f"Day {record.day}: {nation} chose {action.action_id}{suffix}")
-    return "\n".join(lines)
+    return world.action_log
+
+
+@lru_cache(maxsize=64)
+def _system_text(
+    template: str,
+    nation_count: int,
+    days: int,
+    taxonomy: ActionTaxonomy,
+    variant: PromptVariant,
+) -> str:
+    # Rendered once per run settings and shared by every query of the run.
+    return Template(template).substitute(
+        nation_count=nation_count,
+        days=days,
+        max_actions=MAX_ACTIONS_PER_DAY,
+        action_menu=action_menu_text(taxonomy),
+        response_format=_response_format_text(variant),
+    )
 
 
 def build_prompts(
@@ -196,12 +208,8 @@ def build_prompts(
     templates = templates or default_templates()
     profile = scenario.nation(nation)
     try:
-        system_text = Template(templates.system).substitute(
-            nation_count=len(scenario.nations),
-            days=scenario.days,
-            max_actions=MAX_ACTIONS_PER_DAY,
-            action_menu=action_menu_text(taxonomy),
-            response_format=_response_format_text(variant),
+        system_text = _system_text(
+            templates.system, len(scenario.nations), scenario.days, taxonomy, variant
         )
         user_text = Template(templates.user).substitute(
             day=world.current_day + 1,

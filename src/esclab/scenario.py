@@ -7,6 +7,7 @@ is an immutable value; advancing a day returns a new state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
@@ -38,7 +39,7 @@ class Scenario:
     initial_summary: str
     days: int = 14
 
-    @property
+    @cached_property
     def nation_names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nations)
 
@@ -86,6 +87,22 @@ class WorldState:
     current_day: int = 0
     summary: str = ""
     history: tuple[DailyRecord, ...] = field(default_factory=tuple)
+
+    @cached_property
+    def action_log(self) -> str:
+        """The public action log: one line per action, by day, in roster order.
+
+        Rendered once per state, since every nation's prompt on a day shows
+        the same log.  Two threads reading it first may both render it; the
+        texts are equal.
+        """
+        return "\n".join(
+            f"Day {record.day}: {nation} chose {action.action_id}"
+            + (f" targeting {action.target}" if action.target else "")
+            for record in self.history
+            for nation in self.scenario.nation_names
+            for action in record.actions_by_nation.get(nation, ())
+        )
 
 
 def initial_world(scenario: Scenario) -> WorldState:

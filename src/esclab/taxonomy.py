@@ -58,6 +58,12 @@ class ActionTaxonomy:
     actions: tuple[ActionSpec, ...]
     version: str
 
+    def __hash__(self) -> int:
+        # Prompt caches key on the taxonomy once per query, and hashing all
+        # 27 specs would cost more than the cached work.  Equal taxonomies
+        # share a version, so this agrees with equality.
+        return hash(self.version)
+
     @cached_property
     def _by_id(self) -> dict[str, ActionSpec]:
         return {spec.id: spec for spec in self.actions}

@@ -162,6 +162,20 @@ class TestDecideWithRetry:
         assert len(failures) == 4
         assert all(e[1]["content"] == "not json" for e in failures)
 
+    def test_null_reply_content_retries_then_falls_back(self, taxonomy, scenario):
+        policy = LlmPolicy(MockTransport(lambda r: None), model="m", temperature=1.0)
+        events = []
+        turn = decide_with_retry(
+            policy, scenario, taxonomy, initial_world(scenario), "Blue",
+            PromptVariant.DEFAULT, max_parse_retries=2, request_tag="run|d01|Blue",
+            recorder=lambda kind, payload: events.append((kind, payload)),
+        )
+        assert turn.fallback
+        assert turn.parse_attempts == 3
+        failures = [payload for kind, payload in events if kind == "parse_failure"]
+        assert [f["reason"] for f in failures] == ["empty_reply"] * 3
+        assert all(f["content"] is None for f in failures)
+
     def test_valid_on_second_attempt(self, taxonomy, scenario):
         def responder(request):
             if request.request_tag.endswith("|a1"):

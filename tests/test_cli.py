@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,21 @@ import pytest
 from esclab.cli import main
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        probe = (
+            "import sys, esclab.cli; loaded = 'scipy' in sys.modules; "
+            "from esclab import build_report, summarize; "
+            "print(loaded, 'scipy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+            timeout=120, check=True,
+        )
+        assert done.stdout.split() == ["False", "True"]
 
 
 class TestValidate:

@@ -125,6 +125,23 @@ class TestRunExperiment:
         assert again.new_requests == 0
         assert all(run.completed for run in again.runs)
 
+    def test_rerun_reads_each_transcript_once(self, tmp_path, monkeypatch):
+        from esclab import transcript
+
+        plan = load_plan(scripted_plan(tmp_path, runs=2))
+        first = run_experiment(plan, tmp_path / "out")
+        reads = []
+        original = transcript.read_records
+
+        def counting(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(transcript, "read_records", counting)
+        again = run_experiment(plan, tmp_path / "out")
+        assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
+        assert [run.days for run in again.runs] == [run.days for run in first.runs]
+
     def test_two_executions_byte_identical(self, tmp_path):
         plan_path = scripted_plan(tmp_path, runs=2)
         plan = load_plan(plan_path)

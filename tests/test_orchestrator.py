@@ -1,7 +1,19 @@
+import dataclasses
+import json
+import sys
+import threading
+import time
+
 import pytest
 
 from esclab.agents import AgentPolicy, LlmPolicy, ScriptedPolicy
-from esclab.client import MockTransport
+from esclab.client import (
+    LiveTransport,
+    MockTransport,
+    RecordingTransport,
+    ReplayTransport,
+    Transport,
+)
 from esclab.errors import TransportError
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import (
@@ -327,6 +339,19 @@ class TestEmptySummaryFallback:
         assert len([l for l in text.splitlines() if l.startswith("- ")]) == 8
 
 
+class TestNullReplyContent:
+    def test_llm_updater_falls_back_to_template(self, scenario, taxonomy):
+        world = initial_world(scenario)
+        policy = wait_policy()
+        turns = {
+            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            for nation in scenario.nation_names
+        }
+        updater = LlmUpdater(MockTransport(lambda r: None), model="m")
+        text = updater.update(world, turns, treatment())
+        assert text == TemplateUpdater().update(world, turns, treatment())
+
+
 class TestTornFirstLine:
     def test_transcript_with_only_partial_line_restarts_cleanly(
         self, scenario, taxonomy, tmp_path
@@ -345,3 +370,189 @@ class TestTornFirstLine:
         )
         assert resumed.completed
         assert torn.read_bytes() == straight.read_bytes()
+
+
+class EndpointStandIn(Transport):
+    """Waits like a remote endpoint, longest for the first nation in the
+    roster, so a day's queries complete in reverse roster order."""
+
+    def __init__(self, inner, roster, step_s=0.004):
+        super().__init__()
+        self.inner = inner
+        self.roster = roster
+        self.step_s = step_s
+        self.completed = []
+        self.threads = set()
+        self._lock = threading.Lock()
+
+    @property
+    def request_count(self):
+        return self.inner.request_count
+
+    def send_once(self, request):
+        who = request.request_tag.split("|")[2]
+        if who in self.roster:
+            time.sleep(self.step_s * (len(self.roster) - self.roster.index(who)))
+        with self._lock:
+            self.threads.add(threading.get_ident())
+            self.completed.append(request.request_tag)
+        return self.inner.send_once(request)
+
+
+def _responder(scenario, taxonomy, fail_tag=None, threads=None):
+    """Calibrated replies; Red's first attempt each day is unparseable."""
+    calibrated = CalibratedResponder(taxonomy, scenario, runs_per_treatment=1)
+
+    def respond(request):
+        if threads is not None:
+            threads.add(threading.get_ident())
+        if fail_tag and fail_tag in request.request_tag:
+            raise TransportError("endpoint outage")
+        if "|Red|a1" in request.request_tag:
+            return "no decision today"
+        return calibrated(request)
+
+    return respond
+
+
+def _llm_run(scenario, taxonomy, transport, path, **kwargs):
+    return run_simulation(
+        scenario, taxonomy, treatment(),
+        LlmPolicy(transport, model="m", temperature=1.0),
+        LlmUpdater(transport, model="m"),
+        seed=7, transcript_path=path, run_id="t1.0-default-r00", **kwargs,
+    )
+
+
+def _first_attempts(tags, day):
+    return [tag.split("|")[2] for tag in tags if f"|d{day:02d}|" in tag and tag.endswith("|a1")]
+
+
+class TestConcurrentDays:
+    def test_out_of_order_completion_gives_inline_bytes(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=5)
+        inline = tmp_path / "inline.jsonl"
+        mock = MockTransport(_responder(short, taxonomy))
+        _llm_run(short, taxonomy, mock, inline)
+        endpoint = EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names)
+        concurrent = tmp_path / "concurrent.jsonl"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run = _llm_run(short, taxonomy, endpoint, concurrent)
+        finally:
+            sys.setswitchinterval(interval)
+        assert run.completed
+        assert len(endpoint.threads) > 1
+        assert _first_attempts(endpoint.completed, 1) != list(short.nation_names)
+        assert endpoint.request_count == mock.request_count == 5 * (8 + 1 + 1)
+        assert concurrent.read_bytes() == inline.read_bytes()
+
+    def test_mid_day_failure_aborts_like_inline_and_resumes(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=5)
+        roster = short.nation_names
+        inline = tmp_path / "inline.jsonl"
+        _llm_run(short, taxonomy, MockTransport(_responder(short, taxonomy, "|d04|Purple|")), inline)
+        path = tmp_path / "concurrent.jsonl"
+        failing = EndpointStandIn(
+            MockTransport(_responder(short, taxonomy, "|d04|Purple|")), roster
+        )
+        aborted = _llm_run(short, taxonomy, failing, path)
+        assert aborted.status == "aborted"
+        assert "endpoint outage" in aborted.abort_reason
+        assert len(aborted.days) == 3
+        assert path.read_bytes() == inline.read_bytes()
+        before = roster[roster.index("Purple") - 1]
+        tail = [(r["type"], r["day"], r["nation"]) for r in read_records(path)[-3:]]
+        assert tail == [("turn", 4, before), ("prompt", 4, "Purple"), ("run_end", None, None)]
+        healthy = EndpointStandIn(MockTransport(_responder(short, taxonomy)), roster)
+        assert _llm_run(short, taxonomy, healthy, path).completed
+        straight = tmp_path / "straight.jsonl"
+        _llm_run(short, taxonomy, MockTransport(_responder(short, taxonomy)), straight)
+        assert path.read_bytes() == straight.read_bytes()
+
+    def test_concurrent_recording_replays_strictly(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=5)
+        cassette = tmp_path / "cassette.jsonl"
+        recording = RecordingTransport(
+            EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names),
+            cassette,
+        )
+        recorded = tmp_path / "recorded.jsonl"
+        _llm_run(short, taxonomy, recording, recorded)
+        tags = [json.loads(line)["tag"] for line in cassette.read_text().splitlines()]
+        assert _first_attempts(tags, 1) != list(short.nation_names)
+        replayed = tmp_path / "replayed.jsonl"
+        run = _llm_run(short, taxonomy, ReplayTransport(cassette, mode="strict"), replayed)
+        assert run.completed
+        assert replayed.read_bytes() == recorded.read_bytes()
+
+    def test_in_process_transport_runs_inline(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=2)
+        threads = set()
+        transport = MockTransport(_responder(short, taxonomy, threads=threads))
+        assert _llm_run(short, taxonomy, transport, tmp_path / "run.jsonl").completed
+        assert threads == {threading.get_ident()}
+
+    def test_intra_day_visibility_runs_inline(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=2)
+        endpoint = EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names)
+        run = _llm_run(
+            short, taxonomy, endpoint, tmp_path / "run.jsonl", intra_day_visibility=True
+        )
+        assert run.completed
+        assert endpoint.threads == {threading.get_ident()}
+        assert _first_attempts(endpoint.completed, 1) == list(short.nation_names)
+
+    def test_scripted_policy_runs_inline(self, scenario, taxonomy, tmp_path):
+        threads = set()
+
+        class ThreadSpy(ScriptedPolicy):
+            def decide(self, *args, **kwargs):
+                threads.add(threading.get_ident())
+                return super().decide(*args, **kwargs)
+
+        run = run_simulation(
+            dataclasses.replace(scenario, days=2), taxonomy, treatment(),
+            ThreadSpy({}, default=(ChosenAction("wait"),)), TemplateUpdater(),
+            seed=1, transcript_path=tmp_path / "run.jsonl",
+        )
+        assert run.completed
+        assert threads == {threading.get_ident()}
+
+    def test_live_transport_caps_posts_in_flight(self, scenario, taxonomy, tmp_path):
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                content = '{"actions": [{"action": "wait"}]}'
+                return {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+
+        class Session:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = self.peak = self.posts = 0
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                with self.lock:
+                    self.in_flight += 1
+                    self.posts += 1
+                    self.peak = max(self.peak, self.in_flight)
+                time.sleep(0.005)
+                with self.lock:
+                    self.in_flight -= 1
+                return Reply()
+
+        session = Session()
+        transport = LiveTransport(
+            "https://gateway.invalid/v1", "secret",
+            max_in_flight=2, requests_per_minute=10_000, session=session,
+        )
+        run = run_simulation(
+            dataclasses.replace(scenario, days=2), taxonomy, treatment(),
+            LlmPolicy(transport, model="m", temperature=1.0), TemplateUpdater(),
+            seed=1, transcript_path=tmp_path / "run.jsonl",
+        )
+        assert run.completed
+        assert session.posts == 16
+        assert session.peak == 2
