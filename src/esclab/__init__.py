@@ -34,7 +34,6 @@ from .errors import EsclabError
 from .experiments import ExperimentPlan, load_plan, run_experiment, run_seed
 from .orchestrator import (
     LlmUpdater,
-    SimulationRun,
     TemplateUpdater,
     Treatment,
     run_simulation,
@@ -65,6 +64,7 @@ from .taxonomy import (
     load_taxonomy,
     lookup_action,
 )
+from .transcript import TranscriptRun
 
 __version__ = "0.1.0"
 

@@ -4,20 +4,22 @@ LlmPolicy queries a transport with the assembled prompts and parses the
 untrusted reply; ScriptedPolicy plays a fixed day-to-actions table;
 ReplayPolicy re-issues the turns stored in a prior transcript.  All of them
 produce AgentTurn values whose action ids are guaranteed to resolve in the
-taxonomy.
+taxonomy: model replies and script entries pass the same action validator,
+and replayed turns are decoded by the transcript module that wrote them.
+The ``llm_call`` record of each request is written by ``client.complete``.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
-from .client import ChatResponse, Transport, chat_request, complete
+from . import transcript as ts
+from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
 from .errors import ParseError, ValidationError
 from .prompts import (
     MAX_ACTIONS_PER_DAY,
@@ -32,8 +34,6 @@ log = logging.getLogger("esclab.agents")
 
 DEFAULT_PARSE_RETRIES = 3
 THOUGHTS_WORD_LIMIT = 250
-
-Recorder = Callable[[str, dict], None]
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,9 @@ def _first_json_object(text: str) -> dict | None:
     while start != -1:
         try:
             document, _ = decoder.raw_decode(text, start)
+        except RecursionError:
+            # Nested too deeply to decode: treated as no document at all.
+            return None
         except ValueError:
             start = text.find("{", start + 1)
             continue
@@ -186,7 +189,7 @@ class AgentPolicy:
         variant: PromptVariant,
         attempt: int = 1,
         request_tag: str = "",
-        recorder: Recorder | None = None,
+        recorder: ts.Recorder | None = None,
     ) -> AgentTurn | ParseFailure:
         raise NotImplementedError
 
@@ -199,7 +202,7 @@ class LlmPolicy(AgentPolicy):
         transport: Transport,
         model: str,
         temperature: float,
-        max_tokens: int | None = None,
+        max_tokens: int = DEFAULT_MAX_TOKENS,
         templates: PromptTemplates | None = None,
     ):
         self.transport = transport
@@ -207,39 +210,6 @@ class LlmPolicy(AgentPolicy):
         self.temperature = temperature
         self.max_tokens = max_tokens
         self.templates = templates
-
-    def _ask(
-        self,
-        system_text: str,
-        user_text: str,
-        request_tag: str,
-        recorder: Recorder | None,
-    ) -> ChatResponse:
-        kwargs = {} if self.max_tokens is None else {"max_tokens": self.max_tokens}
-        request = chat_request(
-            model=self.model,
-            system_text=system_text,
-            user_text=user_text,
-            temperature=self.temperature,
-            request_tag=request_tag,
-            **kwargs,
-        )
-        client_recorder = None
-        if recorder is not None:
-            client_recorder = lambda req, res: recorder(
-                "llm_call",
-                {
-                    "tag": req.request_tag,
-                    "model": req.model,
-                    "temperature": req.temperature,
-                    "max_tokens": req.max_tokens,
-                    "content": res.content,
-                    "finish_reason": res.finish_reason,
-                    "latency": res.latency,
-                    "attempt_count": res.attempt_count,
-                },
-            )
-        return complete(self.transport, request, recorder=client_recorder)
 
     def decide(
         self,
@@ -250,23 +220,25 @@ class LlmPolicy(AgentPolicy):
         variant: PromptVariant,
         attempt: int = 1,
         request_tag: str = "",
-        recorder: Recorder | None = None,
+        recorder: ts.Recorder | None = None,
     ) -> AgentTurn | ParseFailure:
         bundle = build_prompts(
             scenario, taxonomy, world, nation, variant, templates=self.templates
         )
         if recorder is not None and attempt == 1:
-            system_sha = hashlib.sha256(bundle.system_text.encode("utf-8")).hexdigest()
             recorder(
-                "prompt",
-                {"user_text": bundle.user_text, "system_sha256": system_sha},
+                ts.PROMPT,
+                {"user_text": bundle.user_text, "system_sha256": bundle.system_sha256},
             )
-        response = self._ask(
-            bundle.system_text,
-            bundle.user_text,
-            f"{request_tag}|a{attempt}",
-            recorder,
+        request = chat_request(
+            model=self.model,
+            system_text=bundle.system_text,
+            user_text=bundle.user_text,
+            temperature=self.temperature,
+            max_tokens=self.max_tokens,
+            request_tag=f"{request_tag}|a{attempt}",
         )
+        response = complete(self.transport, request, recorder=recorder)
         result = parse_agent_response(
             response.content,
             taxonomy,
@@ -276,7 +248,7 @@ class LlmPolicy(AgentPolicy):
         )
         if isinstance(result, ParseFailure) and recorder is not None:
             recorder(
-                "parse_failure",
+                ts.PARSE_FAILURE,
                 {
                     "nation": nation,
                     "attempt": attempt,
@@ -311,33 +283,27 @@ class ScriptedPolicy(AgentPolicy):
         variant: PromptVariant,
         attempt: int = 1,
         request_tag: str = "",
-        recorder: Recorder | None = None,
+        recorder: ts.Recorder | None = None,
     ) -> AgentTurn:
         day = world.current_day + 1
         actions = self.table.get(nation, {}).get(day, self.default)
         if actions is None:
             actions = (ChosenAction(action_id=taxonomy.fallback.id, raw_text="(script default)"),)
+        validated = []
         for action in actions:
-            spec = taxonomy._by_id.get(action.action_id)
-            if spec is None:
-                raise ValidationError(f"scripted action {action.action_id!r} not in taxonomy")
-            if spec.requires_target:
-                if action.target is None or action.target not in scenario.nation_names:
-                    raise ValidationError(
-                        f"scripted action {action.action_id!r} for {nation} day {day}: "
-                        f"bad target {action.target!r}"
-                    )
-                if action.target == nation:
-                    raise ValidationError(
-                        f"scripted action {action.action_id!r} for {nation} day {day}: "
-                        "self-target"
-                    )
-            elif action.target is not None:
+            outcome = _validate_action_entry(
+                {"action": action.action_id, "target": action.target},
+                taxonomy,
+                scenario,
+                nation,
+            )
+            if isinstance(outcome, ParseFailure):
                 raise ValidationError(
                     f"scripted action {action.action_id!r} for {nation} day {day}: "
-                    "unexpected target"
+                    f"{outcome.reason.replace('_', '-')} ({outcome.detail})"
                 )
-        return AgentTurn(nation=nation, actions=tuple(actions))
+            validated.append(replace(outcome, raw_text=action.raw_text))
+        return AgentTurn(nation=nation, actions=tuple(validated))
 
 
 class ReplayPolicy(AgentPolicy):
@@ -345,24 +311,13 @@ class ReplayPolicy(AgentPolicy):
 
     def __init__(self, transcript_path: str | Path):
         self._turns: dict[tuple[int, str], AgentTurn] = {}
-        for line in Path(transcript_path).read_text(encoding="utf-8").splitlines():
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            if record.get("type") != "turn":
+        for record in ts.read_records(transcript_path):
+            if record.get("type") != ts.TURN:
                 continue
             payload = record["payload"]
-            actions = tuple(
-                ChosenAction(
-                    action_id=a["action"],
-                    target=a.get("target"),
-                    raw_text=a.get("raw_text", ""),
-                )
-                for a in payload["actions"]
-            )
             turn = AgentTurn(
                 nation=payload["nation"],
-                actions=actions,
+                actions=ts.turn_actions(payload),
                 private_thoughts=payload.get("private_thoughts"),
                 parse_attempts=payload.get("parse_attempts", 1),
                 fallback=payload.get("fallback", False),
@@ -379,7 +334,7 @@ class ReplayPolicy(AgentPolicy):
         variant: PromptVariant,
         attempt: int = 1,
         request_tag: str = "",
-        recorder: Recorder | None = None,
+        recorder: ts.Recorder | None = None,
     ) -> AgentTurn:
         day = world.current_day + 1
         try:
@@ -399,7 +354,7 @@ def decide_with_retry(
     variant: PromptVariant,
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
     request_tag: str = "",
-    recorder: Recorder | None = None,
+    recorder: ts.Recorder | None = None,
 ) -> AgentTurn:
     """Obtain a turn, retrying parse failures, falling back to status quo.
 
@@ -427,14 +382,7 @@ def decide_with_retry(
             # Stamp the attempt count unless the policy already carries one
             # (ReplayPolicy preserves the original run's value).
             if result.parse_attempts == 1 and attempt > 1:
-                result = AgentTurn(
-                    nation=result.nation,
-                    actions=result.actions,
-                    private_thoughts=result.private_thoughts,
-                    parse_attempts=attempt,
-                    fallback=result.fallback,
-                    deviations=result.deviations,
-                )
+                result = replace(result, parse_attempts=attempt)
             return result
     log.warning(
         "falling back to %s for %s after %d parse attempts",

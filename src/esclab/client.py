@@ -13,13 +13,14 @@ import json
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
 import requests
 
 from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from .transcript import LLM_CALL, Recorder
 
 TEMPERATURE_MIN = 0.0
 TEMPERATURE_MAX = 2.0
@@ -286,12 +287,19 @@ class CassetteRecord:
 
 
 def read_cassette(path: str | Path) -> list[CassetteRecord]:
+    """Read a cassette; a torn final line (crashed recorder) is dropped."""
     records = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             entry = json.loads(line)
+        except ValueError as exc:
+            if line_no == len(lines):
+                break
+            raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
+        try:
             records.append(
                 CassetteRecord(
                     tag=entry["tag"],
@@ -300,7 +308,7 @@ def read_cassette(path: str | Path) -> list[CassetteRecord]:
                     response=entry["response"],
                 )
             )
-        except (ValueError, KeyError) as exc:
+        except KeyError as exc:
             raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
     return records
 
@@ -397,15 +405,15 @@ class RecordingTransport(Transport):
 def complete(
     transport: Transport,
     request: ChatRequest,
-    recorder: Callable[[ChatRequest, ChatResponse], None] | None = None,
+    recorder: Recorder | None = None,
     sleep: Callable[[float], None] = time.sleep,
     backoffs: Iterable[float] = RETRY_BACKOFFS,
 ) -> ChatResponse:
     """Send one request, retrying transient transport failures with backoff.
 
     Retries never re-run on well-formed model output; only TransportError
-    marked transient triggers another attempt.  The optional recorder sees
-    the final request/response pair (transcript hookup).
+    marked transient triggers another attempt.  The optional transcript
+    recorder receives one ``llm_call`` record for the final request/response.
     """
     backoffs = tuple(backoffs)
     attempts = 0
@@ -423,14 +431,21 @@ def complete(
             if not exc.transient:
                 raise
             continue
-        response = ChatResponse(
-            content=response.content,
-            finish_reason=response.finish_reason,
-            latency=response.latency,
-            attempt_count=attempts,
-        )
+        response = replace(response, attempt_count=attempts)
         if recorder is not None:
-            recorder(request, response)
+            recorder(
+                LLM_CALL,
+                {
+                    "tag": request.request_tag,
+                    "model": request.model,
+                    "temperature": request.temperature,
+                    "max_tokens": request.max_tokens,
+                    "content": response.content,
+                    "finish_reason": response.finish_reason,
+                    "latency": response.latency,
+                    "attempt_count": response.attempt_count,
+                },
+            )
         return response
     raise TransportError(
         f"request {request.request_tag!r} failed after {attempts} attempts: {last_error}"

@@ -35,7 +35,6 @@ from .errors import ParseError, ValidationError
 from .mockdata import CalibratedResponder
 from .orchestrator import (
     LlmUpdater,
-    SimulationRun,
     TemplateUpdater,
     Treatment,
     WorldUpdater,
@@ -96,7 +95,7 @@ class RunHandle:
 @dataclass
 class ExperimentResult:
     manifest_path: Path
-    runs: list[SimulationRun]
+    runs: list[ts.TranscriptRun]
     new_requests: int
     skipped: int
 
@@ -110,10 +109,7 @@ def plan_digest(plan: ExperimentPlan) -> str:
     payload = {
         "scenario": plan.scenario_path.name,
         "taxonomy": plan.taxonomy_path.name,
-        "treatments": [
-            {"label": t.label, "temperature": t.temperature, "variant": t.variant.value}
-            for t in plan.treatments
-        ],
+        "treatments": [t.as_record() for t in plan.treatments],
         "runs_per_treatment": plan.runs_per_treatment,
         "base_seed": plan.base_seed,
         "policy": plan.policy,
@@ -276,7 +272,7 @@ def build_updater(plan: ExperimentPlan, transport: Transport) -> WorldUpdater:
     return LlmUpdater(transport, model=plan.model)
 
 
-def _completed_run(handle: RunHandle, scenario: Scenario) -> SimulationRun | None:
+def _completed_run(handle: RunHandle, scenario: Scenario) -> ts.TranscriptRun | None:
     """The run read back from its transcript, if that holds this run completed."""
     if not handle.transcript_path.exists():
         return None
@@ -290,7 +286,7 @@ def _completed_run(handle: RunHandle, scenario: Scenario) -> SimulationRun | Non
         and run.treatment_label == handle.treatment.label
         and len(run.days) == scenario.days
     ):
-        return SimulationRun.from_transcript(run, handle.treatment, handle.transcript_path)
+        return run
     return None
 
 
@@ -379,20 +375,15 @@ def _execute(
         "aggregator": plan.aggregator.value,
         "baseline": plan.baseline,
         "runs_per_treatment": plan.runs_per_treatment,
-        "treatments": [
-            {"label": t.label, "temperature": t.temperature, "variant": t.variant.value}
-            for t in plan.treatments
-        ],
+        "treatments": [t.as_record() for t in plan.treatments],
         "runs": [],
     }
     manifest_write_lock = threading.Lock()
-    results: dict[str, SimulationRun] = {}
+    results: dict[str, ts.TranscriptRun] = {}
 
     def _record(handle: RunHandle, status: str, abort_reason: str | None) -> None:
         entry = {
-            "label": handle.treatment.label,
-            "temperature": handle.treatment.temperature,
-            "variant": handle.treatment.variant.value,
+            **handle.treatment.as_record(),
             "run_index": handle.run_index,
             "seed": handle.seed,
             "transcript": f"{TRANSCRIPT_DIR}/{handle.transcript_path.name}",

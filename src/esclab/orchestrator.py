@@ -11,10 +11,14 @@ policies, in-process transports and ``intra_day_visibility`` runs query the
 nations one after another.  The transcript is written incrementally and a
 crashed run resumes from its last completed day, reproducing the
 uninterrupted bytes exactly.
+
+A run comes back as ``transcript.TranscriptRun``, the record that reading
+its transcript gives: built from memory for a run played here, read back for
+one the transcript already holds completed.  ``transcript`` also owns the
+turn record in both directions.
 """
 from __future__ import annotations
 
-import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +26,14 @@ from pathlib import Path
 
 from . import transcript as ts
 from .agents import AgentPolicy, AgentTurn, LlmPolicy, decide_with_retry
-from .client import Transport, chat_request, complete
+from .client import (
+    DEFAULT_MAX_TOKENS,
+    TEMPERATURE_MAX,
+    TEMPERATURE_MIN,
+    Transport,
+    chat_request,
+    complete,
+)
 from .errors import BudgetExceeded, TransportError, ValidationError
 from .prompts import PromptVariant, build_prompts
 from .scenario import (
@@ -36,9 +47,6 @@ from .scoring import daily_score
 from .taxonomy import ActionTaxonomy
 
 log = logging.getLogger("esclab.orchestrator")
-
-TEMPERATURE_MIN = 0.0
-TEMPERATURE_MAX = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,41 +64,13 @@ class Treatment:
                 f"outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
             )
 
-
-@dataclass
-class SimulationRun:
-    """Outcome of one seeded game, as reconstructed from its transcript."""
-
-    run_id: str
-    treatment: Treatment
-    seed: int
-    scenario_name: str
-    days: list[DailyRecord]
-    status: str  # completed | aborted
-    transcript_path: str
-    abort_reason: str | None = None
-    fallbacks: int = 0
-
-    @property
-    def completed(self) -> bool:
-        return self.status == "completed"
-
-    @classmethod
-    def from_transcript(
-        cls, run: ts.TranscriptRun, treatment: Treatment, transcript_path: str | Path
-    ) -> "SimulationRun":
-        """The outcome of a run already read back from its transcript."""
-        return cls(
-            run_id=run.run_id,
-            treatment=treatment,
-            seed=run.seed,
-            scenario_name=run.scenario_name,
-            days=run.days,
-            status=run.status,
-            transcript_path=str(transcript_path),
-            abort_reason=run.abort_reason,
-            fallbacks=run.fallbacks,
-        )
+    def as_record(self) -> dict:
+        """The treatment as run headers, manifests and plan digests store it."""
+        return {
+            "label": self.label,
+            "temperature": self.temperature,
+            "variant": self.variant.value,
+        }
 
 
 class WorldUpdater:
@@ -148,7 +128,7 @@ class LlmUpdater(WorldUpdater):
         "Do not invent actions that did not happen."
     )
 
-    def __init__(self, transport: Transport, model: str, max_tokens: int | None = None):
+    def __init__(self, transport: Transport, model: str, max_tokens: int = DEFAULT_MAX_TOKENS):
         self.transport = transport
         self.model = model
         self.max_tokens = max_tokens
@@ -169,31 +149,15 @@ class LlmUpdater(WorldUpdater):
             "Actions taken today:\n" + "\n".join(_action_lines(world, turns)) +
             "\n\nDescribe the resulting state of the world."
         )
-        kwargs = {} if self.max_tokens is None else {"max_tokens": self.max_tokens}
         request = chat_request(
             model=self.model,
             system_text=self.SYSTEM_TEXT,
             user_text=user_text,
             temperature=treatment.temperature,
+            max_tokens=self.max_tokens,
             request_tag=request_tag,
-            **kwargs,
         )
-        client_recorder = None
-        if recorder is not None:
-            client_recorder = lambda req, res: recorder(
-                ts.LLM_CALL,
-                {
-                    "tag": req.request_tag,
-                    "model": req.model,
-                    "temperature": req.temperature,
-                    "max_tokens": req.max_tokens,
-                    "content": res.content,
-                    "finish_reason": res.finish_reason,
-                    "latency": res.latency,
-                    "attempt_count": res.attempt_count,
-                },
-            )
-        response = complete(self.transport, request, recorder=client_recorder)
+        response = complete(self.transport, request, recorder=recorder)
         text = response.content.strip() if isinstance(response.content, str) else ""
         if not text:
             log.warning("world updater returned empty text on day %d; using template", day)
@@ -219,20 +183,6 @@ def _world_with_partial_day(world: WorldState, turns: dict[str, AgentTurn]) -> W
     )
 
 
-def _turn_payload(turn: AgentTurn) -> dict:
-    return {
-        "nation": turn.nation,
-        "actions": [
-            {"action": a.action_id, "target": a.target, "raw_text": a.raw_text}
-            for a in turn.actions
-        ],
-        "private_thoughts": turn.private_thoughts,
-        "parse_attempts": turn.parse_attempts,
-        "fallback": turn.fallback,
-        "deviations": list(turn.deviations),
-    }
-
-
 def _replay_world(scenario: Scenario, days: list[DailyRecord]) -> WorldState:
     world = initial_world(scenario)
     for record in days:
@@ -252,7 +202,7 @@ def run_simulation(
     max_parse_retries: int = 3,
     resume: bool = True,
     intra_day_visibility: bool = False,
-) -> SimulationRun:
+) -> ts.TranscriptRun:
     """Play one seeded game of scenario.days days and persist the transcript.
 
     If the transcript already holds a completed run it is returned as-is; a
@@ -267,11 +217,7 @@ def run_simulation(
         "scenario_name": scenario.name,
         "days": scenario.days,
         "seed": seed,
-        "treatment": {
-            "label": treatment.label,
-            "temperature": treatment.temperature,
-            "variant": treatment.variant.value,
-        },
+        "treatment": treatment.as_record(),
         "taxonomy_version": taxonomy.version,
     }
 
@@ -290,7 +236,7 @@ def run_simulation(
                 )
             prior = ts.reconstruct_run(records)
             if prior.completed:
-                return SimulationRun.from_transcript(prior, treatment, transcript_path)
+                return prior
             kept = ts.complete_day_prefix(records)
             ts.rewrite(transcript_path, kept)
             resumed = ts.reconstruct_run(kept)
@@ -318,15 +264,15 @@ def run_simulation(
     try:
         if fresh:
             writer.write(ts.RUN_START, header)
-            system_text = build_prompts(
+            bundle = build_prompts(
                 scenario, taxonomy, world, scenario.nation_names[0], treatment.variant
-            ).system_text
+            )
             writer.write(
                 ts.SYSTEM_PROMPT,
                 {
                     "variant": treatment.variant.value,
-                    "sha256": hashlib.sha256(system_text.encode("utf-8")).hexdigest(),
-                    "text": system_text,
+                    "sha256": bundle.system_sha256,
+                    "text": bundle.system_text,
                 },
             )
         try:
@@ -371,7 +317,7 @@ def run_simulation(
                     if turn.fallback:
                         fallbacks += 1
                     turns[nation] = turn
-                    writer.write(ts.TURN, _turn_payload(turn), day=day, nation=nation)
+                    writer.write(ts.TURN, ts.turn_payload(turn), day=day, nation=nation)
                 scores = daily_score(turns.values(), taxonomy)
                 summary = world_updater.update(
                     world,
@@ -407,14 +353,16 @@ def run_simulation(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         writer.close()
-    return SimulationRun(
+    return ts.TranscriptRun(
         run_id=run_id,
-        treatment=treatment,
-        seed=seed,
         scenario_name=scenario.name,
-        days=days,
+        days_expected=scenario.days,
+        seed=seed,
+        treatment_label=treatment.label,
+        temperature=treatment.temperature,
+        variant=treatment.variant.value,
         status=status,
-        transcript_path=str(transcript_path),
         abort_reason=abort_reason,
+        days=days,
         fallbacks=fallbacks,
     )

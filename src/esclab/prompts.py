@@ -7,6 +7,7 @@ reconstructions stored as data files with named placeholders (the original
 """
 from __future__ import annotations
 
+import hashlib
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +79,7 @@ class PromptBundle:
     system_text: str
     user_text: str
     expects_private_thoughts: bool
+    system_sha256: str
 
 
 @dataclass(frozen=True)
@@ -173,15 +175,17 @@ def _system_text(
     days: int,
     taxonomy: ActionTaxonomy,
     variant: PromptVariant,
-) -> str:
-    # Rendered once per run settings and shared by every query of the run.
-    return Template(template).substitute(
+) -> tuple[str, str]:
+    # Rendered and digested once per run settings and shared by every query
+    # of the run.
+    text = Template(template).substitute(
         nation_count=nation_count,
         days=days,
         max_actions=MAX_ACTIONS_PER_DAY,
         action_menu=action_menu_text(taxonomy),
         response_format=_response_format_text(variant),
     )
+    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def build_prompts(
@@ -208,7 +212,7 @@ def build_prompts(
     templates = templates or default_templates()
     profile = scenario.nation(nation)
     try:
-        system_text = _system_text(
+        system_text, system_sha256 = _system_text(
             templates.system, len(scenario.nations), scenario.days, taxonomy, variant
         )
         user_text = Template(templates.user).substitute(
@@ -230,4 +234,5 @@ def build_prompts(
         system_text=system_text,
         user_text=user_text,
         expects_private_thoughts=variant in REFLECTION_VARIANTS,
+        system_sha256=system_sha256,
     )

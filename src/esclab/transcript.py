@@ -12,9 +12,13 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 from .errors import ParseError
 from .scenario import ChosenAction, DailyRecord
+
+if TYPE_CHECKING:
+    from .agents import AgentTurn
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -26,6 +30,9 @@ DAY = "day"
 RUN_END = "run_end"
 
 _HEADER_TYPES = {RUN_START, SYSTEM_PROMPT}
+
+# Receives (record type, payload) for each record a query produces.
+Recorder = Callable[[str, dict], None]
 
 
 def encode_record(seq: int, type_: str, payload: dict, day: int | None = None,
@@ -118,7 +125,8 @@ def rewrite(path: str | Path, records: list[dict]) -> None:
 
 @dataclass
 class TranscriptRun:
-    """A run reconstructed from its transcript; all reports start here."""
+    """One run's outcome: what ``run_simulation`` returns, and what
+    ``reconstruct_run`` rebuilds from the transcript; all reports start here."""
 
     run_id: str
     scenario_name: str
@@ -135,6 +143,33 @@ class TranscriptRun:
     @property
     def completed(self) -> bool:
         return self.status == "completed"
+
+
+def turn_payload(turn: AgentTurn) -> dict:
+    """The payload of a turn record."""
+    return {
+        "nation": turn.nation,
+        "actions": [
+            {"action": a.action_id, "target": a.target, "raw_text": a.raw_text}
+            for a in turn.actions
+        ],
+        "private_thoughts": turn.private_thoughts,
+        "parse_attempts": turn.parse_attempts,
+        "fallback": turn.fallback,
+        "deviations": list(turn.deviations),
+    }
+
+
+def turn_actions(payload: dict) -> tuple[ChosenAction, ...]:
+    """The actions of a turn record's payload."""
+    return tuple(
+        ChosenAction(
+            action_id=a["action"],
+            target=a.get("target"),
+            raw_text=a.get("raw_text", ""),
+        )
+        for a in payload["actions"]
+    )
 
 
 def reconstruct_run(records: list[dict]) -> TranscriptRun:
@@ -158,21 +193,12 @@ def reconstruct_run(records: list[dict]) -> TranscriptRun:
             payload = record["payload"]
             day = record["day"]
             turns = turns_by_day.get(day, {})
-            actions = {
-                nation: tuple(
-                    ChosenAction(
-                        action_id=a["action"],
-                        target=a.get("target"),
-                        raw_text=a.get("raw_text", ""),
-                    )
-                    for a in turn["actions"]
-                )
-                for nation, turn in turns.items()
-            }
             days.append(
                 DailyRecord(
                     day=day,
-                    actions_by_nation=actions,
+                    actions_by_nation={
+                        nation: turn_actions(turn) for nation, turn in turns.items()
+                    },
                     daily_score_by_nation=dict(payload["scores"]),
                     world_summary_after=payload["summary"],
                 )

@@ -2,6 +2,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esclab.agents import (
     AgentTurn,
@@ -290,3 +292,80 @@ class TestReplayFidelity:
             policy, scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT
         )
         assert turn.parse_attempts == 3
+
+
+DEEPLY_NESTED = '{"a":' + "[" * 100000 + "]" * 100000 + "}"
+
+# Prose, then an object head, then `depth` openers, optionally closed again.
+_OPENERS = {"[": "]", "{": "}", '{"a":': "}", '[{"action":': "}]"}
+NESTED_REPLIES = st.builds(
+    lambda prose, head, opener, depth, closed, tail: (
+        prose + head + opener * depth + (_OPENERS[opener] * depth if closed else "") + tail
+    ),
+    st.text(max_size=20),
+    st.sampled_from(["", "{", '{"actions":', '{"actions": [', '{"private_thoughts":']),
+    st.sampled_from(sorted(_OPENERS)),
+    st.integers(min_value=0, max_value=5000),
+    st.booleans(),
+    st.text(max_size=20),
+)
+
+
+class TestUntrustedNesting:
+    def test_deeply_nested_reply_is_no_document(self, taxonomy, scenario):
+        outcome = parse(DEEPLY_NESTED, taxonomy, scenario)
+        assert isinstance(outcome, ParseFailure)
+        assert outcome.reason == "no_document"
+
+    def test_deeply_nested_reply_retries_then_falls_back(self, taxonomy, scenario):
+        policy = LlmPolicy(MockTransport(DEEPLY_NESTED), model="m", temperature=1.0)
+        events = []
+        turn = decide_with_retry(
+            policy, scenario, taxonomy, initial_world(scenario), "Blue",
+            PromptVariant.DEFAULT, max_parse_retries=1, request_tag="run|d01|Blue",
+            recorder=lambda kind, payload: events.append((kind, payload)),
+        )
+        assert turn.fallback
+        assert turn.parse_attempts == 2
+        reasons = [payload["reason"] for kind, payload in events if kind == "parse_failure"]
+        assert reasons == ["no_document", "no_document"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(content=st.one_of(st.text(), NESTED_REPLIES))
+    def test_parse_never_raises(self, taxonomy, scenario, content):
+        outcome = parse(content, taxonomy, scenario)
+        assert isinstance(outcome, (AgentTurn, ParseFailure))
+
+
+class TestScriptedValidation:
+    def test_unexpected_target_names_reason_and_action(self, taxonomy, scenario):
+        policy = ScriptedPolicy({"Blue": {1: (ChosenAction("wait", target="Red"),)}})
+        world = initial_world(scenario)
+        with pytest.raises(ValidationError, match="unexpected-target.*wait"):
+            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+
+    def test_unknown_target_rejected(self, taxonomy, scenario):
+        policy = ScriptedPolicy(
+            {"Blue": {1: (ChosenAction("form_alliance", target="Atlantis"),)}}
+        )
+        world = initial_world(scenario)
+        with pytest.raises(ValidationError, match="unknown-target.*Atlantis"):
+            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+
+    def test_scripted_turn_keeps_script_raw_text(self, taxonomy, scenario):
+        action = ChosenAction("form_alliance", target="Red", raw_text="(scripted)")
+        policy = ScriptedPolicy({"Blue": {1: (action,)}})
+        turn = policy.decide(
+            scenario, taxonomy, initial_world(scenario), "Blue", PromptVariant.DEFAULT
+        )
+        assert turn.actions == (action,)
+
+
+class TestReplayPolicyReader:
+    def test_torn_transcript_line_is_a_parse_error(self, tmp_path):
+        from esclab.errors import ParseError
+
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"seq": 0, "type": "turn"\n{}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="line 1"):
+            ReplayPolicy(path)

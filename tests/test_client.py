@@ -9,6 +9,7 @@ from esclab.client import (
     RequestBudget,
     chat_request,
     complete,
+    read_cassette,
     wire_body,
 )
 from esclab.errors import BudgetExceeded, TransportError, ValidationError
@@ -317,3 +318,41 @@ class TestFullRunReplay:
         assert (tmp_path / "original.jsonl").read_bytes() == (
             tmp_path / "replayed.jsonl"
         ).read_bytes()
+
+
+class TestTornCassette:
+    def _recorded(self, tmp_path, tags=("q1", "q2")):
+        cassette = tmp_path / "session.jsonl"
+        recorder = RecordingTransport(
+            MockTransport(lambda r: f"answer-{r.request_tag}"), cassette
+        )
+        for tag in tags:
+            complete(recorder, request(tag=tag))
+        return cassette
+
+    def test_torn_final_line_dropped_and_prefix_replays_strictly(self, tmp_path):
+        cassette = self._recorded(tmp_path)
+        whole = cassette.read_text(encoding="utf-8")
+        last = whole.splitlines()[-1]
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write(last[: len(last) // 2])
+        assert len(read_cassette(cassette)) == 2
+        replay = ReplayTransport(cassette, mode="strict")
+        assert complete(replay, request(tag="q1")).content == "answer-q1"
+        assert complete(replay, request(tag="q2")).content == "answer-q2"
+        with pytest.raises(TransportError, match="q2"):
+            complete(replay, request(tag="q2"))
+
+    def test_bad_line_before_the_end_still_rejected(self, tmp_path):
+        cassette = self._recorded(tmp_path)
+        first, second = cassette.read_text(encoding="utf-8").splitlines()
+        cassette.write_text(first[: len(first) // 2] + "\n" + second + "\n", encoding="utf-8")
+        with pytest.raises(TransportError, match="bad cassette line 1"):
+            read_cassette(cassette)
+
+    def test_complete_final_line_missing_keys_rejected(self, tmp_path):
+        cassette = self._recorded(tmp_path, tags=("q1",))
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write('{"tag": "q2"}\n')
+        with pytest.raises(TransportError, match="bad cassette line 2"):
+            read_cassette(cassette)

@@ -286,3 +286,13 @@ class TestManifestLock:
         with manifest_lock(out, shared=True):
             with manifest_lock(out, shared=True):
                 pass
+
+
+class TestRunRecords:
+    def test_noop_rerun_returns_the_first_runs(self, tmp_path):
+        plan = load_plan(scripted_plan(tmp_path, runs=2))
+        first = run_experiment(plan, tmp_path / "out")
+        again = run_experiment(plan, tmp_path / "out")
+        assert again.skipped == 2
+        assert again.runs == first.runs
+

@@ -24,7 +24,7 @@ from esclab.orchestrator import (
 )
 from esclab.prompts import PromptVariant
 from esclab.scenario import ChosenAction, initial_world
-from esclab.transcript import read_records
+from esclab.transcript import load_run, read_records
 
 from oracles import transcript_scores
 
@@ -556,3 +556,47 @@ class TestConcurrentDays:
         assert run.completed
         assert session.posts == 16
         assert session.peak == 2
+
+
+class TestRunRecordIsTranscriptRecord:
+    """run_simulation returns exactly what reading its transcript back gives."""
+
+    def _transport(self, scenario, taxonomy, fail_tag=None):
+        inner = _responder(scenario, taxonomy, fail_tag=fail_tag)
+
+        def respond(request):
+            if "|d03|Green|" in request.request_tag:
+                return "no decision"  # every attempt: one fallback turn
+            return inner(request)
+
+        return MockTransport(respond)
+
+    def test_fresh_run(self, scenario, taxonomy, tmp_path):
+        path = tmp_path / "run.jsonl"
+        run = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), path)
+        assert run.completed
+        assert run.fallbacks == 1
+        assert run == load_run(path)
+
+    def test_aborted_run(self, scenario, taxonomy, tmp_path):
+        path = tmp_path / "run.jsonl"
+        transport = self._transport(scenario, taxonomy, fail_tag="|d05|Purple|")
+        run = _llm_run(scenario, taxonomy, transport, path)
+        assert run.status == "aborted"
+        assert len(run.days) == 4
+        assert run == load_run(path)
+
+    def test_crashed_then_resumed_run(self, scenario, taxonomy, tmp_path):
+        straight = tmp_path / "straight.jsonl"
+        _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), straight)
+        lines = straight.read_text(encoding="utf-8").splitlines(keepends=True)
+        cut = next(i for i, line in enumerate(lines) if '"day":6' in line) + 5
+        crashed = tmp_path / "crashed.jsonl"
+        crashed.write_text(
+            "".join(lines[:cut]) + lines[cut][: len(lines[cut]) // 2], encoding="utf-8"
+        )
+        resumed = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), crashed)
+        assert crashed.read_bytes() == straight.read_bytes()
+        assert resumed == load_run(crashed)
+        again = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), crashed)
+        assert again == resumed
