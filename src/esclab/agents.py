@@ -180,6 +180,9 @@ def fallback_turn(taxonomy: ActionTaxonomy, nation: str, attempts: int) -> Agent
 class AgentPolicy:
     """Behavior contract: produce a turn (or a parse failure) for one query."""
 
+    # The prompt templates the policy renders; None means the shipped ones.
+    templates: PromptTemplates | None = None
+
     def decide(
         self,
         scenario: Scenario,
@@ -228,7 +231,7 @@ class LlmPolicy(AgentPolicy):
         if recorder is not None and attempt == 1:
             recorder(
                 ts.PROMPT,
-                {"user_text": bundle.user_text, "system_sha256": bundle.system_sha256},
+                {"user_sha256": bundle.user_sha256, "system_sha256": bundle.system_sha256},
             )
         request = chat_request(
             model=self.model,

@@ -1,4 +1,4 @@
-"""Command-line entry point: validate, simulate, experiment, report.
+"""Command-line entry point: validate, simulate, experiment, inspect, report.
 
 Exit codes: 0 success, 1 runtime failure (one machine-parsable JSON line on
 stderr), 2 usage errors (argparse).  The live transport reads its API key
@@ -16,13 +16,14 @@ import sys
 from pathlib import Path
 
 from . import prompts
-from .errors import EsclabError
+from .errors import EsclabError, ValidationError
 from .experiments import (
     DEFAULT_MODEL,
     ExperimentPlan,
     build_policy,
     build_transport,
     build_updater,
+    inspect_experiment,
     load_plan,
     run_experiment,
 )
@@ -151,6 +152,21 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if completed == len(result.runs) else 1
 
 
+def _cmd_inspect(args: argparse.Namespace) -> int:
+    result = inspect_experiment(args.manifest)
+    if result.mismatches:
+        raise ValidationError(
+            f"{len(result.mismatches)} prompt digest mismatches in {result.prompts} "
+            f"prompts of {result.runs} runs; first: {result.mismatches[0]}"
+        )
+    print(json.dumps({
+        "manifest": args.manifest,
+        "runs": result.runs,
+        "prompts_verified": result.prompts,
+    }))
+    return 0
+
+
 def _print_table(header: list[str], rows: list[list]) -> None:
     def fmt(value) -> str:
         if isinstance(value, bool):
@@ -245,6 +261,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--plan", required=True)
     p_exp.add_argument("--out", required=True)
     p_exp.set_defaults(func=_cmd_experiment)
+
+    p_ins = sub.add_parser(
+        "inspect", help="re-derive every prompt digest of an experiment's transcripts")
+    p_ins.add_argument("--manifest", required=True)
+    p_ins.set_defaults(func=_cmd_inspect)
 
     p_rep = sub.add_parser("report", help="emit tables and figures from a manifest")
     p_rep.add_argument("--manifest", required=True)

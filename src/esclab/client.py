@@ -363,14 +363,42 @@ class ReplayTransport(Transport):
         )
 
 
+def _end_on_whole_line(path: Path) -> None:
+    """Make a cassette end with a newline before it is appended to.
+
+    A final line that is not JSON is cut off, the fragment that
+    ``read_cassette`` drops; a whole final line only lacks its newline.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return
+    if not data or data.endswith(b"\n"):
+        return
+    keep = data.rfind(b"\n") + 1
+    try:
+        json.loads(data[keep:])
+    except ValueError:
+        with path.open("r+b") as handle:
+            handle.truncate(keep)
+    else:
+        with path.open("ab") as handle:
+            handle.write(b"\n")
+
+
 class RecordingTransport(Transport):
-    """Wraps another transport and appends every exchange to a cassette."""
+    """Wraps another transport and appends every exchange to a cassette.
+
+    A torn last line left by a crashed recorder is dropped before the first
+    append, so the next exchange starts a line of its own.
+    """
 
     def __init__(self, inner: Transport, path: str | Path):
         super().__init__()
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()
+        self._tail_checked = False
 
     @property
     def in_process(self) -> bool:
@@ -393,6 +421,9 @@ class RecordingTransport(Transport):
             ensure_ascii=False,
         )
         with self._write_lock:
+            if not self._tail_checked:
+                _end_on_whole_line(self.path)
+                self._tail_checked = True
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(line + "\n")
         return response

@@ -290,6 +290,36 @@ def _completed_run(handle: RunHandle, scenario: Scenario) -> ts.TranscriptRun | 
     return None
 
 
+@dataclass
+class InspectResult:
+    runs: int
+    prompts: int
+    mismatches: list[str]
+
+
+def inspect_experiment(manifest_path: str | Path) -> InspectResult:
+    """Re-derive the prompt digests of every transcript a manifest lists.
+
+    Prompts are rendered from each transcript's own records, its recorded
+    templates and the scenario at the manifest's ``scenario_path``.
+    """
+    manifest_path = Path(manifest_path)
+    with manifest_lock(manifest_path.parent, shared=True):
+        manifest = load_manifest(manifest_path)
+        scenario = load_scenario(manifest["scenario_path"])
+        prompts = 0
+        mismatches: list[str] = []
+        for entry in manifest["runs"]:
+            path = manifest_path.parent / entry["transcript"]
+            try:
+                checked, found = ts.verify_prompts(path, scenario)
+            except KeyError as exc:
+                raise ParseError(f"transcript {path} lacks the field {exc}") from exc
+            prompts += checked
+            mismatches += [f"{entry['transcript']} {line}" for line in found]
+    return InspectResult(len(manifest["runs"]), prompts, mismatches)
+
+
 @contextlib.contextmanager
 def manifest_lock(out_dir: Path, shared: bool = False):
     """Advisory lock guarding the manifest: exclusive for writers (the
@@ -309,6 +339,19 @@ def manifest_lock(out_dir: Path, shared: bool = False):
             yield
         finally:
             fcntl.flock(handle, fcntl.LOCK_UN)
+
+
+def load_manifest(manifest_path: str | Path) -> dict:
+    manifest_path = Path(manifest_path)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"malformed manifest {manifest_path}: {exc}") from exc
+    if "runs" not in manifest:
+        raise ParseError(f"manifest {manifest_path} has no runs")
+    return manifest
 
 
 def _write_manifest(path: Path, manifest: dict) -> None:
@@ -381,8 +424,8 @@ def _execute(
     manifest_write_lock = threading.Lock()
     results: dict[str, ts.TranscriptRun] = {}
 
-    def _record(handle: RunHandle, status: str, abort_reason: str | None) -> None:
-        entry = {
+    def _entry(handle: RunHandle, status: str, abort_reason: str | None) -> dict:
+        return {
             **handle.treatment.as_record(),
             "run_index": handle.run_index,
             "seed": handle.seed,
@@ -390,20 +433,18 @@ def _execute(
             "status": status,
             "abort_reason": abort_reason,
         }
-        with manifest_write_lock:
-            manifest["runs"].append(entry)
-            _write_manifest(manifest_path, manifest)
 
-    skipped = 0
     to_run: list[RunHandle] = []
     for handle in handles:
         run = _completed_run(handle, scenario)
         if run is not None:
-            skipped += 1
             results[handle.run_id] = run
-            _record(handle, "completed", None)
+            manifest["runs"].append(_entry(handle, "completed", None))
         else:
             to_run.append(handle)
+    skipped = len(manifest["runs"])
+    if skipped:
+        _write_manifest(manifest_path, manifest)
 
     before = transport.request_count
 
@@ -423,7 +464,9 @@ def _execute(
             intra_day_visibility=plan.intra_day_visibility,
         )
         results[handle.run_id] = run
-        _record(handle, run.status, run.abort_reason)
+        with manifest_write_lock:
+            manifest["runs"].append(_entry(handle, run.status, run.abort_reason))
+            _write_manifest(manifest_path, manifest)
 
     if plan.parallelism > 1 and len(to_run) > 1:
         with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:

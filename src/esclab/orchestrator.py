@@ -35,13 +35,14 @@ from .client import (
     complete,
 )
 from .errors import BudgetExceeded, TransportError, ValidationError
-from .prompts import PromptVariant, build_prompts
+from .prompts import PromptVariant, build_prompts, default_templates
 from .scenario import (
     DailyRecord,
     Scenario,
     WorldState,
     advance_day,
     initial_world,
+    with_partial_day,
 )
 from .scoring import daily_score
 from .taxonomy import ActionTaxonomy
@@ -165,29 +166,31 @@ class LlmUpdater(WorldUpdater):
         return text
 
 
-def _world_with_partial_day(world: WorldState, turns: dict[str, AgentTurn]) -> WorldState:
-    """Expose same-day earlier actions to later nations (sensitivity knob)."""
-    if not turns:
-        return world
-    partial = DailyRecord(
-        day=world.current_day + 1,
-        actions_by_nation={nation: turn.actions for nation, turn in turns.items()},
-        daily_score_by_nation={nation: 0 for nation in turns},
-        world_summary_after="(in progress)",
-    )
-    return WorldState(
-        scenario=world.scenario,
-        current_day=world.current_day,
-        summary=world.summary,
-        history=world.history + (partial,),
-    )
-
-
 def _replay_world(scenario: Scenario, days: list[DailyRecord]) -> WorldState:
     world = initial_world(scenario)
     for record in days:
         world = advance_day(world, record)
     return world
+
+
+def _completed_older_run(
+    path: Path, records: list[dict], header: dict
+) -> ts.TranscriptRun:
+    """An older-format transcript of this run, if it holds the run completed.
+
+    A partial one is refused rather than resumed, which would mix two
+    formats in one file.
+    """
+    stored = records[0]["payload"]
+    if stored.items() <= header.items():
+        prior = ts.reconstruct_run(records)
+        if prior.completed:
+            return prior
+    raise ValidationError(
+        f"transcript {path} is in format {stored.get('transcript_format', 1)}, "
+        f"not {ts.TRANSCRIPT_FORMAT}: an older transcript is read only when it "
+        "holds its run completed, never resumed; remove it to play the run again"
+    )
 
 
 def run_simulation(
@@ -213,12 +216,14 @@ def run_simulation(
     transcript_path = Path(transcript_path)
     run_id = run_id or f"{treatment.label}-s{seed}"
     header = {
+        "transcript_format": ts.TRANSCRIPT_FORMAT,
         "run_id": run_id,
         "scenario_name": scenario.name,
         "days": scenario.days,
         "seed": seed,
         "treatment": treatment.as_record(),
         "taxonomy_version": taxonomy.version,
+        "intra_day_visibility": intra_day_visibility,
     }
 
     start_seq = 0
@@ -229,7 +234,10 @@ def run_simulation(
     if transcript_path.exists() and resume:
         records = ts.read_records(transcript_path, tolerate_partial_tail=True)
         if records:
-            if records[0].get("type") != ts.RUN_START or records[0]["payload"] != header:
+            stored = records[0]["payload"] if records[0].get("type") == ts.RUN_START else None
+            if stored is not None and stored.get("transcript_format", 1) != ts.TRANSCRIPT_FORMAT:
+                return _completed_older_run(transcript_path, records, header)
+            if stored != header:
                 raise ValidationError(
                     f"transcript {transcript_path} belongs to a different run; "
                     "refusing to resume"
@@ -264,8 +272,14 @@ def run_simulation(
     try:
         if fresh:
             writer.write(ts.RUN_START, header)
+            templates = policy.templates or default_templates()
             bundle = build_prompts(
-                scenario, taxonomy, world, scenario.nation_names[0], treatment.variant
+                scenario,
+                taxonomy,
+                world,
+                scenario.nation_names[0],
+                treatment.variant,
+                templates=templates,
             )
             writer.write(
                 ts.SYSTEM_PROMPT,
@@ -273,6 +287,7 @@ def run_simulation(
                     "variant": treatment.variant.value,
                     "sha256": bundle.system_sha256,
                     "text": bundle.system_text,
+                    "user_template": templates.user,
                 },
             )
         try:
@@ -308,7 +323,10 @@ def run_simulation(
                         if pool is not None:
                             turn = futures[nation].result()
                         elif intra_day_visibility:
-                            turn = ask(nation, _world_with_partial_day(world, turns))
+                            view = with_partial_day(
+                                world, {n: t.actions for n, t in turns.items()}
+                            )
+                            turn = ask(nation, view)
                         else:
                             turn = ask(nation, world)
                     finally:

@@ -72,6 +72,11 @@ EXTENSION_TEXTS: dict[PromptVariant, str] = {
 }
 
 
+def text_sha256(text: str) -> str:
+    """The digest transcripts store for a prompt text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class PromptBundle:
     """The exact system and user texts sent for one nation-day query."""
@@ -80,6 +85,10 @@ class PromptBundle:
     user_text: str
     expects_private_thoughts: bool
     system_sha256: str
+
+    @property
+    def user_sha256(self) -> str:
+        return text_sha256(self.user_text)
 
 
 @dataclass(frozen=True)
@@ -124,17 +133,6 @@ def extension_word_count(variant: PromptVariant) -> int:
     return word_count(f"{lead} {added}")
 
 
-def action_menu_text(taxonomy: ActionTaxonomy) -> str:
-    lines = []
-    for spec in taxonomy.actions:
-        target = "yes" if spec.requires_target else "no"
-        lines.append(
-            f"{spec.id} | {spec.category.value} | score {spec.score} | "
-            f"target: {target} | {spec.display_name}"
-        )
-    return "\n".join(lines)
-
-
 def _response_format_text(variant: PromptVariant) -> str:
     if variant in REFLECTION_VARIANTS:
         extension = EXTENSION_TEXTS[variant]
@@ -173,19 +171,47 @@ def _system_text(
     template: str,
     nation_count: int,
     days: int,
-    taxonomy: ActionTaxonomy,
+    action_menu: str,
     variant: PromptVariant,
 ) -> tuple[str, str]:
     # Rendered and digested once per run settings and shared by every query
-    # of the run.
+    # of the run.  Keyed on the taxonomy's menu text, not the taxonomy.
     text = Template(template).substitute(
         nation_count=nation_count,
         days=days,
         max_actions=MAX_ACTIONS_PER_DAY,
-        action_menu=action_menu_text(taxonomy),
+        action_menu=action_menu,
         response_format=_response_format_text(variant),
     )
-    return text, hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text, text_sha256(text)
+
+
+def render_user_text(
+    scenario: Scenario,
+    world: WorldState,
+    nation: str,
+    variant: PromptVariant,
+    template: str,
+) -> str:
+    """The user prompt for one nation on the day after ``world``."""
+    profile = scenario.nation(nation)
+    try:
+        text = Template(template).substitute(
+            day=world.current_day + 1,
+            days=scenario.days,
+            scenario_name=scenario.name,
+            nation=nation,
+            background=profile.background,
+            objectives="\n".join(f"- {goal}" for goal in profile.objectives),
+            roster=", ".join(scenario.nation_names),
+            world_summary=world.summary,
+            action_log=_action_log_text(world),
+        )
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"prompt template references an unknown placeholder: {exc}") from exc
+    if variant is PromptVariant.CONTEXT:
+        text = f"{text.rstrip()}\n\n{CONTEXT_LEAD_IN}\n{CONTEXT_EXTENSION}"
+    return text
 
 
 def build_prompts(
@@ -210,29 +236,19 @@ def build_prompts(
             f"world is at day {world.current_day}; scenario ends after day {scenario.days}"
         )
     templates = templates or default_templates()
-    profile = scenario.nation(nation)
     try:
         system_text, system_sha256 = _system_text(
-            templates.system, len(scenario.nations), scenario.days, taxonomy, variant
-        )
-        user_text = Template(templates.user).substitute(
-            day=world.current_day + 1,
-            days=scenario.days,
-            scenario_name=scenario.name,
-            nation=nation,
-            background=profile.background,
-            objectives="\n".join(f"- {goal}" for goal in profile.objectives),
-            roster=", ".join(scenario.nation_names),
-            world_summary=world.summary,
-            action_log=_action_log_text(world),
+            templates.system,
+            len(scenario.nations),
+            scenario.days,
+            taxonomy.menu_text,
+            variant,
         )
     except (KeyError, ValueError) as exc:
         raise ParseError(f"prompt template references an unknown placeholder: {exc}") from exc
-    if variant is PromptVariant.CONTEXT:
-        user_text = f"{user_text.rstrip()}\n\n{CONTEXT_LEAD_IN}\n{CONTEXT_EXTENSION}"
     return PromptBundle(
         system_text=system_text,
-        user_text=user_text,
+        user_text=render_user_text(scenario, world, nation, variant, templates.user),
         expects_private_thoughts=variant in REFLECTION_VARIANTS,
         system_sha256=system_sha256,
     )

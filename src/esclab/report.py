@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ParseError, ValidationError
-from .experiments import manifest_lock
+from .errors import ValidationError
+from .experiments import load_manifest, manifest_lock
 from .figures import emit_boxplot, emit_category_chart, emit_timeseries
 from .scoring import (
     Aggregator,
@@ -92,19 +92,6 @@ def _verify_scores(run: TranscriptRun, taxonomy: ActionTaxonomy) -> None:
                     f"transcript {run.run_id!r} day {record.day} {nation}: stored "
                     f"score {stored} != recomputed {recomputed}"
                 )
-
-
-def load_manifest(manifest_path: str | Path) -> dict:
-    manifest_path = Path(manifest_path)
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if "runs" not in manifest:
-        raise ParseError(f"manifest {manifest_path} has no runs")
-    return manifest
 
 
 def build_report(

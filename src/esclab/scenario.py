@@ -129,6 +129,28 @@ def advance_day(world: WorldState, record: DailyRecord) -> WorldState:
     )
 
 
+def with_partial_day(
+    world: WorldState, actions_by_nation: Mapping[str, tuple[ChosenAction, ...]]
+) -> WorldState:
+    """The world as a nation sees it when earlier nations' same-day actions
+    are visible (``intra_day_visibility``): those actions join the log as an
+    unscored day in progress."""
+    if not actions_by_nation:
+        return world
+    partial = DailyRecord(
+        day=world.current_day + 1,
+        actions_by_nation=actions_by_nation,
+        daily_score_by_nation={nation: 0 for nation in actions_by_nation},
+        world_summary_after="(in progress)",
+    )
+    return WorldState(
+        scenario=world.scenario,
+        current_day=world.current_day,
+        summary=world.summary,
+        history=world.history + (partial,),
+    )
+
+
 def _parse_nation(entry: object, index: int) -> NationProfile:
     where = f"nations[{index}]"
     if not isinstance(entry, dict):

@@ -58,18 +58,25 @@ class ActionTaxonomy:
     actions: tuple[ActionSpec, ...]
     version: str
 
-    def __hash__(self) -> int:
-        # Prompt caches key on the taxonomy once per query, and hashing all
-        # 27 specs would cost more than the cached work.  Equal taxonomies
-        # share a version, so this agrees with equality.
-        return hash(self.version)
-
     @cached_property
     def _by_id(self) -> dict[str, ActionSpec]:
         return {spec.id: spec for spec in self.actions}
 
     def __contains__(self, action_id: str) -> bool:
         return action_id in self._by_id
+
+    @cached_property
+    def menu_text(self) -> str:
+        """The menu as the system prompt lists it, one line per action.
+
+        Rendered once per object: prompt caches key on this text, so they
+        never compare two equal taxonomies spec by spec.
+        """
+        return "\n".join(
+            f"{spec.id} | {spec.category.value} | score {spec.score} | "
+            f"target: {'yes' if spec.requires_target else 'no'} | {spec.display_name}"
+            for spec in self.actions
+        )
 
     @cached_property
     def fallback(self) -> ActionSpec:

@@ -1,10 +1,13 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
-Every prompt, raw response, parse outcome, score and world summary for one
-run lands here; reports and replay consume nothing else.  Records carry a
-logical sequence number as their timestamp so that identical runs produce
-byte-identical files (wall-clock time is deliberately excluded; latency of
-live calls is recorded inside llm_call payloads).
+Every raw response, parse outcome, score and world summary for one run lands
+here; reports and replay consume nothing else.  Prompts are stored as sha256
+digests (format 2): the system text and the user template once per run, and
+per query only the digests, since ``verify_prompts`` re-derives each user
+prompt from the run's own records.  Records carry a logical sequence number
+as their timestamp so that identical runs produce byte-identical files
+(wall-clock time is deliberately excluded; latency of live calls is recorded
+inside llm_call payloads).
 """
 from __future__ import annotations
 
@@ -14,11 +17,22 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from .errors import ParseError
-from .scenario import ChosenAction, DailyRecord
+from .errors import ParseError, ValidationError
+from .prompts import PromptVariant, render_user_text, text_sha256
+from .scenario import (
+    ChosenAction,
+    DailyRecord,
+    Scenario,
+    advance_day,
+    initial_world,
+    with_partial_day,
+)
 
 if TYPE_CHECKING:
     from .agents import AgentTurn
+
+# Format 2 stores each prompt as digests (format 1 stored the user text).
+TRANSCRIPT_FORMAT = 2
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -224,3 +238,70 @@ def reconstruct_run(records: list[dict]) -> TranscriptRun:
 
 def load_run(path: str | Path) -> TranscriptRun:
     return reconstruct_run(read_records(path))
+
+
+def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]]:
+    """Re-derive every prompt of a transcript and compare digests.
+
+    A user prompt is a function of the scenario, the user template in the
+    ``system_prompt`` record, the variant and the world at the start of its
+    day, which the transcript's own ``turn`` and ``day`` records rebuild
+    (under ``intra_day_visibility``, with the earlier nations' turns of that
+    day).  Returns the number of prompt records and one line per mismatch.
+    """
+    records = read_records(path)
+    if not records or records[0].get("type") != RUN_START:
+        raise ParseError(f"transcript {path} does not start with a run_start record")
+    header = records[0]["payload"]
+    version = header.get("transcript_format", 1)
+    if version != TRANSCRIPT_FORMAT:
+        raise ValidationError(
+            f"transcript {path} is in format {version}, which stores prompts in "
+            f"full; only format {TRANSCRIPT_FORMAT} prompt digests are re-derived"
+        )
+    system = next((r for r in records if r.get("type") == SYSTEM_PROMPT), None)
+    if system is None:
+        raise ParseError(f"transcript {path} has no system_prompt record")
+    system_sha256 = system["payload"]["sha256"]
+    template = system["payload"]["user_template"]
+    variant = PromptVariant(header["treatment"]["variant"])
+    mismatches = []
+    if text_sha256(system["payload"]["text"]) != system_sha256:
+        mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
+    world = initial_world(scenario)
+    today: dict[str, tuple[ChosenAction, ...]] = {}
+    checked = 0
+    for record in records:
+        type_ = record.get("type")
+        if type_ == PROMPT:
+            checked += 1
+            view = with_partial_day(world, today) if header["intra_day_visibility"] else world
+            user_text = render_user_text(scenario, view, record["nation"], variant, template)
+            payload = record["payload"]
+            wrong = [
+                name
+                for name, expected in (
+                    ("user_sha256", text_sha256(user_text)),
+                    ("system_sha256", system_sha256),
+                )
+                if payload.get(name) != expected
+            ]
+            if wrong:
+                mismatches.append(
+                    f"seq {record['seq']} (day {record['day']}, {record['nation']}): "
+                    f"{' and '.join(wrong)} not re-derived"
+                )
+        elif type_ == TURN:
+            today[record["payload"]["nation"]] = turn_actions(record["payload"])
+        elif type_ == DAY:
+            world = advance_day(
+                world,
+                DailyRecord(
+                    day=record["day"],
+                    actions_by_nation=today,
+                    daily_score_by_nation=record["payload"]["scores"],
+                    world_summary_after=record["payload"]["summary"],
+                ),
+            )
+            today = {}
+    return checked, mismatches

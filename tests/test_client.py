@@ -356,3 +356,26 @@ class TestTornCassette:
             handle.write('{"tag": "q2"}\n')
         with pytest.raises(TransportError, match="bad cassette line 2"):
             read_cassette(cassette)
+
+    def test_recording_after_a_torn_line_starts_a_new_line(self, tmp_path):
+        cassette = self._recorded(tmp_path, tags=("q1", "q2"))
+        first, second = cassette.read_text(encoding="utf-8").splitlines()
+        cassette.write_text(first + "\n" + second[: len(second) // 2], encoding="utf-8")
+        recorder = RecordingTransport(
+            MockTransport(lambda r: f"again-{r.request_tag}"), cassette
+        )
+        complete(recorder, request(tag="q3"))
+        complete(recorder, request(tag="q4"))
+        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q3", "q4"]
+        replay = ReplayTransport(cassette, mode="strict")
+        assert complete(replay, request(tag="q3")).content == "again-q3"
+        assert complete(replay, request(tag="q4")).content == "again-q4"
+
+    def test_recording_after_a_whole_line_without_newline_keeps_it(self, tmp_path):
+        cassette = self._recorded(tmp_path, tags=("q1",))
+        cassette.write_text(cassette.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
+        complete(
+            RecordingTransport(MockTransport(lambda r: "later"), cassette),
+            request(tag="q2"),
+        )
+        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q2"]

@@ -296,3 +296,27 @@ class TestRunRecords:
         assert again.skipped == 2
         assert again.runs == first.runs
 
+
+    def test_noop_rerun_writes_the_manifest_once(self, tmp_path, monkeypatch):
+        from esclab import experiments
+
+        plan = load_plan(scripted_plan(tmp_path, runs=3))
+        run_experiment(plan, tmp_path / "out")
+        manifest = tmp_path / "out" / "manifest.json"
+        first = manifest.read_bytes()
+        writes = []
+        original = experiments._write_manifest
+
+        def counting(path, content):
+            writes.append(path)
+            original(path, content)
+
+        monkeypatch.setattr(experiments, "_write_manifest", counting)
+        run_experiment(plan, tmp_path / "out")
+        assert writes == [manifest]
+        assert manifest.read_bytes() == first
+        # One lost transcript: one write after the scan, one after the run.
+        (tmp_path / "out" / "transcripts" / "t1.0-default-r01.jsonl").unlink()
+        run_experiment(plan, tmp_path / "out")
+        assert writes == [manifest] * 3
+        assert manifest.read_bytes() == first

@@ -15,6 +15,7 @@ from esclab.prompts import (
     word_count,
 )
 from esclab.scenario import ChosenAction, DailyRecord, advance_day, initial_world
+from esclab.taxonomy import ActionTaxonomy, load_default_taxonomy
 
 # Frozen checksums of the canonical treatment extension blocks.  If these
 # fail, the shipped extension texts were edited.
@@ -147,6 +148,25 @@ class TestBuildPrompts:
         world = advance_day(world, record)
         bundle = build_prompts(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
         assert "Day 1: Red chose do_military_posturing targeting Blue" in bundle.user_text
+
+    def test_equal_taxonomies_are_never_compared(self, scenario, monkeypatch):
+        first, second = load_default_taxonomy(), load_default_taxonomy()
+        assert first is not second and first == second
+        compared = []
+        equal = ActionTaxonomy.__eq__
+        monkeypatch.setattr(
+            ActionTaxonomy, "__eq__",
+            lambda self, other: compared.append(other) or equal(self, other),
+        )
+        world = initial_world(scenario)
+        texts = {
+            build_prompts(scenario, taxonomy, world, nation, variant).system_text
+            for taxonomy in (first, second, first, second)
+            for nation in scenario.nation_names[:2]
+            for variant in PromptVariant
+        }
+        assert len(texts) == 3  # default and context share the system text
+        assert compared == []
 
     def test_unknown_nation(self, scenario, taxonomy):
         world = initial_world(scenario)
