@@ -7,6 +7,10 @@ produce AgentTurn values whose action ids are guaranteed to resolve in the
 taxonomy: model replies and script entries pass the same action validator,
 and replayed turns are decoded by the transcript module that wrote them.
 The ``llm_call`` record of each request is written by ``client.complete``.
+
+A policy holds only how to reach a model: the run's treatment and taxonomy
+arrive with each call and the scenario with the world, so every request
+carries the treatment its run records.
 """
 from __future__ import annotations
 
@@ -14,21 +18,19 @@ import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import yaml
 
 from . import transcript as ts
 from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
 from .errors import ParseError, ValidationError
-from .prompts import (
-    MAX_ACTIONS_PER_DAY,
-    PromptTemplates,
-    PromptVariant,
-    build_prompts,
-)
+from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
 from .scenario import ChosenAction, Scenario, WorldState
 from .taxonomy import ActionTaxonomy
+
+if TYPE_CHECKING:
+    from .orchestrator import Treatment
 
 log = logging.getLogger("esclab.agents")
 
@@ -182,14 +184,15 @@ class AgentPolicy:
 
     # The prompt templates the policy renders; None means the shipped ones.
     templates: PromptTemplates | None = None
+    # False when ``decide`` waits on an endpoint: only then do threads gain.
+    in_process = True
 
     def decide(
         self,
-        scenario: Scenario,
-        taxonomy: ActionTaxonomy,
         world: WorldState,
         nation: str,
-        variant: PromptVariant,
+        treatment: Treatment,
+        taxonomy: ActionTaxonomy,
         attempt: int = 1,
         request_tag: str = "",
         recorder: ts.Recorder | None = None,
@@ -204,29 +207,27 @@ class LlmPolicy(AgentPolicy):
         self,
         transport: Transport,
         model: str,
-        temperature: float,
         max_tokens: int = DEFAULT_MAX_TOKENS,
         templates: PromptTemplates | None = None,
     ):
         self.transport = transport
         self.model = model
-        self.temperature = temperature
         self.max_tokens = max_tokens
         self.templates = templates
+        self.in_process = transport.in_process
 
     def decide(
         self,
-        scenario: Scenario,
-        taxonomy: ActionTaxonomy,
         world: WorldState,
         nation: str,
-        variant: PromptVariant,
+        treatment: Treatment,
+        taxonomy: ActionTaxonomy,
         attempt: int = 1,
         request_tag: str = "",
         recorder: ts.Recorder | None = None,
     ) -> AgentTurn | ParseFailure:
         bundle = build_prompts(
-            scenario, taxonomy, world, nation, variant, templates=self.templates
+            world.scenario, taxonomy, world, nation, treatment.variant, templates=self.templates
         )
         if recorder is not None and attempt == 1:
             recorder(
@@ -237,7 +238,7 @@ class LlmPolicy(AgentPolicy):
             model=self.model,
             system_text=bundle.system_text,
             user_text=bundle.user_text,
-            temperature=self.temperature,
+            temperature=treatment.temperature,
             max_tokens=self.max_tokens,
             request_tag=f"{request_tag}|a{attempt}",
         )
@@ -245,7 +246,7 @@ class LlmPolicy(AgentPolicy):
         result = parse_agent_response(
             response.content,
             taxonomy,
-            scenario,
+            world.scenario,
             nation,
             bundle.expects_private_thoughts,
         )
@@ -279,11 +280,10 @@ class ScriptedPolicy(AgentPolicy):
 
     def decide(
         self,
-        scenario: Scenario,
-        taxonomy: ActionTaxonomy,
         world: WorldState,
         nation: str,
-        variant: PromptVariant,
+        treatment: Treatment,
+        taxonomy: ActionTaxonomy,
         attempt: int = 1,
         request_tag: str = "",
         recorder: ts.Recorder | None = None,
@@ -297,7 +297,7 @@ class ScriptedPolicy(AgentPolicy):
             outcome = _validate_action_entry(
                 {"action": action.action_id, "target": action.target},
                 taxonomy,
-                scenario,
+                world.scenario,
                 nation,
             )
             if isinstance(outcome, ParseFailure):
@@ -330,11 +330,10 @@ class ReplayPolicy(AgentPolicy):
 
     def decide(
         self,
-        scenario: Scenario,
-        taxonomy: ActionTaxonomy,
         world: WorldState,
         nation: str,
-        variant: PromptVariant,
+        treatment: Treatment,
+        taxonomy: ActionTaxonomy,
         attempt: int = 1,
         request_tag: str = "",
         recorder: ts.Recorder | None = None,
@@ -350,11 +349,10 @@ class ReplayPolicy(AgentPolicy):
 
 def decide_with_retry(
     policy: AgentPolicy,
-    scenario: Scenario,
-    taxonomy: ActionTaxonomy,
     world: WorldState,
     nation: str,
-    variant: PromptVariant,
+    treatment: Treatment,
+    taxonomy: ActionTaxonomy,
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
     request_tag: str = "",
     recorder: ts.Recorder | None = None,
@@ -366,15 +364,13 @@ def decide_with_retry(
     """
     if max_parse_retries < 0:
         raise ValidationError("max_parse_retries must be >= 0")
-    attempts = 0
-    for attempt in range(1, max_parse_retries + 2):
-        attempts = attempt
+    attempts = max_parse_retries + 1
+    for attempt in range(1, attempts + 1):
         result = policy.decide(
-            scenario,
-            taxonomy,
             world,
             nation,
-            variant,
+            treatment,
+            taxonomy,
             attempt=attempt,
             request_tag=request_tag,
             recorder=recorder,

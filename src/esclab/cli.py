@@ -114,7 +114,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     api_key = os.environ.get(API_KEY_ENV)
     transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
-    policy = build_policy(plan, transport, treatment)
+    policy = build_policy(plan, transport)
     updater = build_updater(plan, transport)
     out_dir = Path(args.out)
     transcript_path = out_dir / "transcripts" / f"{treatment.label}-s{args.seed}.jsonl"

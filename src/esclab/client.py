@@ -289,7 +289,7 @@ class CassetteRecord:
 def read_cassette(path: str | Path) -> list[CassetteRecord]:
     """Read a cassette; a torn final line (crashed recorder) is dropped."""
     records = []
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue

@@ -79,6 +79,10 @@ class ExperimentPlan:
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
     intra_day_visibility: bool = False
 
+    def __post_init__(self):
+        if self.max_parse_retries < 0:
+            raise ValidationError("plan: max_parse_retries must be >= 0")
+
 
 @dataclass
 class RunHandle:
@@ -260,10 +264,10 @@ def build_transport(
     raise ValidationError(f"unknown transport kind {kind!r}")
 
 
-def build_policy(plan: ExperimentPlan, transport: Transport, treatment: Treatment) -> AgentPolicy:
+def build_policy(plan: ExperimentPlan, transport: Transport) -> AgentPolicy:
     if plan.policy["kind"] == "scripted":
         return load_script(plan.policy["script"])
-    return LlmPolicy(transport, model=plan.model, temperature=treatment.temperature)
+    return LlmPolicy(transport, model=plan.model)
 
 
 def build_updater(plan: ExperimentPlan, transport: Transport) -> WorldUpdater:
@@ -394,6 +398,7 @@ def _execute(
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
     transport = build_transport(plan, taxonomy, scenario, api_key=api_key, capture=capture_requests)
+    policy = build_policy(plan, transport)
     updater = build_updater(plan, transport)
 
     handles = [
@@ -449,7 +454,6 @@ def _execute(
     before = transport.request_count
 
     def _run_one(handle: RunHandle) -> None:
-        policy = build_policy(plan, transport, handle.treatment)
         run = run_simulation(
             scenario,
             taxonomy,

@@ -2,15 +2,19 @@
 
 Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
-The day's nation queries are therefore independent, and when the policy's
-transport waits on an endpoint (anything but an in-process mock, replay or a
-recording of one) they are issued concurrently, one thread per nation.  Each
-query's records are buffered and written in roster order once it settles, so
-the transcript bytes do not depend on completion order.  Scripted and replay
-policies, in-process transports and ``intra_day_visibility`` runs query the
+The day's nation queries are therefore independent, and when the policy
+waits on an endpoint (its ``in_process`` is false: a model policy on
+anything but an in-process mock, replay or a recording of one) they are
+issued concurrently, one thread per nation.  Each query's records are
+buffered and written in roster order once it settles, so the transcript
+bytes do not depend on completion order.  Every other policy (scripted,
+replay, or one wrapping another) and ``intra_day_visibility`` runs query the
 nations one after another.  The transcript is written incrementally and a
 crashed run resumes from its last completed day, reproducing the
 uninterrupted bytes exactly.
+
+A run's treatment and taxonomy come only from ``run_simulation``'s
+arguments and reach the policy and the world updater with every call.
 
 A run comes back as ``transcript.TranscriptRun``, the record that reading
 its transcript gives: built from memory for a run played here, read back for
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import transcript as ts
-from .agents import AgentPolicy, AgentTurn, LlmPolicy, decide_with_retry
+from .agents import AgentPolicy, AgentTurn, decide_with_retry
 from .client import (
     DEFAULT_MAX_TOKENS,
     TEMPERATURE_MAX,
@@ -35,7 +39,7 @@ from .client import (
     complete,
 )
 from .errors import BudgetExceeded, TransportError, ValidationError
-from .prompts import PromptVariant, build_prompts, default_templates
+from .prompts import PromptVariant, default_templates, render_system_text
 from .scenario import (
     DailyRecord,
     Scenario,
@@ -116,11 +120,7 @@ class TemplateUpdater(WorldUpdater):
 
 
 class LlmUpdater(WorldUpdater):
-    """Summarization query over the previous summary and the day's actions.
-
-    The sampling temperature follows the treatment, like every other
-    invocation in a run.
-    """
+    """Summarization query over the previous summary and the day's actions."""
 
     SYSTEM_TEXT = (
         "You are the impartial narrator of a turn-based strategic wargame. "
@@ -259,13 +259,9 @@ def run_simulation(
     elif transcript_path.exists():
         transcript_path.unlink()
     writer = ts.TranscriptWriter(transcript_path, start_seq=start_seq)
-    # Threads overlap only waiting: on an in-process transport they would
+    # Threads overlap only waiting: for an in-process policy they would
     # just contend for the interpreter lock.
-    concurrent = (
-        not intra_day_visibility
-        and isinstance(policy, LlmPolicy)
-        and not policy.transport.in_process
-    )
+    concurrent = not intra_day_visibility and not policy.in_process
     pool = ThreadPoolExecutor(len(scenario.nation_names)) if concurrent else None
     status = "completed"
     abort_reason = None
@@ -273,20 +269,15 @@ def run_simulation(
         if fresh:
             writer.write(ts.RUN_START, header)
             templates = policy.templates or default_templates()
-            bundle = build_prompts(
-                scenario,
-                taxonomy,
-                world,
-                scenario.nation_names[0],
-                treatment.variant,
-                templates=templates,
+            system_text, system_sha256 = render_system_text(
+                scenario, taxonomy, treatment.variant, templates.system
             )
             writer.write(
                 ts.SYSTEM_PROMPT,
                 {
                     "variant": treatment.variant.value,
-                    "sha256": bundle.system_sha256,
-                    "text": bundle.system_text,
+                    "sha256": system_sha256,
+                    "text": system_text,
                     "user_template": templates.user,
                 },
             )
@@ -298,11 +289,10 @@ def run_simulation(
                 def ask(nation, view, _day=day, _buffers=buffers):
                     return decide_with_retry(
                         policy,
-                        scenario,
-                        taxonomy,
                         view,
                         nation,
-                        treatment.variant,
+                        treatment,
+                        taxonomy,
                         max_parse_retries=max_parse_retries,
                         request_tag=f"{run_id}|d{_day:02d}|{nation}",
                         recorder=lambda type_, payload: _buffers[nation].append(

@@ -186,6 +186,21 @@ def _system_text(
     return text, text_sha256(text)
 
 
+def render_system_text(
+    scenario: Scenario,
+    taxonomy: ActionTaxonomy,
+    variant: PromptVariant,
+    template: str,
+) -> tuple[str, str]:
+    """The system prompt every query of a run shares, and its digest."""
+    try:
+        return _system_text(
+            template, len(scenario.nations), scenario.days, taxonomy.menu_text, variant
+        )
+    except (KeyError, ValueError) as exc:
+        raise ParseError(f"prompt template references an unknown placeholder: {exc}") from exc
+
+
 def render_user_text(
     scenario: Scenario,
     world: WorldState,
@@ -236,16 +251,7 @@ def build_prompts(
             f"world is at day {world.current_day}; scenario ends after day {scenario.days}"
         )
     templates = templates or default_templates()
-    try:
-        system_text, system_sha256 = _system_text(
-            templates.system,
-            len(scenario.nations),
-            scenario.days,
-            taxonomy.menu_text,
-            variant,
-        )
-    except (KeyError, ValueError) as exc:
-        raise ParseError(f"prompt template references an unknown placeholder: {exc}") from exc
+    system_text, system_sha256 = render_system_text(scenario, taxonomy, variant, templates.system)
     return PromptBundle(
         system_text=system_text,
         user_text=render_user_text(scenario, world, nation, variant, templates.user),

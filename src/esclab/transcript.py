@@ -85,8 +85,9 @@ class TranscriptWriter:
 def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[dict]:
     """Read all records; optionally drop a torn final line (crashed writer)."""
     records = []
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    # Records end in "\n" only; str.splitlines would also split inside a
+    # reply holding U+2028, U+0085 and the like.
+    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue

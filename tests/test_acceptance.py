@@ -233,7 +233,7 @@ class TestCriterion7TemperaturePlumbing:
             scenario, taxonomy,
             Treatment(label=label, temperature=temperature,
                       variant=PromptVariant.DEFAULT),
-            LlmPolicy(transport, model="m", temperature=temperature),
+            LlmPolicy(transport, model="m"),
             LlmUpdater(transport, model="m"),
             seed=0,
             transcript_path=tmp_path / f"acc7-{temperature}.jsonl",

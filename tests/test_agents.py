@@ -18,9 +18,13 @@ from esclab.agents import (
 )
 from esclab.client import MockTransport
 from esclab.errors import ValidationError
+from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
 from esclab.scenario import ChosenAction, initial_world
 from esclab.scoring import daily_score
+
+
+DEFAULT = Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT)
 
 
 def parse(content, taxonomy, scenario, nation="Blue", expects=False):
@@ -148,11 +152,11 @@ class TestParse:
 
 class TestDecideWithRetry:
     def test_always_malformed_falls_back_after_retries(self, taxonomy, scenario):
-        policy = LlmPolicy(MockTransport("not json"), model="m", temperature=1.0)
+        policy = LlmPolicy(MockTransport("not json"), model="m")
         world = initial_world(scenario)
         events = []
         turn = decide_with_retry(
-            policy, scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT,
+            policy, world, "Blue", DEFAULT, taxonomy,
             max_parse_retries=3, request_tag="run|d01|Blue",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
@@ -165,11 +169,11 @@ class TestDecideWithRetry:
         assert all(e[1]["content"] == "not json" for e in failures)
 
     def test_null_reply_content_retries_then_falls_back(self, taxonomy, scenario):
-        policy = LlmPolicy(MockTransport(lambda r: None), model="m", temperature=1.0)
+        policy = LlmPolicy(MockTransport(lambda r: None), model="m")
         events = []
         turn = decide_with_retry(
-            policy, scenario, taxonomy, initial_world(scenario), "Blue",
-            PromptVariant.DEFAULT, max_parse_retries=2, request_tag="run|d01|Blue",
+            policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
+            max_parse_retries=2, request_tag="run|d01|Blue",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
@@ -184,10 +188,10 @@ class TestDecideWithRetry:
                 return "garbage"
             return '{"actions": [{"action": "wait"}]}'
 
-        policy = LlmPolicy(MockTransport(responder), model="m", temperature=1.0)
+        policy = LlmPolicy(MockTransport(responder), model="m")
         world = initial_world(scenario)
         turn = decide_with_retry(
-            policy, scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT,
+            policy, world, "Blue", DEFAULT, taxonomy,
             request_tag="run|d01|Blue",
         )
         assert not turn.fallback
@@ -196,9 +200,7 @@ class TestDecideWithRetry:
     def test_scripted_policy_always_one_attempt(self, taxonomy, scenario):
         policy = ScriptedPolicy({}, default=(ChosenAction("wait"),))
         world = initial_world(scenario)
-        turn = decide_with_retry(
-            policy, scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT
-        )
+        turn = decide_with_retry(policy, world, "Blue", DEFAULT, taxonomy)
         assert turn.parse_attempts == 1
         assert not turn.fallback
 
@@ -210,10 +212,10 @@ class TestPolicies:
             default=(ChosenAction("wait"),),
         )
         world = initial_world(scenario)
-        first = policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
-        second = policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+        first = policy.decide(world, "Blue", DEFAULT, taxonomy)
+        second = policy.decide(world, "Blue", DEFAULT, taxonomy)
         assert first == second
-        other = policy.decide(scenario, taxonomy, world, "Red", PromptVariant.DEFAULT)
+        other = policy.decide(world, "Red", DEFAULT, taxonomy)
         assert other.actions[0].action_id == "wait"
 
     def test_scripted_validates_targets(self, taxonomy, scenario):
@@ -222,13 +224,13 @@ class TestPolicies:
         )
         world = initial_world(scenario)
         with pytest.raises(ValidationError, match="self-target"):
-            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+            policy.decide(world, "Blue", DEFAULT, taxonomy)
 
     def test_scripted_rejects_unknown_action(self, taxonomy, scenario):
         policy = ScriptedPolicy({"Blue": {1: (ChosenAction("not_real"),)}})
         world = initial_world(scenario)
         with pytest.raises(ValidationError, match="not_real"):
-            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+            policy.decide(world, "Blue", DEFAULT, taxonomy)
 
     def test_load_script_round_trip(self, taxonomy, scenario, tmp_path):
         path = tmp_path / "script.yaml"
@@ -243,7 +245,7 @@ class TestPolicies:
         )
         policy = load_script(path)
         world = initial_world(scenario)
-        turn = policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+        turn = policy.decide(world, "Blue", DEFAULT, taxonomy)
         assert turn.actions[0].action_id == "share_intelligence"
         assert turn.actions[0].target == "Red"
 
@@ -262,10 +264,10 @@ class TestPolicies:
             }, day=1, nation="Blue")
         policy = ReplayPolicy(path)
         world = initial_world(scenario)
-        turn = policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+        turn = policy.decide(world, "Blue", DEFAULT, taxonomy)
         assert turn.actions[0].action_id == "wait"
         with pytest.raises(ValidationError):
-            policy.decide(scenario, taxonomy, world, "Red", PromptVariant.DEFAULT)
+            policy.decide(world, "Red", DEFAULT, taxonomy)
 
     def test_fallback_turn_scores_zero(self, taxonomy):
         turn = fallback_turn(taxonomy, "Blue", attempts=4)
@@ -288,9 +290,7 @@ class TestReplayFidelity:
             }, day=1, nation="Blue")
         policy = ReplayPolicy(path)
         world = initial_world(scenario)
-        turn = decide_with_retry(
-            policy, scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT
-        )
+        turn = decide_with_retry(policy, world, "Blue", DEFAULT, taxonomy)
         assert turn.parse_attempts == 3
 
 
@@ -318,11 +318,11 @@ class TestUntrustedNesting:
         assert outcome.reason == "no_document"
 
     def test_deeply_nested_reply_retries_then_falls_back(self, taxonomy, scenario):
-        policy = LlmPolicy(MockTransport(DEEPLY_NESTED), model="m", temperature=1.0)
+        policy = LlmPolicy(MockTransport(DEEPLY_NESTED), model="m")
         events = []
         turn = decide_with_retry(
-            policy, scenario, taxonomy, initial_world(scenario), "Blue",
-            PromptVariant.DEFAULT, max_parse_retries=1, request_tag="run|d01|Blue",
+            policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
+            max_parse_retries=1, request_tag="run|d01|Blue",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
@@ -342,7 +342,7 @@ class TestScriptedValidation:
         policy = ScriptedPolicy({"Blue": {1: (ChosenAction("wait", target="Red"),)}})
         world = initial_world(scenario)
         with pytest.raises(ValidationError, match="unexpected-target.*wait"):
-            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+            policy.decide(world, "Blue", DEFAULT, taxonomy)
 
     def test_unknown_target_rejected(self, taxonomy, scenario):
         policy = ScriptedPolicy(
@@ -350,14 +350,12 @@ class TestScriptedValidation:
         )
         world = initial_world(scenario)
         with pytest.raises(ValidationError, match="unknown-target.*Atlantis"):
-            policy.decide(scenario, taxonomy, world, "Blue", PromptVariant.DEFAULT)
+            policy.decide(world, "Blue", DEFAULT, taxonomy)
 
     def test_scripted_turn_keeps_script_raw_text(self, taxonomy, scenario):
         action = ChosenAction("form_alliance", target="Red", raw_text="(scripted)")
         policy = ScriptedPolicy({"Blue": {1: (action,)}})
-        turn = policy.decide(
-            scenario, taxonomy, initial_world(scenario), "Blue", PromptVariant.DEFAULT
-        )
+        turn = policy.decide(initial_world(scenario), "Blue", DEFAULT, taxonomy)
         assert turn.actions == (action,)
 
 

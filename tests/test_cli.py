@@ -70,6 +70,26 @@ class TestSimulate:
         assert payload["requests"] == 126
         assert payload["fallbacks"] == 0
 
+    def test_negative_parse_retries_refused_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--max-parse-retries", "-1", "--out", str(out)]) == 1
+        assert "max_parse_retries" in capsys.readouterr().err
+        assert not out.exists()
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+            f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+            f"policy: {{kind: scripted, script: {DATA / 'demo_script.yaml'}}}\n"
+            "world_updater: template\nbase_seed: 7\nruns_per_treatment: 1\n"
+            "treatments: [{label: t1.0-default, temperature: 1.0}]\n"
+            "max_parse_retries: -1\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+        assert "max_parse_retries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_required_flag_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["simulate"])  # --out missing

@@ -146,6 +146,14 @@ class TestCassettes:
         again = complete(replay, request(tag="q1"))
         assert again.content == "answer-1"
 
+    def test_reply_with_unicode_line_breaks_replays_strictly(self, tmp_path):
+        content = "first\u2028second\u2029third\x85fourth"
+        cassette = tmp_path / "session.jsonl"
+        complete(RecordingTransport(MockTransport(content), cassette), request(tag="q1"))
+        assert [r.response["content"] for r in read_cassette(cassette)] == [content]
+        replay = ReplayTransport(cassette, mode="strict")
+        assert complete(replay, request(tag="q1")).content == content
+
     def test_strict_replay_rejects_changed_body(self, tmp_path):
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport("a"), cassette)
@@ -300,7 +308,7 @@ class TestFullRunReplay:
         )
         original = run_simulation(
             scenario, taxonomy, treatment,
-            LlmPolicy(recorded, model="m", temperature=1.0),
+            LlmPolicy(recorded, model="m"),
             LlmUpdater(recorded, model="m"),
             transcript_path=tmp_path / "original.jsonl", **kwargs,
         )
@@ -308,7 +316,7 @@ class TestFullRunReplay:
         replayed_transport = ReplayTransport(cassette, mode="strict")
         replayed = run_simulation(
             scenario, taxonomy, treatment,
-            LlmPolicy(replayed_transport, model="m", temperature=1.0),
+            LlmPolicy(replayed_transport, model="m"),
             LlmUpdater(replayed_transport, model="m"),
             transcript_path=tmp_path / "replayed.jsonl", **kwargs,
         )

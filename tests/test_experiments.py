@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -88,6 +89,13 @@ class TestPlanLoading:
         with pytest.raises(ValidationError, match="baseline"):
             load_plan(path)
 
+    def test_negative_parse_retries_rejected(self, tmp_path):
+        plan = load_plan(scripted_plan(tmp_path))
+        with pytest.raises(ValidationError, match="max_parse_retries"):
+            dataclasses.replace(plan, max_parse_retries=-1)
+        with pytest.raises(ValidationError, match="max_parse_retries"):
+            load_plan(scripted_plan(tmp_path, extra="max_parse_retries: -1"))
+
     def test_plan_digest_stable(self):
         plan = load_plan(DATA / "plan_reference.yaml")
         assert plan_digest(plan) == plan_digest(plan)
@@ -141,6 +149,21 @@ class TestRunExperiment:
         again = run_experiment(plan, tmp_path / "out")
         assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
         assert [run.days for run in again.runs] == [run.days for run in first.runs]
+
+    def test_scripted_plan_loads_its_script_once(self, tmp_path, monkeypatch):
+        from esclab import experiments
+
+        loads = []
+        original = experiments.load_script
+
+        def counting(path):
+            loads.append(path)
+            return original(path)
+
+        monkeypatch.setattr(experiments, "load_script", counting)
+        result = run_experiment(load_plan(scripted_plan(tmp_path, runs=2)), tmp_path / "out")
+        assert [run.completed for run in result.runs] == [True, True]
+        assert len(loads) == 1
 
     def test_two_executions_byte_identical(self, tmp_path):
         plan_path = scripted_plan(tmp_path, runs=2)

@@ -79,14 +79,14 @@ class TestScriptedRuns:
 
 def _calibrated_policy(scenario, taxonomy, runs=10):
     responder = CalibratedResponder(taxonomy, scenario, runs_per_treatment=runs)
-    return LlmPolicy(MockTransport(responder), model="m", temperature=1.0)
+    return LlmPolicy(MockTransport(responder), model="m")
 
 
 class TestMockLlmRun:
     def test_full_mock_run_request_count(self, scenario, taxonomy, tmp_path):
         responder = CalibratedResponder(taxonomy, scenario)
         transport = MockTransport(responder)
-        policy = LlmPolicy(transport, model="m", temperature=1.0)
+        policy = LlmPolicy(transport, model="m")
         updater = LlmUpdater(transport, model="m")
         run = run_simulation(
             scenario, taxonomy, treatment(), policy, updater,
@@ -103,7 +103,7 @@ class TestMockLlmRun:
     ):
         responder = CalibratedResponder(taxonomy, scenario)
         transport = MockTransport(responder)
-        policy = LlmPolicy(transport, model="m", temperature=1.0)
+        policy = LlmPolicy(transport, model="m")
         updater = LlmUpdater(transport, model="m")
         path = tmp_path / "run.jsonl"
         run_simulation(
@@ -127,7 +127,7 @@ class TestWorldUpdaters:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         text = TemplateUpdater().update(world, turns, treatment())
@@ -138,7 +138,7 @@ class TestWorldUpdaters:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         updater = TemplateUpdater()
@@ -150,7 +150,7 @@ class TestWorldUpdaters:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         updater = LlmUpdater(MockTransport("tensions rose"), model="m")
@@ -160,7 +160,7 @@ class TestWorldUpdaters:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         transport = MockTransport("ok", capture=True)
@@ -176,10 +176,10 @@ class FailAfterDay(AgentPolicy):
         self.inner = inner
         self.fail_after_day = fail_after_day
 
-    def decide(self, scenario, taxonomy, world, nation, variant, **kwargs):
+    def decide(self, world, nation, treatment, taxonomy, **kwargs):
         if world.current_day >= self.fail_after_day:
             raise TransportError("injected outage")
-        return self.inner.decide(scenario, taxonomy, world, nation, variant, **kwargs)
+        return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
 
 
 class TestResume:
@@ -245,12 +245,10 @@ class TestResume:
             def __init__(self, inner, day, nation):
                 self.inner, self.day, self.nation = inner, day, nation
 
-            def decide(self, scenario, taxonomy, world, nation, variant, **kwargs):
+            def decide(self, world, nation, treatment, taxonomy, **kwargs):
                 if world.current_day + 1 == self.day and nation == self.nation:
                     raise TransportError("mid-day outage")
-                return self.inner.decide(
-                    scenario, taxonomy, world, nation, variant, **kwargs
-                )
+                return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
 
         kwargs = dict(seed=5, run_id="t1.0-default-r00")
         path = tmp_path / "mid.jsonl"
@@ -282,11 +280,9 @@ class TestIntraDayVisibility:
             def __init__(self):
                 self.inner = wait_policy()
 
-            def decide(self, scenario, taxonomy, world, nation, variant, **kwargs):
+            def decide(self, world, nation, treatment, taxonomy, **kwargs):
                 seen[nation] = len(world.history)
-                return self.inner.decide(
-                    scenario, taxonomy, world, nation, variant, **kwargs
-                )
+                return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
 
         run_simulation(
             scenario.__class__(
@@ -308,11 +304,9 @@ class TestIntraDayVisibility:
             def __init__(self):
                 self.inner = wait_policy()
 
-            def decide(self, scenario, taxonomy, world, nation, variant, **kwargs):
+            def decide(self, world, nation, treatment, taxonomy, **kwargs):
                 seen[nation] = len(world.history)
-                return self.inner.decide(
-                    scenario, taxonomy, world, nation, variant, **kwargs
-                )
+                return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
 
         run_simulation(
             scenario.__class__(
@@ -330,7 +324,7 @@ class TestEmptySummaryFallback:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         updater = LlmUpdater(MockTransport("   \n"), model="m")
@@ -344,7 +338,7 @@ class TestNullReplyContent:
         world = initial_world(scenario)
         policy = wait_policy()
         turns = {
-            nation: policy.decide(scenario, taxonomy, world, nation, PromptVariant.DEFAULT)
+            nation: policy.decide(world, nation, treatment(), taxonomy)
             for nation in scenario.nation_names
         }
         updater = LlmUpdater(MockTransport(lambda r: None), model="m")
@@ -418,7 +412,7 @@ def _responder(scenario, taxonomy, fail_tag=None, threads=None):
 def _llm_run(scenario, taxonomy, transport, path, **kwargs):
     return run_simulation(
         scenario, taxonomy, treatment(),
-        LlmPolicy(transport, model="m", temperature=1.0),
+        LlmPolicy(transport, model="m"),
         LlmUpdater(transport, model="m"),
         seed=7, transcript_path=path, run_id="t1.0-default-r00", **kwargs,
     )
@@ -550,12 +544,69 @@ class TestConcurrentDays:
         )
         run = run_simulation(
             dataclasses.replace(scenario, days=2), taxonomy, treatment(),
-            LlmPolicy(transport, model="m", temperature=1.0), TemplateUpdater(),
+            LlmPolicy(transport, model="m"), TemplateUpdater(),
             seed=1, transcript_path=tmp_path / "run.jsonl",
         )
         assert run.completed
         assert session.posts == 16
         assert session.peak == 2
+
+
+class TestPolicyGetsTheRunsTreatment:
+    def test_one_temperature_per_run(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=2)
+        transport = MockTransport(_responder(short, taxonomy), capture=True)
+        path = tmp_path / "run.jsonl"
+        run = run_simulation(
+            short, taxonomy, treatment("t0.5-default", temperature=0.5),
+            LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
+            seed=1, transcript_path=path,
+        )
+        assert run.completed
+        records = read_records(path)
+        assert records[0]["payload"]["treatment"]["temperature"] == 0.5
+        calls = [r["payload"] for r in records if r["type"] == "llm_call"]
+        assert len(calls) == len(transport.captured) == 2 * (8 + 1 + 1)
+        assert {c["tag"].split("|")[2] for c in calls} == {*short.nation_names, "world"}
+        assert {c["temperature"] for c in calls} == {0.5}
+        assert {body["temperature"] for body in transport.captured} == {0.5}
+
+    def test_wrapper_around_a_waiting_llm_policy_runs_inline(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=2)
+        endpoint = EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names)
+        inner = LlmPolicy(endpoint, model="m")
+        assert not inner.in_process
+        wrapper = FailAfterDay(inner, fail_after_day=short.days)  # never fails
+        run = run_simulation(
+            short, taxonomy, treatment(), wrapper,
+            LlmUpdater(endpoint, model="m"),
+            seed=7, transcript_path=tmp_path / "run.jsonl", run_id="t1.0-default-r00",
+        )
+        assert run.completed
+        assert endpoint.threads == {threading.get_ident()}
+        assert _first_attempts(endpoint.completed, 1) == list(short.nation_names)
+
+
+class TestLineSeparatorsInReplies:
+    def test_summary_with_unicode_line_breaks_round_trips(self, scenario, taxonomy, tmp_path):
+        text = "Tensions rose.\u2028Blue mobilised.\u2029Red waited.\x85End of day."
+        short = dataclasses.replace(scenario, days=2)
+        path = tmp_path / "run.jsonl"
+        run = run_simulation(
+            short, taxonomy, treatment(), wait_policy(),
+            LlmUpdater(MockTransport(text), model="m"),
+            seed=1, transcript_path=path,
+        )
+        assert [day.world_summary_after for day in run.days] == [text, text]
+        calls = [r for r in read_records(path) if r["type"] == "llm_call"]
+        assert [c["payload"]["content"] for c in calls] == [text, text]
+        assert load_run(path) == run
+        again = run_simulation(
+            short, taxonomy, treatment(), wait_policy(),
+            LlmUpdater(MockTransport("unused"), model="m"),
+            seed=1, transcript_path=path,
+        )
+        assert again == run
 
 
 class TestRunRecordIsTranscriptRecord:

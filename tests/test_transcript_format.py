@@ -113,7 +113,7 @@ class TestDigestRecords:
         run_simulation(
             scenario, taxonomy,
             Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
-            LlmPolicy(transport, model="m", temperature=1.0, templates=templates),
+            LlmPolicy(transport, model="m", templates=templates),
             LlmUpdater(transport, model="m"),
             seed=0, transcript_path=path,
         )
@@ -228,7 +228,7 @@ class TestFormat1Transcripts:
         run = run_simulation(
             scenario, taxonomy,
             Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
-            LlmPolicy(transport, model="m", temperature=1.0),
+            LlmPolicy(transport, model="m"),
             LlmUpdater(transport, model="m"),
             seed=ts.load_run(path).seed, transcript_path=path, run_id="t1.0-default-r00",
         )
