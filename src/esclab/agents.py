@@ -26,7 +26,7 @@ from . import transcript as ts
 from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
 from .errors import ParseError, ValidationError
 from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
-from .scenario import ChosenAction, Scenario, WorldState
+from .scenario import ChosenAction, Scenario, WorldState, _load_yaml
 from .taxonomy import ActionTaxonomy
 
 if TYPE_CHECKING:
@@ -36,6 +36,11 @@ log = logging.getLogger("esclab.agents")
 
 DEFAULT_PARSE_RETRIES = 3
 THOUGHTS_WORD_LIMIT = 250
+
+# Built once and shared by every query, also across threads: neither keeps
+# state from one call to the next.
+_DECODER = json.JSONDecoder()
+_RAW_TEXT_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -60,11 +65,10 @@ class ParseFailure:
 
 def _first_json_object(text: str) -> dict | None:
     """Locate the first well-formed JSON object in free text, if any."""
-    decoder = json.JSONDecoder()
     start = text.find("{")
     while start != -1:
         try:
-            document, _ = decoder.raw_decode(text, start)
+            document, _ = _DECODER.raw_decode(text, start)
         except RecursionError:
             # Nested too deeply to decode: treated as no document at all.
             return None
@@ -106,7 +110,7 @@ def _validate_action_entry(
     return ChosenAction(
         action_id=action_id,
         target=target if spec.requires_target else None,
-        raw_text=json.dumps(entry, ensure_ascii=False, sort_keys=True),
+        raw_text=_RAW_TEXT_ENCODER.encode(entry),
     )
 
 
@@ -415,7 +419,7 @@ def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ..
 def load_script(path: str | Path) -> ScriptedPolicy:
     """Load a scripted-policy file: per-nation day -> action list tables."""
     try:
-        document = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        document = _load_yaml(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read script file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 import requests
 
 from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
-from .transcript import LLM_CALL, Recorder
+from .transcript import LLM_CALL, Recorder, split_lines
 
 TEMPERATURE_MIN = 0.0
 TEMPERATURE_MAX = 2.0
@@ -152,7 +152,7 @@ class Transport:
         with self._lock:
             return self._count
 
-    def _note_request(self, body: dict) -> None:
+    def _note_request(self, body: dict | None) -> None:
         if self.budget is not None:
             self.budget.charge()
         with self._lock:
@@ -199,7 +199,7 @@ class MockTransport(Transport):
             self._responder = responder
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
-        self._note_request(wire_body(request))
+        self._note_request(wire_body(request) if self.capture else None)
         return ChatResponse(content=self._responder(request))
 
 
@@ -287,18 +287,29 @@ class CassetteRecord:
 
 
 def read_cassette(path: str | Path) -> list[CassetteRecord]:
-    """Read a cassette; a torn final line (crashed recorder) is dropped."""
-    records = []
-    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
+    """Read a cassette; a torn final line (crashed recorder) is dropped.
+
+    A final line that lacks only its newline is whole and kept, as
+    ``RecordingTransport`` keeps it.
+    """
+    try:
+        lines, tail = split_lines(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise TransportError(f"cassette {path} is not UTF-8: {exc}")
+    entries = []
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            entry = json.loads(line)
+            entries.append((line_no, json.loads(line)))
         except ValueError as exc:
-            if line_no == len(lines):
-                break
             raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
+    try:
+        entries.append((len(lines) + 1, json.loads(tail.decode("utf-8"))))
+    except ValueError:
+        pass  # no tail, or a torn one
+    records = []
+    for line_no, entry in entries:
         try:
             records.append(
                 CassetteRecord(
@@ -308,7 +319,7 @@ def read_cassette(path: str | Path) -> list[CassetteRecord]:
                     response=entry["response"],
                 )
             )
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
     return records
 
@@ -462,7 +473,8 @@ def complete(
             if not exc.transient:
                 raise
             continue
-        response = replace(response, attempt_count=attempts)
+        if response.attempt_count != attempts:
+            response = replace(response, attempt_count=attempts)
         if recorder is not None:
             recorder(
                 LLM_CALL,

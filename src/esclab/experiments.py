@@ -41,7 +41,7 @@ from .orchestrator import (
     run_simulation,
 )
 from .prompts import PromptVariant
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, _load_yaml, load_scenario
 from .scoring import Aggregator
 from .taxonomy import ActionTaxonomy, load_taxonomy
 from . import transcript as ts
@@ -145,7 +145,7 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     """Load and validate an experiment plan file; paths resolve next to it."""
     path = Path(path)
     try:
-        document = yaml.safe_load(path.read_text(encoding="utf-8"))
+        document = _load_yaml(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ParseError(f"cannot read plan file {path}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -45,6 +45,9 @@ FALLBACK_PROFILE = ScoreProfile(5.0, 8.0, 1.5, 8.5)
 _TAG_RE = re.compile(r"^(?P<run>[^|]+)\|d(?P<day>\d+)\|(?P<who>[^|]+)(?:\|a(?P<attempt>\d+))?$")
 _RUN_RE = re.compile(r"^(?P<label>.+)-(?:r|s)(?P<index>\d+)$")
 
+# One encoder for every reply the responder writes.
+_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
 MOCK_THOUGHTS = (
     "Holding to the plan: pursue objectives while avoiding moves an adversary "
     "could read as preparation for attack."
@@ -235,4 +238,4 @@ class CalibratedResponder:
         document: dict = {"actions": actions}
         if self._expects_thoughts(label):
             document = {"private_thoughts": MOCK_THOUGHTS, "actions": actions}
-        return json.dumps(document, ensure_ascii=False)
+        return _ENCODER.encode(document)

@@ -213,6 +213,8 @@ def run_simulation(
     Transport failures abort the run (partial transcript retained) rather
     than skipping nations, so no biased partial days enter the statistics.
     """
+    if max_parse_retries < 0:
+        raise ValidationError("max_parse_retries must be >= 0")
     transcript_path = Path(transcript_path)
     run_id = run_id or f"{treatment.label}-s{seed}"
     header = {
@@ -245,7 +247,8 @@ def run_simulation(
             prior = ts.reconstruct_run(records)
             if prior.completed:
                 return prior
-            kept = ts.complete_day_prefix(records)
+        kept = ts.complete_day_prefix(records)
+        if kept:
             ts.rewrite(transcript_path, kept)
             resumed = ts.reconstruct_run(kept)
             world = _replay_world(scenario, resumed.days)
@@ -253,10 +256,8 @@ def run_simulation(
             days = list(resumed.days)
             start_seq = len(kept)
             fresh = False
-        else:
-            # nothing usable (e.g. a single torn line); start over cleanly
-            transcript_path.unlink()
-    elif transcript_path.exists():
+    if fresh and transcript_path.exists():
+        # not resuming, or no day completed (perhaps a single torn line)
         transcript_path.unlink()
     writer = ts.TranscriptWriter(transcript_path, start_seq=start_seq)
     # Threads overlap only waiting: for an in-process policy they would

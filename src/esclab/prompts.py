@@ -160,6 +160,47 @@ def _response_format_text(variant: PromptVariant) -> str:
     )
 
 
+@lru_cache(maxsize=8)
+def _compile_template(template: str) -> tuple[tuple[str, ...], tuple[str, ...]] | None:
+    """``template`` as its literal pieces and the placeholder names between
+    them, read as ``string.Template`` reads it; None when it holds an invalid
+    ``$``, which ``_substitute`` leaves to ``Template`` to report."""
+    pieces: list[str] = []
+    names: list[str] = []
+    literal: list[str] = []
+    end = 0
+    for match in Template.pattern.finditer(template):
+        if match["invalid"] is not None:
+            return None
+        literal.append(template[end:match.start()])
+        end = match.end()
+        if match["escaped"] is not None:
+            literal.append("$")
+        else:
+            pieces.append("".join(literal))
+            literal = []
+            names.append(match["named"] or match["braced"])
+    literal.append(template[end:])
+    pieces.append("".join(literal))
+    return tuple(pieces), tuple(names)
+
+
+def _substitute(template: str, /, **values: object) -> str:
+    """``Template(template).substitute(values)``, with the template parsed once.
+
+    An unknown name raises ``KeyError`` and an invalid ``$`` ``ValueError``,
+    whichever comes first, exactly as ``Template`` does.
+    """
+    compiled = _compile_template(template)
+    if compiled is None:
+        return Template(template).substitute(values)
+    pieces, names = compiled
+    parts = [pieces[0]]
+    for name, piece in zip(names, pieces[1:]):
+        parts += (str(values[name]), piece)
+    return "".join(parts)
+
+
 def _action_log_text(world: WorldState) -> str:
     if not world.history:
         return "(none yet; this is the first day)"
@@ -176,7 +217,8 @@ def _system_text(
 ) -> tuple[str, str]:
     # Rendered and digested once per run settings and shared by every query
     # of the run.  Keyed on the taxonomy's menu text, not the taxonomy.
-    text = Template(template).substitute(
+    text = _substitute(
+        template,
         nation_count=nation_count,
         days=days,
         max_actions=MAX_ACTIONS_PER_DAY,
@@ -211,7 +253,8 @@ def render_user_text(
     """The user prompt for one nation on the day after ``world``."""
     profile = scenario.nation(nation)
     try:
-        text = Template(template).substitute(
+        text = _substitute(
+            template,
             day=world.current_day + 1,
             days=scenario.days,
             scenario_name=scenario.name,

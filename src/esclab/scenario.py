@@ -17,6 +17,19 @@ import yaml
 
 from .errors import ParseError, SequenceError, ValidationError
 
+# libyaml's loader where pyyaml was built with it: the same documents, parsed
+# about ten times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def _load_yaml(text: str) -> object:
+    """``yaml.safe_load``, on libyaml when it is there.
+
+    Every data file (scenario, taxonomy, plan, script) is read with it.
+    """
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
 _NATION_KEYS = {"name", "background", "objectives"}
 _TOP_KEYS = {"name", "days", "initial_summary", "nations"}
 
@@ -213,7 +226,7 @@ def load_scenario(path: str | Path) -> Scenario:
     except OSError as exc:
         raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
     try:
-        document = yaml.safe_load(text)
+        document = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed scenario file {path}: {exc}") from exc
     return parse_scenario(document)

@@ -17,6 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ParseError, UnknownAction, ValidationError
+from .scenario import _load_yaml
 
 log = logging.getLogger("esclab.taxonomy")
 
@@ -194,7 +195,7 @@ def load_taxonomy(path: str | Path) -> ActionTaxonomy:
     except OSError as exc:
         raise ParseError(f"cannot read taxonomy file {path}: {exc}") from exc
     try:
-        document = yaml.safe_load(text)
+        document = _load_yaml(text)
     except yaml.YAMLError as exc:
         raise ParseError(f"malformed taxonomy file {path}: {exc}") from exc
     return parse_taxonomy(document)

@@ -43,20 +43,34 @@ TURN = "turn"
 DAY = "day"
 RUN_END = "run_end"
 
-_HEADER_TYPES = {RUN_START, SYSTEM_PROMPT}
-
 # Receives (record type, payload) for each record a query produces.
 Recorder = Callable[[str, dict], None]
+
+
+# Records whose write ends a unit that resume keeps: the writer flushes
+# after these only.
+_FLUSHED_AFTER = {DAY, RUN_END}
+
+# The canonical record encoding, built once rather than per record; it keeps
+# no state between calls.
+_ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
 def encode_record(seq: int, type_: str, payload: dict, day: int | None = None,
                   nation: str | None = None) -> str:
     record = {"seq": seq, "type": type_, "day": day, "nation": nation, "payload": payload}
-    return json.dumps(record, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 class TranscriptWriter:
-    """Incremental writer; every record is flushed as soon as it is written."""
+    """Incremental writer, flushed after every ``day`` and ``run_end`` record.
+
+    A killed process therefore loses at most the day in progress, and leaves
+    the file cut at any byte, even inside a record or a multi-byte
+    character.  Resume drops that torn tail and discards the records after
+    the last ``day``, so it replays such a day anyway; ``close`` flushes
+    everything.
+    """
 
     def __init__(self, path: str | Path, start_seq: int = 0):
         self.path = Path(path)
@@ -68,7 +82,8 @@ class TranscriptWriter:
               nation: str | None = None) -> int:
         seq = self._seq
         self._handle.write(encode_record(seq, type_, payload, day, nation) + "\n")
-        self._handle.flush()
+        if type_ in _FLUSHED_AFTER:
+            self._handle.flush()
         self._seq += 1
         return seq
 
@@ -82,44 +97,55 @@ class TranscriptWriter:
         self.close()
 
 
+def split_lines(data: bytes) -> tuple[list[str], bytes]:
+    """The decoded lines of a JSONL file, and the bytes after its last "\n".
+
+    Lines end in "\n" only; str.splitlines would also split inside a reply
+    holding U+2028, U+0085 and the like.  The tail is empty for a file that
+    ends in "\n"; otherwise it is what a killed writer left of its last
+    line, cut at any byte, even inside a multi-byte character.  A line
+    before it that is not UTF-8 raises ``UnicodeDecodeError``.
+    """
+    cut = data.rfind(b"\n") + 1
+    return str(memoryview(data)[:cut], "utf-8").split("\n")[:-1], data[cut:]
+
+
 def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[dict]:
-    """Read all records; optionally drop a torn final line (crashed writer)."""
+    """Read all records; optionally drop a torn final line (crashed writer).
+
+    A record is whole only with its "\n": a final line without one is torn
+    even where it would parse.
+    """
+    try:
+        lines, tail = split_lines(Path(path).read_bytes())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"transcript {path} is not UTF-8: {exc}")
+    if tail and not tolerate_partial_tail:
+        raise ParseError(f"bad transcript line {len(lines) + 1} in {path}: torn, no newline")
     records = []
-    # Records end in "\n" only; str.splitlines would also split inside a
-    # reply holding U+2028, U+0085 and the like.
-    lines = Path(path).read_text(encoding="utf-8").removesuffix("\n").split("\n")
     for line_no, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
             records.append(json.loads(line))
         except ValueError as exc:
-            if tolerate_partial_tail and line_no == len(lines):
-                break
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
     return records
 
 
 def complete_day_prefix(records: list[dict]) -> list[dict]:
-    """Records up to and including the last completed day.
+    """Records up to and including the last completed day; none without one.
 
     Used when resuming after a crash: anything after the last day event (a
     half-written day, an abort marker) is discarded so the continuation is
-    byte-identical to an uninterrupted run.
+    byte-identical to an uninterrupted run.  A run with no completed day is
+    played again from its first record, since the writer may have left even
+    its header records torn.
     """
-    last_day_index = None
-    for i, record in enumerate(records):
-        if record.get("type") == DAY:
-            last_day_index = i
-    if last_day_index is not None:
-        return records[: last_day_index + 1]
-    prefix = []
-    for record in records:
-        if record.get("type") in _HEADER_TYPES:
-            prefix.append(record)
-        else:
-            break
-    return prefix
+    for index in range(len(records) - 1, -1, -1):
+        if records[index].get("type") == DAY:
+            return records[: index + 1]
+    return []
 
 
 def rewrite(path: str | Path, records: list[dict]) -> None:

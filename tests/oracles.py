@@ -20,6 +20,12 @@ import mpmath
 
 # --- scoring straight from transcript JSON ---------------------------------
 
+def _lines(path: str | Path) -> list[str]:
+    """A transcript's lines: records end in "\n" only, so a reply holding
+    U+2028 or U+0085 stays on its line (str.splitlines would split it)."""
+    return Path(path).read_text(encoding="utf-8").split("\n")
+
+
 def transcript_scores(path: str | Path, score_table: dict[str, int]) -> dict:
     """Recompute all metrics of one run directly from its transcript file.
 
@@ -29,7 +35,7 @@ def transcript_scores(path: str | Path, score_table: dict[str, int]) -> dict:
     """
     turns: dict[int, dict[str, list[dict]]] = {}
     summaries: dict[int, str] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in _lines(path):
         if not line.strip():
             continue
         record = json.loads(line)
@@ -66,7 +72,7 @@ def transcript_category_counts(
     totals: dict[str, int] = {}
     nations: set[str] = set()
     for path in paths:
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in _lines(path):
             if not line.strip():
                 continue
             record = json.loads(line)

@@ -14,7 +14,7 @@ from esclab.client import (
     ReplayTransport,
     Transport,
 )
-from esclab.errors import TransportError
+from esclab.errors import TransportError, ValidationError
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import (
     LlmUpdater,
@@ -22,11 +22,12 @@ from esclab.orchestrator import (
     Treatment,
     run_simulation,
 )
-from esclab.prompts import PromptVariant
+from esclab.prompts import PromptTemplates, PromptVariant
 from esclab.scenario import ChosenAction, initial_world
 from esclab.transcript import load_run, read_records
 
-from oracles import transcript_scores
+from conftest import small_scenario
+from oracles import transcript_category_counts, transcript_scores
 
 
 def wait_policy():
@@ -608,6 +609,25 @@ class TestLineSeparatorsInReplies:
         )
         assert again == run
 
+    def test_oracles_read_a_summary_with_unicode_line_breaks(
+        self, scenario, taxonomy, tmp_path
+    ):
+        short = dataclasses.replace(scenario, days=2)
+        path = tmp_path / "run.jsonl"
+        policy = ScriptedPolicy({"Blue": {2: (ChosenAction("form_alliance", target="Red"),)}},
+                                default=(ChosenAction("wait"),))
+        run = run_simulation(
+            short, taxonomy, treatment(), policy,
+            LlmUpdater(MockTransport("Calm.\u2028Tense.\x85Calm."), model="m"),
+            seed=1, transcript_path=path,
+        )
+        table = {spec.id: spec.score for spec in taxonomy.actions}
+        oracle = transcript_scores(path, table)
+        assert oracle["days"] == [1, 2]
+        assert oracle["daily"][2] == dict(run.days[1].daily_score_by_nation)
+        assert transcript_category_counts([path], {spec.id: spec.category.value
+                                                   for spec in taxonomy.actions})
+
 
 class TestRunRecordIsTranscriptRecord:
     """run_simulation returns exactly what reading its transcript back gives."""
@@ -651,3 +671,67 @@ class TestRunRecordIsTranscriptRecord:
         assert resumed == load_run(crashed)
         again = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), crashed)
         assert again == resumed
+
+
+class TestKillAtAnyByte:
+    """The writer flushes only after ``day`` and ``run_end`` records, so a
+    killed run leaves its transcript cut at any byte: inside a record, just
+    before a newline, inside a multi-byte character.  Resuming from every
+    such cut must end at the uninterrupted bytes."""
+
+    # Short templates keep the one record with non-ASCII text, the system
+    # prompt with the reflection extension's "’", a few hundred bytes long.
+    TEMPLATES = PromptTemplates(
+        system="$nation_count nations, $days days, up to $max_actions actions.\n"
+               "$response_format",
+        user="Day $day of $days, $nation.\n$world_summary\n$action_log",
+    )
+
+    def test_resume_from_every_cut_is_byte_identical(self, taxonomy, tmp_path):
+        mini = small_scenario(n_nations=2, days=3)
+        reflection = treatment(
+            "t1.0-reflection-planning", variant=PromptVariant.REFLECTION_PLANNING
+        )
+        transport = MockTransport(CalibratedResponder(taxonomy, mini, runs_per_treatment=1))
+        policy = LlmPolicy(transport, model="m", templates=self.TEMPLATES)
+        updater = LlmUpdater(transport, model="m")
+
+        def play(path):
+            return run_simulation(
+                mini, taxonomy, reflection, policy, updater, seed=3,
+                transcript_path=path, run_id="t1.0-reflection-planning-r00",
+            )
+
+        straight = tmp_path / "straight.jsonl"
+        expected = play(straight)
+        whole = straight.read_bytes()
+        lines = whole.split(b"\n")[:-1]
+        starts = [0]
+        for line in lines:
+            starts.append(starts[-1] + len(line) + 1)
+        day_ends = [starts[i + 1] for i, line in enumerate(lines) if b'"type":"day"' in line]
+        assert len(day_ends) == mini.days
+        cuts = set(range(day_ends[-3], len(whole)))  # the last two days and run_end
+        non_ascii = [i for i, line in enumerate(lines) if not line.isascii()]
+        assert non_ascii, "the reflection system prompt holds a multi-byte character"
+        for i in non_ascii:
+            cuts.update(range(starts[i], starts[i + 1]))
+        crashed = tmp_path / "crashed.jsonl"
+        for cut in sorted(cuts):
+            crashed.write_bytes(whole[:cut])
+            resumed = play(crashed)
+            assert crashed.read_bytes() == whole, f"cut at byte {cut}"
+            assert resumed == expected, f"cut at byte {cut}"
+
+
+class TestArgumentChecks:
+    def test_negative_parse_retries_refused_before_the_transcript(
+        self, scenario, taxonomy, tmp_path
+    ):
+        path = tmp_path / "run.jsonl"
+        with pytest.raises(ValidationError, match="max_parse_retries"):
+            run_simulation(
+                scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
+                seed=1, transcript_path=path, max_parse_retries=-1,
+            )
+        assert not path.exists()

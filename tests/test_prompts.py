@@ -1,15 +1,20 @@
 import hashlib
+from string import Template
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from esclab.errors import UnknownNation
+from esclab.errors import ParseError, UnknownNation
 from esclab.prompts import (
     CONTEXT_EXTENSION,
     EXTENSION_TEXTS,
     MAX_EXTENSION_WORDS,
     REFLECTION_DEESCALATION_EXTENSION,
     REFLECTION_PLANNING_EXTENSION,
+    PromptTemplates,
     PromptVariant,
+    _substitute,
     build_prompts,
     extension_word_count,
     word_count,
@@ -194,3 +199,46 @@ class TestCustomTemplates:
 
         with pytest.raises(ParseError):
             PromptTemplates.load(tmp_path / "nope")
+
+    def test_invalid_dollar_raises_parse_error(self, scenario, taxonomy):
+        templates = PromptTemplates(system="${response_format}", user="day $day costs $5")
+        with pytest.raises(ParseError, match="Invalid placeholder"):
+            build_prompts(scenario, taxonomy, initial_world(scenario), "Blue",
+                          PromptVariant.DEFAULT, templates=templates)
+
+
+# Template text built from the pieces string.Template treats specially.
+TEMPLATE_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from([
+            "$$", "$", "${", "}", "$day", "${day}", "$day_", "${day}s", "$Day", "$nation",
+            "${nation}", "$x", "${x}", "$unknown", "${unknown}", "$1", "${ day}", "$é", "\n",
+        ]),
+    ),
+    max_size=12,
+).map("".join)
+VALUES = {"day": 3, "nation": "Blue", "x": "$day ${x}"}
+
+
+def _outcome(render):
+    try:
+        return "text", render()
+    except Exception as exc:  # noqa: BLE001 - the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestCompiledTemplate:
+    @settings(max_examples=400, deadline=None)
+    @given(template=TEMPLATE_TEXT)
+    def test_matches_string_template(self, template):
+        assert _outcome(lambda: _substitute(template, **VALUES)) == _outcome(
+            lambda: Template(template).substitute(VALUES)
+        )
+
+    def test_escapes_braces_and_errors(self):
+        assert _substitute("$$${day}$$x $nation.", **VALUES) == "$3$x Blue."
+        with pytest.raises(KeyError, match="unknown"):
+            _substitute("$unknown then $", **VALUES)
+        with pytest.raises(ValueError, match="line 2, col 3"):
+            _substitute("$day\nab$ then $unknown", **VALUES)

@@ -1,14 +1,26 @@
-import pytest
+from pathlib import Path
 
+import pytest
+import yaml
+
+from esclab import scenario as scenario_module
+from esclab.agents import load_script
 from esclab.errors import ParseError, SequenceError, ValidationError
+from esclab.experiments import load_plan
 from esclab.scenario import (
     ChosenAction,
     DailyRecord,
     advance_day,
     initial_world,
+    _load_yaml,
     load_scenario,
     parse_scenario,
 )
+from esclab.taxonomy import load_taxonomy
+
+DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+SHIPPED_YAML = sorted(DATA.glob("*.yaml"))
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
 def record_for(world, day, summary=None):
@@ -126,3 +138,23 @@ class TestWorldState:
         for record in world.history:
             replayed = advance_day(replayed, record)
         assert replayed == world
+
+
+class TestYamlLoader:
+    def test_both_loaders_read_every_shipped_file_alike(self):
+        assert SHIPPED_YAML
+        for path in SHIPPED_YAML:
+            text = path.read_text(encoding="utf-8")
+            expected = yaml.load(text, Loader=yaml.SafeLoader)
+            assert _load_yaml(text) == expected, path.name
+            for loader in YAML_LOADERS:
+                assert yaml.load(text, Loader=loader) == expected, (path.name, loader)
+
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    @pytest.mark.parametrize("load", [load_scenario, load_taxonomy, load_plan, load_script])
+    def test_malformed_file_is_a_parse_error(self, loader, load, tmp_path, monkeypatch):
+        monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
+        path = tmp_path / "bad.yaml"
+        path.write_text("name: [unclosed\n  days: 3\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed"):
+            load(path)

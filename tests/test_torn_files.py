@@ -1,0 +1,117 @@
+"""Transcripts and cassettes cut at any byte: a torn final line is dropped
+where the reader tolerates one and an ``EsclabError`` everywhere else,
+never a ``UnicodeDecodeError``."""
+import json
+from pathlib import Path
+
+import pytest
+
+from esclab import transcript as ts
+from esclab.cli import main
+from esclab.client import MockTransport, RecordingTransport, chat_request, complete, read_cassette
+from esclab.errors import ParseError, TransportError
+
+DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+CURLY = "’".encode("utf-8")  # in every reflection variant's system prompt
+
+
+def records_file(path: Path, texts: list[str]) -> bytes:
+    data = b"".join(
+        (ts.encode_record(seq, ts.DAY, {"summary": text}, day=seq + 1) + "\n").encode("utf-8")
+        for seq, text in enumerate(texts)
+    )
+    path.write_bytes(data)
+    return data
+
+
+class TestTranscriptReader:
+    def test_cut_inside_a_multibyte_character(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        data = records_file(path, ["calm", "won’t"])
+        path.write_bytes(data[: data.index(CURLY) + 1])
+        assert [r["payload"]["summary"] for r in ts.read_records(
+            path, tolerate_partial_tail=True)] == ["calm"]
+        with pytest.raises(ParseError, match="line 2"):
+            ts.read_records(path)
+
+    def test_whole_record_without_its_newline_is_torn(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        data = records_file(path, ["calm", "tense"])
+        path.write_bytes(data[:-1])
+        assert len(ts.read_records(path, tolerate_partial_tail=True)) == 1
+        with pytest.raises(ParseError, match="line 2"):
+            ts.read_records(path)
+
+    def test_undecodable_middle_line_raises_in_both_modes(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        data = records_file(path, ["won’t", "calm", "tense"])
+        cut = data.index(CURLY) + 1
+        path.write_bytes(data[:cut] + data[cut + 2:])
+        for tolerate in (False, True):
+            with pytest.raises(ParseError, match="not UTF-8"):
+                ts.read_records(path, tolerate_partial_tail=tolerate)
+
+
+class TestCassetteReader:
+    def _recorded(self, tmp_path, replies):
+        cassette = tmp_path / "session.jsonl"
+        recorder = RecordingTransport(MockTransport(lambda r: replies[r.request_tag]), cassette)
+        for tag in replies:
+            complete(recorder, chat_request("m", "system", "user", 1.0, request_tag=tag))
+        return cassette
+
+    def test_tail_cut_inside_a_multibyte_character_is_dropped(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "won’t"})
+        data = cassette.read_bytes()
+        cassette.write_bytes(data[: data.index(CURLY) + 1])
+        assert [r.tag for r in read_cassette(cassette)] == ["q1"]
+
+    def test_undecodable_middle_line_raises(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "won’t", "q2": "calm"})
+        data = cassette.read_bytes()
+        cut = data.index(CURLY) + 1
+        cassette.write_bytes(data[:cut] + data[cut + 2:])
+        with pytest.raises(TransportError, match="not UTF-8"):
+            read_cassette(cassette)
+
+    def test_entry_that_is_not_an_object_raises(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "calm"})
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write("[1, 2]\n")
+        with pytest.raises(TransportError, match="bad cassette line 2"):
+            read_cassette(cassette)
+
+
+class TestExperimentAfterATornCharacter:
+    def test_cli_resumes_a_transcript_cut_inside_a_multibyte_character(self, tmp_path, capsys):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 5
+runs_per_treatment: 1
+policy: llm
+world_updater: llm
+transport:
+  kind: mock
+treatments:
+  - {{label: t1.0-reflection-planning, temperature: 1.0, variant: reflection_planning}}
+""",
+            encoding="utf-8",
+        )
+
+        def experiment(out: str) -> dict:
+            assert main(["experiment", "--plan", str(plan), "--out", str(tmp_path / out)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        experiment("pristine")
+        experiment("crashed")
+        victim = tmp_path / "crashed" / "transcripts" / "t1.0-reflection-planning-r00.jsonl"
+        whole = victim.read_bytes()
+        victim.write_bytes(whole[: whole.index(CURLY) + 1])
+        assert experiment("crashed")["new_requests"] == 14 * 9
+        assert victim.read_bytes() == whole
+        assert (tmp_path / "crashed" / "manifest.json").read_bytes() == (
+            tmp_path / "pristine" / "manifest.json"
+        ).read_bytes()
