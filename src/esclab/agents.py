@@ -20,13 +20,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-import yaml
-
 from . import transcript as ts
 from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
 from .errors import ParseError, ValidationError
 from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
-from .scenario import ChosenAction, Scenario, WorldState, _load_yaml
+from .scenario import ChosenAction, Scenario, WorldState, load_yaml_file
 from .taxonomy import ActionTaxonomy
 
 if TYPE_CHECKING:
@@ -418,12 +416,7 @@ def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ..
 
 def load_script(path: str | Path) -> ScriptedPolicy:
     """Load a scripted-policy file: per-nation day -> action list tables."""
-    try:
-        document = _load_yaml(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read script file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed script file {path}: {exc}") from exc
+    document = load_yaml_file(path, "script")
     if not isinstance(document, dict):
         raise ParseError("script document must be a mapping")
     unknown = set(document) - {"nations", "default"}

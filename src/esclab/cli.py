@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from . import prompts
+from .agents import DEFAULT_PARSE_RETRIES
 from .errors import EsclabError, ValidationError
 from .experiments import (
     DEFAULT_MODEL,
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--script", default=None)
     p_sim.add_argument("--updater", default="llm", choices=["llm", "template"])
     p_sim.add_argument("--model", default=DEFAULT_MODEL)
-    p_sim.add_argument("--max-parse-retries", type=int, default=3)
+    p_sim.add_argument("--max-parse-retries", type=int, default=DEFAULT_PARSE_RETRIES)
     p_sim.add_argument("--no-resume", action="store_true")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)

@@ -20,9 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
-from .agents import AgentPolicy, LlmPolicy, load_script
+from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, LlmPolicy, load_script
 from .client import (
     DEFAULT_EXPERIMENT_BUDGET,
     LiveTransport,
@@ -38,10 +36,11 @@ from .orchestrator import (
     TemplateUpdater,
     Treatment,
     WorldUpdater,
+    run_header,
     run_simulation,
 )
 from .prompts import PromptVariant
-from .scenario import Scenario, _load_yaml, load_scenario
+from .scenario import Scenario, load_scenario, load_yaml_file
 from .scoring import Aggregator
 from .taxonomy import ActionTaxonomy, load_taxonomy
 from . import transcript as ts
@@ -52,10 +51,14 @@ DEFAULT_MODEL = "mistralai/Mistral-7B-Instruct-v0.3"
 MANIFEST_NAME = "manifest.json"
 TRANSCRIPT_DIR = "transcripts"
 
+# Plan keys read as a scalar, with the conversion each gets.
+_SCALAR_KEYS = {
+    "base_seed": int, "runs_per_treatment": int, "model": str, "max_parse_retries": int,
+    "parallelism": int, "max_requests": int, "intra_day_visibility": bool,
+}
 _PLAN_KEYS = {
-    "scenario", "taxonomy", "treatments", "runs_per_treatment", "base_seed",
-    "transport", "policy", "world_updater", "aggregator", "model", "baseline",
-    "max_parse_retries", "parallelism", "max_requests", "intra_day_visibility",
+    "scenario", "taxonomy", "treatments", "transport", "policy", "world_updater",
+    "aggregator", "baseline", *_SCALAR_KEYS,
 }
 
 
@@ -74,12 +77,14 @@ class ExperimentPlan:
     aggregator: Aggregator = Aggregator.MEAN_DAILY
     model: str = DEFAULT_MODEL
     baseline: str | None = None
-    max_parse_retries: int = 3
+    max_parse_retries: int = DEFAULT_PARSE_RETRIES
     parallelism: int = 1
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
     intra_day_visibility: bool = False
 
     def __post_init__(self):
+        if self.runs_per_treatment < 1:
+            raise ValidationError("plan: runs_per_treatment must be >= 1")
         if self.max_parse_retries < 0:
             raise ValidationError("plan: max_parse_retries must be >= 0")
 
@@ -142,14 +147,10 @@ def _parse_treatment(entry: object, index: int) -> Treatment:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    """Load and validate an experiment plan file; paths resolve next to it."""
+    """Load and validate an experiment plan file; paths resolve next to it,
+    and a key it does not set keeps ``ExperimentPlan``'s default."""
     path = Path(path)
-    try:
-        document = _load_yaml(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read plan file {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed plan file {path}: {exc}") from exc
+    document = load_yaml_file(path, "plan")
     if not isinstance(document, dict):
         raise ParseError("plan document must be a mapping")
     unknown = set(document) - _PLAN_KEYS
@@ -171,50 +172,50 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     labels = [t.label for t in treatments]
     if len(set(labels)) != len(labels):
         raise ValidationError("plan: duplicate treatment labels")
-    runs = int(document.get("runs_per_treatment", 10))
-    if runs < 1:
-        raise ValidationError("plan: runs_per_treatment must be >= 1")
-    transport = document.get("transport", {"kind": "mock"})
-    if not isinstance(transport, dict) or "kind" not in transport:
-        raise ParseError("plan: transport must be a mapping with a 'kind'")
-    policy = document.get("policy", {"kind": "llm"})
-    if isinstance(policy, str):
-        policy = {"kind": policy}
-    if not isinstance(policy, dict) or policy.get("kind") not in ("llm", "scripted"):
-        raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
-    if policy["kind"] == "scripted":
-        if "script" not in policy:
-            raise ParseError("plan: scripted policy needs a 'script' path")
-        policy = {"kind": "scripted", "script": str(_resolve(policy["script"]))}
-    updater = document.get("world_updater", "llm")
-    if updater not in ("llm", "template"):
-        raise ParseError("plan: world_updater must be 'llm' or 'template'")
-    try:
-        aggregator = Aggregator(document.get("aggregator", "mean_daily"))
-    except ValueError as exc:
-        raise ParseError(f"plan: {exc}") from exc
-    baseline = document.get("baseline")
-    if baseline is not None and baseline not in labels:
-        raise ValidationError(f"plan: baseline {baseline!r} is not a treatment label")
-    if "cassette" in transport:
-        transport = dict(transport)
-        transport["cassette"] = str(_resolve(transport["cassette"]))
+    options: dict = {}
+    for key, convert in _SCALAR_KEYS.items():
+        if key in document:
+            try:
+                options[key] = convert(document[key])
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"plan: {key}: {exc}") from exc
+    if "transport" in document:
+        transport = document["transport"]
+        if not isinstance(transport, dict) or "kind" not in transport:
+            raise ParseError("plan: transport must be a mapping with a 'kind'")
+        if "cassette" in transport:
+            transport = {**transport, "cassette": str(_resolve(transport["cassette"]))}
+        options["transport"] = transport
+    if "policy" in document:
+        policy = document["policy"]
+        if isinstance(policy, str):
+            policy = {"kind": policy}
+        if not isinstance(policy, dict) or policy.get("kind") not in ("llm", "scripted"):
+            raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
+        if policy["kind"] == "scripted":
+            if "script" not in policy:
+                raise ParseError("plan: scripted policy needs a 'script' path")
+            policy = {"kind": "scripted", "script": str(_resolve(policy["script"]))}
+        options["policy"] = policy
+    if "world_updater" in document:
+        if document["world_updater"] not in ("llm", "template"):
+            raise ParseError("plan: world_updater must be 'llm' or 'template'")
+        options["world_updater"] = document["world_updater"]
+    if "aggregator" in document:
+        try:
+            options["aggregator"] = Aggregator(document["aggregator"])
+        except ValueError as exc:
+            raise ParseError(f"plan: {exc}") from exc
+    if "baseline" in document:
+        baseline = document["baseline"]
+        if baseline is not None and baseline not in labels:
+            raise ValidationError(f"plan: baseline {baseline!r} is not a treatment label")
+        options["baseline"] = baseline
     return ExperimentPlan(
         scenario_path=_resolve(document["scenario"]),
         taxonomy_path=_resolve(document["taxonomy"]),
         treatments=treatments,
-        base_seed=int(document["base_seed"]),
-        runs_per_treatment=runs,
-        transport=transport,
-        policy=policy,
-        world_updater=updater,
-        aggregator=aggregator,
-        model=str(document.get("model", DEFAULT_MODEL)),
-        baseline=baseline,
-        max_parse_retries=int(document.get("max_parse_retries", 3)),
-        parallelism=int(document.get("parallelism", 1)),
-        max_requests=int(document.get("max_requests", DEFAULT_EXPERIMENT_BUDGET)),
-        intra_day_visibility=bool(document.get("intra_day_visibility", False)),
+        **options,
     )
 
 
@@ -274,24 +275,6 @@ def build_updater(plan: ExperimentPlan, transport: Transport) -> WorldUpdater:
     if plan.world_updater == "template":
         return TemplateUpdater()
     return LlmUpdater(transport, model=plan.model)
-
-
-def _completed_run(handle: RunHandle, scenario: Scenario) -> ts.TranscriptRun | None:
-    """The run read back from its transcript, if that holds this run completed."""
-    if not handle.transcript_path.exists():
-        return None
-    try:
-        run = ts.load_run(handle.transcript_path)
-    except ParseError:
-        return None
-    if (
-        run.completed
-        and run.seed == handle.seed
-        and run.treatment_label == handle.treatment.label
-        and len(run.days) == scenario.days
-    ):
-        return run
-    return None
 
 
 @dataclass
@@ -379,6 +362,10 @@ def run_experiment(
 ) -> ExperimentResult:
     """Execute treatments x runs, skipping runs whose transcripts are complete.
 
+    Each transcript already there is checked against its run's header first:
+    one written for a different run (a treatment edited under an unchanged
+    label, say) is refused with ``ValidationError`` before any request is
+    made or the manifest is written.
     Aborted runs are recorded in the manifest and the experiment continues
     best-effort; the manifest is rewritten atomically as results land.  The
     advisory manifest lock is held for the whole execution.
@@ -441,7 +428,11 @@ def _execute(
 
     to_run: list[RunHandle] = []
     for handle in handles:
-        run = _completed_run(handle, scenario)
+        run, _ = ts.stored_run(
+            handle.transcript_path,
+            run_header(scenario, taxonomy, handle.treatment, handle.seed,
+                       handle.run_id, plan.intra_day_visibility),
+        )
         if run is not None:
             results[handle.run_id] = run
             manifest["runs"].append(_entry(handle, "completed", None))

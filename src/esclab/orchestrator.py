@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import transcript as ts
-from .agents import AgentPolicy, AgentTurn, decide_with_retry
+from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, AgentTurn, decide_with_retry
 from .client import (
     DEFAULT_MAX_TOKENS,
     TEMPERATURE_MAX,
@@ -166,31 +166,20 @@ class LlmUpdater(WorldUpdater):
         return text
 
 
-def _replay_world(scenario: Scenario, days: list[DailyRecord]) -> WorldState:
-    world = initial_world(scenario)
-    for record in days:
-        world = advance_day(world, record)
-    return world
-
-
-def _completed_older_run(
-    path: Path, records: list[dict], header: dict
-) -> ts.TranscriptRun:
-    """An older-format transcript of this run, if it holds the run completed.
-
-    A partial one is refused rather than resumed, which would mix two
-    formats in one file.
-    """
-    stored = records[0]["payload"]
-    if stored.items() <= header.items():
-        prior = ts.reconstruct_run(records)
-        if prior.completed:
-            return prior
-    raise ValidationError(
-        f"transcript {path} is in format {stored.get('transcript_format', 1)}, "
-        f"not {ts.TRANSCRIPT_FORMAT}: an older transcript is read only when it "
-        "holds its run completed, never resumed; remove it to play the run again"
-    )
+def run_header(scenario: Scenario, taxonomy: ActionTaxonomy, treatment: Treatment,
+               seed: int, run_id: str, intra_day_visibility: bool) -> dict:
+    """The ``run_start`` payload of a run: a transcript holds the run only if
+    its header equals this."""
+    return {
+        "transcript_format": ts.TRANSCRIPT_FORMAT,
+        "run_id": run_id,
+        "scenario_name": scenario.name,
+        "days": scenario.days,
+        "seed": seed,
+        "treatment": treatment.as_record(),
+        "taxonomy_version": taxonomy.version,
+        "intra_day_visibility": intra_day_visibility,
+    }
 
 
 def run_simulation(
@@ -202,64 +191,44 @@ def run_simulation(
     seed: int,
     transcript_path,
     run_id: str | None = None,
-    max_parse_retries: int = 3,
+    max_parse_retries: int = DEFAULT_PARSE_RETRIES,
     resume: bool = True,
     intra_day_visibility: bool = False,
 ) -> ts.TranscriptRun:
     """Play one seeded game of scenario.days days and persist the transcript.
 
-    If the transcript already holds a completed run it is returned as-is; a
-    partial transcript is truncated to its last completed day and continued.
-    Transport failures abort the run (partial transcript retained) rather
-    than skipping nations, so no biased partial days enter the statistics.
+    With ``resume``, ``transcript.stored_run`` decides what the transcript
+    already holds: a completed run is returned as-is, a partial one is cut
+    back to its last completed day and continued, and a transcript of a
+    different run is refused with ``ValidationError``.  Without it, any
+    transcript there is replaced.  Transport failures abort the run (partial
+    transcript retained) rather than skipping nations, so no biased partial
+    days enter the statistics.
     """
     if max_parse_retries < 0:
         raise ValidationError("max_parse_retries must be >= 0")
     transcript_path = Path(transcript_path)
     run_id = run_id or f"{treatment.label}-s{seed}"
-    header = {
-        "transcript_format": ts.TRANSCRIPT_FORMAT,
-        "run_id": run_id,
-        "scenario_name": scenario.name,
-        "days": scenario.days,
-        "seed": seed,
-        "treatment": treatment.as_record(),
-        "taxonomy_version": taxonomy.version,
-        "intra_day_visibility": intra_day_visibility,
-    }
+    header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility)
 
-    start_seq = 0
-    world = initial_world(scenario)
-    fallbacks = 0
-    fresh = True
+    kept: list[dict] = []
+    if resume:
+        prior, kept = ts.stored_run(transcript_path, header)
+        if prior is not None:
+            return prior
     days: list[DailyRecord] = []
-    if transcript_path.exists() and resume:
-        records = ts.read_records(transcript_path, tolerate_partial_tail=True)
-        if records:
-            stored = records[0]["payload"] if records[0].get("type") == ts.RUN_START else None
-            if stored is not None and stored.get("transcript_format", 1) != ts.TRANSCRIPT_FORMAT:
-                return _completed_older_run(transcript_path, records, header)
-            if stored != header:
-                raise ValidationError(
-                    f"transcript {transcript_path} belongs to a different run; "
-                    "refusing to resume"
-                )
-            prior = ts.reconstruct_run(records)
-            if prior.completed:
-                return prior
-        kept = ts.complete_day_prefix(records)
-        if kept:
-            ts.rewrite(transcript_path, kept)
-            resumed = ts.reconstruct_run(kept)
-            world = _replay_world(scenario, resumed.days)
-            fallbacks = resumed.fallbacks
-            days = list(resumed.days)
-            start_seq = len(kept)
-            fresh = False
-    if fresh and transcript_path.exists():
+    fallbacks = 0
+    if kept:
+        ts.rewrite(transcript_path, kept)
+        resumed = ts.reconstruct_run(kept)
+        days, fallbacks = list(resumed.days), resumed.fallbacks
+    elif transcript_path.exists():
         # not resuming, or no day completed (perhaps a single torn line)
         transcript_path.unlink()
-    writer = ts.TranscriptWriter(transcript_path, start_seq=start_seq)
+    world = initial_world(scenario)
+    for record in days:
+        world = advance_day(world, record)
+    writer = ts.TranscriptWriter(transcript_path, start_seq=len(kept))
     # Threads overlap only waiting: for an in-process policy they would
     # just contend for the interpreter lock.
     concurrent = not intra_day_visibility and not policy.in_process
@@ -267,7 +236,7 @@ def run_simulation(
     status = "completed"
     abort_reason = None
     try:
-        if fresh:
+        if not kept:
             writer.write(ts.RUN_START, header)
             templates = policy.templates or default_templates()
             system_text, system_sha256 = render_system_text(

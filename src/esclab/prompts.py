@@ -106,7 +106,7 @@ class PromptTemplates:
                 system=(directory / "system.txt").read_text(encoding="utf-8"),
                 user=(directory / "user.txt").read_text(encoding="utf-8"),
             )
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read prompt templates in {directory}: {exc}") from exc
 
 

@@ -30,6 +30,17 @@ def _load_yaml(text: str) -> object:
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
+def load_yaml_file(path: str | Path, kind: str) -> object:
+    """The document of a ``kind`` data file; ``ParseError`` if it cannot be
+    read, is not UTF-8 or is not YAML."""
+    try:
+        return _load_yaml(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
+    except (UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
+
+
 _NATION_KEYS = {"name", "background", "objectives"}
 _TOP_KEYS = {"name", "days", "initial_summary", "nations"}
 
@@ -221,15 +232,7 @@ def parse_scenario(document: object) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     """Load and validate a scenario file."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    try:
-        document = _load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed scenario file {path}: {exc}") from exc
-    return parse_scenario(document)
+    return parse_scenario(load_yaml_file(path, "scenario"))
 
 
 def default_scenario_path() -> Path:

@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ParseError, UnknownAction, ValidationError
-from .scenario import _load_yaml
+from .scenario import load_yaml_file
 
 log = logging.getLogger("esclab.taxonomy")
 
@@ -190,15 +190,7 @@ def parse_taxonomy(document: object) -> ActionTaxonomy:
 
 def load_taxonomy(path: str | Path) -> ActionTaxonomy:
     """Load and validate a taxonomy file (YAML key/value tree)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ParseError(f"cannot read taxonomy file {path}: {exc}") from exc
-    try:
-        document = _load_yaml(text)
-    except yaml.YAMLError as exc:
-        raise ParseError(f"malformed taxonomy file {path}: {exc}") from exc
-    return parse_taxonomy(document)
+    return parse_taxonomy(load_yaml_file(path, "taxonomy"))
 
 
 def serialize_taxonomy(taxonomy: ActionTaxonomy) -> str:

@@ -133,21 +133,6 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[
     return records
 
 
-def complete_day_prefix(records: list[dict]) -> list[dict]:
-    """Records up to and including the last completed day; none without one.
-
-    Used when resuming after a crash: anything after the last day event (a
-    half-written day, an abort marker) is discarded so the continuation is
-    byte-identical to an uninterrupted run.  A run with no completed day is
-    played again from its first record, since the writer may have left even
-    its header records torn.
-    """
-    for index in range(len(records) - 1, -1, -1):
-        if records[index].get("type") == DAY:
-            return records[: index + 1]
-    return []
-
-
 def rewrite(path: str | Path, records: list[dict]) -> None:
     """Atomically replace a transcript with the given records."""
     path = Path(path)
@@ -265,6 +250,48 @@ def reconstruct_run(records: list[dict]) -> TranscriptRun:
 
 def load_run(path: str | Path) -> TranscriptRun:
     return reconstruct_run(read_records(path))
+
+
+def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, list[dict]]:
+    """What the transcript at ``path`` holds of the run whose ``run_start``
+    payload is ``header``, as ``(completed run or None, records to keep)``.
+
+    - ``(run, records)``: the run, completed; nothing is left to play.
+    - ``(None, records up to its last completed day)``: a partial run.  What
+      follows that day (a half-written day, an abort marker) is played
+      again, so the continuation is byte-identical to an uninterrupted run.
+    - ``(None, [])``: no file, or no completed day in it.  The run starts
+      over, since the writer may have left even its header records torn.
+    - ``ValidationError``: a transcript of a different run, or this run
+      partial in an older format (resuming would mix two formats).
+    """
+    path = Path(path)
+    records = read_records(path, tolerate_partial_tail=True) if path.exists() else []
+    if not records:
+        return None, []
+    stored = records[0]["payload"] if records[0].get("type") == RUN_START else None
+    if stored is not None and stored.get("transcript_format", 1) != TRANSCRIPT_FORMAT:
+        # An older header lacks the fields added since.
+        if stored.items() <= header.items():
+            run = reconstruct_run(records)
+            if run.completed:
+                return run, records
+        raise ValidationError(
+            f"transcript {path} is in format {stored.get('transcript_format', 1)}, "
+            f"not {TRANSCRIPT_FORMAT}: an older transcript is read only when it "
+            "holds its run completed, never resumed; remove it to play the run again"
+        )
+    if stored != header:
+        raise ValidationError(
+            f"transcript {path} belongs to a different run; refusing to skip or resume it"
+        )
+    run = reconstruct_run(records)
+    if run.completed:
+        return run, records
+    for index in range(len(records) - 1, 0, -1):
+        if records[index].get("type") == DAY:
+            return None, records[: index + 1]
+    return None, []
 
 
 def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]]:

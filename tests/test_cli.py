@@ -43,6 +43,25 @@ class TestValidate:
         assert payload["error"] == "ParseError"
         assert payload["message"]
 
+    @pytest.mark.parametrize("command", [["validate", "--scenario"],
+                                         ["validate", "--templates"],
+                                         ["experiment", "--out", "exp", "--plan"]],
+                             ids=["scenario", "templates", "plan"])
+    def test_non_utf8_file_exits_one_with_json_error(self, command, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.yaml"
+        bad.write_bytes(b"name: x\xff\n")
+        if command[1] == "--templates":
+            bad = tmp_path / "templates"
+            bad.mkdir()
+            (bad / "system.txt").write_bytes(b"menu \xff\n")
+            (bad / "user.txt").write_text("day ${day}\n", encoding="utf-8")
+        assert main(command + [str(bad)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ParseError"
+        assert str(bad) in payload["message"]
+
 
 class TestSimulate:
     def test_scripted_simulate_deterministic(self, tmp_path, capsys):
@@ -129,6 +148,23 @@ class TestExperimentAndReport:
         payload = json.loads(capsys.readouterr().out)
         assert payload["new_requests"] == 0
         assert payload["skipped_existing"] == 2
+
+    def test_rerun_with_an_edited_treatment_exits_one(self, tmp_path, capsys):
+        demo = (DATA / "plan_demo.yaml").read_text(encoding="utf-8")
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(demo, encoding="utf-8")
+        for name in ("neutral_scenario.yaml", "default_taxonomy.yaml", "demo_script.yaml"):
+            (tmp_path / name).write_bytes((DATA / name).read_bytes())
+        exp_dir = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(plan), "--out", str(exp_dir)]) == 0
+        capsys.readouterr()
+        manifest = (exp_dir / "manifest.json").read_bytes()
+        plan.write_text(demo.replace("temperature: 1.0", "temperature: 0.5"), encoding="utf-8")
+        assert main(["experiment", "--plan", str(plan), "--out", str(exp_dir)]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["error"] == "ValidationError"
+        assert "t1.0-default-r00.jsonl belongs to a different run" in error["message"]
+        assert (exp_dir / "manifest.json").read_bytes() == manifest
 
     def test_report_on_missing_manifest_exits_one(self, tmp_path, capsys):
         assert main([

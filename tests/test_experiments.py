@@ -96,6 +96,35 @@ class TestPlanLoading:
         with pytest.raises(ValidationError, match="max_parse_retries"):
             load_plan(scripted_plan(tmp_path, extra="max_parse_retries: -1"))
 
+    def test_zero_runs_rejected(self, tmp_path):
+        plan = load_plan(scripted_plan(tmp_path))
+        with pytest.raises(ValidationError, match="runs_per_treatment"):
+            dataclasses.replace(plan, runs_per_treatment=0)
+        with pytest.raises(ValidationError, match="runs_per_treatment"):
+            load_plan(scripted_plan(tmp_path, runs=0))
+
+    def test_unset_keys_take_the_plan_defaults(self, tmp_path):
+        path = write_plan(
+            tmp_path,
+            f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 4
+treatments:
+  - {{label: t, temperature: 1.0, variant: default}}
+""",
+        )
+        assert load_plan(path) == ExperimentPlan(
+            scenario_path=DATA / "neutral_scenario.yaml",
+            taxonomy_path=DATA / "default_taxonomy.yaml",
+            treatments=(Treatment("t", 1.0, PromptVariant.DEFAULT),),
+            base_seed=4,
+        )
+
+    def test_unconvertible_scalar_is_a_parse_error(self, tmp_path):
+        with pytest.raises(ParseError, match="parallelism"):
+            load_plan(scripted_plan(tmp_path, extra="parallelism: many"))
+
     def test_plan_digest_stable(self):
         plan = load_plan(DATA / "plan_reference.yaml")
         assert plan_digest(plan) == plan_digest(plan)
@@ -343,3 +372,64 @@ class TestRunRecords:
         run_experiment(plan, tmp_path / "out")
         assert writes == [manifest] * 3
         assert manifest.read_bytes() == first
+
+
+def mock_plan(tmp_path, treatment: str, extra: str = "") -> Path:
+    return write_plan(
+        tmp_path,
+        f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 8
+runs_per_treatment: 2
+policy: llm
+world_updater: template
+transport:
+  kind: mock
+treatments:
+  - {treatment}
+{extra}
+""",
+    )
+
+
+class TestStaleTranscripts:
+    """A transcript is skipped only when its header is the run's own."""
+
+    @pytest.mark.parametrize(
+        "treatment, extra",
+        [
+            ("{label: t1.0-default, temperature: 0.5, variant: default}", ""),
+            ("{label: t1.0-default, temperature: 1.0, variant: reflection_planning}", ""),
+            ("{label: t1.0-default, temperature: 1.0, variant: default}",
+             "intra_day_visibility: true"),
+        ],
+        ids=["temperature", "variant", "intra_day_visibility"],
+    )
+    def test_changed_run_under_the_same_label_is_refused(
+        self, tmp_path, monkeypatch, treatment, extra
+    ):
+        from esclab import experiments
+
+        first = load_plan(
+            mock_plan(tmp_path, "{label: t1.0-default, temperature: 1.0, variant: default}")
+        )
+        out = tmp_path / "out"
+        assert run_experiment(first, out).new_requests == 2 * 14 * 8
+        files = sorted(out.rglob("*.json*"))
+        before = {path: path.read_bytes() for path in files}
+
+        transports = []
+        original = experiments.build_transport
+
+        def recording(*args, **kwargs):
+            transports.append(original(*args, **kwargs))
+            return transports[-1]
+
+        monkeypatch.setattr(experiments, "build_transport", recording)
+        changed = load_plan(mock_plan(tmp_path, treatment, extra))
+        with pytest.raises(ValidationError, match="t1.0-default-r00.jsonl belongs to a different run"):
+            run_experiment(changed, out)
+        assert [t.request_count for t in transports] == [0]
+        assert sorted(out.rglob("*.json*")) == files
+        assert {path: path.read_bytes() for path in files} == before

@@ -200,6 +200,15 @@ class TestCustomTemplates:
         with pytest.raises(ParseError):
             PromptTemplates.load(tmp_path / "nope")
 
+    def test_non_utf8_template_raises_parse_error(self, tmp_path):
+        from esclab.errors import ParseError
+        from esclab.prompts import PromptTemplates
+
+        (tmp_path / "system.txt").write_text("menu: ${action_menu}", encoding="utf-8")
+        (tmp_path / "user.txt").write_bytes(b"day ${day} \xff\n")
+        with pytest.raises(ParseError, match="cannot read prompt templates"):
+            PromptTemplates.load(tmp_path)
+
     def test_invalid_dollar_raises_parse_error(self, scenario, taxonomy):
         templates = PromptTemplates(system="${response_format}", user="day $day costs $5")
         with pytest.raises(ParseError, match="Invalid placeholder"):

@@ -155,6 +155,7 @@ class TestYamlLoader:
     def test_malformed_file_is_a_parse_error(self, loader, load, tmp_path, monkeypatch):
         monkeypatch.setattr(scenario_module, "_YAML_LOADER", loader)
         path = tmp_path / "bad.yaml"
-        path.write_text("name: [unclosed\n  days: 3\n", encoding="utf-8")
-        with pytest.raises(ParseError, match="malformed"):
-            load(path)
+        for content in (b"name: [unclosed\n  days: 3\n", b"name: x\xff\n"):
+            path.write_bytes(content)
+            with pytest.raises(ParseError, match="malformed"):
+                load(path)
