@@ -15,12 +15,13 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
 from .transcript import LLM_CALL, Recorder, split_lines
+
+if TYPE_CHECKING:
+    import requests
 
 TEMPERATURE_MIN = 0.0
 TEMPERATURE_MAX = 2.0
@@ -208,7 +209,8 @@ class LiveTransport(Transport):
 
     The API key comes from the environment (see cli module); the endpoint URL
     is configuration.  A global in-flight semaphore and a per-minute window
-    bound request pressure on shared gateways.
+    bound request pressure on shared gateways.  ``requests`` is imported
+    here, not with the module: only a live endpoint needs it.
     """
 
     def __init__(
@@ -221,7 +223,10 @@ class LiveTransport(Transport):
         requests_per_minute: int = 60,
         session: requests.Session | None = None,
     ):
+        import requests
+
         super().__init__(budget=budget)
+        self._requests = requests
         self.url = base_url.rstrip("/") + "/chat/completions"
         self._api_key = api_key
         self.timeout = timeout
@@ -257,9 +262,9 @@ class LiveTransport(Transport):
                 http = self._session.post(
                     self.url, json=body, headers=headers, timeout=self.timeout
                 )
-            except requests.Timeout as exc:
+            except self._requests.Timeout as exc:
                 raise TransportError(f"timeout calling {self.url}: {exc}", transient=True)
-            except requests.RequestException as exc:
+            except self._requests.RequestException as exc:
                 raise TransportError(f"network failure calling {self.url}: {exc}", transient=True)
         latency = time.monotonic() - started
         if http.status_code in (401, 403):

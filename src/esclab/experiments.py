@@ -36,8 +36,8 @@ from .orchestrator import (
     TemplateUpdater,
     Treatment,
     WorldUpdater,
+    play_run,
     run_header,
-    run_simulation,
 )
 from .prompts import PromptVariant
 from .scenario import Scenario, load_scenario, load_yaml_file
@@ -51,11 +51,12 @@ DEFAULT_MODEL = "mistralai/Mistral-7B-Instruct-v0.3"
 MANIFEST_NAME = "manifest.json"
 TRANSCRIPT_DIR = "transcripts"
 
-# Plan keys read as a scalar, with the conversion each gets.
+# Plan keys read as a scalar, with the type each must have as YAML loads it.
 _SCALAR_KEYS = {
     "base_seed": int, "runs_per_treatment": int, "model": str, "max_parse_retries": int,
     "parallelism": int, "max_requests": int, "intra_day_visibility": bool,
 }
+_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean (true or false)"}
 _PLAN_KEYS = {
     "scenario", "taxonomy", "treatments", "transport", "policy", "world_updater",
     "aggregator", "baseline", *_SCALAR_KEYS,
@@ -87,6 +88,8 @@ class ExperimentPlan:
             raise ValidationError("plan: runs_per_treatment must be >= 1")
         if self.max_parse_retries < 0:
             raise ValidationError("plan: max_parse_retries must be >= 0")
+        if self.max_requests < 0:
+            raise ValidationError("plan: max_requests must be >= 0")
 
 
 @dataclass
@@ -173,12 +176,15 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     if len(set(labels)) != len(labels):
         raise ValidationError("plan: duplicate treatment labels")
     options: dict = {}
-    for key, convert in _SCALAR_KEYS.items():
+    for key, kind in _SCALAR_KEYS.items():
         if key in document:
-            try:
-                options[key] = convert(document[key])
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"plan: {key}: {exc}") from exc
+            value = document[key]
+            # bool is an int in Python, never in a plan.
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ParseError(
+                    f"plan: {key} must be {_TYPE_NAMES[kind]}, got {value!r}"
+                )
+            options[key] = value
     if "transport" in document:
         transport = document["transport"]
         if not isinstance(transport, dict) or "kind" not in transport:
@@ -426,38 +432,27 @@ def _execute(
             "abort_reason": abort_reason,
         }
 
-    to_run: list[RunHandle] = []
+    # A partial transcript's kept records go to play_run: one read per run.
+    to_run: list[tuple[RunHandle, dict, list[dict]]] = []
     for handle in handles:
-        run, _ = ts.stored_run(
-            handle.transcript_path,
-            run_header(scenario, taxonomy, handle.treatment, handle.seed,
-                       handle.run_id, plan.intra_day_visibility),
-        )
+        header = run_header(scenario, taxonomy, handle.treatment, handle.seed,
+                            handle.run_id, plan.intra_day_visibility)
+        run, kept = ts.stored_run(handle.transcript_path, header)
         if run is not None:
             results[handle.run_id] = run
             manifest["runs"].append(_entry(handle, "completed", None))
         else:
-            to_run.append(handle)
+            to_run.append((handle, header, kept))
     skipped = len(manifest["runs"])
     if skipped:
         _write_manifest(manifest_path, manifest)
 
     before = transport.request_count
 
-    def _run_one(handle: RunHandle) -> None:
-        run = run_simulation(
-            scenario,
-            taxonomy,
-            handle.treatment,
-            policy,
-            updater,
-            seed=handle.seed,
-            transcript_path=handle.transcript_path,
-            run_id=handle.run_id,
-            max_parse_retries=plan.max_parse_retries,
-            resume=True,
-            intra_day_visibility=plan.intra_day_visibility,
-        )
+    def _run_one(item: tuple[RunHandle, dict, list[dict]]) -> None:
+        handle, header, kept = item
+        run = play_run(scenario, taxonomy, handle.treatment, policy, updater, header,
+                       handle.transcript_path, kept, plan.max_parse_retries)
         results[handle.run_id] = run
         with manifest_write_lock:
             manifest["runs"].append(_entry(handle, run.status, run.abort_reason))
@@ -467,8 +462,8 @@ def _execute(
         with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
             list(pool.map(_run_one, to_run))
     else:
-        for handle in to_run:
-            _run_one(handle)
+        for item in to_run:
+            _run_one(item)
 
     runs = [results[handle.run_id] for handle in handles]
     new_requests = transport.request_count - before

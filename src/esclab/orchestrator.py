@@ -13,8 +13,10 @@ nations one after another.  The transcript is written incrementally and a
 crashed run resumes from its last completed day, reproducing the
 uninterrupted bytes exactly.
 
-A run's treatment and taxonomy come only from ``run_simulation``'s
-arguments and reach the policy and the world updater with every call.
+A run's treatment and taxonomy come only from the arguments of
+``run_simulation`` (or of ``play_run``, which plays on from the records a
+caller already read) and reach the policy and the world updater with every
+call.
 
 A run comes back as ``transcript.TranscriptRun``, the record that reading
 its transcript gives: built from memory for a run played here, read back for
@@ -216,6 +218,26 @@ def run_simulation(
         prior, kept = ts.stored_run(transcript_path, header)
         if prior is not None:
             return prior
+    return play_run(scenario, taxonomy, treatment, policy, world_updater, header,
+                    transcript_path, kept, max_parse_retries)
+
+
+def play_run(
+    scenario: Scenario,
+    taxonomy: ActionTaxonomy,
+    treatment: Treatment,
+    policy: AgentPolicy,
+    world_updater: WorldUpdater,
+    header: dict,
+    transcript_path: Path,
+    kept: list[dict],
+    max_parse_retries: int = DEFAULT_PARSE_RETRIES,
+) -> ts.TranscriptRun:
+    """Play the run whose ``run_start`` payload is ``header`` onward from the
+    records ``kept`` of it, as ``transcript.stored_run`` gave them (none: from
+    the start, replacing any file there), and persist its transcript."""
+    run_id, seed = header["run_id"], header["seed"]
+    intra_day_visibility = header["intra_day_visibility"]
     days: list[DailyRecord] = []
     fallbacks = 0
     if kept:

@@ -11,6 +11,16 @@ from esclab.cli import main
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
 
+def _fresh_interpreter(probe: str, *args: str) -> list[str]:
+    """Words a new interpreter prints running ``probe`` with ``args``."""
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", probe, *args], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    return done.stdout.split()
+
+
 class TestImports:
     def test_cli_import_leaves_scipy_unloaded(self):
         probe = (
@@ -18,12 +28,43 @@ class TestImports:
             "from esclab import build_report, summarize; "
             "print(loaded, 'scipy' in sys.modules)"
         )
-        env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
-        done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-            timeout=120, check=True,
+        assert _fresh_interpreter(probe) == ["False", "True"]
+
+    def test_cli_import_leaves_requests_unloaded(self):
+        probe = "import sys, esclab.cli; print('requests' in sys.modules, 'urllib3' in sys.modules)"
+        assert _fresh_interpreter(probe) == ["False", "False"]
+
+    def test_live_transport_loads_requests(self):
+        probe = (
+            "import sys; from esclab.client import LiveTransport; "
+            "loaded = 'requests' in sys.modules; "
+            "LiveTransport('https://gateway.invalid/v1', 'key'); "
+            "print(loaded, 'requests' in sys.modules)"
         )
-        assert done.stdout.split() == ["False", "True"]
+        assert _fresh_interpreter(probe) == ["False", "True"]
+
+    def test_report_leaves_scipy_stats_unloaded(self, tmp_path):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+            f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+            "world_updater: template\nbase_seed: 3\nruns_per_treatment: 3\n"
+            "baseline: a\ntreatments: [{label: a, temperature: 1.0}, "
+            "{label: b, temperature: 0.5, variant: reflection_planning}]\n",
+            encoding="utf-8",
+        )
+        probe = (
+            "import sys; from esclab.experiments import load_plan, run_experiment; "
+            "from esclab.report import build_report; "
+            "result = run_experiment(load_plan(sys.argv[1]), sys.argv[2]); "
+            "build_report(result.manifest_path, sys.argv[3], include_timestamp=False); "
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+        )
+        words = _fresh_interpreter(probe, str(plan), str(tmp_path / "exp"),
+                                   str(tmp_path / "report"))
+        assert words == ["True", "False"]
+        reductions = (tmp_path / "report" / "reductions.csv").read_text(encoding="utf-8")
+        assert reductions.splitlines()[1].startswith("b,a,")
 
 
 class TestValidate:
@@ -107,6 +148,28 @@ class TestSimulate:
         out = tmp_path / "exp"
         assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
         assert "max_parse_retries" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,error", [
+        ("intra_day_visibility: 'false'", "ParseError"),
+        ("runs_per_treatment: 2.9", "ParseError"),
+        ("max_requests: -5", "ValidationError"),
+    ])
+    def test_wrong_plan_scalar_exits_one_before_writing(self, tmp_path, capsys, line, error):
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+            f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+            f"policy: {{kind: scripted, script: {DATA / 'demo_script.yaml'}}}\n"
+            "world_updater: template\nbase_seed: 7\n"
+            f"treatments: [{{label: t1.0-default, temperature: 1.0}}]\n{line}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == error
+        assert line.split(":")[0] in payload["message"]
         assert not out.exists()
 
     def test_missing_required_flag_is_usage_error(self, capsys):

@@ -125,6 +125,32 @@ treatments:
         with pytest.raises(ParseError, match="parallelism"):
             load_plan(scripted_plan(tmp_path, extra="parallelism: many"))
 
+    @pytest.mark.parametrize("runs,extra,key", [
+        (2, "intra_day_visibility: 'false'", "intra_day_visibility"),
+        (2, "intra_day_visibility: 0", "intra_day_visibility"),
+        (2.9, "", "runs_per_treatment"),
+        (2, "parallelism: true", "parallelism"),
+        (2, "model: 7", "model"),
+    ])
+    def test_wrong_typed_scalar_is_a_parse_error(self, tmp_path, runs, extra, key):
+        with pytest.raises(ParseError, match=f"{key} must be"):
+            load_plan(scripted_plan(tmp_path, runs=runs, extra=extra))
+
+    def test_scalars_keep_their_yaml_values(self, tmp_path):
+        plan = load_plan(scripted_plan(
+            tmp_path, runs=3,
+            extra="intra_day_visibility: false\nmax_requests: 0\nmodel: m\nparallelism: 2",
+        ))
+        assert (plan.runs_per_treatment, plan.intra_day_visibility) == (3, False)
+        assert (plan.max_requests, plan.model, plan.parallelism) == (0, "m", 2)
+
+    def test_negative_max_requests_rejected(self, tmp_path):
+        plan = load_plan(scripted_plan(tmp_path))
+        with pytest.raises(ValidationError, match="max_requests"):
+            dataclasses.replace(plan, max_requests=-1)
+        with pytest.raises(ValidationError, match="max_requests"):
+            load_plan(scripted_plan(tmp_path, extra="max_requests: -5"))
+
     def test_plan_digest_stable(self):
         plan = load_plan(DATA / "plan_reference.yaml")
         assert plan_digest(plan) == plan_digest(plan)
@@ -178,6 +204,44 @@ class TestRunExperiment:
         again = run_experiment(plan, tmp_path / "out")
         assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
         assert [run.days for run in again.runs] == [run.days for run in first.runs]
+
+    def test_resume_reads_each_transcript_once(self, tmp_path, monkeypatch):
+        from esclab import transcript
+
+        path = write_plan(
+            tmp_path,
+            f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 5
+runs_per_treatment: 2
+max_requests: 140
+world_updater: llm
+treatments:
+  - {{label: t1.0-default, temperature: 1.0, variant: default}}
+""",
+        )
+        plan = load_plan(path)
+        first = run_experiment(plan, tmp_path / "out")
+        aborted = [run for run in first.runs if run.status == "aborted"]
+        assert len(aborted) == 1 and len(aborted[0].days) == 1  # one day to keep
+        reads = []
+        original = transcript.read_records
+
+        def counting(path, *args, **kwargs):
+            reads.append(Path(path).name)
+            return original(path, *args, **kwargs)
+
+        monkeypatch.setattr(transcript, "read_records", counting)
+        unlimited = dataclasses.replace(plan, max_requests=10_000)
+        again = run_experiment(unlimited, tmp_path / "out")
+        assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
+        assert [run.status for run in again.runs] == ["completed", "completed"]
+        monkeypatch.undo()
+        run_experiment(unlimited, tmp_path / "fresh")
+        for name in ("t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"):
+            resumed = (tmp_path / "out" / "transcripts" / name).read_bytes()
+            assert resumed == (tmp_path / "fresh" / "transcripts" / name).read_bytes()
 
     def test_scripted_plan_loads_its_script_once(self, tmp_path, monkeypatch):
         from esclab import experiments

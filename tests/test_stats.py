@@ -2,6 +2,9 @@ import math
 import random
 
 import pytest
+import scipy.stats as sps
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esclab.errors import (
     EmptySample,
@@ -147,6 +150,11 @@ class TestCi95:
                 t_quantile(0.975, dof), rel=1e-9
             )
 
+    @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
+    def test_t_critical_is_scipy_t_ppf_bit_for_bit(self, confidence):
+        for dof in range(1, 2001):
+            assert t_critical(confidence, dof) == float(sps.t.ppf(0.5 + confidence / 2, dof))
+
     def test_single_run_rejected(self):
         with pytest.raises(InsufficientRuns):
             ci95_per_day([[1.0, 2.0]])
@@ -190,3 +198,34 @@ class TestSignificance:
     def test_small_samples_rejected(self):
         with pytest.raises(InsufficientSample):
             significance_test([1, 2], [3, 4, 5])
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two samples of 3+ values: tie-free (exact p-value when a side has at
+    most 8) or drawn from ten values (ties: normal approximation)."""
+    n1, n2 = draw(st.sampled_from([(3, 40), (40, 3), (8, 30)])
+                  | st.tuples(st.integers(3, 14), st.integers(3, 14)))
+    if draw(st.booleans()):
+        values = draw(st.lists(
+            st.floats(-1e6, 1e6, allow_nan=False) | st.integers(-10**5, 10**5).map(lambda v: v / 14),
+            min_size=n1 + n2, max_size=n1 + n2, unique=True,
+        ))
+    else:
+        values = draw(st.lists(st.integers(0, 9).map(float), min_size=n1 + n2, max_size=n1 + n2))
+    return values[:n1], values[n1:]
+
+
+class TestSignificanceMatchesScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(sample_pairs())
+    @example(([1.0, 5.0, 9.0], [2.0, 3.0, 4.0, 6.0, 7.0, 8.0, 10.0]))  # exact
+    @example(([0.5, 1.5, 3.0], [float(v) for v in range(4, 44)]))  # exact, 3 vs 40
+    @example(([float(v) for v in range(0, 20, 2)], [float(v) for v in range(1, 21, 2)]))  # normal
+    @example(([1.0, 1.0, 2.0, 2.0, 3.0], [2.0, 2.0, 3.0, 3.0, 4.0]))  # tied, normal
+    def test_statistic_and_p_value_equal_mannwhitneyu(self, pair):
+        a, b = pair
+        ours = significance_test(a, b)
+        theirs = sps.mannwhitneyu(a, b, alternative="two-sided", method="auto")
+        assert ours.statistic == float(theirs.statistic)
+        assert ours.p_value == float(theirs.pvalue)
