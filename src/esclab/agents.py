@@ -22,9 +22,16 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import transcript as ts
 from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
-from .scenario import ChosenAction, Scenario, WorldState, load_yaml_file
+from .scenario import (
+    ChosenAction,
+    Scenario,
+    WorldState,
+    load_yaml_file,
+    require_keys,
+    require_type,
+)
 from .taxonomy import ActionTaxonomy
 
 if TYPE_CHECKING:
@@ -275,7 +282,7 @@ class ScriptedPolicy(AgentPolicy):
         default: Sequence[ChosenAction] | None = None,
     ):
         self.table = {
-            nation: {int(day): tuple(actions) for day, actions in days.items()}
+            nation: {day: tuple(actions) for day, actions in days.items()}
             for nation, days in table.items()
         }
         self.default = tuple(default) if default is not None else None
@@ -395,18 +402,12 @@ def decide_with_retry(
 
 
 def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ...]:
-    if not isinstance(entries, list):
-        raise ParseError(f"{where}: expected a list of actions")
     actions = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "action" not in entry:
-            raise ParseError(f"{where}: each action needs an 'action' key")
-        unknown = set(entry) - {"action", "target"}
-        if unknown:
-            raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+    for entry in require_type(entries, list, where):
+        require_keys(entry, where, ("action", "target"), ("action",))
         actions.append(
             ChosenAction(
-                action_id=str(entry["action"]),
+                action_id=require_type(entry["action"], str, f"{where}: action", nonempty=True),
                 target=entry.get("target"),
                 raw_text="(scripted)",
             )
@@ -416,23 +417,16 @@ def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ..
 
 def load_script(path: str | Path) -> ScriptedPolicy:
     """Load a scripted-policy file: per-nation day -> action list tables."""
-    document = load_yaml_file(path, "script")
-    if not isinstance(document, dict):
-        raise ParseError("script document must be a mapping")
-    unknown = set(document) - {"nations", "default"}
-    if unknown:
-        raise ParseError(f"script: unknown keys {sorted(unknown)}")
-    raw_nations = document.get("nations", {})
-    if not isinstance(raw_nations, dict):
-        raise ParseError("script: nations must be a mapping")
+    document = require_keys(load_yaml_file(path, "script"), "script", ("nations", "default"))
+    raw_nations = require_type(document.get("nations", {}), dict, "script: nations")
     table: dict[str, dict[int, tuple[ChosenAction, ...]]] = {}
     for nation, days in raw_nations.items():
-        if not isinstance(days, dict):
-            raise ParseError(f"script nation {nation!r}: expected day -> actions mapping")
-        table[str(nation)] = {
-            int(day): _parse_script_actions(entries, f"{nation} day {day}")
-            for day, entries in days.items()
-        }
+        where = f"script nation {nation!r}"
+        require_type(nation, str, f"{where}: name")
+        table[nation] = {}
+        for day, entries in require_type(days, dict, f"{where}: days").items():
+            require_type(day, int, f"{where}: day key")
+            table[nation][day] = _parse_script_actions(entries, f"{nation} day {day}")
     default = None
     if "default" in document:
         default = _parse_script_actions(document["default"], "default")

@@ -223,6 +223,11 @@ class LiveTransport(Transport):
         requests_per_minute: int = 60,
         session: requests.Session | None = None,
     ):
+        if max_in_flight < 1 or requests_per_minute < 1 or timeout <= 0:
+            raise ValidationError(
+                "live transport needs max_in_flight >= 1, requests_per_minute >= 1 and "
+                f"timeout > 0, got {max_in_flight}, {requests_per_minute} and {timeout}"
+            )
         import requests
 
         super().__init__(budget=budget)
@@ -299,6 +304,8 @@ def read_cassette(path: str | Path) -> list[CassetteRecord]:
     """
     try:
         lines, tail = split_lines(Path(path).read_bytes())
+    except OSError as exc:
+        raise TransportError(f"cannot read cassette {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise TransportError(f"cassette {path} is not UTF-8: {exc}")
     entries = []

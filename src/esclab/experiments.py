@@ -40,7 +40,7 @@ from .orchestrator import (
     run_header,
 )
 from .prompts import PromptVariant
-from .scenario import Scenario, load_scenario, load_yaml_file
+from .scenario import Scenario, load_scenario, load_yaml_file, require_keys, require_type
 from .scoring import Aggregator
 from .taxonomy import ActionTaxonomy, load_taxonomy
 from . import transcript as ts
@@ -56,10 +56,20 @@ _SCALAR_KEYS = {
     "base_seed": int, "runs_per_treatment": int, "model": str, "max_parse_retries": int,
     "parallelism": int, "max_requests": int, "intra_day_visibility": bool,
 }
-_TYPE_NAMES = {int: "an integer", str: "a string", bool: "a boolean (true or false)"}
+_REQUIRED_KEYS = ("scenario", "taxonomy", "treatments", "base_seed")
 _PLAN_KEYS = {
-    "scenario", "taxonomy", "treatments", "transport", "policy", "world_updater",
-    "aggregator", "baseline", *_SCALAR_KEYS,
+    "transport", "policy", "world_updater", "aggregator", "baseline",
+    *_REQUIRED_KEYS, *_SCALAR_KEYS,
+}
+# Per transport kind: the type of each key besides ``kind``, and the keys
+# that must be set.
+_TRANSPORT_KEYS = {
+    "mock": ({"responder": str, "text": str}, ()),
+    "replay": ({"cassette": str, "mode": str}, ("cassette",)),
+    "live": (
+        {"base_url": str, "timeout": float, "max_in_flight": int, "requests_per_minute": int},
+        ("base_url",),
+    ),
 }
 
 
@@ -135,73 +145,68 @@ def plan_digest(plan: ExperimentPlan) -> str:
 
 def _parse_treatment(entry: object, index: int) -> Treatment:
     where = f"treatments[{index}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected a mapping")
-    unknown = set(entry) - {"label", "temperature", "variant"}
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
+    require_keys(entry, where, ("label", "temperature", "variant"), ("label", "temperature"))
     try:
-        label = str(entry["label"])
-        temperature = float(entry["temperature"])
         variant = PromptVariant(entry.get("variant", "default"))
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    return Treatment(label=label, temperature=temperature, variant=variant)
+    return Treatment(
+        label=require_type(entry["label"], str, f"{where}: label", nonempty=True),
+        temperature=require_type(entry["temperature"], float, f"{where}: temperature"),
+        variant=variant,
+    )
+
+
+def _typed(mapping: dict, types: dict, where: str) -> dict:
+    """The entries of ``mapping`` that ``types`` names, each of its type."""
+    return {
+        key: require_type(mapping[key], kind, f"{where}{key}")
+        for key, kind in types.items()
+        if key in mapping
+    }
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
     """Load and validate an experiment plan file; paths resolve next to it,
     and a key it does not set keeps ``ExperimentPlan``'s default."""
     path = Path(path)
-    document = load_yaml_file(path, "plan")
-    if not isinstance(document, dict):
-        raise ParseError("plan document must be a mapping")
-    unknown = set(document) - _PLAN_KEYS
-    if unknown:
-        raise ParseError(f"plan: unknown keys {sorted(unknown)}")
-    for key in ("scenario", "taxonomy", "treatments", "base_seed"):
-        if key not in document:
-            raise ParseError(f"plan: missing key {key!r}")
-    base = path.parent
+    document = require_keys(load_yaml_file(path, "plan"), "plan", _PLAN_KEYS, _REQUIRED_KEYS)
 
-    def _resolve(value: str) -> Path:
-        candidate = Path(os.path.expandvars(str(value))).expanduser()
-        return candidate if candidate.is_absolute() else (base / candidate).resolve()
+    def _resolve(value: object, where: str) -> Path:
+        value = require_type(value, str, where, nonempty=True)
+        candidate = Path(os.path.expandvars(value)).expanduser()
+        return candidate if candidate.is_absolute() else (path.parent / candidate).resolve()
 
-    raw_treatments = document["treatments"]
-    if not isinstance(raw_treatments, list) or not raw_treatments:
-        raise ParseError("plan: treatments must be a nonempty list")
+    raw_treatments = require_type(document["treatments"], list, "plan: treatments", nonempty=True)
     treatments = tuple(_parse_treatment(t, i) for i, t in enumerate(raw_treatments))
     labels = [t.label for t in treatments]
     if len(set(labels)) != len(labels):
         raise ValidationError("plan: duplicate treatment labels")
-    options: dict = {}
-    for key, kind in _SCALAR_KEYS.items():
-        if key in document:
-            value = document[key]
-            # bool is an int in Python, never in a plan.
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ParseError(
-                    f"plan: {key} must be {_TYPE_NAMES[kind]}, got {value!r}"
-                )
-            options[key] = value
+    options = _typed(document, _SCALAR_KEYS, "plan: ")
     if "transport" in document:
-        transport = document["transport"]
-        if not isinstance(transport, dict) or "kind" not in transport:
-            raise ParseError("plan: transport must be a mapping with a 'kind'")
-        if "cassette" in transport:
-            transport = {**transport, "cassette": str(_resolve(transport["cassette"]))}
+        transport = require_type(document["transport"], dict, "plan: transport")
+        kind = transport.get("kind")
+        if kind not in tuple(_TRANSPORT_KEYS):  # a tuple: kind may be unhashable
+            raise ParseError(
+                f"plan: transport kind must be one of {list(_TRANSPORT_KEYS)}, got {kind!r}"
+            )
+        types, required = _TRANSPORT_KEYS[kind]
+        require_keys(transport, f"plan: {kind} transport", {"kind", *types}, required)
+        transport = {"kind": kind, **_typed(transport, types, "plan: transport ")}
+        if kind == "replay":
+            cassette = _resolve(transport["cassette"], "plan: transport cassette")
+            transport["cassette"] = str(cassette)
         options["transport"] = transport
     if "policy" in document:
         policy = document["policy"]
         if isinstance(policy, str):
             policy = {"kind": policy}
-        if not isinstance(policy, dict) or policy.get("kind") not in ("llm", "scripted"):
-            raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
+        require_keys(policy, "plan: policy", ("kind", "script"), ("kind",))
         if policy["kind"] == "scripted":
-            if "script" not in policy:
-                raise ParseError("plan: scripted policy needs a 'script' path")
-            policy = {"kind": "scripted", "script": str(_resolve(policy["script"]))}
+            script = _resolve(policy.get("script"), "plan: policy script")
+            policy = {"kind": "scripted", "script": str(script)}
+        elif policy["kind"] != "llm":
+            raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
         options["policy"] = policy
     if "world_updater" in document:
         if document["world_updater"] not in ("llm", "template"):
@@ -218,8 +223,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
             raise ValidationError(f"plan: baseline {baseline!r} is not a treatment label")
         options["baseline"] = baseline
     return ExperimentPlan(
-        scenario_path=_resolve(document["scenario"]),
-        taxonomy_path=_resolve(document["taxonomy"]),
+        scenario_path=_resolve(document["scenario"], "plan: scenario"),
+        taxonomy_path=_resolve(document["taxonomy"], "plan: taxonomy"),
         treatments=treatments,
         **options,
     )
@@ -230,7 +235,6 @@ def build_transport(
     taxonomy: ActionTaxonomy,
     scenario: Scenario,
     api_key: str | None = None,
-    capture: bool = False,
 ) -> Transport:
     config = plan.transport
     kind = config["kind"]
@@ -248,26 +252,16 @@ def build_transport(
             responder = config.get("text", "")
         else:
             raise ValidationError(f"unknown mock responder {responder_kind!r}")
-        return MockTransport(responder, budget=budget, capture=capture)
+        return MockTransport(responder, budget=budget)
     if kind == "replay":
-        if "cassette" not in config:
-            raise ValidationError("replay transport needs a 'cassette' path")
         return ReplayTransport(
             config["cassette"], mode=config.get("mode", "strict"), budget=budget
         )
     if kind == "live":
-        if "base_url" not in config:
-            raise ValidationError("live transport needs a 'base_url'")
         if not api_key:
             raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
-        return LiveTransport(
-            base_url=config["base_url"],
-            api_key=api_key,
-            budget=budget,
-            timeout=float(config.get("timeout", 60.0)),
-            max_in_flight=int(config.get("max_in_flight", 4)),
-            requests_per_minute=int(config.get("requests_per_minute", 60)),
-        )
+        settings = {key: value for key, value in config.items() if key != "kind"}
+        return LiveTransport(api_key=api_key, budget=budget, **settings)
     raise ValidationError(f"unknown transport kind {kind!r}")
 
 
@@ -364,7 +358,6 @@ def run_experiment(
     plan: ExperimentPlan,
     out_dir: str | Path,
     api_key: str | None = None,
-    capture_requests: bool = False,
 ) -> ExperimentResult:
     """Execute treatments x runs, skipping runs whose transcripts are complete.
 
@@ -379,18 +372,13 @@ def run_experiment(
     out_dir = Path(out_dir)
     (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
     with manifest_lock(out_dir):
-        return _execute(plan, out_dir, api_key, capture_requests)
+        return _execute(plan, out_dir, api_key)
 
 
-def _execute(
-    plan: ExperimentPlan,
-    out_dir: Path,
-    api_key: str | None,
-    capture_requests: bool,
-) -> ExperimentResult:
+def _execute(plan: ExperimentPlan, out_dir: Path, api_key: str | None) -> ExperimentResult:
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
-    transport = build_transport(plan, taxonomy, scenario, api_key=api_key, capture=capture_requests)
+    transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
     policy = build_policy(plan, transport)
     updater = build_updater(plan, transport)
 

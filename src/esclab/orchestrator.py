@@ -46,6 +46,7 @@ from .scenario import (
     DailyRecord,
     Scenario,
     WorldState,
+    action_text,
     advance_day,
     initial_world,
     with_partial_day,
@@ -65,11 +66,19 @@ class Treatment:
     variant: PromptVariant
 
     def __post_init__(self):
+        # The label names transcript files and is a field of request tags.
+        if "/" in self.label or "|" in self.label or not self.label.isprintable():
+            raise ValidationError(
+                f"treatment label {self.label!r} must be one file-name component: "
+                "no '/', '|' or unprintable characters"
+            )
         if not TEMPERATURE_MIN <= self.temperature <= TEMPERATURE_MAX:
             raise ValidationError(
                 f"treatment {self.label!r}: temperature {self.temperature} "
                 f"outside [{TEMPERATURE_MIN}, {TEMPERATURE_MAX}]"
             )
+        # A float, so that an integer temperature records as its float does.
+        object.__setattr__(self, "temperature", float(self.temperature))
 
     def as_record(self) -> dict:
         """The treatment as run headers, manifests and plan digests store it."""
@@ -95,13 +104,11 @@ class WorldUpdater:
 
 
 def _action_lines(world: WorldState, turns: dict[str, AgentTurn]) -> list[str]:
-    lines = []
-    for nation in world.scenario.nation_names:
-        turn = turns[nation]
-        for action in turn.actions:
-            suffix = f" targeting {action.target}" if action.target else ""
-            lines.append(f"- {nation} chose {action.action_id}{suffix}")
-    return lines
+    return [
+        f"- {action_text(nation, action)}"
+        for nation in world.scenario.nation_names
+        for action in turns[nation].actions
+    ]
 
 
 class TemplateUpdater(WorldUpdater):

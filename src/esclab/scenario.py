@@ -3,6 +3,9 @@
 The world is exactly a text summary plus the public action log, as in the
 base design: no geography, economy or force-structure modeling.  WorldState
 is an immutable value; advancing a day returns a new state.
+
+Every data file (scenario, taxonomy, plan, script) is read with
+``load_yaml_file`` and checked with ``require_keys`` and ``require_type``.
 """
 from __future__ import annotations
 
@@ -23,10 +26,7 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _load_yaml(text: str) -> object:
-    """``yaml.safe_load``, on libyaml when it is there.
-
-    Every data file (scenario, taxonomy, plan, script) is read with it.
-    """
+    """``yaml.safe_load``, on libyaml when it is there."""
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
@@ -39,6 +39,44 @@ def load_yaml_file(path: str | Path, kind: str) -> object:
         raise ParseError(f"cannot read {kind} file {path}: {exc}") from exc
     except (UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ParseError(f"malformed {kind} file {path}: {exc}") from exc
+
+
+def require_keys(value: object, where: str, allowed, required=()) -> dict:
+    """``value`` if it is a mapping with only ``allowed`` keys and every
+    ``required`` one; ``ParseError`` otherwise."""
+    if not isinstance(value, dict):
+        raise ParseError(f"{where}: expected a mapping, got {type(value).__name__}")
+    unknown = set(value) - set(allowed)
+    if unknown:
+        # key=str: YAML keys need not all be strings, nor comparable.
+        raise ParseError(f"{where}: unknown keys {sorted(unknown, key=str)}")
+    missing = set(required) - set(value)
+    if missing:
+        raise ParseError(f"{where}: missing keys {sorted(missing)}")
+    return value
+
+
+_KIND_NAMES = {
+    str: "string", int: "integer", float: "number", bool: "boolean (true or false)",
+    list: "list", dict: "mapping",
+}
+
+
+def require_type(value: object, kind: type, where: str, nonempty: bool = False):
+    """``value`` if it is a ``kind`` (and, with ``nonempty``, not empty or
+    blank); ``ParseError`` otherwise.
+
+    A bool is never an int or a number (``float``); an int is a number.
+    """
+    types = (int, float) if kind is float else kind
+    ok = isinstance(value, types) and (kind is bool or not isinstance(value, bool))
+    if ok and nonempty:
+        ok = bool(value.strip() if isinstance(value, str) else value)
+    if not ok:
+        name = ("nonempty " if nonempty else "") + _KIND_NAMES[kind]
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ParseError(f"{where} must be {article} {name}, got {value!r}")
+    return value
 
 
 _NATION_KEYS = {"name", "background", "objectives"}
@@ -103,30 +141,44 @@ class DailyRecord:
         )
 
 
+def action_text(nation: str, action: ChosenAction) -> str:
+    """One action as the action log and the world updater word it."""
+    return f"{nation} chose {action.action_id}" + (
+        f" targeting {action.target}" if action.target else ""
+    )
+
+
 @dataclass(frozen=True)
 class WorldState:
-    """Current day, latest world summary and the full history of records."""
+    """Current day, latest world summary and the full history of records.
+
+    ``action_log`` is the public action log: one line per action of
+    ``history``, by day, in roster order.  ``advance_day`` and
+    ``with_partial_day`` extend it with the new record's lines.
+    """
 
     scenario: Scenario
     current_day: int = 0
     summary: str = ""
     history: tuple[DailyRecord, ...] = field(default_factory=tuple)
+    action_log: str = ""
 
-    @cached_property
-    def action_log(self) -> str:
-        """The public action log: one line per action, by day, in roster order.
 
-        Rendered once per state, since every nation's prompt on a day shows
-        the same log.  Two threads reading it first may both render it; the
-        texts are equal.
-        """
-        return "\n".join(
-            f"Day {record.day}: {nation} chose {action.action_id}"
-            + (f" targeting {action.target}" if action.target else "")
-            for record in self.history
-            for nation in self.scenario.nation_names
-            for action in record.actions_by_nation.get(nation, ())
-        )
+def _with_record(world: WorldState, record: DailyRecord, day: int, summary: str) -> WorldState:
+    lines = [
+        f"Day {record.day}: {action_text(nation, action)}"
+        for nation in world.scenario.nation_names
+        for action in record.actions_by_nation.get(nation, ())
+    ]
+    if world.action_log:
+        lines.insert(0, world.action_log)
+    return WorldState(
+        scenario=world.scenario,
+        current_day=day,
+        summary=summary,
+        history=world.history + (record,),
+        action_log="\n".join(lines),
+    )
 
 
 def initial_world(scenario: Scenario) -> WorldState:
@@ -145,12 +197,7 @@ def advance_day(world: WorldState, record: DailyRecord) -> WorldState:
         raise ValidationError(f"day {record.day}: no actions recorded for {sorted(missing)}")
     if not record.world_summary_after:
         raise ValidationError(f"day {record.day}: empty world summary")
-    return WorldState(
-        scenario=world.scenario,
-        current_day=record.day,
-        summary=record.world_summary_after,
-        history=world.history + (record,),
-    )
+    return _with_record(world, record, record.day, record.world_summary_after)
 
 
 def with_partial_day(
@@ -167,60 +214,32 @@ def with_partial_day(
         daily_score_by_nation={nation: 0 for nation in actions_by_nation},
         world_summary_after="(in progress)",
     )
-    return WorldState(
-        scenario=world.scenario,
-        current_day=world.current_day,
-        summary=world.summary,
-        history=world.history + (partial,),
-    )
+    return _with_record(world, partial, world.current_day, world.summary)
 
 
 def _parse_nation(entry: object, index: int) -> NationProfile:
     where = f"nations[{index}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected a mapping")
-    unknown = set(entry) - _NATION_KEYS
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = _NATION_KEYS - set(entry)
-    if missing:
-        raise ParseError(f"{where}: missing keys {sorted(missing)}")
-    name = entry["name"]
-    if not isinstance(name, str) or not name:
-        raise ParseError(f"{where}: name must be a nonempty string")
-    background = entry["background"]
-    if not isinstance(background, str):
-        raise ParseError(f"{where} ({name}): background must be a string")
-    objectives = entry["objectives"]
-    if not isinstance(objectives, list) or not all(isinstance(o, str) for o in objectives):
-        raise ParseError(f"{where} ({name}): objectives must be a list of strings")
+    require_keys(entry, where, _NATION_KEYS, _NATION_KEYS)
+    name = require_type(entry["name"], str, f"{where}: name", nonempty=True)
+    where = f"{where} ({name})"
+    background = require_type(entry["background"], str, f"{where}: background")
+    objectives = require_type(entry["objectives"], list, f"{where}: objectives")
+    for i, objective in enumerate(objectives):
+        require_type(objective, str, f"{where}: objectives[{i}]")
     return NationProfile(name=name, background=background.strip(), objectives=tuple(objectives))
 
 
 def parse_scenario(document: object) -> Scenario:
     """Build and validate a scenario from a deserialized document."""
-    if not isinstance(document, dict):
-        raise ParseError("scenario document must be a mapping")
-    unknown = set(document) - _TOP_KEYS
-    if unknown:
-        raise ParseError(f"scenario: unknown keys {sorted(unknown)}")
-    missing = _TOP_KEYS - set(document)
-    if missing:
-        raise ParseError(f"scenario: missing keys {sorted(missing)}")
-    name = document["name"]
-    if not isinstance(name, str) or not name:
-        raise ParseError("scenario: name must be a nonempty string")
-    days = document["days"]
-    if isinstance(days, bool) or not isinstance(days, int):
-        raise ParseError("scenario: days must be an integer")
+    require_keys(document, "scenario", _TOP_KEYS, _TOP_KEYS)
+    name = require_type(document["name"], str, "scenario: name", nonempty=True)
+    days = require_type(document["days"], int, "scenario: days")
     if days < 1:
         raise ValidationError(f"scenario {name!r}: days must be positive, got {days}")
-    summary = document["initial_summary"]
-    if not isinstance(summary, str) or not summary.strip():
-        raise ParseError("scenario: initial_summary must be a nonempty string")
-    raw_nations = document["nations"]
-    if not isinstance(raw_nations, list) or not raw_nations:
-        raise ParseError("scenario: nations must be a nonempty list")
+    summary = require_type(
+        document["initial_summary"], str, "scenario: initial_summary", nonempty=True
+    )
+    raw_nations = require_type(document["nations"], list, "scenario: nations", nonempty=True)
     nations = tuple(_parse_nation(entry, i) for i, entry in enumerate(raw_nations))
     seen: set[str] = set()
     for profile in nations:

@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ParseError, UnknownAction, ValidationError
-from .scenario import load_yaml_file
+from .scenario import load_yaml_file, require_keys, require_type
 
 log = logging.getLogger("esclab.taxonomy")
 
@@ -87,9 +87,6 @@ class ActionTaxonomy:
                 return spec
         raise ValidationError("taxonomy has no zero-score status_quo action")
 
-    def score_of(self, action_id: str) -> int:
-        return lookup_action(self, action_id).score
-
 
 def lookup_action(taxonomy: ActionTaxonomy, action_id: str) -> ActionSpec:
     """Return the ActionSpec for ``action_id`` or raise UnknownAction."""
@@ -99,45 +96,25 @@ def lookup_action(taxonomy: ActionTaxonomy, action_id: str) -> ActionSpec:
         raise UnknownAction(f"unknown action id: {action_id!r}") from None
 
 
-def _require_keys(mapping: dict, allowed: set[str], required: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ParseError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(mapping)
-    if missing:
-        raise ParseError(f"{where}: missing keys {sorted(missing)}")
-
-
 def _parse_action(entry: object, index: int) -> ActionSpec:
     where = f"actions[{index}]"
-    if not isinstance(entry, dict):
-        raise ParseError(f"{where}: expected a mapping, got {type(entry).__name__}")
-    _require_keys(entry, _ACTION_KEYS, _ACTION_KEYS, where)
-    action_id = entry["id"]
-    name = entry["name"]
-    if not isinstance(action_id, str) or not action_id:
-        raise ParseError(f"{where}: id must be a nonempty string")
-    if not isinstance(name, str) or not name:
-        raise ParseError(f"{where} ({action_id}): name must be a nonempty string")
+    require_keys(entry, where, _ACTION_KEYS, _ACTION_KEYS)
+    action_id = require_type(entry["id"], str, f"{where}: id", nonempty=True)
+    where = f"{where} ({action_id})"
+    name = require_type(entry["name"], str, f"{where}: name", nonempty=True)
     try:
         category = ActionCategory(entry["category"])
     except ValueError:
         raise ParseError(
-            f"{where} ({action_id}): category must be one of "
+            f"{where}: category must be one of "
             f"{[c.value for c in ActionCategory]}, got {entry['category']!r}"
         ) from None
-    score = entry["score"]
-    if isinstance(score, bool) or not isinstance(score, int):
-        raise ParseError(f"{where} ({action_id}): score must be an integer")
-    requires_target = entry["requires_target"]
-    if not isinstance(requires_target, bool):
-        raise ParseError(f"{where} ({action_id}): requires_target must be a boolean")
     return ActionSpec(
         id=action_id,
         display_name=name,
         category=category,
-        score=score,
-        requires_target=requires_target,
+        score=require_type(entry["score"], int, f"{where}: score"),
+        requires_target=require_type(entry["requires_target"], bool, f"{where}: requires_target"),
     )
 
 
@@ -175,15 +152,9 @@ def _validate(taxonomy: ActionTaxonomy) -> ActionTaxonomy:
 
 def parse_taxonomy(document: object) -> ActionTaxonomy:
     """Build and validate a taxonomy from an already-deserialized document."""
-    if not isinstance(document, dict):
-        raise ParseError("taxonomy document must be a mapping")
-    _require_keys(document, _TOP_KEYS, _TOP_KEYS, "taxonomy")
-    version = document["version"]
-    if not isinstance(version, str) or not version:
-        raise ParseError("taxonomy: version must be a nonempty string")
-    raw_actions = document["actions"]
-    if not isinstance(raw_actions, list) or not raw_actions:
-        raise ParseError("taxonomy: actions must be a nonempty list")
+    require_keys(document, "taxonomy", _TOP_KEYS, _TOP_KEYS)
+    version = require_type(document["version"], str, "taxonomy: version", nonempty=True)
+    raw_actions = require_type(document["actions"], list, "taxonomy: actions", nonempty=True)
     actions = tuple(_parse_action(entry, i) for i, entry in enumerate(raw_actions))
     return _validate(ActionTaxonomy(actions=actions, version=version))
 

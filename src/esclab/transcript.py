@@ -118,6 +118,8 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[
     """
     try:
         lines, tail = split_lines(Path(path).read_bytes())
+    except OSError as exc:
+        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"transcript {path} is not UTF-8: {exc}")
     if tail and not tolerate_partial_tail:

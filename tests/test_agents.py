@@ -17,7 +17,7 @@ from esclab.agents import (
     parse_agent_response,
 )
 from esclab.client import MockTransport
-from esclab.errors import ValidationError
+from esclab.errors import ParseError, ValidationError
 from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
 from esclab.scenario import ChosenAction, initial_world
@@ -248,6 +248,18 @@ class TestPolicies:
         turn = policy.decide(world, "Blue", DEFAULT, taxonomy)
         assert turn.actions[0].action_id == "share_intelligence"
         assert turn.actions[0].target == "Red"
+
+    @pytest.mark.parametrize("body,match", [
+        ("nations:\n  Blue:\n    first:\n      - {action: wait}\n", "day key must be an integer"),
+        ("nations:\n  Blue:\n    '1':\n      - {action: wait}\n", "day key must be an integer"),
+        ("nations:\n  Blue:\n    1:\n      - {action: 5}\n", "action must be a nonempty string"),
+        ("nations:\n  7:\n    1:\n      - {action: wait}\n", "name must be a string"),
+    ])
+    def test_bad_script_is_a_parse_error(self, tmp_path, body, match):
+        path = tmp_path / "script.yaml"
+        path.write_text(body, encoding="utf-8")
+        with pytest.raises(ParseError, match=match):
+            load_script(path)
 
     def test_replay_policy_reads_turn_events(self, taxonomy, scenario, tmp_path):
         from esclab.transcript import TranscriptWriter

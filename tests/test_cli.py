@@ -236,3 +236,79 @@ class TestExperimentAndReport:
         ]) == 1
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["error"] == "ParseError"
+
+
+LIVE = "kind: live, base_url: 'http://localhost:9/v1'"
+
+
+class TestRefusedInputs:
+    """Each input exits 1 with one JSON error line and writes no transcript,
+    manifest or report file."""
+
+    def _only_error(self, capsys) -> str:
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        return json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("treatments,transport,script,error", [
+        ("[{label: a, temperature: [1]}]", "{kind: mock}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, requests_per_minute: 0}}", None,
+         "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, max_in_flight: -1}}", None,
+         "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: x}}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: mock, api_key: sk-test}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: mock, respondr: static}", None, "ParseError"),
+        ("[{label: grp/a, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
+        ("[{label: ../../x, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
+        ("[{label: 'a|b', temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: absent.jsonl}", None,
+         "TransportError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: mock}",
+         "nations:\n  Blue:\n    first:\n      - {action: wait}\n", "ParseError"),
+    ], ids=["temperature-list", "rpm-0", "in-flight-negative", "timeout-text", "api-key",
+            "misspelt-key", "label-dir", "label-escape", "label-pipe", "no-cassette",
+            "script-day-key"])
+    def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
+                      error):
+        monkeypatch.setenv("ESCLAB_API_KEY", "sk-test")
+        script_path = DATA / "demo_script.yaml"
+        if script is not None:
+            script_path = tmp_path / "script.yaml"
+            script_path.write_text(script, encoding="utf-8")
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+            f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+            f"policy: {{kind: scripted, script: {script_path}}}\n"
+            "world_updater: template\nbase_seed: 7\nruns_per_treatment: 1\n"
+            f"transport: {transport}\ntreatments: {treatments}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
+        assert self._only_error(capsys) == error
+        assert not list(tmp_path.rglob("*.jsonl"))
+        assert not (out / "manifest.json").exists()
+
+    def test_simulate_label_with_a_slash(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main([
+            "simulate", "--policy", "scripted", "--script", str(DATA / "demo_script.yaml"),
+            "--updater", "template", "--label", "grp/a", "--out", str(out),
+        ]) == 1
+        assert self._only_error(capsys) == "ValidationError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["report", "inspect"])
+    def test_manifest_listing_a_deleted_transcript(self, tmp_path, capsys, command):
+        exp = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(exp)]) == 0
+        capsys.readouterr()
+        (exp / "transcripts" / "t1.0-default-r01.jsonl").unlink()
+        report = tmp_path / "report"
+        extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
+        assert main([command, "--manifest", str(exp / "manifest.json"), *extra]) == 1
+        assert self._only_error(capsys) == "ParseError"
+        assert not report.exists() or not any(report.rglob("*"))

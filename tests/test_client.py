@@ -236,6 +236,14 @@ class TestLiveTransport:
             **kwargs,
         )
 
+    @pytest.mark.parametrize("setting", [
+        {"max_in_flight": 0}, {"max_in_flight": -1}, {"requests_per_minute": 0},
+        {"timeout": 0}, {"timeout": -1.5},
+    ])
+    def test_out_of_range_setting_is_refused(self, setting):
+        with pytest.raises(ValidationError, match="live transport needs"):
+            self._transport([], **setting)
+
     def test_parses_first_choice(self):
         transport = self._transport([StubResponse()])
         response = complete(transport, request())

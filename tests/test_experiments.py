@@ -156,6 +156,70 @@ treatments:
         assert plan_digest(plan) == plan_digest(plan)
 
 
+def checked_plan(tmp_path, treatments="[{label: a, temperature: 1.0}]",
+                 transport="{kind: mock}", extra=""):
+    return write_plan(
+        tmp_path,
+        f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+        f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+        f"base_seed: 1\ntransport: {transport}\ntreatments: {treatments}\n{extra}\n",
+    )
+
+
+LIVE = "kind: live, base_url: 'http://localhost:9/v1'"
+
+
+class TestPlanValueChecks:
+    @pytest.mark.parametrize("treatments,match", [
+        ("[{label: a, temperature: [1]}]", "temperature must be a number"),
+        ("[{label: a, temperature: true}]", "temperature must be a number"),
+        ("[{label: a, temperature: '1.0'}]", "temperature must be a number"),
+        ("[{label: 1, temperature: 1.0}]", "label must be a nonempty string"),
+        ("[{label: ' ', temperature: 1.0}]", "label must be a nonempty string"),
+    ])
+    def test_bad_treatment_value_is_a_parse_error(self, tmp_path, treatments, match):
+        with pytest.raises(ParseError, match=match):
+            load_plan(checked_plan(tmp_path, treatments=treatments))
+
+    @pytest.mark.parametrize("transport,match", [
+        ("{kind: mock, api_key: sk-test}", r"unknown keys \['api_key'\]"),
+        ("{kind: mock, respondr: static}", r"unknown keys \['respondr'\]"),
+        ("{kind: mock, text: [a]}", "text must be a string"),
+        ("{kind: replay}", r"missing keys \['cassette'\]"),
+        ("{kind: replay, cassette: [a]}", "cassette must be a string"),
+        (f"{{{LIVE}, timeout: x}}", "timeout must be a number"),
+        (f"{{{LIVE}, max_in_flight: 1.5}}", "max_in_flight must be an integer"),
+        (f"{{{LIVE}, requests_per_minute: '60'}}", "requests_per_minute must be an integer"),
+        (f"{{{LIVE}, api_key: sk-test}}", r"unknown keys \['api_key'\]"),
+        ("{kind: carrier-pigeon}", "transport kind must be one of"),
+        ("{kind: [mock]}", "transport kind must be one of"),
+    ])
+    def test_bad_transport_is_a_parse_error(self, tmp_path, transport, match):
+        with pytest.raises(ParseError, match=match):
+            load_plan(checked_plan(tmp_path, transport=transport))
+
+    @pytest.mark.parametrize("extra,match", [
+        ("policy: {kind: llm, temperature: 1}", r"unknown keys \['temperature'\]"),
+        ("policy: {kind: scripted, script: 5}", "script must be a nonempty string"),
+        ("1: x\nsurprise: 2", r"unknown keys \[1, 'surprise'\]"),
+    ])
+    def test_bad_plan_entry_is_a_parse_error(self, tmp_path, extra, match):
+        with pytest.raises(ParseError, match=match):
+            load_plan(checked_plan(tmp_path, extra=extra))
+
+    def test_scenario_path_must_be_a_string(self, tmp_path):
+        path = write_plan(tmp_path, "scenario: [a]\ntaxonomy: t.yaml\nbase_seed: 1\n"
+                                    "treatments: [{label: a, temperature: 1.0}]\n")
+        with pytest.raises(ParseError, match="plan: scenario must be a nonempty string"):
+            load_plan(path)
+
+    @pytest.mark.parametrize("label", ["grp/a", "../../x", "a|b"])
+    def test_label_that_is_not_one_file_name_component_is_refused(self, tmp_path, label):
+        treatments = f"[{{label: '{label}', temperature: 1.0}}]"
+        with pytest.raises(ValidationError, match="file-name component"):
+            load_plan(checked_plan(tmp_path, treatments=treatments))
+
+
 class TestSeeds:
     def test_seed_derivation_deterministic_and_label_dependent(self):
         a0 = run_seed(100, "t1.0-default", 0)

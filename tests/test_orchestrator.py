@@ -38,6 +38,17 @@ def treatment(label="t1.0-default", temperature=1.0, variant=PromptVariant.DEFAU
     return Treatment(label=label, temperature=temperature, variant=variant)
 
 
+class TestTreatment:
+    @pytest.mark.parametrize("label", ["grp/a", "../../x", "a|b", "a\nb", "tab\there", "\u2028"])
+    def test_label_must_be_one_file_name_component(self, label):
+        with pytest.raises(ValidationError, match="file-name component"):
+            treatment(label=label)
+
+    def test_integer_temperature_records_as_its_float(self):
+        record = treatment(temperature=1).as_record()
+        assert json.dumps(record) == json.dumps(treatment(temperature=1.0).as_record())
+
+
 class TestScriptedRuns:
     def test_all_wait_scores_zero(self, scenario, taxonomy, tmp_path):
         run = run_simulation(

@@ -159,3 +159,32 @@ class TestYamlLoader:
             path.write_bytes(content)
             with pytest.raises(ParseError, match="malformed"):
                 load(path)
+
+
+class TestDataFileChecks:
+    @pytest.mark.parametrize("value,kind,nonempty", [
+        (True, int, False), (True, float, False), (1.0, int, False), ("1", float, False),
+        (0, bool, False), ([], list, True), (" \n", str, True), ("x", list, False),
+    ])
+    def test_require_type_refuses(self, value, kind, nonempty):
+        with pytest.raises(ParseError, match="^where must be "):
+            scenario_module.require_type(value, kind, "where", nonempty=nonempty)
+
+    @pytest.mark.parametrize("value,kind", [
+        (1, float), (0.5, float), (0, int), (False, bool), ("", str), ({}, dict),
+    ])
+    def test_require_type_passes_the_value_through(self, value, kind):
+        assert scenario_module.require_type(value, kind, "where") is value
+
+    def test_unknown_keys_of_mixed_types_are_a_parse_error(self):
+        document = {
+            "name": "odd", "days": 1, "initial_summary": "x", 1: "a", "weather": "b",
+            "nations": [{"name": "A", "background": "a", "objectives": []}],
+        }
+        with pytest.raises(ParseError, match=r"unknown keys \[1, 'weather'\]"):
+            parse_scenario(document)
+
+    def test_blank_nation_name_is_a_parse_error(self):
+        entry = {"name": " ", "background": "a", "objectives": []}
+        with pytest.raises(ParseError, match="name must be a nonempty string"):
+            parse_scenario({"name": "n", "days": 1, "initial_summary": "x", "nations": [entry]})

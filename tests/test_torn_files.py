@@ -52,7 +52,19 @@ class TestTranscriptReader:
                 ts.read_records(path, tolerate_partial_tail=tolerate)
 
 
+    def test_unreadable_transcript_is_a_parse_error(self, tmp_path):
+        for path in (tmp_path / "absent.jsonl", tmp_path):
+            with pytest.raises(ParseError, match="cannot read transcript"):
+                ts.read_records(path)
+
+
 class TestCassetteReader:
+    def test_unreadable_cassette_is_a_transport_error(self, tmp_path):
+        for path in (tmp_path / "absent.jsonl", tmp_path):
+            with pytest.raises(TransportError, match="cannot read cassette"):
+                read_cassette(path)
+
+
     def _recorded(self, tmp_path, replies):
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport(lambda r: replies[r.request_tag]), cassette)
