@@ -322,20 +322,7 @@ class ReplayPolicy(AgentPolicy):
     """Re-issues the turns recorded in a prior transcript (one run only)."""
 
     def __init__(self, transcript_path: str | Path):
-        self._turns: dict[tuple[int, str], AgentTurn] = {}
-        for record in ts.read_records(transcript_path):
-            if record.get("type") != ts.TURN:
-                continue
-            payload = record["payload"]
-            turn = AgentTurn(
-                nation=payload["nation"],
-                actions=ts.turn_actions(payload),
-                private_thoughts=payload.get("private_thoughts"),
-                parse_attempts=payload.get("parse_attempts", 1),
-                fallback=payload.get("fallback", False),
-                deviations=tuple(payload.get("deviations", ())),
-            )
-            self._turns[(record["day"], payload["nation"])] = turn
+        self._turns = ts.read_turns(transcript_path)
 
     def decide(
         self,

@@ -314,12 +314,14 @@ def read_cassette(path: str | Path) -> list[CassetteRecord]:
             continue
         try:
             entries.append((line_no, json.loads(line)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
     try:
         entries.append((len(lines) + 1, json.loads(tail.decode("utf-8"))))
     except ValueError:
         pass  # no tail, or a torn one
+    except RecursionError as exc:
+        raise TransportError(f"bad cassette line {len(lines) + 1} in {path}: {exc}")
     records = []
     for line_no, entry in entries:
         try:
@@ -401,7 +403,7 @@ def _end_on_whole_line(path: Path) -> None:
     keep = data.rfind(b"\n") + 1
     try:
         json.loads(data[keep:])
-    except ValueError:
+    except (ValueError, RecursionError):
         with path.open("r+b") as handle:
             handle.truncate(keep)
     else:

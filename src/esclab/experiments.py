@@ -61,6 +61,15 @@ _PLAN_KEYS = {
     "transport", "policy", "world_updater", "aggregator", "baseline",
     *_REQUIRED_KEYS, *_SCALAR_KEYS,
 }
+# The keys of a manifest and of its runs: all written.
+_MANIFEST_RUN_KEYS = (
+    "label", "temperature", "variant", "run_index", "seed", "transcript", "status",
+    "abort_reason",
+)
+_MANIFEST_KEYS = (
+    "plan_sha256", "scenario_name", "scenario_path", "taxonomy_path", "taxonomy_version",
+    "aggregator", "baseline", "runs_per_treatment", "treatments", "runs",
+)
 # Per transport kind: the type of each key besides ``kind``, and the keys
 # that must be set.
 _TRANSPORT_KEYS = {
@@ -143,8 +152,8 @@ def plan_digest(plan: ExperimentPlan) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _parse_treatment(entry: object, index: int) -> Treatment:
-    where = f"treatments[{index}]"
+def _parse_treatment(entry: object, index: int, prefix: str = "") -> Treatment:
+    where = f"{prefix}treatments[{index}]"
     require_keys(entry, where, ("label", "temperature", "variant"), ("label", "temperature"))
     try:
         variant = PromptVariant(entry.get("variant", "default"))
@@ -298,10 +307,7 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
         mismatches: list[str] = []
         for entry in manifest["runs"]:
             path = manifest_path.parent / entry["transcript"]
-            try:
-                checked, found = ts.verify_prompts(path, scenario)
-            except KeyError as exc:
-                raise ParseError(f"transcript {path} lacks the field {exc}") from exc
+            checked, found = ts.verify_prompts(path, scenario)
             prompts += checked
             mismatches += [f"{entry['transcript']} {line}" for line in found]
     return InspectResult(len(manifest["runs"]), prompts, mismatches)
@@ -329,15 +335,29 @@ def manifest_lock(out_dir: Path, shared: bool = False):
 
 
 def load_manifest(manifest_path: str | Path) -> dict:
+    """The manifest at ``manifest_path``, with every key ``_execute`` writes,
+    string paths, a known aggregator, and runs whose labels are treatments."""
     manifest_path = Path(manifest_path)
+    where = f"manifest {manifest_path}"
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ParseError(f"cannot read manifest {manifest_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ParseError(f"malformed manifest {manifest_path}: {exc}") from exc
-    if "runs" not in manifest:
-        raise ParseError(f"manifest {manifest_path} has no runs")
+        raise ParseError(f"cannot read {where}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"malformed {where}: {exc}") from exc
+    require_keys(manifest, where, _MANIFEST_KEYS, _MANIFEST_KEYS)
+    for key in ("scenario_path", "taxonomy_path"):
+        require_type(manifest[key], str, f"{where}: {key}", nonempty=True)
+    if manifest["aggregator"] not in [a.value for a in Aggregator]:
+        raise ParseError(f"{where}: unknown aggregator {manifest['aggregator']!r}")
+    treatments = require_type(manifest["treatments"], list, f"{where}: treatments")
+    labels = [_parse_treatment(t, i, f"{where}: ").label for i, t in enumerate(treatments)]
+    for index, entry in enumerate(require_type(manifest["runs"], list, f"{where}: runs")):
+        entry_where = f"{where}: runs[{index}]"
+        require_keys(entry, entry_where, _MANIFEST_RUN_KEYS, _MANIFEST_RUN_KEYS)
+        require_type(entry["transcript"], str, f"{entry_where}: transcript", nonempty=True)
+        if entry["label"] not in labels:
+            raise ParseError(f"{entry_where}: label {entry['label']!r} is not a treatment")
     return manifest
 
 

@@ -243,13 +243,13 @@ def play_run(
     """Play the run whose ``run_start`` payload is ``header`` onward from the
     records ``kept`` of it, as ``transcript.stored_run`` gave them (none: from
     the start, replacing any file there), and persist its transcript."""
-    run_id, seed = header["run_id"], header["seed"]
+    run_id = header["run_id"]
     intra_day_visibility = header["intra_day_visibility"]
     days: list[DailyRecord] = []
     fallbacks = 0
     if kept:
         ts.rewrite(transcript_path, kept)
-        resumed = ts.reconstruct_run(kept)
+        resumed = ts.reconstruct_run(kept, transcript_path)
         days, fallbacks = list(resumed.days), resumed.fallbacks
     elif transcript_path.exists():
         # not resuming, or no day completed (perhaps a single torn line)
@@ -360,16 +360,4 @@ def play_run(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
         writer.close()
-    return ts.TranscriptRun(
-        run_id=run_id,
-        scenario_name=scenario.name,
-        days_expected=scenario.days,
-        seed=seed,
-        treatment_label=treatment.label,
-        temperature=treatment.temperature,
-        variant=treatment.variant.value,
-        status=status,
-        abort_reason=abort_reason,
-        days=days,
-        fallbacks=fallbacks,
-    )
+    return ts.run_from_header(header, status, abort_reason, days, fallbacks)

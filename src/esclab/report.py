@@ -84,6 +84,12 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _verify_scores(run: TranscriptRun, taxonomy: ActionTaxonomy) -> None:
     for record in run.days:
+        unmatched = record.daily_score_by_nation.keys() ^ record.actions_by_nation.keys()
+        if unmatched:
+            raise ValidationError(
+                f"transcript {run.run_id!r} day {record.day}: nations "
+                f"{sorted(unmatched, key=str)} have a turn or a stored score, not both"
+            )
         for nation, actions in record.actions_by_nation.items():
             recomputed = score_actions(actions, taxonomy)
             stored = record.daily_score_by_nation[nation]
@@ -108,18 +114,12 @@ def build_report(
     out_dir.mkdir(parents=True, exist_ok=True)
     with manifest_lock(manifest_path.parent, shared=True):
         manifest = load_manifest(manifest_path)
-        aggregator = aggregator or Aggregator(manifest.get("aggregator", "mean_daily"))
+        aggregator = aggregator or Aggregator(manifest["aggregator"])
         taxonomy = load_taxonomy(taxonomy_path or manifest["taxonomy_path"])
 
-        label_order: list[str] = [t["label"] for t in manifest.get("treatments", [])]
         runs_by_label: dict[str, list[TranscriptRun]] = {}
-        variants: dict[str, str] = {}
         excluded: list[dict] = []
         for entry in manifest["runs"]:
-            label = entry["label"]
-            if label not in label_order:
-                label_order.append(label)
-            variants.setdefault(label, entry.get("variant", "default"))
             if entry["status"] != "completed":
                 excluded.append(entry)
                 continue
@@ -128,14 +128,15 @@ def build_report(
                 excluded.append(entry)
                 continue
             _verify_scores(run, taxonomy)
-            runs_by_label.setdefault(label, []).append(run)
-    labels = [label for label in label_order if runs_by_label.get(label)]
+            runs_by_label.setdefault(entry["label"], []).append(run)
+    labels = [t["label"] for t in manifest["treatments"] if runs_by_label.get(t["label"])]
     if not labels:
         raise ValidationError("manifest has no completed runs to report on")
+    variants = {label: runs_by_label[label][0].variant for label in labels}
     if excluded:
         log.warning("report excludes %d non-completed runs", len(excluded))
 
-    baseline = baseline or manifest.get("baseline") or labels[0]
+    baseline = baseline or manifest["baseline"] or labels[0]
     if baseline not in labels:
         raise ValidationError(f"baseline {baseline!r} has no completed runs")
 
@@ -221,7 +222,7 @@ def build_report(
     _write_csv(categories_csv, ["label", "category", "actions_per_nation"], category_rows)
 
     provenance = {
-        "plan_sha256": manifest.get("plan_sha256"),
+        "plan_sha256": manifest["plan_sha256"],
         "taxonomy_version": taxonomy.version,
         "aggregator": aggregator.value,
         "quartile_convention": QUARTILE_CONVENTION,
@@ -241,7 +242,7 @@ def build_report(
 
     figures: dict[str, Path] = {}
     fig_dir = out_dir / FIGURE_DIR
-    default_labels = [l for l in labels if variants.get(l, "default") == "default"]
+    default_labels = [l for l in labels if variants[l] == "default"]
     if not default_labels:
         default_labels = labels
     figures["fig1"] = emit_boxplot(
@@ -250,7 +251,7 @@ def build_report(
         title=f"Escalation score per nation ({aggregator.value}) by temperature",
         provenance=figure_provenance,
     )
-    prompt_labels = [l for l in labels if l == baseline or variants.get(l) != "default"]
+    prompt_labels = [l for l in labels if l == baseline or variants[l] != "default"]
     if len(prompt_labels) < 2:
         prompt_labels = labels
     figures["fig2"] = emit_boxplot(

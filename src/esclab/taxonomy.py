@@ -92,7 +92,7 @@ def lookup_action(taxonomy: ActionTaxonomy, action_id: str) -> ActionSpec:
     """Return the ActionSpec for ``action_id`` or raise UnknownAction."""
     try:
         return taxonomy._by_id[action_id]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an id read back as a list, say
         raise UnknownAction(f"unknown action id: {action_id!r}") from None
 
 

@@ -11,6 +11,7 @@ inside llm_call payloads).
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -51,9 +52,12 @@ Recorder = Callable[[str, dict], None]
 # after these only.
 _FLUSHED_AFTER = {DAY, RUN_END}
 
-# The canonical record encoding, built once rather than per record; it keeps
-# no state between calls.
+# The canonical record encoding and its decoder, built once rather than per
+# record; neither keeps state between calls.
 _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+_DECODER = json.JSONDecoder()
+# The keys of every record, as encode_record writes them.
+_RECORD_KEYS = frozenset({"seq", "type", "day", "nation", "payload"})
 
 
 def encode_record(seq: int, type_: str, payload: dict, day: int | None = None,
@@ -114,7 +118,9 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[
     """Read all records; optionally drop a torn final line (crashed writer).
 
     A record is whole only with its "\n": a final line without one is torn
-    even where it would parse.
+    even where it would parse.  A line that is not a record (an object with
+    exactly the keys ``encode_record`` writes, its payload an object) is a
+    ``ParseError``.
     """
     try:
         lines, tail = split_lines(Path(path).read_bytes())
@@ -126,12 +132,18 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[
         raise ParseError(f"bad transcript line {len(lines) + 1} in {path}: torn, no newline")
     records = []
     for line_no, line in enumerate(lines, 1):
-        if not line.strip():
+        line = line.strip(" \t\r")  # the whitespace JSON allows around a value
+        if not line:
             continue
         try:
-            records.append(json.loads(line))
-        except ValueError as exc:
+            # raw_decode: json.loads would match that whitespace again.
+            record, end = _DECODER.raw_decode(line)
+        except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
+        if not (end == len(line) and type(record) is dict and record.keys() == _RECORD_KEYS
+                and type(record["payload"]) is dict):
+            raise ParseError(f"bad transcript line {line_no} in {path}: not a record")
+        records.append(record)
     return records
 
 
@@ -140,14 +152,8 @@ def rewrite(path: str | Path, records: list[dict]) -> None:
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with tmp.open("w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(
-                encode_record(
-                    record["seq"], record["type"], record["payload"],
-                    record.get("day"), record.get("nation"),
-                )
-                + "\n"
-            )
+        # A record read back holds exactly the keys encode_record writes.
+        handle.writelines(_ENCODER.encode(record) + "\n" for record in records)
     os.replace(tmp, path)
 
 
@@ -191,58 +197,48 @@ def turn_payload(turn: AgentTurn) -> dict:
 def turn_actions(payload: dict) -> tuple[ChosenAction, ...]:
     """The actions of a turn record's payload."""
     return tuple(
-        ChosenAction(
-            action_id=a["action"],
-            target=a.get("target"),
-            raw_text=a.get("raw_text", ""),
-        )
+        ChosenAction(action_id=a["action"], target=a["target"], raw_text=a["raw_text"])
         for a in payload["actions"]
     )
 
 
-def reconstruct_run(records: list[dict]) -> TranscriptRun:
-    """Rebuild the run's daily records and status from raw transcript records."""
-    if not records or records[0].get("type") != RUN_START:
-        raise ParseError("transcript does not start with a run_start record")
-    header = records[0]["payload"]
-    turns_by_day: dict[int, dict[str, dict]] = {}
-    days: list[DailyRecord] = []
-    status = "partial"
-    abort_reason = None
-    fallbacks = 0
-    for record in records[1:]:
-        type_ = record.get("type")
-        if type_ == TURN:
-            payload = record["payload"]
-            turns_by_day.setdefault(record["day"], {})[payload["nation"]] = payload
-            if payload.get("fallback"):
-                fallbacks += 1
-        elif type_ == DAY:
-            payload = record["payload"]
-            day = record["day"]
-            turns = turns_by_day.get(day, {})
-            days.append(
-                DailyRecord(
-                    day=day,
-                    actions_by_nation={
-                        nation: turn_actions(turn) for nation, turn in turns.items()
-                    },
-                    daily_score_by_nation=dict(payload["scores"]),
-                    world_summary_after=payload["summary"],
-                )
-            )
-        elif type_ == RUN_END:
-            payload = record["payload"]
-            status = payload["status"]
-            abort_reason = payload.get("reason")
+def decode_turn(payload: dict) -> AgentTurn:
+    """The turn of a turn record's payload: the inverse of ``turn_payload``."""
+    from .agents import AgentTurn  # agents imports this module
+
+    return AgentTurn(
+        nation=payload["nation"],
+        actions=turn_actions(payload),
+        private_thoughts=payload["private_thoughts"],
+        parse_attempts=payload["parse_attempts"],
+        fallback=payload["fallback"],
+        deviations=tuple(payload["deviations"]),
+    )
+
+
+def _day_record(record: dict, actions_by_nation: dict) -> DailyRecord:
+    """The ``DailyRecord`` of a ``day`` record and the actions of its turns."""
+    payload = record["payload"]
+    return DailyRecord(
+        day=record["day"],
+        actions_by_nation=actions_by_nation,
+        daily_score_by_nation={**payload["scores"]},  # a mapping, not a list of pairs
+        world_summary_after=payload["summary"],
+    )
+
+
+def run_from_header(header: dict, status: str, abort_reason: str | None,
+                    days: list[DailyRecord], fallbacks: int) -> TranscriptRun:
+    """The run whose ``run_start`` payload is ``header``, with its outcome."""
+    treatment = header["treatment"]
     return TranscriptRun(
         run_id=header["run_id"],
         scenario_name=header["scenario_name"],
         days_expected=header["days"],
         seed=header["seed"],
-        treatment_label=header["treatment"]["label"],
-        temperature=header["treatment"]["temperature"],
-        variant=header["treatment"]["variant"],
+        treatment_label=treatment["label"],
+        temperature=treatment["temperature"],
+        variant=treatment["variant"],
         status=status,
         abort_reason=abort_reason,
         days=days,
@@ -250,10 +246,66 @@ def reconstruct_run(records: list[dict]) -> TranscriptRun:
     )
 
 
+def _run_start(records: list[dict], path: str | Path) -> dict:
+    """The ``run_start`` payload that opens every transcript."""
+    if not records or records[0]["type"] != RUN_START:
+        raise ParseError(f"transcript {path} does not start with a run_start record")
+    return records[0]["payload"]
+
+
+def _reader(read):
+    """``read``, raising a missing or mistyped field as ``ParseError``."""
+
+    @functools.wraps(read)
+    def checked(path, *args, **kwargs):
+        try:
+            return read(path, *args, **kwargs)
+        except KeyError as exc:
+            raise ParseError(f"transcript {path} lacks the field {exc}") from exc
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise ParseError(f"transcript {path} has a malformed field: {exc}") from exc
+
+    return checked
+
+
+def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
+    """Rebuild the run's daily records and status from the records of the
+    transcript at ``path``."""
+    header = _run_start(records, path)
+    today: dict[str, tuple[ChosenAction, ...]] = {}
+    days: list[DailyRecord] = []
+    status = "partial"
+    abort_reason = None
+    fallbacks = 0
+    for record in records:
+        type_ = record["type"]
+        if type_ == TURN:
+            payload = record["payload"]
+            today[payload["nation"]] = turn_actions(payload)
+            if payload["fallback"]:
+                fallbacks += 1
+        elif type_ == DAY:
+            days.append(_day_record(record, today))
+            today = {}
+        elif type_ == RUN_END:
+            status = record["payload"]["status"]
+            abort_reason = record["payload"]["reason"]
+    return run_from_header(header, status, abort_reason, days, fallbacks)
+
+
+@_reader
 def load_run(path: str | Path) -> TranscriptRun:
-    return reconstruct_run(read_records(path))
+    return reconstruct_run(read_records(path), path)
 
 
+@_reader
+def read_turns(path: str | Path) -> dict[tuple[int, str], AgentTurn]:
+    """Every turn of the transcript at ``path``, by day and nation."""
+    return {(record["day"], record["nation"]): decode_turn(record["payload"])
+            for record in read_records(path) if record["type"] == TURN}
+
+
+@_reader
 def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, list[dict]]:
     """What the transcript at ``path`` holds of the run whose ``run_start``
     payload is ``header``, as ``(completed run or None, records to keep)``.
@@ -271,31 +323,29 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     records = read_records(path, tolerate_partial_tail=True) if path.exists() else []
     if not records:
         return None, []
-    stored = records[0]["payload"] if records[0].get("type") == RUN_START else None
-    if stored is not None and stored.get("transcript_format", 1) != TRANSCRIPT_FORMAT:
-        # An older header lacks the fields added since.
-        if stored.items() <= header.items():
-            run = reconstruct_run(records)
-            if run.completed:
-                return run, records
+    stored = _run_start(records, path)
+    # An older format's header lacks the fields added since.
+    older = stored.get("transcript_format", 1) != TRANSCRIPT_FORMAT
+    if not (stored.items() <= header.items() if older else stored == header):
+        raise ValidationError(
+            f"transcript {path} belongs to a different run; refusing to skip or resume it"
+        )
+    run = reconstruct_run(records, path)
+    if run.completed:
+        return run, records
+    if older:
         raise ValidationError(
             f"transcript {path} is in format {stored.get('transcript_format', 1)}, "
             f"not {TRANSCRIPT_FORMAT}: an older transcript is read only when it "
             "holds its run completed, never resumed; remove it to play the run again"
         )
-    if stored != header:
-        raise ValidationError(
-            f"transcript {path} belongs to a different run; refusing to skip or resume it"
-        )
-    run = reconstruct_run(records)
-    if run.completed:
-        return run, records
     for index in range(len(records) - 1, 0, -1):
-        if records[index].get("type") == DAY:
+        if records[index]["type"] == DAY:
             return None, records[: index + 1]
     return None, []
 
 
+@_reader
 def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]]:
     """Re-derive every prompt of a transcript and compare digests.
 
@@ -306,16 +356,14 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     day).  Returns the number of prompt records and one line per mismatch.
     """
     records = read_records(path)
-    if not records or records[0].get("type") != RUN_START:
-        raise ParseError(f"transcript {path} does not start with a run_start record")
-    header = records[0]["payload"]
+    header = _run_start(records, path)
     version = header.get("transcript_format", 1)
     if version != TRANSCRIPT_FORMAT:
         raise ValidationError(
             f"transcript {path} is in format {version}, which stores prompts in "
             f"full; only format {TRANSCRIPT_FORMAT} prompt digests are re-derived"
         )
-    system = next((r for r in records if r.get("type") == SYSTEM_PROMPT), None)
+    system = next((r for r in records if r["type"] == SYSTEM_PROMPT), None)
     if system is None:
         raise ParseError(f"transcript {path} has no system_prompt record")
     system_sha256 = system["payload"]["sha256"]
@@ -328,7 +376,7 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     today: dict[str, tuple[ChosenAction, ...]] = {}
     checked = 0
     for record in records:
-        type_ = record.get("type")
+        type_ = record["type"]
         if type_ == PROMPT:
             checked += 1
             view = with_partial_day(world, today) if header["intra_day_visibility"] else world
@@ -350,14 +398,6 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         elif type_ == TURN:
             today[record["payload"]["nation"]] = turn_actions(record["payload"])
         elif type_ == DAY:
-            world = advance_day(
-                world,
-                DailyRecord(
-                    day=record["day"],
-                    actions_by_nation=today,
-                    daily_score_by_nation=record["payload"]["scores"],
-                    world_summary_after=record["payload"]["summary"],
-                ),
-            )
+            world = advance_day(world, _day_record(record, today))
             today = {}
     return checked, mismatches

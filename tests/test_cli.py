@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -312,3 +313,134 @@ class TestRefusedInputs:
         assert main([command, "--manifest", str(exp / "manifest.json"), *extra]) == 1
         assert self._only_error(capsys) == "ParseError"
         assert not report.exists() or not any(report.rglob("*"))
+
+
+DELETE = object()
+
+# (case, where, keys, value, exit codes of report, inspect and experiment).
+# ``where`` is a line index or the type of the first record to edit; the
+# value at ``keys`` in it is deleted, replaced, or (a callable) recomputed.
+TRANSCRIPT_CASES = [
+    ("line-3-list", 3, (), [1, 2], 1, 1, 1),
+    ("line-0-list", 0, (), [1, 2], 1, 1, 1),
+    ("turn-no-payload", "turn", ("payload",), DELETE, 1, 1, 1),
+    ("turn-payload-5", "turn", ("payload",), 5, 1, 1, 1),
+    ("turn-actions-3", "turn", ("payload", "actions"), 3, 1, 1, 1),
+    ("turn-no-nation", "turn", ("payload", "nation"), DELETE, 1, 1, 1),
+    ("turn-action-list", "turn", ("payload", "actions", 0, "action"), ["wait"], 1, 1, 0),
+    ("day-no-scores", "day", ("payload", "scores"), DELETE, 1, 1, 1),
+    ("day-scores-list", "day", ("payload", "scores"), lambda s: list(s.values()), 1, 1, 1),
+    ("header-no-seed", "run_start", ("payload", "seed"), DELETE, 1, 0, 1),
+    ("header-treatment-1", "run_start", ("payload", "treatment"), 1, 1, 1, 1),
+    ("run-end-payload-list", "run_end", ("payload",), [], 1, 1, 1),
+]
+MANIFEST_CASES = [
+    ("manifest-string", (), json.dumps, 1, 1, 0),
+    ("runs-3", ("runs",), 3, 1, 1, 0),
+    ("run-entry-list", ("runs", 1), [], 1, 1, 0),
+    ("run-no-transcript", ("runs", 1, "transcript"), DELETE, 1, 1, 0),
+    ("run-no-status", ("runs", 1, "status"), DELETE, 1, 1, 0),
+    ("run-no-label", ("runs", 1, "label"), DELETE, 1, 1, 0),
+    ("no-scenario-path", ("scenario_path",), DELETE, 1, 1, 0),
+    ("no-taxonomy-path", ("taxonomy_path",), DELETE, 1, 1, 0),
+    ("aggregator-bogus", ("aggregator",), "bogus", 1, 1, 0),
+]
+
+
+def _edited(document, keys: tuple, value):
+    """``document`` with the value at ``keys`` deleted, replaced or recomputed."""
+    if not keys:
+        return value(document) if callable(value) else value
+    target = document
+    for key in keys[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value(target[keys[-1]]) if callable(value) else value
+    return document
+
+
+@pytest.fixture(scope="module")
+def llm_experiment(tmp_path_factory):
+    """A completed three-run LLM plan on the mock: its plan file and output."""
+    root = tmp_path_factory.mktemp("llm-experiment")
+    plan = root / "plan.yaml"
+    plan.write_text(
+        f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
+        f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+        "policy: llm\nworld_updater: llm\nbase_seed: 11\nruns_per_treatment: 3\n"
+        "transport: {kind: mock}\n"
+        "treatments: [{label: t1.0-default, temperature: 1.0, variant: default}]\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", "--plan", str(plan), "--out", str(root / "exp")]) == 0
+    return plan, root / "exp"
+
+
+class TestCorruptedRunFiles:
+    """One malformed transcript line or manifest value: each command that
+    reads it exits 1 with one JSON error line (and writes no report file),
+    and a command that does not read it succeeds."""
+
+    TRANSCRIPT = "transcripts/t1.0-default-r01.jsonl"
+
+    def _commands(self, llm_experiment, tmp_path, capsys, codes):
+        plan, exp = llm_experiment[0], tmp_path / "exp"
+        report = tmp_path / "report"
+        capsys.readouterr()
+        commands = {
+            "report": ["report", "--manifest", str(exp / "manifest.json"),
+                       "--out", str(report), "--no-timestamp"],
+            "inspect": ["inspect", "--manifest", str(exp / "manifest.json")],
+            "experiment": ["experiment", "--plan", str(plan), "--out", str(exp)],
+        }
+        for (name, argv), code in zip(commands.items(), codes):
+            assert (name, main(argv)) == (name, code)
+            err = capsys.readouterr().err.strip().splitlines()
+            if code:
+                assert len(err) == 1, (name, err)
+                assert set(json.loads(err[0])) == {"error", "message"}
+            if name == "report" and code:
+                assert not report.exists() or not any(report.rglob("*"))
+
+    @pytest.mark.parametrize(
+        "where,keys,value,codes",
+        [(w, k, v, codes) for _, w, k, v, *codes in TRANSCRIPT_CASES],
+        ids=[case[0] for case in TRANSCRIPT_CASES],
+    )
+    def test_transcript(self, llm_experiment, tmp_path, capsys, where, keys, value, codes):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        path = tmp_path / "exp" / self.TRANSCRIPT
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
+        index = where if isinstance(where, int) else next(
+            i for i, record in enumerate(lines) if record["type"] == where
+        )
+        lines[index] = _edited(lines[index], keys, value)
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+        self._commands(llm_experiment, tmp_path, capsys, codes)
+
+    @pytest.mark.parametrize(
+        "keys,value,codes",
+        [(k, v, codes) for _, k, v, *codes in MANIFEST_CASES],
+        ids=[case[0] for case in MANIFEST_CASES],
+    )
+    def test_manifest(self, llm_experiment, tmp_path, capsys, keys, value, codes):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        path = tmp_path / "exp" / "manifest.json"
+        manifest = _edited(json.loads(path.read_text(encoding="utf-8")), keys, value)
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        self._commands(llm_experiment, tmp_path, capsys, codes)
+
+    def test_deeply_nested_transcript_line(self, llm_experiment, tmp_path, capsys):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        path = tmp_path / "exp" / self.TRANSCRIPT
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[3] = "[" * 100_000
+        path.write_text("\n".join(lines), encoding="utf-8")
+        self._commands(llm_experiment, tmp_path, capsys, (1, 1, 1))
+
+    def test_deeply_nested_manifest(self, llm_experiment, tmp_path, capsys):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        (tmp_path / "exp" / "manifest.json").write_text("[" * 100_000, encoding="utf-8")
+        self._commands(llm_experiment, tmp_path, capsys, (1, 1, 0))

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from esclab import transcript as ts
 from esclab.errors import ValidationError
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
@@ -152,3 +153,18 @@ class TestSmallReports:
         bundle = build_report(result.manifest_path, tmp_path / "report")
         assert "fig3" not in bundle.figures
         assert read_csv(bundle.daily_csv) == []
+
+    @pytest.mark.parametrize("day,edit", [
+        (2, lambda scores: scores.pop("Red")),
+        (1, lambda scores: scores.update(Atlantis=0)),
+    ], ids=["nation-missing", "nation-without-a-turn"])
+    def test_scores_and_turns_of_a_day_name_different_nations(self, tmp_path, day, edit):
+        result = run_experiment(load_plan(DATA / "plan_demo.yaml"), tmp_path / "exp")
+        path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
+        records = ts.read_records(path)
+        day_record = next(r for r in records if r["type"] == ts.DAY and r["day"] == day)
+        edit(day_record["payload"]["scores"])
+        ts.rewrite(path, records)
+        nation = "Red" if day == 2 else "Atlantis"
+        with pytest.raises(ValidationError, match=rf"'t1.0-default-r01' day {day}: .*'{nation}'"):
+            build_report(result.manifest_path, tmp_path / "report")

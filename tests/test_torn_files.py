@@ -1,6 +1,7 @@
 """Transcripts and cassettes cut at any byte: a torn final line is dropped
 where the reader tolerates one and an ``EsclabError`` everywhere else,
-never a ``UnicodeDecodeError``."""
+never a ``UnicodeDecodeError``.  A line that is not a record, or is nested
+too deeply to decode, is an ``EsclabError`` too, never a ``RecursionError``."""
 import json
 from pathlib import Path
 
@@ -10,9 +11,11 @@ from esclab import transcript as ts
 from esclab.cli import main
 from esclab.client import MockTransport, RecordingTransport, chat_request, complete, read_cassette
 from esclab.errors import ParseError, TransportError
+from esclab.experiments import load_manifest
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 CURLY = "’".encode("utf-8")  # in every reflection variant's system prompt
+NESTED = "[" * 100_000
 
 
 def records_file(path: Path, texts: list[str]) -> bytes:
@@ -57,6 +60,36 @@ class TestTranscriptReader:
             with pytest.raises(ParseError, match="cannot read transcript"):
                 ts.read_records(path)
 
+    @pytest.mark.parametrize("line", [
+        "[1, 2]", "null", '"day"',
+        '{"seq": 1, "type": "day", "day": 2, "nation": null}',
+        '{"seq": 1, "type": "day", "day": 2, "nation": null, "payload": {}, "extra": 0}',
+        '{"seq": 1, "type": "day", "day": 2, "nation": null, "payload": [1]}',
+        '{"seq": 1, "type": "day", "day": 2, "nation": null, "payload": {}} {}',
+    ], ids=["list", "null", "string", "no-payload", "extra-key", "payload-list", "two-values"])
+    def test_line_that_is_not_a_record_raises_in_both_modes(self, tmp_path, line):
+        path = tmp_path / "run.jsonl"
+        data = records_file(path, ["calm"])
+        path.write_bytes(data + (line + "\n").encode("utf-8") + data)
+        for tolerate in (False, True):
+            with pytest.raises(ParseError, match="bad transcript line 2 .*: not a record"):
+                ts.read_records(path, tolerate_partial_tail=tolerate)
+
+    def test_deeply_nested_line_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(records_file(path, ["calm"]) + (NESTED + "\n").encode("utf-8"))
+        for tolerate in (False, True):
+            with pytest.raises(ParseError, match="bad transcript line 2 .*recursion"):
+                ts.read_records(path, tolerate_partial_tail=tolerate)
+
+
+class TestManifestReader:
+    def test_deeply_nested_manifest_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(NESTED, encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed manifest .*recursion"):
+            load_manifest(path)
+
 
 class TestCassetteReader:
     def test_unreadable_cassette_is_a_transport_error(self, tmp_path):
@@ -85,6 +118,30 @@ class TestCassetteReader:
         cassette.write_bytes(data[:cut] + data[cut + 2:])
         with pytest.raises(TransportError, match="not UTF-8"):
             read_cassette(cassette)
+
+    def test_deeply_nested_line_is_a_transport_error(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "calm"})
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write(NESTED + "\n")
+        with pytest.raises(TransportError, match="bad cassette line 2 .*recursion"):
+            read_cassette(cassette)
+
+    def test_deeply_nested_tail_is_a_transport_error(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "calm"})
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write(NESTED)
+        with pytest.raises(TransportError, match="bad cassette line 2 .*recursion"):
+            read_cassette(cassette)
+
+    def test_recorder_cuts_a_deeply_nested_tail(self, tmp_path):
+        cassette = self._recorded(tmp_path, {"q1": "calm"})
+        whole = cassette.read_bytes()
+        with cassette.open("a", encoding="utf-8") as handle:
+            handle.write(NESTED)
+        recorder = RecordingTransport(MockTransport("tense"), cassette)
+        complete(recorder, chat_request("m", "system", "user", 1.0, request_tag="q2"))
+        assert cassette.read_bytes().startswith(whole)
+        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q2"]
 
     def test_entry_that_is_not_an_object_raises(self, tmp_path):
         cassette = self._recorded(tmp_path, {"q1": "calm"})
