@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from .errors import AuthError, BudgetExceeded, ParseError, TransportError, ValidationError
+from .scenario import require_type
 from .transcript import LLM_CALL, Recorder, split_lines
 
 if TYPE_CHECKING:
@@ -132,7 +133,7 @@ class RequestBudget:
 
 
 class Transport:
-    """Base transport: request counting, optional budget, body capture.
+    """Base transport: request counting and an optional budget.
 
     ``in_process`` is true when ``send_once`` only computes in this process
     and never waits on a remote endpoint; callers then gain nothing from
@@ -141,10 +142,8 @@ class Transport:
 
     in_process = False
 
-    def __init__(self, budget: RequestBudget | None = None, capture: bool = False):
+    def __init__(self, budget: RequestBudget | None = None):
         self.budget = budget
-        self.capture = capture
-        self.captured: list[dict] = []
         self._count = 0
         self._lock = threading.Lock()
 
@@ -153,13 +152,11 @@ class Transport:
         with self._lock:
             return self._count
 
-    def _note_request(self, body: dict | None) -> None:
+    def _note_request(self) -> None:
         if self.budget is not None:
             self.budget.charge()
         with self._lock:
             self._count += 1
-            if self.capture:
-                self.captured.append(body)
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
@@ -169,7 +166,8 @@ class MockTransport(Transport):
     """Scripted responder; deterministic stand-in for the live endpoint.
 
     ``responder`` maps a ChatRequest to the response content.  Plain strings
-    and per-tag mappings are accepted for convenience.
+    and per-tag mappings are accepted for convenience.  With ``capture``,
+    every wire body sent is kept in ``captured``.
     """
 
     in_process = True
@@ -180,7 +178,9 @@ class MockTransport(Transport):
         budget: RequestBudget | None = None,
         capture: bool = False,
     ):
-        super().__init__(budget=budget, capture=capture)
+        super().__init__(budget=budget)
+        self.capture = capture
+        self.captured: list[dict] = []
         if isinstance(responder, str):
             text = responder
             self._responder = lambda request: text
@@ -200,7 +200,9 @@ class MockTransport(Transport):
             self._responder = responder
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
-        self._note_request(wire_body(request) if self.capture else None)
+        self._note_request()
+        if self.capture:
+            self.captured.append(wire_body(request))
         return ChatResponse(content=self._responder(request))
 
 
@@ -255,7 +257,7 @@ class LiveTransport(Transport):
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         body = wire_body(request)
-        self._note_request(body)
+        self._note_request()
         self._respect_rate_limit()
         headers = {
             "Authorization": f"Bearer {self._api_key}",
@@ -325,17 +327,28 @@ def read_cassette(path: str | Path) -> list[CassetteRecord]:
     records = []
     for line_no, entry in entries:
         try:
-            records.append(
-                CassetteRecord(
-                    tag=entry["tag"],
-                    request_sha=entry["request_sha"],
-                    request=entry["request"],
-                    response=entry["response"],
-                )
-            )
-        except (KeyError, TypeError) as exc:
+            records.append(_exchange(entry))
+        except (KeyError, ParseError) as exc:
             raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
     return records
+
+
+def _exchange(entry: object) -> CassetteRecord:
+    """The exchange on one decoded cassette line; ``KeyError`` or
+    ``ParseError`` unless ``ReplayTransport`` can play it."""
+    require_type(entry, dict, "the line")
+    response = require_type(entry["response"], dict, "response")
+    if response["content"] is not None:
+        require_type(response["content"], str, "response content")
+    for key, kind in (("finish_reason", str), ("latency", float)):
+        if key in response:
+            require_type(response[key], kind, f"response {key}")
+    return CassetteRecord(
+        tag=require_type(entry["tag"], str, "tag"),
+        request_sha=require_type(entry["request_sha"], str, "request_sha"),
+        request=entry["request"],
+        response=response,
+    )
 
 
 class ReplayTransport(Transport):
@@ -365,11 +378,10 @@ class ReplayTransport(Transport):
         self._replay_lock = threading.Lock()
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
-        body = wire_body(request)
-        self._note_request(body)
+        self._note_request()
         key: object
         if self.mode == "strict":
-            key = (request.request_tag, body_digest(body))
+            key = (request.request_tag, body_digest(wire_body(request)))
         else:
             key = request.request_tag
         with self._replay_lock:

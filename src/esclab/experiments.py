@@ -3,8 +3,8 @@
 A plan file names the scenario, taxonomy, treatments, replication count and
 execution backends.  Seeds derive deterministically from the base seed, the
 treatment label and the run index.  The manifest maps every (treatment, run)
-to its transcript and status and is written with atomic replace; re-invoking
-a finished experiment issues no new client requests.
+to its transcript and status and is written once per invocation, with atomic
+replace; re-invoking a finished experiment issues no new client requests.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import hashlib
 import json
 import logging
 import os
-import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -386,8 +385,10 @@ def run_experiment(
     label, say) is refused with ``ValidationError`` before any request is
     made or the manifest is written.
     Aborted runs are recorded in the manifest and the experiment continues
-    best-effort; the manifest is rewritten atomically as results land.  The
-    advisory manifest lock is held for the whole execution.
+    best-effort.  The manifest is written once, atomically, when the runs
+    end, listing every run that finished even when an exception ends them
+    early; after a hard kill a re-run restores it.  The advisory manifest
+    lock is held for the whole execution.
     """
     out_dir = Path(out_dir)
     (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
@@ -425,19 +426,18 @@ def _execute(plan: ExperimentPlan, out_dir: Path, api_key: str | None) -> Experi
         "baseline": plan.baseline,
         "runs_per_treatment": plan.runs_per_treatment,
         "treatments": [t.as_record() for t in plan.treatments],
-        "runs": [],
     }
-    manifest_write_lock = threading.Lock()
     results: dict[str, ts.TranscriptRun] = {}
 
-    def _entry(handle: RunHandle, status: str, abort_reason: str | None) -> dict:
+    def _entry(handle: RunHandle) -> dict:
+        run = results[handle.run_id]
         return {
             **handle.treatment.as_record(),
             "run_index": handle.run_index,
             "seed": handle.seed,
             "transcript": f"{TRANSCRIPT_DIR}/{handle.transcript_path.name}",
-            "status": status,
-            "abort_reason": abort_reason,
+            "status": run.status,
+            "abort_reason": run.abort_reason,
         }
 
     # A partial transcript's kept records go to play_run: one read per run.
@@ -448,30 +448,27 @@ def _execute(plan: ExperimentPlan, out_dir: Path, api_key: str | None) -> Experi
         run, kept = ts.stored_run(handle.transcript_path, header)
         if run is not None:
             results[handle.run_id] = run
-            manifest["runs"].append(_entry(handle, "completed", None))
         else:
             to_run.append((handle, header, kept))
-    skipped = len(manifest["runs"])
-    if skipped:
-        _write_manifest(manifest_path, manifest)
-
+    skipped = len(results)
     before = transport.request_count
 
     def _run_one(item: tuple[RunHandle, dict, list[dict]]) -> None:
         handle, header, kept = item
-        run = play_run(scenario, taxonomy, handle.treatment, policy, updater, header,
-                       handle.transcript_path, kept, plan.max_parse_retries)
-        results[handle.run_id] = run
-        with manifest_write_lock:
-            manifest["runs"].append(_entry(handle, run.status, run.abort_reason))
-            _write_manifest(manifest_path, manifest)
+        results[handle.run_id] = play_run(scenario, taxonomy, handle.treatment, policy, updater,
+                                          header, handle.transcript_path, kept,
+                                          plan.max_parse_retries)
 
-    if plan.parallelism > 1 and len(to_run) > 1:
-        with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
-            list(pool.map(_run_one, to_run))
-    else:
-        for item in to_run:
-            _run_one(item)
+    try:
+        if plan.parallelism > 1 and len(to_run) > 1:
+            with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
+                list(pool.map(_run_one, to_run))
+        else:
+            for item in to_run:
+                _run_one(item)
+    finally:  # the one manifest write: every run that finished
+        manifest["runs"] = [_entry(handle) for handle in handles if handle.run_id in results]
+        _write_manifest(manifest_path, manifest)
 
     runs = [results[handle.run_id] for handle in handles]
     new_requests = transport.request_count - before

@@ -164,9 +164,7 @@ class TranscriptRun:
 
     run_id: str
     scenario_name: str
-    days_expected: int
     seed: int
-    treatment_label: str
     temperature: float
     variant: str
     status: str  # completed | aborted | partial
@@ -234,9 +232,7 @@ def run_from_header(header: dict, status: str, abort_reason: str | None,
     return TranscriptRun(
         run_id=header["run_id"],
         scenario_name=header["scenario_name"],
-        days_expected=header["days"],
         seed=header["seed"],
-        treatment_label=treatment["label"],
         temperature=treatment["temperature"],
         variant=treatment["variant"],
         status=status,
@@ -247,10 +243,15 @@ def run_from_header(header: dict, status: str, abort_reason: str | None,
 
 
 def _run_start(records: list[dict], path: str | Path) -> dict:
-    """The ``run_start`` payload that opens every transcript."""
+    """The ``run_start`` payload that opens every transcript of this format."""
     if not records or records[0]["type"] != RUN_START:
         raise ParseError(f"transcript {path} does not start with a run_start record")
-    return records[0]["payload"]
+    header = records[0]["payload"]
+    version = header.get("transcript_format", 1)  # format 1 did not record it
+    if version != TRANSCRIPT_FORMAT:
+        raise ValidationError(f"transcript {path} is in format {version!r}, not "
+                              f"{TRANSCRIPT_FORMAT}; remove it to play the run again")
+    return header
 
 
 def _reader(read):
@@ -316,29 +317,20 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
       again, so the continuation is byte-identical to an uninterrupted run.
     - ``(None, [])``: no file, or no completed day in it.  The run starts
       over, since the writer may have left even its header records torn.
-    - ``ValidationError``: a transcript of a different run, or this run
-      partial in an older format (resuming would mix two formats).
+    - ``ValidationError``: a transcript of a different run, or one in
+      another transcript format.
     """
     path = Path(path)
     records = read_records(path, tolerate_partial_tail=True) if path.exists() else []
     if not records:
         return None, []
-    stored = _run_start(records, path)
-    # An older format's header lacks the fields added since.
-    older = stored.get("transcript_format", 1) != TRANSCRIPT_FORMAT
-    if not (stored.items() <= header.items() if older else stored == header):
+    if _run_start(records, path) != header:
         raise ValidationError(
             f"transcript {path} belongs to a different run; refusing to skip or resume it"
         )
     run = reconstruct_run(records, path)
     if run.completed:
         return run, records
-    if older:
-        raise ValidationError(
-            f"transcript {path} is in format {stored.get('transcript_format', 1)}, "
-            f"not {TRANSCRIPT_FORMAT}: an older transcript is read only when it "
-            "holds its run completed, never resumed; remove it to play the run again"
-        )
     for index in range(len(records) - 1, 0, -1):
         if records[index]["type"] == DAY:
             return None, records[: index + 1]
@@ -357,12 +349,6 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     """
     records = read_records(path)
     header = _run_start(records, path)
-    version = header.get("transcript_format", 1)
-    if version != TRANSCRIPT_FORMAT:
-        raise ValidationError(
-            f"transcript {path} is in format {version}, which stores prompts in "
-            f"full; only format {TRANSCRIPT_FORMAT} prompt digests are re-derived"
-        )
     system = next((r for r in records if r["type"] == SYSTEM_PROMPT), None)
     if system is None:
         raise ParseError(f"transcript {path} has no system_prompt record")

@@ -495,11 +495,35 @@ class TestRunRecords:
         run_experiment(plan, tmp_path / "out")
         assert writes == [manifest]
         assert manifest.read_bytes() == first
-        # One lost transcript: one write after the scan, one after the run.
+        # One lost transcript: one write, after its run is played again.
         (tmp_path / "out" / "transcripts" / "t1.0-default-r01.jsonl").unlink()
         run_experiment(plan, tmp_path / "out")
-        assert writes == [manifest] * 3
+        assert writes == [manifest] * 2
         assert manifest.read_bytes() == first
+
+    def test_exception_writes_the_manifest_of_the_runs_that_finished(
+        self, tmp_path, monkeypatch
+    ):
+        from esclab import experiments
+
+        manifest = tmp_path / "out" / "manifest.json"
+        seen = []
+        original = experiments.play_run
+
+        def failing_second(*args, **kwargs):
+            seen.append(manifest.exists())
+            if len(seen) == 2:
+                raise RuntimeError("disk on fire")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "play_run", failing_second)
+        plan = load_plan(scripted_plan(tmp_path, runs=3))
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            run_experiment(plan, tmp_path / "out")
+        # Nothing is written while runs play; the exception still writes it.
+        assert seen == [False, False]
+        runs = json.loads(manifest.read_text(encoding="utf-8"))["runs"]
+        assert [(entry["run_index"], entry["status"]) for entry in runs] == [(0, "completed")]
 
 
 def mock_plan(tmp_path, treatment: str, extra: str = "") -> Path:

@@ -9,7 +9,14 @@ import pytest
 
 from esclab import transcript as ts
 from esclab.cli import main
-from esclab.client import MockTransport, RecordingTransport, chat_request, complete, read_cassette
+from esclab.client import (
+    MockTransport,
+    RecordingTransport,
+    ReplayTransport,
+    chat_request,
+    complete,
+    read_cassette,
+)
 from esclab.errors import ParseError, TransportError
 from esclab.experiments import load_manifest
 
@@ -149,6 +156,30 @@ class TestCassetteReader:
             handle.write("[1, 2]\n")
         with pytest.raises(TransportError, match="bad cassette line 2"):
             read_cassette(cassette)
+
+    @pytest.mark.parametrize("mode", ["strict", "fuzzy"])
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("response", {}, "'content'"),
+            ("response", "x", "response must be a mapping"),
+            ("content", 7, "response content must be a string"),
+            ("finish_reason", None, "response finish_reason must be a string"),
+            ("latency", "slow", "response latency must be a number"),
+            ("tag", ["t"], "tag must be a string"),
+            ("request_sha", {}, "request_sha must be a string"),
+        ],
+        ids=["response-empty", "response-string", "content-number", "finish_reason-null",
+             "latency-string", "tag-list", "request_sha-object"],
+    )
+    def test_mistyped_exchange_is_a_transport_error(self, tmp_path, mode, key, value, problem):
+        cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "tense"})
+        first, second = cassette.read_text(encoding="utf-8").split("\n")[:2]
+        entry = json.loads(second)
+        (entry if key in entry else entry["response"])[key] = value
+        cassette.write_text(f"{first}\n{json.dumps(entry)}\n", encoding="utf-8")
+        with pytest.raises(TransportError, match=f"bad cassette line 2 in .*: {problem}"):
+            ReplayTransport(cassette, mode=mode)
 
 
 class TestExperimentAfterATornCharacter:

@@ -1,5 +1,6 @@
-"""Digest prompt records: `inspect` re-derives them, and format-1 transcripts
-(which stored each user prompt in full) still load, skip and report."""
+"""Digest prompt records: `inspect` re-derives them, and a format-1
+transcript (which stored each user prompt in full) is refused by every
+reader, completed or partial, and left as it is."""
 import json
 import shutil
 from pathlib import Path
@@ -11,14 +12,13 @@ from esclab.agents import LlmPolicy
 from esclab.cli import main
 from esclab.client import MockTransport
 from esclab.errors import ParseError, ValidationError
-from esclab.experiments import inspect_experiment, load_plan, run_experiment
+from esclab.experiments import inspect_experiment, load_plan, run_experiment, run_seed
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
 from esclab.prompts import PromptTemplates, PromptVariant, default_templates, text_sha256
 from esclab.report import build_report
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
-REPORT_FILES = ("summary.csv", "reductions.csv", "daily.csv", "categories.csv", "provenance.json")
 
 
 def llm_plan(tmp_path, runs=2, extra=""):
@@ -66,11 +66,6 @@ def edit_record(path: Path, match, change) -> None:
     record = next(r for r in records if match(r))
     change(record["payload"])
     ts.rewrite(path, records)
-
-
-def report_bytes(manifest: Path, out: Path) -> dict[str, bytes]:
-    build_report(manifest, out, include_timestamp=False)
-    return {name: (out / name).read_bytes() for name in REPORT_FILES}
 
 
 @pytest.fixture(scope="module")
@@ -197,44 +192,35 @@ class TestInspect:
 
 
 class TestFormat1Transcripts:
-    def test_completed_format_1_runs_load_skip_and_report_identically(
-        self, experiment_copy, tmp_path
+    @pytest.mark.parametrize(
+        "reader", ["load_run", "build_report", "run_experiment", "run_simulation"]
+    )
+    def test_completed_format_1_run_is_refused(
+        self, experiment_copy, tmp_path, scenario, taxonomy, reader
     ):
         plan, out = experiment_copy
-        paths = sorted((out / "transcripts").iterdir())
-        runs = [ts.load_run(path) for path in paths]
-        manifest = out / "manifest.json"
-        manifest_bytes = manifest.read_bytes()
-        before = report_bytes(manifest, tmp_path / "report-2")
-        for path in paths:
-            to_format_1(path)
-        old_bytes = [path.read_bytes() for path in paths]
-        assert [ts.load_run(path) for path in paths] == runs
-
-        again = run_experiment(plan, out)
-        assert (again.skipped, again.new_requests) == (4, 0)
-        assert [path.read_bytes() for path in paths] == old_bytes
-        assert manifest.read_bytes() == manifest_bytes
-        assert report_bytes(manifest, tmp_path / "report-1") == before
-
-    def test_completed_format_1_run_is_returned_by_run_simulation(
-        self, experiment_copy, scenario, taxonomy
-    ):
-        _, out = experiment_copy
         path = out / "transcripts" / "t1.0-default-r00.jsonl"
+        manifest = out / "manifest.json"
         to_format_1(path)
-        old = path.read_bytes()
+        before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
-        run = run_simulation(
-            scenario, taxonomy,
-            Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
-            LlmPolicy(transport, model="m"),
-            LlmUpdater(transport, model="m"),
-            seed=ts.load_run(path).seed, transcript_path=path, run_id="t1.0-default-r00",
-        )
-        assert run == ts.load_run(path)
+        read = {
+            "load_run": lambda: ts.load_run(path),
+            "build_report": lambda: build_report(manifest, tmp_path / "report"),
+            "run_experiment": lambda: run_experiment(plan, out),
+            "run_simulation": lambda: run_simulation(
+                scenario, taxonomy,
+                Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
+                LlmPolicy(transport, model="m"),
+                LlmUpdater(transport, model="m"),
+                seed=run_seed(3, "t1.0-default", 0), transcript_path=path,
+                run_id="t1.0-default-r00",
+            ),
+        }[reader]
+        with pytest.raises(ValidationError, match="t1.0-default-r00.jsonl is in format 1, not 2"):
+            read()
         assert transport.request_count == 0
-        assert path.read_bytes() == old
+        assert {file: file.read_bytes() for file in before} == before
 
     def test_partial_format_1_transcript_is_refused_not_resumed(self, experiment_copy):
         plan, out = experiment_copy
