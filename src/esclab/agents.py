@@ -42,10 +42,9 @@ log = logging.getLogger("esclab.agents")
 DEFAULT_PARSE_RETRIES = 3
 THOUGHTS_WORD_LIMIT = 250
 
-# Built once and shared by every query, also across threads: neither keeps
+# Built once and shared by every query, also across threads: it keeps no
 # state from one call to the next.
 _DECODER = json.JSONDecoder()
-_RAW_TEXT_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -112,11 +111,7 @@ def _validate_action_entry(
             return ParseFailure("self_target", action_id)
     elif target is not None:
         return ParseFailure("unexpected_target", f"{action_id} -> {target!r}")
-    return ChosenAction(
-        action_id=action_id,
-        target=target if spec.requires_target else None,
-        raw_text=_RAW_TEXT_ENCODER.encode(entry),
-    )
+    return ChosenAction(action_id=action_id, target=target)
 
 
 def parse_agent_response(
@@ -182,7 +177,7 @@ def fallback_turn(taxonomy: ActionTaxonomy, nation: str, attempts: int) -> Agent
     spec = taxonomy.fallback
     return AgentTurn(
         nation=nation,
-        actions=(ChosenAction(action_id=spec.id, raw_text="(fallback)"),),
+        actions=(ChosenAction(action_id=spec.id),),
         parse_attempts=attempts,
         fallback=True,
     )
@@ -239,10 +234,7 @@ class LlmPolicy(AgentPolicy):
             world.scenario, taxonomy, world, nation, treatment.variant, templates=self.templates
         )
         if recorder is not None and attempt == 1:
-            recorder(
-                ts.PROMPT,
-                {"user_sha256": bundle.user_sha256, "system_sha256": bundle.system_sha256},
-            )
+            recorder(ts.PROMPT, {"user_sha256": bundle.user_sha256})
         request = chat_request(
             model=self.model,
             system_text=bundle.system_text,
@@ -300,7 +292,7 @@ class ScriptedPolicy(AgentPolicy):
         day = world.current_day + 1
         actions = self.table.get(nation, {}).get(day, self.default)
         if actions is None:
-            actions = (ChosenAction(action_id=taxonomy.fallback.id, raw_text="(script default)"),)
+            actions = (ChosenAction(action_id=taxonomy.fallback.id),)
         validated = []
         for action in actions:
             outcome = _validate_action_entry(
@@ -314,7 +306,7 @@ class ScriptedPolicy(AgentPolicy):
                     f"scripted action {action.action_id!r} for {nation} day {day}: "
                     f"{outcome.reason.replace('_', '-')} ({outcome.detail})"
                 )
-            validated.append(replace(outcome, raw_text=action.raw_text))
+            validated.append(outcome)
         return AgentTurn(nation=nation, actions=tuple(validated))
 
 
@@ -396,7 +388,6 @@ def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ..
             ChosenAction(
                 action_id=require_type(entry["action"], str, f"{where}: action", nonempty=True),
                 target=entry.get("target"),
-                raw_text="(scripted)",
             )
         )
     return tuple(actions)

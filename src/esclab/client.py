@@ -507,7 +507,6 @@ def complete(
                 {
                     "tag": request.request_tag,
                     "model": request.model,
-                    "temperature": request.temperature,
                     "max_tokens": request.max_tokens,
                     "content": response.content,
                     "finish_reason": response.finish_reason,

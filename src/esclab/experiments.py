@@ -440,23 +440,23 @@ def _execute(plan: ExperimentPlan, out_dir: Path, api_key: str | None) -> Experi
             "abort_reason": run.abort_reason,
         }
 
-    # A partial transcript's kept records go to play_run: one read per run.
-    to_run: list[tuple[RunHandle, dict, list[dict]]] = []
+    # A partial run and its kept records go to play_run: one read per run.
+    to_run: list[tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]] = []
     for handle in handles:
         header = run_header(scenario, taxonomy, handle.treatment, handle.seed,
                             handle.run_id, plan.intra_day_visibility)
         run, kept = ts.stored_run(handle.transcript_path, header)
-        if run is not None:
+        if run is not None and run.completed:
             results[handle.run_id] = run
         else:
-            to_run.append((handle, header, kept))
+            to_run.append((handle, header, run, kept))
     skipped = len(results)
     before = transport.request_count
 
-    def _run_one(item: tuple[RunHandle, dict, list[dict]]) -> None:
-        handle, header, kept = item
+    def _run_one(item: tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]) -> None:
+        handle, header, prior, kept = item
         results[handle.run_id] = play_run(scenario, taxonomy, handle.treatment, policy, updater,
-                                          header, handle.transcript_path, kept,
+                                          header, handle.transcript_path, prior, kept,
                                           plan.max_parse_retries)
 
     try:

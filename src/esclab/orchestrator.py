@@ -14,9 +14,9 @@ crashed run resumes from its last completed day, reproducing the
 uninterrupted bytes exactly.
 
 A run's treatment and taxonomy come only from the arguments of
-``run_simulation`` (or of ``play_run``, which plays on from the records a
-caller already read) and reach the policy and the world updater with every
-call.
+``run_simulation`` (or of ``play_run``, which plays on from what
+``transcript.stored_run`` read) and reach the policy and the world updater
+with every call.
 
 A run comes back as ``transcript.TranscriptRun``, the record that reading
 its transcript gives: built from memory for a run played here, read back for
@@ -220,13 +220,11 @@ def run_simulation(
     run_id = run_id or f"{treatment.label}-s{seed}"
     header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility)
 
-    kept: list[dict] = []
-    if resume:
-        prior, kept = ts.stored_run(transcript_path, header)
-        if prior is not None:
-            return prior
+    prior, kept = ts.stored_run(transcript_path, header) if resume else (None, [])
+    if prior is not None and prior.completed:
+        return prior
     return play_run(scenario, taxonomy, treatment, policy, world_updater, header,
-                    transcript_path, kept, max_parse_retries)
+                    transcript_path, prior, kept, max_parse_retries)
 
 
 def play_run(
@@ -237,20 +235,21 @@ def play_run(
     world_updater: WorldUpdater,
     header: dict,
     transcript_path: Path,
+    prior: ts.TranscriptRun | None,
     kept: list[dict],
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
 ) -> ts.TranscriptRun:
     """Play the run whose ``run_start`` payload is ``header`` onward from the
-    records ``kept`` of it, as ``transcript.stored_run`` gave them (none: from
-    the start, replacing any file there), and persist its transcript."""
+    partial run ``prior`` and its records ``kept``, as ``transcript.stored_run``
+    gave them (None and none: from the start, replacing any file there), and
+    persist its transcript."""
     run_id = header["run_id"]
     intra_day_visibility = header["intra_day_visibility"]
     days: list[DailyRecord] = []
     fallbacks = 0
-    if kept:
+    if prior is not None:
         ts.rewrite(transcript_path, kept)
-        resumed = ts.reconstruct_run(kept, transcript_path)
-        days, fallbacks = list(resumed.days), resumed.fallbacks
+        days, fallbacks = list(prior.days), prior.fallbacks
     elif transcript_path.exists():
         # not resuming, or no day completed (perhaps a single torn line)
         transcript_path.unlink()
@@ -273,12 +272,7 @@ def play_run(
             )
             writer.write(
                 ts.SYSTEM_PROMPT,
-                {
-                    "variant": treatment.variant.value,
-                    "sha256": system_sha256,
-                    "text": system_text,
-                    "user_template": templates.user,
-                },
+                {"sha256": system_sha256, "text": system_text, "user_template": templates.user},
             )
         try:
             while world.current_day < scenario.days:
@@ -348,14 +342,7 @@ def play_run(
             status = "aborted"
             abort_reason = f"{type(exc).__name__}: {exc}"
             log.error("run %s aborted on day %d: %s", run_id, world.current_day + 1, exc)
-        writer.write(
-            ts.RUN_END,
-            {
-                "status": status,
-                "reason": abort_reason,
-                "days_completed": world.current_day,
-            },
-        )
+        writer.write(ts.RUN_END, {"status": status, "reason": abort_reason})
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -84,7 +84,6 @@ class PromptBundle:
     system_text: str
     user_text: str
     expects_private_thoughts: bool
-    system_sha256: str
 
     @property
     def user_sha256(self) -> str:
@@ -294,10 +293,9 @@ def build_prompts(
             f"world is at day {world.current_day}; scenario ends after day {scenario.days}"
         )
     templates = templates or default_templates()
-    system_text, system_sha256 = render_system_text(scenario, taxonomy, variant, templates.system)
+    system_text, _ = render_system_text(scenario, taxonomy, variant, templates.system)
     return PromptBundle(
         system_text=system_text,
         user_text=render_user_text(scenario, world, nation, variant, templates.user),
         expects_private_thoughts=variant in REFLECTION_VARIANTS,
-        system_sha256=system_sha256,
     )

@@ -118,7 +118,6 @@ class ChosenAction:
 
     action_id: str
     target: str | None = None
-    raw_text: str = ""
 
 
 def _frozen_map(mapping: Mapping) -> Mapping:

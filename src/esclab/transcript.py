@@ -1,13 +1,14 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
 Every raw response, parse outcome, score and world summary for one run lands
-here; reports and replay consume nothing else.  Prompts are stored as sha256
-digests (format 2): the system text and the user template once per run, and
-per query only the digests, since ``verify_prompts`` re-derives each user
-prompt from the run's own records.  Records carry a logical sequence number
-as their timestamp so that identical runs produce byte-identical files
-(wall-clock time is deliberately excluded; latency of live calls is recorded
-inside llm_call payloads).
+here; reports and replay consume nothing else.  Each fact is stored once
+(format 3): the record's ``nation`` names a turn's nation, ``run_start`` the
+treatment, and the ``system_prompt`` record the system text with its digest
+and the user template, so a ``prompt`` record holds only its user prompt's
+digest, which ``verify_prompts`` re-derives from the run's own records.
+Records carry a logical sequence number as their timestamp so that identical
+runs produce byte-identical files (wall-clock time is deliberately excluded;
+latency of live calls is recorded inside llm_call payloads).
 """
 from __future__ import annotations
 
@@ -32,8 +33,11 @@ from .scenario import (
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
-# Format 2 stores each prompt as digests (format 1 stored the user text).
-TRANSCRIPT_FORMAT = 2
+# Format 3 stores each fact once; format 2 also copied a turn's nation into
+# its payload, the system digest into every prompt record, the temperature
+# into every llm_call and a re-encoded reply into every action.  Format 1
+# stored every user prompt in full.
+TRANSCRIPT_FORMAT = 3
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -178,13 +182,9 @@ class TranscriptRun:
 
 
 def turn_payload(turn: AgentTurn) -> dict:
-    """The payload of a turn record."""
+    """The payload of a turn record; the record itself names the nation."""
     return {
-        "nation": turn.nation,
-        "actions": [
-            {"action": a.action_id, "target": a.target, "raw_text": a.raw_text}
-            for a in turn.actions
-        ],
+        "actions": [{"action": a.action_id, "target": a.target} for a in turn.actions],
         "private_thoughts": turn.private_thoughts,
         "parse_attempts": turn.parse_attempts,
         "fallback": turn.fallback,
@@ -192,21 +192,25 @@ def turn_payload(turn: AgentTurn) -> dict:
     }
 
 
-def turn_actions(payload: dict) -> tuple[ChosenAction, ...]:
-    """The actions of a turn record's payload."""
-    return tuple(
-        ChosenAction(action_id=a["action"], target=a["target"], raw_text=a["raw_text"])
-        for a in payload["actions"]
-    )
+def turn_actions(record: dict) -> tuple[str, tuple[ChosenAction, ...]]:
+    """The nation and the actions of a turn record: every reader's one
+    decoder of them."""
+    nation = record["nation"]
+    if type(nation) is not str:
+        raise TypeError(f"turn record {record['seq']} names no nation: {nation!r}")
+    return nation, tuple([ChosenAction(a["action"], a["target"])
+                          for a in record["payload"]["actions"]])
 
 
-def decode_turn(payload: dict) -> AgentTurn:
-    """The turn of a turn record's payload: the inverse of ``turn_payload``."""
+def decode_turn(record: dict) -> AgentTurn:
+    """The turn of a turn record: the inverse of ``turn_payload``."""
     from .agents import AgentTurn  # agents imports this module
 
+    nation, actions = turn_actions(record)
+    payload = record["payload"]
     return AgentTurn(
-        nation=payload["nation"],
-        actions=turn_actions(payload),
+        nation=nation,
+        actions=actions,
         private_thoughts=payload["private_thoughts"],
         parse_attempts=payload["parse_attempts"],
         fallback=payload["fallback"],
@@ -269,29 +273,36 @@ def _reader(read):
     return checked
 
 
-def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
-    """Rebuild the run's daily records and status from the records of the
-    transcript at ``path``."""
-    header = _run_start(records, path)
+def _replay(records: list[dict]) -> tuple[list[DailyRecord], int, dict | None]:
+    """The days of ``records``, their fallback turns, and their last
+    ``run_end`` payload (None if there is none)."""
     today: dict[str, tuple[ChosenAction, ...]] = {}
     days: list[DailyRecord] = []
-    status = "partial"
-    abort_reason = None
     fallbacks = 0
+    end = None
     for record in records:
         type_ = record["type"]
         if type_ == TURN:
-            payload = record["payload"]
-            today[payload["nation"]] = turn_actions(payload)
-            if payload["fallback"]:
+            nation, actions = turn_actions(record)
+            today[nation] = actions
+            if record["payload"]["fallback"]:
                 fallbacks += 1
         elif type_ == DAY:
             days.append(_day_record(record, today))
             today = {}
         elif type_ == RUN_END:
-            status = record["payload"]["status"]
-            abort_reason = record["payload"]["reason"]
-    return run_from_header(header, status, abort_reason, days, fallbacks)
+            end = record["payload"]
+    return days, fallbacks, end
+
+
+def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
+    """Rebuild the run's daily records and status from the records of the
+    transcript at ``path``."""
+    header = _run_start(records, path)
+    days, fallbacks, end = _replay(records)
+    if end is None:
+        return run_from_header(header, "partial", None, days, fallbacks)
+    return run_from_header(header, end["status"], end["reason"], days, fallbacks)
 
 
 @_reader
@@ -302,23 +313,26 @@ def load_run(path: str | Path) -> TranscriptRun:
 @_reader
 def read_turns(path: str | Path) -> dict[tuple[int, str], AgentTurn]:
     """Every turn of the transcript at ``path``, by day and nation."""
-    return {(record["day"], record["nation"]): decode_turn(record["payload"])
+    return {(record["day"], record["nation"]): decode_turn(record)
             for record in read_records(path) if record["type"] == TURN}
 
 
 @_reader
 def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, list[dict]]:
     """What the transcript at ``path`` holds of the run whose ``run_start``
-    payload is ``header``, as ``(completed run or None, records to keep)``.
+    payload is ``header``, as ``(run or None, records to keep)``.
 
     - ``(run, records)``: the run, completed; nothing is left to play.
-    - ``(None, records up to its last completed day)``: a partial run.  What
-      follows that day (a half-written day, an abort marker) is played
-      again, so the continuation is byte-identical to an uninterrupted run.
+    - ``(run, records up to its last completed day)``: a partial run, its
+      days and fallbacks those of the kept records.  What follows that day
+      (a half-written day, an abort marker) is played again, so the
+      continuation is byte-identical to an uninterrupted run.
     - ``(None, [])``: no file, or no completed day in it.  The run starts
       over, since the writer may have left even its header records torn.
     - ``ValidationError``: a transcript of a different run, or one in
       another transcript format.
+
+    It decodes each kept turn once and no turn after the cut.
     """
     path = Path(path)
     records = read_records(path, tolerate_partial_tail=True) if path.exists() else []
@@ -328,13 +342,15 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
         raise ValidationError(
             f"transcript {path} belongs to a different run; refusing to skip or resume it"
         )
-    run = reconstruct_run(records, path)
-    if run.completed:
-        return run, records
-    for index in range(len(records) - 1, 0, -1):
-        if records[index]["type"] == DAY:
-            return None, records[: index + 1]
-    return None, []
+    end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
+    if end is not None and end["status"] == "completed":
+        return reconstruct_run(records, path), records
+    cut = next((i for i in range(len(records) - 1, 0, -1) if records[i]["type"] == DAY), 0)
+    if not cut:
+        return None, []
+    kept = records[: cut + 1]
+    days, fallbacks, _ = _replay(kept)
+    return run_from_header(header, "partial", None, days, fallbacks), kept
 
 
 @_reader
@@ -352,11 +368,10 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     system = next((r for r in records if r["type"] == SYSTEM_PROMPT), None)
     if system is None:
         raise ParseError(f"transcript {path} has no system_prompt record")
-    system_sha256 = system["payload"]["sha256"]
     template = system["payload"]["user_template"]
     variant = PromptVariant(header["treatment"]["variant"])
     mismatches = []
-    if text_sha256(system["payload"]["text"]) != system_sha256:
+    if text_sha256(system["payload"]["text"]) != system["payload"]["sha256"]:
         mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
     world = initial_world(scenario)
     today: dict[str, tuple[ChosenAction, ...]] = {}
@@ -367,22 +382,14 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
             checked += 1
             view = with_partial_day(world, today) if header["intra_day_visibility"] else world
             user_text = render_user_text(scenario, view, record["nation"], variant, template)
-            payload = record["payload"]
-            wrong = [
-                name
-                for name, expected in (
-                    ("user_sha256", text_sha256(user_text)),
-                    ("system_sha256", system_sha256),
-                )
-                if payload.get(name) != expected
-            ]
-            if wrong:
+            if record["payload"].get("user_sha256") != text_sha256(user_text):
                 mismatches.append(
                     f"seq {record['seq']} (day {record['day']}, {record['nation']}): "
-                    f"{' and '.join(wrong)} not re-derived"
+                    "user_sha256 not re-derived"
                 )
         elif type_ == TURN:
-            today[record["payload"]["nation"]] = turn_actions(record["payload"])
+            nation, actions = turn_actions(record)
+            today[nation] = actions
         elif type_ == DAY:
             world = advance_day(world, _day_record(record, today))
             today = {}

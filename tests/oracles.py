@@ -41,8 +41,7 @@ def transcript_scores(path: str | Path, score_table: dict[str, int]) -> dict:
         record = json.loads(line)
         if record["type"] == "turn":
             day = record["day"]
-            payload = record["payload"]
-            turns.setdefault(day, {})[payload["nation"]] = payload["actions"]
+            turns.setdefault(day, {})[record["nation"]] = record["payload"]["actions"]
         elif record["type"] == "day":
             summaries[record["day"]] = record["payload"]["summary"]
     days = sorted(turns)
@@ -78,9 +77,8 @@ def transcript_category_counts(
             record = json.loads(line)
             if record["type"] != "turn":
                 continue
-            payload = record["payload"]
-            nations.add(payload["nation"])
-            for action in payload["actions"]:
+            nations.add(record["nation"])
+            for action in record["payload"]["actions"]:
                 category = category_table[action["action"]]
                 totals[category] = totals.get(category, 0) + 1
     denominator = len(nations) * len(paths)

@@ -364,12 +364,6 @@ class TestScriptedValidation:
         with pytest.raises(ValidationError, match="unknown-target.*Atlantis"):
             policy.decide(world, "Blue", DEFAULT, taxonomy)
 
-    def test_scripted_turn_keeps_script_raw_text(self, taxonomy, scenario):
-        action = ChosenAction("form_alliance", target="Red", raw_text="(scripted)")
-        policy = ScriptedPolicy({"Blue": {1: (action,)}})
-        turn = policy.decide(initial_world(scenario), "Blue", DEFAULT, taxonomy)
-        assert turn.actions == (action,)
-
 
 class TestReplayPolicyReader:
     def test_torn_transcript_line_is_a_parse_error(self, tmp_path):

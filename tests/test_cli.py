@@ -326,7 +326,7 @@ TRANSCRIPT_CASES = [
     ("turn-no-payload", "turn", ("payload",), DELETE, 1, 1, 1),
     ("turn-payload-5", "turn", ("payload",), 5, 1, 1, 1),
     ("turn-actions-3", "turn", ("payload", "actions"), 3, 1, 1, 1),
-    ("turn-no-nation", "turn", ("payload", "nation"), DELETE, 1, 1, 1),
+    ("turn-no-nation", "turn", ("nation",), None, 1, 1, 1),
     ("turn-action-list", "turn", ("payload", "actions", 0, "action"), ["wait"], 1, 1, 0),
     ("day-no-scores", "day", ("payload", "scores"), DELETE, 1, 1, 1),
     ("day-scores-list", "day", ("payload", "scores"), lambda s: list(s.values()), 1, 1, 1),

@@ -1,31 +1,35 @@
 """Pinned bytes of a tiny calibrated-mock experiment.
 
 The shipped reference plan cut to two treatments (the default prompt and a
-reflection variant) with two runs each.  Every transcript and report CSV
-must hash to the digests below, so a change meant to leave the output alone
+reflection variant) with two runs each.  Every transcript, the manifest
+(with the data directory's path replaced by a placeholder, so the digest
+holds wherever the checkout lives) and every report CSV must hash to the
+digests below, so a change meant to leave the output alone
 (encoding, buffering, prompt rendering, parsing) is checked byte for byte
 by the suite.  A change that means to alter the output re-pins them and
 says why.
 """
 import dataclasses
 import hashlib
+import json
 from pathlib import Path
 
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
 
-DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "432e951c9a47e5f13aef4a3f52ab71a2d969d4cb49583868ea79dca83f242da7",
+        "de76a3b32e553c151631f94a2d35b384ca74396d202babfcb0962e09546a310d",
     "t1.0-default-r01.jsonl":
-        "659fbacce43b5e69307c692f26bcb7710a38e64754d611b97dfd778aece25f94",
+        "fd2857ba69a35cd61645340cb3ffa0593aef71f0589e8336f3d99a1f777eac52",
     "t1.0-reflection-planning-r00.jsonl":
-        "161fffa9c3ef6ba9e3f874dc2c8db44a4205bb57751f39d1b6481c10d901dff9",
+        "f59f514eee43d6d73ed149ce175998fb4d6b16e607995055bd22f3d1c06d12ce",
     "t1.0-reflection-planning-r01.jsonl":
-        "03ea38bdaa0018949937280b0befe913a53c320974712b85fbc9efdb341b3e17",
+        "baead2e2d0e1f733afcb510f2f624175df65624abbf7e737f5b94f5e9841f787",
 }
+MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {
     "categories.csv": "440df591f65d424e864b3f467b35ef73a43e013cce05ff0dc31bf98f293496c0",
     "daily.csv": "91e0fc8e9bae115f43e2c9b13a19bbb63217f3896844dc9815d79f652692a0da",
@@ -53,4 +57,9 @@ def test_tiny_reference_experiment_bytes_are_pinned(tmp_path):
     assert all(run.completed for run in result.runs)
     build_report(result.manifest_path, tmp_path / "report", include_timestamp=False)
     assert digests(tmp_path / "experiment" / "transcripts", "*.jsonl") == TRANSCRIPT_SHA256
+    manifest = (tmp_path / "experiment" / "manifest.json").read_text(encoding="utf-8")
+    data_dir = json.dumps(str(DATA), ensure_ascii=False)[1:-1]  # as the manifest spells it
+    assert data_dir in manifest
+    manifest = manifest.replace(data_dir, "<data>")
+    assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == MANIFEST_SHA256
     assert digests(tmp_path / "report", "*.csv") == REPORT_SHA256

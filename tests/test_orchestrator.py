@@ -580,7 +580,6 @@ class TestPolicyGetsTheRunsTreatment:
         calls = [r["payload"] for r in records if r["type"] == "llm_call"]
         assert len(calls) == len(transport.captured) == 2 * (8 + 1 + 1)
         assert {c["tag"].split("|")[2] for c in calls} == {*short.nation_names, "world"}
-        assert {c["temperature"] for c in calls} == {0.5}
         assert {body["temperature"] for body in transport.captured} == {0.5}
 
     def test_wrapper_around_a_waiting_llm_policy_runs_inline(self, scenario, taxonomy, tmp_path):
@@ -682,6 +681,30 @@ class TestRunRecordIsTranscriptRecord:
         assert resumed == load_run(crashed)
         again = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), crashed)
         assert again == resumed
+
+    def test_resume_decodes_each_kept_turn_once(self, scenario, taxonomy, tmp_path, monkeypatch):
+        from esclab import transcript as ts
+
+        path = tmp_path / "run.jsonl"
+        _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), path)
+        records = read_records(path)
+        day_6 = next(i for i, r in enumerate(records) if r["type"] == "day" and r["day"] == 6)
+        # Cut after four turns of day 7, which resume plays again undecoded.
+        cut = [i for i, r in enumerate(records) if r["type"] == "turn" and r["day"] == 7][3]
+        ts.rewrite(path, records[: cut + 1])
+        decoded = []
+        turn_actions = ts.turn_actions
+
+        def counting(record):
+            decoded.append(record["seq"])
+            return turn_actions(record)
+
+        monkeypatch.setattr(ts, "turn_actions", counting)
+        resumed = _llm_run(scenario, taxonomy, self._transport(scenario, taxonomy), path)
+        kept_turns = [r["seq"] for r in records[: day_6 + 1] if r["type"] == "turn"]
+        assert decoded == kept_turns and len(kept_turns) == 6 * 8
+        assert resumed.fallbacks == 1
+        assert resumed == load_run(path)
 
 
 class TestKillAtAnyByte:

@@ -1,6 +1,8 @@
-"""Digest prompt records: `inspect` re-derives them, and a format-1
-transcript (which stored each user prompt in full) is refused by every
-reader, completed or partial, and left as it is."""
+"""Format 3 stores each fact once: every record type holds exactly its pinned
+payload keys, `inspect` re-derives each prompt digest, and a transcript in an
+older format (format 1 stored each user prompt in full, format 2 copied six
+fields) is refused by every reader, completed or partial, and left as it is."""
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -8,13 +10,13 @@ from pathlib import Path
 import pytest
 
 from esclab import transcript as ts
-from esclab.agents import LlmPolicy
+from esclab.agents import LlmPolicy, load_script
 from esclab.cli import main
 from esclab.client import MockTransport
-from esclab.errors import ParseError, ValidationError
+from esclab.errors import ParseError, TransportError, ValidationError
 from esclab.experiments import inspect_experiment, load_plan, run_experiment, run_seed
 from esclab.mockdata import CalibratedResponder
-from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
+from esclab.orchestrator import LlmUpdater, TemplateUpdater, Treatment, run_simulation
 from esclab.prompts import PromptTemplates, PromptVariant, default_templates, text_sha256
 from esclab.report import build_report
 
@@ -43,9 +45,36 @@ treatments:
     return load_plan(path)
 
 
+def to_format_2(path: Path) -> None:
+    """Rewrite a transcript as format 2 wrote it, with the six fields format 3
+    no longer copies."""
+    records = ts.read_records(path)
+    header = records[0]["payload"]
+    header["transcript_format"] = 2
+    treatment = header["treatment"]
+    system_sha256 = next(r["payload"]["sha256"] for r in records if r["type"] == ts.SYSTEM_PROMPT)
+    for record in records:
+        payload = record["payload"]
+        if record["type"] == ts.SYSTEM_PROMPT:
+            payload["variant"] = treatment["variant"]
+        elif record["type"] == ts.PROMPT:
+            payload["system_sha256"] = system_sha256
+        elif record["type"] == ts.LLM_CALL:
+            payload["temperature"] = treatment["temperature"]
+        elif record["type"] == ts.TURN:
+            payload["nation"] = record["nation"]
+            for action in payload["actions"]:
+                action["raw_text"] = json.dumps(action, sort_keys=True)
+        elif record["type"] == ts.RUN_END:
+            payload["days_completed"] = sum(r["type"] == ts.DAY for r in records)
+    ts.rewrite(path, records)
+
+
 def to_format_1(path: Path) -> None:
-    """Rewrite a transcript as format 1 wrote it: no format or visibility in
-    the header, no user template, the user text in every prompt record."""
+    """Rewrite a transcript as format 1 wrote it: format 2 without a format or
+    visibility in the header or a user template, and with the user text in
+    every prompt record."""
+    to_format_2(path)
     records = ts.read_records(path)
     for record in records:
         payload = record["payload"]
@@ -84,19 +113,77 @@ def experiment_copy(small_experiment, tmp_path):
     return plan, copy
 
 
+# The payload keys of each record type, and of each action of a turn.
+PAYLOAD_KEYS = {
+    ts.RUN_START: {"transcript_format", "run_id", "scenario_name", "days", "seed", "treatment",
+                   "taxonomy_version", "intra_day_visibility"},
+    ts.SYSTEM_PROMPT: {"sha256", "text", "user_template"},
+    ts.PROMPT: {"user_sha256"},
+    ts.LLM_CALL: {"tag", "model", "max_tokens", "content", "finish_reason", "latency",
+                  "attempt_count"},
+    ts.PARSE_FAILURE: {"nation", "attempt", "reason", "detail", "content"},
+    ts.TURN: {"actions", "private_thoughts", "parse_attempts", "fallback", "deviations"},
+    ts.DAY: {"scores", "summary"},
+    ts.RUN_END: {"status", "reason"},
+}
+ACTION_KEYS = {"action", "target"}
+
+
+class TestPayloadKeys:
+    def _key_sets(self, path: Path) -> dict[str, set[frozenset]]:
+        key_sets: dict[str, set[frozenset]] = {}
+        for record in ts.read_records(path):
+            key_sets.setdefault(record["type"], set()).add(frozenset(record["payload"]))
+            if record["type"] == ts.TURN:
+                key_sets.setdefault("action", set()).update(
+                    frozenset(action) for action in record["payload"]["actions"]
+                )
+        return key_sets
+
+    def test_every_record_type_holds_exactly_its_keys(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=3)
+        calibrated = CalibratedResponder(taxonomy, short)
+
+        def respond(request):
+            if "|d03|Purple|" in request.request_tag:
+                raise TransportError("endpoint outage")
+            if "|Red|a1" in request.request_tag:
+                return "no decision today"
+            return calibrated(request)
+
+        transport = MockTransport(respond)
+        llm = tmp_path / "llm.jsonl"
+        run = run_simulation(
+            short, taxonomy, Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
+            LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
+            seed=5, transcript_path=llm,
+        )
+        assert run.status == "aborted"
+        scripted = tmp_path / "scripted.jsonl"
+        run_simulation(
+            short, taxonomy, Treatment("t0.5-context", 0.5, PromptVariant.CONTEXT),
+            load_script(DATA / "demo_script.yaml"), TemplateUpdater(),
+            seed=5, transcript_path=scripted,
+        )
+        expected = {type_: {frozenset(keys)} for type_, keys in PAYLOAD_KEYS.items()}
+        expected["action"] = {frozenset(ACTION_KEYS)}
+        assert self._key_sets(llm) == expected
+        scripted_types = {ts.RUN_START, ts.SYSTEM_PROMPT, ts.TURN, ts.DAY, ts.RUN_END, "action"}
+        assert self._key_sets(scripted) == {type_: expected[type_] for type_ in scripted_types}
+
+
 class TestDigestRecords:
     def test_prompt_records_hold_digests_and_header_holds_format(self, small_experiment):
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 2
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 3
         assert header["intra_day_visibility"] is False
         system = records[1]["payload"]
         assert system["user_template"] == default_templates().user
         prompts = [r["payload"] for r in records if r["type"] == ts.PROMPT]
         assert len(prompts) == 14 * 8
-        assert all(set(p) == {"user_sha256", "system_sha256"} for p in prompts)
-        assert {p["system_sha256"] for p in prompts} == {system["sha256"]}
+        assert all(set(p) == {"user_sha256"} for p in prompts)
 
     def test_custom_templates_are_the_recorded_ones(self, scenario, taxonomy, tmp_path):
         shipped = default_templates()
@@ -117,8 +204,6 @@ class TestDigestRecords:
         assert system["text"].startswith("CUSTOM ")
         assert system["sha256"] == text_sha256(system["text"])
         assert system["user_template"] == templates.user
-        prompts = [r["payload"] for r in records if r["type"] == ts.PROMPT]
-        assert {p["system_sha256"] for p in prompts} == {system["sha256"]}
         assert ts.verify_prompts(path, scenario) == (14 * 8, [])
 
 
@@ -191,17 +276,23 @@ class TestInspect:
             inspect_experiment(out / "manifest.json")
 
 
-class TestFormat1Transcripts:
+class TestOlderFormats:
     @pytest.mark.parametrize(
-        "reader", ["load_run", "build_report", "run_experiment", "run_simulation"]
+        "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
     )
-    def test_completed_format_1_run_is_refused(
-        self, experiment_copy, tmp_path, scenario, taxonomy, reader
+    @pytest.mark.parametrize("state", ["completed", "partial"])
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_transcript_is_refused_and_left_as_it_is(
+        self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
         plan, out = experiment_copy
         path = out / "transcripts" / "t1.0-default-r00.jsonl"
         manifest = out / "manifest.json"
-        to_format_1(path)
+        if state == "partial":
+            records = ts.read_records(path)
+            day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
+            ts.rewrite(path, records[: day_3 + 5])
+        {1: to_format_1, 2: to_format_2}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -216,20 +307,11 @@ class TestFormat1Transcripts:
                 seed=run_seed(3, "t1.0-default", 0), transcript_path=path,
                 run_id="t1.0-default-r00",
             ),
+            "inspect": lambda: inspect_experiment(manifest),
         }[reader]
-        with pytest.raises(ValidationError, match="t1.0-default-r00.jsonl is in format 1, not 2"):
+        with pytest.raises(
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 3"
+        ):
             read()
         assert transport.request_count == 0
         assert {file: file.read_bytes() for file in before} == before
-
-    def test_partial_format_1_transcript_is_refused_not_resumed(self, experiment_copy):
-        plan, out = experiment_copy
-        path = out / "transcripts" / "t1.0-context-r01.jsonl"
-        to_format_1(path)
-        records = ts.read_records(path)
-        day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
-        ts.rewrite(path, records[: day_3 + 5])
-        partial = path.read_bytes()
-        with pytest.raises(ValidationError, match="format 1, not 2"):
-            run_experiment(plan, out)
-        assert path.read_bytes() == partial
