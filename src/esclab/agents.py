@@ -251,11 +251,14 @@ class LlmPolicy(AgentPolicy):
             nation,
             bundle.expects_private_thoughts,
         )
+        if isinstance(result, ParseFailure) and response.finish_reason == "length":
+            # A reply cut at max_tokens would fail as whatever its cut JSON does.
+            result = ParseFailure("truncated", f"cut at max_tokens: {result.reason}: "
+                                               f"{result.detail}")
         if isinstance(result, ParseFailure) and recorder is not None:
             recorder(
                 ts.PARSE_FAILURE,
                 {
-                    "nation": nation,
                     "attempt": attempt,
                     "reason": result.reason,
                     "detail": result.detail,

@@ -155,11 +155,19 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     result = inspect_experiment(args.manifest)
+    problems = []
     if result.mismatches:
-        raise ValidationError(
+        problems.append(
             f"{len(result.mismatches)} prompt digest mismatches in {result.prompts} "
             f"prompts of {result.runs} runs; first: {result.mismatches[0]}"
         )
+    if result.unsealed:
+        problems.append(
+            f"{len(result.unsealed)} of {result.runs} transcripts are not sealed "
+            f"(partial, or edited after they were written): {', '.join(result.unsealed)}"
+        )
+    if problems:
+        raise ValidationError("; ".join(problems))
     print(json.dumps({
         "manifest": args.manifest,
         "runs": result.runs,

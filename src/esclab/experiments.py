@@ -290,10 +290,14 @@ class InspectResult:
     runs: int
     prompts: int
     mismatches: list[str]
+    # The transcripts whose bytes do not end in the seal of a run_end
+    # record: partial ones, or ones edited after they were written.
+    unsealed: list[str]
 
 
 def inspect_experiment(manifest_path: str | Path) -> InspectResult:
-    """Re-derive the prompt digests of every transcript a manifest lists.
+    """Re-derive the prompt digests of every transcript a manifest lists,
+    and check each one's seal.
 
     Prompts are rendered from each transcript's own records, its recorded
     templates and the scenario at the manifest's ``scenario_path``.
@@ -304,12 +308,15 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
         scenario = load_scenario(manifest["scenario_path"])
         prompts = 0
         mismatches: list[str] = []
+        unsealed: list[str] = []
         for entry in manifest["runs"]:
             path = manifest_path.parent / entry["transcript"]
             checked, found = ts.verify_prompts(path, scenario)
             prompts += checked
             mismatches += [f"{entry['transcript']} {line}" for line in found]
-    return InspectResult(len(manifest["runs"]), prompts, mismatches)
+            if not ts.is_sealed(path):
+                unsealed.append(entry["transcript"])
+    return InspectResult(len(manifest["runs"]), prompts, mismatches, unsealed)
 
 
 @contextlib.contextmanager

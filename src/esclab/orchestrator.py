@@ -248,15 +248,13 @@ def play_run(
     days: list[DailyRecord] = []
     fallbacks = 0
     if prior is not None:
-        ts.rewrite(transcript_path, kept)
         days, fallbacks = list(prior.days), prior.fallbacks
-    elif transcript_path.exists():
-        # not resuming, or no day completed (perhaps a single torn line)
-        transcript_path.unlink()
     world = initial_world(scenario)
     for record in days:
         world = advance_day(world, record)
-    writer = ts.TranscriptWriter(transcript_path, start_seq=len(kept))
+    # Replaces any file there with the kept records: none when not resuming
+    # or when no day completed (perhaps a single torn line).
+    writer = ts.TranscriptWriter(transcript_path, kept)
     # Threads overlap only waiting: for an in-process policy they would
     # just contend for the interpreter lock.
     concurrent = not intra_day_visibility and not policy.in_process

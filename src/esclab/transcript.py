@@ -1,23 +1,39 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
 Every raw response, parse outcome, score and world summary for one run lands
-here; reports and replay consume nothing else.  Each fact is stored once
-(format 3): the record's ``nation`` names a turn's nation, ``run_start`` the
-treatment, and the ``system_prompt`` record the system text with its digest
-and the user template, so a ``prompt`` record holds only its user prompt's
-digest, which ``verify_prompts`` re-derives from the run's own records.
+here; reports and replay consume nothing else.  Each fact is stored once:
+the record's ``nation`` names a turn's nation, ``run_start`` the treatment,
+and the ``system_prompt`` record the system text with its digest and the
+user template, so a ``prompt`` record holds only its user prompt's digest,
+which ``verify_prompts`` re-derives from the run's own records.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files (wall-clock time is deliberately excluded;
 latency of live calls is recorded inside llm_call payloads).
+
+A finished transcript is sealed (format 4): the ``run_end`` payload holds
+the sha256 of every byte before the ``run_end`` line.  A transcript is
+sealed when it has no torn tail, its last line is a ``run_end`` record and
+that digest matches.  A reader names the record types it uses, and of a
+sealed completed run only the lines whose canonical ending ``"type":"<t>"}``
+(``encode_record`` sorts keys, so ``type`` comes last) names one of them
+are decoded, each passing the same record check.  Any other transcript
+(an aborted run, whose kept records resume writes back, or one partial,
+torn, edited or of an older format) is decoded and checked line by line.
+The seal guards against accident, not against a forger: a line that is
+not a record still fails unless someone recomputes the seal over it, and
+whoever can do that can as well write well-formed false records.
+``verify_prompts`` decodes every line whatever the seal says, and
+``is_sealed`` tells whether a file's bytes are those its writer sealed.
 """
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Collection
 
 from .errors import ParseError, ValidationError
 from .prompts import PromptVariant, render_user_text, text_sha256
@@ -33,11 +49,13 @@ from .scenario import (
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
-# Format 3 stores each fact once; format 2 also copied a turn's nation into
-# its payload, the system digest into every prompt record, the temperature
-# into every llm_call and a re-encoded reply into every action.  Format 1
-# stored every user prompt in full.
-TRANSCRIPT_FORMAT = 3
+# Format 4 seals a finished transcript with the digest of its bytes in
+# run_end, and no longer copies a parse failure's nation into its payload.
+# Format 3 stored each other fact once; format 2 also copied a turn's nation
+# into its payload, the system digest into every prompt record, the
+# temperature into every llm_call and a re-encoded reply into every action.
+# Format 1 stored every user prompt in full.
+TRANSCRIPT_FORMAT = 4
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -51,9 +69,12 @@ RUN_END = "run_end"
 # Receives (record type, payload) for each record a query produces.
 Recorder = Callable[[str, dict], None]
 
+# The records that rebuild a run's days and outcome.
+_RUN_TYPES = frozenset({RUN_START, TURN, DAY, RUN_END})
 
-# Records whose write ends a unit that resume keeps: the writer flushes
-# after these only.
+
+# Records whose write ends a unit that resume keeps: the writer writes its
+# pending lines out after these only.
 _FLUSHED_AFTER = {DAY, RUN_END}
 
 # The canonical record encoding and its decoder, built once rather than per
@@ -71,32 +92,60 @@ def encode_record(seq: int, type_: str, payload: dict, day: int | None = None,
 
 
 class TranscriptWriter:
-    """Incremental writer, flushed after every ``day`` and ``run_end`` record.
+    """Incremental writer: records reach the file after every ``day`` and
+    ``run_end`` record, and on ``close``.
 
-    A killed process therefore loses at most the day in progress, and leaves
-    the file cut at any byte, even inside a record or a multi-byte
-    character.  Resume drops that torn tail and discards the records after
-    the last ``day``, so it replays such a day anyway; ``close`` flushes
-    everything.
+    It atomically replaces any file at ``path`` with the records ``kept``
+    (a resumed run's prefix), then appends.  A killed process therefore
+    loses at most the day in progress, and may leave the file cut at any
+    byte, even inside a record or a multi-byte character.  Resume drops that
+    torn tail and discards the records after the last ``day``, so it replays
+    such a day anyway.  The ``run_end`` record it writes gains ``sha256``,
+    the digest of every byte before it, so a resumed run ends with the seal
+    of an uninterrupted one.
     """
 
-    def __init__(self, path: str | Path, start_seq: int = 0):
+    def __init__(self, path: str | Path, kept: list[dict] = ()):
         self.path = Path(path)
-        self._seq = start_seq
+        self._seq = len(kept)
+        self._hash = hashlib.sha256()
+        # A record read back holds exactly the keys encode_record writes.
+        self._pending = [_ENCODER.encode(record) + "\n" for record in kept]
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a", encoding="utf-8")
+        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
+        self._handle = tmp.open("wb")
+        try:
+            self._flush()
+            os.replace(tmp, self.path)
+        except BaseException:
+            self._handle.close()
+            raise
+
+    def _flush(self) -> None:
+        """Hash and write the pending lines, in one piece."""
+        lines, self._pending = self._pending, []
+        data = "".join(lines).encode("utf-8")
+        self._hash.update(data)
+        self._handle.write(data)
+        self._handle.flush()
 
     def write(self, type_: str, payload: dict, day: int | None = None,
               nation: str | None = None) -> int:
         seq = self._seq
-        self._handle.write(encode_record(seq, type_, payload, day, nation) + "\n")
+        if type_ == RUN_END:
+            self._flush()
+            payload = {**payload, "sha256": self._hash.hexdigest()}
+        self._pending.append(encode_record(seq, type_, payload, day, nation) + "\n")
         if type_ in _FLUSHED_AFTER:
-            self._handle.flush()
+            self._flush()
         self._seq += 1
         return seq
 
     def close(self) -> None:
-        self._handle.close()
+        try:
+            self._flush()
+        finally:
+            self._handle.close()
 
     def __enter__(self) -> "TranscriptWriter":
         return self
@@ -118,47 +167,87 @@ def split_lines(data: bytes) -> tuple[list[str], bytes]:
     return str(memoryview(data)[:cut], "utf-8").split("\n")[:-1], data[cut:]
 
 
-def read_records(path: str | Path, tolerate_partial_tail: bool = False) -> list[dict]:
-    """Read all records; optionally drop a torn final line (crashed writer).
+def _decode(line: str) -> dict:
+    """The record on one line, with no whitespace around it; ``ValueError``
+    or ``RecursionError`` unless it is a record (an object with exactly the
+    keys ``encode_record`` writes, its payload an object)."""
+    # raw_decode: json.loads would match that whitespace again.
+    record, end = _DECODER.raw_decode(line)
+    if not (end == len(line) and type(record) is dict and record.keys() == _RECORD_KEYS
+            and type(record["payload"]) is dict):
+        raise ValueError("not a record")
+    return record
+
+
+def _seal(data: bytes) -> dict | None:
+    """The ``run_end`` payload that seals the transcript bytes ``data``;
+    None if they are not sealed.  The ``run_end`` line must be canonical,
+    as ``encode_record`` writes it, so that its type ends it too."""
+    if not data.endswith(b"\n"):
+        return None
+    start = data.rfind(b"\n", 0, -1) + 1
+    try:
+        line = str(data[start:-1], "utf-8")
+        record = _decode(line)
+    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
+        return None
+    end = record["payload"]
+    if (record["type"] != RUN_END or _ENCODER.encode(record) != line
+            or end.get("sha256") != hashlib.sha256(memoryview(data)[:start]).hexdigest()):
+        return None
+    return end
+
+
+def is_sealed(path: str | Path) -> bool:
+    """Whether the transcript at ``path`` ends in the seal of its bytes: a
+    finished transcript that no one has edited since its writer closed it."""
+    try:
+        return _seal(Path(path).read_bytes()) is not None
+    except OSError as exc:
+        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
+
+
+def read_records(path: str | Path, tolerate_partial_tail: bool = False,
+                 types: Collection[str] | None = None) -> list[dict]:
+    """Read the records; optionally drop a torn final line (crashed writer).
 
     A record is whole only with its "\n": a final line without one is torn
     even where it would parse.  A line that is not a record (an object with
     exactly the keys ``encode_record`` writes, its payload an object) is a
-    ``ParseError``.
+    ``ParseError``.  Of a sealed completed run, only the records of the
+    given ``types`` are read (all when it is None); of any other transcript,
+    every record.
     """
     try:
-        lines, tail = split_lines(Path(path).read_bytes())
+        data = Path(path).read_bytes()
+        lines, tail = split_lines(data)
     except OSError as exc:
         raise ParseError(f"cannot read transcript {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"transcript {path} is not UTF-8: {exc}")
     if tail and not tolerate_partial_tail:
         raise ParseError(f"bad transcript line {len(lines) + 1} in {path}: torn, no newline")
+    numbered = enumerate(lines, 1)
+    end = _seal(data) if types is not None else None
+    if end is not None and end.get("status") == "completed":
+        # The writer's own lines, each ending in its canonical type.
+        wanted = tuple(f'"type":{_ENCODER.encode(type_)}}}' for type_ in types)
+        numbered = [(line_no, line) for line_no, line in numbered if line.endswith(wanted)]
     records = []
-    for line_no, line in enumerate(lines, 1):
+    for line_no, line in numbered:
         line = line.strip(" \t\r")  # the whitespace JSON allows around a value
         if not line:
             continue
         try:
-            # raw_decode: json.loads would match that whitespace again.
-            record, end = _DECODER.raw_decode(line)
+            records.append(_decode(line))
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
-        if not (end == len(line) and type(record) is dict and record.keys() == _RECORD_KEYS
-                and type(record["payload"]) is dict):
-            raise ParseError(f"bad transcript line {line_no} in {path}: not a record")
-        records.append(record)
     return records
 
 
 def rewrite(path: str | Path, records: list[dict]) -> None:
     """Atomically replace a transcript with the given records."""
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with tmp.open("w", encoding="utf-8") as handle:
-        # A record read back holds exactly the keys encode_record writes.
-        handle.writelines(_ENCODER.encode(record) + "\n" for record in records)
-    os.replace(tmp, path)
+    TranscriptWriter(path, records).close()
 
 
 @dataclass
@@ -307,14 +396,15 @@ def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
 
 @_reader
 def load_run(path: str | Path) -> TranscriptRun:
-    return reconstruct_run(read_records(path), path)
+    return reconstruct_run(read_records(path, types=_RUN_TYPES), path)
 
 
 @_reader
 def read_turns(path: str | Path) -> dict[tuple[int, str], AgentTurn]:
     """Every turn of the transcript at ``path``, by day and nation."""
     return {(record["day"], record["nation"]): decode_turn(record)
-            for record in read_records(path) if record["type"] == TURN}
+            for record in read_records(path, types=(TURN,))
+            if record["type"] == TURN}
 
 
 @_reader
@@ -322,7 +412,7 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     """What the transcript at ``path`` holds of the run whose ``run_start``
     payload is ``header``, as ``(run or None, records to keep)``.
 
-    - ``(run, records)``: the run, completed; nothing is left to play.
+    - ``(run, [])``: the run, completed; nothing is left to play or keep.
     - ``(run, records up to its last completed day)``: a partial run, its
       days and fallbacks those of the kept records.  What follows that day
       (a half-written day, an abort marker) is played again, so the
@@ -332,10 +422,12 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     - ``ValidationError``: a transcript of a different run, or one in
       another transcript format.
 
-    It decodes each kept turn once and no turn after the cut.
+    It decodes each kept turn once and no turn after the cut, and of a
+    sealed completed run only the records that rebuild it.
     """
     path = Path(path)
-    records = read_records(path, tolerate_partial_tail=True) if path.exists() else []
+    records = (read_records(path, tolerate_partial_tail=True, types=_RUN_TYPES)
+               if path.exists() else [])
     if not records:
         return None, []
     if _run_start(records, path) != header:
@@ -344,7 +436,7 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
         )
     end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
     if end is not None and end["status"] == "completed":
-        return reconstruct_run(records, path), records
+        return reconstruct_run(records, path), []
     cut = next((i for i in range(len(records) - 1, 0, -1) if records[i]["type"] == DAY), 0)
     if not cut:
         return None, []

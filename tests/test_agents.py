@@ -16,7 +16,7 @@ from esclab.agents import (
     load_script,
     parse_agent_response,
 )
-from esclab.client import MockTransport
+from esclab.client import MockTransport, ReplayTransport
 from esclab.errors import ParseError, ValidationError
 from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
@@ -181,6 +181,31 @@ class TestDecideWithRetry:
         failures = [payload for kind, payload in events if kind == "parse_failure"]
         assert [f["reason"] for f in failures] == ["empty_reply"] * 3
         assert all(f["content"] is None for f in failures)
+
+    @pytest.mark.parametrize("finish_reason,reason", [
+        ("length", "truncated"), ("stop", "no_document"),
+    ])
+    def test_reply_cut_at_max_tokens_fails_as_truncated(
+        self, taxonomy, scenario, tmp_path, finish_reason, reason
+    ):
+        cut = '{"actions": [{"action": "wa'
+        cassette = tmp_path / "cassette.jsonl"
+        cassette.write_text("".join(json.dumps({
+            "tag": f"run|d01|Blue|a{attempt}", "request_sha": "any", "request": {},
+            "response": {"content": content, "finish_reason": finish_reason},
+        }) + "\n" for attempt, content in [(1, cut), (2, '{"actions": [{"action": "wait"}]}')]),
+            encoding="utf-8")
+        policy = LlmPolicy(ReplayTransport(cassette, mode="fuzzy"), model="m")
+        events = []
+        turn = decide_with_retry(
+            policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
+            request_tag="run|d01|Blue",
+            recorder=lambda kind, payload: events.append((kind, payload)),
+        )
+        # A reply that parses is a turn whatever its finish reason.
+        assert (turn.actions[0].action_id, turn.parse_attempts) == ("wait", 2)
+        failures = [payload for kind, payload in events if kind == "parse_failure"]
+        assert [(f["attempt"], f["reason"], f["content"]) for f in failures] == [(1, reason, cut)]
 
     def test_valid_on_second_attempt(self, taxonomy, scenario):
         def responder(request):

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -330,10 +331,21 @@ TRANSCRIPT_CASES = [
     ("turn-action-list", "turn", ("payload", "actions", 0, "action"), ["wait"], 1, 1, 0),
     ("day-no-scores", "day", ("payload", "scores"), DELETE, 1, 1, 1),
     ("day-scores-list", "day", ("payload", "scores"), lambda s: list(s.values()), 1, 1, 1),
-    ("header-no-seed", "run_start", ("payload", "seed"), DELETE, 1, 0, 1),
+    ("header-no-seed", "run_start", ("payload", "seed"), DELETE, 1, 1, 1),
     ("header-treatment-1", "run_start", ("payload", "treatment"), 1, 1, 1, 1),
     ("run-end-payload-list", "run_end", ("payload",), [], 1, 1, 1),
 ]
+# Every edit also breaks the transcript's seal, which alone fails inspect, so
+# each case pins the error inspect reports: verify_prompts' ParseError, except
+# where it reads the edit and inspect reports what it found instead.
+INSPECT_ERRORS = {
+    "turn-action-list": ("ValidationError", r"\d+ prompt digest mismatches in 336 prompts .*"),
+    # inspect reads no seed: the broken seal is all it finds.
+    "header-no-seed": ("ValidationError", re.escape(
+        "1 of 3 transcripts are not sealed (partial, or edited after they were written): "
+        "transcripts/t1.0-default-r01.jsonl"
+    )),
+}
 MANIFEST_CASES = [
     ("manifest-string", (), json.dumps, 1, 1, 0),
     ("runs-3", ("runs",), 3, 1, 1, 0),
@@ -395,21 +407,25 @@ class TestCorruptedRunFiles:
             "inspect": ["inspect", "--manifest", str(exp / "manifest.json")],
             "experiment": ["experiment", "--plan", str(plan), "--out", str(exp)],
         }
+        errors = {}
         for (name, argv), code in zip(commands.items(), codes):
             assert (name, main(argv)) == (name, code)
             err = capsys.readouterr().err.strip().splitlines()
             if code:
                 assert len(err) == 1, (name, err)
-                assert set(json.loads(err[0])) == {"error", "message"}
+                errors[name] = json.loads(err[0])
+                assert set(errors[name]) == {"error", "message"}
             if name == "report" and code:
                 assert not report.exists() or not any(report.rglob("*"))
+        return errors
 
     @pytest.mark.parametrize(
-        "where,keys,value,codes",
-        [(w, k, v, codes) for _, w, k, v, *codes in TRANSCRIPT_CASES],
+        "case,where,keys,value,codes",
+        [(c, w, k, v, codes) for c, w, k, v, *codes in TRANSCRIPT_CASES],
         ids=[case[0] for case in TRANSCRIPT_CASES],
     )
-    def test_transcript(self, llm_experiment, tmp_path, capsys, where, keys, value, codes):
+    def test_transcript(self, llm_experiment, tmp_path, capsys, case, where, keys, value,
+                        codes):
         shutil.copytree(llm_experiment[1], tmp_path / "exp")
         path = tmp_path / "exp" / self.TRANSCRIPT
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").split("\n")[:-1]]
@@ -418,7 +434,10 @@ class TestCorruptedRunFiles:
         )
         lines[index] = _edited(lines[index], keys, value)
         path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-        self._commands(llm_experiment, tmp_path, capsys, codes)
+        errors = self._commands(llm_experiment, tmp_path, capsys, codes)
+        error, message = INSPECT_ERRORS.get(case, ("ParseError", ".*"))
+        assert errors["inspect"]["error"] == error
+        assert re.fullmatch(message, errors["inspect"]["message"])
 
     @pytest.mark.parametrize(
         "keys,value,codes",

@@ -21,13 +21,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "de76a3b32e553c151631f94a2d35b384ca74396d202babfcb0962e09546a310d",
+        "d846b1ba0f4d0d8e4b57e80700695905da708301cff0b34a02beca854df938e6",
     "t1.0-default-r01.jsonl":
-        "fd2857ba69a35cd61645340cb3ffa0593aef71f0589e8336f3d99a1f777eac52",
+        "6071a195f4e636dd83c09f207b62e3bfa5ea29afc9ce680a0a6a23a83b83545c",
     "t1.0-reflection-planning-r00.jsonl":
-        "f59f514eee43d6d73ed149ce175998fb4d6b16e607995055bd22f3d1c06d12ce",
+        "53c671dcdf550227118caadabafc71e091f1af1ac95a5891f58d9484a9ece729",
     "t1.0-reflection-planning-r01.jsonl":
-        "baead2e2d0e1f733afcb510f2f624175df65624abbf7e737f5b94f5e9841f787",
+        "bd9a94a5c403f17a0982da57188b6f7ca2a5a7d51d12ff66a5edd610b72d0e51",
 }
 MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {

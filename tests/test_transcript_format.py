@@ -1,14 +1,20 @@
-"""Format 3 stores each fact once: every record type holds exactly its pinned
-payload keys, `inspect` re-derives each prompt digest, and a transcript in an
-older format (format 1 stored each user prompt in full, format 2 copied six
-fields) is refused by every reader, completed or partial, and left as it is."""
+"""Format 4 stores each fact once and seals a finished transcript: every
+record type holds exactly its pinned payload keys, `inspect` re-derives each
+prompt digest and lists the transcripts whose bytes no longer match their
+seal, a sealed transcript is read as a broken-seal one is while only the
+records a reader uses are decoded, and a transcript in an older format
+(format 1 stored each user prompt in full, format 2 copied six fields,
+format 3 had no seal) is refused by every reader, completed or partial, and
+left as it is."""
 import dataclasses
+import hashlib
 import json
 import shutil
 from pathlib import Path
 
 import pytest
 
+from conftest import small_scenario
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy, load_script
 from esclab.cli import main
@@ -45,9 +51,23 @@ treatments:
     return load_plan(path)
 
 
+def to_format_3(path: Path) -> None:
+    """Rewrite a transcript as format 3 wrote it: without a seal, and with
+    each parse failure's nation in its payload."""
+    records = ts.read_records(path)
+    records[0]["payload"]["transcript_format"] = 3
+    for record in records:
+        if record["type"] == ts.RUN_END:
+            del record["payload"]["sha256"]
+        elif record["type"] == ts.PARSE_FAILURE:
+            record["payload"]["nation"] = record["nation"]
+    ts.rewrite(path, records)
+
+
 def to_format_2(path: Path) -> None:
     """Rewrite a transcript as format 2 wrote it, with the six fields format 3
     no longer copies."""
+    to_format_3(path)
     records = ts.read_records(path)
     header = records[0]["payload"]
     header["transcript_format"] = 2
@@ -121,10 +141,10 @@ PAYLOAD_KEYS = {
     ts.PROMPT: {"user_sha256"},
     ts.LLM_CALL: {"tag", "model", "max_tokens", "content", "finish_reason", "latency",
                   "attempt_count"},
-    ts.PARSE_FAILURE: {"nation", "attempt", "reason", "detail", "content"},
+    ts.PARSE_FAILURE: {"attempt", "reason", "detail", "content"},
     ts.TURN: {"actions", "private_thoughts", "parse_attempts", "fallback", "deviations"},
     ts.DAY: {"scores", "summary"},
-    ts.RUN_END: {"status", "reason"},
+    ts.RUN_END: {"status", "reason", "sha256"},
 }
 ACTION_KEYS = {"action", "target"}
 
@@ -177,13 +197,23 @@ class TestDigestRecords:
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 3
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 4
         assert header["intra_day_visibility"] is False
         system = records[1]["payload"]
         assert system["user_template"] == default_templates().user
         prompts = [r["payload"] for r in records if r["type"] == ts.PROMPT]
         assert len(prompts) == 14 * 8
         assert all(set(p) == {"user_sha256"} for p in prompts)
+
+    def test_run_end_seals_every_byte_before_it(self, small_experiment):
+        _, out = small_experiment
+        for path in sorted((out / "transcripts").glob("*.jsonl")):
+            data = path.read_bytes()
+            start = data.rfind(b"\n", 0, -1) + 1
+            end = json.loads(data[start:])
+            assert end["type"] == ts.RUN_END
+            assert end["payload"]["sha256"] == hashlib.sha256(data[:start]).hexdigest()
+            assert ts.is_sealed(path)
 
     def test_custom_templates_are_the_recorded_ones(self, scenario, taxonomy, tmp_path):
         shipped = default_templates()
@@ -257,6 +287,42 @@ class TestInspect:
             "user_sha256 not re-derived"
         ]
 
+    def test_edited_reply_breaks_only_its_seal(self, experiment_copy, capsys):
+        _, out = experiment_copy
+        name = "transcripts/t1.0-context-r01.jsonl"
+        path = out / name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        index = next(i for i, line in enumerate(lines) if line.endswith('"type":"llm_call"}'))
+        at = lines[index].index('"content":"') + len('"content":"')
+        assert lines[index][at] not in '\\"X'
+        lines[index] = lines[index][:at] + "X" + lines[index][at + 1:]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        result = inspect_experiment(out / "manifest.json")
+        assert (result.runs, result.prompts, result.mismatches) == (4, 448, [])
+        assert result.unsealed == [name]
+        assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error == {"error": "ValidationError", "message": (
+            f"1 of 4 transcripts are not sealed "
+            f"(partial, or edited after they were written): {name}")}
+
+    def test_partial_transcript_is_listed_as_not_sealed(self, experiment_copy, capsys):
+        # What a resume killed after writing back a run's kept records leaves
+        # under the manifest of the invocation before it.
+        _, out = experiment_copy
+        name = "transcripts/t1.0-default-r00.jsonl"
+        records = ts.read_records(out / name)
+        day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
+        ts.rewrite(out / name, records[: day_3 + 1])
+        result = inspect_experiment(out / "manifest.json")
+        assert (result.runs, result.prompts, result.mismatches) == (4, 3 * 112 + 3 * 8, [])
+        assert result.unsealed == [name]
+        assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert error["message"] == (
+            f"1 of 4 transcripts are not sealed (partial, or edited after they were written): "
+            f"{name}")
+
     def test_format_1_transcript_is_not_passed_unchecked(self, experiment_copy):
         _, out = experiment_copy
         to_format_1(out / "transcripts" / "t1.0-default-r00.jsonl")
@@ -281,7 +347,7 @@ class TestOlderFormats:
         "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
     )
     @pytest.mark.parametrize("state", ["completed", "partial"])
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_transcript_is_refused_and_left_as_it_is(
         self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
@@ -292,7 +358,7 @@ class TestOlderFormats:
             records = ts.read_records(path)
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
             ts.rewrite(path, records[: day_3 + 5])
-        {1: to_format_1, 2: to_format_2}[version](path)
+        {1: to_format_1, 2: to_format_2, 3: to_format_3}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -310,8 +376,134 @@ class TestOlderFormats:
             "inspect": lambda: inspect_experiment(manifest),
         }[reader]
         with pytest.raises(
-            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 3"
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 4"
         ):
             read()
         assert transport.request_count == 0
         assert {file: file.read_bytes() for file in before} == before
+
+
+def break_seal(path: Path) -> None:
+    """Set the seal of a sealed transcript to a digest its bytes lack."""
+    assert ts.is_sealed(path)
+    edit_record(path, lambda r: r["type"] == ts.RUN_END, lambda p: p.update(sha256="0" * 64))
+    assert not ts.is_sealed(path)
+
+
+def readings(path: Path) -> tuple:
+    """What every reader that names its record types makes of a transcript."""
+    header = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["payload"]
+    return ts.load_run(path), ts.stored_run(path, header), ts.read_turns(path)
+
+
+@pytest.fixture(scope="module")
+def sealed_runs(small_experiment, tmp_path_factory, taxonomy):
+    """Sealed transcripts of a tiny calibrated plan, a reflection run with
+    parse failures and a fallback, a run aborted by ``max_requests`` and a
+    scripted run."""
+    root = tmp_path_factory.mktemp("sealed")
+    paths = sorted((small_experiment[1] / "transcripts").glob("*.jsonl"))
+
+    scenario = small_scenario(n_nations=3, days=3)
+    calibrated = CalibratedResponder(taxonomy, scenario, runs_per_treatment=1)
+
+    def respond(request):
+        if "|Alpha|" in request.request_tag or "|d02|Beta|a1" in request.request_tag:
+            return "no decision"
+        return calibrated(request)
+
+    transport = MockTransport(respond)
+    reflection = root / "reflection.jsonl"
+    run = run_simulation(
+        scenario, taxonomy,
+        Treatment("t1.0-reflection-planning", 1.0, PromptVariant.REFLECTION_PLANNING),
+        LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
+        seed=3, transcript_path=reflection,
+    )
+    assert run.completed and run.fallbacks == 3
+    paths.append(reflection)
+
+    aborted = run_experiment(llm_plan(root, runs=1, extra="max_requests: 140"), root / "aborted")
+    assert [(r.status, len(r.days)) for r in aborted.runs] == [("completed", 14), ("aborted", 1)]
+    paths += sorted((root / "aborted" / "transcripts").glob("*.jsonl"))
+
+    scripted = root / "scripted.jsonl"
+    run_simulation(
+        scenario, taxonomy, Treatment("t0.5-context", 0.5, PromptVariant.CONTEXT),
+        load_script(DATA / "demo_script.yaml"), TemplateUpdater(),
+        seed=5, transcript_path=scripted,
+    )
+    paths.append(scripted)
+    return paths
+
+
+class TestSeal:
+    def test_sealed_and_broken_seal_read_alike(self, sealed_runs, tmp_path):
+        for path in sealed_runs:
+            sealed = readings(path)
+            broken = tmp_path / path.name
+            shutil.copyfile(path, broken)
+            break_seal(broken)
+            assert readings(broken) == sealed, path.name
+
+    def test_reencoded_run_end_line_is_no_seal(self, sealed_runs, tmp_path):
+        # The digest still covers every byte before the line, but its type no
+        # longer ends it.
+        path = sealed_runs[0]
+        edited = tmp_path / path.name
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[-2] = json.dumps(json.loads(lines[-2]))
+        edited.write_text("\n".join(lines), encoding="utf-8")
+        assert not ts.is_sealed(edited)
+        assert readings(edited) == readings(path)
+        assert ts.load_run(edited).completed
+
+    def test_aborted_sealed_run_keeps_every_record_to_its_last_day(self, sealed_runs):
+        path = next(p for p in sealed_runs if p.parts[-3:-1] == ("aborted", "transcripts")
+                    and p.name == "t1.0-context-r00.jsonl")
+        records = ts.read_records(path)
+        run, kept = readings(path)[1]
+        assert (run.status, len(run.days)) == ("partial", 1)
+        day_1 = next(i for i, r in enumerate(records) if r["type"] == ts.DAY)
+        assert kept == records[: day_1 + 1]
+        assert {r["type"] for r in kept} >= {ts.PROMPT, ts.LLM_CALL}
+
+    @pytest.mark.parametrize("reader", ["build_report", "run_experiment"])
+    def test_malformed_line_in_a_once_sealed_transcript_is_a_parse_error(
+        self, experiment_copy, tmp_path, reader
+    ):
+        plan, out = experiment_copy
+        path = out / "transcripts" / "t1.0-default-r01.jsonl"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        index = next(i for i, line in enumerate(lines) if line.endswith('"type":"llm_call"}'))
+        lines[index] = lines[index][:-2]
+        path.write_text("\n".join(lines), encoding="utf-8")
+        read = {
+            "build_report": lambda: build_report(out / "manifest.json", tmp_path / "report"),
+            "run_experiment": lambda: run_experiment(plan, out),
+        }[reader]
+        with pytest.raises(ParseError, match=rf"bad transcript line {index + 1} in .*r01.jsonl"):
+            read()
+
+    def test_report_decodes_only_the_records_it_uses(
+        self, small_experiment, tmp_path, monkeypatch
+    ):
+        _, out = small_experiment
+        decoder = ts._DECODER
+        decoded = []
+
+        class Counting:
+            def raw_decode(self, line):
+                record, end = decoder.raw_decode(line)
+                decoded.append(record["type"])
+                return record, end
+
+        monkeypatch.setattr(ts, "_DECODER", Counting())
+        build_report(out / "manifest.json", tmp_path / "report")
+        used = [json.loads(line)["type"]
+                for path in sorted((out / "transcripts").glob("*.jsonl"))
+                for line in path.read_text(encoding="utf-8").splitlines()]
+        used = [type_ for type_ in used if type_ in {ts.RUN_START, ts.TURN, ts.DAY, ts.RUN_END}]
+        # Each seal check decodes the run_end line once more.
+        assert sorted(decoded) == sorted(used + [ts.RUN_END] * 4)
+        assert len(used) == 4 * (1 + 14 * 8 + 14 + 1)
