@@ -16,7 +16,6 @@ from .agents import (
     AgentTurn,
     LlmPolicy,
     ParseFailure,
-    ReplayPolicy,
     ScriptedPolicy,
     decide_with_retry,
     parse_agent_response,

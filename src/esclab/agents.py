@@ -1,12 +1,12 @@
 """Turning prompts into validated action turns via pluggable policies.
 
 LlmPolicy queries a transport with the assembled prompts and parses the
-untrusted reply; ScriptedPolicy plays a fixed day-to-actions table;
-ReplayPolicy re-issues the turns stored in a prior transcript.  All of them
+untrusted reply; ScriptedPolicy plays a fixed day-to-actions table.  Both
 produce AgentTurn values whose action ids are guaranteed to resolve in the
-taxonomy: model replies and script entries pass the same action validator,
-and replayed turns are decoded by the transcript module that wrote them.
-The ``llm_call`` record of each request is written by ``client.complete``.
+taxonomy: model replies and script entries pass the same action validator.
+A recorded run is replayed through its cassette (``client.ReplayTransport``
+under LlmPolicy), never from its transcript.  The ``llm_call`` record of
+each request is written by ``client.complete``.
 
 A policy holds only how to reach a model: the run's treatment and taxonomy
 arrive with each call and the scenario with the world, so every request
@@ -313,31 +313,6 @@ class ScriptedPolicy(AgentPolicy):
         return AgentTurn(nation=nation, actions=tuple(validated))
 
 
-class ReplayPolicy(AgentPolicy):
-    """Re-issues the turns recorded in a prior transcript (one run only)."""
-
-    def __init__(self, transcript_path: str | Path):
-        self._turns = ts.read_turns(transcript_path)
-
-    def decide(
-        self,
-        world: WorldState,
-        nation: str,
-        treatment: Treatment,
-        taxonomy: ActionTaxonomy,
-        attempt: int = 1,
-        request_tag: str = "",
-        recorder: ts.Recorder | None = None,
-    ) -> AgentTurn:
-        day = world.current_day + 1
-        try:
-            return self._turns[(day, nation)]
-        except KeyError:
-            raise ValidationError(
-                f"transcript has no turn for nation {nation!r} on day {day}"
-            ) from None
-
-
 def decide_with_retry(
     policy: AgentPolicy,
     world: WorldState,
@@ -369,9 +344,7 @@ def decide_with_retry(
         if isinstance(result, AgentTurn):
             if result.deviations:
                 log.info("protocol deviation for %s: %s", nation, result.deviations)
-            # Stamp the attempt count unless the policy already carries one
-            # (ReplayPolicy preserves the original run's value).
-            if result.parse_attempts == 1 and attempt > 1:
+            if attempt > 1:
                 result = replace(result, parse_attempts=attempt)
             return result
     log.warning(

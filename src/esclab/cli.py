@@ -20,15 +20,13 @@ from .agents import DEFAULT_PARSE_RETRIES
 from .errors import EsclabError, ValidationError
 from .experiments import (
     DEFAULT_MODEL,
+    TRANSCRIPT_DIR,
     ExperimentPlan,
-    build_policy,
-    build_transport,
-    build_updater,
     inspect_experiment,
     load_plan,
     run_experiment,
 )
-from .orchestrator import Treatment, run_simulation
+from .orchestrator import Treatment
 from .prompts import PromptVariant, build_prompts, extension_word_count
 from .scenario import initial_world, load_scenario, default_scenario_path
 from .scoring import Aggregator
@@ -81,8 +79,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    taxonomy = load_taxonomy(args.taxonomy)
     treatment = Treatment(
         label=args.label or f"t{args.temperature:g}-{args.variant}",
         temperature=args.temperature,
@@ -113,27 +109,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         model=args.model,
         max_parse_retries=args.max_parse_retries,
     )
-    api_key = os.environ.get(API_KEY_ENV)
-    transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
-    policy = build_policy(plan, transport)
-    updater = build_updater(plan, transport)
-    out_dir = Path(args.out)
-    transcript_path = out_dir / "transcripts" / f"{treatment.label}-s{args.seed}.jsonl"
-    run = run_simulation(
-        scenario, taxonomy, treatment, policy, updater,
-        seed=args.seed,
-        transcript_path=transcript_path,
-        max_parse_retries=args.max_parse_retries,
-        resume=not args.no_resume,
-    )
+    result = run_experiment(plan, args.out, api_key=os.environ.get(API_KEY_ENV))
+    run = result.runs[0]
     print(json.dumps({
         "run_id": run.run_id,
         "status": run.status,
         "abort_reason": run.abort_reason,
         "days": len(run.days),
-        "requests": transport.request_count,
+        "requests": result.new_requests,
         "fallbacks": run.fallbacks,
-        "transcript": str(transcript_path),
+        "transcript": str(Path(args.out) / TRANSCRIPT_DIR / f"{run.run_id}.jsonl"),
     }))
     return 0 if run.completed else 1
 
@@ -244,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="directory with system.txt/user.txt overrides")
     p_validate.set_defaults(func=_cmd_validate)
 
-    p_sim = sub.add_parser("simulate", help="run one seeded simulation")
+    p_sim = sub.add_parser(
+        "simulate", help="run one seeded simulation: a one-treatment, one-run experiment")
     p_sim.add_argument("--scenario", default=str(default_scenario_path()))
     p_sim.add_argument("--taxonomy", default=str(default_taxonomy_path()))
     p_sim.add_argument("--temperature", type=float, default=1.0)
@@ -262,7 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--updater", default="llm", choices=["llm", "template"])
     p_sim.add_argument("--model", default=DEFAULT_MODEL)
     p_sim.add_argument("--max-parse-retries", type=int, default=DEFAULT_PARSE_RETRIES)
-    p_sim.add_argument("--no-resume", action="store_true")
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(func=_cmd_simulate)
 

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Callable, Iterable
 
 from .errors import AuthError, BudgetExceeded, ParseError, TransportError, ValidationError
 from .scenario import require_type
-from .transcript import LLM_CALL, Recorder, split_lines
+from .transcript import LLM_CALL, Recorder, split_lines, utf8
 
 if TYPE_CHECKING:
     import requests
@@ -107,7 +107,7 @@ def wire_body(request: ChatRequest) -> dict:
 
 def body_digest(body: dict) -> str:
     canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class RequestBudget:
@@ -461,8 +461,8 @@ class RecordingTransport(Transport):
             if not self._tail_checked:
                 _end_on_whole_line(self.path)
                 self._tail_checked = True
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+            with self.path.open("ab") as handle:
+                handle.write(utf8(line + "\n"))
         return response
 
     @property

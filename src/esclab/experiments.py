@@ -303,7 +303,7 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
     templates and the scenario at the manifest's ``scenario_path``.
     """
     manifest_path = Path(manifest_path)
-    with manifest_lock(manifest_path.parent, shared=True):
+    with manifest_lock(manifest_path, shared=True):
         manifest = load_manifest(manifest_path)
         scenario = load_scenario(manifest["scenario_path"])
         prompts = 0
@@ -320,11 +320,17 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
 
 
 @contextlib.contextmanager
-def manifest_lock(out_dir: Path, shared: bool = False):
-    """Advisory lock guarding the manifest: exclusive for writers (the
-    experiment runner), shared for readers (report)."""
-    lock_path = Path(out_dir) / "manifest.lock"
-    lock_path.touch(exist_ok=True)
+def manifest_lock(manifest_path: Path, shared: bool = False):
+    """Advisory lock guarding the manifest at ``manifest_path``, a file in its
+    directory: exclusive for writers (the experiment runner), shared for
+    readers (report, inspect).  A directory that cannot hold it (one that
+    does not exist, say) is a ``ParseError`` naming the manifest."""
+    manifest_path = Path(manifest_path)
+    lock_path = manifest_path.with_name("manifest.lock")
+    try:
+        lock_path.touch(exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot lock manifest {manifest_path}: {exc}") from exc
     mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
     with lock_path.open("r") as handle:
         try:
@@ -395,19 +401,27 @@ def run_experiment(
     best-effort.  The manifest is written once, atomically, when the runs
     end, listing every run that finished even when an exception ends them
     early; after a hard kill a re-run restores it.  The advisory manifest
-    lock is held for the whole execution.
+    lock is held for the whole execution.  A scenario, taxonomy, transport
+    or script that cannot be loaded is refused before anything is written.
     """
-    out_dir = Path(out_dir)
-    (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
-    with manifest_lock(out_dir):
-        return _execute(plan, out_dir, api_key)
-
-
-def _execute(plan: ExperimentPlan, out_dir: Path, api_key: str | None) -> ExperimentResult:
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
     transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
     policy = build_policy(plan, transport)
+    out_dir = Path(out_dir)
+    (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
+    with manifest_lock(out_dir / MANIFEST_NAME):
+        return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
+
+
+def _execute(
+    plan: ExperimentPlan,
+    out_dir: Path,
+    scenario: Scenario,
+    taxonomy: ActionTaxonomy,
+    transport: Transport,
+    policy: AgentPolicy,
+) -> ExperimentResult:
     updater = build_updater(plan, transport)
 
     handles = [

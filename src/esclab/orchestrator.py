@@ -7,16 +7,18 @@ waits on an endpoint (its ``in_process`` is false: a model policy on
 anything but an in-process mock, replay or a recording of one) they are
 issued concurrently, one thread per nation.  Each query's records are
 buffered and written in roster order once it settles, so the transcript
-bytes do not depend on completion order.  Every other policy (scripted,
-replay, or one wrapping another) and ``intra_day_visibility`` runs query the
-nations one after another.  The transcript is written incrementally and a
+bytes do not depend on completion order.  Every other policy (scripted, or
+one wrapping another) and ``intra_day_visibility`` runs query the nations
+one after another.  The transcript is written incrementally and a
 crashed run resumes from its last completed day, reproducing the
 uninterrupted bytes exactly.
 
 A run's treatment and taxonomy come only from the arguments of
 ``run_simulation`` (or of ``play_run``, which plays on from what
 ``transcript.stored_run`` read) and reach the policy and the world updater
-with every call.
+with every call.  ``run_simulation`` is the library's single-run call;
+``esclab simulate`` plays its run as a one-run experiment instead, so that
+its transcript is the ``-r00`` run of the matching plan.
 
 A run comes back as ``transcript.TranscriptRun``, the record that reading
 its transcript gives: built from memory for a run played here, read back for
@@ -201,18 +203,16 @@ def run_simulation(
     transcript_path,
     run_id: str | None = None,
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
-    resume: bool = True,
     intra_day_visibility: bool = False,
 ) -> ts.TranscriptRun:
     """Play one seeded game of scenario.days days and persist the transcript.
 
-    With ``resume``, ``transcript.stored_run`` decides what the transcript
-    already holds: a completed run is returned as-is, a partial one is cut
-    back to its last completed day and continued, and a transcript of a
-    different run is refused with ``ValidationError``.  Without it, any
-    transcript there is replaced.  Transport failures abort the run (partial
-    transcript retained) rather than skipping nations, so no biased partial
-    days enter the statistics.
+    ``transcript.stored_run`` decides what the transcript already holds: a
+    completed run is returned as-is, a partial one is cut back to its last
+    completed day and continued, and a transcript of a different run is
+    refused with ``ValidationError``.  Transport failures abort the run
+    (partial transcript retained) rather than skipping nations, so no biased
+    partial days enter the statistics.
     """
     if max_parse_retries < 0:
         raise ValidationError("max_parse_retries must be >= 0")
@@ -220,7 +220,7 @@ def run_simulation(
     run_id = run_id or f"{treatment.label}-s{seed}"
     header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility)
 
-    prior, kept = ts.stored_run(transcript_path, header) if resume else (None, [])
+    prior, kept = ts.stored_run(transcript_path, header)
     if prior is not None and prior.completed:
         return prior
     return play_run(scenario, taxonomy, treatment, policy, world_updater, header,
@@ -252,8 +252,8 @@ def play_run(
     world = initial_world(scenario)
     for record in days:
         world = advance_day(world, record)
-    # Replaces any file there with the kept records: none when not resuming
-    # or when no day completed (perhaps a single torn line).
+    # Replaces any file there with the kept records: none when no day
+    # completed (perhaps a single torn line).
     writer = ts.TranscriptWriter(transcript_path, kept)
     # Threads overlap only waiting: for an in-process policy they would
     # just contend for the interpreter lock.

@@ -73,8 +73,10 @@ EXTENSION_TEXTS: dict[PromptVariant, str] = {
 
 
 def text_sha256(text: str) -> str:
-    """The digest transcripts store for a prompt text."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    """The digest transcripts store for a prompt text.  A lone surrogate,
+    which a world summary may hold from a reply, is hashed as the three
+    bytes ``surrogatepass`` encodes it to."""
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @dataclass(frozen=True)

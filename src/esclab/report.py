@@ -112,7 +112,7 @@ def build_report(
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with manifest_lock(manifest_path.parent, shared=True):
+    with manifest_lock(manifest_path, shared=True):
         manifest = load_manifest(manifest_path)
         aggregator = aggregator or Aggregator(manifest["aggregator"])
         taxonomy = load_taxonomy(taxonomy_path or manifest["taxonomy_path"])

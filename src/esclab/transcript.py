@@ -1,11 +1,12 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
 Every raw response, parse outcome, score and world summary for one run lands
-here; reports and replay consume nothing else.  Each fact is stored once:
-the record's ``nation`` names a turn's nation, ``run_start`` the treatment,
-and the ``system_prompt`` record the system text with its digest and the
-user template, so a ``prompt`` record holds only its user prompt's digest,
-which ``verify_prompts`` re-derives from the run's own records.
+here; reports consume nothing else, and a run is replayed from its cassette
+(``client.ReplayTransport``), not from its transcript.  Each fact is stored
+once: the record's ``nation`` names a turn's nation, ``run_start`` the
+treatment, and the ``system_prompt`` record the system text with its digest
+and the user template, so a ``prompt`` record holds only its user prompt's
+digest, which ``verify_prompts`` re-derives from the run's own records.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files (wall-clock time is deliberately excluded;
 latency of live calls is recorded inside llm_call payloads).
@@ -31,6 +32,7 @@ import functools
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Collection
@@ -83,6 +85,20 @@ _ENCODER = json.JSONEncoder(sort_keys=True, ensure_ascii=False, separators=(",",
 _DECODER = json.JSONDecoder()
 # The keys of every record, as encode_record writes them.
 _RECORD_KEYS = frozenset({"seq", "type", "day", "nation", "payload"})
+# A code point that UTF-8 cannot encode, yet a decoded reply may hold.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def utf8(text: str) -> bytes:
+    """The UTF-8 bytes of JSON text, with each surrogate code point in it (a
+    reply decoded from JSON may hold a lone one) written as its ``\\u``
+    escape.  A lone one decodes back to itself; a high one just before a low
+    one decodes, as JSON has it, to the one character they form.  Text
+    without one keeps its bytes, and nothing else in text with one changes."""
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:
+        return _SURROGATE.sub(lambda m: f"\\u{ord(m[0]):04x}", text).encode("utf-8")
 
 
 def encode_record(seq: int, type_: str, payload: dict, day: int | None = None,
@@ -124,7 +140,7 @@ class TranscriptWriter:
     def _flush(self) -> None:
         """Hash and write the pending lines, in one piece."""
         lines, self._pending = self._pending, []
-        data = "".join(lines).encode("utf-8")
+        data = utf8("".join(lines))
         self._hash.update(data)
         self._handle.write(data)
         self._handle.flush()
@@ -146,12 +162,6 @@ class TranscriptWriter:
             self._flush()
         finally:
             self._handle.close()
-
-    def __enter__(self) -> "TranscriptWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def split_lines(data: bytes) -> tuple[list[str], bytes]:
@@ -192,7 +202,7 @@ def _seal(data: bytes) -> dict | None:
     except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
         return None
     end = record["payload"]
-    if (record["type"] != RUN_END or _ENCODER.encode(record) != line
+    if (record["type"] != RUN_END or utf8(_ENCODER.encode(record)) != data[start:-1]
             or end.get("sha256") != hashlib.sha256(memoryview(data)[:start]).hexdigest()):
         return None
     return end
@@ -291,22 +301,6 @@ def turn_actions(record: dict) -> tuple[str, tuple[ChosenAction, ...]]:
                           for a in record["payload"]["actions"]])
 
 
-def decode_turn(record: dict) -> AgentTurn:
-    """The turn of a turn record: the inverse of ``turn_payload``."""
-    from .agents import AgentTurn  # agents imports this module
-
-    nation, actions = turn_actions(record)
-    payload = record["payload"]
-    return AgentTurn(
-        nation=nation,
-        actions=actions,
-        private_thoughts=payload["private_thoughts"],
-        parse_attempts=payload["parse_attempts"],
-        fallback=payload["fallback"],
-        deviations=tuple(payload["deviations"]),
-    )
-
-
 def _day_record(record: dict, actions_by_nation: dict) -> DailyRecord:
     """The ``DailyRecord`` of a ``day`` record and the actions of its turns."""
     payload = record["payload"]
@@ -397,14 +391,6 @@ def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
 @_reader
 def load_run(path: str | Path) -> TranscriptRun:
     return reconstruct_run(read_records(path, types=_RUN_TYPES), path)
-
-
-@_reader
-def read_turns(path: str | Path) -> dict[tuple[int, str], AgentTurn]:
-    """Every turn of the transcript at ``path``, by day and nation."""
-    return {(record["day"], record["nation"]): decode_turn(record)
-            for record in read_records(path, types=(TURN,))
-            if record["type"] == TURN}
 
 
 @_reader

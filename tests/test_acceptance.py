@@ -237,7 +237,6 @@ class TestCriterion7TemperaturePlumbing:
             LlmUpdater(transport, model="m"),
             seed=0,
             transcript_path=tmp_path / f"acc7-{temperature}.jsonl",
-            resume=False,
         )
         assert run.completed
         assert transport.captured, "no bodies captured"

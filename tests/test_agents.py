@@ -9,7 +9,6 @@ from esclab.agents import (
     AgentTurn,
     LlmPolicy,
     ParseFailure,
-    ReplayPolicy,
     ScriptedPolicy,
     decide_with_retry,
     fallback_turn,
@@ -286,49 +285,9 @@ class TestPolicies:
         with pytest.raises(ParseError, match=match):
             load_script(path)
 
-    def test_replay_policy_reads_turn_events(self, taxonomy, scenario, tmp_path):
-        from esclab.transcript import TranscriptWriter
-
-        path = tmp_path / "run.jsonl"
-        with TranscriptWriter(path) as writer:
-            writer.write("turn", {
-                "nation": "Blue",
-                "actions": [{"action": "wait", "target": None, "raw_text": "x"}],
-                "private_thoughts": None,
-                "parse_attempts": 1,
-                "fallback": False,
-                "deviations": [],
-            }, day=1, nation="Blue")
-        policy = ReplayPolicy(path)
-        world = initial_world(scenario)
-        turn = policy.decide(world, "Blue", DEFAULT, taxonomy)
-        assert turn.actions[0].action_id == "wait"
-        with pytest.raises(ValidationError):
-            policy.decide(world, "Red", DEFAULT, taxonomy)
-
     def test_fallback_turn_scores_zero(self, taxonomy):
         turn = fallback_turn(taxonomy, "Blue", attempts=4)
         assert daily_score([turn], taxonomy)["Blue"] == 0
-
-
-class TestReplayFidelity:
-    def test_replay_preserves_original_parse_attempts(self, taxonomy, scenario, tmp_path):
-        from esclab.transcript import TranscriptWriter
-
-        path = tmp_path / "run.jsonl"
-        with TranscriptWriter(path) as writer:
-            writer.write("turn", {
-                "nation": "Blue",
-                "actions": [{"action": "wait", "target": None, "raw_text": "x"}],
-                "private_thoughts": None,
-                "parse_attempts": 3,
-                "fallback": False,
-                "deviations": [],
-            }, day=1, nation="Blue")
-        policy = ReplayPolicy(path)
-        world = initial_world(scenario)
-        turn = decide_with_retry(policy, world, "Blue", DEFAULT, taxonomy)
-        assert turn.parse_attempts == 3
 
 
 DEEPLY_NESTED = '{"a":' + "[" * 100000 + "]" * 100000 + "}"
@@ -389,12 +348,3 @@ class TestScriptedValidation:
         with pytest.raises(ValidationError, match="unknown-target.*Atlantis"):
             policy.decide(world, "Blue", DEFAULT, taxonomy)
 
-
-class TestReplayPolicyReader:
-    def test_torn_transcript_line_is_a_parse_error(self, tmp_path):
-        from esclab.errors import ParseError
-
-        path = tmp_path / "run.jsonl"
-        path.write_text('{"seq": 0, "type": "turn"\n{}\n', encoding="utf-8")
-        with pytest.raises(ParseError, match="line 1"):
-            ReplayPolicy(path)

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from esclab.cli import main
+from esclab.cli import build_parser, main
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def _fresh_interpreter(probe: str, *args: str) -> list[str]:
@@ -131,6 +133,30 @@ class TestSimulate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["requests"] == 126
         assert payload["fallbacks"] == 0
+        assert main(["simulate", "--out", str(tmp_path), "--seed", "1",
+                     "--temperature", "0.5", "--label", "t0.5-default"]) == 0
+        again = json.loads(capsys.readouterr().out)
+        assert again == {**payload, "requests": 0}
+
+    def test_simulate_is_run_r00_of_the_matching_experiment(self, tmp_path, capsys):
+        exp, sim = tmp_path / "exp", tmp_path / "sim"
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(exp)]) == 0
+        assert main([
+            "simulate", "--policy", "scripted", "--script", str(DATA / "demo_script.yaml"),
+            "--updater", "template", "--seed", "7", "--label", "t1.0-default",
+            "--out", str(sim),
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        transcript = sim / "transcripts" / "t1.0-default-r00.jsonl"
+        assert (payload["run_id"], payload["transcript"]) == ("t1.0-default-r00", str(transcript))
+        expected = exp / "transcripts" / "t1.0-default-r00.jsonl"
+        assert transcript.read_bytes() == expected.read_bytes()
+        assert main(["inspect", "--manifest", str(sim / "manifest.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["runs"] == 1
+        assert main(["report", "--manifest", str(sim / "manifest.json"),
+                     "--out", str(tmp_path / "report"), "--no-timestamp"]) == 0
+        assert (tmp_path / "report" / "summary.csv").exists()
 
     def test_negative_parse_retries_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -291,7 +317,7 @@ class TestRefusedInputs:
         assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
         assert self._only_error(capsys) == error
         assert not list(tmp_path.rglob("*.jsonl"))
-        assert not (out / "manifest.json").exists()
+        assert not out.exists()
 
     def test_simulate_label_with_a_slash(self, tmp_path, capsys):
         out = tmp_path / "sim"
@@ -300,6 +326,13 @@ class TestRefusedInputs:
             "--updater", "template", "--label", "grp/a", "--out", str(out),
         ]) == 1
         assert self._only_error(capsys) == "ValidationError"
+        assert not out.exists()
+
+    def test_simulate_missing_scenario(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
+                     "--out", str(out)]) == 1
+        assert self._only_error(capsys) == "ParseError"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "inspect"])
@@ -314,6 +347,47 @@ class TestRefusedInputs:
         assert main([command, "--manifest", str(exp / "manifest.json"), *extra]) == 1
         assert self._only_error(capsys) == "ParseError"
         assert not report.exists() or not any(report.rglob("*"))
+
+
+    @pytest.mark.parametrize("command", ["report", "inspect"])
+    def test_manifest_in_a_missing_directory(self, tmp_path, capsys, command):
+        manifest = tmp_path / "missing" / "manifest.json"
+        report = tmp_path / "report"
+        extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
+        assert main([command, "--manifest", str(manifest), *extra]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError"
+        assert str(manifest) in error["message"]
+        assert not manifest.parent.exists()
+        assert not report.exists() or not any(report.rglob("*"))
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The arguments of each ``esclab`` command in README.md's CLI block."""
+    section = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words[:1] == ["esclab"]:
+            commands.append(words[1:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_block_parses(self, capsys):
+        commands = readme_cli_commands()
+        assert {argv[0] for argv in commands} == {
+            "validate", "simulate", "experiment", "inspect", "report"
+        }
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README: esclab {shlex.join(argv)}: {capsys.readouterr().err}")
 
 
 DELETE = object()

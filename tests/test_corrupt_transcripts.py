@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import small_scenario
 from esclab import transcript as ts
-from esclab.agents import LlmPolicy, ReplayPolicy
+from esclab.agents import LlmPolicy
 from esclab.client import MockTransport
 from esclab.errors import EsclabError
 from esclab.mockdata import CalibratedResponder
@@ -92,7 +92,6 @@ class TestOneCorruptedLine:
             lambda: ts.load_run(corrupted),
             lambda: ts.stored_run(corrupted, header),
             lambda: ts.verify_prompts(corrupted, scenario),
-            lambda: ReplayPolicy(corrupted),
         ):
             try:
                 read()

@@ -448,23 +448,23 @@ class TestManifestLock:
     def test_writer_lock_is_exclusive(self, tmp_path):
         from esclab.experiments import manifest_lock
 
-        out = tmp_path / "out"
-        out.mkdir()
-        with manifest_lock(out):
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.parent.mkdir()
+        with manifest_lock(manifest):
             with pytest.raises(ValidationError, match="holds it"):
-                with manifest_lock(out):
+                with manifest_lock(manifest):
                     pass
             with pytest.raises(ValidationError, match="holds it"):
-                with manifest_lock(out, shared=True):
+                with manifest_lock(manifest, shared=True):
                     pass
 
     def test_shared_readers_coexist(self, tmp_path):
         from esclab.experiments import manifest_lock
 
-        out = tmp_path / "out"
-        out.mkdir()
-        with manifest_lock(out, shared=True):
-            with manifest_lock(out, shared=True):
+        manifest = tmp_path / "out" / "manifest.json"
+        manifest.parent.mkdir()
+        with manifest_lock(manifest, shared=True):
+            with manifest_lock(manifest, shared=True):
                 pass
 
 

@@ -24,7 +24,7 @@ from esclab.orchestrator import (
 )
 from esclab.prompts import PromptTemplates, PromptVariant
 from esclab.scenario import ChosenAction, initial_world
-from esclab.transcript import load_run, read_records
+from esclab.transcript import is_sealed, load_run, read_records, verify_prompts
 
 from conftest import small_scenario
 from oracles import transcript_category_counts, transcript_scores
@@ -637,6 +637,41 @@ class TestLineSeparatorsInReplies:
         assert oracle["daily"][2] == dict(run.days[1].daily_score_by_nation)
         assert transcript_category_counts([path], {spec.id: spec.category.value
                                                    for spec in taxonomy.actions})
+
+
+class TestLoneSurrogateInReplies:
+    """A decoded reply may hold a lone surrogate, which UTF-8 cannot encode:
+    the lines holding one are written with its JSON escape."""
+
+    REPLY = '{"actions": [{"action": "wait"}], "x": "\ud800"}'
+
+    @pytest.mark.parametrize("updater", ["template", "llm"])
+    def test_run_is_sealed_read_back_and_replayed(self, scenario, taxonomy, tmp_path, updater):
+        short = dataclasses.replace(scenario, days=2)
+        cassette = tmp_path / "cassette.jsonl"
+
+        def play(transport, path):
+            world = LlmUpdater(transport, model="m") if updater == "llm" else TemplateUpdater()
+            return run_simulation(short, taxonomy, treatment(), LlmPolicy(transport, model="m"),
+                                  world, seed=1, transcript_path=path)
+
+        path = tmp_path / "run.jsonl"
+        run = play(RecordingTransport(MockTransport(self.REPLY), cassette), path)
+        assert run.completed and run.fallbacks == 0
+        assert is_sealed(path)
+        records = read_records(path)
+        calls = [r["payload"]["content"] for r in records if r["type"] == "llm_call"]
+        assert calls == [self.REPLY] * (18 if updater == "llm" else 16)
+        lines = path.read_bytes().split(b"\n")[:-1]
+        assert [b"\\ud800" in line for line in lines] == [
+            "\ud800" in json.dumps(record, ensure_ascii=False) for record in records
+        ]
+        assert load_run(path) == run
+        assert verify_prompts(path, short) == (16, [])
+        assert b"\\ud800" in cassette.read_bytes()
+        replayed = tmp_path / "replayed.jsonl"
+        assert play(ReplayTransport(cassette, mode="strict"), replayed) == run
+        assert replayed.read_bytes() == path.read_bytes()
 
 
 class TestRunRecordIsTranscriptRecord:

@@ -393,7 +393,7 @@ def break_seal(path: Path) -> None:
 def readings(path: Path) -> tuple:
     """What every reader that names its record types makes of a transcript."""
     header = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["payload"]
-    return ts.load_run(path), ts.stored_run(path, header), ts.read_turns(path)
+    return ts.load_run(path), ts.stored_run(path, header)
 
 
 @pytest.fixture(scope="module")
@@ -457,6 +457,14 @@ class TestSeal:
         assert not ts.is_sealed(edited)
         assert readings(edited) == readings(path)
         assert ts.load_run(edited).completed
+
+    def test_run_end_holding_a_lone_surrogate_is_sealed(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        writer = ts.TranscriptWriter(path)
+        writer.write(ts.RUN_END, {"status": "aborted", "reason": "TransportError: \ud800"})
+        writer.close()
+        assert b"\\ud800" in path.read_bytes()
+        assert ts.is_sealed(path)
 
     def test_aborted_sealed_run_keeps_every_record_to_its_last_day(self, sealed_runs):
         path = next(p for p in sealed_runs if p.parts[-3:-1] == ("aborted", "transcripts")
