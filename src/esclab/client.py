@@ -470,6 +470,20 @@ class RecordingTransport(Transport):
         return self.inner.request_count
 
 
+def _joined_surrogates(content):
+    """Reply text with each high surrogate just before a low one joined into
+    the one character they form, as a JSON decoder joins their escapes, so
+    the transcript reads back as the text the run used; lone surrogates
+    stay.  Anything else is returned as it is."""
+    if isinstance(content, str):
+        try:
+            content.encode("utf-8")
+        except UnicodeEncodeError:  # it holds a surrogate
+            return content.encode("utf-16-le", "surrogatepass").decode(
+                "utf-16-le", "surrogatepass")
+    return content
+
+
 def complete(
     transport: Transport,
     request: ChatRequest,
@@ -499,8 +513,9 @@ def complete(
             if not exc.transient:
                 raise
             continue
-        if response.attempt_count != attempts:
-            response = replace(response, attempt_count=attempts)
+        content = _joined_surrogates(response.content)
+        if response.attempt_count != attempts or content is not response.content:
+            response = replace(response, content=content, attempt_count=attempts)
         if recorder is not None:
             recorder(
                 LLM_CALL,

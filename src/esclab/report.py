@@ -111,7 +111,6 @@ def build_report(
     """Compute all tables and figures for one experiment manifest."""
     manifest_path = Path(manifest_path)
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with manifest_lock(manifest_path, shared=True):
         manifest = load_manifest(manifest_path)
         aggregator = aggregator or Aggregator(manifest["aggregator"])
@@ -167,6 +166,9 @@ def build_report(
         ]
         for label in labels
     ]
+    # Only now, with every run read and checked: a refused report leaves no
+    # directory behind.
+    out_dir.mkdir(parents=True, exist_ok=True)
     summary_csv = out_dir / "summary.csv"
     _write_csv(
         summary_csv,

@@ -20,6 +20,10 @@ sealed completed run only the lines whose canonical ending ``"type":"<t>"}``
 are decoded, each passing the same record check.  Any other transcript
 (an aborted run, whose kept records resume writes back, or one partial,
 torn, edited or of an older format) is decoded and checked line by line.
+A no-op re-run (``stored_run``) so decodes two lines of each sealed
+completed transcript, ``run_start`` and ``run_end``, which decide the skip;
+the skipped run reads its days and fallbacks when either is first used,
+and refuses them unless the file is still sealed as the skip saw it.
 The seal guards against accident, not against a forger: a line that is
 not a record still fails unless someone recomputes the seal over it, and
 whoever can do that can as well write well-formed false records.
@@ -33,7 +37,7 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Collection
 
@@ -73,6 +77,8 @@ Recorder = Callable[[str, dict], None]
 
 # The records that rebuild a run's days and outcome.
 _RUN_TYPES = frozenset({RUN_START, TURN, DAY, RUN_END})
+# The records that decide whether a run is to be skipped.
+_SKIP_TYPES = (RUN_START, RUN_END)
 
 
 # Records whose write ends a unit that resume keeps: the writer writes its
@@ -228,6 +234,13 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False,
     given ``types`` are read (all when it is None); of any other transcript,
     every record.
     """
+    return _read(path, tolerate_partial_tail, types)[0]
+
+
+def _read(path: str | Path, tolerate_partial_tail: bool,
+          types: Collection[str] | None) -> tuple[list[dict], dict | None]:
+    """``read_records``, and the ``run_end`` payload that seals the file:
+    None if it is not sealed, or if ``types`` is None (not looked at)."""
     try:
         data = Path(path).read_bytes()
         lines, tail = split_lines(data)
@@ -252,7 +265,7 @@ def read_records(path: str | Path, tolerate_partial_tail: bool = False,
             records.append(_decode(line))
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
-    return records
+    return records, end
 
 
 def rewrite(path: str | Path, records: list[dict]) -> None:
@@ -263,7 +276,14 @@ def rewrite(path: str | Path, records: list[dict]) -> None:
 @dataclass
 class TranscriptRun:
     """One run's outcome: what ``run_simulation`` returns, and what
-    ``reconstruct_run`` rebuilds from the transcript; all reports start here."""
+    ``reconstruct_run`` rebuilds from the transcript; all reports start here.
+
+    A completed run that ``stored_run`` skipped lacks its ``days`` and
+    ``fallbacks`` until either is first used.  Then its transcript is read
+    once, as ``load_run`` reads it, and checked: ``ValidationError`` unless
+    it is still sealed with the ``run_end`` and header the skip saw,
+    ``ParseError`` if it cannot be read.  Either way the run equals the one
+    ``load_run`` gives."""
 
     run_id: str
     scenario_name: str
@@ -273,11 +293,22 @@ class TranscriptRun:
     status: str  # completed | aborted | partial
     abort_reason: str | None
     days: list[DailyRecord]
-    fallbacks: int = 0
+    # A factory leaves no class attribute to stand in for a skipped run's
+    # fallbacks before they are read.
+    fallbacks: int = field(default_factory=int)
 
     @property
     def completed(self) -> bool:
         return self.status == "completed"
+
+    def __getattr__(self, name: str):
+        # Only a skipped run lacks days and fallbacks, until one is used.
+        read = self.__dict__.get("_read_days")
+        if read is None or name not in ("days", "fallbacks"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.days, self.fallbacks = read()
+        del self._read_days
+        return getattr(self, name)
 
 
 def turn_payload(turn: AgentTurn) -> dict:
@@ -408,11 +439,14 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     - ``ValidationError``: a transcript of a different run, or one in
       another transcript format.
 
-    It decodes each kept turn once and no turn after the cut, and of a
-    sealed completed run only the records that rebuild it.
+    Of a sealed completed run it decodes the ``run_start`` and ``run_end``
+    lines only, and the run it returns reads its days when they are first
+    used (see ``TranscriptRun``); a skip needs none of them.  Of any other
+    transcript it decodes every line, each kept turn once and no turn after
+    the cut.
     """
     path = Path(path)
-    records = (read_records(path, tolerate_partial_tail=True, types=_RUN_TYPES)
+    records = (read_records(path, tolerate_partial_tail=True, types=_SKIP_TYPES)
                if path.exists() else [])
     if not records:
         return None, []
@@ -422,13 +456,31 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
         )
     end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
     if end is not None and end["status"] == "completed":
-        return reconstruct_run(records, path), []
+        if len(records) > 2:  # not sealed, so decoded whole
+            return reconstruct_run(records, path), []
+        run = run_from_header(header, end["status"], end["reason"], [], 0)
+        del run.days, run.fallbacks  # read when first used: see __getattr__
+        run._read_days = functools.partial(_sealed_days, path, header, end)
+        return run, []
     cut = next((i for i in range(len(records) - 1, 0, -1) if records[i]["type"] == DAY), 0)
     if not cut:
         return None, []
     kept = records[: cut + 1]
     days, fallbacks, _ = _replay(kept)
     return run_from_header(header, "partial", None, days, fallbacks), kept
+
+
+@_reader
+def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord], int]:
+    """The days and fallbacks of the run that ``stored_run`` skipped, its
+    transcript still sealed with the ``run_end`` payload ``end``."""
+    records, seal = _read(path, False, _RUN_TYPES)
+    if seal != end or _run_start(records, path) != header:
+        raise ValidationError(
+            f"transcript {path} changed after its run was skipped; run the experiment again"
+        )
+    days, fallbacks, _ = _replay(records)
+    return days, fallbacks
 
 
 @_reader

@@ -673,6 +673,29 @@ class TestLoneSurrogateInReplies:
         assert play(ReplayTransport(cassette, mode="strict"), replayed) == run
         assert replayed.read_bytes() == path.read_bytes()
 
+    def test_surrogate_pair_is_kept_as_the_character_it_forms(
+        self, scenario, taxonomy, tmp_path
+    ):
+        # An in-process reply may hold a pair as two code points, which the
+        # transcript reads back as the one character they form: the run
+        # must use that character too.
+        pair = chr(0xD83D) + chr(0xDE00)
+
+        def respond(request):
+            if request.request_tag.endswith("|world"):
+                return "Calm day." + pair
+            return '{"actions": [{"action": "wait"}]}'
+
+        short = dataclasses.replace(scenario, days=2)
+        transport = MockTransport(respond)
+        path = tmp_path / "run.jsonl"
+        run = run_simulation(short, taxonomy, treatment(), LlmPolicy(transport, model="m"),
+                             LlmUpdater(transport, model="m"), seed=1, transcript_path=path)
+        assert run.completed and is_sealed(path)
+        assert [day.world_summary_after for day in run.days] == ["Calm day.\U0001F600"] * 2
+        assert load_run(path) == run
+        assert verify_prompts(path, short) == (16, [])
+
 
 class TestRunRecordIsTranscriptRecord:
     """run_simulation returns exactly what reading its transcript back gives."""

@@ -2,7 +2,9 @@
 record type holds exactly its pinned payload keys, `inspect` re-derives each
 prompt digest and lists the transcripts whose bytes no longer match their
 seal, a sealed transcript is read as a broken-seal one is while only the
-records a reader uses are decoded, and a transcript in an older format
+records a reader uses are decoded, a no-op re-run decodes two lines of a
+sealed completed transcript and its skipped run reads the days later, only
+from the file the skip saw, and a transcript in an older format
 (format 1 stored each user prompt in full, format 2 copied six fields,
 format 3 had no seal) is refused by every reader, completed or partial, and
 left as it is."""
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from conftest import small_scenario
+from esclab import experiments
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy, load_script
 from esclab.cli import main
@@ -437,6 +440,26 @@ def sealed_runs(small_experiment, tmp_path_factory, taxonomy):
     return paths
 
 
+@pytest.fixture
+def decoded(monkeypatch):
+    """The type of each record decoded from here on."""
+    decoder = ts._DECODER
+    types = []
+
+    class Counting:
+        def raw_decode(self, line):
+            record, end = decoder.raw_decode(line)
+            types.append(record["type"])
+            return record, end
+
+    monkeypatch.setattr(ts, "_DECODER", Counting())
+    return types
+
+
+def line_types(path: Path) -> list[str]:
+    return [json.loads(line)["type"] for line in path.read_text(encoding="utf-8").splitlines()]
+
+
 class TestSeal:
     def test_sealed_and_broken_seal_read_alike(self, sealed_runs, tmp_path):
         for path in sealed_runs:
@@ -493,25 +516,126 @@ class TestSeal:
         with pytest.raises(ParseError, match=rf"bad transcript line {index + 1} in .*r01.jsonl"):
             read()
 
-    def test_report_decodes_only_the_records_it_uses(
-        self, small_experiment, tmp_path, monkeypatch
-    ):
+    def test_report_decodes_only_the_records_it_uses(self, small_experiment, tmp_path, decoded):
         _, out = small_experiment
-        decoder = ts._DECODER
-        decoded = []
-
-        class Counting:
-            def raw_decode(self, line):
-                record, end = decoder.raw_decode(line)
-                decoded.append(record["type"])
-                return record, end
-
-        monkeypatch.setattr(ts, "_DECODER", Counting())
         build_report(out / "manifest.json", tmp_path / "report")
-        used = [json.loads(line)["type"]
-                for path in sorted((out / "transcripts").glob("*.jsonl"))
-                for line in path.read_text(encoding="utf-8").splitlines()]
-        used = [type_ for type_ in used if type_ in {ts.RUN_START, ts.TURN, ts.DAY, ts.RUN_END}]
+        used = [type_ for path in sorted((out / "transcripts").glob("*.jsonl"))
+                for type_ in line_types(path)
+                if type_ in {ts.RUN_START, ts.TURN, ts.DAY, ts.RUN_END}]
         # Each seal check decodes the run_end line once more.
         assert sorted(decoded) == sorted(used + [ts.RUN_END] * 4)
         assert len(used) == 4 * (1 + 14 * 8 + 14 + 1)
+
+
+def reflection_plan(tmp_path: Path, monkeypatch):
+    """A calibrated reflection plan of two runs, each with one fallback turn."""
+    path = tmp_path / "plan.yaml"
+    path.write_text(
+        f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 3
+runs_per_treatment: 2
+policy: llm
+world_updater: llm
+treatments:
+  - {{label: t1.0-reflection-planning, temperature: 1.0, variant: reflection_planning}}
+""",
+        encoding="utf-8",
+    )
+    plan = load_plan(path)
+
+    def build_transport(plan, taxonomy, scenario, api_key=None):
+        calibrated = CalibratedResponder(
+            taxonomy, scenario,
+            variants_by_label={"t1.0-reflection-planning": "reflection_planning"},
+            runs_per_treatment=plan.runs_per_treatment,
+        )
+
+        def respond(request):
+            if "|Blue|" in request.request_tag and "|d02|" in request.request_tag:
+                return "no decision"
+            return calibrated(request)
+
+        return MockTransport(respond)
+
+    monkeypatch.setattr(experiments, "build_transport", build_transport)
+    return plan
+
+
+class TestSkippedRun:
+    """A no-op re-run decides from each sealed completed transcript's
+    ``run_start`` and ``run_end`` lines; a skipped run reads its days when
+    they are first used, and only from the transcript the skip saw."""
+
+    def test_rerun_decodes_only_run_start_and_run_end(self, experiment_copy, decoded):
+        plan, out = experiment_copy
+        again = run_experiment(plan, out)
+        assert (again.skipped, again.new_requests) == (4, 0)
+        # Each seal check decodes the run_end line once more.
+        assert sorted(decoded) == sorted([ts.RUN_START, ts.RUN_END, ts.RUN_END] * 4)
+
+    def test_skipped_runs_read_the_days_of_the_first_invocation(self, tmp_path, monkeypatch):
+        plan = reflection_plan(tmp_path, monkeypatch)
+        first = run_experiment(plan, tmp_path / "out")
+        assert [(run.status, run.fallbacks) for run in first.runs] == [("completed", 1)] * 2
+        again = run_experiment(plan, tmp_path / "out")
+        assert (again.skipped, again.new_requests) == (2, 0)
+        paths = sorted((tmp_path / "out" / "transcripts").glob("*.jsonl"))
+        # One run is asked for its fallbacks first, the other for its days.
+        assert again.runs[0].fallbacks == 1
+        assert again.runs[1].days == first.runs[1].days
+        for run, path, played in zip(again.runs, paths, first.runs):
+            loaded = ts.load_run(path)
+            assert (run.days, run.fallbacks) == (loaded.days, loaded.fallbacks)
+            assert run == loaded == played
+
+    @pytest.mark.parametrize("change", ["resealed", "unsealed", "deleted"])
+    def test_transcript_changed_after_the_skip(self, experiment_copy, change):
+        plan, out = experiment_copy
+        path = out / "transcripts" / "t1.0-default-r01.jsonl"
+        untouched = ts.load_run(out / "transcripts" / "t1.0-default-r00.jsonl")
+        again = run_experiment(plan, out)
+        if change == "deleted":
+            path.unlink()
+        else:
+            records = ts.read_records(path)
+            next(r for r in records if r["type"] == ts.DAY)["payload"]["summary"] = "edited"
+            if change == "resealed":
+                end = records.pop()["payload"]
+                writer = ts.TranscriptWriter(path, records)
+                writer.write(ts.RUN_END, {"status": end["status"], "reason": end["reason"]})
+                writer.close()
+            else:
+                ts.rewrite(path, records)
+            assert ts.is_sealed(path) == (change == "resealed")
+            assert ts.load_run(path).completed
+        error = ParseError if change == "deleted" else ValidationError
+        with pytest.raises(error, match="r01.jsonl"):
+            again.runs[1].days
+        with pytest.raises(error, match="r01.jsonl"):
+            again.runs[1].fallbacks
+        assert again.runs[0] == untouched
+
+    @pytest.mark.parametrize("kind", ["aborted sealed", "completed unsealed"])
+    def test_other_transcripts_are_read_whole_when_skipped_or_resumed(
+        self, sealed_runs, tmp_path, decoded, kind
+    ):
+        if kind == "aborted sealed":
+            source = next(p for p in sealed_runs if p.parts[-3:-1] == ("aborted", "transcripts")
+                          and p.name == "t1.0-context-r00.jsonl")
+        else:
+            source = sealed_runs[0]
+        path = tmp_path / source.name
+        shutil.copyfile(source, path)
+        if kind == "completed unsealed":
+            break_seal(path)
+        header = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[0])["payload"]
+        loaded = ts.load_run(path)
+        decoded.clear()
+        run, _ = ts.stored_run(path, header)
+        # Every line, and the run_end line once more for the seal check.
+        assert sorted(decoded) == sorted(line_types(path) + [ts.RUN_END])
+        path.unlink()
+        status = "partial" if kind == "aborted sealed" else "completed"
+        assert (run.status, run.days, run.fallbacks) == (status, loaded.days, loaded.fallbacks)
