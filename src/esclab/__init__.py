@@ -28,7 +28,6 @@ from .client import (
     MockTransport,
     RecordingTransport,
     ReplayTransport,
-    RequestBudget,
     complete,
 )
 from .errors import EsclabError

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import transcript as ts
-from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
+from .client import Transport, chat_request, complete
 from .errors import ValidationError
 from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
 from .scenario import (
@@ -211,12 +211,10 @@ class LlmPolicy(AgentPolicy):
         self,
         transport: Transport,
         model: str,
-        max_tokens: int = DEFAULT_MAX_TOKENS,
         templates: PromptTemplates | None = None,
     ):
         self.transport = transport
         self.model = model
-        self.max_tokens = max_tokens
         self.templates = templates
         self.in_process = transport.in_process
 
@@ -240,7 +238,6 @@ class LlmPolicy(AgentPolicy):
             system_text=bundle.system_text,
             user_text=bundle.user_text,
             temperature=treatment.temperature,
-            max_tokens=self.max_tokens,
             request_tag=f"{request_tag}|a{attempt}",
         )
         response = complete(self.transport, request, recorder=recorder)

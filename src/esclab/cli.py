@@ -88,8 +88,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.transport == "replay":
         if not args.cassette:
             raise EsclabError("replay transport needs --cassette")
-        transport_config.update({"cassette": str(Path(args.cassette).resolve()),
-                                 "mode": args.replay_mode})
+        transport_config["cassette"] = str(Path(args.cassette).resolve())
     if args.transport == "live":
         if not args.base_url:
             raise EsclabError("live transport needs --base-url")
@@ -241,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--transport", default="mock",
                        choices=["mock", "replay", "live"])
     p_sim.add_argument("--cassette", default=None)
-    p_sim.add_argument("--replay-mode", default="strict", choices=["strict", "fuzzy"])
     p_sim.add_argument("--base-url", default=None)
     p_sim.add_argument("--policy", default="llm", choices=["llm", "scripted"])
     p_sim.add_argument("--script", default=None)

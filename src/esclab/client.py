@@ -110,30 +110,8 @@ def body_digest(body: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
-class RequestBudget:
-    """Thread-safe request cap shared by every run of one experiment."""
-
-    def __init__(self, limit: int = DEFAULT_EXPERIMENT_BUDGET):
-        self.limit = limit
-        self._count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    def charge(self) -> None:
-        with self._lock:
-            if self._count >= self.limit:
-                raise BudgetExceeded(
-                    f"request budget of {self.limit} exhausted"
-                )
-            self._count += 1
-
-
 class Transport:
-    """Base transport: request counting and an optional budget.
+    """Base transport: request counting and an optional cap on requests.
 
     ``in_process`` is true when ``send_once`` only computes in this process
     and never waits on a remote endpoint; callers then gain nothing from
@@ -142,8 +120,8 @@ class Transport:
 
     in_process = False
 
-    def __init__(self, budget: RequestBudget | None = None):
-        self.budget = budget
+    def __init__(self, max_requests: int | None = None):
+        self.max_requests = max_requests
         self._count = 0
         self._lock = threading.Lock()
 
@@ -153,9 +131,9 @@ class Transport:
             return self._count
 
     def _note_request(self) -> None:
-        if self.budget is not None:
-            self.budget.charge()
         with self._lock:
+            if self.max_requests is not None and self._count >= self.max_requests:
+                raise BudgetExceeded(f"request budget of {self.max_requests} exhausted")
             self._count += 1
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
@@ -175,10 +153,10 @@ class MockTransport(Transport):
     def __init__(
         self,
         responder: Callable[[ChatRequest], str] | dict[str, str] | str,
-        budget: RequestBudget | None = None,
+        max_requests: int | None = None,
         capture: bool = False,
     ):
-        super().__init__(budget=budget)
+        super().__init__(max_requests=max_requests)
         self.capture = capture
         self.captured: list[dict] = []
         if isinstance(responder, str):
@@ -219,7 +197,7 @@ class LiveTransport(Transport):
         self,
         base_url: str,
         api_key: str,
-        budget: RequestBudget | None = None,
+        max_requests: int | None = None,
         timeout: float = DEFAULT_TIMEOUT,
         max_in_flight: int = 4,
         requests_per_minute: int = 60,
@@ -232,7 +210,7 @@ class LiveTransport(Transport):
             )
         import requests
 
-        super().__init__(budget=budget)
+        super().__init__(max_requests=max_requests)
         self._requests = requests
         self.url = base_url.rstrip("/") + "/chat/completions"
         self._api_key = api_key
@@ -354,42 +332,28 @@ def _exchange(entry: object) -> CassetteRecord:
 class ReplayTransport(Transport):
     """Plays back a recorded cassette.
 
-    Strict mode matches on (tag, request body hash) and fails on any request
-    not present; fuzzy mode matches on tag alone.  Each record is consumed at
-    most once, in file order per key.
+    A request is matched on (tag, request body hash); one not present fails.
+    Each record is consumed at most once, in file order per key.
     """
 
     in_process = True
 
-    def __init__(
-        self,
-        path: str | Path,
-        mode: str = "strict",
-        budget: RequestBudget | None = None,
-    ):
-        super().__init__(budget=budget)
-        if mode not in ("strict", "fuzzy"):
-            raise ValidationError(f"replay mode must be 'strict' or 'fuzzy', got {mode!r}")
-        self.mode = mode
-        self._queues: dict[object, deque[CassetteRecord]] = {}
+    def __init__(self, path: str | Path, max_requests: int | None = None):
+        super().__init__(max_requests=max_requests)
+        self._queues: dict[tuple[str, str], deque[CassetteRecord]] = {}
         for record in read_cassette(path):
-            key = (record.tag, record.request_sha) if mode == "strict" else record.tag
-            self._queues.setdefault(key, deque()).append(record)
+            self._queues.setdefault((record.tag, record.request_sha), deque()).append(record)
         self._replay_lock = threading.Lock()
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         self._note_request()
-        key: object
-        if self.mode == "strict":
-            key = (request.request_tag, body_digest(wire_body(request)))
-        else:
-            key = request.request_tag
+        key = (request.request_tag, body_digest(wire_body(request)))
         with self._replay_lock:
             queue = self._queues.get(key)
             if not queue:
                 raise TransportError(
                     f"replay cassette has no response for tag {request.request_tag!r}"
-                    + (" (strict match on request body)" if self.mode == "strict" else "")
+                    " (strict match on request body)"
                 )
             record = queue.popleft()
         response = record.response

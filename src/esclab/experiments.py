@@ -25,7 +25,6 @@ from .client import (
     LiveTransport,
     MockTransport,
     ReplayTransport,
-    RequestBudget,
     Transport,
 )
 from .errors import ParseError, ValidationError
@@ -72,8 +71,8 @@ _MANIFEST_KEYS = (
 # Per transport kind: the type of each key besides ``kind``, and the keys
 # that must be set.
 _TRANSPORT_KEYS = {
-    "mock": ({"responder": str, "text": str}, ()),
-    "replay": ({"cassette": str, "mode": str}, ("cassette",)),
+    "mock": ({}, ()),
+    "replay": ({"cassette": str}, ("cassette",)),
     "live": (
         {"base_url": str, "timeout": float, "max_in_flight": int, "requests_per_minute": int},
         ("base_url",),
@@ -108,6 +107,8 @@ class ExperimentPlan:
             raise ValidationError("plan: max_parse_retries must be >= 0")
         if self.max_requests < 0:
             raise ValidationError("plan: max_requests must be >= 0")
+        if self.parallelism < 1:
+            raise ValidationError("plan: parallelism must be >= 1")
 
 
 @dataclass
@@ -246,30 +247,21 @@ def build_transport(
 ) -> Transport:
     config = plan.transport
     kind = config["kind"]
-    budget = RequestBudget(plan.max_requests)
     if kind == "mock":
-        responder_kind = config.get("responder", "calibrated")
-        if responder_kind == "calibrated":
-            responder = CalibratedResponder(
-                taxonomy,
-                scenario,
-                variants_by_label={t.label: t.variant.value for t in plan.treatments},
-                runs_per_treatment=plan.runs_per_treatment,
-            )
-        elif responder_kind == "static":
-            responder = config.get("text", "")
-        else:
-            raise ValidationError(f"unknown mock responder {responder_kind!r}")
-        return MockTransport(responder, budget=budget)
-    if kind == "replay":
-        return ReplayTransport(
-            config["cassette"], mode=config.get("mode", "strict"), budget=budget
+        responder = CalibratedResponder(
+            taxonomy,
+            scenario,
+            variants_by_label={t.label: t.variant.value for t in plan.treatments},
+            runs_per_treatment=plan.runs_per_treatment,
         )
+        return MockTransport(responder, max_requests=plan.max_requests)
+    if kind == "replay":
+        return ReplayTransport(config["cassette"], max_requests=plan.max_requests)
     if kind == "live":
         if not api_key:
             raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
         settings = {key: value for key, value in config.items() if key != "kind"}
-        return LiveTransport(api_key=api_key, budget=budget, **settings)
+        return LiveTransport(api_key=api_key, max_requests=plan.max_requests, **settings)
     raise ValidationError(f"unknown transport kind {kind!r}")
 
 
@@ -409,7 +401,10 @@ def run_experiment(
     transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
     policy = build_policy(plan, transport)
     out_dir = Path(out_dir)
-    (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
+    try:
+        (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
     with manifest_lock(out_dir / MANIFEST_NAME):
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
 

@@ -174,18 +174,16 @@ class CalibratedResponder:
         scenario: Scenario,
         variants_by_label: Mapping[str, str] | None = None,
         runs_per_treatment: int = 10,
-        profiles: Mapping[str, ScoreProfile] | None = None,
     ):
         self.taxonomy = taxonomy
         self.scenario = scenario
         self.variants = dict(variants_by_label or {})
         self.runs_per_treatment = max(1, runs_per_treatment)
-        self.profiles = dict(profiles or REFERENCE_PROFILES)
         self.decomposer = ScoreDecomposer(taxonomy)
         self._plan_for = lru_cache(maxsize=None)(self._build_plan)
 
     def _build_plan(self, label: str) -> list[list[list[int]]]:
-        profile = self.profiles.get(label, FALLBACK_PROFILE)
+        profile = REFERENCE_PROFILES.get(label, FALLBACK_PROFILE)
         return build_score_plan(
             profile,
             self.runs_per_treatment,

@@ -34,14 +34,7 @@ from pathlib import Path
 
 from . import transcript as ts
 from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, AgentTurn, decide_with_retry
-from .client import (
-    DEFAULT_MAX_TOKENS,
-    TEMPERATURE_MAX,
-    TEMPERATURE_MIN,
-    Transport,
-    chat_request,
-    complete,
-)
+from .client import TEMPERATURE_MAX, TEMPERATURE_MIN, Transport, chat_request, complete
 from .errors import BudgetExceeded, TransportError, ValidationError
 from .prompts import PromptVariant, default_templates, render_system_text
 from .scenario import (
@@ -140,10 +133,9 @@ class LlmUpdater(WorldUpdater):
         "Do not invent actions that did not happen."
     )
 
-    def __init__(self, transport: Transport, model: str, max_tokens: int = DEFAULT_MAX_TOKENS):
+    def __init__(self, transport: Transport, model: str):
         self.transport = transport
         self.model = model
-        self.max_tokens = max_tokens
         self._fallback = TemplateUpdater()
 
     def update(
@@ -166,7 +158,6 @@ class LlmUpdater(WorldUpdater):
             system_text=self.SYSTEM_TEXT,
             user_text=user_text,
             temperature=treatment.temperature,
-            max_tokens=self.max_tokens,
             request_tag=request_tag,
         )
         response = complete(self.transport, request, recorder=recorder)

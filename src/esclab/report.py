@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .experiments import load_manifest, manifest_lock
 from .figures import emit_boxplot, emit_category_chart, emit_timeseries
 from .scoring import (
@@ -168,7 +168,10 @@ def build_report(
     ]
     # Only now, with every run read and checked: a refused report leaves no
     # directory behind.
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create report directory {out_dir}: {exc}") from exc
     summary_csv = out_dir / "summary.csv"
     _write_csv(
         summary_csv,

@@ -15,7 +15,7 @@ from esclab.agents import (
     load_script,
     parse_agent_response,
 )
-from esclab.client import MockTransport, ReplayTransport
+from esclab.client import ChatResponse, MockTransport, Transport
 from esclab.errors import ParseError, ValidationError
 from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
@@ -185,16 +185,16 @@ class TestDecideWithRetry:
         ("length", "truncated"), ("stop", "no_document"),
     ])
     def test_reply_cut_at_max_tokens_fails_as_truncated(
-        self, taxonomy, scenario, tmp_path, finish_reason, reason
+        self, taxonomy, scenario, finish_reason, reason
     ):
         cut = '{"actions": [{"action": "wa'
-        cassette = tmp_path / "cassette.jsonl"
-        cassette.write_text("".join(json.dumps({
-            "tag": f"run|d01|Blue|a{attempt}", "request_sha": "any", "request": {},
-            "response": {"content": content, "finish_reason": finish_reason},
-        }) + "\n" for attempt, content in [(1, cut), (2, '{"actions": [{"action": "wait"}]}')]),
-            encoding="utf-8")
-        policy = LlmPolicy(ReplayTransport(cassette, mode="fuzzy"), model="m")
+        replies = {"run|d01|Blue|a1": cut, "run|d01|Blue|a2": '{"actions": [{"action": "wait"}]}'}
+
+        class Endpoint(Transport):
+            def send_once(self, request):
+                return ChatResponse(replies[request.request_tag], finish_reason=finish_reason)
+
+        policy = LlmPolicy(Endpoint(), model="m")
         events = []
         turn = decide_with_retry(
             policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from esclab import experiments
 from esclab.cli import build_parser, main
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
@@ -287,6 +288,11 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: x}}", None, "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, api_key: sk-test}", None, "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, respondr: static}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: mock, responder: calibrated}", None,
+         "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: mock, text: a}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: c.jsonl, mode: strict}",
+         None, "ParseError"),
         ("[{label: grp/a, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: ../../x, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: 'a|b', temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
@@ -295,8 +301,8 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]", "{kind: mock}",
          "nations:\n  Blue:\n    first:\n      - {action: wait}\n", "ParseError"),
     ], ids=["temperature-list", "rpm-0", "in-flight-negative", "timeout-text", "api-key",
-            "misspelt-key", "label-dir", "label-escape", "label-pipe", "no-cassette",
-            "script-day-key"])
+            "misspelt-key", "mock-responder", "mock-text", "replay-mode", "label-dir",
+            "label-escape", "label-pipe", "no-cassette", "script-day-key"])
     def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
                       error):
         monkeypatch.setenv("ESCLAB_API_KEY", "sk-test")
@@ -363,6 +369,29 @@ class TestRefusedInputs:
         assert not manifest.parent.exists()
         assert not report.exists()
 
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "report"])
+    def test_out_that_names_a_file(self, tmp_path, capsys, command):
+        manifest = tmp_path / "exp" / "manifest.json"
+        if command == "report":
+            assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                         "--out", str(manifest.parent)]) == 0
+            capsys.readouterr()
+        out = tmp_path / "taken"
+        out.write_bytes(b"kept\n")
+        argv = {
+            "experiment": ["experiment", "--plan", str(DATA / "plan_demo.yaml")],
+            "simulate": ["simulate", "--policy", "scripted", "--updater", "template",
+                         "--script", str(DATA / "demo_script.yaml")],
+            "report": ["report", "--manifest", str(manifest), "--no-timestamp"],
+        }[command]
+        assert main([*argv, "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError"
+        assert str(out) in error["message"]
+        assert out.read_bytes() == b"kept\n"
+
 
 def readme_cli_commands() -> list[list[str]]:
     """The arguments of each ``esclab`` command in README.md's CLI block."""
@@ -376,7 +405,24 @@ def readme_cli_commands() -> list[list[str]]:
     return commands
 
 
+def readme_transport_keys() -> dict[str, set[str]]:
+    """The keys README.md's "`transport` takes these keys" list names per
+    kind: every backticked word of a kind's bullet after the kind itself."""
+    section = README.read_text(encoding="utf-8").split("`transport` takes these keys", 1)[1]
+    bullets = section.split("\n\n", 2)[1].split("\n- ")
+    keys = {}
+    for bullet in bullets:
+        kind, *named = re.findall(r"`([^`]+)`", bullet)
+        keys[kind] = set(named)
+    return keys
+
+
 class TestReadme:
+    def test_transport_keys_match_the_plan_schema(self):
+        assert readme_transport_keys() == {
+            kind: set(types) for kind, (types, _) in experiments._TRANSPORT_KEYS.items()
+        }
+
     def test_cli_block_parses(self, capsys):
         commands = readme_cli_commands()
         assert {argv[0] for argv in commands} == {

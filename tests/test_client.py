@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -6,7 +8,6 @@ from esclab.client import (
     MockTransport,
     RecordingTransport,
     ReplayTransport,
-    RequestBudget,
     chat_request,
     complete,
     read_cassette,
@@ -116,23 +117,42 @@ class TestRetries:
 
 class TestBudget:
     def test_budget_exceeded(self):
-        budget = RequestBudget(limit=2)
-        transport = MockTransport("x", budget=budget)
+        transport = MockTransport("x", max_requests=2)
         complete(transport, request())
         complete(transport, request())
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="request budget of 2 exhausted"):
             complete(transport, request())
-        assert budget.count == 2
+        assert transport.request_count == 2
 
-    def test_budget_shared_across_transports(self):
-        budget = RequestBudget(limit=3)
-        a = MockTransport("x", budget=budget)
-        b = MockTransport("y", budget=budget)
-        complete(a, request())
-        complete(b, request())
-        complete(a, request())
-        with pytest.raises(BudgetExceeded):
-            complete(b, request())
+    def test_cap_holds_across_threads(self):
+        # Each round, eight threads released together race for four requests.
+        transports = [MockTransport("x", max_requests=4) for _ in range(200)]
+        barrier = threading.Barrier(8, timeout=30)
+        one = request()
+        sent = []
+
+        def worker():
+            for round_index, transport in enumerate(transports):
+                barrier.wait()
+                try:
+                    transport.send_once(one)
+                except BudgetExceeded:
+                    continue
+                sent.append(round_index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(sent) == [r for r in range(len(transports)) for _ in range(4)]
+        assert all(transport.request_count == 4 for transport in transports)
 
 
 class TestCassettes:
@@ -142,7 +162,7 @@ class TestCassettes:
         first = complete(recorder, request(tag="q1"))
         assert first.content == "answer-1"
 
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         again = complete(replay, request(tag="q1"))
         assert again.content == "answer-1"
 
@@ -151,14 +171,14 @@ class TestCassettes:
         cassette = tmp_path / "session.jsonl"
         complete(RecordingTransport(MockTransport(content), cassette), request(tag="q1"))
         assert [r.response["content"] for r in read_cassette(cassette)] == [content]
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         assert complete(replay, request(tag="q1")).content == content
 
     def test_strict_replay_rejects_changed_body(self, tmp_path):
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport("a"), cassette)
         complete(recorder, request(tag="q1", temperature=1.0))
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         with pytest.raises(TransportError, match="q1"):
             complete(replay, request(tag="q1", temperature=0.5))
 
@@ -166,22 +186,15 @@ class TestCassettes:
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport("a"), cassette)
         complete(recorder, request(tag="recorded"))
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         with pytest.raises(TransportError, match="never-recorded"):
             complete(replay, request(tag="never-recorded"))
-
-    def test_fuzzy_replay_matches_tag_only(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("a"), cassette)
-        complete(recorder, request(tag="q1", temperature=1.0))
-        replay = ReplayTransport(cassette, mode="fuzzy")
-        assert complete(replay, request(tag="q1", temperature=0.3)).content == "a"
 
     def test_each_record_consumed_once(self, tmp_path):
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport("a"), cassette)
         complete(recorder, request(tag="q1"))
-        replay = ReplayTransport(cassette, mode="fuzzy")
+        replay = ReplayTransport(cassette)
         complete(replay, request(tag="q1"))
         with pytest.raises(TransportError):
             complete(replay, request(tag="q1"))
@@ -321,7 +334,7 @@ class TestFullRunReplay:
             transcript_path=tmp_path / "original.jsonl", **kwargs,
         )
 
-        replayed_transport = ReplayTransport(cassette, mode="strict")
+        replayed_transport = ReplayTransport(cassette)
         replayed = run_simulation(
             scenario, taxonomy, treatment,
             LlmPolicy(replayed_transport, model="m"),
@@ -353,7 +366,7 @@ class TestTornCassette:
         with cassette.open("a", encoding="utf-8") as handle:
             handle.write(last[: len(last) // 2])
         assert len(read_cassette(cassette)) == 2
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         assert complete(replay, request(tag="q1")).content == "answer-q1"
         assert complete(replay, request(tag="q2")).content == "answer-q2"
         with pytest.raises(TransportError, match="q2"):
@@ -383,7 +396,7 @@ class TestTornCassette:
         complete(recorder, request(tag="q3"))
         complete(recorder, request(tag="q4"))
         assert [r.tag for r in read_cassette(cassette)] == ["q1", "q3", "q4"]
-        replay = ReplayTransport(cassette, mode="strict")
+        replay = ReplayTransport(cassette)
         assert complete(replay, request(tag="q3")).content == "again-q3"
         assert complete(replay, request(tag="q4")).content == "again-q4"
 

@@ -42,7 +42,6 @@ policy:
 world_updater: template
 transport:
   kind: mock
-  responder: calibrated
 treatments:
 {treatments}
 {extra}
@@ -151,6 +150,19 @@ treatments:
         with pytest.raises(ValidationError, match="max_requests"):
             load_plan(scripted_plan(tmp_path, extra="max_requests: -5"))
 
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected(self, tmp_path, parallelism):
+        with pytest.raises(ValidationError, match="parallelism must be >= 1"):
+            load_plan(scripted_plan(tmp_path, extra=f"parallelism: {parallelism}"))
+        with pytest.raises(ValidationError, match="parallelism must be >= 1"):
+            ExperimentPlan(
+                scenario_path=DATA / "neutral_scenario.yaml",
+                taxonomy_path=DATA / "default_taxonomy.yaml",
+                treatments=(Treatment("t", 1.0, PromptVariant.DEFAULT),),
+                base_seed=1,
+                parallelism=parallelism,
+            )
+
     def test_plan_digest_stable(self):
         plan = load_plan(DATA / "plan_reference.yaml")
         assert plan_digest(plan) == plan_digest(plan)
@@ -184,7 +196,9 @@ class TestPlanValueChecks:
     @pytest.mark.parametrize("transport,match", [
         ("{kind: mock, api_key: sk-test}", r"unknown keys \['api_key'\]"),
         ("{kind: mock, respondr: static}", r"unknown keys \['respondr'\]"),
-        ("{kind: mock, text: [a]}", "text must be a string"),
+        ("{kind: mock, responder: calibrated}", r"unknown keys \['responder'\]"),
+        ("{kind: mock, text: a}", r"unknown keys \['text'\]"),
+        ("{kind: replay, cassette: c.jsonl, mode: strict}", r"unknown keys \['mode'\]"),
         ("{kind: replay}", r"missing keys \['cassette'\]"),
         ("{kind: replay, cassette: [a]}", "cassette must be a string"),
         (f"{{{LIVE}, timeout: x}}", "timeout must be a number"),

@@ -489,7 +489,7 @@ class TestConcurrentDays:
         tags = [json.loads(line)["tag"] for line in cassette.read_text().splitlines()]
         assert _first_attempts(tags, 1) != list(short.nation_names)
         replayed = tmp_path / "replayed.jsonl"
-        run = _llm_run(short, taxonomy, ReplayTransport(cassette, mode="strict"), replayed)
+        run = _llm_run(short, taxonomy, ReplayTransport(cassette), replayed)
         assert run.completed
         assert replayed.read_bytes() == recorded.read_bytes()
 
@@ -670,7 +670,7 @@ class TestLoneSurrogateInReplies:
         assert verify_prompts(path, short) == (16, [])
         assert b"\\ud800" in cassette.read_bytes()
         replayed = tmp_path / "replayed.jsonl"
-        assert play(ReplayTransport(cassette, mode="strict"), replayed) == run
+        assert play(ReplayTransport(cassette), replayed) == run
         assert replayed.read_bytes() == path.read_bytes()
 
     def test_surrogate_pair_is_kept_as_the_character_it_forms(

@@ -157,7 +157,6 @@ class TestCassetteReader:
         with pytest.raises(TransportError, match="bad cassette line 2"):
             read_cassette(cassette)
 
-    @pytest.mark.parametrize("mode", ["strict", "fuzzy"])
     @pytest.mark.parametrize(
         "key, value, problem",
         [
@@ -172,14 +171,14 @@ class TestCassetteReader:
         ids=["response-empty", "response-string", "content-number", "finish_reason-null",
              "latency-string", "tag-list", "request_sha-object"],
     )
-    def test_mistyped_exchange_is_a_transport_error(self, tmp_path, mode, key, value, problem):
+    def test_mistyped_exchange_is_a_transport_error(self, tmp_path, key, value, problem):
         cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "tense"})
         first, second = cassette.read_text(encoding="utf-8").split("\n")[:2]
         entry = json.loads(second)
         (entry if key in entry else entry["response"])[key] = value
         cassette.write_text(f"{first}\n{json.dumps(entry)}\n", encoding="utf-8")
         with pytest.raises(TransportError, match=f"bad cassette line 2 in .*: {problem}"):
-            ReplayTransport(cassette, mode=mode)
+            ReplayTransport(cassette)
 
 
 class TestExperimentAfterATornCharacter:
