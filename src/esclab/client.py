@@ -343,19 +343,19 @@ class ReplayTransport(Transport):
         self._queues: dict[tuple[str, str], deque[CassetteRecord]] = {}
         for record in read_cassette(path):
             self._queues.setdefault((record.tag, record.request_sha), deque()).append(record)
-        self._replay_lock = threading.Lock()
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         self._note_request()
         key = (request.request_tag, body_digest(wire_body(request)))
-        with self._replay_lock:
-            queue = self._queues.get(key)
-            if not queue:
-                raise TransportError(
-                    f"replay cassette has no response for tag {request.request_tag!r}"
-                    " (strict match on request body)"
-                )
-            record = queue.popleft()
+        try:
+            # popleft is atomic: of two threads after one last record, one
+            # gets it and the other an IndexError.
+            record = self._queues[key].popleft()
+        except (KeyError, IndexError):
+            raise TransportError(
+                f"replay cassette has no response for tag {request.request_tag!r}"
+                " (strict match on request body)"
+            ) from None
         response = record.response
         return ChatResponse(
             content=response["content"],
@@ -395,7 +395,7 @@ class RecordingTransport(Transport):
     """
 
     def __init__(self, inner: Transport, path: str | Path):
-        super().__init__()
+        # No Transport.__init__: the inner transport counts and caps requests.
         self.inner = inner
         self.path = Path(path)
         self._write_lock = threading.Lock()

@@ -303,10 +303,10 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
         unsealed: list[str] = []
         for entry in manifest["runs"]:
             path = manifest_path.parent / entry["transcript"]
-            checked, found = ts.verify_prompts(path, scenario)
+            checked, found, sealed = ts.verify_prompts(path, scenario)
             prompts += checked
             mismatches += [f"{entry['transcript']} {line}" for line in found]
-            if not ts.is_sealed(path):
+            if not sealed:
                 unsealed.append(entry["transcript"])
     return InspectResult(len(manifest["runs"]), prompts, mismatches, unsealed)
 
@@ -371,11 +371,16 @@ def _write_manifest(path: Path, manifest: dict) -> None:
         manifest["runs"], key=lambda r: (r["label"], r["run_index"])
     )
     tmp = path.with_suffix(".tmp")
-    tmp.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(
+            json.dumps(manifest, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise ParseError(f"cannot write manifest {path}: {exc}") from exc
 
 
 def run_experiment(
@@ -394,7 +399,8 @@ def run_experiment(
     end, listing every run that finished even when an exception ends them
     early; after a hard kill a re-run restores it.  The advisory manifest
     lock is held for the whole execution.  A scenario, taxonomy, transport
-    or script that cannot be loaded is refused before anything is written.
+    or script that cannot be loaded is refused before anything is written,
+    and a manifest path that is a directory before any request is made.
     """
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
@@ -405,6 +411,8 @@ def run_experiment(
         (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
+    if (out_dir / MANIFEST_NAME).is_dir():
+        raise ParseError(f"manifest {out_dir / MANIFEST_NAME} is a directory")
     with manifest_lock(out_dir / MANIFEST_NAME):
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
 

@@ -20,10 +20,12 @@ sealed completed run only the lines whose canonical ending ``"type":"<t>"}``
 are decoded, each passing the same record check.  Any other transcript
 (an aborted run, whose kept records resume writes back, or one partial,
 torn, edited or of an older format) is decoded and checked line by line.
-A no-op re-run (``stored_run``) so decodes two lines of each sealed
-completed transcript, ``run_start`` and ``run_end``, which decide the skip;
-the skipped run reads its days and fallbacks when either is first used,
-and refuses them unless the file is still sealed as the skip saw it.
+A no-op re-run (``stored_run``) reads each transcript's bytes once and
+checks the seal first, which decodes the ``run_end`` line; of a sealed
+completed transcript it then decodes the first line, ``run_start``, and
+splits nothing else.  Those two records decide the skip; the skipped run
+reads its days and fallbacks when either is first used, and refuses them
+unless the file is still sealed as the skip saw it.
 The seal guards against accident, not against a forger: a line that is
 not a record still fails unless someone recomputes the seal over it, and
 whoever can do that can as well write well-formed false records.
@@ -77,8 +79,6 @@ Recorder = Callable[[str, dict], None]
 
 # The records that rebuild a run's days and outcome.
 _RUN_TYPES = frozenset({RUN_START, TURN, DAY, RUN_END})
-# The records that decide whether a run is to be skipped.
-_SKIP_TYPES = (RUN_START, RUN_END)
 
 
 # Records whose write ends a unit that resume keeps: the writer writes its
@@ -214,13 +214,18 @@ def _seal(data: bytes) -> dict | None:
     return end
 
 
+def _read_bytes(path: str | Path) -> bytes:
+    """The bytes of the transcript at ``path``: every reader's one read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
+
+
 def is_sealed(path: str | Path) -> bool:
     """Whether the transcript at ``path`` ends in the seal of its bytes: a
     finished transcript that no one has edited since its writer closed it."""
-    try:
-        return _seal(Path(path).read_bytes()) is not None
-    except OSError as exc:
-        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
+    return _seal(_read_bytes(path)) is not None
 
 
 def read_records(path: str | Path, tolerate_partial_tail: bool = False,
@@ -241,19 +246,26 @@ def _read(path: str | Path, tolerate_partial_tail: bool,
           types: Collection[str] | None) -> tuple[list[dict], dict | None]:
     """``read_records``, and the ``run_end`` payload that seals the file:
     None if it is not sealed, or if ``types`` is None (not looked at)."""
+    data = _read_bytes(path)
+    end = _seal(data) if types is not None else None
+    if end is None or end.get("status") != "completed":
+        types = None
+    return _records(data, path, tolerate_partial_tail, types), end
+
+
+def _records(data: bytes, path: str | Path, tolerate_partial_tail: bool,
+             types: Collection[str] | None = None) -> list[dict]:
+    """The records of the transcript bytes ``data``, read from ``path``:
+    every record, or with ``types`` only the lines whose canonical ending
+    names one of them (the writer's own lines of a sealed file)."""
     try:
-        data = Path(path).read_bytes()
         lines, tail = split_lines(data)
-    except OSError as exc:
-        raise ParseError(f"cannot read transcript {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"transcript {path} is not UTF-8: {exc}")
     if tail and not tolerate_partial_tail:
         raise ParseError(f"bad transcript line {len(lines) + 1} in {path}: torn, no newline")
     numbered = enumerate(lines, 1)
-    end = _seal(data) if types is not None else None
-    if end is not None and end.get("status") == "completed":
-        # The writer's own lines, each ending in its canonical type.
+    if types is not None:
         wanted = tuple(f'"type":{_ENCODER.encode(type_)}}}' for type_ in types)
         numbered = [(line_no, line) for line_no, line in numbered if line.endswith(wanted)]
     records = []
@@ -265,7 +277,7 @@ def _read(path: str | Path, tolerate_partial_tail: bool,
             records.append(_decode(line))
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
-    return records, end
+    return records
 
 
 def rewrite(path: str | Path, records: list[dict]) -> None:
@@ -439,29 +451,35 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     - ``ValidationError``: a transcript of a different run, or one in
       another transcript format.
 
-    Of a sealed completed run it decodes the ``run_start`` and ``run_end``
-    lines only, and the run it returns reads its days when they are first
-    used (see ``TranscriptRun``); a skip needs none of them.  Of any other
-    transcript it decodes every line, each kept turn once and no turn after
-    the cut.
+    It reads the file once and checks its seal first.  Of a sealed
+    completed run it then decodes the first line, the ``run_start`` record,
+    and takes the outcome from the seal's ``run_end``; the run it returns
+    reads its days when they are first used (see ``TranscriptRun``), as a
+    skip needs none of them.  Any other transcript it decodes whole, each
+    kept turn once and no turn after the cut.
     """
     path = Path(path)
-    records = (read_records(path, tolerate_partial_tail=True, types=_SKIP_TYPES)
-               if path.exists() else [])
-    if not records:
+    if not path.exists():
+        return None, []
+    data = _read_bytes(path)
+    end = _seal(data)
+    sealed = end is not None and end.get("status") == "completed"
+    # A sealed file ends in "\n", so its first line is whole.
+    records = _records(data[: data.index(b"\n") + 1] if sealed else data, path, True)
+    if not (records or sealed):
         return None, []
     if _run_start(records, path) != header:
         raise ValidationError(
             f"transcript {path} belongs to a different run; refusing to skip or resume it"
         )
-    end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
-    if end is not None and end["status"] == "completed":
-        if len(records) > 2:  # not sealed, so decoded whole
-            return reconstruct_run(records, path), []
+    if sealed:
         run = run_from_header(header, end["status"], end["reason"], [], 0)
         del run.days, run.fallbacks  # read when first used: see __getattr__
         run._read_days = functools.partial(_sealed_days, path, header, end)
         return run, []
+    end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
+    if end is not None and end["status"] == "completed":
+        return reconstruct_run(records, path), []
     cut = next((i for i in range(len(records) - 1, 0, -1) if records[i]["type"] == DAY), 0)
     if not cut:
         return None, []
@@ -484,16 +502,18 @@ def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord]
 
 
 @_reader
-def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]]:
+def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str], bool]:
     """Re-derive every prompt of a transcript and compare digests.
 
     A user prompt is a function of the scenario, the user template in the
     ``system_prompt`` record, the variant and the world at the start of its
     day, which the transcript's own ``turn`` and ``day`` records rebuild
     (under ``intra_day_visibility``, with the earlier nations' turns of that
-    day).  Returns the number of prompt records and one line per mismatch.
+    day).  Returns the number of prompt records, one line per mismatch and
+    whether the transcript is sealed (``is_sealed``), from one read of it.
     """
-    records = read_records(path)
+    data = _read_bytes(path)
+    records = _records(data, path, False)
     header = _run_start(records, path)
     system = next((r for r in records if r["type"] == SYSTEM_PROMPT), None)
     if system is None:
@@ -523,4 +543,4 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         elif type_ == DAY:
             world = advance_day(world, _day_record(record, today))
             today = {}
-    return checked, mismatches
+    return checked, mismatches, _seal(data) is not None

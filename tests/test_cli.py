@@ -392,6 +392,21 @@ class TestRefusedInputs:
         assert str(out) in error["message"]
         assert out.read_bytes() == b"kept\n"
 
+    def test_manifest_path_that_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "exp"
+        manifest = out / "manifest.json"
+        manifest.mkdir(parents=True)
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(out)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError"
+        assert str(manifest) in error["message"]
+        assert not list(out.rglob("*.jsonl"))
+        assert not (out / "manifest.tmp").exists()
+        assert manifest.is_dir() and not any(manifest.iterdir())
+
 
 def readme_cli_commands() -> list[list[str]]:
     """The arguments of each ``esclab`` command in README.md's CLI block."""

@@ -199,6 +199,45 @@ class TestCassettes:
         with pytest.raises(TransportError):
             complete(replay, request(tag="q1"))
 
+    def test_race_for_the_last_records_misses_as_transport_error(self, tmp_path):
+        # Each round, eight threads released together race for two records.
+        cassette = tmp_path / "session.jsonl"
+        recorder = RecordingTransport(MockTransport("a"), cassette)
+        complete(recorder, request(tag="q1"))
+        complete(recorder, request(tag="q1"))
+        replays = [ReplayTransport(cassette) for _ in range(100)]
+        barrier = threading.Barrier(8, timeout=30)
+        one = request(tag="q1")
+        sent, missed, other = [], [], []
+
+        def worker():
+            for round_index, replay in enumerate(replays):
+                barrier.wait()
+                try:
+                    replay.send_once(one)
+                except TransportError:
+                    missed.append(round_index)
+                except Exception as exc:  # noqa: BLE001 - the race must not raise it
+                    other.append(exc)
+                else:
+                    sent.append(round_index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert other == []
+        assert sorted(sent) == [r for r in range(len(replays)) for _ in range(2)]
+        assert sorted(missed) == [r for r in range(len(replays)) for _ in range(6)]
+        assert all(replay.request_count == 8 for replay in replays)
+
     def test_cassette_lines_carry_full_exchange(self, tmp_path):
         cassette = tmp_path / "session.jsonl"
         recorder = RecordingTransport(MockTransport("payload"), cassette)

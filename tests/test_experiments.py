@@ -272,13 +272,13 @@ class TestRunExperiment:
         plan = load_plan(scripted_plan(tmp_path, runs=2))
         first = run_experiment(plan, tmp_path / "out")
         reads = []
-        original = transcript.read_records
+        original = transcript._read_bytes
 
-        def counting(path, *args, **kwargs):
+        def counting(path):
             reads.append(Path(path).name)
-            return original(path, *args, **kwargs)
+            return original(path)
 
-        monkeypatch.setattr(transcript, "read_records", counting)
+        monkeypatch.setattr(transcript, "_read_bytes", counting)
         again = run_experiment(plan, tmp_path / "out")
         assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
         assert [run.days for run in again.runs] == [run.days for run in first.runs]
@@ -304,13 +304,13 @@ treatments:
         aborted = [run for run in first.runs if run.status == "aborted"]
         assert len(aborted) == 1 and len(aborted[0].days) == 1  # one day to keep
         reads = []
-        original = transcript.read_records
+        original = transcript._read_bytes
 
-        def counting(path, *args, **kwargs):
+        def counting(path):
             reads.append(Path(path).name)
-            return original(path, *args, **kwargs)
+            return original(path)
 
-        monkeypatch.setattr(transcript, "read_records", counting)
+        monkeypatch.setattr(transcript, "_read_bytes", counting)
         unlimited = dataclasses.replace(plan, max_requests=10_000)
         again = run_experiment(unlimited, tmp_path / "out")
         assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
@@ -514,6 +514,15 @@ class TestRunRecords:
         run_experiment(plan, tmp_path / "out")
         assert writes == [manifest] * 2
         assert manifest.read_bytes() == first
+
+    def test_manifest_that_cannot_be_written_is_a_parse_error(self, tmp_path):
+        from esclab import experiments
+
+        manifest = tmp_path / "manifest.json"
+        manifest.mkdir()
+        with pytest.raises(ParseError, match="cannot write manifest .*manifest.json"):
+            experiments._write_manifest(manifest, {"runs": []})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
     def test_exception_writes_the_manifest_of_the_runs_that_finished(
         self, tmp_path, monkeypatch

@@ -667,7 +667,7 @@ class TestLoneSurrogateInReplies:
             "\ud800" in json.dumps(record, ensure_ascii=False) for record in records
         ]
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (16, [])
+        assert verify_prompts(path, short) == (16, [], True)
         assert b"\\ud800" in cassette.read_bytes()
         replayed = tmp_path / "replayed.jsonl"
         assert play(ReplayTransport(cassette), replayed) == run
@@ -694,7 +694,7 @@ class TestLoneSurrogateInReplies:
         assert run.completed and is_sealed(path)
         assert [day.world_summary_after for day in run.days] == ["Calm day.\U0001F600"] * 2
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (16, [])
+        assert verify_prompts(path, short) == (16, [], True)
 
 
 class TestRunRecordIsTranscriptRecord:

@@ -237,7 +237,7 @@ class TestDigestRecords:
         assert system["text"].startswith("CUSTOM ")
         assert system["sha256"] == text_sha256(system["text"])
         assert system["user_template"] == templates.user
-        assert ts.verify_prompts(path, scenario) == (14 * 8, [])
+        assert ts.verify_prompts(path, scenario) == (14 * 8, [], True)
 
 
 class TestInspect:
@@ -572,8 +572,8 @@ class TestSkippedRun:
         plan, out = experiment_copy
         again = run_experiment(plan, out)
         assert (again.skipped, again.new_requests) == (4, 0)
-        # Each seal check decodes the run_end line once more.
-        assert sorted(decoded) == sorted([ts.RUN_START, ts.RUN_END, ts.RUN_END] * 4)
+        # The seal check decodes the run_end line; the first line is the other.
+        assert sorted(decoded) == sorted([ts.RUN_START, ts.RUN_END] * 4)
 
     def test_skipped_runs_read_the_days_of_the_first_invocation(self, tmp_path, monkeypatch):
         plan = reflection_plan(tmp_path, monkeypatch)
@@ -639,3 +639,33 @@ class TestSkippedRun:
         path.unlink()
         status = "partial" if kind == "aborted sealed" else "completed"
         assert (run.status, run.days, run.fallbacks) == (status, loaded.days, loaded.fallbacks)
+
+    def test_unsealed_completed_header_and_end_are_decoded_at_once(self, sealed_runs,
+                                                                    tmp_path):
+        records = ts.read_records(sealed_runs[0])
+        end = {"status": "completed", "reason": None}
+        path = tmp_path / "run.jsonl"
+        ts.rewrite(path, [records[0], {**records[-1], "seq": 1, "payload": end}])
+        assert not ts.is_sealed(path)
+        run, kept = ts.stored_run(path, records[0]["payload"])
+        assert kept == [] and run == ts.load_run(path)
+        path.unlink()  # nothing is left to read
+        assert (run.days, run.fallbacks) == ([], 0)
+
+    @pytest.mark.parametrize("edit,error", [
+        (lambda lines: [], "does not start with a run_start record"),
+        (lambda lines: lines[1:], "does not start with a run_start record"),
+        (lambda lines: ["[1, 2]", *lines[1:]], "bad transcript line 1 in .*run.jsonl"),
+        (lambda lines: ["{not json", *lines[1:]], "bad transcript line 1 in .*run.jsonl"),
+    ], ids=["only-run-end", "no-run-start", "not-an-object", "not-json"])
+    def test_sealed_first_line_is_the_header(self, sealed_runs, tmp_path, edit, error):
+        lines = sealed_runs[0].read_text(encoding="utf-8").split("\n")[:-2]
+        header = json.loads(lines[0])["payload"]
+        body = edit(lines)
+        data = "".join(line + "\n" for line in body).encode("utf-8")
+        end = {"status": "completed", "reason": None, "sha256": hashlib.sha256(data).hexdigest()}
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(data + (ts.encode_record(len(body), ts.RUN_END, end) + "\n").encode())
+        assert ts.is_sealed(path)
+        with pytest.raises(ParseError, match=error):
+            ts.stored_run(path, header)
