@@ -10,7 +10,8 @@ each request is written by ``client.complete``.
 
 A policy holds only how to reach a model: the run's treatment and taxonomy
 arrive with each call and the scenario with the world, so every request
-carries the treatment its run records.
+carries the treatment its run records.  What the policy is (``describe``)
+and the model it calls are recorded in the run header.
 """
 from __future__ import annotations
 
@@ -21,9 +22,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from . import transcript as ts
-from .client import Transport, chat_request, complete
+from .client import DEFAULT_MAX_TOKENS, Transport, chat_request, complete
 from .errors import ValidationError
-from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts
+from .prompts import MAX_ACTIONS_PER_DAY, PromptTemplates, build_prompts, text_sha256
 from .scenario import (
     ChosenAction,
     Scenario,
@@ -190,6 +191,13 @@ class AgentPolicy:
     templates: PromptTemplates | None = None
     # False when ``decide`` waits on an endpoint: only then do threads gain.
     in_process = True
+    # The model its requests name and their max_tokens; None if it calls none.
+    model: str | None = None
+    max_tokens: int | None = None
+
+    def describe(self) -> dict:
+        """What the run header records of the policy besides its model."""
+        return {"kind": type(self).__name__}
 
     def decide(
         self,
@@ -207,6 +215,8 @@ class AgentPolicy:
 class LlmPolicy(AgentPolicy):
     """Prompt the model through a transport and parse the reply."""
 
+    max_tokens = DEFAULT_MAX_TOKENS
+
     def __init__(
         self,
         transport: Transport,
@@ -217,6 +227,9 @@ class LlmPolicy(AgentPolicy):
         self.model = model
         self.templates = templates
         self.in_process = transport.in_process
+
+    def describe(self) -> dict:
+        return {"kind": "llm"}
 
     def decide(
         self,
@@ -231,16 +244,16 @@ class LlmPolicy(AgentPolicy):
         bundle = build_prompts(
             world.scenario, taxonomy, world, nation, treatment.variant, templates=self.templates
         )
-        if recorder is not None and attempt == 1:
-            recorder(ts.PROMPT, {"user_sha256": bundle.user_sha256})
         request = chat_request(
             model=self.model,
             system_text=bundle.system_text,
             user_text=bundle.user_text,
             temperature=treatment.temperature,
+            max_tokens=self.max_tokens,
             request_tag=f"{request_tag}|a{attempt}",
         )
-        response = complete(self.transport, request, recorder=recorder)
+        response = complete(self.transport, request, recorder=recorder,
+                            user_sha256=bundle.user_sha256 if attempt == 1 else None)
         result = parse_agent_response(
             response.content,
             taxonomy,
@@ -278,6 +291,20 @@ class ScriptedPolicy(AgentPolicy):
             for nation, days in table.items()
         }
         self.default = tuple(default) if default is not None else None
+        script = {
+            "nations": {nation: {day: [[a.action_id, a.target] for a in actions]
+                                 for day, actions in days.items()}
+                        for nation, days in self.table.items()},
+            "default": None if self.default is None
+            else [[a.action_id, a.target] for a in self.default],
+        }
+        self.script_sha256 = text_sha256(
+            json.dumps(script, sort_keys=True, ensure_ascii=False, separators=(",", ":"),
+                       default=repr)
+        )
+
+    def describe(self) -> dict:
+        return {"kind": "scripted", "script_sha256": self.script_sha256}
 
     def decide(
         self,

@@ -454,12 +454,15 @@ def complete(
     recorder: Recorder | None = None,
     sleep: Callable[[float], None] = time.sleep,
     backoffs: Iterable[float] = RETRY_BACKOFFS,
+    user_sha256: str | None = None,
 ) -> ChatResponse:
     """Send one request, retrying transient transport failures with backoff.
 
     Retries never re-run on well-formed model output; only TransportError
     marked transient triggers another attempt.  The optional transcript
-    recorder receives one ``llm_call`` record for the final request/response.
+    recorder receives one ``llm_call`` record for the final request/response;
+    the model and ``max_tokens`` are the run header's, and ``user_sha256``,
+    when given, is recorded with it (an agent query's first attempt).
     """
     backoffs = tuple(backoffs)
     attempts = 0
@@ -481,18 +484,16 @@ def complete(
         if response.attempt_count != attempts or content is not response.content:
             response = replace(response, content=content, attempt_count=attempts)
         if recorder is not None:
-            recorder(
-                LLM_CALL,
-                {
-                    "tag": request.request_tag,
-                    "model": request.model,
-                    "max_tokens": request.max_tokens,
-                    "content": response.content,
-                    "finish_reason": response.finish_reason,
-                    "latency": response.latency,
-                    "attempt_count": response.attempt_count,
-                },
-            )
+            payload = {
+                "tag": request.request_tag,
+                "content": response.content,
+                "finish_reason": response.finish_reason,
+                "latency": response.latency,
+                "attempt_count": response.attempt_count,
+            }
+            if user_sha256 is not None:
+                payload["user_sha256"] = user_sha256
+            recorder(LLM_CALL, payload)
         return response
     raise TransportError(
         f"request {request.request_tag!r} failed after {attempts} attempts: {last_error}"

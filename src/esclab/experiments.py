@@ -468,7 +468,8 @@ def _execute(
     to_run: list[tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]] = []
     for handle in handles:
         header = run_header(scenario, taxonomy, handle.treatment, handle.seed,
-                            handle.run_id, plan.intra_day_visibility)
+                            handle.run_id, plan.intra_day_visibility, policy, updater,
+                            plan.max_parse_retries)
         run, kept = ts.stored_run(handle.transcript_path, header)
         if run is not None and run.completed:
             results[handle.run_id] = run
@@ -480,8 +481,7 @@ def _execute(
     def _run_one(item: tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]) -> None:
         handle, header, prior, kept = item
         results[handle.run_id] = play_run(scenario, taxonomy, handle.treatment, policy, updater,
-                                          header, handle.transcript_path, prior, kept,
-                                          plan.max_parse_retries)
+                                          header, handle.transcript_path, prior, kept)
 
     try:
         if plan.parallelism > 1 and len(to_run) > 1:

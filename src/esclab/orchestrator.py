@@ -34,7 +34,14 @@ from pathlib import Path
 
 from . import transcript as ts
 from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, AgentTurn, decide_with_retry
-from .client import TEMPERATURE_MAX, TEMPERATURE_MIN, Transport, chat_request, complete
+from .client import (
+    DEFAULT_MAX_TOKENS,
+    TEMPERATURE_MAX,
+    TEMPERATURE_MIN,
+    Transport,
+    chat_request,
+    complete,
+)
 from .errors import BudgetExceeded, TransportError, ValidationError
 from .prompts import PromptVariant, default_templates, render_system_text
 from .scenario import (
@@ -87,6 +94,15 @@ class Treatment:
 class WorldUpdater:
     """Behavior contract: produce the end-of-day world summary text."""
 
+    # The model its requests name and their max_tokens; None if it calls none.
+    model: str | None = None
+    max_tokens: int | None = None
+
+    @property
+    def kind(self) -> str:
+        """What the run header records of the updater besides its model."""
+        return type(self).__name__
+
     def update(
         self,
         world: WorldState,
@@ -108,6 +124,8 @@ def _action_lines(world: WorldState, turns: dict[str, AgentTurn]) -> list[str]:
 
 class TemplateUpdater(WorldUpdater):
     """Deterministic summary: day header plus one line per recorded action."""
+
+    kind = "template"
 
     def update(
         self,
@@ -132,6 +150,9 @@ class LlmUpdater(WorldUpdater):
         "based on the previous state and the actions every nation just took. "
         "Do not invent actions that did not happen."
     )
+
+    kind = "llm"
+    max_tokens = DEFAULT_MAX_TOKENS
 
     def __init__(self, transport: Transport, model: str):
         self.transport = transport
@@ -158,6 +179,7 @@ class LlmUpdater(WorldUpdater):
             system_text=self.SYSTEM_TEXT,
             user_text=user_text,
             temperature=treatment.temperature,
+            max_tokens=self.max_tokens,
             request_tag=request_tag,
         )
         response = complete(self.transport, request, recorder=recorder)
@@ -169,9 +191,18 @@ class LlmUpdater(WorldUpdater):
 
 
 def run_header(scenario: Scenario, taxonomy: ActionTaxonomy, treatment: Treatment,
-               seed: int, run_id: str, intra_day_visibility: bool) -> dict:
+               seed: int, run_id: str, intra_day_visibility: bool, policy: AgentPolicy,
+               world_updater: WorldUpdater, max_parse_retries: int) -> dict:
     """The ``run_start`` payload of a run: a transcript holds the run only if
-    its header equals this."""
+    its header equals this.  It names what produced the run: the model and
+    ``max_tokens`` of the components that call one (null if none does), the
+    retry count, the policy and the world updater."""
+    called = {(c.model, c.max_tokens) for c in (policy, world_updater) if c.model is not None}
+    if len(called) > 1:
+        raise ValidationError(
+            f"the policy and the world updater call different models: {sorted(called)}"
+        )
+    model, max_tokens = called.pop() if called else (None, None)
     return {
         "transcript_format": ts.TRANSCRIPT_FORMAT,
         "run_id": run_id,
@@ -181,6 +212,11 @@ def run_header(scenario: Scenario, taxonomy: ActionTaxonomy, treatment: Treatmen
         "treatment": treatment.as_record(),
         "taxonomy_version": taxonomy.version,
         "intra_day_visibility": intra_day_visibility,
+        "model": model,
+        "max_tokens": max_tokens,
+        "max_parse_retries": max_parse_retries,
+        "policy": policy.describe(),
+        "world_updater": world_updater.kind,
     }
 
 
@@ -209,13 +245,14 @@ def run_simulation(
         raise ValidationError("max_parse_retries must be >= 0")
     transcript_path = Path(transcript_path)
     run_id = run_id or f"{treatment.label}-s{seed}"
-    header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility)
+    header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility,
+                        policy, world_updater, max_parse_retries)
 
     prior, kept = ts.stored_run(transcript_path, header)
     if prior is not None and prior.completed:
         return prior
     return play_run(scenario, taxonomy, treatment, policy, world_updater, header,
-                    transcript_path, prior, kept, max_parse_retries)
+                    transcript_path, prior, kept)
 
 
 def play_run(
@@ -228,7 +265,6 @@ def play_run(
     transcript_path: Path,
     prior: ts.TranscriptRun | None,
     kept: list[dict],
-    max_parse_retries: int = DEFAULT_PARSE_RETRIES,
 ) -> ts.TranscriptRun:
     """Play the run whose ``run_start`` payload is ``header`` onward from the
     partial run ``prior`` and its records ``kept``, as ``transcript.stored_run``
@@ -236,6 +272,7 @@ def play_run(
     persist its transcript."""
     run_id = header["run_id"]
     intra_day_visibility = header["intra_day_visibility"]
+    max_parse_retries = header["max_parse_retries"]
     days: list[DailyRecord] = []
     fallbacks = 0
     if prior is not None:

@@ -4,15 +4,18 @@ Every raw response, parse outcome, score and world summary for one run lands
 here; reports consume nothing else, and a run is replayed from its cassette
 (``client.ReplayTransport``), not from its transcript.  Each fact is stored
 once: the record's ``nation`` names a turn's nation, ``run_start`` the
-treatment, and the ``system_prompt`` record the system text with its digest
-and the user template, so a ``prompt`` record holds only its user prompt's
-digest, which ``verify_prompts`` re-derives from the run's own records.
+treatment and everything else that produced the run (the model and its
+reply cap, the retry count, the policy and the world updater), and the
+``system_prompt`` record the system text with its digest and the user
+template.  Each model call is one ``llm_call`` record; that of an agent
+query's first attempt also holds its user prompt's digest, which
+``verify_prompts`` re-derives from the run's own records.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files (wall-clock time is deliberately excluded;
 latency of live calls is recorded inside llm_call payloads).
 
-A finished transcript is sealed (format 4): the ``run_end`` payload holds
-the sha256 of every byte before the ``run_end`` line.  A transcript is
+A finished transcript is sealed: the ``run_end`` payload holds the sha256
+of every byte before the ``run_end`` line.  A transcript is
 sealed when it has no torn tail, its last line is a ``run_end`` record and
 that digest matches.  A reader names the record types it uses, and of a
 sealed completed run only the lines whose canonical ending ``"type":"<t>"}``
@@ -57,17 +60,20 @@ from .scenario import (
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
-# Format 4 seals a finished transcript with the digest of its bytes in
-# run_end, and no longer copies a parse failure's nation into its payload.
-# Format 3 stored each other fact once; format 2 also copied a turn's nation
-# into its payload, the system digest into every prompt record, the
-# temperature into every llm_call and a re-encoded reply into every action.
-# Format 1 stored every user prompt in full.
-TRANSCRIPT_FORMAT = 4
+# Format 5 names in run_start what produced the run (model, max_tokens,
+# max_parse_retries, policy, world updater) and writes one record per model
+# call: the first attempt's llm_call holds the user prompt's digest.
+# Format 4 sealed a finished transcript with the digest of its bytes in
+# run_end, copied the model and max_tokens into every llm_call and wrote each
+# query's digest in a prompt record of its own.  Format 3 had no seal and
+# copied a parse failure's nation into its payload; format 2 also copied a
+# turn's nation into its payload, the system digest into every prompt record,
+# the temperature into every llm_call and a re-encoded reply into every
+# action.  Format 1 stored every user prompt in full.
+TRANSCRIPT_FORMAT = 5
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
-PROMPT = "prompt"
 LLM_CALL = "llm_call"
 PARSE_FAILURE = "parse_failure"
 TURN = "turn"
@@ -509,8 +515,11 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     ``system_prompt`` record, the variant and the world at the start of its
     day, which the transcript's own ``turn`` and ``day`` records rebuild
     (under ``intra_day_visibility``, with the earlier nations' turns of that
-    day).  Returns the number of prompt records, one line per mismatch and
-    whether the transcript is sealed (``is_sealed``), from one read of it.
+    day).  Its digest is the ``user_sha256`` of the query's first attempt:
+    a nation's first ``llm_call`` of the day (retries follow it, and world
+    updates name no nation).  Returns the number of queries checked, one
+    line per mismatch and whether the transcript is sealed (``is_sealed``),
+    from one read of it.
     """
     data = _read_bytes(path)
     records = _records(data, path, False)
@@ -525,16 +534,19 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
     world = initial_world(scenario)
     today: dict[str, tuple[ChosenAction, ...]] = {}
+    asked: set[str] = set()  # the nations whose first attempt today was checked
     checked = 0
     for record in records:
         type_ = record["type"]
-        if type_ == PROMPT:
+        nation = record["nation"]
+        if type_ == LLM_CALL and nation is not None and nation not in asked:
+            asked.add(nation)
             checked += 1
             view = with_partial_day(world, today) if header["intra_day_visibility"] else world
-            user_text = render_user_text(scenario, view, record["nation"], variant, template)
+            user_text = render_user_text(scenario, view, nation, variant, template)
             if record["payload"].get("user_sha256") != text_sha256(user_text):
                 mismatches.append(
-                    f"seq {record['seq']} (day {record['day']}, {record['nation']}): "
+                    f"seq {record['seq']} (day {record['day']}, {nation}): "
                     "user_sha256 not re-derived"
                 )
         elif type_ == TURN:
@@ -543,4 +555,5 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         elif type_ == DAY:
             world = advance_day(world, _day_record(record, today))
             today = {}
+            asked = set()
     return checked, mismatches, _seal(data) is not None

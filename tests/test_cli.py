@@ -159,6 +159,21 @@ class TestSimulate:
                      "--out", str(tmp_path / "report"), "--no-timestamp"]) == 0
         assert (tmp_path / "report" / "summary.csv").exists()
 
+    def test_simulate_by_another_model_into_the_same_out_exits_one(self, tmp_path, capsys):
+        args = ["simulate", "--out", str(tmp_path / "sim"), "--seed", "1"]
+        assert main(args) == 0
+        capsys.readouterr()
+        files = sorted(path for path in (tmp_path / "sim").rglob("*") if path.is_file())
+        before = {path: path.read_bytes() for path in files}
+        assert main(args + ["--model", "X"]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and captured.out == ""
+        error = json.loads(lines[0])
+        assert error["error"] == "ValidationError"
+        assert "t1-default-r00.jsonl belongs to a different run" in error["message"]
+        assert {path: path.read_bytes() for path in files} == before
+
     def test_negative_parse_retries_refused_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--max-parse-retries", "-1", "--out", str(out)]) == 1
@@ -432,7 +447,28 @@ def readme_transport_keys() -> dict[str, set[str]]:
     return keys
 
 
+def readme_payload_keys() -> dict[str, set[str]]:
+    """The keys README.md's payload-key table names per record type, with
+    those of a turn's actions under ``action``: in each row, the backticked
+    words outside parentheses, and inside the parentheses after ``actions``."""
+    section = README.read_text(encoding="utf-8").split("| Record | Payload keys |", 1)[1]
+    keys = {}
+    for row in section.split("\n\n", 1)[0].splitlines()[2:]:  # after "|---|---|"
+        _, record, named, _ = row.split("|")
+        outside = re.sub(r"\([^)]*\)", "", named)
+        keys[record.strip().strip("`")] = set(re.findall(r"`([^`]+)`", outside))
+        actions = re.search(r"`actions` \(([^)]*)\)", named)
+        if actions:
+            keys["action"] = set(re.findall(r"`([^`]+)`", actions[1]))
+    return keys
+
+
 class TestReadme:
+    def test_payload_keys_match_the_transcript_format(self):
+        from test_transcript_format import ACTION_KEYS, PAYLOAD_KEYS
+
+        assert readme_payload_keys() == {**PAYLOAD_KEYS, "action": ACTION_KEYS}
+
     def test_transport_keys_match_the_plan_schema(self):
         assert readme_transport_keys() == {
             kind: set(types) for kind, (types, _) in experiments._TRANSPORT_KEYS.items()

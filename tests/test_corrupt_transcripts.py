@@ -17,7 +17,7 @@ from esclab.prompts import PromptVariant
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
-    | st.text(max_size=6) | st.sampled_from([ts.TURN, ts.DAY, ts.RUN_END, ts.PROMPT]),
+    | st.text(max_size=6) | st.sampled_from([ts.TURN, ts.DAY, ts.RUN_END, ts.LLM_CALL]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
                                                                 max_size=3),
     max_leaves=6,

@@ -21,13 +21,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "d846b1ba0f4d0d8e4b57e80700695905da708301cff0b34a02beca854df938e6",
+        "deaf8de74ace203f6e5578e8c8954912f8492dae656ef30e72b01a8b1a8177c7",
     "t1.0-default-r01.jsonl":
-        "6071a195f4e636dd83c09f207b62e3bfa5ea29afc9ce680a0a6a23a83b83545c",
+        "8b8eac96f4ff088a48f63597ae4e6e924b167810e470b4f6104fcc18ddfde764",
     "t1.0-reflection-planning-r00.jsonl":
-        "53c671dcdf550227118caadabafc71e091f1af1ac95a5891f58d9484a9ece729",
+        "dfc55a46186b42fcacfd456cd44703b4e97e3d58b62a08803b4e04cb444b7e6d",
     "t1.0-reflection-planning-r01.jsonl":
-        "bd9a94a5c403f17a0982da57188b6f7ca2a5a7d51d12ff66a5edd610b72d0e51",
+        "cdd42a4d4431bc3f394d99c79696776ce7ad66527c1e5799f82888a46e1a9dd0",
 }
 MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {

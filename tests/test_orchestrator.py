@@ -126,8 +126,10 @@ class TestMockLlmRun:
         by_type = {}
         for record in records:
             by_type.setdefault(record["type"], []).append(record)
-        assert len(by_type["prompt"]) == 112
         assert len(by_type["llm_call"]) == 126
+        # One record per model call: each query's first attempt holds its digest.
+        assert sum("user_sha256" in r["payload"] for r in by_type["llm_call"]) == 112
+        assert "prompt" not in by_type
         assert len(by_type["turn"]) == 112
         assert len(by_type["day"]) == 14
         assert by_type["run_end"][0]["payload"]["status"] == "completed"
@@ -182,11 +184,16 @@ class TestWorldUpdaters:
 
 
 class FailAfterDay(AgentPolicy):
-    """Wraps a policy; raises a transient transport error past a given day."""
+    """Wraps a policy; raises a transient transport error past a given day.
+    The outage stands in for the transport's, so the run header records the
+    wrapped policy."""
 
     def __init__(self, inner, fail_after_day):
         self.inner = inner
         self.fail_after_day = fail_after_day
+
+    def describe(self):
+        return self.inner.describe()
 
     def decide(self, world, nation, treatment, taxonomy, **kwargs):
         if world.current_day >= self.fail_after_day:
@@ -227,12 +234,14 @@ class TestResume:
         )
         before = path.read_bytes()
 
-        class Exploding(AgentPolicy):
+        # The policy of the run as its header records it, which is never asked.
+        class Exploding(ScriptedPolicy):
             def decide(self, *args, **kw):
                 raise AssertionError("should not be called")
 
         again = run_simulation(
-            scenario, taxonomy, treatment(), Exploding(), TemplateUpdater(),
+            scenario, taxonomy, treatment(), Exploding({}, default=(ChosenAction("wait"),)),
+            TemplateUpdater(),
             transcript_path=path, **kwargs,
         )
         assert again.completed
@@ -256,6 +265,9 @@ class TestResume:
         class FailOnNation(AgentPolicy):
             def __init__(self, inner, day, nation):
                 self.inner, self.day, self.nation = inner, day, nation
+
+            def describe(self):
+                return self.inner.describe()
 
             def decide(self, world, nation, treatment, taxonomy, **kwargs):
                 if world.current_day + 1 == self.day and nation == self.nation:
@@ -470,7 +482,8 @@ class TestConcurrentDays:
         assert path.read_bytes() == inline.read_bytes()
         before = roster[roster.index("Purple") - 1]
         tail = [(r["type"], r["day"], r["nation"]) for r in read_records(path)[-3:]]
-        assert tail == [("turn", 4, before), ("prompt", 4, "Purple"), ("run_end", None, None)]
+        # Purple's failed query made no model call, so it left no record.
+        assert tail == [("llm_call", 4, before), ("turn", 4, before), ("run_end", None, None)]
         healthy = EndpointStandIn(MockTransport(_responder(short, taxonomy)), roster)
         assert _llm_run(short, taxonomy, healthy, path).completed
         straight = tmp_path / "straight.jsonl"

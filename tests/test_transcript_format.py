@@ -1,13 +1,16 @@
-"""Format 4 stores each fact once and seals a finished transcript: every
-record type holds exactly its pinned payload keys, `inspect` re-derives each
-prompt digest and lists the transcripts whose bytes no longer match their
-seal, a sealed transcript is read as a broken-seal one is while only the
-records a reader uses are decoded, a no-op re-run decodes two lines of a
-sealed completed transcript and its skipped run reads the days later, only
-from the file the skip saw, and a transcript in an older format
-(format 1 stored each user prompt in full, format 2 copied six fields,
-format 3 had no seal) is refused by every reader, completed or partial, and
-left as it is."""
+"""Format 5 stores each fact once, names in its header what produced the
+run, writes one record per model call and seals a finished transcript:
+every record type holds exactly its pinned payload keys, a re-run by
+another model, policy, script, world updater or retry count is refused
+before any request, `inspect` re-derives each prompt digest and lists the
+transcripts whose bytes no longer match their seal, a sealed transcript is
+read as a broken-seal one is while only the records a reader uses are
+decoded, a no-op re-run decodes two lines of a sealed completed transcript
+and its skipped run reads the days later, only from the file the skip saw,
+and a transcript in an older format (format 1 stored each user prompt in
+full, format 2 copied six fields, format 3 had no seal, format 4 named no
+producer in its header and wrote a prompt record per query) is refused by
+every reader, completed or partial, and left as it is."""
 import dataclasses
 import hashlib
 import json
@@ -28,6 +31,8 @@ from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, TemplateUpdater, Treatment, run_simulation
 from esclab.prompts import PromptTemplates, PromptVariant, default_templates, text_sha256
 from esclab.report import build_report
+from esclab.scenario import load_scenario
+from esclab.taxonomy import load_taxonomy
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -54,9 +59,42 @@ treatments:
     return load_plan(path)
 
 
+# What format 5 added to the run header.
+PRODUCER_KEYS = ("model", "max_tokens", "max_parse_retries", "policy", "world_updater")
+
+
+def to_format_4(path: Path) -> None:
+    """Rewrite a transcript as format 4 wrote it: no producer in the header,
+    the model and max_tokens in every llm_call, and a query's user digest in
+    a prompt record before its first attempt's call; sealed if it ends in a
+    run_end."""
+    records = ts.read_records(path)
+    header = records[0]["payload"]
+    old = []
+    for record in records:
+        payload = record["payload"]
+        if record["type"] == ts.LLM_CALL:
+            if "user_sha256" in payload:
+                digest = {"user_sha256": payload.pop("user_sha256")}
+                old.append({**record, "type": "prompt", "payload": digest})
+            payload.update(model=header["model"], max_tokens=header["max_tokens"])
+        old.append(record)
+    for key in PRODUCER_KEYS:
+        del header[key]
+    header["transcript_format"] = 4
+    for seq, record in enumerate(old):
+        record["seq"] = seq
+    end = old.pop()["payload"] if old[-1]["type"] == ts.RUN_END else None
+    writer = ts.TranscriptWriter(path, old)
+    if end is not None:
+        writer.write(ts.RUN_END, {"status": end["status"], "reason": end["reason"]})
+    writer.close()
+
+
 def to_format_3(path: Path) -> None:
-    """Rewrite a transcript as format 3 wrote it: without a seal, and with
-    each parse failure's nation in its payload."""
+    """Rewrite a transcript as format 3 wrote it: format 4 without a seal,
+    and with each parse failure's nation in its payload."""
+    to_format_4(path)
     records = ts.read_records(path)
     records[0]["payload"]["transcript_format"] = 3
     for record in records:
@@ -80,7 +118,7 @@ def to_format_2(path: Path) -> None:
         payload = record["payload"]
         if record["type"] == ts.SYSTEM_PROMPT:
             payload["variant"] = treatment["variant"]
-        elif record["type"] == ts.PROMPT:
+        elif record["type"] == "prompt":
             payload["system_sha256"] = system_sha256
         elif record["type"] == ts.LLM_CALL:
             payload["temperature"] = treatment["temperature"]
@@ -105,7 +143,7 @@ def to_format_1(path: Path) -> None:
             del payload["transcript_format"], payload["intra_day_visibility"]
         elif record["type"] == ts.SYSTEM_PROMPT:
             del payload["user_template"]
-        elif record["type"] == ts.PROMPT:
+        elif record["type"] == "prompt":
             record["payload"] = {
                 "user_text": f"Day {record['day']}: the prompt {record['nation']} saw.",
                 "system_sha256": payload["system_sha256"],
@@ -136,14 +174,13 @@ def experiment_copy(small_experiment, tmp_path):
     return plan, copy
 
 
-# The payload keys of each record type, and of each action of a turn.
+# The payload keys of each record type, and of each action of a turn.  Only
+# the llm_call of an agent query's first attempt holds ``user_sha256``.
 PAYLOAD_KEYS = {
     ts.RUN_START: {"transcript_format", "run_id", "scenario_name", "days", "seed", "treatment",
-                   "taxonomy_version", "intra_day_visibility"},
+                   "taxonomy_version", "intra_day_visibility", *PRODUCER_KEYS},
     ts.SYSTEM_PROMPT: {"sha256", "text", "user_template"},
-    ts.PROMPT: {"user_sha256"},
-    ts.LLM_CALL: {"tag", "model", "max_tokens", "content", "finish_reason", "latency",
-                  "attempt_count"},
+    ts.LLM_CALL: {"tag", "content", "finish_reason", "latency", "attempt_count", "user_sha256"},
     ts.PARSE_FAILURE: {"attempt", "reason", "detail", "content"},
     ts.TURN: {"actions", "private_thoughts", "parse_attempts", "fallback", "deviations"},
     ts.DAY: {"scores", "summary"},
@@ -189,6 +226,7 @@ class TestPayloadKeys:
             seed=5, transcript_path=scripted,
         )
         expected = {type_: {frozenset(keys)} for type_, keys in PAYLOAD_KEYS.items()}
+        expected[ts.LLM_CALL].add(frozenset(PAYLOAD_KEYS[ts.LLM_CALL] - {"user_sha256"}))
         expected["action"] = {frozenset(ACTION_KEYS)}
         assert self._key_sets(llm) == expected
         scripted_types = {ts.RUN_START, ts.SYSTEM_PROMPT, ts.TURN, ts.DAY, ts.RUN_END, "action"}
@@ -196,17 +234,37 @@ class TestPayloadKeys:
 
 
 class TestDigestRecords:
-    def test_prompt_records_hold_digests_and_header_holds_format(self, small_experiment):
+    def test_first_attempts_hold_digests_and_header_holds_producer(self, small_experiment):
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 4
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 5
         assert header["intra_day_visibility"] is False
+        assert {key: header[key] for key in PRODUCER_KEYS} == {
+            "model": experiments.DEFAULT_MODEL, "max_tokens": 1024, "max_parse_retries": 3,
+            "policy": {"kind": "llm"}, "world_updater": "llm",
+        }
         system = records[1]["payload"]
         assert system["user_template"] == default_templates().user
-        prompts = [r["payload"] for r in records if r["type"] == ts.PROMPT]
-        assert len(prompts) == 14 * 8
-        assert all(set(p) == {"user_sha256"} for p in prompts)
+        calls = [r for r in records if r["type"] == ts.LLM_CALL]
+        first = [r for r in calls if "user_sha256" in r["payload"]]
+        assert len(first) == 14 * 8
+        assert all(r["payload"]["tag"].endswith("|a1") for r in first)
+        assert not any(r["payload"]["tag"].endswith("|a1") for r in calls if r not in first)
+        assert "prompt" not in {r["type"] for r in records}
+
+    def test_scripted_header_names_no_model(self, scenario, taxonomy, tmp_path):
+        path = tmp_path / "run.jsonl"
+        policy = load_script(DATA / "demo_script.yaml")
+        run_simulation(scenario, taxonomy, Treatment("t0.5-context", 0.5, PromptVariant.CONTEXT),
+                       policy, TemplateUpdater(), seed=5, transcript_path=path,
+                       max_parse_retries=1)
+        header = ts.read_records(path)[0]["payload"]
+        assert {key: header[key] for key in PRODUCER_KEYS} == {
+            "model": None, "max_tokens": None, "max_parse_retries": 1,
+            "policy": {"kind": "scripted", "script_sha256": policy.script_sha256},
+            "world_updater": "template",
+        }
 
     def test_run_end_seals_every_byte_before_it(self, small_experiment):
         _, out = small_experiment
@@ -238,6 +296,98 @@ class TestDigestRecords:
         assert system["sha256"] == text_sha256(system["text"])
         assert system["user_template"] == templates.user
         assert ts.verify_prompts(path, scenario) == (14 * 8, [], True)
+
+
+def producer_plan(root: Path, **keys) -> Path:
+    """A one-treatment, two-run plan on the mock by ``model-A``, with ``keys``
+    set; a scripted policy plays ``root/script.yaml``."""
+    lines = {
+        "scenario": DATA / "neutral_scenario.yaml",
+        "taxonomy": DATA / "default_taxonomy.yaml",
+        "base_seed": 3, "runs_per_treatment": 2, "model": "model-A",
+        "policy": "llm", "world_updater": "llm",
+        "treatments": "[{label: t1.0-default, temperature: 1.0}]",
+        **keys,
+    }
+    path = root / "plan.yaml"
+    path.write_text("".join(f"{key}: {value}\n" for key, value in lines.items()),
+                    encoding="utf-8")
+    return path
+
+
+SCRIPTED = "{kind: scripted, script: script.yaml}"
+
+
+class TestHeaderNamesTheProducer:
+    """A transcript made by another model, policy, script, world updater or
+    retry count is another run's: a re-run refuses it before any request."""
+
+    @pytest.mark.parametrize("first,second,script", [
+        ({}, {"model": "model-B"}, None),
+        ({}, {"world_updater": "template"}, None),
+        ({}, {"model": "model-B", "world_updater": "template"}, None),
+        ({}, {"policy": SCRIPTED}, None),
+        ({"policy": SCRIPTED}, {"policy": SCRIPTED}, "default:\n  - {action: wait}\n"),
+        ({}, {"max_parse_retries": 1}, None),
+    ], ids=["model", "world_updater", "model_and_world_updater", "policy_kind", "script",
+            "max_parse_retries"])
+    def test_rerun_by_another_producer_is_refused(self, tmp_path, monkeypatch, first,
+                                                  second, script):
+        shutil.copyfile(DATA / "demo_script.yaml", tmp_path / "script.yaml")
+        out = tmp_path / "out"
+        result = run_experiment(load_plan(producer_plan(tmp_path, **first)), out)
+        assert [run.status for run in result.runs] == ["completed"] * 2
+        files = [out / "manifest.json", *sorted((out / "transcripts").glob("*.jsonl"))]
+        before = {path: path.read_bytes() for path in files}
+        if script is not None:
+            (tmp_path / "script.yaml").write_text(script, encoding="utf-8")
+        plan = load_plan(producer_plan(tmp_path, **{**first, **second}))
+        transports = []
+
+        def build_transport(*args, **kwargs):
+            transports.append(original(*args, **kwargs))
+            return transports[-1]
+
+        original = experiments.build_transport
+        monkeypatch.setattr(experiments, "build_transport", build_transport)
+        with pytest.raises(ValidationError,
+                           match="t1.0-default-r00.jsonl belongs to a different run"):
+            run_experiment(plan, out)
+        assert [transport.request_count for transport in transports] == [0]
+        assert {path: path.read_bytes() for path in files} == before
+
+    def test_run_simulation_writes_the_header_of_the_experiment(self, tmp_path):
+        for keys in ({}, {"policy": SCRIPTED, "world_updater": "template",
+                          "max_parse_retries": 1}):
+            shutil.copyfile(DATA / "demo_script.yaml", tmp_path / "script.yaml")
+            plan = load_plan(producer_plan(tmp_path, runs_per_treatment=1, **keys))
+            out = tmp_path / f"out-{len(keys)}"
+            run_experiment(plan, out)
+            scenario = load_scenario(plan.scenario_path)
+            taxonomy = load_taxonomy(plan.taxonomy_path)
+            transport = experiments.build_transport(plan, taxonomy, scenario)
+            (treatment,) = plan.treatments
+            path = tmp_path / f"sim-{len(keys)}.jsonl"
+            run_simulation(
+                scenario, taxonomy, treatment, experiments.build_policy(plan, transport),
+                experiments.build_updater(plan, transport),
+                seed=run_seed(plan.base_seed, treatment.label, 0), transcript_path=path,
+                run_id=f"{treatment.label}-r00", max_parse_retries=plan.max_parse_retries,
+                intra_day_visibility=plan.intra_day_visibility,
+            )
+            played = ts.read_records(out / "transcripts" / "t1.0-default-r00.jsonl")[0]
+            assert ts.read_records(path)[0] == played
+
+    def test_components_calling_two_models_are_refused(self, scenario, taxonomy, tmp_path):
+        transport = MockTransport("unused")
+        with pytest.raises(ValidationError, match="call different models"):
+            run_simulation(
+                scenario, taxonomy, Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
+                LlmPolicy(transport, model="a"), LlmUpdater(transport, model="b"),
+                seed=1, transcript_path=tmp_path / "run.jsonl",
+            )
+        assert transport.request_count == 0
+        assert not (tmp_path / "run.jsonl").exists()
 
 
 class TestInspect:
@@ -279,11 +429,12 @@ class TestInspect:
     def test_edited_user_digest_fails(self, experiment_copy):
         _, out = experiment_copy
         path = out / "transcripts" / "t1.0-context-r00.jsonl"
-        edit_record(path, lambda r: r["type"] == ts.PROMPT and r["day"] == 9
-                    and r["nation"] == "Purple",
-                    lambda p: p.update(user_sha256="0" * 64))
-        seq = next(r["seq"] for r in ts.read_records(path)
-                   if r["type"] == ts.PROMPT and r["day"] == 9 and r["nation"] == "Purple")
+        def first_attempt(record):
+            return ("user_sha256" in record["payload"] and record["day"] == 9
+                    and record["nation"] == "Purple")
+
+        edit_record(path, first_attempt, lambda p: p.update(user_sha256="0" * 64))
+        seq = next(r["seq"] for r in ts.read_records(path) if first_attempt(r))
         result = inspect_experiment(out / "manifest.json")
         assert result.mismatches == [
             f"transcripts/t1.0-context-r00.jsonl seq {seq} (day 9, Purple): "
@@ -337,7 +488,7 @@ class TestInspect:
     ):
         _, out = experiment_copy
         path = out / "transcripts" / "t1.0-default-r00.jsonl"
-        edit_record(path, lambda r: r["type"] == ts.PROMPT, lambda p: p.pop("user_sha256"))
+        edit_record(path, lambda r: "user_sha256" in r["payload"], lambda p: p.pop("user_sha256"))
         assert len(inspect_experiment(out / "manifest.json").mismatches) == 1
         edit_record(path, lambda r: r["type"] == ts.SYSTEM_PROMPT,
                     lambda p: p.pop("user_template"))
@@ -350,7 +501,7 @@ class TestOlderFormats:
         "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
     )
     @pytest.mark.parametrize("state", ["completed", "partial"])
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_transcript_is_refused_and_left_as_it_is(
         self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
@@ -361,7 +512,7 @@ class TestOlderFormats:
             records = ts.read_records(path)
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
             ts.rewrite(path, records[: day_3 + 5])
-        {1: to_format_1, 2: to_format_2, 3: to_format_3}[version](path)
+        {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -379,7 +530,7 @@ class TestOlderFormats:
             "inspect": lambda: inspect_experiment(manifest),
         }[reader]
         with pytest.raises(
-            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 4"
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 5"
         ):
             read()
         assert transport.request_count == 0
@@ -497,7 +648,7 @@ class TestSeal:
         assert (run.status, len(run.days)) == ("partial", 1)
         day_1 = next(i for i, r in enumerate(records) if r["type"] == ts.DAY)
         assert kept == records[: day_1 + 1]
-        assert {r["type"] for r in kept} >= {ts.PROMPT, ts.LLM_CALL}
+        assert {r["type"] for r in kept} >= {ts.SYSTEM_PROMPT, ts.LLM_CALL}
 
     @pytest.mark.parametrize("reader", ["build_report", "run_experiment"])
     def test_malformed_line_in_a_once_sealed_transcript_is_a_parse_error(
