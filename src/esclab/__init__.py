@@ -6,8 +6,9 @@ replicated runs and reports the resulting escalation statistics.
 
 The report and statistics names load on first use (PEP 562), so running
 simulations does not import numpy or scipy, which the statistics need (numpy
-and ``scipy.special``: about 0.45 s and 40 MB); ``requests`` loads only when
-a live transport is built.  ``import esclab.cli`` takes about 0.2 s.
+and ``scipy.special`` are the slowest imports of a cold report); ``requests``
+loads only when a live transport is built.  ``import esclab.cli`` takes about
+0.2 s.
 """
 import importlib
 

@@ -179,8 +179,8 @@ def _print_table(header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # Imported here: only this command needs numpy and scipy.special, which
-    # take about 0.45 s to import (a cold report runs in about 1 s).
+    # Imported here: only this command needs numpy and scipy.special, the
+    # slowest imports of a cold report.
     from .report import build_report
 
     bundle = build_report(

@@ -203,10 +203,14 @@ class LiveTransport(Transport):
         requests_per_minute: int = 60,
         session: requests.Session | None = None,
     ):
-        if max_in_flight < 1 or requests_per_minute < 1 or timeout <= 0:
+        # ``not 0 < timeout`` also refuses NaN; above TIMEOUT_MAX the socket
+        # layer would refuse every request instead.
+        if (max_in_flight < 1 or requests_per_minute < 1
+                or not 0 < timeout <= threading.TIMEOUT_MAX):
             raise ValidationError(
                 "live transport needs max_in_flight >= 1, requests_per_minute >= 1 and "
-                f"timeout > 0, got {max_in_flight}, {requests_per_minute} and {timeout}"
+                f"0 < timeout <= {threading.TIMEOUT_MAX:g}, got {max_in_flight}, "
+                f"{requests_per_minute} and {timeout}"
             )
         import requests
 

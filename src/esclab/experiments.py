@@ -52,7 +52,7 @@ TRANSCRIPT_DIR = "transcripts"
 # Plan keys read as a scalar, with the type each must have as YAML loads it.
 _SCALAR_KEYS = {
     "base_seed": int, "runs_per_treatment": int, "model": str, "max_parse_retries": int,
-    "parallelism": int, "max_requests": int, "intra_day_visibility": bool,
+    "parallelism": int, "max_requests": int,
 }
 _REQUIRED_KEYS = ("scenario", "taxonomy", "treatments", "base_seed")
 _PLAN_KEYS = {
@@ -98,7 +98,6 @@ class ExperimentPlan:
     max_parse_retries: int = DEFAULT_PARSE_RETRIES
     parallelism: int = 1
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
-    intra_day_visibility: bool = False
 
     def __post_init__(self):
         if self.runs_per_treatment < 1:
@@ -315,9 +314,12 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
 def manifest_lock(manifest_path: Path, shared: bool = False):
     """Advisory lock guarding the manifest at ``manifest_path``, a file in its
     directory: exclusive for writers (the experiment runner), shared for
-    readers (report, inspect).  A directory that cannot hold it (one that
-    does not exist, say) is a ``ParseError`` naming the manifest."""
+    readers (report, inspect).  A manifest path that is a directory, or a
+    directory that cannot hold the lock (one that does not exist, say), is a
+    ``ParseError`` naming the manifest, before any file is touched."""
     manifest_path = Path(manifest_path)
+    if manifest_path.is_dir():
+        raise ParseError(f"manifest {manifest_path} is a directory")
     lock_path = manifest_path.with_name("manifest.lock")
     try:
         lock_path.touch(exist_ok=True)
@@ -411,8 +413,6 @@ def run_experiment(
         (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
-    if (out_dir / MANIFEST_NAME).is_dir():
-        raise ParseError(f"manifest {out_dir / MANIFEST_NAME} is a directory")
     with manifest_lock(out_dir / MANIFEST_NAME):
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
 
@@ -468,8 +468,7 @@ def _execute(
     to_run: list[tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]] = []
     for handle in handles:
         header = run_header(scenario, taxonomy, handle.treatment, handle.seed,
-                            handle.run_id, plan.intra_day_visibility, policy, updater,
-                            plan.max_parse_retries)
+                            handle.run_id, policy, updater, plan.max_parse_retries)
         run, kept = ts.stored_run(handle.transcript_path, header)
         if run is not None and run.completed:
             results[handle.run_id] = run

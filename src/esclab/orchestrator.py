@@ -8,10 +8,9 @@ anything but an in-process mock, replay or a recording of one) they are
 issued concurrently, one thread per nation.  Each query's records are
 buffered and written in roster order once it settles, so the transcript
 bytes do not depend on completion order.  Every other policy (scripted, or
-one wrapping another) and ``intra_day_visibility`` runs query the nations
-one after another.  The transcript is written incrementally and a
-crashed run resumes from its last completed day, reproducing the
-uninterrupted bytes exactly.
+one wrapping another) queries the nations one after another.  The
+transcript is written incrementally and a crashed run resumes from its
+last completed day, reproducing the uninterrupted bytes exactly.
 
 A run's treatment and taxonomy come only from the arguments of
 ``run_simulation`` (or of ``play_run``, which plays on from what
@@ -51,7 +50,6 @@ from .scenario import (
     action_text,
     advance_day,
     initial_world,
-    with_partial_day,
 )
 from .scoring import daily_score
 from .taxonomy import ActionTaxonomy
@@ -191,8 +189,8 @@ class LlmUpdater(WorldUpdater):
 
 
 def run_header(scenario: Scenario, taxonomy: ActionTaxonomy, treatment: Treatment,
-               seed: int, run_id: str, intra_day_visibility: bool, policy: AgentPolicy,
-               world_updater: WorldUpdater, max_parse_retries: int) -> dict:
+               seed: int, run_id: str, policy: AgentPolicy, world_updater: WorldUpdater,
+               max_parse_retries: int) -> dict:
     """The ``run_start`` payload of a run: a transcript holds the run only if
     its header equals this.  It names what produced the run: the model and
     ``max_tokens`` of the components that call one (null if none does), the
@@ -211,7 +209,6 @@ def run_header(scenario: Scenario, taxonomy: ActionTaxonomy, treatment: Treatmen
         "seed": seed,
         "treatment": treatment.as_record(),
         "taxonomy_version": taxonomy.version,
-        "intra_day_visibility": intra_day_visibility,
         "model": model,
         "max_tokens": max_tokens,
         "max_parse_retries": max_parse_retries,
@@ -230,7 +227,6 @@ def run_simulation(
     transcript_path,
     run_id: str | None = None,
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
-    intra_day_visibility: bool = False,
 ) -> ts.TranscriptRun:
     """Play one seeded game of scenario.days days and persist the transcript.
 
@@ -245,8 +241,8 @@ def run_simulation(
         raise ValidationError("max_parse_retries must be >= 0")
     transcript_path = Path(transcript_path)
     run_id = run_id or f"{treatment.label}-s{seed}"
-    header = run_header(scenario, taxonomy, treatment, seed, run_id, intra_day_visibility,
-                        policy, world_updater, max_parse_retries)
+    header = run_header(scenario, taxonomy, treatment, seed, run_id, policy, world_updater,
+                        max_parse_retries)
 
     prior, kept = ts.stored_run(transcript_path, header)
     if prior is not None and prior.completed:
@@ -271,7 +267,6 @@ def play_run(
     gave them (None and none: from the start, replacing any file there), and
     persist its transcript."""
     run_id = header["run_id"]
-    intra_day_visibility = header["intra_day_visibility"]
     max_parse_retries = header["max_parse_retries"]
     days: list[DailyRecord] = []
     fallbacks = 0
@@ -285,7 +280,7 @@ def play_run(
     writer = ts.TranscriptWriter(transcript_path, kept)
     # Threads overlap only waiting: for an in-process policy they would
     # just contend for the interpreter lock.
-    concurrent = not intra_day_visibility and not policy.in_process
+    concurrent = not policy.in_process
     pool = ThreadPoolExecutor(len(scenario.nation_names)) if concurrent else None
     status = "completed"
     abort_reason = None
@@ -329,15 +324,7 @@ def play_run(
                     # A failing query still leaves its records, as when the
                     # nations are asked one by one; later nations' are dropped.
                     try:
-                        if pool is not None:
-                            turn = futures[nation].result()
-                        elif intra_day_visibility:
-                            view = with_partial_day(
-                                world, {n: t.actions for n, t in turns.items()}
-                            )
-                            turn = ask(nation, view)
-                        else:
-                            turn = ask(nation, world)
+                        turn = futures[nation].result() if pool is not None else ask(nation, world)
                     finally:
                         for type_, payload in buffers[nation]:
                             writer.write(type_, payload, day=day, nation=nation)

@@ -152,8 +152,8 @@ class WorldState:
     """Current day, latest world summary and the full history of records.
 
     ``action_log`` is the public action log: one line per action of
-    ``history``, by day, in roster order.  ``advance_day`` and
-    ``with_partial_day`` extend it with the new record's lines.
+    ``history``, by day, in roster order.  ``advance_day`` extends it with
+    the new record's lines.
     """
 
     scenario: Scenario
@@ -161,23 +161,6 @@ class WorldState:
     summary: str = ""
     history: tuple[DailyRecord, ...] = field(default_factory=tuple)
     action_log: str = ""
-
-
-def _with_record(world: WorldState, record: DailyRecord, day: int, summary: str) -> WorldState:
-    lines = [
-        f"Day {record.day}: {action_text(nation, action)}"
-        for nation in world.scenario.nation_names
-        for action in record.actions_by_nation.get(nation, ())
-    ]
-    if world.action_log:
-        lines.insert(0, world.action_log)
-    return WorldState(
-        scenario=world.scenario,
-        current_day=day,
-        summary=summary,
-        history=world.history + (record,),
-        action_log="\n".join(lines),
-    )
 
 
 def initial_world(scenario: Scenario) -> WorldState:
@@ -196,24 +179,20 @@ def advance_day(world: WorldState, record: DailyRecord) -> WorldState:
         raise ValidationError(f"day {record.day}: no actions recorded for {sorted(missing)}")
     if not record.world_summary_after:
         raise ValidationError(f"day {record.day}: empty world summary")
-    return _with_record(world, record, record.day, record.world_summary_after)
-
-
-def with_partial_day(
-    world: WorldState, actions_by_nation: Mapping[str, tuple[ChosenAction, ...]]
-) -> WorldState:
-    """The world as a nation sees it when earlier nations' same-day actions
-    are visible (``intra_day_visibility``): those actions join the log as an
-    unscored day in progress."""
-    if not actions_by_nation:
-        return world
-    partial = DailyRecord(
-        day=world.current_day + 1,
-        actions_by_nation=actions_by_nation,
-        daily_score_by_nation={nation: 0 for nation in actions_by_nation},
-        world_summary_after="(in progress)",
+    lines = [
+        f"Day {record.day}: {action_text(nation, action)}"
+        for nation in world.scenario.nation_names
+        for action in record.actions_by_nation[nation]
+    ]
+    if world.action_log:
+        lines.insert(0, world.action_log)
+    return WorldState(
+        scenario=world.scenario,
+        current_day=record.day,
+        summary=record.world_summary_after,
+        history=world.history + (record,),
+        action_log="\n".join(lines),
     )
-    return _with_record(world, partial, world.current_day, world.summary)
 
 
 def _parse_nation(entry: object, index: int) -> NationProfile:

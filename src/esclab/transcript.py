@@ -54,23 +54,24 @@ from .scenario import (
     Scenario,
     advance_day,
     initial_world,
-    with_partial_day,
 )
 
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
-# Format 5 names in run_start what produced the run (model, max_tokens,
-# max_parse_retries, policy, world updater) and writes one record per model
-# call: the first attempt's llm_call holds the user prompt's digest.
-# Format 4 sealed a finished transcript with the digest of its bytes in
-# run_end, copied the model and max_tokens into every llm_call and wrote each
-# query's digest in a prompt record of its own.  Format 3 had no seal and
-# copied a parse failure's nation into its payload; format 2 also copied a
-# turn's nation into its payload, the system digest into every prompt record,
-# the temperature into every llm_call and a re-encoded reply into every
-# action.  Format 1 stored every user prompt in full.
-TRANSCRIPT_FORMAT = 5
+# Format 6 drops run_start's flag for sequential moves: every nation of a
+# day sees the same start-of-day world.  Format 5 named in run_start what
+# produced the run (model, max_tokens, max_parse_retries, policy, world
+# updater) and wrote one record per model call: the first attempt's llm_call
+# holds the user prompt's digest.  Format 4 sealed a finished transcript with
+# the digest of its bytes in run_end, copied the model and max_tokens into
+# every llm_call and wrote each query's digest in a prompt record of its own.
+# Format 3 had no seal and copied a parse failure's nation into its payload;
+# format 2 also copied a turn's nation into its payload, the system digest
+# into every prompt record, the temperature into every llm_call and a
+# re-encoded reply into every action.  Format 1 stored every user prompt in
+# full.
+TRANSCRIPT_FORMAT = 6
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -513,9 +514,8 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
 
     A user prompt is a function of the scenario, the user template in the
     ``system_prompt`` record, the variant and the world at the start of its
-    day, which the transcript's own ``turn`` and ``day`` records rebuild
-    (under ``intra_day_visibility``, with the earlier nations' turns of that
-    day).  Its digest is the ``user_sha256`` of the query's first attempt:
+    day, which the transcript's own ``turn`` and ``day`` records rebuild.
+    Its digest is the ``user_sha256`` of the query's first attempt:
     a nation's first ``llm_call`` of the day (retries follow it, and world
     updates name no nation).  Returns the number of queries checked, one
     line per mismatch and whether the transcript is sealed (``is_sealed``),
@@ -542,8 +542,7 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         if type_ == LLM_CALL and nation is not None and nation not in asked:
             asked.add(nation)
             checked += 1
-            view = with_partial_day(world, today) if header["intra_day_visibility"] else world
-            user_text = render_user_text(scenario, view, nation, variant, template)
+            user_text = render_user_text(scenario, world, nation, variant, template)
             if record["payload"].get("user_sha256") != text_sha256(user_text):
                 mismatches.append(
                     f"seq {record['seq']} (day {record['day']}, {nation}): "

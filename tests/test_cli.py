@@ -301,6 +301,12 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, max_in_flight: -1}}", None,
          "ValidationError"),
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: x}}", None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: .nan}}", None,
+         "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: .inf}}", None,
+         "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: 1.0e+10}}", None,
+         "ValidationError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, api_key: sk-test}", None, "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, respondr: static}", None, "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, responder: calibrated}", None,
@@ -315,9 +321,14 @@ class TestRefusedInputs:
          "TransportError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock}",
          "nations:\n  Blue:\n    first:\n      - {action: wait}\n", "ParseError"),
-    ], ids=["temperature-list", "rpm-0", "in-flight-negative", "timeout-text", "api-key",
-            "misspelt-key", "mock-responder", "mock-text", "replay-mode", "label-dir",
-            "label-escape", "label-pipe", "no-cassette", "script-day-key"])
+        ("[{label: a, temperature: 1.0}]\nintra_day_visibility: true", "{kind: mock}", None,
+         "ParseError"),
+        ("[{label: a, temperature: 1.0}]\nintra_day_visibility: false", "{kind: mock}", None,
+         "ParseError"),
+    ], ids=["temperature-list", "rpm-0", "in-flight-negative", "timeout-text", "timeout-nan",
+            "timeout-inf", "timeout-1e10", "api-key", "misspelt-key", "mock-responder",
+            "mock-text", "replay-mode", "label-dir", "label-escape", "label-pipe", "no-cassette",
+            "script-day-key", "visibility-true", "visibility-false"])
     def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
                       error):
         monkeypatch.setenv("ESCLAB_API_KEY", "sk-test")
@@ -382,6 +393,21 @@ class TestRefusedInputs:
         assert error["error"] == "ParseError"
         assert str(manifest) in error["message"]
         assert not manifest.parent.exists()
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command", ["report", "inspect"])
+    def test_manifest_that_is_a_directory(self, tmp_path, capsys, command):
+        manifest = tmp_path / "exp" / "manifest.json"
+        manifest.mkdir(parents=True)
+        report = tmp_path / "report"
+        extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
+        assert main([command, "--manifest", str(manifest), *extra]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])
+        assert error["error"] == "ParseError"
+        assert error["message"] == f"manifest {manifest} is a directory"
+        assert sorted(tmp_path.rglob("*")) == [manifest.parent, manifest]
         assert not report.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "simulate", "report"])

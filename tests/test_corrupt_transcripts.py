@@ -41,7 +41,6 @@ def completed(tmp_path_factory, taxonomy):
         Treatment("t1.0-reflection-planning", 1.0, PromptVariant.REFLECTION_PLANNING),
         LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
         seed=3, transcript_path=path, run_id="t1.0-reflection-planning-r00",
-        intra_day_visibility=True,
     )
     assert run.completed
     records = ts.read_records(path)

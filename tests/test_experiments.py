@@ -125,8 +125,6 @@ treatments:
             load_plan(scripted_plan(tmp_path, extra="parallelism: many"))
 
     @pytest.mark.parametrize("runs,extra,key", [
-        (2, "intra_day_visibility: 'false'", "intra_day_visibility"),
-        (2, "intra_day_visibility: 0", "intra_day_visibility"),
         (2.9, "", "runs_per_treatment"),
         (2, "parallelism: true", "parallelism"),
         (2, "model: 7", "model"),
@@ -138,9 +136,9 @@ treatments:
     def test_scalars_keep_their_yaml_values(self, tmp_path):
         plan = load_plan(scripted_plan(
             tmp_path, runs=3,
-            extra="intra_day_visibility: false\nmax_requests: 0\nmodel: m\nparallelism: 2",
+            extra="max_requests: 0\nmodel: m\nparallelism: 2",
         ))
-        assert (plan.runs_per_treatment, plan.intra_day_visibility) == (3, False)
+        assert plan.runs_per_treatment == 3
         assert (plan.max_requests, plan.model, plan.parallelism) == (0, "m", 2)
 
     def test_negative_max_requests_rejected(self, tmp_path):
@@ -216,6 +214,8 @@ class TestPlanValueChecks:
         ("policy: {kind: llm, temperature: 1}", r"unknown keys \['temperature'\]"),
         ("policy: {kind: scripted, script: 5}", "script must be a nonempty string"),
         ("1: x\nsurprise: 2", r"unknown keys \[1, 'surprise'\]"),
+        ("intra_day_visibility: true", r"unknown keys \['intra_day_visibility'\]"),
+        ("intra_day_visibility: false", r"unknown keys \['intra_day_visibility'\]"),
     ])
     def test_bad_plan_entry_is_a_parse_error(self, tmp_path, extra, match):
         with pytest.raises(ParseError, match=match):
@@ -549,7 +549,7 @@ class TestRunRecords:
         assert [(entry["run_index"], entry["status"]) for entry in runs] == [(0, "completed")]
 
 
-def mock_plan(tmp_path, treatment: str, extra: str = "") -> Path:
+def mock_plan(tmp_path, treatment: str) -> Path:
     return write_plan(
         tmp_path,
         f"""
@@ -563,7 +563,6 @@ transport:
   kind: mock
 treatments:
   - {treatment}
-{extra}
 """,
     )
 
@@ -572,17 +571,15 @@ class TestStaleTranscripts:
     """A transcript is skipped only when its header is the run's own."""
 
     @pytest.mark.parametrize(
-        "treatment, extra",
+        "treatment",
         [
-            ("{label: t1.0-default, temperature: 0.5, variant: default}", ""),
-            ("{label: t1.0-default, temperature: 1.0, variant: reflection_planning}", ""),
-            ("{label: t1.0-default, temperature: 1.0, variant: default}",
-             "intra_day_visibility: true"),
+            "{label: t1.0-default, temperature: 0.5, variant: default}",
+            "{label: t1.0-default, temperature: 1.0, variant: reflection_planning}",
         ],
-        ids=["temperature", "variant", "intra_day_visibility"],
+        ids=["temperature", "variant"],
     )
     def test_changed_run_under_the_same_label_is_refused(
-        self, tmp_path, monkeypatch, treatment, extra
+        self, tmp_path, monkeypatch, treatment
     ):
         from esclab import experiments
 
@@ -602,7 +599,7 @@ class TestStaleTranscripts:
             return transports[-1]
 
         monkeypatch.setattr(experiments, "build_transport", recording)
-        changed = load_plan(mock_plan(tmp_path, treatment, extra))
+        changed = load_plan(mock_plan(tmp_path, treatment))
         with pytest.raises(ValidationError, match="t1.0-default-r00.jsonl belongs to a different run"):
             run_experiment(changed, out)
         assert [t.request_count for t in transports] == [0]

@@ -21,13 +21,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "deaf8de74ace203f6e5578e8c8954912f8492dae656ef30e72b01a8b1a8177c7",
+        "0487e20687f024abd104fd144f69a805a3b2b66be693ead4885c27a2314baf5a",
     "t1.0-default-r01.jsonl":
-        "8b8eac96f4ff088a48f63597ae4e6e924b167810e470b4f6104fcc18ddfde764",
+        "9de78551988f9815ca8a2d1a64e52dd2a87a869ac895d301a1c396a4a5ce922d",
     "t1.0-reflection-planning-r00.jsonl":
-        "dfc55a46186b42fcacfd456cd44703b4e97e3d58b62a08803b4e04cb444b7e6d",
+        "28d979d5d1a303cc34a158967c9e3cbac89076e7260b79d477c159e0f2d5168d",
     "t1.0-reflection-planning-r01.jsonl":
-        "cdd42a4d4431bc3f394d99c79696776ce7ad66527c1e5799f82888a46e1a9dd0",
+        "12a5f7a5efccf5da9caaa8144dbcb923060f62c71639c5d4531e99e6accd3ebd",
 }
 MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {

@@ -296,31 +296,7 @@ class TestResume:
         assert path.read_bytes() == straight.read_bytes()
 
 
-class TestIntraDayVisibility:
-    def test_later_nations_see_earlier_same_day_actions(self, scenario, taxonomy, tmp_path):
-        seen = {}
-
-        class Spy(AgentPolicy):
-            def __init__(self):
-                self.inner = wait_policy()
-
-            def decide(self, world, nation, treatment, taxonomy, **kwargs):
-                seen[nation] = len(world.history)
-                return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
-
-        run_simulation(
-            scenario.__class__(
-                name=scenario.name, nations=scenario.nations[:2],
-                initial_summary=scenario.initial_summary, days=1,
-            ),
-            taxonomy, treatment(), Spy(), TemplateUpdater(),
-            seed=1, transcript_path=tmp_path / "vis.jsonl",
-            intra_day_visibility=True,
-        )
-        first, second = scenario.nation_names[:2]
-        assert seen[first] == 0
-        assert seen[second] == 1
-
+class TestSimultaneousMoves:
     def test_default_is_simultaneous_move(self, scenario, taxonomy, tmp_path):
         seen = {}
 
@@ -512,16 +488,6 @@ class TestConcurrentDays:
         transport = MockTransport(_responder(short, taxonomy, threads=threads))
         assert _llm_run(short, taxonomy, transport, tmp_path / "run.jsonl").completed
         assert threads == {threading.get_ident()}
-
-    def test_intra_day_visibility_runs_inline(self, scenario, taxonomy, tmp_path):
-        short = dataclasses.replace(scenario, days=2)
-        endpoint = EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names)
-        run = _llm_run(
-            short, taxonomy, endpoint, tmp_path / "run.jsonl", intra_day_visibility=True
-        )
-        assert run.completed
-        assert endpoint.threads == {threading.get_ident()}
-        assert _first_attempts(endpoint.completed, 1) == list(short.nation_names)
 
     def test_scripted_policy_runs_inline(self, scenario, taxonomy, tmp_path):
         threads = set()

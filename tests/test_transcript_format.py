@@ -1,4 +1,4 @@
-"""Format 5 stores each fact once, names in its header what produced the
+"""Format 6 stores each fact once, names in its header what produced the
 run, writes one record per model call and seals a finished transcript:
 every record type holds exactly its pinned payload keys, a re-run by
 another model, policy, script, world updater or retry count is refused
@@ -9,8 +9,9 @@ decoded, a no-op re-run decodes two lines of a sealed completed transcript
 and its skipped run reads the days later, only from the file the skip saw,
 and a transcript in an older format (format 1 stored each user prompt in
 full, format 2 copied six fields, format 3 had no seal, format 4 named no
-producer in its header and wrote a prompt record per query) is refused by
-every reader, completed or partial, and left as it is."""
+producer in its header and wrote a prompt record per query, format 5 had a
+flag for sequential moves in its header) is refused by every reader,
+completed or partial, and left as it is."""
 import dataclasses
 import hashlib
 import json
@@ -63,11 +64,28 @@ treatments:
 PRODUCER_KEYS = ("model", "max_tokens", "max_parse_retries", "policy", "world_updater")
 
 
+def reseal(path: Path, records: list[dict]) -> None:
+    """Write ``records`` to ``path``, sealed if they end in a run_end."""
+    end = records.pop()["payload"] if records[-1]["type"] == ts.RUN_END else None
+    writer = ts.TranscriptWriter(path, records)
+    if end is not None:
+        writer.write(ts.RUN_END, {"status": end["status"], "reason": end["reason"]})
+    writer.close()
+
+
+def to_format_5(path: Path) -> None:
+    """Rewrite a transcript as format 5 wrote it: with ``intra_day_visibility``
+    false in the header."""
+    records = ts.read_records(path)
+    records[0]["payload"].update(transcript_format=5, intra_day_visibility=False)
+    reseal(path, records)
+
+
 def to_format_4(path: Path) -> None:
-    """Rewrite a transcript as format 4 wrote it: no producer in the header,
-    the model and max_tokens in every llm_call, and a query's user digest in
-    a prompt record before its first attempt's call; sealed if it ends in a
-    run_end."""
+    """Rewrite a transcript as format 4 wrote it: format 5 with no producer in
+    the header, the model and max_tokens in every llm_call, and a query's user
+    digest in a prompt record before its first attempt's call."""
+    to_format_5(path)
     records = ts.read_records(path)
     header = records[0]["payload"]
     old = []
@@ -84,11 +102,7 @@ def to_format_4(path: Path) -> None:
     header["transcript_format"] = 4
     for seq, record in enumerate(old):
         record["seq"] = seq
-    end = old.pop()["payload"] if old[-1]["type"] == ts.RUN_END else None
-    writer = ts.TranscriptWriter(path, old)
-    if end is not None:
-        writer.write(ts.RUN_END, {"status": end["status"], "reason": end["reason"]})
-    writer.close()
+    reseal(path, old)
 
 
 def to_format_3(path: Path) -> None:
@@ -178,7 +192,7 @@ def experiment_copy(small_experiment, tmp_path):
 # the llm_call of an agent query's first attempt holds ``user_sha256``.
 PAYLOAD_KEYS = {
     ts.RUN_START: {"transcript_format", "run_id", "scenario_name", "days", "seed", "treatment",
-                   "taxonomy_version", "intra_day_visibility", *PRODUCER_KEYS},
+                   "taxonomy_version", *PRODUCER_KEYS},
     ts.SYSTEM_PROMPT: {"sha256", "text", "user_template"},
     ts.LLM_CALL: {"tag", "content", "finish_reason", "latency", "attempt_count", "user_sha256"},
     ts.PARSE_FAILURE: {"attempt", "reason", "detail", "content"},
@@ -238,8 +252,7 @@ class TestDigestRecords:
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 5
-        assert header["intra_day_visibility"] is False
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 6
         assert {key: header[key] for key in PRODUCER_KEYS} == {
             "model": experiments.DEFAULT_MODEL, "max_tokens": 1024, "max_parse_retries": 3,
             "policy": {"kind": "llm"}, "world_updater": "llm",
@@ -373,7 +386,6 @@ class TestHeaderNamesTheProducer:
                 experiments.build_updater(plan, transport),
                 seed=run_seed(plan.base_seed, treatment.label, 0), transcript_path=path,
                 run_id=f"{treatment.label}-r00", max_parse_retries=plan.max_parse_retries,
-                intra_day_visibility=plan.intra_day_visibility,
             )
             played = ts.read_records(out / "transcripts" / "t1.0-default-r00.jsonl")[0]
             assert ts.read_records(path)[0] == played
@@ -397,19 +409,6 @@ class TestInspect:
         assert main(["inspect", "--manifest", manifest]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary == {"manifest": manifest, "runs": 60, "prompts_verified": 6720}
-
-    def test_intra_day_visibility_prompts_verify(self, tmp_path):
-        plan = llm_plan(tmp_path, runs=1, extra="intra_day_visibility: true")
-        run_experiment(plan, tmp_path / "out")
-        manifest = tmp_path / "out" / "manifest.json"
-        result = inspect_experiment(manifest)
-        assert (result.runs, result.prompts, result.mismatches) == (2, 224, [])
-        # The check sees the visibility: rendered without it, every prompt
-        # after each day's first nation differs.
-        path = tmp_path / "out" / "transcripts" / "t1.0-default-r00.jsonl"
-        edit_record(path, lambda r: r["type"] == ts.RUN_START,
-                    lambda p: p.update(intra_day_visibility=False))
-        assert len(inspect_experiment(manifest).mismatches) == 14 * 7
 
     def test_edited_day_summary_fails(self, experiment_copy, capsys):
         _, out = experiment_copy
@@ -501,7 +500,7 @@ class TestOlderFormats:
         "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
     )
     @pytest.mark.parametrize("state", ["completed", "partial"])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_transcript_is_refused_and_left_as_it_is(
         self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
@@ -512,7 +511,8 @@ class TestOlderFormats:
             records = ts.read_records(path)
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
             ts.rewrite(path, records[: day_3 + 5])
-        {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4}[version](path)
+        {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4,
+         5: to_format_5}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -530,7 +530,7 @@ class TestOlderFormats:
             "inspect": lambda: inspect_experiment(manifest),
         }[reader]
         with pytest.raises(
-            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 5"
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 6"
         ):
             read()
         assert transport.request_count == 0
