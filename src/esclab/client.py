@@ -267,7 +267,7 @@ class LiveTransport(Transport):
             choice = payload["choices"][0]
             content = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"unparseable response body: {exc}")
         return ChatResponse(content=content, finish_reason=finish or "stop", latency=latency)
 
@@ -325,11 +325,15 @@ def _exchange(entry: object) -> CassetteRecord:
     for key, kind in (("finish_reason", str), ("latency", float)):
         if key in response:
             require_type(response[key], kind, f"response {key}")
+    try:
+        latency = float(response.get("latency", 0.0))
+    except OverflowError:  # an int too large for a float
+        raise ParseError("response latency is out of range") from None
     return CassetteRecord(
         tag=require_type(entry["tag"], str, "tag"),
         request_sha=require_type(entry["request_sha"], str, "request_sha"),
         request=entry["request"],
-        response=response,
+        response={**response, "latency": latency},
     )
 
 
@@ -364,7 +368,7 @@ class ReplayTransport(Transport):
         return ChatResponse(
             content=response["content"],
             finish_reason=response.get("finish_reason", "stop"),
-            latency=float(response.get("latency", 0.0)),
+            latency=response["latency"],
         )
 
 

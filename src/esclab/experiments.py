@@ -402,19 +402,25 @@ def run_experiment(
     early; after a hard kill a re-run restores it.  The advisory manifest
     lock is held for the whole execution.  A scenario, taxonomy, transport
     or script that cannot be loaded is refused before anything is written,
-    and a manifest path that is a directory before any request is made.
+    and a manifest path that is a directory before anything but the output
+    directory itself is made.
     """
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
     transport = build_transport(plan, taxonomy, scenario, api_key=api_key)
     policy = build_policy(plan, transport)
     out_dir = Path(out_dir)
-    try:
-        (out_dir / TRANSCRIPT_DIR).mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParseError(f"cannot create output directory {out_dir}: {exc}") from exc
+    _make_dir(out_dir)  # the lock file lives there
     with manifest_lock(out_dir / MANIFEST_NAME):
+        _make_dir(out_dir / TRANSCRIPT_DIR)
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
+
+
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot create output directory {path}: {exc}") from exc
 
 
 def _execute(

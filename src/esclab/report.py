@@ -166,19 +166,6 @@ def build_report(
         ]
         for label in labels
     ]
-    # Only now, with every run read and checked: a refused report leaves no
-    # directory behind.
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParseError(f"cannot create report directory {out_dir}: {exc}") from exc
-    summary_csv = out_dir / "summary.csv"
-    _write_csv(
-        summary_csv,
-        ["label", "temperature", "variant", "n", "mean", "median", "q1", "q3", "min", "max"],
-        summary_rows,
-    )
-
     reductions: list[dict] = []
     baseline_mean = summaries[baseline].mean
     for label in labels:
@@ -200,15 +187,6 @@ def build_report(
             row["p_value"] = test.p_value
             row["significant_at_0_05"] = test.significant_at_0_05
         reductions.append(row)
-    reductions_csv = out_dir / "reductions.csv"
-    _write_csv(
-        reductions_csv,
-        ["label", "baseline", "baseline_mean", "mean", "percent_reduction",
-         "u_statistic", "p_value", "significant_at_0_05"],
-        [[r[k] for k in ("label", "baseline", "baseline_mean", "mean",
-                         "percent_reduction", "u_statistic", "p_value",
-                         "significant_at_0_05")] for r in reductions],
-    )
 
     daily_rows = []
     for label in labels:
@@ -216,15 +194,11 @@ def build_report(
             continue
         for day_index, day in enumerate(daily[label].days, start=1):
             daily_rows.append([label, day_index, day.mean, day.ci_low, day.ci_high])
-    daily_csv = out_dir / "daily.csv"
-    _write_csv(daily_csv, ["label", "day", "mean", "ci_low", "ci_high"], daily_rows)
 
     category_rows = []
     for label in labels:
         for category, value in categories[label].counts.items():
             category_rows.append([label, category.value, value])
-    categories_csv = out_dir / "categories.csv"
-    _write_csv(categories_csv, ["label", "category", "actions_per_nation"], category_rows)
 
     provenance = {
         "plan_sha256": manifest["plan_sha256"],
@@ -236,55 +210,81 @@ def build_report(
         "labels": labels,
         "excluded_runs": len(excluded),
     }
-    provenance_json = out_dir / "provenance.json"
-    provenance_json.write_text(
-        json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
     figure_provenance = dict(provenance)
     if include_timestamp:
         figure_provenance["generated_at"] = datetime.now(timezone.utc).isoformat()
 
-    figures: dict[str, Path] = {}
+    summary_csv = out_dir / "summary.csv"
+    reductions_csv = out_dir / "reductions.csv"
+    daily_csv = out_dir / "daily.csv"
+    categories_csv = out_dir / "categories.csv"
+    provenance_json = out_dir / "provenance.json"
     fig_dir = out_dir / FIGURE_DIR
-    default_labels = [l for l in labels if variants[l] == "default"]
-    if not default_labels:
-        default_labels = labels
-    figures["fig1"] = emit_boxplot(
-        [(l, summaries[l]) for l in default_labels],
-        fig_dir / "fig1.svg",
-        title=f"Escalation score per nation ({aggregator.value}) by temperature",
-        provenance=figure_provenance,
-    )
-    prompt_labels = [l for l in labels if l == baseline or variants[l] != "default"]
-    if len(prompt_labels) < 2:
-        prompt_labels = labels
-    figures["fig2"] = emit_boxplot(
-        [(l, summaries[l]) for l in prompt_labels],
-        fig_dir / "fig2.svg",
-        title=f"Escalation score per nation ({aggregator.value}) by prompt",
-        provenance=figure_provenance,
-    )
-    if daily:
-        series_labels = [l for l in labels if l in daily]
-        if len(series_labels) > 3:
-            others = sorted(
-                (l for l in series_labels if l != baseline),
-                key=lambda l: summaries[l].mean,
-            )[:2]
-            series_labels = ([baseline] if baseline in daily else []) + others
-        figures["fig3"] = emit_timeseries(
-            [(l, daily[l]) for l in series_labels],
-            fig_dir / "fig3.svg",
+    figures: dict[str, Path] = {}
+    # Only now, with every run read and checked: a refused report leaves no
+    # directory behind.
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fig_dir.mkdir(exist_ok=True)
+        _write_csv(
+            summary_csv,
+            ["label", "temperature", "variant", "n", "mean", "median", "q1", "q3", "min", "max"],
+            summary_rows,
+        )
+        _write_csv(
+            reductions_csv,
+            ["label", "baseline", "baseline_mean", "mean", "percent_reduction",
+             "u_statistic", "p_value", "significant_at_0_05"],
+            [[r[k] for k in ("label", "baseline", "baseline_mean", "mean",
+                             "percent_reduction", "u_statistic", "p_value",
+                             "significant_at_0_05")] for r in reductions],
+        )
+        _write_csv(daily_csv, ["label", "day", "mean", "ci_low", "ci_high"], daily_rows)
+        _write_csv(categories_csv, ["label", "category", "actions_per_nation"], category_rows)
+        provenance_json.write_text(
+            json.dumps(provenance, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
+
+        default_labels = [l for l in labels if variants[l] == "default"]
+        if not default_labels:
+            default_labels = labels
+        figures["fig1"] = emit_boxplot(
+            [(l, summaries[l]) for l in default_labels],
+            fig_dir / "fig1.svg",
+            title=f"Escalation score per nation ({aggregator.value}) by temperature",
             provenance=figure_provenance,
         )
-    else:
-        log.warning("skipping fig3: no treatment has two or more completed runs")
-    figures["fig4"] = emit_category_chart(
-        [(l, categories[l]) for l in labels],
-        fig_dir / "fig4.svg",
-        provenance=figure_provenance,
-    )
+        prompt_labels = [l for l in labels if l == baseline or variants[l] != "default"]
+        if len(prompt_labels) < 2:
+            prompt_labels = labels
+        figures["fig2"] = emit_boxplot(
+            [(l, summaries[l]) for l in prompt_labels],
+            fig_dir / "fig2.svg",
+            title=f"Escalation score per nation ({aggregator.value}) by prompt",
+            provenance=figure_provenance,
+        )
+        if daily:
+            series_labels = [l for l in labels if l in daily]
+            if len(series_labels) > 3:
+                others = sorted(
+                    (l for l in series_labels if l != baseline),
+                    key=lambda l: summaries[l].mean,
+                )[:2]
+                series_labels = ([baseline] if baseline in daily else []) + others
+            figures["fig3"] = emit_timeseries(
+                [(l, daily[l]) for l in series_labels],
+                fig_dir / "fig3.svg",
+                provenance=figure_provenance,
+            )
+        else:
+            log.warning("skipping fig3: no treatment has two or more completed runs")
+        figures["fig4"] = emit_category_chart(
+            [(l, categories[l]) for l in labels],
+            fig_dir / "fig4.svg",
+            provenance=figure_provenance,
+        )
+    except OSError as exc:
+        raise ParseError(f"cannot write report {out_dir}: {exc}") from exc
 
     return ReportBundle(
         out_dir=out_dir,

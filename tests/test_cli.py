@@ -289,10 +289,11 @@ class TestRefusedInputs:
     """Each input exits 1 with one JSON error line and writes no transcript,
     manifest or report file."""
 
-    def _only_error(self, capsys) -> str:
+    def _one_error(self, capsys) -> dict:
+        """The one JSON line a failing command wrote to stderr."""
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        return json.loads(lines[0])["error"]
+        return json.loads(lines[0])
 
     @pytest.mark.parametrize("treatments,transport,script,error", [
         ("[{label: a, temperature: [1]}]", "{kind: mock}", None, "ParseError"),
@@ -347,7 +348,7 @@ class TestRefusedInputs:
         )
         out = tmp_path / "exp"
         assert main(["experiment", "--plan", str(plan), "--out", str(out)]) == 1
-        assert self._only_error(capsys) == error
+        assert self._one_error(capsys)["error"] == error
         assert not list(tmp_path.rglob("*.jsonl"))
         assert not out.exists()
 
@@ -357,14 +358,14 @@ class TestRefusedInputs:
             "simulate", "--policy", "scripted", "--script", str(DATA / "demo_script.yaml"),
             "--updater", "template", "--label", "grp/a", "--out", str(out),
         ]) == 1
-        assert self._only_error(capsys) == "ValidationError"
+        assert self._one_error(capsys)["error"] == "ValidationError"
         assert not out.exists()
 
     def test_simulate_missing_scenario(self, tmp_path, capsys):
         out = tmp_path / "sim"
         assert main(["simulate", "--scenario", str(tmp_path / "absent.yaml"),
                      "--out", str(out)]) == 1
-        assert self._only_error(capsys) == "ParseError"
+        assert self._one_error(capsys)["error"] == "ParseError"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["report", "inspect"])
@@ -377,7 +378,7 @@ class TestRefusedInputs:
         report = tmp_path / "report"
         extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
         assert main([command, "--manifest", str(exp / "manifest.json"), *extra]) == 1
-        assert self._only_error(capsys) == "ParseError"
+        assert self._one_error(capsys)["error"] == "ParseError"
         assert not report.exists()
 
 
@@ -387,28 +388,28 @@ class TestRefusedInputs:
         report = tmp_path / "report"
         extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
         assert main([command, "--manifest", str(manifest), *extra]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
+        error = self._one_error(capsys)
         assert error["error"] == "ParseError"
         assert str(manifest) in error["message"]
         assert not manifest.parent.exists()
         assert not report.exists()
 
-    @pytest.mark.parametrize("command", ["report", "inspect"])
+    @pytest.mark.parametrize("command", ["experiment", "report", "inspect"])
     def test_manifest_that_is_a_directory(self, tmp_path, capsys, command):
         manifest = tmp_path / "exp" / "manifest.json"
         manifest.mkdir(parents=True)
-        report = tmp_path / "report"
-        extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
-        assert main([command, "--manifest", str(manifest), *extra]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
+        argv = {
+            "experiment": ["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                           "--out", str(manifest.parent)],
+            "report": ["report", "--manifest", str(manifest), "--out", str(tmp_path / "report"),
+                       "--no-timestamp"],
+            "inspect": ["inspect", "--manifest", str(manifest)],
+        }[command]
+        assert main(argv) == 1
+        error = self._one_error(capsys)
         assert error["error"] == "ParseError"
         assert error["message"] == f"manifest {manifest} is a directory"
         assert sorted(tmp_path.rglob("*")) == [manifest.parent, manifest]
-        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["experiment", "simulate", "report"])
     def test_out_that_names_a_file(self, tmp_path, capsys, command):
@@ -426,27 +427,47 @@ class TestRefusedInputs:
             "report": ["report", "--manifest", str(manifest), "--no-timestamp"],
         }[command]
         assert main([*argv, "--out", str(out)]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
+        error = self._one_error(capsys)
         assert error["error"] == "ParseError"
         assert str(out) in error["message"]
         assert out.read_bytes() == b"kept\n"
 
-    def test_manifest_path_that_is_a_directory(self, tmp_path, capsys):
-        out = tmp_path / "exp"
-        manifest = out / "manifest.json"
-        manifest.mkdir(parents=True)
+    def test_transcripts_that_is_a_file(self, tmp_path, capsys):
+        transcripts = tmp_path / "exp" / "transcripts"
+        transcripts.parent.mkdir()
+        transcripts.write_bytes(b"kept\n")
         assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
-                     "--out", str(out)]) == 1
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        error = json.loads(lines[0])
+                     "--out", str(transcripts.parent)]) == 1
+        error = self._one_error(capsys)
         assert error["error"] == "ParseError"
-        assert str(manifest) in error["message"]
-        assert not list(out.rglob("*.jsonl"))
-        assert not (out / "manifest.tmp").exists()
-        assert manifest.is_dir() and not any(manifest.iterdir())
+        assert f"cannot create output directory {transcripts}" in error["message"]
+        assert transcripts.read_bytes() == b"kept\n"
+        assert not (transcripts.parent / "manifest.json").exists()
+
+    @pytest.mark.parametrize("taken", ["summary.csv", "figures"])
+    def test_report_file_that_cannot_be_written(self, tmp_path, capsys, taken):
+        exp = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(exp)]) == 0
+        capsys.readouterr()
+        report = tmp_path / "report"
+        report.mkdir()
+        if taken == "figures":
+            (report / taken).write_bytes(b"kept\n")
+        else:
+            (report / taken).mkdir()
+        assert main(["report", "--manifest", str(exp / "manifest.json"),
+                     "--out", str(report), "--no-timestamp"]) == 1
+        error = self._one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(f"cannot write report {report}: ")
+        assert str(report / taken) in error["message"]
+        written = [p.name for p in report.rglob("*") if p.is_file()]
+        if taken == "figures":
+            assert written == [taken]
+            assert (report / taken).read_bytes() == b"kept\n"
+        else:
+            assert written == []
 
 
 def readme_cli_commands() -> list[list[str]]:

@@ -342,50 +342,15 @@ class TestLiveTransport:
         with pytest.raises(TransportError, match="unparseable"):
             complete(transport, request(), sleep=lambda s: None)
 
+    def test_deeply_nested_body_is_hard_failure(self):
+        transport = self._transport([StubResponse(payload=RecursionError("too deep"))])
+        with pytest.raises(TransportError, match="unparseable response body: too deep"):
+            complete(transport, request(), sleep=lambda s: None)
+
     def test_other_4xx_is_hard_failure(self):
         transport = self._transport([StubResponse(status_code=404)])
         with pytest.raises(TransportError, match="404"):
             complete(transport, request(), sleep=lambda s: None)
-
-
-class TestFullRunReplay:
-    def test_recorded_run_replays_to_identical_scores(self, tmp_path):
-        from esclab.agents import LlmPolicy
-        from esclab.mockdata import CalibratedResponder
-        from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
-        from esclab.prompts import PromptVariant
-        from esclab.scenario import load_default_scenario
-        from esclab.taxonomy import load_default_taxonomy
-
-        scenario = load_default_scenario()
-        taxonomy = load_default_taxonomy()
-        treatment = Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT)
-        cassette = tmp_path / "live-session.jsonl"
-        kwargs = dict(seed=2, run_id="t1.0-default-r00")
-
-        recorded = RecordingTransport(
-            MockTransport(CalibratedResponder(taxonomy, scenario)), cassette
-        )
-        original = run_simulation(
-            scenario, taxonomy, treatment,
-            LlmPolicy(recorded, model="m"),
-            LlmUpdater(recorded, model="m"),
-            transcript_path=tmp_path / "original.jsonl", **kwargs,
-        )
-
-        replayed_transport = ReplayTransport(cassette)
-        replayed = run_simulation(
-            scenario, taxonomy, treatment,
-            LlmPolicy(replayed_transport, model="m"),
-            LlmUpdater(replayed_transport, model="m"),
-            transcript_path=tmp_path / "replayed.jsonl", **kwargs,
-        )
-        assert replayed.completed
-        for a, b in zip(original.days, replayed.days):
-            assert dict(a.daily_score_by_nation) == dict(b.daily_score_by_nation)
-        assert (tmp_path / "original.jsonl").read_bytes() == (
-            tmp_path / "replayed.jsonl"
-        ).read_bytes()
 
 
 class TestTornCassette:

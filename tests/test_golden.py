@@ -1,21 +1,34 @@
-"""Pinned bytes of a tiny calibrated-mock experiment.
+"""Pinned bytes of a tiny calibrated-mock experiment, by every execution path.
 
 The shipped reference plan cut to two treatments (the default prompt and a
 reflection variant) with two runs each.  Every transcript, the manifest
 (with the data directory's path replaced by a placeholder, so the digest
 holds wherever the checkout lives) and every report CSV must hash to the
-digests below, so a change meant to leave the output alone
-(encoding, buffering, prompt rendering, parsing) is checked byte for byte
-by the suite.  A change that means to alter the output re-pins them and
-says why.
+digests below, so a change meant to leave the output alone is checked byte
+for byte.  A change that means to alter the output re-pins them and says why.
+
+Each row of the matrix plays the plan by one path and checks evidence that
+the path was taken.  ``plan_digest`` leaves out the transport,
+``parallelism`` and ``max_requests``, so one manifest digest holds on every
+row.  Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
+replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
+which garbles replies (``perfbench/expected.json`` pins it).
 """
 import dataclasses
 import hashlib
 import json
+import threading
+from functools import cache, partial
 from pathlib import Path
 
+import pytest
+
+from esclab import experiments
+from esclab.client import RecordingTransport
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
+
+from standins import EndpointStandIn, first_attempts
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
@@ -37,6 +50,27 @@ REPORT_SHA256 = {
     "summary.csv": "51249394a6fa3f0b5505105c1c379df1634c8b79c9c52e14516ae5e9fa0c8a86",
 }
 
+RUN_IDS = [name.removesuffix(".jsonl") for name in TRANSCRIPT_SHA256]
+DAYS = 14
+DAY_REQUESTS = 8 + 1  # one query per nation, one world update
+RUN_REQUESTS = DAYS * DAY_REQUESTS
+REQUESTS = len(RUN_IDS) * RUN_REQUESTS
+STEP_S = 0.001  # the stand-in's wait per roster place
+OUTAGE_TAG = "t1.0-default-r01|d04|Purple|"
+BUDGET = 300
+BUILD_TRANSPORT = experiments.build_transport
+
+
+def tiny_plan(**changes) -> experiments.ExperimentPlan:
+    plan = load_plan(DATA / "plan_reference.yaml")
+    labels = ("t1.0-default", "t1.0-reflection-planning")
+    return dataclasses.replace(
+        plan,
+        treatments=tuple(t for t in plan.treatments if t.label in labels),
+        runs_per_treatment=2,
+        **changes,
+    )
+
 
 def digests(directory: Path, pattern: str) -> dict[str, str]:
     return {
@@ -45,21 +79,158 @@ def digests(directory: Path, pattern: str) -> dict[str, str]:
     }
 
 
-def test_tiny_reference_experiment_bytes_are_pinned(tmp_path):
-    plan = load_plan(DATA / "plan_reference.yaml")
-    labels = ("t1.0-default", "t1.0-reflection-planning")
-    plan = dataclasses.replace(
-        plan,
-        treatments=tuple(t for t in plan.treatments if t.label in labels),
-        runs_per_treatment=2,
-    )
-    result = run_experiment(plan, tmp_path / "experiment")
-    assert all(run.completed for run in result.runs)
-    build_report(result.manifest_path, tmp_path / "report", include_timestamp=False)
-    assert digests(tmp_path / "experiment" / "transcripts", "*.jsonl") == TRANSCRIPT_SHA256
-    manifest = (tmp_path / "experiment" / "manifest.json").read_text(encoding="utf-8")
+def assert_pinned(out: Path, report: Path | None = None) -> None:
+    """The experiment in ``out`` has the pinned transcripts and manifest;
+    with ``report``, a report built there has the pinned CSVs."""
+    assert digests(out / "transcripts", "*.jsonl") == TRANSCRIPT_SHA256
+    manifest = (out / "manifest.json").read_text(encoding="utf-8")
     data_dir = json.dumps(str(DATA), ensure_ascii=False)[1:-1]  # as the manifest spells it
     assert data_dir in manifest
     manifest = manifest.replace(data_dir, "<data>")
     assert hashlib.sha256(manifest.encode("utf-8")).hexdigest() == MANIFEST_SHA256
-    assert digests(tmp_path / "report", "*.csv") == REPORT_SHA256
+    if report is not None:
+        build_report(out / "manifest.json", report, include_timestamp=False)
+        assert digests(report, "*.csv") == REPORT_SHA256
+
+
+def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None) -> list:
+    """Make ``run_experiment`` wrap the transport it builds in an
+    ``EndpointStandIn``, which waits when ``concurrent``; returns the list
+    the stand-ins are appended to."""
+    built = []
+
+    def build_transport(plan, taxonomy, scenario, *args, **kwargs):
+        transport = BUILD_TRANSPORT(plan, taxonomy, scenario, *args, **kwargs)
+        step_s = STEP_S if concurrent else 0
+        built.append(EndpointStandIn(transport, scenario.nation_names, step_s, fail_tag))
+        return built[-1]
+
+    monkeypatch.setattr(experiments, "build_transport", build_transport)
+    return built
+
+
+def out_of_roster_order(tags, roster) -> bool:
+    """Whether the first run's day-1 first attempts completed out of roster order."""
+    attempts = first_attempts(tags, 1, RUN_IDS[0])
+    return sorted(attempts) == sorted(roster) and attempts != list(roster)
+
+
+def assert_threads(stand_in, concurrent: bool, parallelism: int = 1) -> None:
+    """Days ran on a thread pool exactly when ``concurrent``, and runs
+    overlapped exactly when ``parallelism`` > 1."""
+    if concurrent:
+        assert len(stand_in.threads) > 1
+        assert out_of_roster_order(stand_in.completed, stand_in.roster)
+    else:
+        assert len(stand_in.threads) == parallelism
+        assert (threading.get_ident() in stand_in.threads) == (parallelism == 1)
+    runs = [tag.split("|")[0] for tag in stand_in.completed]
+    switches = sum(a != b for a, b in zip(runs, runs[1:]))
+    assert (switches > len(set(runs)) - 1) == (parallelism > 1)
+
+
+# --- the rows: each plays the tiny plan into ``out`` and checks its evidence
+
+def play_straight(out, tmp_path, monkeypatch, concurrent, parallelism=1):
+    built = wrap_transport(monkeypatch, concurrent)
+    assert run_experiment(tiny_plan(parallelism=parallelism), out).new_requests == REQUESTS
+    assert_threads(built[0], concurrent, parallelism)
+
+
+def play_record_replay(out, tmp_path, monkeypatch):
+    recorded, cassette = tmp_path / "recorded", tmp_path / "cassette.jsonl"
+    built = wrap_transport(monkeypatch, concurrent=True)
+    waiting = experiments.build_transport
+    monkeypatch.setattr(experiments, "build_transport",
+                        lambda *args, **kw: RecordingTransport(waiting(*args, **kw), cassette))
+    assert run_experiment(tiny_plan(), recorded).new_requests == REQUESTS
+    assert_pinned(recorded)
+    assert_threads(built[0], concurrent=True)
+    tags = [json.loads(line)["tag"] for line in cassette.read_text("utf-8").splitlines()]
+    assert out_of_roster_order(tags, built[0].roster)
+    monkeypatch.undo()
+    replay = tiny_plan(transport={"kind": "replay", "cassette": str(cassette)})
+    assert run_experiment(replay, out).new_requests == REQUESTS
+
+
+def play_abort_resume(out, tmp_path, monkeypatch, concurrent):
+    built = wrap_transport(monkeypatch, concurrent, fail_tag=OUTAGE_TAG)
+    first = run_experiment(tiny_plan(), out)
+    assert [run.status for run in first.runs] == ["completed", "aborted", "completed", "completed"]
+    aborted = first.runs[1]
+    assert "endpoint outage" in aborted.abort_reason
+    assert len(aborted.days) == 3
+    assert_threads(built[0], concurrent)
+    wrap_transport(monkeypatch, concurrent)
+    again = run_experiment(tiny_plan(), out)
+    assert again.new_requests == (DAYS - 3) * DAY_REQUESTS
+    assert again.skipped == 3
+
+
+def play_budget_resume(out, tmp_path, monkeypatch, concurrent):
+    built = wrap_transport(monkeypatch, concurrent)
+    first = run_experiment(tiny_plan(max_requests=BUDGET), out)
+    assert_threads(built[0], concurrent)
+    assert first.new_requests == BUDGET
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    assert [run["status"] for run in manifest] == ["completed", "completed", "aborted", "aborted"]
+    assert all("BudgetExceeded" in run["abort_reason"] for run in manifest[2:])
+    kept = (BUDGET - 2 * RUN_REQUESTS) // DAY_REQUESTS  # the third run's whole days
+    assert len(first.runs[2].days) == kept
+    again = run_experiment(tiny_plan(), out)
+    assert again.new_requests == REQUESTS - 2 * RUN_REQUESTS - kept * DAY_REQUESTS
+
+
+def play_kill_resume(out, tmp_path, monkeypatch):
+    """A kill leaves a transcript cut at a record boundary and no manifest.
+    Cut the last run at each boundary, then the first run after each day
+    with the later runs absent; every re-run ends at the pinned bytes and
+    makes only the requests of the days it lost."""
+    # The 270 re-runs load the same scenario and taxonomy files: parse them once.
+    for name in ("load_scenario", "load_taxonomy"):
+        monkeypatch.setattr(experiments, name, cache(getattr(experiments, name)))
+    plan = tiny_plan()
+    run_experiment(plan, out)
+    transcripts = out / "transcripts"
+    whole = {name: (transcripts / name).read_bytes() for name in TRANSCRIPT_SHA256}
+
+    def resume(run_id: str, lines: list[bytes], later: list[str]) -> None:
+        (transcripts / f"{run_id}.jsonl").write_bytes(b"".join(line + b"\n" for line in lines))
+        for name in later:
+            (transcripts / f"{name}.jsonl").unlink()
+        (out / "manifest.json").unlink()
+        lost_days = DAYS - sum(b'"type":"day"' in line for line in lines)
+        result = run_experiment(plan, out)
+        assert result.new_requests == lost_days * DAY_REQUESTS + len(later) * RUN_REQUESTS
+        assert_pinned(out)
+
+    last = whole[f"{RUN_IDS[-1]}.jsonl"].split(b"\n")[:-1]
+    assert len(last) == 255
+    for cut in range(len(last) + 1):
+        resume(RUN_IDS[-1], last[:cut], [])
+    first = whole[f"{RUN_IDS[0]}.jsonl"].split(b"\n")[:-1]
+    day_ends = [i + 1 for i, line in enumerate(first) if b'"type":"day"' in line]
+    assert len(day_ends) == DAYS
+    for cut in day_ends:
+        resume(RUN_IDS[0], first[:cut], RUN_IDS[1:])
+
+
+ROWS = {
+    "inline": partial(play_straight, concurrent=False),
+    "concurrent-days": partial(play_straight, concurrent=True),
+    "run-pool": partial(play_straight, concurrent=False, parallelism=2),
+    "run-pool+concurrent-days": partial(play_straight, concurrent=True, parallelism=2),
+    "record-replay": play_record_replay,
+    "abort-resume": partial(play_abort_resume, concurrent=False),
+    "abort-resume+concurrent-days": partial(play_abort_resume, concurrent=True),
+    "budget-resume": partial(play_budget_resume, concurrent=False),
+    "budget-resume+concurrent-days": partial(play_budget_resume, concurrent=True),
+    "kill-resume": play_kill_resume,
+}
+
+
+@pytest.mark.parametrize("path", ROWS)
+def test_tiny_reference_experiment_bytes_are_pinned(path, tmp_path, monkeypatch):
+    out = tmp_path / "experiment"
+    ROWS[path](out, tmp_path, monkeypatch)
+    assert_pinned(out, tmp_path / "report")

@@ -12,9 +12,8 @@ from esclab.client import (
     MockTransport,
     RecordingTransport,
     ReplayTransport,
-    Transport,
 )
-from esclab.errors import TransportError, ValidationError
+from esclab.errors import ValidationError
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import (
     LlmUpdater,
@@ -28,6 +27,7 @@ from esclab.transcript import is_sealed, load_run, read_records, verify_prompts
 
 from conftest import small_scenario
 from oracles import transcript_category_counts, transcript_scores
+from standins import EndpointStandIn, first_attempts
 
 
 def wait_policy():
@@ -183,48 +183,21 @@ class TestWorldUpdaters:
         assert transport.captured[0]["temperature"] == 0.01
 
 
-class FailAfterDay(AgentPolicy):
-    """Wraps a policy; raises a transient transport error past a given day.
-    The outage stands in for the transport's, so the run header records the
-    wrapped policy."""
+class Wrapper(AgentPolicy):
+    """Wraps a policy and records it in the run header; an ``AgentPolicy``
+    is ``in_process`` unless it says otherwise."""
 
-    def __init__(self, inner, fail_after_day):
+    def __init__(self, inner):
         self.inner = inner
-        self.fail_after_day = fail_after_day
 
     def describe(self):
         return self.inner.describe()
 
-    def decide(self, world, nation, treatment, taxonomy, **kwargs):
-        if world.current_day >= self.fail_after_day:
-            raise TransportError("injected outage")
-        return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
+    def decide(self, *args, **kwargs):
+        return self.inner.decide(*args, **kwargs)
 
 
 class TestResume:
-    def test_crash_then_resume_is_byte_identical(self, scenario, taxonomy, tmp_path):
-        kwargs = dict(seed=11, run_id="t1.0-default-r00")
-        straight = tmp_path / "straight.jsonl"
-        run_simulation(
-            scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
-            transcript_path=straight, **kwargs,
-        )
-        crashed = tmp_path / "crashed.jsonl"
-        aborted = run_simulation(
-            scenario, taxonomy, treatment(),
-            FailAfterDay(wait_policy(), fail_after_day=6),
-            TemplateUpdater(), transcript_path=crashed, **kwargs,
-        )
-        assert aborted.status == "aborted"
-        assert "injected outage" in aborted.abort_reason
-        assert len(aborted.days) == 6
-        resumed = run_simulation(
-            scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
-            transcript_path=crashed, **kwargs,
-        )
-        assert resumed.completed
-        assert crashed.read_bytes() == straight.read_bytes()
-
     def test_resume_of_completed_run_does_no_work(self, scenario, taxonomy, tmp_path):
         path = tmp_path / "run.jsonl"
         kwargs = dict(seed=3, run_id="t1.0-default-r00")
@@ -260,41 +233,6 @@ class TestResume:
                 scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
                 seed=2, transcript_path=path,
             )
-
-    def test_mid_day_crash_discards_partial_day(self, scenario, taxonomy, tmp_path):
-        class FailOnNation(AgentPolicy):
-            def __init__(self, inner, day, nation):
-                self.inner, self.day, self.nation = inner, day, nation
-
-            def describe(self):
-                return self.inner.describe()
-
-            def decide(self, world, nation, treatment, taxonomy, **kwargs):
-                if world.current_day + 1 == self.day and nation == self.nation:
-                    raise TransportError("mid-day outage")
-                return self.inner.decide(world, nation, treatment, taxonomy, **kwargs)
-
-        kwargs = dict(seed=5, run_id="t1.0-default-r00")
-        path = tmp_path / "mid.jsonl"
-        aborted = run_simulation(
-            scenario, taxonomy, treatment(),
-            FailOnNation(wait_policy(), day=4, nation="Purple"),
-            TemplateUpdater(), transcript_path=path, **kwargs,
-        )
-        assert aborted.status == "aborted"
-        assert len(aborted.days) == 3
-        resumed = run_simulation(
-            scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
-            transcript_path=path, **kwargs,
-        )
-        assert resumed.completed
-        straight = tmp_path / "straight.jsonl"
-        run_simulation(
-            scenario, taxonomy, treatment(), wait_policy(), TemplateUpdater(),
-            transcript_path=straight, **kwargs,
-        )
-        assert path.read_bytes() == straight.read_bytes()
-
 
 class TestSimultaneousMoves:
     def test_default_is_simultaneous_move(self, scenario, taxonomy, tmp_path):
@@ -366,42 +304,13 @@ class TestTornFirstLine:
         assert torn.read_bytes() == straight.read_bytes()
 
 
-class EndpointStandIn(Transport):
-    """Waits like a remote endpoint, longest for the first nation in the
-    roster, so a day's queries complete in reverse roster order."""
-
-    def __init__(self, inner, roster, step_s=0.004):
-        super().__init__()
-        self.inner = inner
-        self.roster = roster
-        self.step_s = step_s
-        self.completed = []
-        self.threads = set()
-        self._lock = threading.Lock()
-
-    @property
-    def request_count(self):
-        return self.inner.request_count
-
-    def send_once(self, request):
-        who = request.request_tag.split("|")[2]
-        if who in self.roster:
-            time.sleep(self.step_s * (len(self.roster) - self.roster.index(who)))
-        with self._lock:
-            self.threads.add(threading.get_ident())
-            self.completed.append(request.request_tag)
-        return self.inner.send_once(request)
-
-
-def _responder(scenario, taxonomy, fail_tag=None, threads=None):
+def _responder(scenario, taxonomy, threads=None):
     """Calibrated replies; Red's first attempt each day is unparseable."""
     calibrated = CalibratedResponder(taxonomy, scenario, runs_per_treatment=1)
 
     def respond(request):
         if threads is not None:
             threads.add(threading.get_ident())
-        if fail_tag and fail_tag in request.request_tag:
-            raise TransportError("endpoint outage")
         if "|Red|a1" in request.request_tag:
             return "no decision today"
         return calibrated(request)
@@ -416,10 +325,6 @@ def _llm_run(scenario, taxonomy, transport, path, **kwargs):
         LlmUpdater(transport, model="m"),
         seed=7, transcript_path=path, run_id="t1.0-default-r00", **kwargs,
     )
-
-
-def _first_attempts(tags, day):
-    return [tag.split("|")[2] for tag in tags if f"|d{day:02d}|" in tag and tag.endswith("|a1")]
 
 
 class TestConcurrentDays:
@@ -438,7 +343,7 @@ class TestConcurrentDays:
             sys.setswitchinterval(interval)
         assert run.completed
         assert len(endpoint.threads) > 1
-        assert _first_attempts(endpoint.completed, 1) != list(short.nation_names)
+        assert first_attempts(endpoint.completed, 1) != list(short.nation_names)
         assert endpoint.request_count == mock.request_count == 5 * (8 + 1 + 1)
         assert concurrent.read_bytes() == inline.read_bytes()
 
@@ -446,10 +351,11 @@ class TestConcurrentDays:
         short = dataclasses.replace(scenario, days=5)
         roster = short.nation_names
         inline = tmp_path / "inline.jsonl"
-        _llm_run(short, taxonomy, MockTransport(_responder(short, taxonomy, "|d04|Purple|")), inline)
+        mock = MockTransport(_responder(short, taxonomy))
+        _llm_run(short, taxonomy, EndpointStandIn(mock, roster, 0, "|d04|Purple|"), inline)
         path = tmp_path / "concurrent.jsonl"
         failing = EndpointStandIn(
-            MockTransport(_responder(short, taxonomy, "|d04|Purple|")), roster
+            MockTransport(_responder(short, taxonomy)), roster, fail_tag="|d04|Purple|"
         )
         aborted = _llm_run(short, taxonomy, failing, path)
         assert aborted.status == "aborted"
@@ -465,22 +371,6 @@ class TestConcurrentDays:
         straight = tmp_path / "straight.jsonl"
         _llm_run(short, taxonomy, MockTransport(_responder(short, taxonomy)), straight)
         assert path.read_bytes() == straight.read_bytes()
-
-    def test_concurrent_recording_replays_strictly(self, scenario, taxonomy, tmp_path):
-        short = dataclasses.replace(scenario, days=5)
-        cassette = tmp_path / "cassette.jsonl"
-        recording = RecordingTransport(
-            EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names),
-            cassette,
-        )
-        recorded = tmp_path / "recorded.jsonl"
-        _llm_run(short, taxonomy, recording, recorded)
-        tags = [json.loads(line)["tag"] for line in cassette.read_text().splitlines()]
-        assert _first_attempts(tags, 1) != list(short.nation_names)
-        replayed = tmp_path / "replayed.jsonl"
-        run = _llm_run(short, taxonomy, ReplayTransport(cassette), replayed)
-        assert run.completed
-        assert replayed.read_bytes() == recorded.read_bytes()
 
     def test_in_process_transport_runs_inline(self, scenario, taxonomy, tmp_path):
         short = dataclasses.replace(scenario, days=2)
@@ -566,7 +456,7 @@ class TestPolicyGetsTheRunsTreatment:
         endpoint = EndpointStandIn(MockTransport(_responder(short, taxonomy)), short.nation_names)
         inner = LlmPolicy(endpoint, model="m")
         assert not inner.in_process
-        wrapper = FailAfterDay(inner, fail_after_day=short.days)  # never fails
+        wrapper = Wrapper(inner)
         run = run_simulation(
             short, taxonomy, treatment(), wrapper,
             LlmUpdater(endpoint, model="m"),
@@ -574,7 +464,7 @@ class TestPolicyGetsTheRunsTreatment:
         )
         assert run.completed
         assert endpoint.threads == {threading.get_ident()}
-        assert _first_attempts(endpoint.completed, 1) == list(short.nation_names)
+        assert first_attempts(endpoint.completed, 1) == list(short.nation_names)
 
 
 class TestLineSeparatorsInReplies:
@@ -680,14 +570,14 @@ class TestRunRecordIsTranscriptRecord:
     """run_simulation returns exactly what reading its transcript back gives."""
 
     def _transport(self, scenario, taxonomy, fail_tag=None):
-        inner = _responder(scenario, taxonomy, fail_tag=fail_tag)
+        inner = _responder(scenario, taxonomy)
 
         def respond(request):
             if "|d03|Green|" in request.request_tag:
                 return "no decision"  # every attempt: one fallback turn
             return inner(request)
 
-        return MockTransport(respond)
+        return EndpointStandIn(MockTransport(respond), scenario.nation_names, 0, fail_tag)
 
     def test_fresh_run(self, scenario, taxonomy, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -165,11 +165,12 @@ class TestCassetteReader:
             ("content", 7, "response content must be a string"),
             ("finish_reason", None, "response finish_reason must be a string"),
             ("latency", "slow", "response latency must be a number"),
+            ("latency", 10**400, "response latency is out of range"),
             ("tag", ["t"], "tag must be a string"),
             ("request_sha", {}, "request_sha must be a string"),
         ],
         ids=["response-empty", "response-string", "content-number", "finish_reason-null",
-             "latency-string", "tag-list", "request_sha-object"],
+             "latency-string", "latency-huge-int", "tag-list", "request_sha-object"],
     )
     def test_mistyped_exchange_is_a_transport_error(self, tmp_path, key, value, problem):
         cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "tense"})
