@@ -206,7 +206,7 @@ class AgentPolicy:
         treatment: Treatment,
         taxonomy: ActionTaxonomy,
         attempt: int = 1,
-        request_tag: str = "",
+        run_id: str = "",
         recorder: ts.Recorder | None = None,
     ) -> AgentTurn | ParseFailure:
         raise NotImplementedError
@@ -238,7 +238,7 @@ class LlmPolicy(AgentPolicy):
         treatment: Treatment,
         taxonomy: ActionTaxonomy,
         attempt: int = 1,
-        request_tag: str = "",
+        run_id: str = "",
         recorder: ts.Recorder | None = None,
     ) -> AgentTurn | ParseFailure:
         bundle = build_prompts(
@@ -250,7 +250,7 @@ class LlmPolicy(AgentPolicy):
             user_text=bundle.user_text,
             temperature=treatment.temperature,
             max_tokens=self.max_tokens,
-            request_tag=f"{request_tag}|a{attempt}",
+            request_tag=ts.request_tag(run_id, world.current_day + 1, nation, attempt),
         )
         response = complete(self.transport, request, recorder=recorder,
                             user_sha256=bundle.user_sha256 if attempt == 1 else None)
@@ -266,15 +266,8 @@ class LlmPolicy(AgentPolicy):
             result = ParseFailure("truncated", f"cut at max_tokens: {result.reason}: "
                                                f"{result.detail}")
         if isinstance(result, ParseFailure) and recorder is not None:
-            recorder(
-                ts.PARSE_FAILURE,
-                {
-                    "attempt": attempt,
-                    "reason": result.reason,
-                    "detail": result.detail,
-                    "content": response.content,
-                },
-            )
+            # The llm_call just recorded holds the reply and, by its place, the attempt.
+            recorder(ts.PARSE_FAILURE, {"reason": result.reason, "detail": result.detail})
         return result
 
 
@@ -313,7 +306,7 @@ class ScriptedPolicy(AgentPolicy):
         treatment: Treatment,
         taxonomy: ActionTaxonomy,
         attempt: int = 1,
-        request_tag: str = "",
+        run_id: str = "",
         recorder: ts.Recorder | None = None,
     ) -> AgentTurn:
         day = world.current_day + 1
@@ -344,7 +337,7 @@ def decide_with_retry(
     treatment: Treatment,
     taxonomy: ActionTaxonomy,
     max_parse_retries: int = DEFAULT_PARSE_RETRIES,
-    request_tag: str = "",
+    run_id: str = "",
     recorder: ts.Recorder | None = None,
 ) -> AgentTurn:
     """Obtain a turn, retrying parse failures, falling back to status quo.
@@ -362,7 +355,7 @@ def decide_with_retry(
             treatment,
             taxonomy,
             attempt=attempt,
-            request_tag=request_tag,
+            run_id=run_id,
             recorder=recorder,
         )
         if isinstance(result, AgentTurn):

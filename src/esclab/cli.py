@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 runtime failure (one machine-parsable JSON line on
 stderr), 2 usage errors (argparse).  The live transport reads its API key
 from the ESCLAB_API_KEY environment variable; endpoint URLs are
-configuration.
+configuration.  ESCLAB_LOG names the logging level (a level name in any
+case, WARNING by default).
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .scoring import Aggregator
 from .taxonomy import default_taxonomy_path, load_taxonomy
 
 API_KEY_ENV = "ESCLAB_API_KEY"
+LOG_ENV = "ESCLAB_LOG"
 
 log = logging.getLogger("esclab.cli")
 
@@ -272,9 +274,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=os.environ.get("ESCLAB_LOG", "WARNING"))
     parser = build_parser()
     args = parser.parse_args(argv)
+    level = os.environ.get(LOG_ENV, "WARNING")
+    # getLevelName maps a known name to its number, anything else to text.
+    if not isinstance(logging.getLevelName(level.upper()), int):
+        parser.error(f"{LOG_ENV}={level!r} is not a logging level name "
+                     "(DEBUG, INFO, WARNING, ERROR or CRITICAL)")
+    logging.basicConfig(level=level.upper())
     try:
         return args.func(args)
     except EsclabError as exc:

@@ -469,8 +469,10 @@ def complete(
     Retries never re-run on well-formed model output; only TransportError
     marked transient triggers another attempt.  The optional transcript
     recorder receives one ``llm_call`` record for the final request/response;
-    the model and ``max_tokens`` are the run header's, and ``user_sha256``,
-    when given, is recorded with it (an agent query's first attempt).
+    the model and ``max_tokens`` are the run header's, the request tag is
+    rebuilt from the record's place (``transcript.request_tag``), and
+    ``user_sha256``, when given, is recorded with it (an agent query's first
+    attempt).
     """
     backoffs = tuple(backoffs)
     attempts = 0
@@ -493,7 +495,6 @@ def complete(
             response = replace(response, content=content, attempt_count=attempts)
         if recorder is not None:
             payload = {
-                "tag": request.request_tag,
                 "content": response.content,
                 "finish_reason": response.finish_reason,
                 "latency": response.latency,

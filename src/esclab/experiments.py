@@ -322,11 +322,11 @@ def manifest_lock(manifest_path: Path, shared: bool = False):
         raise ParseError(f"manifest {manifest_path} is a directory")
     lock_path = manifest_path.with_name("manifest.lock")
     try:
-        lock_path.touch(exist_ok=True)
-    except OSError as exc:
+        handle = lock_path.open("a")
+    except OSError as exc:  # IsADirectoryError among them
         raise ParseError(f"cannot lock manifest {manifest_path}: {exc}") from exc
     mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
-    with lock_path.open("r") as handle:
+    with handle:
         try:
             fcntl.flock(handle, mode | fcntl.LOCK_NB)
         except OSError:

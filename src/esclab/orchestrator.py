@@ -106,7 +106,7 @@ class WorldUpdater:
         world: WorldState,
         turns: dict[str, AgentTurn],
         treatment: Treatment,
-        request_tag: str = "",
+        run_id: str = "",
         recorder=None,
     ) -> str:
         raise NotImplementedError
@@ -130,7 +130,7 @@ class TemplateUpdater(WorldUpdater):
         world: WorldState,
         turns: dict[str, AgentTurn],
         treatment: Treatment,
-        request_tag: str = "",
+        run_id: str = "",
         recorder=None,
     ) -> str:
         day = world.current_day + 1
@@ -162,7 +162,7 @@ class LlmUpdater(WorldUpdater):
         world: WorldState,
         turns: dict[str, AgentTurn],
         treatment: Treatment,
-        request_tag: str = "",
+        run_id: str = "",
         recorder=None,
     ) -> str:
         day = world.current_day + 1
@@ -178,7 +178,7 @@ class LlmUpdater(WorldUpdater):
             user_text=user_text,
             temperature=treatment.temperature,
             max_tokens=self.max_tokens,
-            request_tag=request_tag,
+            request_tag=ts.request_tag(run_id, day, None),
         )
         response = complete(self.transport, request, recorder=recorder)
         text = response.content.strip() if isinstance(response.content, str) else ""
@@ -300,7 +300,7 @@ def play_run(
                 day = world.current_day + 1
                 buffers = {nation: [] for nation in scenario.nation_names}
 
-                def ask(nation, view, _day=day, _buffers=buffers):
+                def ask(nation, view, _buffers=buffers):
                     return decide_with_retry(
                         policy,
                         view,
@@ -308,7 +308,7 @@ def play_run(
                         treatment,
                         taxonomy,
                         max_parse_retries=max_parse_retries,
-                        request_tag=f"{run_id}|d{_day:02d}|{nation}",
+                        run_id=run_id,
                         recorder=lambda type_, payload: _buffers[nation].append(
                             (type_, payload)
                         ),
@@ -337,7 +337,7 @@ def play_run(
                     world,
                     turns,
                     treatment,
-                    request_tag=f"{run_id}|d{day:02d}|world",
+                    run_id=run_id,
                     recorder=lambda type_, payload, _day=day: writer.write(
                         type_, payload, day=_day
                     ),

@@ -9,7 +9,11 @@ reply cap, the retry count, the policy and the world updater), and the
 ``system_prompt`` record the system text with its digest and the user
 template.  Each model call is one ``llm_call`` record; that of an agent
 query's first attempt also holds its user prompt's digest, which
-``verify_prompts`` re-derives from the run's own records.
+``verify_prompts`` re-derives from the run's own records.  What a record's
+place rebuilds is not written: a nation's ``llm_call`` records of a day are
+its query's attempts in order, so they give the request tag
+(``request_tag``) and the turn's attempt count; a ``parse_failure`` follows
+the ``llm_call`` whose reply it refuses, and a turn the one it accepts.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files (wall-clock time is deliberately excluded;
 latency of live calls is recorded inside llm_call payloads).
@@ -59,11 +63,14 @@ from .scenario import (
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
-# Format 6 drops run_start's flag for sequential moves: every nation of a
-# day sees the same start-of-day world.  Format 5 named in run_start what
-# produced the run (model, max_tokens, max_parse_retries, policy, world
-# updater) and wrote one record per model call: the first attempt's llm_call
-# holds the user prompt's digest.  Format 4 sealed a finished transcript with
+# Format 7 drops what a record's place rebuilds: the tag of each llm_call, a
+# parse failure's attempt and reply, and a turn's attempt count and private
+# thoughts (the reply it accepts holds them).  Format 6 dropped run_start's
+# flag for sequential moves: every nation of a day sees the same start-of-day
+# world.  Format 5 named in run_start what produced the run (model,
+# max_tokens, max_parse_retries, policy, world updater) and wrote one record
+# per model call: the first attempt's llm_call holds the user prompt's
+# digest.  Format 4 sealed a finished transcript with
 # the digest of its bytes in run_end, copied the model and max_tokens into
 # every llm_call and wrote each query's digest in a prompt record of its own.
 # Format 3 had no seal and copied a parse failure's nation into its payload;
@@ -71,7 +78,7 @@ if TYPE_CHECKING:
 # into every prompt record, the temperature into every llm_call and a
 # re-encoded reply into every action.  Format 1 stored every user prompt in
 # full.
-TRANSCRIPT_FORMAT = 6
+TRANSCRIPT_FORMAT = 7
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -83,6 +90,17 @@ RUN_END = "run_end"
 
 # Receives (record type, payload) for each record a query produces.
 Recorder = Callable[[str, dict], None]
+
+
+def request_tag(run_id: str, day: int, nation: str | None, attempt: int | None = None) -> str:
+    """The tag a model request carries: ``<run>|dDD|<nation>|a<attempt>`` for
+    a nation's query, ``<run>|dDD|world`` for the day's world update (no
+    nation).  A transcript stores none; an ``llm_call`` record's run, day,
+    nation and place among its nation's calls that day rebuild it."""
+    if nation is None:
+        return f"{run_id}|d{day:02d}|world"
+    return f"{run_id}|d{day:02d}|{nation}|a{attempt}"
+
 
 # The records that rebuild a run's days and outcome.
 _RUN_TYPES = frozenset({RUN_START, TURN, DAY, RUN_END})
@@ -331,11 +349,10 @@ class TranscriptRun:
 
 
 def turn_payload(turn: AgentTurn) -> dict:
-    """The payload of a turn record; the record itself names the nation."""
+    """The payload of a turn record; the record itself names the nation, and
+    the nation's ``llm_call`` records before it give its attempts and reply."""
     return {
         "actions": [{"action": a.action_id, "target": a.target} for a in turn.actions],
-        "private_thoughts": turn.private_thoughts,
-        "parse_attempts": turn.parse_attempts,
         "fallback": turn.fallback,
         "deviations": list(turn.deviations),
     }

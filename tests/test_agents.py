@@ -156,30 +156,31 @@ class TestDecideWithRetry:
         events = []
         turn = decide_with_retry(
             policy, world, "Blue", DEFAULT, taxonomy,
-            max_parse_retries=3, request_tag="run|d01|Blue",
+            max_parse_retries=3, run_id="run",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
         assert turn.parse_attempts == 4
         assert turn.actions[0].action_id == taxonomy.fallback.id
         assert daily_score([turn], taxonomy) == {"Blue": 0}
-        failures = [e for e in events if e[0] == "parse_failure"]
-        assert len(failures) == 4
-        assert all(e[1]["content"] == "not json" for e in failures)
+        # Each parse failure follows the llm_call holding the reply it refuses.
+        assert [kind for kind, _ in events] == ["llm_call", "parse_failure"] * 4
+        assert all(payload["content"] == "not json" for kind, payload in events
+                   if kind == "llm_call")
 
     def test_null_reply_content_retries_then_falls_back(self, taxonomy, scenario):
         policy = LlmPolicy(MockTransport(lambda r: None), model="m")
         events = []
         turn = decide_with_retry(
             policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
-            max_parse_retries=2, request_tag="run|d01|Blue",
+            max_parse_retries=2, run_id="run",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
         assert turn.parse_attempts == 3
-        failures = [payload for kind, payload in events if kind == "parse_failure"]
-        assert [f["reason"] for f in failures] == ["empty_reply"] * 3
-        assert all(f["content"] is None for f in failures)
+        assert [(kind, payload.get("content"), payload.get("reason"))
+                for kind, payload in events] == [
+            ("llm_call", None, None), ("parse_failure", None, "empty_reply")] * 3
 
     @pytest.mark.parametrize("finish_reason,reason", [
         ("length", "truncated"), ("stop", "no_document"),
@@ -198,13 +199,15 @@ class TestDecideWithRetry:
         events = []
         turn = decide_with_retry(
             policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
-            request_tag="run|d01|Blue",
+            run_id="run",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         # A reply that parses is a turn whatever its finish reason.
         assert (turn.actions[0].action_id, turn.parse_attempts) == ("wait", 2)
-        failures = [payload for kind, payload in events if kind == "parse_failure"]
-        assert [(f["attempt"], f["reason"], f["content"]) for f in failures] == [(1, reason, cut)]
+        assert [(kind, payload.get("content"), payload.get("reason"))
+                for kind, payload in events] == [
+            ("llm_call", cut, None), ("parse_failure", None, reason),
+            ("llm_call", replies["run|d01|Blue|a2"], None)]
 
     def test_valid_on_second_attempt(self, taxonomy, scenario):
         def responder(request):
@@ -216,7 +219,7 @@ class TestDecideWithRetry:
         world = initial_world(scenario)
         turn = decide_with_retry(
             policy, world, "Blue", DEFAULT, taxonomy,
-            request_tag="run|d01|Blue",
+            run_id="run",
         )
         assert not turn.fallback
         assert turn.parse_attempts == 2
@@ -318,7 +321,7 @@ class TestUntrustedNesting:
         events = []
         turn = decide_with_retry(
             policy, initial_world(scenario), "Blue", DEFAULT, taxonomy,
-            max_parse_retries=1, request_tag="run|d01|Blue",
+            max_parse_retries=1, run_id="run",
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback

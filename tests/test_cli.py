@@ -227,6 +227,30 @@ class TestSimulate:
         assert excinfo.value.code == 2
 
 
+class TestLogLevel:
+    @pytest.mark.parametrize("value,shown", [("info", True), ("Info", True), ("ERROR", False)])
+    def test_level_name_in_any_case(self, tmp_path, value, shown):
+        # A fresh interpreter: under pytest the root logger already has
+        # handlers, so logging.basicConfig would set no level at all.
+        env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent), ESCLAB_LOG=value)
+        done = subprocess.run(
+            [sys.executable, "-m", "esclab.cli", "experiment",
+             "--plan", str(DATA / "plan_demo.yaml"), "--out", str(tmp_path / "exp")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert ("experiment finished" in done.stderr) is shown
+
+    @pytest.mark.parametrize("value", ["verbose", "", "10"])
+    def test_other_value_is_usage_error_naming_the_variable(self, monkeypatch, capsys,
+                                                             value):
+        monkeypatch.setenv("ESCLAB_LOG", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate"])
+        assert excinfo.value.code == 2
+        assert f"ESCLAB_LOG={value!r} is not a logging level name" in capsys.readouterr().err
+
+
 class TestExperimentAndReport:
     def test_demo_plan_end_to_end(self, tmp_path, capsys):
         exp_dir = tmp_path / "exp"
@@ -410,6 +434,27 @@ class TestRefusedInputs:
         assert error["error"] == "ParseError"
         assert error["message"] == f"manifest {manifest} is a directory"
         assert sorted(tmp_path.rglob("*")) == [manifest.parent, manifest]
+
+    @pytest.mark.parametrize("command", ["experiment", "simulate", "report", "inspect"])
+    def test_manifest_lock_that_is_a_directory(self, tmp_path, capsys, command):
+        manifest = tmp_path / "exp" / "manifest.json"
+        lock = manifest.with_name("manifest.lock")
+        lock.mkdir(parents=True)
+        argv = {
+            "experiment": ["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                           "--out", str(manifest.parent)],
+            "simulate": ["simulate", "--policy", "scripted", "--updater", "template",
+                         "--script", str(DATA / "demo_script.yaml"),
+                         "--out", str(manifest.parent)],
+            "report": ["report", "--manifest", str(manifest), "--out", str(tmp_path / "report"),
+                       "--no-timestamp"],
+            "inspect": ["inspect", "--manifest", str(manifest)],
+        }[command]
+        assert main(argv) == 1
+        error = self._one_error(capsys)
+        assert error["error"] == "ParseError"
+        assert error["message"].startswith(f"cannot lock manifest {manifest}: ")
+        assert sorted(tmp_path.rglob("*")) == [manifest.parent, lock]
 
     @pytest.mark.parametrize("command", ["experiment", "simulate", "report"])
     def test_out_that_names_a_file(self, tmp_path, capsys, command):

@@ -34,13 +34,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "0487e20687f024abd104fd144f69a805a3b2b66be693ead4885c27a2314baf5a",
+        "0ab34495db2915724f4b4755347376eefdd99488837074de5166b013d55a64ea",
     "t1.0-default-r01.jsonl":
-        "9de78551988f9815ca8a2d1a64e52dd2a87a869ac895d301a1c396a4a5ce922d",
+        "5997ac2e7a391633a64497e61e59405660a584c25e587f928ab22dc9aa4005cb",
     "t1.0-reflection-planning-r00.jsonl":
-        "28d979d5d1a303cc34a158967c9e3cbac89076e7260b79d477c159e0f2d5168d",
+        "2039dfa5f987a0d1d7977ad2b36165214a46d9102b9c3608f714a58fdf2d0153",
     "t1.0-reflection-planning-r01.jsonl":
-        "12a5f7a5efccf5da9caaa8144dbcb923060f62c71639c5d4531e99e6accd3ebd",
+        "533f736fb20cd2151b95dfcec7b3913981ebef08fce9911256fb343e4e03fc65",
 }
 MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {

@@ -446,9 +446,9 @@ class TestPolicyGetsTheRunsTreatment:
         assert run.completed
         records = read_records(path)
         assert records[0]["payload"]["treatment"]["temperature"] == 0.5
-        calls = [r["payload"] for r in records if r["type"] == "llm_call"]
+        calls = [r for r in records if r["type"] == "llm_call"]
         assert len(calls) == len(transport.captured) == 2 * (8 + 1 + 1)
-        assert {c["tag"].split("|")[2] for c in calls} == {*short.nation_names, "world"}
+        assert {c["nation"] or "world" for c in calls} == {*short.nation_names, "world"}
         assert {body["temperature"] for body in transport.captured} == {0.5}
 
     def test_wrapper_around_a_waiting_llm_policy_runs_inline(self, scenario, taxonomy, tmp_path):

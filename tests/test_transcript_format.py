@@ -1,6 +1,8 @@
-"""Format 6 stores each fact once, names in its header what produced the
+"""Format 7 stores each fact once, names in its header what produced the
 run, writes one record per model call and seals a finished transcript:
-every record type holds exactly its pinned payload keys, a re-run by
+every record type holds exactly its pinned payload keys, the records alone
+rebuild what a record's place gives (request tags, attempts, the reply a
+parse failure refuses and a turn's private thoughts), a re-run by
 another model, policy, script, world updater or retry count is refused
 before any request, `inspect` re-derives each prompt digest and lists the
 transcripts whose bytes no longer match their seal, a sealed transcript is
@@ -10,8 +12,9 @@ and its skipped run reads the days later, only from the file the skip saw,
 and a transcript in an older format (format 1 stored each user prompt in
 full, format 2 copied six fields, format 3 had no seal, format 4 named no
 producer in its header and wrote a prompt record per query, format 5 had a
-flag for sequential moves in its header) is refused by every reader,
-completed or partial, and left as it is."""
+flag for sequential moves in its header, format 6 copied five fields that a
+record's place gives) is refused by every reader, completed or partial, and
+left as it is."""
 import dataclasses
 import hashlib
 import json
@@ -21,19 +24,27 @@ from pathlib import Path
 import pytest
 
 from conftest import small_scenario
-from esclab import experiments
+from esclab import experiments, orchestrator
 from esclab import transcript as ts
-from esclab.agents import LlmPolicy, load_script
+from esclab.agents import LlmPolicy, load_script, parse_agent_response
 from esclab.cli import main
 from esclab.client import MockTransport
 from esclab.errors import ParseError, TransportError, ValidationError
 from esclab.experiments import inspect_experiment, load_plan, run_experiment, run_seed
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, TemplateUpdater, Treatment, run_simulation
-from esclab.prompts import PromptTemplates, PromptVariant, default_templates, text_sha256
+from esclab.prompts import (
+    REFLECTION_VARIANTS,
+    PromptTemplates,
+    PromptVariant,
+    default_templates,
+    text_sha256,
+)
 from esclab.report import build_report
-from esclab.scenario import load_scenario
-from esclab.taxonomy import load_taxonomy
+from esclab.scenario import load_default_scenario, load_scenario
+from esclab.taxonomy import load_default_taxonomy, load_taxonomy
+
+from standins import EndpointStandIn
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -73,9 +84,52 @@ def reseal(path: Path, records: list[dict]) -> None:
     writer.close()
 
 
+def dropped_fields(records: list[dict], scenario, taxonomy) -> dict[int, dict]:
+    """What format 7 does not write, rebuilt from the records alone, by seq:
+    each ``llm_call``'s ``tag``, each parse failure's ``attempt`` and the
+    ``content`` it refuses, and each turn's ``parse_attempts`` and
+    ``private_thoughts``.  A nation's calls of a day are its attempts in
+    order; a parse failure follows the call it refuses, a turn the call it
+    accepts (none for a fallback or a scripted turn)."""
+    header = records[0]["payload"]
+    expects = PromptVariant(header["treatment"]["variant"]) in REFLECTION_VARIANTS
+    calls: dict[tuple, list[dict]] = {}
+    fields = {}
+    for record in records:
+        key = (record["day"], record["nation"])
+        here = calls.setdefault(key, [])
+        if record["type"] == ts.LLM_CALL:
+            here.append(record)
+            fields[record["seq"]] = {"tag": ts.request_tag(header["run_id"], *key, len(here))}
+        elif record["type"] == ts.PARSE_FAILURE:
+            fields[record["seq"]] = {"attempt": len(here),
+                                     "content": here[-1]["payload"]["content"]}
+        elif record["type"] == ts.TURN:
+            thoughts = None
+            if here and not record["payload"]["fallback"]:
+                thoughts = parse_agent_response(here[-1]["payload"]["content"], taxonomy,
+                                                scenario, record["nation"],
+                                                expects).private_thoughts
+            fields[record["seq"]] = {"parse_attempts": len(here) or 1,
+                                     "private_thoughts": thoughts}
+    return fields
+
+
+def to_format_6(path: Path) -> None:
+    """Rewrite a transcript as format 6 wrote it: with the five fields that a
+    record's place gives copied into its payload."""
+    records = ts.read_records(path)
+    records[0]["payload"]["transcript_format"] = 6
+    fields = dropped_fields(records, load_default_scenario(), load_default_taxonomy())
+    for record in records:
+        record["payload"].update(fields.get(record["seq"], {}))
+    reseal(path, records)
+
+
 def to_format_5(path: Path) -> None:
-    """Rewrite a transcript as format 5 wrote it: with ``intra_day_visibility``
-    false in the header."""
+    """Rewrite a transcript as format 5 wrote it: format 6 with
+    ``intra_day_visibility`` false in the header."""
+    to_format_6(path)
     records = ts.read_records(path)
     records[0]["payload"].update(transcript_format=5, intra_day_visibility=False)
     reseal(path, records)
@@ -194,9 +248,9 @@ PAYLOAD_KEYS = {
     ts.RUN_START: {"transcript_format", "run_id", "scenario_name", "days", "seed", "treatment",
                    "taxonomy_version", *PRODUCER_KEYS},
     ts.SYSTEM_PROMPT: {"sha256", "text", "user_template"},
-    ts.LLM_CALL: {"tag", "content", "finish_reason", "latency", "attempt_count", "user_sha256"},
-    ts.PARSE_FAILURE: {"attempt", "reason", "detail", "content"},
-    ts.TURN: {"actions", "private_thoughts", "parse_attempts", "fallback", "deviations"},
+    ts.LLM_CALL: {"content", "finish_reason", "latency", "attempt_count", "user_sha256"},
+    ts.PARSE_FAILURE: {"reason", "detail"},
+    ts.TURN: {"actions", "fallback", "deviations"},
     ts.DAY: {"scores", "summary"},
     ts.RUN_END: {"status", "reason", "sha256"},
 }
@@ -247,12 +301,82 @@ class TestPayloadKeys:
         assert self._key_sets(scripted) == {type_: expected[type_] for type_ in scripted_types}
 
 
+# The attempts whose replies are garbled: d01 Alpha retries once, d02 Beta
+# falls back after three attempts, d03 Gamma succeeds on its third.
+GARBLED = {"d01|Alpha|a1": "no decision", "d02|Beta|a1": '{"actions": [',
+           "d02|Beta|a2": '{"actions": [{"action": "unlisted_action"}]}',
+           "d02|Beta|a3": "later", "d03|Gamma|a1": "[]", "d03|Gamma|a2": "{}"}
+
+
+class TestRecordsRebuildWhatIsNotWritten:
+    def test_tags_attempts_replies_and_fallbacks(self, taxonomy, tmp_path, monkeypatch):
+        scenario = small_scenario(n_nations=3, days=3)
+        replies = {}
+
+        def respond(request):
+            tag = request.request_tag
+            reply = GARBLED.get(tag.split("|", 1)[1]) or json.dumps(
+                {"private_thoughts": f"Thoughts for {tag}.", "actions": [{"action": "wait"}]})
+            replies[tag] = reply
+            return reply
+
+        decide = orchestrator.decide_with_retry
+        turns = {}
+
+        def recording(policy, world, nation, *args, **kwargs):
+            turn = turns[world.current_day + 1, nation] = decide(policy, world, nation,
+                                                                 *args, **kwargs)
+            return turn
+
+        monkeypatch.setattr(orchestrator, "decide_with_retry", recording)
+        endpoint = EndpointStandIn(MockTransport(respond), scenario.nation_names)
+        path = tmp_path / "run.jsonl"
+        run = run_simulation(
+            scenario, taxonomy,
+            Treatment("t1.0-reflection-planning", 1.0, PromptVariant.REFLECTION_PLANNING),
+            LlmPolicy(endpoint, model="m"), LlmUpdater(endpoint, model="m"),
+            seed=3, transcript_path=path, max_parse_retries=2,
+        )
+        assert run.completed and len(endpoint.threads) > 1
+        records = ts.read_records(path)
+        fields = dropped_fields(records, scenario, taxonomy)
+
+        def by_nation_day(tags):
+            grouped = {}
+            for tag in tags:
+                grouped.setdefault(tuple(tag.split("|")[1:3]), []).append(tag)
+            return grouped
+
+        calls = [r for r in records if r["type"] == ts.LLM_CALL]
+        assert by_nation_day(fields[r["seq"]]["tag"] for r in calls) == by_nation_day(
+            endpoint.completed)
+        failures = [(fields[records[i - 1]["seq"]]["tag"], fields[r["seq"]])
+                    for i, r in enumerate(records) if r["type"] == ts.PARSE_FAILURE]
+        assert sorted(tag.split("|", 1)[1] for tag, _ in failures) == sorted(GARBLED)
+        for tag, failure in failures:
+            assert (failure["attempt"], failure["content"]) == (
+                int(tag.rsplit("|a", 1)[1]), replies[tag])
+        rebuilt = {(r["day"], r["nation"]): (fields[r["seq"]], r["payload"]["fallback"])
+                   for r in records if r["type"] == ts.TURN}
+        assert rebuilt == {
+            key: ({"parse_attempts": turn.parse_attempts,
+                   "private_thoughts": turn.private_thoughts}, turn.fallback)
+            for key, turn in turns.items()
+        }
+        assert {key: attempts["parse_attempts"] for key, (attempts, _) in rebuilt.items()
+                if attempts["parse_attempts"] != 1} == {
+            (1, "Alpha"): 2, (2, "Beta"): 3, (3, "Gamma"): 3}
+        fallbacks = [key for key, (_, fallback) in rebuilt.items() if fallback]
+        assert fallbacks == [(2, "Beta")]
+        assert len(fallbacks) == run.fallbacks == ts.load_run(path).fallbacks
+
+
 class TestDigestRecords:
     def test_first_attempts_hold_digests_and_header_holds_producer(self, small_experiment):
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 6
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 7
         assert {key: header[key] for key in PRODUCER_KEYS} == {
             "model": experiments.DEFAULT_MODEL, "max_tokens": 1024, "max_parse_retries": 3,
             "policy": {"kind": "llm"}, "world_updater": "llm",
@@ -262,8 +386,9 @@ class TestDigestRecords:
         calls = [r for r in records if r["type"] == ts.LLM_CALL]
         first = [r for r in calls if "user_sha256" in r["payload"]]
         assert len(first) == 14 * 8
-        assert all(r["payload"]["tag"].endswith("|a1") for r in first)
-        assert not any(r["payload"]["tag"].endswith("|a1") for r in calls if r not in first)
+        tags = dropped_fields(records, load_default_scenario(), load_default_taxonomy())
+        assert all(tags[r["seq"]]["tag"].endswith("|a1") for r in first)
+        assert not any(tags[r["seq"]]["tag"].endswith("|a1") for r in calls if r not in first)
         assert "prompt" not in {r["type"] for r in records}
 
     def test_scripted_header_names_no_model(self, scenario, taxonomy, tmp_path):
@@ -500,7 +625,7 @@ class TestOlderFormats:
         "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
     )
     @pytest.mark.parametrize("state", ["completed", "partial"])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_transcript_is_refused_and_left_as_it_is(
         self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
@@ -512,7 +637,7 @@ class TestOlderFormats:
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
             ts.rewrite(path, records[: day_3 + 5])
         {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4,
-         5: to_format_5}[version](path)
+         5: to_format_5, 6: to_format_6}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -530,7 +655,7 @@ class TestOlderFormats:
             "inspect": lambda: inspect_experiment(manifest),
         }[reader]
         with pytest.raises(
-            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 6"
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 7"
         ):
             read()
         assert transport.request_count == 0
