@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -54,8 +54,6 @@ class AgentTurn:
 
     nation: str
     actions: tuple[ChosenAction, ...]
-    private_thoughts: str | None = None
-    parse_attempts: int = 1
     fallback: bool = False
     deviations: tuple[str, ...] = ()
 
@@ -164,24 +162,13 @@ def parse_agent_response(
             deviations.append("overlong_private_thoughts")
     elif thoughts is not None:
         deviations.append("unexpected_private_thoughts")
-        thoughts = None
-    return AgentTurn(
-        nation=nation,
-        actions=tuple(actions),
-        private_thoughts=thoughts,
-        deviations=tuple(deviations),
-    )
+    return AgentTurn(nation=nation, actions=tuple(actions), deviations=tuple(deviations))
 
 
-def fallback_turn(taxonomy: ActionTaxonomy, nation: str, attempts: int) -> AgentTurn:
+def fallback_turn(taxonomy: ActionTaxonomy, nation: str) -> AgentTurn:
     """The zero-score status-quo turn injected after parse exhaustion."""
-    spec = taxonomy.fallback
-    return AgentTurn(
-        nation=nation,
-        actions=(ChosenAction(action_id=spec.id),),
-        parse_attempts=attempts,
-        fallback=True,
-    )
+    return AgentTurn(nation=nation, actions=(ChosenAction(taxonomy.fallback.id),),
+                     fallback=True)
 
 
 class AgentPolicy:
@@ -361,8 +348,6 @@ def decide_with_retry(
         if isinstance(result, AgentTurn):
             if result.deviations:
                 log.info("protocol deviation for %s: %s", nation, result.deviations)
-            if attempt > 1:
-                result = replace(result, parse_attempts=attempt)
             return result
     log.warning(
         "falling back to %s for %s after %d parse attempts",
@@ -370,7 +355,7 @@ def decide_with_retry(
         nation,
         attempts,
     )
-    return fallback_turn(taxonomy, nation, attempts)
+    return fallback_turn(taxonomy, nation)
 
 
 def _parse_script_actions(entries: object, where: str) -> tuple[ChosenAction, ...]:

@@ -28,6 +28,7 @@ TEMPERATURE_MIN = 0.0
 TEMPERATURE_MAX = 2.0
 DEFAULT_MAX_TOKENS = 1024
 DEFAULT_TIMEOUT = 60.0
+MAX_IN_FLIGHT = 64  # an experiment runs one thread per request in flight
 DEFAULT_EXPERIMENT_BUDGET = 10_000
 # Initial attempt plus one retry per backoff value, transient failures only.
 RETRY_BACKOFFS = (1.0, 4.0, 16.0)
@@ -119,6 +120,7 @@ class Transport:
     """
 
     in_process = False
+    max_in_flight: int | None = None  # the most requests at once; None: no cap
 
     def __init__(self, max_requests: int | None = None):
         self.max_requests = max_requests
@@ -205,11 +207,11 @@ class LiveTransport(Transport):
     ):
         # ``not 0 < timeout`` also refuses NaN; above TIMEOUT_MAX the socket
         # layer would refuse every request instead.
-        if (max_in_flight < 1 or requests_per_minute < 1
+        if (not 1 <= max_in_flight <= MAX_IN_FLIGHT or requests_per_minute < 1
                 or not 0 < timeout <= threading.TIMEOUT_MAX):
             raise ValidationError(
-                "live transport needs max_in_flight >= 1, requests_per_minute >= 1 and "
-                f"0 < timeout <= {threading.TIMEOUT_MAX:g}, got {max_in_flight}, "
+                f"live transport needs 1 <= max_in_flight <= {MAX_IN_FLIGHT}, requests_per_minute"
+                f" >= 1 and 0 < timeout <= {threading.TIMEOUT_MAX:g}, got {max_in_flight}, "
                 f"{requests_per_minute} and {timeout}"
             )
         import requests
@@ -219,6 +221,7 @@ class LiveTransport(Transport):
         self.url = base_url.rstrip("/") + "/chat/completions"
         self._api_key = api_key
         self.timeout = timeout
+        self.max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
         self._rpm = requests_per_minute
         self._recent: deque[float] = deque()
@@ -405,6 +408,7 @@ class RecordingTransport(Transport):
     def __init__(self, inner: Transport, path: str | Path):
         # No Transport.__init__: the inner transport counts and caps requests.
         self.inner = inner
+        self.max_in_flight = inner.max_in_flight
         self.path = Path(path)
         self._write_lock = threading.Lock()
         self._tail_checked = False

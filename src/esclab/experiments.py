@@ -2,8 +2,9 @@
 
 A plan file names the scenario, taxonomy, treatments, replication count and
 execution backends.  Seeds derive deterministically from the base seed, the
-treatment label and the run index.  The manifest maps every (treatment, run)
-to its transcript and status and is written once per invocation, with atomic
+treatment label and the run index, and ``orchestrator.play_runs`` plays the
+runs not yet completed.  The manifest maps every (treatment, run) to its
+transcript and status and is written once per invocation, with atomic
 replace; re-invoking a finished experiment issues no new client requests.
 """
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import logging
 import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -34,7 +34,7 @@ from .orchestrator import (
     TemplateUpdater,
     Treatment,
     WorldUpdater,
-    play_run,
+    play_runs,
     run_header,
 )
 from .prompts import PromptVariant
@@ -52,7 +52,7 @@ TRANSCRIPT_DIR = "transcripts"
 # Plan keys read as a scalar, with the type each must have as YAML loads it.
 _SCALAR_KEYS = {
     "base_seed": int, "runs_per_treatment": int, "model": str, "max_parse_retries": int,
-    "parallelism": int, "max_requests": int,
+    "max_requests": int,
 }
 _REQUIRED_KEYS = ("scenario", "taxonomy", "treatments", "base_seed")
 _PLAN_KEYS = {
@@ -96,7 +96,7 @@ class ExperimentPlan:
     model: str = DEFAULT_MODEL
     baseline: str | None = None
     max_parse_retries: int = DEFAULT_PARSE_RETRIES
-    parallelism: int = 1
+    parallelism: int = 1  # no plan key: the transport sets how many runs overlap
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
 
     def __post_init__(self):
@@ -106,8 +106,8 @@ class ExperimentPlan:
             raise ValidationError("plan: max_parse_retries must be >= 0")
         if self.max_requests < 0:
             raise ValidationError("plan: max_requests must be >= 0")
-        if self.parallelism < 1:
-            raise ValidationError("plan: parallelism must be >= 1")
+        if self.parallelism != 1:
+            raise ValidationError("plan: parallelism must be 1; the transport sets the overlap")
 
 
 @dataclass
@@ -470,8 +470,8 @@ def _execute(
             "abort_reason": run.abort_reason,
         }
 
-    # A partial run and its kept records go to play_run: one read per run.
-    to_run: list[tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]] = []
+    # A partial run and its kept records go to play_runs: one read per run.
+    pending = []
     for handle in handles:
         header = run_header(scenario, taxonomy, handle.treatment, handle.seed,
                             handle.run_id, policy, updater, plan.max_parse_retries)
@@ -479,22 +479,11 @@ def _execute(
         if run is not None and run.completed:
             results[handle.run_id] = run
         else:
-            to_run.append((handle, header, run, kept))
+            pending.append((handle.treatment, header, handle.transcript_path, run, kept))
     skipped = len(results)
     before = transport.request_count
-
-    def _run_one(item: tuple[RunHandle, dict, ts.TranscriptRun | None, list[dict]]) -> None:
-        handle, header, prior, kept = item
-        results[handle.run_id] = play_run(scenario, taxonomy, handle.treatment, policy, updater,
-                                          header, handle.transcript_path, prior, kept)
-
     try:
-        if plan.parallelism > 1 and len(to_run) > 1:
-            with ThreadPoolExecutor(max_workers=plan.parallelism) as pool:
-                list(pool.map(_run_one, to_run))
-        else:
-            for item in to_run:
-                _run_one(item)
+        play_runs(scenario, taxonomy, policy, updater, pending, results, transport.max_in_flight)
     finally:  # the one manifest write: every run that finished
         manifest["runs"] = [_entry(handle) for handle in handles if handle.run_id in results]
         _write_manifest(manifest_path, manifest)

@@ -1,19 +1,19 @@
-"""One seeded simulation run: query policies, score days, update the world.
+"""Seeded simulation runs: query policies, score days, update the world.
 
 Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
-The day's nation queries are therefore independent, and when the policy
-waits on an endpoint (its ``in_process`` is false: a model policy on
-anything but an in-process mock, replay or a recording of one) they are
-issued concurrently, one thread per nation.  Each query's records are
-buffered and written in roster order once it settles, so the transcript
-bytes do not depend on completion order.  Every other policy (scripted, or
-one wrapping another) queries the nations one after another.  The
+The day's nation queries are therefore independent.  When the policy waits
+on an endpoint (its ``in_process`` is false: a model policy on anything but
+an in-process mock, replay or a recording of one), ``play_runs`` overlaps
+the pending runs on as many threads as the transport lets requests be in
+flight, and writes a day's records in roster order once its last query
+settles, so the bytes depend on neither completion order nor overlap.  Every
+other policy plays the runs one by one, asking the nations one by one.  The
 transcript is written incrementally and a crashed run resumes from its
 last completed day, reproducing the uninterrupted bytes exactly.
 
 A run's treatment and taxonomy come only from the arguments of
-``run_simulation`` (or of ``play_run``, which plays on from what
+``run_simulation`` (or of ``play_runs``, which plays on from what
 ``transcript.stored_run`` read) and reach the policy and the world updater
 with every call.  ``run_simulation`` is the library's single-run call;
 ``esclab simulate`` plays its run as a one-run experiment instead, so that
@@ -27,7 +27,8 @@ turn record in both directions.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -247,117 +248,138 @@ def run_simulation(
     prior, kept = ts.stored_run(transcript_path, header)
     if prior is not None and prior.completed:
         return prior
-    return play_run(scenario, taxonomy, treatment, policy, world_updater, header,
-                    transcript_path, prior, kept)
+    return play_runs(scenario, taxonomy, policy, world_updater,
+                     [(treatment, header, transcript_path, prior, kept)], {})[run_id]
 
 
-def play_run(
-    scenario: Scenario,
-    taxonomy: ActionTaxonomy,
-    treatment: Treatment,
-    policy: AgentPolicy,
-    world_updater: WorldUpdater,
-    header: dict,
-    transcript_path: Path,
-    prior: ts.TranscriptRun | None,
-    kept: list[dict],
-) -> ts.TranscriptRun:
+def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
+          world_updater: WorldUpdater, treatment: Treatment, header: dict,
+          transcript_path: Path, prior: ts.TranscriptRun | None, kept: list[dict]):
     """Play the run whose ``run_start`` payload is ``header`` onward from the
     partial run ``prior`` and its records ``kept``, as ``transcript.stored_run``
     gave them (None and none: from the start, replacing any file there), and
-    persist its transcript."""
+    persist its transcript.  A generator: it yields ``ask`` for each day, is
+    sent its outcomes for the nations in roster order, and returns the run."""
     run_id = header["run_id"]
-    max_parse_retries = header["max_parse_retries"]
-    days: list[DailyRecord] = []
-    fallbacks = 0
-    if prior is not None:
-        days, fallbacks = list(prior.days), prior.fallbacks
+
+    def ask(nation: str) -> tuple[list, AgentTurn | Exception]:
+        """``nation``'s query on the day's world: its records, and its turn or exception."""
+        records: list = []
+        try:
+            return records, decide_with_retry(
+                policy, world, nation, treatment, taxonomy, run_id=run_id,
+                max_parse_retries=header["max_parse_retries"],
+                recorder=lambda *record: records.append(record))
+        except Exception as exc:
+            return records, exc
+
+    days, fallbacks = (list(prior.days), prior.fallbacks) if prior else ([], 0)
     world = initial_world(scenario)
     for record in days:
         world = advance_day(world, record)
+    status, abort_reason = "completed", None
     # Replaces any file there with the kept records: none when no day
     # completed (perhaps a single torn line).
-    writer = ts.TranscriptWriter(transcript_path, kept)
-    # Threads overlap only waiting: for an in-process policy they would
-    # just contend for the interpreter lock.
-    concurrent = not policy.in_process
-    pool = ThreadPoolExecutor(len(scenario.nation_names)) if concurrent else None
-    status = "completed"
-    abort_reason = None
-    try:
+    with closing(ts.TranscriptWriter(transcript_path, kept)) as writer:
         if not kept:
             writer.write(ts.RUN_START, header)
             templates = policy.templates or default_templates()
-            system_text, system_sha256 = render_system_text(
-                scenario, taxonomy, treatment.variant, templates.system
-            )
-            writer.write(
-                ts.SYSTEM_PROMPT,
-                {"sha256": system_sha256, "text": system_text, "user_template": templates.user},
-            )
+            text, sha256 = render_system_text(scenario, taxonomy, treatment.variant,
+                                              templates.system)
+            writer.write(ts.SYSTEM_PROMPT,
+                         {"sha256": sha256, "text": text, "user_template": templates.user})
         try:
             while world.current_day < scenario.days:
                 day = world.current_day + 1
-                buffers = {nation: [] for nation in scenario.nation_names}
-
-                def ask(nation, view, _buffers=buffers):
-                    return decide_with_retry(
-                        policy,
-                        view,
-                        nation,
-                        treatment,
-                        taxonomy,
-                        max_parse_retries=max_parse_retries,
-                        run_id=run_id,
-                        recorder=lambda type_, payload: _buffers[nation].append(
-                            (type_, payload)
-                        ),
-                    )
-
-                if pool is not None:
-                    futures = {
-                        nation: pool.submit(ask, nation, world)
-                        for nation in scenario.nation_names
-                    }
                 turns: dict[str, AgentTurn] = {}
-                for nation in scenario.nation_names:
-                    # A failing query still leaves its records, as when the
-                    # nations are asked one by one; later nations' are dropped.
-                    try:
-                        turn = futures[nation].result() if pool is not None else ask(nation, world)
-                    finally:
-                        for type_, payload in buffers[nation]:
-                            writer.write(type_, payload, day=day, nation=nation)
-                    if turn.fallback:
-                        fallbacks += 1
+                for nation, (records, turn) in zip(scenario.nation_names, (yield ask)):
+                    # A failing query still leaves its records; later nations'
+                    # are dropped (one by one, they are never asked).
+                    for type_, payload in records:
+                        writer.write(type_, payload, day=day, nation=nation)
+                    if isinstance(turn, Exception):
+                        raise turn
+                    fallbacks += turn.fallback
                     turns[nation] = turn
                     writer.write(ts.TURN, ts.turn_payload(turn), day=day, nation=nation)
                 scores = daily_score(turns.values(), taxonomy)
                 summary = world_updater.update(
-                    world,
-                    turns,
-                    treatment,
-                    run_id=run_id,
-                    recorder=lambda type_, payload, _day=day: writer.write(
-                        type_, payload, day=_day
-                    ),
-                )
-                record = DailyRecord(
-                    day=day,
-                    actions_by_nation={n: t.actions for n, t in turns.items()},
-                    daily_score_by_nation=scores,
-                    world_summary_after=summary,
-                )
+                    world, turns, treatment, run_id=run_id,
+                    recorder=lambda type_, payload: writer.write(type_, payload, day=day))
+                record = DailyRecord(day, {n: t.actions for n, t in turns.items()}, scores,
+                                     summary)
                 writer.write(ts.DAY, {"scores": scores, "summary": summary}, day=day)
                 world = advance_day(world, record)
                 days.append(record)
         except (TransportError, BudgetExceeded) as exc:
-            status = "aborted"
-            abort_reason = f"{type(exc).__name__}: {exc}"
-            log.error("run %s aborted on day %d: %s", run_id, world.current_day + 1, exc)
+            status, abort_reason = "aborted", f"{type(exc).__name__}: {exc}"
+            log.error("run %s aborted on day %d: %s", run_id, day, exc)
         writer.write(ts.RUN_END, {"status": status, "reason": abort_reason})
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        writer.close()
     return ts.run_from_header(header, status, abort_reason, days, fallbacks)
+
+
+def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
+              world_updater: WorldUpdater, pending: list[tuple],
+              results: dict[str, ts.TranscriptRun], width: int | None = None) -> dict:
+    """Play each pending ``(treatment, header, transcript_path, prior, kept)``
+    as ``_play`` does into ``results``, by run id, and return it.  In process,
+    one by one on the calling thread; waiting, in twice ``width`` lanes (the
+    roster size if None) of runs one by one, all on ``width`` threads.  A
+    task is one nation's query; the one that settles a day's last query plays
+    the day and queues the lane's next day, so no task waits for another.  An
+    exception other than an abort is raised here once the threads end."""
+    roster = scenario.nation_names
+
+    def lane(items):
+        """The runs of ``items`` one by one, a generator as ``_play`` is."""
+        for item in items:
+            run = yield from _play(scenario, taxonomy, policy, world_updater, *item)
+            results[run.run_id] = run
+
+    if policy.in_process:
+        game, outcomes = lane(pending), None
+        with suppress(StopIteration):
+            while True:  # the nations are asked as the run reads their outcomes
+                outcomes = map(game.send(outcomes), roster)
+        return results
+    import queue  # here, not with the module: only a waiting policy needs them
+    from concurrent.futures import ThreadPoolExecutor
+
+    width = width or len(roster)
+    lanes = [lane(pending[k::2 * width]) for k in range(min(2 * width, len(pending)))]
+    lock, done = threading.Lock(), queue.SimpleQueue()
+
+    def step(game, outcomes: list | None) -> None:
+        """Send ``game`` a day's outcomes and queue its next day's queries."""
+        try:
+            ask = game.send(outcomes)
+        except StopIteration:  # the lane's runs have all ended
+            done.put(None)
+            return
+        outcomes = {}
+        for nation in roster:
+            pool.submit(settle, game, ask, nation, outcomes)
+
+    def settle(game, ask, nation: str, outcomes: dict) -> None:
+        try:
+            outcome = ask(nation)
+            with lock:
+                outcomes[nation] = outcome
+                if len(outcomes) < len(roster):
+                    return
+            step(game, [outcomes[n] for n in roster])
+        except BaseException as exc:
+            done.put(exc)
+
+    pool = ThreadPoolExecutor(width)
+    try:
+        for game in lanes:
+            step(game, None)
+        for _ in lanes:
+            if (failure := done.get()) is not None:
+                raise failure
+    finally:  # queued tasks are dropped, those in flight finish
+        pool.shutdown(cancel_futures=True)
+        for game in lanes:
+            game.close()
+    return results

@@ -9,22 +9,23 @@ from esclab.errors import TransportError
 class EndpointStandIn(Transport):
     """Wraps a transport.  With a ``step_s``, it waits like a remote
     endpoint, longest for the first nation in the roster, so a day's queries
-    complete in reverse roster order; it is then not ``in_process``, so a
-    run's days query their nations on a thread pool.  With ``step_s=0`` it
-    waits for nothing and is ``in_process``.
+    complete in reverse roster order; it is then not ``in_process``, so
+    runs are played in overlap, on ``max_in_flight`` threads if it is set.
+    With ``step_s=0`` it waits for nothing and is ``in_process``.
 
     A request whose tag holds ``fail_tag`` fails with a non-transient
     ``TransportError``.  ``completed`` lists the other requests' tags in the
     order they completed, and ``threads`` the threads that sent them.
     """
 
-    def __init__(self, inner, roster, step_s=0.004, fail_tag=None):
+    def __init__(self, inner, roster, step_s=0.004, fail_tag=None, max_in_flight=None):
         super().__init__()
         self.inner = inner
         self.roster = roster
         self.step_s = step_s
         self.fail_tag = fail_tag
         self.in_process = not step_s
+        self.max_in_flight = max_in_flight
         self.completed = []
         self.threads = set()
         self._lock = threading.Lock()

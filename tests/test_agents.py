@@ -24,6 +24,7 @@ from esclab.scoring import daily_score
 
 
 DEFAULT = Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT)
+REFLECTION = Treatment("t1.0-reflection-planning", 1.0, PromptVariant.REFLECTION_PLANNING)
 
 
 def parse(content, taxonomy, scenario, nation="Blue", expects=False):
@@ -93,9 +94,17 @@ class TestParse:
             "private_thoughts": "Stay calm.",
             "actions": [{"action": "wait"}],
         })
-        turn = parse(content, taxonomy, scenario, expects=True)
-        assert turn.private_thoughts == "Stay calm."
+        events = []
+        turn = decide_with_retry(
+            LlmPolicy(MockTransport(content), model="m"), initial_world(scenario), "Blue",
+            REFLECTION, taxonomy, run_id="run",
+            recorder=lambda kind, payload: events.append((kind, payload)),
+        )
         assert turn.deviations == ()
+        # The thoughts stay in the accepted reply the llm_call record holds.
+        [(kind, payload)] = events
+        assert kind == "llm_call"
+        assert json.loads(payload["content"])["private_thoughts"] == "Stay calm."
 
     def test_missing_thoughts_is_deviation_not_error(self, taxonomy, scenario):
         turn = parse('{"actions": [{"action": "wait"}]}', taxonomy, scenario, expects=True)
@@ -108,7 +117,6 @@ class TestParse:
             "actions": [{"action": "wait"}],
         })
         turn = parse(content, taxonomy, scenario, expects=False)
-        assert turn.private_thoughts is None
         assert "unexpected_private_thoughts" in turn.deviations
 
     def test_overlong_thoughts_logged_not_rejected(self, taxonomy, scenario):
@@ -160,7 +168,6 @@ class TestDecideWithRetry:
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
-        assert turn.parse_attempts == 4
         assert turn.actions[0].action_id == taxonomy.fallback.id
         assert daily_score([turn], taxonomy) == {"Blue": 0}
         # Each parse failure follows the llm_call holding the reply it refuses.
@@ -177,7 +184,6 @@ class TestDecideWithRetry:
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
-        assert turn.parse_attempts == 3
         assert [(kind, payload.get("content"), payload.get("reason"))
                 for kind, payload in events] == [
             ("llm_call", None, None), ("parse_failure", None, "empty_reply")] * 3
@@ -203,7 +209,7 @@ class TestDecideWithRetry:
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         # A reply that parses is a turn whatever its finish reason.
-        assert (turn.actions[0].action_id, turn.parse_attempts) == ("wait", 2)
+        assert turn.actions[0].action_id == "wait"
         assert [(kind, payload.get("content"), payload.get("reason"))
                 for kind, payload in events] == [
             ("llm_call", cut, None), ("parse_failure", None, reason),
@@ -217,18 +223,24 @@ class TestDecideWithRetry:
 
         policy = LlmPolicy(MockTransport(responder), model="m")
         world = initial_world(scenario)
+        events = []
         turn = decide_with_retry(
             policy, world, "Blue", DEFAULT, taxonomy,
             run_id="run",
+            recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert not turn.fallback
-        assert turn.parse_attempts == 2
+        assert [kind for kind, _ in events] == ["llm_call", "parse_failure", "llm_call"]
 
     def test_scripted_policy_always_one_attempt(self, taxonomy, scenario):
         policy = ScriptedPolicy({}, default=(ChosenAction("wait"),))
         world = initial_world(scenario)
-        turn = decide_with_retry(policy, world, "Blue", DEFAULT, taxonomy)
-        assert turn.parse_attempts == 1
+        events = []
+        turn = decide_with_retry(
+            policy, world, "Blue", DEFAULT, taxonomy,
+            recorder=lambda kind, payload: events.append((kind, payload)),
+        )
+        assert events == []
         assert not turn.fallback
 
 
@@ -289,7 +301,7 @@ class TestPolicies:
             load_script(path)
 
     def test_fallback_turn_scores_zero(self, taxonomy):
-        turn = fallback_turn(taxonomy, "Blue", attempts=4)
+        turn = fallback_turn(taxonomy, "Blue")
         assert daily_score([turn], taxonomy)["Blue"] == 0
 
 
@@ -325,7 +337,7 @@ class TestUntrustedNesting:
             recorder=lambda kind, payload: events.append((kind, payload)),
         )
         assert turn.fallback
-        assert turn.parse_attempts == 2
+        assert [kind for kind, _ in events].count("llm_call") == 2
         reasons = [payload["reason"] for kind, payload in events if kind == "parse_failure"]
         assert reasons == ["no_document", "no_document"]
 

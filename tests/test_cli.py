@@ -196,6 +196,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("line,error", [
         ("intra_day_visibility: 'false'", "ParseError"),
+        ("parallelism: 2", "ParseError"),
         ("runs_per_treatment: 2.9", "ParseError"),
         ("max_requests: -5", "ValidationError"),
     ])
@@ -325,6 +326,8 @@ class TestRefusedInputs:
          "ValidationError"),
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, max_in_flight: -1}}", None,
          "ValidationError"),
+        ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, max_in_flight: 100000}}", None,
+         "ValidationError"),
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: x}}", None, "ParseError"),
         ("[{label: a, temperature: 1.0}]", f"{{{LIVE}, timeout: .nan}}", None,
          "ValidationError"),
@@ -350,10 +353,12 @@ class TestRefusedInputs:
          "ParseError"),
         ("[{label: a, temperature: 1.0}]\nintra_day_visibility: false", "{kind: mock}", None,
          "ParseError"),
-    ], ids=["temperature-list", "rpm-0", "in-flight-negative", "timeout-text", "timeout-nan",
-            "timeout-inf", "timeout-1e10", "api-key", "misspelt-key", "mock-responder",
-            "mock-text", "replay-mode", "label-dir", "label-escape", "label-pipe", "no-cassette",
-            "script-day-key", "visibility-true", "visibility-false"])
+        ("[{label: a, temperature: 1.0}]\nparallelism: 1", "{kind: mock}", None, "ParseError"),
+    ], ids=["temperature-list", "rpm-0", "in-flight-negative", "in-flight-huge", "timeout-text",
+            "timeout-nan", "timeout-inf", "timeout-1e10", "api-key", "misspelt-key",
+            "mock-responder", "mock-text", "replay-mode", "label-dir", "label-escape",
+            "label-pipe", "no-cassette", "script-day-key", "visibility-true", "visibility-false",
+            "parallelism"])
     def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
                       error):
         monkeypatch.setenv("ESCLAB_API_KEY", "sk-test")

@@ -289,7 +289,8 @@ class TestLiveTransport:
         )
 
     @pytest.mark.parametrize("setting", [
-        {"max_in_flight": 0}, {"max_in_flight": -1}, {"requests_per_minute": 0},
+        {"max_in_flight": 0}, {"max_in_flight": -1}, {"max_in_flight": 65},
+        {"requests_per_minute": 0},
         {"timeout": 0}, {"timeout": -1.5},
     ])
     def test_out_of_range_setting_is_refused(self, setting):

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from esclab.client import MAX_IN_FLIGHT, LiveTransport
 from esclab.errors import ParseError, ValidationError
 from esclab.experiments import (
     ExperimentPlan,
@@ -16,6 +19,8 @@ from esclab.experiments import (
 from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
 from esclab.scoring import Aggregator
+
+from standins import EndpointStandIn
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -121,12 +126,12 @@ treatments:
         )
 
     def test_unconvertible_scalar_is_a_parse_error(self, tmp_path):
-        with pytest.raises(ParseError, match="parallelism"):
-            load_plan(scripted_plan(tmp_path, extra="parallelism: many"))
+        with pytest.raises(ParseError, match="max_requests"):
+            load_plan(scripted_plan(tmp_path, extra="max_requests: many"))
 
     @pytest.mark.parametrize("runs,extra,key", [
         (2.9, "", "runs_per_treatment"),
-        (2, "parallelism: true", "parallelism"),
+        (2, "max_parse_retries: true", "max_parse_retries"),
         (2, "model: 7", "model"),
     ])
     def test_wrong_typed_scalar_is_a_parse_error(self, tmp_path, runs, extra, key):
@@ -136,10 +141,10 @@ treatments:
     def test_scalars_keep_their_yaml_values(self, tmp_path):
         plan = load_plan(scripted_plan(
             tmp_path, runs=3,
-            extra="max_requests: 0\nmodel: m\nparallelism: 2",
+            extra="max_requests: 0\nmodel: m\nmax_parse_retries: 1",
         ))
         assert plan.runs_per_treatment == 3
-        assert (plan.max_requests, plan.model, plan.parallelism) == (0, "m", 2)
+        assert (plan.max_requests, plan.model, plan.max_parse_retries) == (0, "m", 1)
 
     def test_negative_max_requests_rejected(self, tmp_path):
         plan = load_plan(scripted_plan(tmp_path))
@@ -148,11 +153,13 @@ treatments:
         with pytest.raises(ValidationError, match="max_requests"):
             load_plan(scripted_plan(tmp_path, extra="max_requests: -5"))
 
-    @pytest.mark.parametrize("parallelism", [0, -3])
-    def test_parallelism_below_one_rejected(self, tmp_path, parallelism):
-        with pytest.raises(ValidationError, match="parallelism must be >= 1"):
-            load_plan(scripted_plan(tmp_path, extra=f"parallelism: {parallelism}"))
-        with pytest.raises(ValidationError, match="parallelism must be >= 1"):
+    @pytest.mark.parametrize("parallelism", [0, 2])
+    def test_parallelism_is_not_a_plan_key(self, tmp_path, parallelism):
+        # How many runs overlap follows from the transport, not from the plan.
+        for value in (1, parallelism):
+            with pytest.raises(ParseError, match=r"unknown keys \['parallelism'\]"):
+                load_plan(scripted_plan(tmp_path, extra=f"parallelism: {value}"))
+        with pytest.raises(ValidationError, match="parallelism must be 1"):
             ExperimentPlan(
                 scenario_path=DATA / "neutral_scenario.yaml",
                 taxonomy_path=DATA / "default_taxonomy.yaml",
@@ -216,6 +223,7 @@ class TestPlanValueChecks:
         ("1: x\nsurprise: 2", r"unknown keys \[1, 'surprise'\]"),
         ("intra_day_visibility: true", r"unknown keys \['intra_day_visibility'\]"),
         ("intra_day_visibility: false", r"unknown keys \['intra_day_visibility'\]"),
+        ("parallelism: 4", r"unknown keys \['parallelism'\]"),
     ])
     def test_bad_plan_entry_is_a_parse_error(self, tmp_path, extra, match):
         with pytest.raises(ParseError, match=match):
@@ -492,24 +500,24 @@ class TestRunRecords:
     def test_exception_writes_the_manifest_of_the_runs_that_finished(
         self, tmp_path, monkeypatch
     ):
-        from esclab import experiments
+        from esclab import orchestrator
 
         manifest = tmp_path / "out" / "manifest.json"
-        seen = []
-        original = experiments.play_run
+        seen = {}
+        original = orchestrator.decide_with_retry
 
-        def failing_second(*args, **kwargs):
-            seen.append(manifest.exists())
-            if len(seen) == 2:
+        def failing_second(*args, run_id, **kwargs):
+            seen.setdefault(run_id, manifest.exists())
+            if run_id.endswith("-r01"):
                 raise RuntimeError("disk on fire")
-            return original(*args, **kwargs)
+            return original(*args, run_id=run_id, **kwargs)
 
-        monkeypatch.setattr(experiments, "play_run", failing_second)
+        monkeypatch.setattr(orchestrator, "decide_with_retry", failing_second)
         plan = load_plan(scripted_plan(tmp_path, runs=3))
         with pytest.raises(RuntimeError, match="disk on fire"):
             run_experiment(plan, tmp_path / "out")
         # Nothing is written while runs play; the exception still writes it.
-        assert seen == [False, False]
+        assert seen == {"t1.0-default-r00": False, "t1.0-default-r01": False}
         runs = json.loads(manifest.read_text(encoding="utf-8"))["runs"]
         assert [(entry["run_index"], entry["status"]) for entry in runs] == [(0, "completed")]
 
@@ -570,3 +578,174 @@ class TestStaleTranscripts:
         assert [t.request_count for t in transports] == [0]
         assert sorted(out.rglob("*.json*")) == files
         assert {path: path.read_bytes() for path in files} == before
+
+
+def waiting_plan(tmp_path, temperatures=(1.0,), runs=4, extra="") -> ExperimentPlan:
+    """A model plan on the mock with a template updater: one request per
+    nation and day.  Each treatment gets its own temperature, which tells
+    its requests apart on the wire."""
+    treatments = "\n".join(
+        f"  - {{label: t{index}, temperature: {temperature}}}"
+        for index, temperature in enumerate(temperatures)
+    )
+    return load_plan(write_plan(
+        tmp_path,
+        f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 5
+runs_per_treatment: {runs}
+policy: llm
+world_updater: template
+treatments:
+{treatments}
+{extra}
+""",
+    ))
+
+
+class TestOverlappedRuns:
+    """A waiting policy plays the runs in overlap on the transport's
+    in-flight cap of threads; whatever ends the experiment, those threads
+    are gone when ``run_experiment`` returns or raises."""
+
+    STEP_S = 0.0002
+
+    def wrap(self, monkeypatch, stand_in=EndpointStandIn, **kwargs) -> list:
+        from esclab import experiments
+
+        built = []
+
+        def build(plan, taxonomy, scenario, *args, **kw):
+            inner = build_transport(plan, taxonomy, scenario, *args, **kw)
+            built.append(stand_in(inner, scenario.nation_names, self.STEP_S, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(experiments, "build_transport", build)
+        return built
+
+    def test_unexpected_error_is_raised_here_after_the_threads_end(
+        self, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+
+        class FailingLate(EndpointStandIn):
+            """One query of run 1 fails, once the other runs have ended."""
+
+            def send_once(self, request):
+                if request.request_tag == f"t0-r01|d01|{self.roster[0]}|a1":
+                    others = [out / "transcripts" / f"t0-r0{i}.jsonl" for i in (0, 2, 3)]
+                    deadline = time.monotonic() + 60
+                    while not all(path.exists() and b'"run_end"' in path.read_bytes()
+                                  for path in others):
+                        assert time.monotonic() < deadline, "the other runs did not end"
+                        time.sleep(0.005)
+                    raise RuntimeError("disk on fire")
+                return super().send_once(request)
+
+        built = self.wrap(monkeypatch, FailingLate)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="disk on fire"):
+            run_experiment(waiting_plan(tmp_path), out)
+        assert set(threading.enumerate()) == before
+        assert threading.get_ident() not in built[0].threads
+        runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+        assert [(entry["run_index"], entry["status"]) for entry in runs] == [
+            (0, "completed"), (2, "completed"), (3, "completed")]
+        assert b'"run_end"' not in (out / "transcripts" / "t0-r01.jsonl").read_bytes()
+
+    def test_budget_abort_ends_every_run_and_its_threads(self, tmp_path, monkeypatch):
+        built = self.wrap(monkeypatch)
+        before = set(threading.enumerate())
+        result = run_experiment(waiting_plan(tmp_path, extra="max_requests: 150"),
+                                tmp_path / "out")
+        assert set(threading.enumerate()) == before
+        assert result.new_requests == 150
+        assert threading.get_ident() not in built[0].threads
+        assert len(built[0].threads) <= len(built[0].roster)
+        runs = json.loads((tmp_path / "out" / "manifest.json").read_text("utf-8"))["runs"]
+        assert [entry["run_index"] for entry in runs] == [0, 1, 2, 3]
+        # 150 requests complete at most one run of 112.
+        assert [entry["status"] for entry in runs].count("aborted") >= 3
+        assert all("BudgetExceeded" in entry["abort_reason"]
+                   for entry in runs if entry["status"] == "aborted")
+
+    def test_live_transport_caps_posts_across_runs(self, tmp_path, monkeypatch):
+        from esclab import experiments
+
+        class Reply:
+            status_code = 200
+
+            def json(self):
+                content = '{"actions": [{"action": "wait"}]}'
+                return {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+
+        class Session:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.in_flight = self.peak = 0
+                self.temperatures, self.threads = [], set()
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                with self.lock:
+                    self.in_flight += 1
+                    self.peak = max(self.peak, self.in_flight)
+                    self.temperatures.append(json["temperature"])
+                    self.threads.add(threading.get_ident())
+                time.sleep(0.001)
+                with self.lock:
+                    self.in_flight -= 1
+                return Reply()
+
+        session = Session()
+
+        def build(plan, *args, **kwargs):
+            return LiveTransport("https://gateway.invalid/v1", "secret",
+                                 max_requests=plan.max_requests, max_in_flight=2,
+                                 requests_per_minute=10_000, session=session)
+
+        monkeypatch.setattr(experiments, "build_transport", build)
+        plan = waiting_plan(tmp_path, temperatures=(0.1, 0.2, 0.3, 0.4), runs=1)
+        result = run_experiment(plan, tmp_path / "out")
+        assert [run.status for run in result.runs] == ["completed"] * 4
+        assert len(session.temperatures) == result.new_requests == 4 * 14 * 8
+        assert session.peak == 2
+        # One run's requests follow another's far more often than runs end.
+        switches = sum(a != b for a, b in zip(session.temperatures, session.temperatures[1:]))
+        assert switches > 3
+        assert len(session.threads) <= 2
+        assert threading.get_ident() not in session.threads
+
+    def test_in_flight_cap_above_the_ceiling_is_refused_before_any_thread(self, tmp_path):
+        plan = waiting_plan(tmp_path, extra=f"transport: {{{LIVE}, max_in_flight: 100000}}")
+        before = set(threading.enumerate())
+        with pytest.raises(ValidationError, match=f"max_in_flight <= {MAX_IN_FLIGHT}"):
+            run_experiment(plan, tmp_path / "out", api_key="secret")
+        assert set(threading.enumerate()) == before
+        assert not (tmp_path / "out").exists()
+
+    def test_open_transcripts_stay_within_twice_the_threads(self, tmp_path, monkeypatch):
+        """However many runs are pending, at most two per thread hold their
+        transcript open, so a large plan does not run out of file handles."""
+        from esclab import transcript as ts
+
+        lock, open_now, peak = threading.Lock(), [0], [0]
+
+        class CountingWriter(ts.TranscriptWriter):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                with lock:
+                    open_now[0] += 1
+                    peak[0] = max(peak[0], open_now[0])
+
+            def close(self):
+                with lock:
+                    open_now[0] -= 1
+                super().close()
+
+        monkeypatch.setattr(ts, "TranscriptWriter", CountingWriter)
+        built = self.wrap(monkeypatch, max_in_flight=1)
+        result = run_experiment(waiting_plan(tmp_path, runs=7), tmp_path / "out")
+        assert [run.status for run in result.runs] == ["completed"] * 7
+        assert len(built[0].threads) == 1
+        assert (open_now[0], peak[0]) == (0, 2)

@@ -8,15 +8,17 @@ digests below, so a change meant to leave the output alone is checked byte
 for byte.  A change that means to alter the output re-pins them and says why.
 
 Each row of the matrix plays the plan by one path and checks evidence that
-the path was taken.  ``plan_digest`` leaves out the transport,
-``parallelism`` and ``max_requests``, so one manifest digest holds on every
-row.  Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
+the path was taken: on the calling thread, or with the runs in overlap on
+the transport's in-flight cap of threads.  ``plan_digest`` leaves out the
+transport and ``max_requests``, so one manifest digest holds on every row.
+Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
 replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
 which garbles replies (``perfbench/expected.json`` pins it).
 """
 import dataclasses
 import hashlib
 import json
+import sys
 import threading
 from functools import cache, partial
 from pathlib import Path
@@ -24,6 +26,7 @@ from pathlib import Path
 import pytest
 
 from esclab import experiments
+from esclab import transcript as ts
 from esclab.client import RecordingTransport
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
@@ -93,7 +96,7 @@ def assert_pinned(out: Path, report: Path | None = None) -> None:
         assert digests(report, "*.csv") == REPORT_SHA256
 
 
-def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None) -> list:
+def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None, max_in_flight=None) -> list:
     """Make ``run_experiment`` wrap the transport it builds in an
     ``EndpointStandIn``, which waits when ``concurrent``; returns the list
     the stand-ins are appended to."""
@@ -102,7 +105,8 @@ def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None) -> list:
     def build_transport(plan, taxonomy, scenario, *args, **kwargs):
         transport = BUILD_TRANSPORT(plan, taxonomy, scenario, *args, **kwargs)
         step_s = STEP_S if concurrent else 0
-        built.append(EndpointStandIn(transport, scenario.nation_names, step_s, fail_tag))
+        built.append(EndpointStandIn(transport, scenario.nation_names, step_s, fail_tag,
+                                     max_in_flight))
         return built[-1]
 
     monkeypatch.setattr(experiments, "build_transport", build_transport)
@@ -115,26 +119,39 @@ def out_of_roster_order(tags, roster) -> bool:
     return sorted(attempts) == sorted(roster) and attempts != list(roster)
 
 
-def assert_threads(stand_in, concurrent: bool, parallelism: int = 1) -> None:
-    """Days ran on a thread pool exactly when ``concurrent``, and runs
-    overlapped exactly when ``parallelism`` > 1."""
-    if concurrent:
-        assert len(stand_in.threads) > 1
-        assert out_of_roster_order(stand_in.completed, stand_in.roster)
-    else:
-        assert len(stand_in.threads) == parallelism
-        assert (threading.get_ident() in stand_in.threads) == (parallelism == 1)
+def assert_threads(stand_in, concurrent: bool) -> None:
+    """Waiting, the runs overlapped on the stand-in's in-flight cap of
+    threads (the roster size if it sets none), none of them the caller's:
+    with a cap above one, on more than one thread, a day's queries completing
+    out of roster order; with a cap of one, on exactly one thread.  In
+    process, the runs went one after another on the calling thread."""
     runs = [tag.split("|")[0] for tag in stand_in.completed]
     switches = sum(a != b for a, b in zip(runs, runs[1:]))
-    assert (switches > len(set(runs)) - 1) == (parallelism > 1)
+    assert (switches > len(set(runs)) - 1) == concurrent
+    if concurrent:
+        width = stand_in.max_in_flight or len(stand_in.roster)
+        assert threading.get_ident() not in stand_in.threads
+        if width > 1:
+            assert 1 < len(stand_in.threads) <= width
+            assert out_of_roster_order(stand_in.completed, stand_in.roster)
+        else:
+            assert len(stand_in.threads) == 1
+    else:
+        assert stand_in.threads == {threading.get_ident()}
 
 
 # --- the rows: each plays the tiny plan into ``out`` and checks its evidence
 
-def play_straight(out, tmp_path, monkeypatch, concurrent, parallelism=1):
-    built = wrap_transport(monkeypatch, concurrent)
-    assert run_experiment(tiny_plan(parallelism=parallelism), out).new_requests == REQUESTS
-    assert_threads(built[0], concurrent, parallelism)
+def play_straight(out, tmp_path, monkeypatch, concurrent, max_in_flight=None):
+    built = wrap_transport(monkeypatch, concurrent, max_in_flight=max_in_flight)
+    # Threads switch as often as they can, so a lost update would show.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert run_experiment(tiny_plan(), out).new_requests == REQUESTS
+    finally:
+        sys.setswitchinterval(interval)
+    assert_threads(built[0], concurrent)
 
 
 def play_record_replay(out, tmp_path, monkeypatch):
@@ -168,17 +185,32 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent):
 
 
 def play_budget_resume(out, tmp_path, monkeypatch, concurrent):
+    """In process the runs exhaust the budget in order.  In overlap which
+    runs it cuts depends on timing, so the row checks what holds whatever
+    the order: every run that did not complete aborted on the budget with
+    only whole days kept, and the re-run makes the requests of the days
+    the first pass did not keep."""
     built = wrap_transport(monkeypatch, concurrent)
     first = run_experiment(tiny_plan(max_requests=BUDGET), out)
     assert_threads(built[0], concurrent)
     assert first.new_requests == BUDGET
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
-    assert [run["status"] for run in manifest] == ["completed", "completed", "aborted", "aborted"]
-    assert all("BudgetExceeded" in run["abort_reason"] for run in manifest[2:])
-    kept = (BUDGET - 2 * RUN_REQUESTS) // DAY_REQUESTS  # the third run's whole days
-    assert len(first.runs[2].days) == kept
+    statuses = [run["status"] for run in manifest]
+    if not concurrent:
+        assert statuses == ["completed", "completed", "aborted", "aborted"]
+        kept = (BUDGET - 2 * RUN_REQUESTS) // DAY_REQUESTS  # the third run's whole days
+        assert len(first.runs[2].days) == kept
+    assert "aborted" in statuses
+    for entry, run in zip(manifest, first.runs):
+        assert (entry["transcript"], entry["status"]) == (f"transcripts/{run.run_id}.jsonl",
+                                                          run.status)
+        if run.status != "completed":
+            assert run.status == "aborted" and "BudgetExceeded" in entry["abort_reason"]
+            on_disk = ts.load_run(out / entry["transcript"])
+            assert on_disk.days == run.days and len(run.days) < DAYS
+    lost_days = sum(DAYS - len(run.days) for run in first.runs)
     again = run_experiment(tiny_plan(), out)
-    assert again.new_requests == REQUESTS - 2 * RUN_REQUESTS - kept * DAY_REQUESTS
+    assert again.new_requests == lost_days * DAY_REQUESTS
 
 
 def play_kill_resume(out, tmp_path, monkeypatch):
@@ -218,8 +250,7 @@ def play_kill_resume(out, tmp_path, monkeypatch):
 ROWS = {
     "inline": partial(play_straight, concurrent=False),
     "concurrent-days": partial(play_straight, concurrent=True),
-    "run-pool": partial(play_straight, concurrent=False, parallelism=2),
-    "run-pool+concurrent-days": partial(play_straight, concurrent=True, parallelism=2),
+    "overlap-width-1": partial(play_straight, concurrent=True, max_in_flight=1),
     "record-replay": play_record_replay,
     "abort-resume": partial(play_abort_resume, concurrent=False),
     "abort-resume+concurrent-days": partial(play_abort_resume, concurrent=True),

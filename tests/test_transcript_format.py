@@ -26,7 +26,7 @@ import pytest
 from conftest import small_scenario
 from esclab import experiments, orchestrator
 from esclab import transcript as ts
-from esclab.agents import LlmPolicy, load_script, parse_agent_response
+from esclab.agents import LlmPolicy, _first_json_object, load_script
 from esclab.cli import main
 from esclab.client import MockTransport
 from esclab.errors import ParseError, TransportError, ValidationError
@@ -41,8 +41,8 @@ from esclab.prompts import (
     text_sha256,
 )
 from esclab.report import build_report
-from esclab.scenario import load_default_scenario, load_scenario
-from esclab.taxonomy import load_default_taxonomy, load_taxonomy
+from esclab.scenario import load_scenario
+from esclab.taxonomy import load_taxonomy
 
 from standins import EndpointStandIn
 
@@ -84,13 +84,14 @@ def reseal(path: Path, records: list[dict]) -> None:
     writer.close()
 
 
-def dropped_fields(records: list[dict], scenario, taxonomy) -> dict[int, dict]:
+def dropped_fields(records: list[dict]) -> dict[int, dict]:
     """What format 7 does not write, rebuilt from the records alone, by seq:
     each ``llm_call``'s ``tag``, each parse failure's ``attempt`` and the
     ``content`` it refuses, and each turn's ``parse_attempts`` and
     ``private_thoughts``.  A nation's calls of a day are its attempts in
     order; a parse failure follows the call it refuses, a turn the call it
-    accepts (none for a fallback or a scripted turn)."""
+    accepts (none for a fallback or a scripted turn), whose JSON holds the
+    thoughts under a reflection variant."""
     header = records[0]["payload"]
     expects = PromptVariant(header["treatment"]["variant"]) in REFLECTION_VARIANTS
     calls: dict[tuple, list[dict]] = {}
@@ -106,10 +107,9 @@ def dropped_fields(records: list[dict], scenario, taxonomy) -> dict[int, dict]:
                                      "content": here[-1]["payload"]["content"]}
         elif record["type"] == ts.TURN:
             thoughts = None
-            if here and not record["payload"]["fallback"]:
-                thoughts = parse_agent_response(here[-1]["payload"]["content"], taxonomy,
-                                                scenario, record["nation"],
-                                                expects).private_thoughts
+            if expects and here and not record["payload"]["fallback"]:
+                reply = _first_json_object(here[-1]["payload"]["content"])
+                thoughts = reply.get("private_thoughts")
             fields[record["seq"]] = {"parse_attempts": len(here) or 1,
                                      "private_thoughts": thoughts}
     return fields
@@ -120,7 +120,7 @@ def to_format_6(path: Path) -> None:
     record's place gives copied into its payload."""
     records = ts.read_records(path)
     records[0]["payload"]["transcript_format"] = 6
-    fields = dropped_fields(records, load_default_scenario(), load_default_taxonomy())
+    fields = dropped_fields(records)
     for record in records:
         record["payload"].update(fields.get(record["seq"], {}))
     reseal(path, records)
@@ -321,11 +321,18 @@ class TestRecordsRebuildWhatIsNotWritten:
             return reply
 
         decide = orchestrator.decide_with_retry
-        turns = {}
+        turns, replies_by_turn = {}, {}
 
-        def recording(policy, world, nation, *args, **kwargs):
-            turn = turns[world.current_day + 1, nation] = decide(policy, world, nation,
-                                                                 *args, **kwargs)
+        def recording(policy, world, nation, *args, recorder, **kwargs):
+            key = world.current_day + 1, nation
+            replies = replies_by_turn[key] = []
+
+            def record(type_, payload):
+                if type_ == ts.LLM_CALL:
+                    replies.append(payload["content"])
+                recorder(type_, payload)
+
+            turn = turns[key] = decide(policy, world, nation, *args, recorder=record, **kwargs)
             return turn
 
         monkeypatch.setattr(orchestrator, "decide_with_retry", recording)
@@ -339,7 +346,7 @@ class TestRecordsRebuildWhatIsNotWritten:
         )
         assert run.completed and len(endpoint.threads) > 1
         records = ts.read_records(path)
-        fields = dropped_fields(records, scenario, taxonomy)
+        fields = dropped_fields(records)
 
         def by_nation_day(tags):
             grouped = {}
@@ -359,8 +366,10 @@ class TestRecordsRebuildWhatIsNotWritten:
         rebuilt = {(r["day"], r["nation"]): (fields[r["seq"]], r["payload"]["fallback"])
                    for r in records if r["type"] == ts.TURN}
         assert rebuilt == {
-            key: ({"parse_attempts": turn.parse_attempts,
-                   "private_thoughts": turn.private_thoughts}, turn.fallback)
+            key: ({"parse_attempts": len(replies_by_turn[key]),
+                   "private_thoughts": None if turn.fallback
+                   else json.loads(replies_by_turn[key][-1])["private_thoughts"]},
+                  turn.fallback)
             for key, turn in turns.items()
         }
         assert {key: attempts["parse_attempts"] for key, (attempts, _) in rebuilt.items()
@@ -386,7 +395,7 @@ class TestDigestRecords:
         calls = [r for r in records if r["type"] == ts.LLM_CALL]
         first = [r for r in calls if "user_sha256" in r["payload"]]
         assert len(first) == 14 * 8
-        tags = dropped_fields(records, load_default_scenario(), load_default_taxonomy())
+        tags = dropped_fields(records)
         assert all(tags[r["seq"]]["tag"].endswith("|a1") for r in first)
         assert not any(tags[r["seq"]]["tag"].endswith("|a1") for r in calls if r not in first)
         assert "prompt" not in {r["type"] for r in records}
