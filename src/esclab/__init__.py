@@ -27,12 +27,10 @@ from .client import (
     ChatResponse,
     LiveTransport,
     MockTransport,
-    RecordingTransport,
-    ReplayTransport,
     complete,
 )
 from .errors import EsclabError
-from .experiments import ExperimentPlan, load_plan, run_experiment, run_seed
+from .experiments import ExperimentPlan, ReplayTransport, load_plan, run_experiment, run_seed
 from .orchestrator import (
     LlmUpdater,
     TemplateUpdater,

@@ -4,9 +4,9 @@ LlmPolicy queries a transport with the assembled prompts and parses the
 untrusted reply; ScriptedPolicy plays a fixed day-to-actions table.  Both
 produce AgentTurn values whose action ids are guaranteed to resolve in the
 taxonomy: model replies and script entries pass the same action validator.
-A recorded run is replayed through its cassette (``client.ReplayTransport``
-under LlmPolicy), never from its transcript.  The ``llm_call`` record of
-each request is written by ``client.complete``.
+A recorded experiment is replayed under LlmPolicy by answering its requests
+from its own transcripts (``experiments.ReplayTransport``).  The
+``llm_call`` record of each request is written by ``client.complete``.
 
 A policy holds only how to reach a model: the run's treatment and taxonomy
 arrive with each call and the scenario with the world, so every request

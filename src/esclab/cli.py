@@ -88,9 +88,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     )
     transport_config: dict = {"kind": args.transport}
     if args.transport == "replay":
-        if not args.cassette:
-            raise EsclabError("replay transport needs --cassette")
-        transport_config["cassette"] = str(Path(args.cassette).resolve())
+        if not args.manifest:
+            raise EsclabError("replay transport needs --manifest")
+        transport_config["manifest"] = str(Path(args.manifest).resolve())
     if args.transport == "live":
         if not args.base_url:
             raise EsclabError("live transport needs --base-url")
@@ -241,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--label", default=None)
     p_sim.add_argument("--transport", default="mock",
                        choices=["mock", "replay", "live"])
-    p_sim.add_argument("--cassette", default=None)
+    p_sim.add_argument("--manifest", default=None,
+                       help="replay: the manifest of the experiment to play back")
     p_sim.add_argument("--base-url", default=None)
     p_sim.add_argument("--policy", default="llm", choices=["llm", "scripted"])
     p_sim.add_argument("--script", default=None)

@@ -1,25 +1,22 @@
 """Wire-level client for OpenAI-compatible chat-completion endpoints.
 
-Three transports share one request/response contract: Live (HTTPS), Mock
-(scripted responder, used for desk-scale runs and tests) and Replay (cassette
-playback).  A RecordingTransport wraps any other transport and writes a
-cassette.  Temperature is serialized into the request body exactly as given;
-the Mock transport can capture bodies so tests can verify that.
+Transports share one request/response contract: Live (HTTPS) and Mock
+(scripted responder, used for desk-scale runs and tests) live here; replay
+from recorded transcripts is ``experiments.ReplayTransport``.  This module
+reads and writes no file.  Temperature is serialized into the request body
+exactly as given; the Mock transport can capture bodies so tests can verify
+that.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable
 
-from .errors import AuthError, BudgetExceeded, ParseError, TransportError, ValidationError
-from .scenario import require_type
-from .transcript import LLM_CALL, Recorder, split_lines, utf8
+from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from .transcript import LLM_CALL, Recorder
 
 if TYPE_CHECKING:
     import requests
@@ -74,8 +71,6 @@ class ChatRequest:
 class ChatResponse:
     content: str
     finish_reason: str = "stop"
-    latency: float = 0.0
-    attempt_count: int = 1
 
 
 def chat_request(
@@ -104,11 +99,6 @@ def wire_body(request: ChatRequest) -> dict:
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
     }
-
-
-def body_digest(body: dict) -> str:
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(canonical.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 class Transport:
@@ -248,7 +238,6 @@ class LiveTransport(Transport):
             "Authorization": f"Bearer {self._api_key}",
             "Content-Type": "application/json",
         }
-        started = time.monotonic()
         with self._in_flight:
             try:
                 http = self._session.post(
@@ -258,7 +247,6 @@ class LiveTransport(Transport):
                 raise TransportError(f"timeout calling {self.url}: {exc}", transient=True)
             except self._requests.RequestException as exc:
                 raise TransportError(f"network failure calling {self.url}: {exc}", transient=True)
-        latency = time.monotonic() - started
         if http.status_code in (401, 403):
             raise AuthError(f"endpoint rejected credential (HTTP {http.status_code})")
         if http.status_code in RETRYABLE_STATUS:
@@ -272,178 +260,7 @@ class LiveTransport(Transport):
             finish = choice.get("finish_reason", "stop")
         except (ValueError, KeyError, IndexError, TypeError, RecursionError) as exc:
             raise TransportError(f"unparseable response body: {exc}")
-        return ChatResponse(content=content, finish_reason=finish or "stop", latency=latency)
-
-
-@dataclass(frozen=True)
-class CassetteRecord:
-    tag: str
-    request_sha: str
-    request: dict
-    response: dict
-
-
-def read_cassette(path: str | Path) -> list[CassetteRecord]:
-    """Read a cassette; a torn final line (crashed recorder) is dropped.
-
-    A final line that lacks only its newline is whole and kept, as
-    ``RecordingTransport`` keeps it.
-    """
-    try:
-        lines, tail = split_lines(Path(path).read_bytes())
-    except OSError as exc:
-        raise TransportError(f"cannot read cassette {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TransportError(f"cassette {path} is not UTF-8: {exc}")
-    entries = []
-    for line_no, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        try:
-            entries.append((line_no, json.loads(line)))
-        except (ValueError, RecursionError) as exc:
-            raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
-    try:
-        entries.append((len(lines) + 1, json.loads(tail.decode("utf-8"))))
-    except ValueError:
-        pass  # no tail, or a torn one
-    except RecursionError as exc:
-        raise TransportError(f"bad cassette line {len(lines) + 1} in {path}: {exc}")
-    records = []
-    for line_no, entry in entries:
-        try:
-            records.append(_exchange(entry))
-        except (KeyError, ParseError) as exc:
-            raise TransportError(f"bad cassette line {line_no} in {path}: {exc}")
-    return records
-
-
-def _exchange(entry: object) -> CassetteRecord:
-    """The exchange on one decoded cassette line; ``KeyError`` or
-    ``ParseError`` unless ``ReplayTransport`` can play it."""
-    require_type(entry, dict, "the line")
-    response = require_type(entry["response"], dict, "response")
-    if response["content"] is not None:
-        require_type(response["content"], str, "response content")
-    for key, kind in (("finish_reason", str), ("latency", float)):
-        if key in response:
-            require_type(response[key], kind, f"response {key}")
-    try:
-        latency = float(response.get("latency", 0.0))
-    except OverflowError:  # an int too large for a float
-        raise ParseError("response latency is out of range") from None
-    return CassetteRecord(
-        tag=require_type(entry["tag"], str, "tag"),
-        request_sha=require_type(entry["request_sha"], str, "request_sha"),
-        request=entry["request"],
-        response={**response, "latency": latency},
-    )
-
-
-class ReplayTransport(Transport):
-    """Plays back a recorded cassette.
-
-    A request is matched on (tag, request body hash); one not present fails.
-    Each record is consumed at most once, in file order per key.
-    """
-
-    in_process = True
-
-    def __init__(self, path: str | Path, max_requests: int | None = None):
-        super().__init__(max_requests=max_requests)
-        self._queues: dict[tuple[str, str], deque[CassetteRecord]] = {}
-        for record in read_cassette(path):
-            self._queues.setdefault((record.tag, record.request_sha), deque()).append(record)
-
-    def send_once(self, request: ChatRequest) -> ChatResponse:
-        self._note_request()
-        key = (request.request_tag, body_digest(wire_body(request)))
-        try:
-            # popleft is atomic: of two threads after one last record, one
-            # gets it and the other an IndexError.
-            record = self._queues[key].popleft()
-        except (KeyError, IndexError):
-            raise TransportError(
-                f"replay cassette has no response for tag {request.request_tag!r}"
-                " (strict match on request body)"
-            ) from None
-        response = record.response
-        return ChatResponse(
-            content=response["content"],
-            finish_reason=response.get("finish_reason", "stop"),
-            latency=response["latency"],
-        )
-
-
-def _end_on_whole_line(path: Path) -> None:
-    """Make a cassette end with a newline before it is appended to.
-
-    A final line that is not JSON is cut off, the fragment that
-    ``read_cassette`` drops; a whole final line only lacks its newline.
-    """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return
-    if not data or data.endswith(b"\n"):
-        return
-    keep = data.rfind(b"\n") + 1
-    try:
-        json.loads(data[keep:])
-    except (ValueError, RecursionError):
-        with path.open("r+b") as handle:
-            handle.truncate(keep)
-    else:
-        with path.open("ab") as handle:
-            handle.write(b"\n")
-
-
-class RecordingTransport(Transport):
-    """Wraps another transport and appends every exchange to a cassette.
-
-    A torn last line left by a crashed recorder is dropped before the first
-    append, so the next exchange starts a line of its own.
-    """
-
-    def __init__(self, inner: Transport, path: str | Path):
-        # No Transport.__init__: the inner transport counts and caps requests.
-        self.inner = inner
-        self.max_in_flight = inner.max_in_flight
-        self.path = Path(path)
-        self._write_lock = threading.Lock()
-        self._tail_checked = False
-
-    @property
-    def in_process(self) -> bool:
-        return self.inner.in_process
-
-    def send_once(self, request: ChatRequest) -> ChatResponse:
-        response = self.inner.send_once(request)
-        body = wire_body(request)
-        line = json.dumps(
-            {
-                "tag": request.request_tag,
-                "request_sha": body_digest(body),
-                "request": body,
-                "response": {
-                    "content": response.content,
-                    "finish_reason": response.finish_reason,
-                    "latency": response.latency,
-                },
-            },
-            ensure_ascii=False,
-        )
-        with self._write_lock:
-            if not self._tail_checked:
-                _end_on_whole_line(self.path)
-                self._tail_checked = True
-            with self.path.open("ab") as handle:
-                handle.write(utf8(line + "\n"))
-        return response
-
-    @property
-    def request_count(self) -> int:
-        return self.inner.request_count
+        return ChatResponse(content=content, finish_reason=finish or "stop")
 
 
 def _joined_surrogates(content):
@@ -472,11 +289,12 @@ def complete(
 
     Retries never re-run on well-formed model output; only TransportError
     marked transient triggers another attempt.  The optional transcript
-    recorder receives one ``llm_call`` record for the final request/response;
-    the model and ``max_tokens`` are the run header's, the request tag is
-    rebuilt from the record's place (``transcript.request_tag``), and
-    ``user_sha256``, when given, is recorded with it (an agent query's first
-    attempt).
+    recorder receives one ``llm_call`` record for the answered request: the
+    reply, ``user_sha256`` when given (an agent query's first attempt, or a
+    world update), and the transport facts that ``transcript.TranscriptWriter``
+    moves to the run's metrics sidecar (``transcript.TRANSPORT_FACTS``): the
+    request tag, the seconds the answering attempt took and the attempts.
+    The model and ``max_tokens`` are the run header's.
     """
     backoffs = tuple(backoffs)
     attempts = 0
@@ -485,6 +303,7 @@ def complete(
         if wait is not None:
             sleep(wait)
         attempts += 1
+        started = time.monotonic()
         try:
             response = transport.send_once(request)
         except AuthError:
@@ -494,15 +313,17 @@ def complete(
             if not exc.transient:
                 raise
             continue
+        latency = time.monotonic() - started
         content = _joined_surrogates(response.content)
-        if response.attempt_count != attempts or content is not response.content:
-            response = replace(response, content=content, attempt_count=attempts)
+        if content is not response.content:
+            response = replace(response, content=content)
         if recorder is not None:
             payload = {
                 "content": response.content,
                 "finish_reason": response.finish_reason,
-                "latency": response.latency,
-                "attempt_count": response.attempt_count,
+                "tag": request.request_tag,
+                "latency": latency,
+                "attempts": attempts,
             }
             if user_sha256 is not None:
                 payload["user_sha256"] = user_sha256

@@ -30,7 +30,7 @@ class SequenceError(EsclabError):
 
 
 class TransportError(EsclabError):
-    """Network or HTTP failure after retries, or a cassette miss."""
+    """Network or HTTP failure after retries, or a request a replay cannot answer."""
 
     def __init__(self, message: str, transient: bool = False):
         super().__init__(message)

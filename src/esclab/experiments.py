@@ -6,6 +6,9 @@ treatment label and the run index, and ``orchestrator.play_runs`` plays the
 runs not yet completed.  The manifest maps every (treatment, run) to its
 transcript and status and is written once per invocation, with atomic
 replace; re-invoking a finished experiment issues no new client requests.
+A transport that waits on an endpoint also leaves a metrics sidecar per
+run, and ``ReplayTransport`` plays an experiment back from the transcripts
+its manifest lists.
 """
 from __future__ import annotations
 
@@ -22,12 +25,13 @@ from pathlib import Path
 from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, LlmPolicy, load_script
 from .client import (
     DEFAULT_EXPERIMENT_BUDGET,
+    ChatRequest,
+    ChatResponse,
     LiveTransport,
     MockTransport,
-    ReplayTransport,
     Transport,
 )
-from .errors import ParseError, ValidationError
+from .errors import ParseError, TransportError, ValidationError
 from .mockdata import CalibratedResponder
 from .orchestrator import (
     LlmUpdater,
@@ -37,7 +41,7 @@ from .orchestrator import (
     play_runs,
     run_header,
 )
-from .prompts import PromptVariant
+from .prompts import PromptVariant, text_sha256
 from .scenario import Scenario, load_scenario, load_yaml_file, require_keys, require_type
 from .scoring import Aggregator
 from .taxonomy import ActionTaxonomy, load_taxonomy
@@ -48,6 +52,7 @@ log = logging.getLogger("esclab.experiments")
 DEFAULT_MODEL = "mistralai/Mistral-7B-Instruct-v0.3"
 MANIFEST_NAME = "manifest.json"
 TRANSCRIPT_DIR = "transcripts"
+METRICS_DIR = "metrics"  # per-run sidecars of transport facts, never compared
 
 # Plan keys read as a scalar, with the type each must have as YAML loads it.
 _SCALAR_KEYS = {
@@ -72,7 +77,7 @@ _MANIFEST_KEYS = (
 # that must be set.
 _TRANSPORT_KEYS = {
     "mock": ({}, ()),
-    "replay": ({"cassette": str}, ("cassette",)),
+    "replay": ({"manifest": str}, ("manifest",)),
     "live": (
         {"base_url": str, "timeout": float, "max_in_flight": int, "requests_per_minute": int},
         ("base_url",),
@@ -202,8 +207,8 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         require_keys(transport, f"plan: {kind} transport", {"kind", *types}, required)
         transport = {"kind": kind, **_typed(transport, types, "plan: transport ")}
         if kind == "replay":
-            cassette = _resolve(transport["cassette"], "plan: transport cassette")
-            transport["cassette"] = str(cassette)
+            manifest = _resolve(transport["manifest"], "plan: transport manifest")
+            transport["manifest"] = str(manifest)
         options["transport"] = transport
     if "policy" in document:
         policy = document["policy"]
@@ -238,6 +243,62 @@ def load_plan(path: str | Path) -> ExperimentPlan:
     )
 
 
+# How a run_end reason names the transport error that aborted the run.
+_TRANSPORT_ABORT = "TransportError: "
+
+
+class ReplayTransport(Transport):
+    """Answers each request from recorded transcripts, by its tag.
+
+    Replay is strict: a request must be the one its transcript recorded,
+    with the run header's model and ``max_tokens``, the treatment's
+    temperature, and the system and user text whose digests
+    ``transcript.read_recording`` gives (a world update's system text, the
+    updater's constant, is not recorded).  One that differs, or whose tag no
+    transcript holds, is a non-transient ``TransportError`` naming the tag,
+    which aborts its run.  On the day a run aborted by a ``TransportError``
+    ended, a request the transcript lacks raises that error again, so the
+    run ends as it did.  Nothing is consumed: a request is answered as often as
+    it is made, from any thread.
+    """
+
+    in_process = True
+
+    def __init__(self, transcripts: list[Path], max_requests: int | None = None):
+        super().__init__(max_requests=max_requests)
+        self._runs = {}
+        for path in transcripts:
+            recording = ts.read_recording(path)
+            self._runs[recording.header["run_id"]] = recording
+
+    def send_once(self, request: ChatRequest) -> ChatResponse:
+        self._note_request()
+        tag = request.request_tag
+        run_id, _, where = tag.partition("|")
+        recording = self._runs.get(run_id)
+        call = recording.calls.get(tag) if recording else None
+        if call is None:
+            abort = recording.abort if recording else None
+            if (abort and where.startswith(f"d{abort[0]:02d}|")
+                    and abort[1].startswith(_TRANSPORT_ABORT)):
+                raise TransportError(abort[1].removeprefix(_TRANSPORT_ABORT))
+            raise TransportError(f"replay: no recorded transcript holds a call tagged {tag!r}")
+        payload, system_sha256, user_sha256 = call
+        header = recording.header
+        differs = [name for name, sent, recorded in (
+            ("model", request.model, header["model"]),
+            ("max_tokens", request.max_tokens, header["max_tokens"]),
+            ("temperature", request.temperature, header["treatment"]["temperature"]),
+            ("system prompt", None if system_sha256 is None
+             else text_sha256(request.messages[0].content), system_sha256),
+            ("user prompt", text_sha256(request.messages[-1].content), user_sha256),
+        ) if sent != recorded]
+        if differs:
+            raise TransportError(
+                f"replay: request {tag!r} differs from its recording in {', '.join(differs)}")
+        return ChatResponse(content=payload["content"], finish_reason=payload["finish_reason"])
+
+
 def build_transport(
     plan: ExperimentPlan,
     taxonomy: ActionTaxonomy,
@@ -255,7 +316,10 @@ def build_transport(
         )
         return MockTransport(responder, max_requests=plan.max_requests)
     if kind == "replay":
-        return ReplayTransport(config["cassette"], max_requests=plan.max_requests)
+        manifest_path = Path(config["manifest"])
+        paths = [manifest_path.parent / entry["transcript"]
+                 for entry in load_manifest(manifest_path)["runs"]]
+        return ReplayTransport(paths, max_requests=plan.max_requests)
     if kind == "live":
         if not api_key:
             raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
@@ -413,6 +477,8 @@ def run_experiment(
     _make_dir(out_dir)  # the lock file lives there
     with manifest_lock(out_dir / MANIFEST_NAME):
         _make_dir(out_dir / TRANSCRIPT_DIR)
+        if not transport.in_process:
+            _make_dir(out_dir / METRICS_DIR)
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
 
 
@@ -483,7 +549,8 @@ def _execute(
     skipped = len(results)
     before = transport.request_count
     try:
-        play_runs(scenario, taxonomy, policy, updater, pending, results, transport.max_in_flight)
+        play_runs(scenario, taxonomy, policy, updater, pending, results, transport.max_in_flight,
+                  None if transport.in_process else out_dir / METRICS_DIR)
     finally:  # the one manifest write: every run that finished
         manifest["runs"] = [_entry(handle) for handle in handles if handle.run_id in results]
         _write_manifest(manifest_path, manifest)

@@ -4,7 +4,7 @@ Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
 The day's nation queries are therefore independent.  When the policy waits
 on an endpoint (its ``in_process`` is false: a model policy on anything but
-an in-process mock, replay or a recording of one), ``play_runs`` overlaps
+the in-process mock or a replay), ``play_runs`` overlaps
 the pending runs on as many threads as the transport lets requests be in
 flight, and writes a day's records in roster order once its last query
 settles, so the bytes depend on neither completion order nor overlap.  Every
@@ -43,15 +43,15 @@ from .client import (
     complete,
 )
 from .errors import BudgetExceeded, TransportError, ValidationError
-from .prompts import PromptVariant, default_templates, render_system_text
-from .scenario import (
-    DailyRecord,
-    Scenario,
-    WorldState,
-    action_text,
-    advance_day,
-    initial_world,
+from .prompts import (
+    PromptVariant,
+    action_lines,
+    default_templates,
+    render_system_text,
+    render_update_text,
+    text_sha256,
 )
+from .scenario import DailyRecord, Scenario, WorldState, advance_day, initial_world
 from .scoring import daily_score
 from .taxonomy import ActionTaxonomy
 
@@ -113,14 +113,6 @@ class WorldUpdater:
         raise NotImplementedError
 
 
-def _action_lines(world: WorldState, turns: dict[str, AgentTurn]) -> list[str]:
-    return [
-        f"- {action_text(nation, action)}"
-        for nation in world.scenario.nation_names
-        for action in turns[nation].actions
-    ]
-
-
 class TemplateUpdater(WorldUpdater):
     """Deterministic summary: day header plus one line per recorded action."""
 
@@ -137,7 +129,8 @@ class TemplateUpdater(WorldUpdater):
         day = world.current_day + 1
         previous = world.summary.splitlines()[0][:80] if world.summary else ""
         header = f"Day {day} of {world.scenario.days}. Previously: {previous}"
-        return "\n".join([header] + _action_lines(world, turns))
+        actions = {nation: turn.actions for nation, turn in turns.items()}
+        return "\n".join([header] + action_lines(world, actions))
 
 
 class LlmUpdater(WorldUpdater):
@@ -167,12 +160,8 @@ class LlmUpdater(WorldUpdater):
         recorder=None,
     ) -> str:
         day = world.current_day + 1
-        user_text = (
-            f"Day {day} of {world.scenario.days} has ended.\n\n"
-            f"Previous state of the world:\n{world.summary}\n\n"
-            "Actions taken today:\n" + "\n".join(_action_lines(world, turns)) +
-            "\n\nDescribe the resulting state of the world."
-        )
+        user_text = render_update_text(
+            world, {nation: turn.actions for nation, turn in turns.items()})
         request = chat_request(
             model=self.model,
             system_text=self.SYSTEM_TEXT,
@@ -181,7 +170,8 @@ class LlmUpdater(WorldUpdater):
             max_tokens=self.max_tokens,
             request_tag=ts.request_tag(run_id, day, None),
         )
-        response = complete(self.transport, request, recorder=recorder)
+        response = complete(self.transport, request, recorder=recorder,
+                            user_sha256=text_sha256(user_text))
         text = response.content.strip() if isinstance(response.content, str) else ""
         if not text:
             log.warning("world updater returned empty text on day %d; using template", day)
@@ -253,14 +243,18 @@ def run_simulation(
 
 
 def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
-          world_updater: WorldUpdater, treatment: Treatment, header: dict,
-          transcript_path: Path, prior: ts.TranscriptRun | None, kept: list[dict]):
+          world_updater: WorldUpdater, metrics_dir: Path | None, treatment: Treatment,
+          header: dict, transcript_path: Path, prior: ts.TranscriptRun | None,
+          kept: list[dict]):
     """Play the run whose ``run_start`` payload is ``header`` onward from the
     partial run ``prior`` and its records ``kept``, as ``transcript.stored_run``
     gave them (None and none: from the start, replacing any file there), and
-    persist its transcript.  A generator: it yields ``ask`` for each day, is
-    sent its outcomes for the nations in roster order, and returns the run."""
+    persist its transcript, and with ``metrics_dir`` its model calls' transport
+    facts in ``<run_id>.jsonl`` there.  A generator: it yields ``ask`` for each
+    day, is sent its outcomes for the nations in roster order, and returns the
+    run."""
     run_id = header["run_id"]
+    metrics = None if metrics_dir is None else metrics_dir / f"{run_id}.jsonl"
 
     def ask(nation: str) -> tuple[list, AgentTurn | Exception]:
         """``nation``'s query on the day's world: its records, and its turn or exception."""
@@ -280,7 +274,7 @@ def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
     status, abort_reason = "completed", None
     # Replaces any file there with the kept records: none when no day
     # completed (perhaps a single torn line).
-    with closing(ts.TranscriptWriter(transcript_path, kept)) as writer:
+    with closing(ts.TranscriptWriter(transcript_path, kept, metrics)) as writer:
         if not kept:
             writer.write(ts.RUN_START, header)
             templates = policy.templates or default_templates()
@@ -320,7 +314,8 @@ def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
 
 def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
               world_updater: WorldUpdater, pending: list[tuple],
-              results: dict[str, ts.TranscriptRun], width: int | None = None) -> dict:
+              results: dict[str, ts.TranscriptRun], width: int | None = None,
+              metrics_dir: Path | None = None) -> dict:
     """Play each pending ``(treatment, header, transcript_path, prior, kept)``
     as ``_play`` does into ``results``, by run id, and return it.  In process,
     one by one on the calling thread; waiting, in twice ``width`` lanes (the
@@ -333,7 +328,8 @@ def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
     def lane(items):
         """The runs of ``items`` one by one, a generator as ``_play`` is."""
         for item in items:
-            run = yield from _play(scenario, taxonomy, policy, world_updater, *item)
+            run = yield from _play(scenario, taxonomy, policy, world_updater, metrics_dir,
+                                   *item)
             results[run.run_id] = run
 
     if policy.in_process:

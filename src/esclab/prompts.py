@@ -17,7 +17,7 @@ from pathlib import Path
 from string import Template
 
 from .errors import ParseError, UnknownNation, ValidationError
-from .scenario import Scenario, WorldState
+from .scenario import ChosenAction, Scenario, WorldState, action_text
 from .taxonomy import ActionTaxonomy
 
 MAX_ACTIONS_PER_DAY = 5
@@ -271,6 +271,29 @@ def render_user_text(
     if variant is PromptVariant.CONTEXT:
         text = f"{text.rstrip()}\n\n{CONTEXT_LEAD_IN}\n{CONTEXT_EXTENSION}"
     return text
+
+
+def action_lines(world: WorldState, actions_by_nation: dict[str, tuple[ChosenAction, ...]]
+                 ) -> list[str]:
+    """One line per action of the day after ``world``, in roster order, as
+    the world updaters word them."""
+    return [
+        f"- {action_text(nation, action)}"
+        for nation in world.scenario.nation_names
+        for action in actions_by_nation[nation]
+    ]
+
+
+def render_update_text(world: WorldState,
+                       actions_by_nation: dict[str, tuple[ChosenAction, ...]]) -> str:
+    """The model world updater's user prompt for the day after ``world``,
+    whose nations chose ``actions_by_nation``."""
+    return (
+        f"Day {world.current_day + 1} of {world.scenario.days} has ended.\n\n"
+        f"Previous state of the world:\n{world.summary}\n\n"
+        "Actions taken today:\n" + "\n".join(action_lines(world, actions_by_nation)) +
+        "\n\nDescribe the resulting state of the world."
+    )
 
 
 def build_prompts(

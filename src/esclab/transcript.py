@@ -1,22 +1,26 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
 Every raw response, parse outcome, score and world summary for one run lands
-here; reports consume nothing else, and a run is replayed from its cassette
-(``client.ReplayTransport``), not from its transcript.  Each fact is stored
+here; reports consume nothing else, and a recorded experiment is replayed
+from its transcripts (``read_recording`` reads one for
+``experiments.ReplayTransport``).  Each fact is stored
 once: the record's ``nation`` names a turn's nation, ``run_start`` the
 treatment and everything else that produced the run (the model and its
 reply cap, the retry count, the policy and the world updater), and the
 ``system_prompt`` record the system text with its digest and the user
 template.  Each model call is one ``llm_call`` record; that of an agent
-query's first attempt also holds its user prompt's digest, which
-``verify_prompts`` re-derives from the run's own records.  What a record's
+query's first attempt, and that of a world update, also holds its user
+prompt's digest, which ``verify_prompts`` re-derives from the run's own
+records.  What a record's
 place rebuilds is not written: a nation's ``llm_call`` records of a day are
 its query's attempts in order, so they give the request tag
 (``request_tag``) and the turn's attempt count; a ``parse_failure`` follows
 the ``llm_call`` whose reply it refuses, and a turn the one it accepts.
 Records carry a logical sequence number as their timestamp so that identical
-runs produce byte-identical files (wall-clock time is deliberately excluded;
-latency of live calls is recorded inside llm_call payloads).
+runs produce byte-identical files.  What the transport saw of a call (its
+latency and attempts, ``TRANSPORT_FACTS``) depends on more than what the
+model said, so the writer moves it to a metrics sidecar when it is given
+one and drops it otherwise: the transcript holds no wall-clock time.
 
 A finished transcript is sealed: the ``run_end`` payload holds the sha256
 of every byte before the ``run_end`` line.  A transcript is
@@ -51,7 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Collection
 
 from .errors import ParseError, ValidationError
-from .prompts import PromptVariant, render_user_text, text_sha256
+from .prompts import PromptVariant, render_update_text, render_user_text, text_sha256
 from .scenario import (
     ChosenAction,
     DailyRecord,
@@ -63,6 +67,8 @@ from .scenario import (
 if TYPE_CHECKING:
     from .agents import AgentTurn
 
+# Format 8 moves each llm_call's latency and attempt count to the metrics
+# sidecar and gives the world update's llm_call its user prompt's digest.
 # Format 7 drops what a record's place rebuilds: the tag of each llm_call, a
 # parse failure's attempt and reply, and a turn's attempt count and private
 # thoughts (the reply it accepts holds them).  Format 6 dropped run_start's
@@ -78,7 +84,7 @@ if TYPE_CHECKING:
 # into every prompt record, the temperature into every llm_call and a
 # re-encoded reply into every action.  Format 1 stored every user prompt in
 # full.
-TRANSCRIPT_FORMAT = 7
+TRANSCRIPT_FORMAT = 8
 
 RUN_START = "run_start"
 SYSTEM_PROMPT = "system_prompt"
@@ -90,6 +96,12 @@ RUN_END = "run_end"
 
 # Receives (record type, payload) for each record a query produces.
 Recorder = Callable[[str, dict], None]
+
+# The keys of an llm_call payload, as ``client.complete`` records it, that
+# describe the transport rather than the model: the request tag, the seconds
+# the answering attempt took and the attempts.  The writer never puts them
+# in the transcript; a metrics sidecar gets one line of them per call.
+TRANSPORT_FACTS = ("tag", "latency", "attempts")
 
 
 def request_tag(run_id: str, day: int, nation: str | None, attempt: int | None = None) -> str:
@@ -150,9 +162,15 @@ class TranscriptWriter:
     such a day anyway.  The ``run_end`` record it writes gains ``sha256``,
     the digest of every byte before it, so a resumed run ends with the seal
     of an uninterrupted one.
+
+    An ``llm_call`` payload loses its ``TRANSPORT_FACTS``.  With ``metrics``,
+    a path, they are appended there as one JSON line per call, flushed with
+    the transcript; that sidecar is never sealed, compared or cut back, so a
+    resumed run's lost day stays in it.
     """
 
-    def __init__(self, path: str | Path, kept: list[dict] = ()):
+    def __init__(self, path: str | Path, kept: list[dict] = (),
+                 metrics: str | Path | None = None):
         self.path = Path(path)
         self._seq = len(kept)
         self._hash = hashlib.sha256()
@@ -161,9 +179,12 @@ class TranscriptWriter:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
         self._handle = tmp.open("wb")
+        self._metrics = None
         try:
             self._flush()
             os.replace(tmp, self.path)
+            if metrics is not None:
+                self._metrics = Path(metrics).open("ab")
         except BaseException:
             self._handle.close()
             raise
@@ -175,10 +196,17 @@ class TranscriptWriter:
         self._hash.update(data)
         self._handle.write(data)
         self._handle.flush()
+        if self._metrics is not None:
+            self._metrics.flush()
 
     def write(self, type_: str, payload: dict, day: int | None = None,
               nation: str | None = None) -> int:
         seq = self._seq
+        if type_ == LLM_CALL:
+            payload = dict(payload)
+            facts = {key: payload.pop(key) for key in TRANSPORT_FACTS}
+            if self._metrics is not None:
+                self._metrics.write(utf8(_ENCODER.encode(facts) + "\n"))
         if type_ == RUN_END:
             self._flush()
             payload = {**payload, "sha256": self._hash.hexdigest()}
@@ -193,6 +221,8 @@ class TranscriptWriter:
             self._flush()
         finally:
             self._handle.close()
+            if self._metrics is not None:
+                self._metrics.close()
 
 
 def split_lines(data: bytes) -> tuple[list[str], bytes]:
@@ -525,6 +555,51 @@ def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord]
     return days, fallbacks
 
 
+@dataclass(frozen=True)
+class Recording:
+    """What ``read_recording`` gives of one transcript: its ``run_start``
+    payload, its model calls and, for an aborted run, how it ended."""
+
+    header: dict
+    # Request tag -> (llm_call payload, the digests of the system and user
+    # text its request had; no system digest for a world update).
+    calls: dict[str, tuple[dict, str | None, str | None]]
+    # An aborted run: the day it did not complete and its run_end reason.
+    abort: tuple[int, str] | None
+
+
+@_reader
+def read_recording(path: str | Path) -> Recording:
+    """The model calls of the transcript at ``path`` by request tag, which
+    each record's place rebuilds (``request_tag``), for a replay.  An agent
+    query's system digest is the ``system_prompt`` record's, and every
+    attempt shares the ``user_sha256`` of the query's first (``decide``
+    builds the same prompt on each); a world update holds its own.  A
+    transcript in another format is refused, as by every reader."""
+    records = read_records(path)
+    header = _run_start(records, path)
+    system = None
+    calls = {}
+    attempts: dict[tuple, list[dict]] = {}  # (day, nation) -> its llm_call payloads
+    days, end = 0, None
+    for record in records:
+        type_, payload = record["type"], record["payload"]
+        if type_ == SYSTEM_PROMPT:
+            system = payload["sha256"]
+        elif type_ == LLM_CALL:
+            key = record["day"], record["nation"]
+            asked = attempts.setdefault(key, [])
+            asked.append(payload)
+            calls[request_tag(header["run_id"], *key, len(asked))] = (
+                payload, None if key[1] is None else system, asked[0].get("user_sha256"))
+        elif type_ == DAY:
+            days = record["day"]
+        elif type_ == RUN_END:
+            end = payload
+    abort = (days + 1, end["reason"]) if end and end["status"] == "aborted" else None
+    return Recording(header, calls, abort)
+
+
 @_reader
 def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str], bool]:
     """Re-derive every prompt of a transcript and compare digests.
@@ -533,10 +608,11 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     ``system_prompt`` record, the variant and the world at the start of its
     day, which the transcript's own ``turn`` and ``day`` records rebuild.
     Its digest is the ``user_sha256`` of the query's first attempt:
-    a nation's first ``llm_call`` of the day (retries follow it, and world
-    updates name no nation).  Returns the number of queries checked, one
-    line per mismatch and whether the transcript is sealed (``is_sealed``),
-    from one read of it.
+    a nation's first ``llm_call`` of the day (retries follow it).  A world
+    update's prompt is a function of that world and the day's turns, and
+    its ``llm_call`` (one a day, naming no nation) holds its digest.
+    Returns the number of prompts checked, one line per mismatch and
+    whether the transcript is sealed (``is_sealed``), from one read of it.
     """
     data = _read_bytes(path)
     records = _records(data, path, False)
@@ -551,18 +627,21 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
         mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
     world = initial_world(scenario)
     today: dict[str, tuple[ChosenAction, ...]] = {}
-    asked: set[str] = set()  # the nations whose first attempt today was checked
+    asked: set[str | None] = set()  # whose first call today was checked; None: the world
     checked = 0
     for record in records:
         type_ = record["type"]
         nation = record["nation"]
-        if type_ == LLM_CALL and nation is not None and nation not in asked:
+        if type_ == LLM_CALL and nation not in asked:
             asked.add(nation)
             checked += 1
-            user_text = render_user_text(scenario, world, nation, variant, template)
+            if nation is None:
+                user_text = render_update_text(world, today)
+            else:
+                user_text = render_user_text(scenario, world, nation, variant, template)
             if record["payload"].get("user_sha256") != text_sha256(user_text):
                 mismatches.append(
-                    f"seq {record['seq']} (day {record['day']}, {nation}): "
+                    f"seq {record['seq']} (day {record['day']}, {nation or 'world'}): "
                     "user_sha256 not re-derived"
                 )
         elif type_ == TURN:

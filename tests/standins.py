@@ -14,16 +14,20 @@ class EndpointStandIn(Transport):
     With ``step_s=0`` it waits for nothing and is ``in_process``.
 
     A request whose tag holds ``fail_tag`` fails with a non-transient
-    ``TransportError``.  ``completed`` lists the other requests' tags in the
-    order they completed, and ``threads`` the threads that sent them.
+    ``TransportError``; the first request tagged ``busy_tag`` fails with a
+    transient one, which ``complete`` retries after its first backoff.
+    ``completed`` lists the other requests' tags in the order they
+    completed, and ``threads`` the threads that sent them.
     """
 
-    def __init__(self, inner, roster, step_s=0.004, fail_tag=None, max_in_flight=None):
+    def __init__(self, inner, roster, step_s=0.004, fail_tag=None, max_in_flight=None,
+                 busy_tag=None):
         super().__init__()
         self.inner = inner
         self.roster = roster
         self.step_s = step_s
         self.fail_tag = fail_tag
+        self.busy_tag = busy_tag
         self.in_process = not step_s
         self.max_in_flight = max_in_flight
         self.completed = []
@@ -37,6 +41,12 @@ class EndpointStandIn(Transport):
     def send_once(self, request):
         if self.fail_tag and self.fail_tag in request.request_tag:
             raise TransportError("endpoint outage")
+        with self._lock:
+            busy = request.request_tag == self.busy_tag
+            if busy:
+                self.busy_tag = None  # it fails once
+        if busy:
+            raise TransportError("endpoint busy", transient=True)
         who = request.request_tag.split("|")[2]
         if self.step_s and who in self.roster:
             time.sleep(self.step_s * (len(self.roster) - self.roster.index(who)))

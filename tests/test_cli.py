@@ -340,13 +340,15 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]", "{kind: mock, responder: calibrated}", None,
          "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, text: a}", None, "ParseError"),
-        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: c.jsonl, mode: strict}",
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, manifest: m.json, mode: strict}",
          None, "ParseError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: c.jsonl}", None,
+         "ParseError"),
         ("[{label: grp/a, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: ../../x, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: 'a|b', temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
-        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: absent.jsonl}", None,
-         "TransportError"),
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, manifest: absent.json}", None,
+         "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock}",
          "nations:\n  Blue:\n    first:\n      - {action: wait}\n", "ParseError"),
         ("[{label: a, temperature: 1.0}]\nintra_day_visibility: true", "{kind: mock}", None,
@@ -356,8 +358,8 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]\nparallelism: 1", "{kind: mock}", None, "ParseError"),
     ], ids=["temperature-list", "rpm-0", "in-flight-negative", "in-flight-huge", "timeout-text",
             "timeout-nan", "timeout-inf", "timeout-1e10", "api-key", "misspelt-key",
-            "mock-responder", "mock-text", "replay-mode", "label-dir", "label-escape",
-            "label-pipe", "no-cassette", "script-day-key", "visibility-true", "visibility-false",
+            "mock-responder", "mock-text", "replay-mode", "replay-cassette", "label-dir",
+            "label-escape", "label-pipe", "no-manifest", "script-day-key", "visibility-true", "visibility-false",
             "parallelism"])
     def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
                       error):
@@ -607,7 +609,7 @@ TRANSCRIPT_CASES = [
 # each case pins the error inspect reports: verify_prompts' ParseError, except
 # where it reads the edit and inspect reports what it found instead.
 INSPECT_ERRORS = {
-    "turn-action-list": ("ValidationError", r"\d+ prompt digest mismatches in 336 prompts .*"),
+    "turn-action-list": ("ValidationError", r"\d+ prompt digest mismatches in 378 prompts .*"),
     # inspect reads no seed: the broken seal is all it finds.
     "header-no-seed": ("ValidationError", re.escape(
         "1 of 3 transcripts are not sealed (partial, or edited after they were written): "

@@ -4,16 +4,18 @@ import threading
 
 import pytest
 
-from esclab.client import (
-    MockTransport,
-    RecordingTransport,
-    ReplayTransport,
-    chat_request,
-    complete,
-    read_cassette,
-    wire_body,
-)
+from esclab.client import MockTransport, chat_request, complete, wire_body
 from esclab.errors import BudgetExceeded, TransportError, ValidationError
+
+
+def recorded(transport, req, **kwargs):
+    """The response to ``req`` and the ``llm_call`` payload ``complete`` records."""
+    records = []
+    response = complete(transport, req, recorder=lambda *record: records.append(record),
+                        **kwargs)
+    [(kind, payload)] = records
+    assert kind == "llm_call"
+    return response, payload
 
 
 def request(tag="t", temperature=1.0, **kwargs):
@@ -48,9 +50,9 @@ class TestChatRequest:
 class TestMockTransport:
     def test_scripted_echo(self):
         transport = MockTransport('{"actions":[]}')
-        response = complete(transport, request())
+        response, payload = recorded(transport, request())
         assert response.content == '{"actions":[]}'
-        assert response.attempt_count == 1
+        assert (payload["tag"], payload["attempts"]) == ("t", 1)
         assert transport.request_count == 1
 
     def test_tag_table_and_miss(self):
@@ -87,9 +89,9 @@ class TestRetries:
 
         sleeps = []
         transport = Flaky("fine")
-        response = complete(transport, request(), sleep=sleeps.append)
+        response, payload = recorded(transport, request(), sleep=sleeps.append)
         assert response.content == "fine"
-        assert response.attempt_count == 3
+        assert payload["attempts"] == 3
         assert sleeps == [1.0, 4.0]
 
     def test_exhaustion_raises_after_all_backoffs(self):
@@ -155,100 +157,6 @@ class TestBudget:
         assert all(transport.request_count == 4 for transport in transports)
 
 
-class TestCassettes:
-    def test_record_then_strict_replay(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("answer-1"), cassette)
-        first = complete(recorder, request(tag="q1"))
-        assert first.content == "answer-1"
-
-        replay = ReplayTransport(cassette)
-        again = complete(replay, request(tag="q1"))
-        assert again.content == "answer-1"
-
-    def test_reply_with_unicode_line_breaks_replays_strictly(self, tmp_path):
-        content = "first\u2028second\u2029third\x85fourth"
-        cassette = tmp_path / "session.jsonl"
-        complete(RecordingTransport(MockTransport(content), cassette), request(tag="q1"))
-        assert [r.response["content"] for r in read_cassette(cassette)] == [content]
-        replay = ReplayTransport(cassette)
-        assert complete(replay, request(tag="q1")).content == content
-
-    def test_strict_replay_rejects_changed_body(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("a"), cassette)
-        complete(recorder, request(tag="q1", temperature=1.0))
-        replay = ReplayTransport(cassette)
-        with pytest.raises(TransportError, match="q1"):
-            complete(replay, request(tag="q1", temperature=0.5))
-
-    def test_strict_replay_unmatched_tag_names_tag(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("a"), cassette)
-        complete(recorder, request(tag="recorded"))
-        replay = ReplayTransport(cassette)
-        with pytest.raises(TransportError, match="never-recorded"):
-            complete(replay, request(tag="never-recorded"))
-
-    def test_each_record_consumed_once(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("a"), cassette)
-        complete(recorder, request(tag="q1"))
-        replay = ReplayTransport(cassette)
-        complete(replay, request(tag="q1"))
-        with pytest.raises(TransportError):
-            complete(replay, request(tag="q1"))
-
-    def test_race_for_the_last_records_misses_as_transport_error(self, tmp_path):
-        # Each round, eight threads released together race for two records.
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("a"), cassette)
-        complete(recorder, request(tag="q1"))
-        complete(recorder, request(tag="q1"))
-        replays = [ReplayTransport(cassette) for _ in range(100)]
-        barrier = threading.Barrier(8, timeout=30)
-        one = request(tag="q1")
-        sent, missed, other = [], [], []
-
-        def worker():
-            for round_index, replay in enumerate(replays):
-                barrier.wait()
-                try:
-                    replay.send_once(one)
-                except TransportError:
-                    missed.append(round_index)
-                except Exception as exc:  # noqa: BLE001 - the race must not raise it
-                    other.append(exc)
-                else:
-                    sent.append(round_index)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert other == []
-        assert sorted(sent) == [r for r in range(len(replays)) for _ in range(2)]
-        assert sorted(missed) == [r for r in range(len(replays)) for _ in range(6)]
-        assert all(replay.request_count == 8 for replay in replays)
-
-    def test_cassette_lines_carry_full_exchange(self, tmp_path):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport("payload"), cassette)
-        complete(recorder, request(tag="q9", temperature=0.01))
-        entry = json.loads(cassette.read_text(encoding="utf-8").splitlines()[0])
-        assert entry["tag"] == "q9"
-        assert entry["request"]["temperature"] == 0.01
-        assert entry["response"]["content"] == "payload"
-        assert entry["request_sha"]
-
-
 class StubResponse:
     def __init__(self, status_code=200, payload=None):
         self.status_code = status_code
@@ -299,10 +207,10 @@ class TestLiveTransport:
 
     def test_parses_first_choice(self):
         transport = self._transport([StubResponse()])
-        response = complete(transport, request())
+        response, payload = recorded(transport, request())
         assert response.content == "hello"
         assert response.finish_reason == "stop"
-        assert response.latency >= 0.0
+        assert payload["latency"] >= 0.0
 
     def test_sends_bearer_auth_and_exact_body(self):
         transport = self._transport([StubResponse()])
@@ -325,9 +233,9 @@ class TestLiveTransport:
             [StubResponse(status_code=503), StubResponse(status_code=429),
              StubResponse()]
         )
-        response = complete(transport, request(), sleep=lambda s: None)
+        response, payload = recorded(transport, request(), sleep=lambda s: None)
         assert response.content == "hello"
-        assert response.attempt_count == 3
+        assert payload["attempts"] == 3
 
     def test_timeout_is_transient(self):
         import requests as requests_lib
@@ -335,8 +243,8 @@ class TestLiveTransport:
         transport = self._transport(
             [requests_lib.Timeout("slow"), StubResponse()]
         )
-        response = complete(transport, request(), sleep=lambda s: None)
-        assert response.attempt_count == 2
+        _, payload = recorded(transport, request(), sleep=lambda s: None)
+        assert payload["attempts"] == 2
 
     def test_malformed_body_is_hard_failure(self):
         transport = self._transport([StubResponse(payload={"nope": True})])
@@ -352,64 +260,3 @@ class TestLiveTransport:
         transport = self._transport([StubResponse(status_code=404)])
         with pytest.raises(TransportError, match="404"):
             complete(transport, request(), sleep=lambda s: None)
-
-
-class TestTornCassette:
-    def _recorded(self, tmp_path, tags=("q1", "q2")):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(
-            MockTransport(lambda r: f"answer-{r.request_tag}"), cassette
-        )
-        for tag in tags:
-            complete(recorder, request(tag=tag))
-        return cassette
-
-    def test_torn_final_line_dropped_and_prefix_replays_strictly(self, tmp_path):
-        cassette = self._recorded(tmp_path)
-        whole = cassette.read_text(encoding="utf-8")
-        last = whole.splitlines()[-1]
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write(last[: len(last) // 2])
-        assert len(read_cassette(cassette)) == 2
-        replay = ReplayTransport(cassette)
-        assert complete(replay, request(tag="q1")).content == "answer-q1"
-        assert complete(replay, request(tag="q2")).content == "answer-q2"
-        with pytest.raises(TransportError, match="q2"):
-            complete(replay, request(tag="q2"))
-
-    def test_bad_line_before_the_end_still_rejected(self, tmp_path):
-        cassette = self._recorded(tmp_path)
-        first, second = cassette.read_text(encoding="utf-8").splitlines()
-        cassette.write_text(first[: len(first) // 2] + "\n" + second + "\n", encoding="utf-8")
-        with pytest.raises(TransportError, match="bad cassette line 1"):
-            read_cassette(cassette)
-
-    def test_complete_final_line_missing_keys_rejected(self, tmp_path):
-        cassette = self._recorded(tmp_path, tags=("q1",))
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write('{"tag": "q2"}\n')
-        with pytest.raises(TransportError, match="bad cassette line 2"):
-            read_cassette(cassette)
-
-    def test_recording_after_a_torn_line_starts_a_new_line(self, tmp_path):
-        cassette = self._recorded(tmp_path, tags=("q1", "q2"))
-        first, second = cassette.read_text(encoding="utf-8").splitlines()
-        cassette.write_text(first + "\n" + second[: len(second) // 2], encoding="utf-8")
-        recorder = RecordingTransport(
-            MockTransport(lambda r: f"again-{r.request_tag}"), cassette
-        )
-        complete(recorder, request(tag="q3"))
-        complete(recorder, request(tag="q4"))
-        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q3", "q4"]
-        replay = ReplayTransport(cassette)
-        assert complete(replay, request(tag="q3")).content == "again-q3"
-        assert complete(replay, request(tag="q4")).content == "again-q4"
-
-    def test_recording_after_a_whole_line_without_newline_keeps_it(self, tmp_path):
-        cassette = self._recorded(tmp_path, tags=("q1",))
-        cassette.write_text(cassette.read_text(encoding="utf-8").rstrip("\n"), encoding="utf-8")
-        complete(
-            RecordingTransport(MockTransport(lambda r: "later"), cassette),
-            request(tag="q2"),
-        )
-        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q2"]

@@ -8,8 +8,9 @@ digests below, so a change meant to leave the output alone is checked byte
 for byte.  A change that means to alter the output re-pins them and says why.
 
 Each row of the matrix plays the plan by one path and checks evidence that
-the path was taken: on the calling thread, or with the runs in overlap on
-the transport's in-flight cap of threads.  ``plan_digest`` leaves out the
+the path was taken: on the calling thread, with the runs in overlap on
+the transport's in-flight cap of threads, or replayed from the transcripts
+of a recording.  ``plan_digest`` leaves out the
 transport and ``max_requests``, so one manifest digest holds on every row.
 Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
 replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
@@ -27,8 +28,7 @@ import pytest
 
 from esclab import experiments
 from esclab import transcript as ts
-from esclab.client import RecordingTransport
-from esclab.experiments import load_plan, run_experiment
+from esclab.experiments import METRICS_DIR, load_plan, run_experiment
 from esclab.report import build_report
 
 from standins import EndpointStandIn, first_attempts
@@ -37,13 +37,13 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 TRANSCRIPT_SHA256 = {
     "t1.0-default-r00.jsonl":
-        "0ab34495db2915724f4b4755347376eefdd99488837074de5166b013d55a64ea",
+        "d7f6c3369e7ab977de4a25b11ea110c5c3bc49390cd5ba00d34e43a13cf1bf68",
     "t1.0-default-r01.jsonl":
-        "5997ac2e7a391633a64497e61e59405660a584c25e587f928ab22dc9aa4005cb",
+        "3884835ad65928bb68608f651eee927b41a4deff82311b6da82beb74bfea2f9b",
     "t1.0-reflection-planning-r00.jsonl":
-        "2039dfa5f987a0d1d7977ad2b36165214a46d9102b9c3608f714a58fdf2d0153",
+        "784e163cf4c76d306ec07de59f997d7f1fe08694d010b79b1b875ab4924ffc64",
     "t1.0-reflection-planning-r01.jsonl":
-        "533f736fb20cd2151b95dfcec7b3913981ebef08fce9911256fb343e4e03fc65",
+        "b83e3741300746aebcf9a02e90982d7f6f7f4768d530ace2eebb6b1b7f574b06",
 }
 MANIFEST_SHA256 = "0389189414ce60e311347af7dcd3a12d31181f12417a75da58cc753df870ed1a"
 REPORT_SHA256 = {
@@ -60,6 +60,7 @@ RUN_REQUESTS = DAYS * DAY_REQUESTS
 REQUESTS = len(RUN_IDS) * RUN_REQUESTS
 STEP_S = 0.001  # the stand-in's wait per roster place
 OUTAGE_TAG = "t1.0-default-r01|d04|Purple|"
+BUSY_TAG = "t1.0-default-r00|d02|Purple|a1"  # fails once, transiently
 BUDGET = 300
 BUILD_TRANSPORT = experiments.build_transport
 
@@ -96,7 +97,8 @@ def assert_pinned(out: Path, report: Path | None = None) -> None:
         assert digests(report, "*.csv") == REPORT_SHA256
 
 
-def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None, max_in_flight=None) -> list:
+def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None, max_in_flight=None,
+                   busy_tag=None) -> list:
     """Make ``run_experiment`` wrap the transport it builds in an
     ``EndpointStandIn``, which waits when ``concurrent``; returns the list
     the stand-ins are appended to."""
@@ -106,7 +108,7 @@ def wrap_transport(monkeypatch, concurrent: bool, fail_tag=None, max_in_flight=N
         transport = BUILD_TRANSPORT(plan, taxonomy, scenario, *args, **kwargs)
         step_s = STEP_S if concurrent else 0
         built.append(EndpointStandIn(transport, scenario.nation_names, step_s, fail_tag,
-                                     max_in_flight))
+                                     max_in_flight, busy_tag))
         return built[-1]
 
     monkeypatch.setattr(experiments, "build_transport", build_transport)
@@ -154,30 +156,52 @@ def play_straight(out, tmp_path, monkeypatch, concurrent, max_in_flight=None):
     assert_threads(built[0], concurrent)
 
 
-def play_record_replay(out, tmp_path, monkeypatch):
-    recorded, cassette = tmp_path / "recorded", tmp_path / "cassette.jsonl"
-    built = wrap_transport(monkeypatch, concurrent=True)
-    waiting = experiments.build_transport
-    monkeypatch.setattr(experiments, "build_transport",
-                        lambda *args, **kw: RecordingTransport(waiting(*args, **kw), cassette))
+def replay_plan(recorded: Path):
+    return tiny_plan(transport={"kind": "replay", "manifest": str(recorded / "manifest.json")})
+
+
+def play_record_replay(out, tmp_path, monkeypatch, busy_tag=None):
+    """Record through the waiting stand-in, where one request may fail once
+    and be retried, then replay from the recording's own transcripts.  The
+    waiting recording leaves a metrics sidecar per run, which alone tells
+    of the retry; the in-process replay leaves none."""
+    recorded = tmp_path / "recorded"
+    built = wrap_transport(monkeypatch, concurrent=True, busy_tag=busy_tag)
     assert run_experiment(tiny_plan(), recorded).new_requests == REQUESTS
     assert_pinned(recorded)
     assert_threads(built[0], concurrent=True)
-    tags = [json.loads(line)["tag"] for line in cassette.read_text("utf-8").splitlines()]
-    assert out_of_roster_order(tags, built[0].roster)
+    sidecars = [recorded / METRICS_DIR / f"{run_id}.jsonl" for run_id in RUN_IDS]
+    calls = [json.loads(line) for path in sidecars
+             for line in path.read_text("utf-8").split("\n") if line]
+    assert sorted(call["tag"] for call in calls) == sorted(built[0].completed)
+    assert {call["tag"]: call["attempts"] for call in calls if call["attempts"] != 1} == (
+        {busy_tag: 2} if busy_tag else {})
     monkeypatch.undo()
-    replay = tiny_plan(transport={"kind": "replay", "cassette": str(cassette)})
-    assert run_experiment(replay, out).new_requests == REQUESTS
+    assert run_experiment(replay_plan(recorded), out).new_requests == REQUESTS
+    assert not (out / METRICS_DIR).exists()
 
 
-def play_abort_resume(out, tmp_path, monkeypatch, concurrent):
+def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
+    """One run aborts on a transport error on day 4, then a re-run plays
+    its lost days.  With ``replay``, the first pass is also replayed from
+    its transcripts into a fresh directory, the abort included, byte for
+    byte."""
     built = wrap_transport(monkeypatch, concurrent, fail_tag=OUTAGE_TAG)
     first = run_experiment(tiny_plan(), out)
     assert [run.status for run in first.runs] == ["completed", "aborted", "completed", "completed"]
     aborted = first.runs[1]
-    assert "endpoint outage" in aborted.abort_reason
+    assert aborted.abort_reason == "TransportError: endpoint outage"
     assert len(aborted.days) == 3
     assert_threads(built[0], concurrent)
+    if replay:
+        monkeypatch.setattr(experiments, "build_transport", BUILD_TRANSPORT)
+        replayed = tmp_path / "replayed"
+        again = run_experiment(replay_plan(out), replayed)
+        assert [(run.status, run.abort_reason) for run in again.runs] == [
+            (run.status, run.abort_reason) for run in first.runs]
+        assert digests(replayed / "transcripts", "*.jsonl") == digests(
+            out / "transcripts", "*.jsonl")
+        assert (replayed / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
     wrap_transport(monkeypatch, concurrent)
     again = run_experiment(tiny_plan(), out)
     assert again.new_requests == (DAYS - 3) * DAY_REQUESTS
@@ -252,8 +276,10 @@ ROWS = {
     "concurrent-days": partial(play_straight, concurrent=True),
     "overlap-width-1": partial(play_straight, concurrent=True, max_in_flight=1),
     "record-replay": play_record_replay,
+    "record-replay+transient-retry": partial(play_record_replay, busy_tag=BUSY_TAG),
     "abort-resume": partial(play_abort_resume, concurrent=False),
     "abort-resume+concurrent-days": partial(play_abort_resume, concurrent=True),
+    "abort-replay+concurrent-days": partial(play_abort_resume, concurrent=True, replay=True),
     "budget-resume": partial(play_budget_resume, concurrent=False),
     "budget-resume+concurrent-days": partial(play_budget_resume, concurrent=True),
     "kill-resume": play_kill_resume,

@@ -7,13 +7,9 @@ import time
 import pytest
 
 from esclab.agents import AgentPolicy, LlmPolicy, ScriptedPolicy
-from esclab.client import (
-    LiveTransport,
-    MockTransport,
-    RecordingTransport,
-    ReplayTransport,
-)
+from esclab.client import LiveTransport, MockTransport
 from esclab.errors import ValidationError
+from esclab.experiments import ReplayTransport
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import (
     LlmUpdater,
@@ -127,8 +123,9 @@ class TestMockLlmRun:
         for record in records:
             by_type.setdefault(record["type"], []).append(record)
         assert len(by_type["llm_call"]) == 126
-        # One record per model call: each query's first attempt holds its digest.
-        assert sum("user_sha256" in r["payload"] for r in by_type["llm_call"]) == 112
+        # One record per model call: each query's first attempt and each world
+        # update hold their prompt's digest.
+        assert sum("user_sha256" in r["payload"] for r in by_type["llm_call"]) == 126
         assert "prompt" not in by_type
         assert len(by_type["turn"]) == 112
         assert len(by_type["day"]) == 14
@@ -517,7 +514,6 @@ class TestLoneSurrogateInReplies:
     @pytest.mark.parametrize("updater", ["template", "llm"])
     def test_run_is_sealed_read_back_and_replayed(self, scenario, taxonomy, tmp_path, updater):
         short = dataclasses.replace(scenario, days=2)
-        cassette = tmp_path / "cassette.jsonl"
 
         def play(transport, path):
             world = LlmUpdater(transport, model="m") if updater == "llm" else TemplateUpdater()
@@ -525,7 +521,7 @@ class TestLoneSurrogateInReplies:
                                   world, seed=1, transcript_path=path)
 
         path = tmp_path / "run.jsonl"
-        run = play(RecordingTransport(MockTransport(self.REPLY), cassette), path)
+        run = play(MockTransport(self.REPLY), path)
         assert run.completed and run.fallbacks == 0
         assert is_sealed(path)
         records = read_records(path)
@@ -536,10 +532,9 @@ class TestLoneSurrogateInReplies:
             "\ud800" in json.dumps(record, ensure_ascii=False) for record in records
         ]
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (16, [], True)
-        assert b"\\ud800" in cassette.read_bytes()
+        assert verify_prompts(path, short) == (18 if updater == "llm" else 16, [], True)
         replayed = tmp_path / "replayed.jsonl"
-        assert play(ReplayTransport(cassette), replayed) == run
+        assert play(ReplayTransport([path]), replayed) == run
         assert replayed.read_bytes() == path.read_bytes()
 
     def test_surrogate_pair_is_kept_as_the_character_it_forms(
@@ -563,7 +558,7 @@ class TestLoneSurrogateInReplies:
         assert run.completed and is_sealed(path)
         assert [day.world_summary_after for day in run.days] == ["Calm day.\U0001F600"] * 2
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (16, [], True)
+        assert verify_prompts(path, short) == (18, [], True)
 
 
 class TestRunRecordIsTranscriptRecord:

@@ -1,0 +1,190 @@
+"""Replay from transcripts: an experiment played back from the transcripts
+its manifest lists answers each request with the reply recorded at the
+place its tag names, and a request that differs from its recording (a
+changed scenario, template, world-update prompt, temperature or model) or
+that no transcript holds aborts its run with a ``TransportError`` naming
+the tag, never passing silently."""
+import dataclasses
+import json
+import re
+import shutil
+from pathlib import Path
+
+import pytest
+
+from esclab import orchestrator
+from esclab.agents import LlmPolicy
+from esclab.cli import main
+from esclab.client import MockTransport, chat_request, complete
+from esclab.errors import ParseError, TransportError
+from esclab.experiments import METRICS_DIR, ReplayTransport, load_plan, run_experiment
+from esclab.mockdata import CalibratedResponder
+from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
+from esclab.prompts import PromptVariant, default_templates
+
+DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
+RUN_ID = "t1.0-default-r00"
+FIRST_TAG = f"{RUN_ID}|d01|Blue|a1"  # the first request of an inline run
+
+
+def write_plan(root: Path, transport="{kind: mock}", scenario=DATA / "neutral_scenario.yaml",
+               temperature=1.0, extra="") -> Path:
+    """A one-run LLM plan on ``scenario``, in ``root``."""
+    path = root / "plan.yaml"
+    path.write_text(
+        f"scenario: {scenario}\n"
+        f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
+        "base_seed: 5\nruns_per_treatment: 1\npolicy: llm\nworld_updater: llm\n"
+        f"transport: {transport}\n"
+        f"treatments: [{{label: t1.0-default, temperature: {temperature}, variant: default}}]\n"
+        f"{extra}",
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory) -> Path:
+    """The output directory of the one-run plan played on the mock."""
+    root = tmp_path_factory.mktemp("recorded")
+    run_experiment(load_plan(write_plan(root)), root / "out")
+    return root / "out"
+
+
+def replay(tmp_path: Path, recorded: Path, **plan):
+    root = tmp_path / "replay"
+    root.mkdir()
+    transport = f"{{kind: replay, manifest: {recorded / 'manifest.json'}}}"
+    return run_experiment(load_plan(write_plan(root, transport, **plan)), tmp_path / "out")
+
+
+def transcript(out: Path) -> bytes:
+    return (out / "transcripts" / f"{RUN_ID}.jsonl").read_bytes()
+
+
+class TestReplay:
+    def test_same_plan_replays_every_request_to_the_same_bytes(self, recorded, tmp_path):
+        result = replay(tmp_path, recorded)
+        assert result.new_requests == 14 * 9
+        assert transcript(tmp_path / "out") == transcript(recorded)
+        assert not (recorded / METRICS_DIR).exists()  # an in-process transport's run
+        assert not (tmp_path / "out" / METRICS_DIR).exists()
+
+    def test_changed_scenario_text_aborts_naming_the_tag(self, recorded, tmp_path):
+        scenario = tmp_path / "scenario.yaml"
+        text = (DATA / "neutral_scenario.yaml").read_text(encoding="utf-8")
+        scenario.write_text(text.replace("No armed conflict", "No open conflict"),
+                            encoding="utf-8")
+        [run] = replay(tmp_path, recorded, scenario=scenario).runs
+        assert (run.status, len(run.days)) == ("aborted", 0)
+        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
+                                    "from its recording in user prompt")
+
+    @pytest.mark.parametrize("plan, differs", [
+        ({"temperature": 0.5}, "temperature"),
+        ({"extra": "model: another-model\n"}, "model"),
+    ], ids=["temperature", "model"])
+    def test_other_sampling_or_model_aborts_naming_the_tag(self, recorded, tmp_path, plan,
+                                                           differs):
+        [run] = replay(tmp_path, recorded, **plan).runs
+        assert run.status == "aborted"
+        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
+                                    f"from its recording in {differs}")
+
+    def test_torn_source_transcript_is_refused_before_any_request(self, recorded, tmp_path):
+        source = tmp_path / "source"
+        shutil.copytree(recorded, source)
+        path = source / "transcripts" / f"{RUN_ID}.jsonl"
+        path.write_bytes(path.read_bytes()[:-10])
+        with pytest.raises(ParseError, match=f"{RUN_ID}.jsonl"):
+            replay(tmp_path, source)
+        assert not (tmp_path / "out").exists()
+
+    def test_request_no_transcript_holds_names_its_tag(self, recorded):
+        transport = ReplayTransport([recorded / "transcripts" / f"{RUN_ID}.jsonl"])
+        for tag in (f"{RUN_ID}|d15|Blue|a1", f"{RUN_ID}|d01|Blue|a9", "other-r00|d01|Blue|a1"):
+            with pytest.raises(TransportError, match=re.escape(
+                    f"no recorded transcript holds a call tagged {tag!r}")):
+                complete(transport, chat_request("m", "s", "u", 1.0, request_tag=tag))
+
+
+class TestChangedPrompts:
+    """A prompt the code renders otherwise than at the recording: the
+    replayed run aborts at the first request it changes."""
+
+    @pytest.fixture
+    def played(self, scenario, taxonomy, tmp_path):
+        short = dataclasses.replace(scenario, days=2)
+        treatment = Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT)
+
+        def play(transport, path, templates=None):
+            return run_simulation(short, taxonomy, treatment,
+                                  LlmPolicy(transport, model="m", templates=templates),
+                                  LlmUpdater(transport, model="m"), seed=1,
+                                  transcript_path=tmp_path / path, run_id=RUN_ID)
+
+        transport = MockTransport(CalibratedResponder(taxonomy, short))
+        assert play(transport, "recorded.jsonl").completed
+        return lambda **kwargs: play(ReplayTransport([tmp_path / "recorded.jsonl"]),
+                                     "replayed.jsonl", **kwargs)
+
+    @pytest.mark.parametrize("part", ["user", "system"])
+    def test_changed_template(self, played, part):
+        shipped = default_templates()
+        templates = dataclasses.replace(
+            shipped, **{part: getattr(shipped, part) + "\nAnswer in one line."})
+        run = played(templates=templates)
+        assert (run.status, len(run.days)) == ("aborted", 0)
+        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
+                                    f"from its recording in {part} prompt")
+
+    def test_changed_world_update_prompt(self, played, monkeypatch):
+        render = orchestrator.render_update_text
+        monkeypatch.setattr(orchestrator, "render_update_text",
+                            lambda *args: render(*args) + " Be brief.")
+        run = played()
+        assert (run.status, len(run.days)) == ("aborted", 0)
+        assert run.abort_reason == (f"TransportError: replay: request '{RUN_ID}|d01|world' "
+                                    "differs from its recording in user prompt")
+
+    def test_unchanged_code_replays_the_same_bytes(self, played, tmp_path):
+        assert played().completed
+        assert (tmp_path / "replayed.jsonl").read_bytes() == (
+            tmp_path / "recorded.jsonl").read_bytes()
+
+
+def test_reply_with_unicode_line_breaks_replays(scenario, taxonomy, tmp_path):
+    short = dataclasses.replace(scenario, days=2)
+    calibrated = CalibratedResponder(taxonomy, short)
+
+    def respond(request):
+        if request.request_tag.endswith("|world"):
+            return "Calm.\u2028Tense.\u2029Calm.\x85Calm."
+        return calibrated(request)
+
+    def play(transport, name):
+        return run_simulation(short, taxonomy, Treatment("t1.0-default", 1.0,
+                                                         PromptVariant.DEFAULT),
+                              LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
+                              seed=1, transcript_path=tmp_path / name, run_id=RUN_ID)
+
+    run = play(MockTransport(respond), "recorded.jsonl")
+    assert run.days[0].world_summary_after == "Calm.\u2028Tense.\u2029Calm.\x85Calm."
+    assert play(ReplayTransport([tmp_path / "recorded.jsonl"]), "replayed.jsonl") == run
+    assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "recorded.jsonl").read_bytes()
+
+
+def test_simulate_replays_from_a_manifest(tmp_path, capsys):
+    def simulate(*args) -> tuple[int, dict | str]:
+        code = main(["simulate", "--seed", "4", *args])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if code == 0 else err
+
+    code, first = simulate("--out", str(tmp_path / "a"))
+    assert code == 0 and first["requests"] == 14 * 9
+    code, again = simulate("--transport", "replay", "--manifest",
+                           str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b"))
+    assert code == 0 and again["requests"] == 14 * 9
+    assert Path(again["transcript"]).read_bytes() == Path(first["transcript"]).read_bytes()
+    code, err = simulate("--transport", "replay", "--out", str(tmp_path / "c"))
+    assert code == 1 and "replay transport needs --manifest" in err

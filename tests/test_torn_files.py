@@ -1,4 +1,4 @@
-"""Transcripts and cassettes cut at any byte: a torn final line is dropped
+"""Transcripts cut at any byte: a torn final line is dropped
 where the reader tolerates one and an ``EsclabError`` everywhere else,
 never a ``UnicodeDecodeError``.  A line that is not a record, or is nested
 too deeply to decode, is an ``EsclabError`` too, never a ``RecursionError``."""
@@ -9,15 +9,7 @@ import pytest
 
 from esclab import transcript as ts
 from esclab.cli import main
-from esclab.client import (
-    MockTransport,
-    RecordingTransport,
-    ReplayTransport,
-    chat_request,
-    complete,
-    read_cassette,
-)
-from esclab.errors import ParseError, TransportError
+from esclab.errors import ParseError
 from esclab.experiments import load_manifest
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
@@ -96,90 +88,6 @@ class TestManifestReader:
         path.write_text(NESTED, encoding="utf-8")
         with pytest.raises(ParseError, match="malformed manifest .*recursion"):
             load_manifest(path)
-
-
-class TestCassetteReader:
-    def test_unreadable_cassette_is_a_transport_error(self, tmp_path):
-        for path in (tmp_path / "absent.jsonl", tmp_path):
-            with pytest.raises(TransportError, match="cannot read cassette"):
-                read_cassette(path)
-
-
-    def _recorded(self, tmp_path, replies):
-        cassette = tmp_path / "session.jsonl"
-        recorder = RecordingTransport(MockTransport(lambda r: replies[r.request_tag]), cassette)
-        for tag in replies:
-            complete(recorder, chat_request("m", "system", "user", 1.0, request_tag=tag))
-        return cassette
-
-    def test_tail_cut_inside_a_multibyte_character_is_dropped(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "won’t"})
-        data = cassette.read_bytes()
-        cassette.write_bytes(data[: data.index(CURLY) + 1])
-        assert [r.tag for r in read_cassette(cassette)] == ["q1"]
-
-    def test_undecodable_middle_line_raises(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "won’t", "q2": "calm"})
-        data = cassette.read_bytes()
-        cut = data.index(CURLY) + 1
-        cassette.write_bytes(data[:cut] + data[cut + 2:])
-        with pytest.raises(TransportError, match="not UTF-8"):
-            read_cassette(cassette)
-
-    def test_deeply_nested_line_is_a_transport_error(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "calm"})
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write(NESTED + "\n")
-        with pytest.raises(TransportError, match="bad cassette line 2 .*recursion"):
-            read_cassette(cassette)
-
-    def test_deeply_nested_tail_is_a_transport_error(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "calm"})
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write(NESTED)
-        with pytest.raises(TransportError, match="bad cassette line 2 .*recursion"):
-            read_cassette(cassette)
-
-    def test_recorder_cuts_a_deeply_nested_tail(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "calm"})
-        whole = cassette.read_bytes()
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write(NESTED)
-        recorder = RecordingTransport(MockTransport("tense"), cassette)
-        complete(recorder, chat_request("m", "system", "user", 1.0, request_tag="q2"))
-        assert cassette.read_bytes().startswith(whole)
-        assert [r.tag for r in read_cassette(cassette)] == ["q1", "q2"]
-
-    def test_entry_that_is_not_an_object_raises(self, tmp_path):
-        cassette = self._recorded(tmp_path, {"q1": "calm"})
-        with cassette.open("a", encoding="utf-8") as handle:
-            handle.write("[1, 2]\n")
-        with pytest.raises(TransportError, match="bad cassette line 2"):
-            read_cassette(cassette)
-
-    @pytest.mark.parametrize(
-        "key, value, problem",
-        [
-            ("response", {}, "'content'"),
-            ("response", "x", "response must be a mapping"),
-            ("content", 7, "response content must be a string"),
-            ("finish_reason", None, "response finish_reason must be a string"),
-            ("latency", "slow", "response latency must be a number"),
-            ("latency", 10**400, "response latency is out of range"),
-            ("tag", ["t"], "tag must be a string"),
-            ("request_sha", {}, "request_sha must be a string"),
-        ],
-        ids=["response-empty", "response-string", "content-number", "finish_reason-null",
-             "latency-string", "latency-huge-int", "tag-list", "request_sha-object"],
-    )
-    def test_mistyped_exchange_is_a_transport_error(self, tmp_path, key, value, problem):
-        cassette = self._recorded(tmp_path, {"q1": "calm", "q2": "tense"})
-        first, second = cassette.read_text(encoding="utf-8").split("\n")[:2]
-        entry = json.loads(second)
-        (entry if key in entry else entry["response"])[key] = value
-        cassette.write_text(f"{first}\n{json.dumps(entry)}\n", encoding="utf-8")
-        with pytest.raises(TransportError, match=f"bad cassette line 2 in .*: {problem}"):
-            ReplayTransport(cassette)
 
 
 class TestExperimentAfterATornCharacter:

@@ -1,5 +1,6 @@
-"""Format 7 stores each fact once, names in its header what produced the
-run, writes one record per model call and seals a finished transcript:
+"""Format 8 stores each fact once and only what the model said, names in
+its header what produced the run, writes one record per model call and
+seals a finished transcript:
 every record type holds exactly its pinned payload keys, the records alone
 rebuild what a record's place gives (request tags, attempts, the reply a
 parse failure refuses and a turn's private thoughts), a re-run by
@@ -13,8 +14,9 @@ and a transcript in an older format (format 1 stored each user prompt in
 full, format 2 copied six fields, format 3 had no seal, format 4 named no
 producer in its header and wrote a prompt record per query, format 5 had a
 flag for sequential moves in its header, format 6 copied five fields that a
-record's place gives) is refused by every reader, completed or partial, and
-left as it is."""
+record's place gives, format 7 held each call's latency and attempt count
+and no world update digest) is refused by every reader, the replay loader
+among them, completed or partial, and left as it is."""
 import dataclasses
 import hashlib
 import json
@@ -115,9 +117,24 @@ def dropped_fields(records: list[dict]) -> dict[int, dict]:
     return fields
 
 
+def to_format_7(path: Path) -> None:
+    """Rewrite a transcript as format 7 wrote it: each llm_call with the
+    latency and attempt count that the mock gives, and no world update with
+    a user digest."""
+    records = ts.read_records(path)
+    records[0]["payload"]["transcript_format"] = 7
+    for record in records:
+        if record["type"] == ts.LLM_CALL:
+            record["payload"].update(latency=0.0, attempt_count=1)
+            if record["nation"] is None:
+                del record["payload"]["user_sha256"]
+    reseal(path, records)
+
+
 def to_format_6(path: Path) -> None:
-    """Rewrite a transcript as format 6 wrote it: with the five fields that a
-    record's place gives copied into its payload."""
+    """Rewrite a transcript as format 6 wrote it: format 7 with the five
+    fields that a record's place gives copied into its payload."""
+    to_format_7(path)
     records = ts.read_records(path)
     records[0]["payload"]["transcript_format"] = 6
     fields = dropped_fields(records)
@@ -243,12 +260,13 @@ def experiment_copy(small_experiment, tmp_path):
 
 
 # The payload keys of each record type, and of each action of a turn.  Only
-# the llm_call of an agent query's first attempt holds ``user_sha256``.
+# the llm_call of an agent query's first attempt or of a world update holds
+# ``user_sha256``.
 PAYLOAD_KEYS = {
     ts.RUN_START: {"transcript_format", "run_id", "scenario_name", "days", "seed", "treatment",
                    "taxonomy_version", *PRODUCER_KEYS},
     ts.SYSTEM_PROMPT: {"sha256", "text", "user_template"},
-    ts.LLM_CALL: {"content", "finish_reason", "latency", "attempt_count", "user_sha256"},
+    ts.LLM_CALL: {"content", "finish_reason", "user_sha256"},
     ts.PARSE_FAILURE: {"reason", "detail"},
     ts.TURN: {"actions", "fallback", "deviations"},
     ts.DAY: {"scores", "summary"},
@@ -385,7 +403,7 @@ class TestDigestRecords:
         _, out = small_experiment
         records = ts.read_records(out / "transcripts" / "t1.0-context-r00.jsonl")
         header = records[0]["payload"]
-        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 7
+        assert header["transcript_format"] == ts.TRANSCRIPT_FORMAT == 8
         assert {key: header[key] for key in PRODUCER_KEYS} == {
             "model": experiments.DEFAULT_MODEL, "max_tokens": 1024, "max_parse_retries": 3,
             "policy": {"kind": "llm"}, "world_updater": "llm",
@@ -393,7 +411,8 @@ class TestDigestRecords:
         system = records[1]["payload"]
         assert system["user_template"] == default_templates().user
         calls = [r for r in records if r["type"] == ts.LLM_CALL]
-        first = [r for r in calls if "user_sha256" in r["payload"]]
+        assert sum(r["nation"] is None and "user_sha256" in r["payload"] for r in calls) == 14
+        first = [r for r in calls if r["nation"] is not None and "user_sha256" in r["payload"]]
         assert len(first) == 14 * 8
         tags = dropped_fields(records)
         assert all(tags[r["seq"]]["tag"].endswith("|a1") for r in first)
@@ -442,7 +461,7 @@ class TestDigestRecords:
         assert system["text"].startswith("CUSTOM ")
         assert system["sha256"] == text_sha256(system["text"])
         assert system["user_template"] == templates.user
-        assert ts.verify_prompts(path, scenario) == (14 * 8, [], True)
+        assert ts.verify_prompts(path, scenario) == (14 * 9, [], True)
 
 
 def producer_plan(root: Path, **keys) -> Path:
@@ -542,7 +561,7 @@ class TestInspect:
         manifest = str(tmp_path / "manifest.json")
         assert main(["inspect", "--manifest", manifest]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary == {"manifest": manifest, "runs": 60, "prompts_verified": 6720}
+        assert summary == {"manifest": manifest, "runs": 60, "prompts_verified": 7560}
 
     def test_edited_day_summary_fails(self, experiment_copy, capsys):
         _, out = experiment_copy
@@ -550,14 +569,15 @@ class TestInspect:
         edit_record(path, lambda r: r["type"] == ts.DAY and r["day"] == 3,
                     lambda p: p.update(summary=p["summary"] + " Edited."))
         result = inspect_experiment(out / "manifest.json")
-        assert len(result.mismatches) == 8
+        # Day 4's eight agent prompts and its world update start from it.
+        assert len(result.mismatches) == 9
         assert all(line.startswith("transcripts/t1.0-default-r01.jsonl seq ")
                    and "(day 4, " in line and "user_sha256 not re-derived" in line
                    for line in result.mismatches)
         assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert error["error"] == "ValidationError"
-        assert error["message"].startswith("8 prompt digest mismatches in 448 prompts of 4 runs")
+        assert error["message"].startswith("9 prompt digest mismatches in 504 prompts of 4 runs")
 
     def test_edited_user_digest_fails(self, experiment_copy):
         _, out = experiment_copy
@@ -585,7 +605,7 @@ class TestInspect:
         lines[index] = lines[index][:at] + "X" + lines[index][at + 1:]
         path.write_text("\n".join(lines), encoding="utf-8")
         result = inspect_experiment(out / "manifest.json")
-        assert (result.runs, result.prompts, result.mismatches) == (4, 448, [])
+        assert (result.runs, result.prompts, result.mismatches) == (4, 504, [])
         assert result.unsealed == [name]
         assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -602,7 +622,7 @@ class TestInspect:
         day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
         ts.rewrite(out / name, records[: day_3 + 1])
         result = inspect_experiment(out / "manifest.json")
-        assert (result.runs, result.prompts, result.mismatches) == (4, 3 * 112 + 3 * 8, [])
+        assert (result.runs, result.prompts, result.mismatches) == (4, 3 * 126 + 3 * 9, [])
         assert result.unsealed == [name]
         assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
@@ -631,10 +651,11 @@ class TestInspect:
 
 class TestOlderFormats:
     @pytest.mark.parametrize(
-        "reader", ["load_run", "build_report", "run_experiment", "run_simulation", "inspect"]
+        "reader",
+        ["load_run", "build_report", "run_experiment", "run_simulation", "inspect", "replay"],
     )
     @pytest.mark.parametrize("state", ["completed", "partial"])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_transcript_is_refused_and_left_as_it_is(
         self, experiment_copy, tmp_path, scenario, taxonomy, version, state, reader
     ):
@@ -646,7 +667,7 @@ class TestOlderFormats:
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
             ts.rewrite(path, records[: day_3 + 5])
         {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4,
-         5: to_format_5, 6: to_format_6}[version](path)
+         5: to_format_5, 6: to_format_6, 7: to_format_7}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
         transport = MockTransport("unused")
         read = {
@@ -662,9 +683,12 @@ class TestOlderFormats:
                 run_id="t1.0-default-r00",
             ),
             "inspect": lambda: inspect_experiment(manifest),
+            "replay": lambda: run_experiment(dataclasses.replace(
+                plan, transport={"kind": "replay", "manifest": str(manifest)}),
+                tmp_path / "replayed"),
         }[reader]
         with pytest.raises(
-            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 7"
+            ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 8"
         ):
             read()
         assert transport.request_count == 0
