@@ -5,10 +5,9 @@ experiment layer sweeps sampling temperature and prompt variants across
 replicated runs and reports the resulting escalation statistics.
 
 The report and statistics names load on first use (PEP 562), so running
-simulations does not import numpy or scipy, which the statistics need (numpy
-and ``scipy.special`` are the slowest imports of a cold report); ``requests``
-loads only when a live transport is built.  ``import esclab.cli`` takes about
-0.2 s.
+simulations does not import the report's modules; ``requests`` loads only
+when a live transport is built.  ``import esclab.cli`` takes about 0.2 s.
+Nothing imports numpy or scipy: the statistics run on the standard library.
 """
 import importlib
 

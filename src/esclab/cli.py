@@ -181,8 +181,8 @@ def _print_table(header: list[str], rows: list[list]) -> None:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    # Imported here: only this command needs numpy and scipy.special, the
-    # slowest imports of a cold report.
+    # Imported here: only this command needs the report, statistics and
+    # figure modules.
     from .report import build_report
 
     bundle = build_report(

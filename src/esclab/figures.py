@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import EmptyCounts, EmptyStats
 from .scoring import CategoryCounts
@@ -20,6 +19,24 @@ from .stats import DailySeriesStats, SummaryStats
 from .taxonomy import ActionCategory
 
 PALETTE = ("#30618f", "#c25147", "#3f8f4f", "#8f6c2e", "#6d4f8f", "#3f8f8a")
+
+
+def _escape(text: str) -> str:
+    """XML character data: ``&``, ``<`` and ``>`` escaped, as by
+    ``xml.sax.saxutils.escape`` (whose import would load ``urllib.request``)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def _quoteattr(text: str) -> str:
+    """A quoted XML attribute value, as by ``xml.sax.saxutils.quoteattr``:
+    escaped, with newline, return and tab as character references, in the
+    quote it does not hold (double when it holds both, each escaped)."""
+    text = _escape(text).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in text:
+        return f'"{text}"'
+    if "'" not in text:
+        return f"'{text}'"
+    return '"' + text.replace('"', "&quot;") + '"'
 
 
 def _fmt(value: float) -> str:
@@ -56,17 +73,17 @@ class SvgDoc:
 
     def add(self, tag: str, text: str | None = None, **attrs) -> None:
         rendered = " ".join(
-            f"{k.rstrip('_').replace('_', '-')}={quoteattr(str(v))}"
+            f"{k.rstrip('_').replace('_', '-')}={_quoteattr(str(v))}"
             for k, v in attrs.items()
         )
         if text is None:
             self.parts.append(f"<{tag} {rendered}/>")
         else:
-            self.parts.append(f"<{tag} {rendered}>{escape(text)}</{tag}>")
+            self.parts.append(f"<{tag} {rendered}>{_escape(text)}</{tag}>")
 
     def desc(self, payload: dict) -> None:
         self.parts.append(
-            '<desc id="provenance">' + escape(json.dumps(payload, sort_keys=True)) + "</desc>"
+            '<desc id="provenance">' + _escape(json.dumps(payload, sort_keys=True)) + "</desc>"
         )
 
     def render(self) -> str:
@@ -288,7 +305,7 @@ def emit_category_chart(
     if provenance:
         payload.update(provenance)
     doc.parts.insert(0, '<desc id="provenance">'
-                     + escape(json.dumps(payload, sort_keys=True)) + "</desc>")
+                     + _escape(json.dumps(payload, sort_keys=True)) + "</desc>")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(doc.render(), encoding="utf-8")

@@ -50,9 +50,10 @@ import hashlib
 import json
 import os
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Collection
+from typing import TYPE_CHECKING, BinaryIO, Callable, Collection
 
 from .errors import ParseError, ValidationError
 from .prompts import PromptVariant, render_update_text, render_user_text, text_sha256
@@ -164,9 +165,12 @@ class TranscriptWriter:
     of an uninterrupted one.
 
     An ``llm_call`` payload loses its ``TRANSPORT_FACTS``.  With ``metrics``,
-    a path, they are appended there as one JSON line per call, flushed with
-    the transcript; that sidecar is never sealed, compared or cut back, so a
-    resumed run's lost day stays in it.
+    a path, they go there as one JSON line per call, flushed just before the
+    transcript, so the sidecar never holds fewer calls than it.  The writer
+    replaces the sidecar with its first lines, one per ``llm_call`` in
+    ``kept`` (none when the run starts over): a resumed run's lost day
+    leaves it as it leaves the transcript.  The sidecar is never sealed or
+    compared.
     """
 
     def __init__(self, path: str | Path, kept: list[dict] = (),
@@ -184,7 +188,8 @@ class TranscriptWriter:
             self._flush()
             os.replace(tmp, self.path)
             if metrics is not None:
-                self._metrics = Path(metrics).open("ab")
+                self._metrics = _replace_sidecar(
+                    Path(metrics), sum(record["type"] == LLM_CALL for record in kept))
         except BaseException:
             self._handle.close()
             raise
@@ -192,12 +197,12 @@ class TranscriptWriter:
     def _flush(self) -> None:
         """Hash and write the pending lines, in one piece."""
         lines, self._pending = self._pending, []
+        if self._metrics is not None:
+            self._metrics.flush()
         data = utf8("".join(lines))
         self._hash.update(data)
         self._handle.write(data)
         self._handle.flush()
-        if self._metrics is not None:
-            self._metrics.flush()
 
     def write(self, type_: str, payload: dict, day: int | None = None,
               nation: str | None = None) -> int:
@@ -223,6 +228,26 @@ class TranscriptWriter:
             self._handle.close()
             if self._metrics is not None:
                 self._metrics.close()
+
+
+def _replace_sidecar(path: Path, calls: int) -> BinaryIO:
+    """Atomically replace the metrics sidecar at ``path`` with its first
+    ``calls`` whole lines (those it has, if fewer) and return it open for
+    appending."""
+    kept = b""
+    if calls:
+        with suppress(FileNotFoundError):
+            lines = path.read_bytes().split(b"\n")[:-1]  # whole lines only
+            kept = b"".join(line + b"\n" for line in lines[:calls])
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    handle = tmp.open("wb")
+    try:
+        handle.write(kept)
+        os.replace(tmp, path)
+    except BaseException:
+        handle.close()
+        raise
+    return handle
 
 
 def split_lines(data: bytes) -> tuple[list[str], bytes]:

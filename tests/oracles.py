@@ -5,17 +5,19 @@ imports from the code paths under test: scoring recomputation walks raw
 transcript JSON, quantiles come from the stdlib, the Mann-Whitney p-value is
 an exhaustive enumeration over rank arrangements, and the Student-t quantile
 is found by bisecting a CDF built on the regularized incomplete beta
-function.
+function, to the float nearest it.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import statistics
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
+from scipy import special
 
 
 # --- scoring straight from transcript JSON ---------------------------------
@@ -132,25 +134,40 @@ def exact_mwu_p(a, b) -> float:
 
 # --- Student-t quantile by bisection on an independent CDF -------------------
 
+T_DPS = 40  # decimal digits of the CDF: far more than a float's gap needs
+
+
 def t_cdf(x: float, dof: int) -> mpmath.mpf:
-    """CDF of Student's t via the regularized incomplete beta function."""
+    """CDF of Student's t via the regularized incomplete beta function, at
+    ``x`` taken exactly, in the current mpmath precision."""
+    x = mpmath.mpf(x)
     if x == 0:
         return mpmath.mpf("0.5")
     z = dof / (dof + x * x)
-    tail = mpmath.betainc(dof / 2.0, 0.5, 0, z, regularized=True) / 2
+    tail = mpmath.betainc(mpmath.mpf(dof) / 2, mpmath.mpf(1) / 2, 0, z, regularized=True) / 2
     return 1 - tail if x > 0 else tail
 
 
 def t_quantile(p: float, dof: int) -> float:
-    """Inverse CDF by bisection to 1e-13."""
-    lo, hi = mpmath.mpf(0), mpmath.mpf(200)
+    """The float nearest the quantile at ``p >= 0.5`` (taken exactly): bisect
+    on floats until two neighbours bracket it, then round at their midpoint.
+    scipy's ``stdtrit``, a few ulp off at worst, only seeds the bracket."""
     assert p >= 0.5
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if t_cdf(mid, dof) < p:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < mpmath.mpf("1e-13"):
-            break
-    return float((lo + hi) / 2)
+    with mpmath.workdps(T_DPS):
+        target = mpmath.mpf(p)
+        lo = hi = float(special.stdtrit(dof, p))
+        step = math.ulp(lo)
+        while t_cdf(lo, dof) >= target:
+            lo, step = lo - step, 2 * step
+        step = math.ulp(hi)
+        while t_cdf(hi, dof) < target:
+            hi, step = hi + step, 2 * step
+        # t_cdf(lo) < target <= t_cdf(hi)
+        while math.nextafter(lo, math.inf) < hi:
+            mid = lo + (hi - lo) / 2
+            if t_cdf(mid, dof) < target:
+                lo = mid
+            else:
+                hi = mid
+        midpoint = (mpmath.mpf(lo) + mpmath.mpf(hi)) / 2
+        return hi if t_cdf(midpoint, dof) < target else lo

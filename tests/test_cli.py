@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -14,6 +15,7 @@ from esclab.cli import build_parser, main
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 README = Path(__file__).parent.parent / "README.md"
+PYPROJECT = Path(__file__).parent.parent / "pyproject.toml"
 
 
 def _fresh_interpreter(probe: str, *args: str) -> list[str]:
@@ -27,13 +29,13 @@ def _fresh_interpreter(probe: str, *args: str) -> list[str]:
 
 
 class TestImports:
-    def test_cli_import_leaves_scipy_unloaded(self):
+    def test_cli_import_and_report_names_leave_numpy_and_scipy_unloaded(self):
         probe = (
-            "import sys, esclab.cli; loaded = 'scipy' in sys.modules; "
+            "import sys, esclab.cli; "
             "from esclab import build_report, summarize; "
-            "print(loaded, 'scipy' in sys.modules)"
+            "print('numpy' in sys.modules, 'scipy' in sys.modules)"
         )
-        assert _fresh_interpreter(probe) == ["False", "True"]
+        assert _fresh_interpreter(probe) == ["False", "False"]
 
     def test_cli_import_leaves_requests_unloaded(self):
         probe = "import sys, esclab.cli; print('requests' in sys.modules, 'urllib3' in sys.modules)"
@@ -48,7 +50,7 @@ class TestImports:
         )
         assert _fresh_interpreter(probe) == ["False", "True"]
 
-    def test_report_leaves_scipy_stats_unloaded(self, tmp_path):
+    def test_report_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         plan = tmp_path / "plan.yaml"
         plan.write_text(
             f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
@@ -63,13 +65,35 @@ class TestImports:
             "from esclab.report import build_report; "
             "result = run_experiment(load_plan(sys.argv[1]), sys.argv[2]); "
             "build_report(result.manifest_path, sys.argv[3], include_timestamp=False); "
-            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+            "print('numpy' in sys.modules, 'scipy' in sys.modules)"
         )
         words = _fresh_interpreter(probe, str(plan), str(tmp_path / "exp"),
                                    str(tmp_path / "report"))
-        assert words == ["True", "False"]
+        assert words == ["False", "False"]
         reductions = (tmp_path / "report" / "reductions.csv").read_text(encoding="utf-8")
         assert reductions.splitlines()[1].startswith("b,a,")
+
+    def test_no_module_imports_numpy_or_scipy(self):
+        """numpy and scipy are test-only oracles: no module of the package
+        imports them, at its top or inside a function."""
+        offenders = []
+        for path in sorted((DATA.parent).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module]
+                else:
+                    continue
+                offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                              if name.split(".")[0] in ("numpy", "scipy")]
+        assert offenders == []
+
+    def test_runtime_dependencies_are_pyyaml_and_requests(self):
+        tomllib = pytest.importorskip("tomllib")
+        project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
+        assert project["dependencies"] == ["pyyaml", "requests"]
+        assert {"numpy", "scipy", "mpmath"} <= set(project["optional-dependencies"]["test"])
 
 
 class TestValidate:

@@ -1,10 +1,19 @@
 import json
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from esclab.errors import EmptyCounts, EmptyStats
-from esclab.figures import emit_boxplot, emit_category_chart, emit_timeseries
+from esclab.figures import (
+    _escape,
+    _quoteattr,
+    emit_boxplot,
+    emit_category_chart,
+    emit_timeseries,
+)
 from esclab.scoring import CategoryCounts
 from esclab.stats import DailySeriesStats, DayStats, ci95_per_day, summarize
 from esclab.taxonomy import ActionCategory
@@ -210,3 +219,22 @@ class TestCategoryChart:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(EmptyCounts):
             emit_category_chart([], tmp_path / "none.svg")
+
+
+class TestEscaping:
+    """The local escaping gives the bytes ``xml.sax.saxutils`` gives."""
+
+    markup = st.text(st.sampled_from("&<>\"'\n\r\t ;#ax\u00e9\u2028")) | st.text()
+
+    @given(markup)
+    @example("a & b < c > d")
+    def test_escape_is_saxutils_escape(self, text):
+        assert _escape(text) == saxutils.escape(text)
+
+    @given(markup)
+    @example("plain")
+    @example('say "hi"')
+    @example("it's")
+    @example("it's \"both\"\n\r\t")
+    def test_quoteattr_is_saxutils_quoteattr(self, text):
+        assert _quoteattr(text) == saxutils.quoteattr(text)

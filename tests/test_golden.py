@@ -185,7 +185,9 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
     """One run aborts on a transport error on day 4, then a re-run plays
     its lost days.  With ``replay``, the first pass is also replayed from
     its transcripts into a fresh directory, the abort included, byte for
-    byte."""
+    byte.  Waiting, every run's metrics sidecar ends with one line per
+    ``llm_call`` of its transcript, in order: the aborted run's lost day is
+    gone from both."""
     built = wrap_transport(monkeypatch, concurrent, fail_tag=OUTAGE_TAG)
     first = run_experiment(tiny_plan(), out)
     assert [run.status for run in first.runs] == ["completed", "aborted", "completed", "completed"]
@@ -206,6 +208,12 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
     again = run_experiment(tiny_plan(), out)
     assert again.new_requests == (DAYS - 3) * DAY_REQUESTS
     assert again.skipped == 3
+    if concurrent:  # waiting, each run leaves a sidecar; the lost day leaves it too
+        for run_id in RUN_IDS:
+            lines = (out / METRICS_DIR / f"{run_id}.jsonl").read_text("utf-8").split("\n")
+            assert lines.pop() == ""
+            tags = list(ts.read_recording(out / "transcripts" / f"{run_id}.jsonl").calls)
+            assert [json.loads(line)["tag"] for line in lines] == tags
 
 
 def play_budget_resume(out, tmp_path, monkeypatch, concurrent):

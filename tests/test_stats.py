@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import scipy.stats as sps
+from scipy import special
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,11 @@ from esclab.errors import (
     ZeroBaseline,
 )
 from esclab.stats import (
+    _binom,
+    _ndtr,
+    _pairwise_sum,
+    _percentile,
+    _std,
     ci95_per_day,
     percent_reduction,
     significance_test,
@@ -151,9 +158,14 @@ class TestCi95:
             )
 
     @pytest.mark.parametrize("confidence", [0.90, 0.95, 0.99])
-    def test_t_critical_is_scipy_t_ppf_bit_for_bit(self, confidence):
-        for dof in range(1, 2001):
-            assert t_critical(confidence, dof) == float(sps.t.ppf(0.5 + confidence / 2, dof))
+    def test_t_critical_is_correctly_rounded(self, confidence):
+        for dof in [*range(1, 61), *range(100, 2001, 100)]:
+            assert t_critical(confidence, dof) == t_quantile(0.5 + confidence / 2, dof), dof
+
+    @pytest.mark.parametrize("dof", [1, 2, 9])
+    def test_t_critical_keeps_scipy_values_where_scipy_is_correctly_rounded(self, dof):
+        # The golden rows' runs (two per treatment) and both benchmark plans'.
+        assert t_critical(0.95, dof) == float(sps.t.ppf(0.975, dof))
 
     def test_single_run_rejected(self):
         with pytest.raises(InsufficientRuns):
@@ -229,3 +241,74 @@ class TestSignificanceMatchesScipy:
         theirs = sps.mannwhitneyu(a, b, alternative="two-sided", method="auto")
         assert ours.statistic == float(theirs.statistic)
         assert ours.p_value == float(theirs.pvalue)
+
+
+# --- the stdlib ports, bit for bit against numpy and scipy as oracles -------
+
+finite = st.floats(-1e12, 1e12, allow_nan=False) | st.integers(-60, 60).map(lambda v: v / 14)
+
+
+class TestPortsMatchNumpy:
+    # Sizes on both sides of the pairwise sum's 8 and 128 thresholds.
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=300))
+    @example([0.1] * 7)
+    @example([0.1] * 8)
+    @example([0.1] * 129)
+    @example([-0.0] * 9)
+    def test_pairwise_sum_is_numpy_sum(self, values):
+        column = np.array([values, values]).T[:, 0]  # strided, as a day's column
+        assert _pairwise_sum(values) == float(np.sum(np.array(values)))
+        assert _pairwise_sum(values) == float(np.sum(column))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite, min_size=2, max_size=300))
+    def test_std_is_numpy_std_ddof_1(self, values):
+        mean = _pairwise_sum(values) / len(values)
+        assert _std(values, mean) == float(np.std(np.array(values), ddof=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(finite, min_size=1, max_size=60))
+    @example([1.0, 2.0, 3.0, 4.0])
+    def test_quartiles_are_numpy_linear_percentiles(self, values):
+        expected = np.percentile(np.array(values), [25, 50, 75], method="linear")
+        ordered = sorted(values)
+        assert [_percentile(ordered, q) for q in (25, 50, 75)] == [float(v) for v in expected]
+        stats = summarize(values)
+        assert (stats.q1, stats.median, stats.q3) == tuple(float(v) for v in expected)
+
+    def test_daily_band_is_numpy_mean_and_std(self):
+        rng = random.Random(5)
+        matrix = [[rng.randint(-20, 60) / 14 for _ in range(14)] for _ in range(10)]
+        array = np.asarray(matrix, dtype=float)
+        critical = t_critical(0.95, 9)
+        for column, day in zip(array.T, ci95_per_day(matrix).days):
+            mean = float(np.sum(column)) / 10
+            half_width = critical * float(np.std(column, ddof=1)) / math.sqrt(10)
+            assert (day.mean, day.ci_low, day.ci_high) == (
+                mean, mean - half_width, mean + half_width)
+
+
+class TestPortsMatchScipy:
+    def test_ndtr_on_a_grid(self):
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 40001),
+                               [0.0, -0.0, 1e-300, -1e-300, math.inf, -math.inf,
+                                math.sqrt(2), -math.sqrt(2), 8 * math.sqrt(2), -8 * math.sqrt(2),
+                                37.5, -37.5, 38.5, -38.5]])
+        expected = special.ndtr(grid)
+        mismatches = [x for x, y in zip(grid.tolist(), expected.tolist()) if _ndtr(x) != y]
+        assert mismatches == []
+
+    @settings(max_examples=2000, deadline=None)
+    @given(st.floats(-40, 40, allow_nan=False) | st.floats(allow_nan=False))
+    def test_ndtr_is_scipy_ndtr(self, x):
+        assert _ndtr(x) == float(special.ndtr(x))
+
+    def test_ndtr_of_nan_is_nan(self):
+        assert math.isnan(_ndtr(math.nan))
+
+    def test_binom_is_xsf_binom_where_the_exact_test_uses_it(self):
+        # The exact U distribution takes binom(n1 + n2, min(n1, n2)), at most 8.
+        for n in range(0, 1500):
+            for k in range(0, min(n, 19) + 1):
+                assert _binom(n, k) == float(special.binom(n, k)), (n, k)

@@ -836,6 +836,54 @@ class TestSeal:
         assert len(used) == 4 * (1 + 14 * 8 + 14 + 1)
 
 
+class TestMetricsSidecar:
+    """A writer given a sidecar replaces it with one line per ``llm_call`` it
+    keeps, whatever the sidecar held after them, then adds a line per call."""
+
+    @staticmethod
+    def write_calls(path: Path, metrics: Path, kept: list[dict], tags: list[str]) -> None:
+        writer = ts.TranscriptWriter(path, kept, metrics)
+        for tag in tags:
+            writer.write(ts.LLM_CALL, {"tag": tag, "latency": 0.25, "attempts": 1,
+                                       "reply": tag}, day=1, nation="Blue")
+        writer.write(ts.DAY, {"scores": {}, "summary": ""}, day=1)
+        writer.close()
+
+    @staticmethod
+    def tags(metrics: Path) -> list[str]:
+        lines = metrics.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        return [json.loads(line)["tag"] for line in lines]
+
+    def test_a_run_started_over_truncates_the_sidecar(self, tmp_path):
+        metrics = tmp_path / "metrics.jsonl"
+        metrics.write_text('{"tag":"stale"}\n{"tag":"stale"}\n{"ta', encoding="utf-8")
+        self.write_calls(tmp_path / "run.jsonl", metrics, [], ["a", "b"])
+        assert self.tags(metrics) == ["a", "b"]
+        assert "latency" not in (tmp_path / "run.jsonl").read_text(encoding="utf-8")
+
+    def test_a_resumed_run_keeps_the_lines_of_its_kept_calls(self, tmp_path):
+        path, metrics = tmp_path / "run.jsonl", tmp_path / "metrics.jsonl"
+        self.write_calls(path, metrics, [], ["a", "b"])
+        kept = ts.read_records(path)
+        with metrics.open("ab") as handle:  # a lost day's calls, the last one torn
+            handle.write(b'{"tag":"lost"}\n{"tag":"lo')
+        self.write_calls(path, metrics, kept, ["c"])
+        assert self.tags(metrics) == ["a", "b", "c"]
+        assert not metrics.with_suffix(".jsonl.tmp").exists()
+
+    def test_a_short_or_missing_sidecar_keeps_what_it_has(self, tmp_path):
+        path, metrics = tmp_path / "run.jsonl", tmp_path / "metrics.jsonl"
+        self.write_calls(path, metrics, [], ["a", "b"])
+        kept = ts.read_records(path)
+        metrics.write_text('{"tag":"a"}\n', encoding="utf-8")
+        self.write_calls(path, metrics, kept, ["c"])
+        assert self.tags(metrics) == ["a", "c"]
+        metrics.unlink()
+        self.write_calls(path, metrics, kept, ["d"])
+        assert self.tags(metrics) == ["d"]
+
+
 def reflection_plan(tmp_path: Path, monkeypatch):
     """A calibrated reflection plan of two runs, each with one fallback turn."""
     path = tmp_path / "plan.yaml"
