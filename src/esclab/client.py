@@ -9,9 +9,11 @@ that.
 """
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Iterable
 
@@ -106,7 +108,12 @@ class Transport:
 
     ``in_process`` is true when ``send_once`` only computes in this process
     and never waits on a remote endpoint; callers then gain nothing from
-    issuing requests on several threads.
+    issuing requests on several threads.  An experiment over such a
+    transport plays its runs on every usable CPU instead
+    (``orchestrator.play_runs``), in processes it forks, which count against
+    one budget through ``shared_count``.  What a transport keeps on the
+    Python side (``MockTransport.captured``, say) is then kept in the
+    process that made the request, and the caller sees only its own.
     """
 
     in_process = False
@@ -114,19 +121,46 @@ class Transport:
 
     def __init__(self, max_requests: int | None = None):
         self.max_requests = max_requests
-        self._count = 0
+        # The requests made, at index 0: a list, or memory that forked
+        # processes share while ``shared_count`` lasts.
+        self._counts = [0]
         self._lock = threading.Lock()
 
     @property
     def request_count(self) -> int:
         with self._lock:
-            return self._count
+            return self._counts[0]
 
     def _note_request(self) -> None:
         with self._lock:
-            if self.max_requests is not None and self._count >= self.max_requests:
+            count = self._counts[0]
+            if self.max_requests is not None and count >= self.max_requests:
                 raise BudgetExceeded(f"request budget of {self.max_requests} exhausted")
-            self._count += 1
+            self._counts[0] = count + 1
+
+    @contextmanager
+    def shared_count(self):
+        """For the length of the block, count requests in shared memory
+        under a POSIX semaphore, so that the processes forked inside it
+        count against one ``max_requests`` and this one's count then holds
+        their requests too.  The block is for a caller with no other thread
+        that uses the transport.  A transport that counts through another
+        (a wrapper whose ``request_count`` is the inner one's) passes this
+        on to that one."""
+        import mmap
+        from _multiprocessing import SemLock  # here: only forked runs need it
+
+        counts = memoryview(mmap.mmap(-1, 8)).cast("q")  # anonymous: shared with children
+        # A semaphore of one (kind 1) is a lock; unlinked at once, it lives
+        # as long as a process maps it.
+        lock = SemLock(1, 1, 1, f"/esclab-{os.getpid()}-{os.urandom(6).hex()}", True)
+        counts[0] = self.request_count
+        saved, self._lock, self._counts = self._lock, lock, counts
+        try:
+            yield
+        finally:
+            self._lock, self._counts = saved, [counts[0]]
+            counts.release()
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError

@@ -461,13 +461,20 @@ def run_experiment(
     label, say) is refused with ``ValidationError`` before any request is
     made or the manifest is written.
     Aborted runs are recorded in the manifest and the experiment continues
-    best-effort.  The manifest is written once, atomically, when the runs
-    end, listing every run that finished even when an exception ends them
-    early; after a hard kill a re-run restores it.  The advisory manifest
-    lock is held for the whole execution.  A scenario, taxonomy, transport
-    or script that cannot be loaded is refused before anything is written,
-    and a manifest path that is a directory before anything but the output
-    directory itself is made.
+    best-effort.  A warning is logged first when ``max_requests`` is below
+    what the pending runs may make at worst.  An in-process transport plays
+    the runs on every usable CPU (``orchestrator.play_runs``): the budget
+    then holds across processes and aborts whichever runs ask after it runs
+    out, and a completed run in the result that a forked process played
+    reads its days when they are first used, as a skipped run does.  A run
+    played in process leaves no metrics sidecar, and one left by an earlier
+    waiting pass is removed.  The manifest is written once, atomically,
+    when the runs end, listing every run that finished even when an
+    exception ends them early; after a hard kill a re-run restores it.
+    The advisory manifest lock is held for the whole execution.  A
+    scenario, taxonomy, transport or script that cannot be loaded is
+    refused before anything is written, and a manifest path that is a
+    directory before anything but the output directory itself is made.
     """
     scenario = load_scenario(plan.scenario_path)
     taxonomy = load_taxonomy(plan.taxonomy_path)
@@ -480,6 +487,26 @@ def run_experiment(
         if not transport.in_process:
             _make_dir(out_dir / METRICS_DIR)
         return _execute(plan, out_dir, scenario, taxonomy, transport, policy)
+
+
+def _warn_of_budget(transport: Transport, pending: list[tuple], scenario: Scenario,
+                    policy: AgentPolicy, updater: WorldUpdater, max_parse_retries: int) -> None:
+    """Log a warning when the requests ``transport`` has left under its
+    ``max_requests`` are fewer than the pending runs may make: on each day
+    they have left, every nation's query on its last attempt and the world
+    update, for those that call a model."""
+    if transport.max_requests is None:
+        return
+    left = transport.max_requests - transport.request_count
+    queries = len(scenario.nation_names) * (max_parse_retries + 1)
+    per_day = ((queries if policy.model is not None else 0)
+               + (1 if updater.model is not None else 0))
+    worst = per_day * sum(scenario.days - (len(prior.days) if prior else 0)
+                          for _, _, _, prior, _ in pending)
+    if left < worst:
+        log.warning(
+            "request budget: %d requests left, but the %d runs to play may make up to %d; "
+            "the runs that ask after it runs out abort", left, len(pending), worst)
 
 
 def _make_dir(path: Path) -> None:
@@ -548,9 +575,10 @@ def _execute(
             pending.append((handle.treatment, header, handle.transcript_path, run, kept))
     skipped = len(results)
     before = transport.request_count
+    _warn_of_budget(transport, pending, scenario, policy, updater, plan.max_parse_retries)
     try:
-        play_runs(scenario, taxonomy, policy, updater, pending, results, transport.max_in_flight,
-                  None if transport.in_process else out_dir / METRICS_DIR)
+        play_runs(scenario, taxonomy, policy, updater, pending, results, transport,
+                  out_dir / METRICS_DIR)
     finally:  # the one manifest write: every run that finished
         manifest["runs"] = [_entry(handle) for handle in handles if handle.run_id in results]
         _write_manifest(manifest_path, manifest)

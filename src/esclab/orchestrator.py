@@ -2,14 +2,15 @@
 
 Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
-The day's nation queries are therefore independent.  When the policy waits
-on an endpoint (its ``in_process`` is false: a model policy on anything but
-the in-process mock or a replay), ``play_runs`` overlaps
-the pending runs on as many threads as the transport lets requests be in
-flight, and writes a day's records in roster order once its last query
+The day's nation queries are therefore independent, and so are the runs.
+When the policy waits on an endpoint (its ``in_process`` is false: a model
+policy on anything but the in-process mock or a replay), ``play_runs``
+overlaps the pending runs on as many threads as the transport lets requests
+be in flight, and writes a day's records in roster order once its last query
 settles, so the bytes depend on neither completion order nor overlap.  Every
-other policy plays the runs one by one, asking the nations one by one.  The
-transcript is written incrementally and a crashed run resumes from its
+other policy plays the runs on every usable CPU, in processes the caller
+forks, each its share of the runs one by one, asking the nations one by one.
+The transcript is written incrementally and a crashed run resumes from its
 last completed day, reproducing the uninterrupted bytes exactly.
 
 A run's treatment and taxonomy come only from the arguments of
@@ -21,12 +22,15 @@ its transcript is the ``-r00`` run of the matching plan.
 
 A run comes back as ``transcript.TranscriptRun``, the record that reading
 its transcript gives: built from memory for a run played here, read back for
-one the transcript already holds completed.  ``transcript`` also owns the
-turn record in both directions.
+one the transcript already holds completed or that a forked process played.
+``transcript`` also owns the turn record in both directions.
 """
 from __future__ import annotations
 
+import json
 import logging
+import os
+import sys
 import threading
 from contextlib import closing, suppress
 from dataclasses import dataclass
@@ -42,7 +46,13 @@ from .client import (
     chat_request,
     complete,
 )
-from .errors import BudgetExceeded, TransportError, ValidationError
+from .errors import (
+    BudgetExceeded,
+    EsclabError,
+    ParseError,
+    TransportError,
+    ValidationError,
+)
 from .prompts import (
     PromptVariant,
     action_lines,
@@ -226,7 +236,7 @@ def run_simulation(
     completed day and continued, and a transcript of a different run is
     refused with ``ValidationError``.  Transport failures abort the run
     (partial transcript retained) rather than skipping nations, so no biased
-    partial days enter the statistics.
+    partial days enter the statistics.  The run plays in the calling process.
     """
     if max_parse_retries < 0:
         raise ValidationError("max_parse_retries must be >= 0")
@@ -314,35 +324,77 @@ def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
 
 def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
               world_updater: WorldUpdater, pending: list[tuple],
-              results: dict[str, ts.TranscriptRun], width: int | None = None,
+              results: dict[str, ts.TranscriptRun], transport: Transport | None = None,
               metrics_dir: Path | None = None) -> dict:
     """Play each pending ``(treatment, header, transcript_path, prior, kept)``
-    as ``_play`` does into ``results``, by run id, and return it.  In process,
-    one by one on the calling thread; waiting, in twice ``width`` lanes (the
-    roster size if None) of runs one by one, all on ``width`` threads.  A
-    task is one nation's query; the one that settles a day's last query plays
-    the day and queues the lane's next day, so no task waits for another.  An
-    exception other than an abort is raised here once the threads end."""
-    roster = scenario.nation_names
+    as ``_play`` does into ``results``, by run id, and return it.
 
-    def lane(items):
-        """The runs of ``items`` one by one, a generator as ``_play`` is."""
-        for item in items:
-            run = yield from _play(scenario, taxonomy, policy, world_updater, metrics_dir,
-                                   *item)
-            results[run.run_id] = run
+    ``transport`` is the one the policy and the world updater send through,
+    if any.  In process, over an in-process transport, the runs are dealt
+    over P processes, one per usable CPU and at most one per run
+    (``_processes``): the caller plays
+    ``pending[0::P]`` and forks P - 1 others to play the rest, each its share
+    one by one, asking the nations one by one.  They count their requests
+    against the transport's one budget (``Transport.shared_count``), so a
+    budget that runs out aborts whichever runs ask after it, not the last
+    runs in plan order.  The caller reads the runs the others report ended
+    back from their transcripts: a completed one as a skipped run, its days
+    when first used.  A forked process ends, at the start of its next day,
+    once the caller is gone without killing it.  At P = 1 (without a
+    transport or over one that waits, with a single run, with another
+    thread in the caller or without ``os.fork``) the caller plays every run
+    in plan order: an in-process policy whose world updater waits on an
+    endpoint sends from the caller alone, so the transport's rate and
+    in-flight limits hold.  A policy, updater or transport keeps what it
+    holds on the Python side in the process that played the run.
+
+    With ``metrics_dir``, a waiting transport's runs write their transport
+    facts to ``<run_id>.jsonl`` there; an in-process one's write none and
+    remove the file, which an earlier waiting pass may have left and which
+    would not match the transcript.
+
+    Waiting, the runs play in twice the transport's in-flight cap of lanes
+    (twice the roster size if it sets none), each its runs one by one, all
+    on that many threads.  A task is one nation's query; the one that
+    settles a day's last query plays the day and queues the lane's next day,
+    so no task waits for another.
+
+    An exception other than an abort, in any process or thread, is raised
+    here once the others have stopped; ``results`` then holds every run that
+    ended."""
+    roster = scenario.nation_names
+    in_process = transport is None or transport.in_process
+    if in_process and metrics_dir is not None:
+        for _, header, *_ in pending:
+            _remove(metrics_dir / f"{header['run_id']}.jsonl")
+    sidecars = None if in_process else metrics_dir
+
+    def lane(indices, ended):
+        """The runs ``pending[i]`` for ``i`` in ``indices``, one by one, a
+        generator as ``_play`` is; ``ended(i, run)`` is called as each ends."""
+        for i in indices:
+            ended(i, (yield from _play(scenario, taxonomy, policy, world_updater, sidecars,
+                                       *pending[i])))
+
+    def keep(i: int, run: ts.TranscriptRun) -> None:
+        results[run.run_id] = run
 
     if policy.in_process:
-        game, outcomes = lane(pending), None
-        with suppress(StopIteration):
-            while True:  # the nations are asked as the run reads their outcomes
-                outcomes = map(game.send(outcomes), roster)
+        # Forked processes would each keep their own rate and in-flight limits.
+        forks = transport is not None and transport.in_process
+        processes = _processes(len(pending)) if forks else 1
+        if processes == 1:
+            _inline(lane(range(len(pending)), keep), roster)
+        else:
+            with transport.shared_count():
+                _play_forked(lane, pending, processes, roster, keep)
         return results
     import queue  # here, not with the module: only a waiting policy needs them
     from concurrent.futures import ThreadPoolExecutor
 
-    width = width or len(roster)
-    lanes = [lane(pending[k::2 * width]) for k in range(min(2 * width, len(pending)))]
+    width = (transport.max_in_flight if transport else None) or len(roster)
+    lanes = [lane(range(k, len(pending), 2 * width), keep)
+             for k in range(min(2 * width, len(pending)))]
     lock, done = threading.Lock(), queue.SimpleQueue()
 
     def step(game, outcomes: list | None) -> None:
@@ -379,3 +431,164 @@ def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
         for game in lanes:
             game.close()
     return results
+
+
+def _inline(game, roster: list[str], caller: int | None = None) -> None:
+    """Play the runs of the lane ``game`` on the calling thread, asking the
+    nations one by one as each day reads their outcomes.  With ``caller``,
+    the pid of the process that forked this one, leave through ``os._exit``
+    before a day once that process is gone (SIGTERM or SIGKILL end it without
+    killing this one), and so release what it held, the manifest lock say."""
+    outcomes = None
+    with suppress(StopIteration):
+        while True:
+            outcomes = map(game.send(outcomes), roster)
+            if caller is not None and os.getppid() != caller:
+                os._exit(1)
+
+
+def _processes(pending: int) -> int:
+    """How many processes play ``pending`` runs in process: one per CPU this
+    process may use, at most one per run; one where the caller runs another
+    thread (a fork copies only the calling one) or cannot fork."""
+    if pending < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return min(cpus or 1, pending)
+
+
+def _play_forked(lane, pending: list[tuple], processes: int, roster: list[str],
+                 keep) -> None:
+    """Play ``pending`` in ``processes`` processes, the k-th playing
+    ``lane(range(k, len(pending), processes), ...)``: the caller is the first
+    and forks the others.  Each reports its ended runs on a pipe of its own,
+    one JSON line ``[index, status, abort_reason]`` per run, and an exception
+    other than an abort as ``[null, pickled exception in hex or null, its
+    name]``, then leaves through ``os._exit``.  The caller reads the pipes
+    after each of its own runs and at the end, hands ``keep`` each reported
+    run as its transcript holds it, and raises a reported exception at once.
+    When the caller stops on an exception, it kills the others first and
+    still keeps the runs they reported."""
+    import select  # here, not with the module: only forked runs need them
+    import signal
+
+    pipes: dict[int, bytes] = {}  # read end -> what came after its last whole line
+    pids: list[int] = []
+    poller = select.poll()
+    failures: list[BaseException] = []
+
+    def receive(fd: int) -> None:
+        data = os.read(fd, 1 << 16)
+        if not data:  # the process closed its pipe: it has ended
+            poller.unregister(fd)
+            os.close(fd)
+            del pipes[fd]
+            return
+        *lines, pipes[fd] = (pipes[fd] + data).split(b"\n")
+        for line in lines:
+            index, status, reason = json.loads(line)
+            if index is None:
+                failures.append(_unpickled(status, reason))
+            else:
+                keep(index, _read_back(pending[index], status, reason))
+
+    def gather(timeout: float | None) -> None:
+        """Receive what the others wrote, waiting up to ``timeout`` ms for it."""
+        for fd, _ in poller.poll(timeout):
+            receive(fd)
+        if failures:
+            raise failures[0]
+
+    def ended(i: int, run: ts.TranscriptRun) -> None:
+        keep(i, run)
+        gather(0)
+
+    caller = os.getpid()
+    try:
+        for k in range(1, processes):
+            read, write = os.pipe()
+            for stream in (sys.stdout, sys.stderr):  # or a child would write it again
+                stream.flush()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (read, *pipes):
+                        os.close(fd)
+                    code = _play_child(lane(range(k, len(pending), processes),
+                                            lambda i, run: _send(write, i, run.status,
+                                                                 run.abort_reason)),
+                                       roster, write, caller)
+                finally:  # no frame of the caller's runs here
+                    os._exit(code)
+            pids.append(pid)
+            os.close(write)
+            pipes[read] = b""
+            poller.register(read, select.POLLIN)
+        _inline(lane(range(0, len(pending), processes), ended), roster)
+        while pipes:
+            gather(None)
+    except BaseException:
+        for pid in pids:
+            with suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        while pipes:  # the runs they reported before they died
+            for fd, _ in poller.poll():
+                receive(fd)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):  # one ended without a word: killed, say
+        raise EsclabError(f"processes playing runs ended with codes {codes} "
+                          "(negative: the signal that killed one)")
+
+
+def _play_child(game, roster: list[str], write: int, caller: int) -> int:
+    """A forked process's part: play ``game``'s runs and return 0, or report
+    the exception that stopped them and return 1; leave before a day once
+    ``caller`` is gone."""
+    import pickle
+
+    try:
+        _inline(game, roster, caller)
+        return 0
+    except BaseException as exc:
+        try:
+            pickled = pickle.dumps(exc).hex()
+        except Exception:
+            pickled = None
+        _send(write, None, pickled, f"{type(exc).__module__}.{type(exc).__qualname__}: {exc}")
+        return 1
+
+
+def _remove(path: Path) -> None:
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot remove {path}: {exc}") from exc
+
+
+def _send(write: int, *message) -> None:
+    os.write(write, json.dumps(message).encode("utf-8") + b"\n")
+
+
+def _unpickled(pickled: str | None, name: str) -> BaseException:
+    """The exception a forked process reported: itself if it pickles, else
+    an ``EsclabError`` that names it."""
+    import pickle
+
+    with suppress(Exception):
+        return pickle.loads(bytes.fromhex(pickled))
+    return EsclabError(f"a forked process playing runs raised {name}")
+
+
+def _read_back(item: tuple, status: str, reason: str | None) -> ts.TranscriptRun:
+    """The run ``item`` that a forked process reported ended with ``status``
+    and ``reason``, as its transcript holds it: a completed one as
+    ``transcript.stored_run`` gives a skipped run, an aborted one read whole."""
+    _, header, path, *_ = item
+    run = ts.stored_run(path, header)[0] if status == "completed" else ts.load_run(path)
+    if run is None or (run.status, run.abort_reason) != (status, reason):
+        raise ValidationError(f"transcript {path} does not hold the {status} run "
+                              "that a forked process reported")
+    return run

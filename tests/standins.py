@@ -17,7 +17,9 @@ class EndpointStandIn(Transport):
     ``TransportError``; the first request tagged ``busy_tag`` fails with a
     transient one, which ``complete`` retries after its first backoff.
     ``completed`` lists the other requests' tags in the order they
-    completed, and ``threads`` the threads that sent them.
+    completed, and ``threads`` the threads that sent them: in a forked
+    process's runs, that process's own.  The inner transport counts every
+    request, forked processes' included.
     """
 
     def __init__(self, inner, roster, step_s=0.004, fail_tag=None, max_in_flight=None,
@@ -37,6 +39,9 @@ class EndpointStandIn(Transport):
     @property
     def request_count(self):
         return self.inner.request_count
+
+    def shared_count(self):
+        return self.inner.shared_count()
 
     def send_once(self, request):
         if self.fail_tag and self.fail_tag in request.request_tag:

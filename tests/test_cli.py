@@ -41,6 +41,20 @@ class TestImports:
         probe = "import sys, esclab.cli; print('requests' in sys.modules, 'urllib3' in sys.modules)"
         assert _fresh_interpreter(probe) == ["False", "False"]
 
+    def test_cli_import_and_a_report_leave_multiprocessing_unloaded(self, tmp_path):
+        # Only forked runs load _multiprocessing; nothing loads the rest.
+        modules = "('multiprocessing', '_multiprocessing', 'concurrent.futures')"
+        probe = f"import sys, esclab.cli; print(*(m in sys.modules for m in {modules}))"
+        assert _fresh_interpreter(probe) == ["False"] * 3
+        plan = experiments.load_plan(DATA / "plan_demo.yaml")
+        manifest = experiments.run_experiment(plan, tmp_path / "exp").manifest_path
+        probe = (
+            "import sys; from esclab.report import build_report; "
+            "build_report(sys.argv[1], sys.argv[2], include_timestamp=False); "
+            f"print(*(m in sys.modules for m in {modules}))"
+        )
+        assert _fresh_interpreter(probe, str(manifest), str(tmp_path / "report")) == ["False"] * 3
+
     def test_live_transport_loads_requests(self):
         probe = (
             "import sys; from esclab.client import LiveTransport; "

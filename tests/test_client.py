@@ -1,6 +1,9 @@
+import contextlib
 import json
+import os
 import sys
 import threading
+import time
 
 import pytest
 
@@ -155,6 +158,44 @@ class TestBudget:
         assert not any(thread.is_alive() for thread in threads)
         assert sorted(sent) == [r for r in range(len(transports)) for _ in range(4)]
         assert all(transport.request_count == 4 for transport in transports)
+
+    def test_cap_holds_across_forked_processes(self):
+        # Three processes, one more than the host's two cores, race for a
+        # budget below what they ask for; a lost update would let more
+        # requests through than the budget, or count fewer than were sent.
+        transport, one = MockTransport("x", max_requests=30_000), request()
+        read, write = os.pipe()
+        pids = []
+
+        def race() -> int:
+            sent = 0
+            for _ in range(15_000):
+                with contextlib.suppress(BudgetExceeded):
+                    transport.send_once(one)
+                    sent += 1
+            return sent
+
+        with transport.shared_count():
+            for _ in range(2):
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        os.write(write, f"{race()}\n".encode())
+                    finally:
+                        os._exit(0)
+                pids.append(pid)
+            os.close(write)
+            sent = race()
+            deadline = time.monotonic() + 60
+            while pids and time.monotonic() < deadline:
+                pids = [pid for pid in pids if os.waitpid(pid, os.WNOHANG) == (0, 0)]
+                time.sleep(0.01)
+        assert pids == []
+        with os.fdopen(read) as reports:
+            sent += sum(map(int, reports.read().split()))
+        assert sent == transport.request_count == 30_000
+        with pytest.raises(BudgetExceeded):
+            transport.send_once(one)
 
 
 class StubResponse:

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import logging
+import shutil
 import threading
 import time
 from pathlib import Path
@@ -20,6 +22,7 @@ from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
 from esclab.scoring import Aggregator
 
+from conftest import force_processes
 from standins import EndpointStandIn
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
@@ -292,6 +295,7 @@ class TestRunExperiment:
         assert sorted(reads) == ["t1.0-default-r00.jsonl", "t1.0-default-r01.jsonl"]
         assert [run.days for run in again.runs] == [run.days for run in first.runs]
 
+    @pytest.mark.usefixtures("one_process")
     def test_resume_reads_each_transcript_once(self, tmp_path, monkeypatch):
         from esclab import transcript
 
@@ -381,6 +385,7 @@ treatments:
         assert result.new_requests >= 1260
         assert result.new_requests == 10 * (14 * 8 + 14)
 
+    @pytest.mark.usefixtures("one_process")
     def test_budget_aborts_runs_best_effort(self, tmp_path):
         path = write_plan(
             tmp_path,
@@ -406,6 +411,62 @@ treatments:
         aborted = [e for e in manifest["runs"] if e["status"] == "aborted"]
         assert len(aborted) == 1
         assert "BudgetExceeded" in aborted[0]["abort_reason"]
+
+
+class TestBudgetPreflight:
+    """Before the first request, a budget below what the pending runs may
+    make at worst (every query on its last attempt) is one warning."""
+
+    @staticmethod
+    def warnings(caplog) -> list[str]:
+        return [record.getMessage() for record in caplog.records
+                if record.name == "esclab.experiments" and record.levelno == logging.WARNING]
+
+    def test_reference_plan_warns_of_its_default_budget(self, tmp_path, monkeypatch, caplog):
+        from esclab import experiments
+
+        class Stop(Exception):
+            pass
+
+        def stop(*args):
+            raise Stop
+
+        monkeypatch.setattr(experiments, "play_runs", stop)  # warned before any request
+        with pytest.raises(Stop):
+            run_experiment(load_plan(DATA / "plan_reference.yaml"), tmp_path / "out")
+        (warning,) = self.warnings(caplog)
+        assert "10000 requests left" in warning and "60 runs" in warning
+        assert "up to 27720" in warning
+
+    @pytest.mark.usefixtures("one_process")
+    def test_resumed_runs_count_only_the_days_they_have_left(self, tmp_path, caplog):
+        path = write_plan(
+            tmp_path,
+            f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 5
+runs_per_treatment: 4
+max_requests: 300
+treatments:
+  - {{label: t1.0-default, temperature: 1.0, variant: default}}
+""",
+        )
+        plan = load_plan(path)
+        first = run_experiment(plan, tmp_path / "out")
+        assert [len(run.days) for run in first.runs] == [14, 14, 5, 0]
+        assert self.warnings(caplog) == [
+            "request budget: 300 requests left, but the 4 runs to play may make up to 1848; "
+            "the runs that ask after it runs out abort"]
+        shutil.copytree(tmp_path / "out", tmp_path / "copy")
+        caplog.clear()
+        # At worst 33 requests on each of the 9 + 14 days left.
+        run_experiment(dataclasses.replace(plan, max_requests=758), tmp_path / "out")
+        (warning,) = self.warnings(caplog)
+        assert "758 requests left" in warning and "2 runs" in warning and "up to 759" in warning
+        caplog.clear()
+        run_experiment(dataclasses.replace(plan, max_requests=759), tmp_path / "copy")
+        assert self.warnings(caplog) == []
 
 
 class TestTransportConfig:
@@ -498,6 +559,7 @@ class TestRunRecords:
             experiments._write_manifest(manifest, {"runs": []})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.usefixtures("one_process")
     def test_exception_writes_the_manifest_of_the_runs_that_finished(
         self, tmp_path, monkeypatch
     ):
@@ -654,6 +716,36 @@ class TestOverlappedRuns:
         assert [(entry["run_index"], entry["status"]) for entry in runs] == [
             (0, "completed"), (2, "completed"), (3, "completed")]
         assert b'"run_end"' not in (out / "transcripts" / "t0-r01.jsonl").read_bytes()
+
+    def test_scripted_policy_with_a_waiting_updater_sends_from_the_caller(
+        self, tmp_path, monkeypatch
+    ):
+        """The scripted policy is in process, but its ``llm`` world updater
+        waits on the endpoint: the runs play in the caller, one by one, even
+        where two processes could play them, so the transport's limits hold
+        for every request."""
+        force_processes(monkeypatch, 2)
+        built = self.wrap(monkeypatch)
+        path = write_plan(
+            tmp_path,
+            f"""
+scenario: {DATA / 'neutral_scenario.yaml'}
+taxonomy: {DATA / 'default_taxonomy.yaml'}
+base_seed: 99
+runs_per_treatment: 2
+policy:
+  kind: scripted
+  script: {DATA / 'demo_script.yaml'}
+world_updater: llm
+treatments:
+  - {{label: t1.0-default, temperature: 1.0, variant: default}}
+""",
+        )
+        result = run_experiment(load_plan(path), tmp_path / "out")
+        assert [run.completed for run in result.runs] == [True, True]
+        assert not built[0].in_process
+        assert result.new_requests == len(built[0].completed) == 2 * 14
+        assert built[0].threads == {threading.get_ident()}
 
     def test_budget_abort_ends_every_run_and_its_threads(self, tmp_path, monkeypatch):
         built = self.wrap(monkeypatch)

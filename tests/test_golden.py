@@ -8,9 +8,12 @@ digests below, so a change meant to leave the output alone is checked byte
 for byte.  A change that means to alter the output re-pins them and says why.
 
 Each row of the matrix plays the plan by one path and checks evidence that
-the path was taken: on the calling thread, with the runs in overlap on
-the transport's in-flight cap of threads, or replayed from the transcripts
-of a recording.  ``plan_digest`` leaves out the
+the path was taken: in process on the calling thread, in plan order or
+dealt over two processes, with the runs in overlap on the transport's
+in-flight cap of threads, or replayed from the transcripts of a recording.
+Rows that assert which runs a budget or an error cuts in plan order play in
+one process.  Every other in-process row plays on as many processes as
+``play_runs`` picks here.  ``plan_digest`` leaves out the
 transport and ``max_requests``, so one manifest digest holds on every row.
 Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
 replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
@@ -19,18 +22,25 @@ which garbles replies (``perfbench/expected.json`` pins it).
 import dataclasses
 import hashlib
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 from functools import cache, partial
 from pathlib import Path
 
 import pytest
 
-from esclab import experiments
+from esclab import experiments, orchestrator
 from esclab import transcript as ts
+from esclab.client import MockTransport
+from esclab.errors import EsclabError
 from esclab.experiments import METRICS_DIR, load_plan, run_experiment
 from esclab.report import build_report
 
+from conftest import force_processes
 from standins import EndpointStandIn, first_attempts
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
@@ -142,9 +152,41 @@ def assert_threads(stand_in, concurrent: bool) -> None:
         assert stand_in.threads == {threading.get_ident()}
 
 
+def assert_forked(stand_in, requests: int) -> None:
+    """In process on two processes, the caller sent only requests of its
+    share, the first and third runs, and fewer than all ``requests``."""
+    assert {tag.split("|")[0] for tag in stand_in.completed} <= set(RUN_IDS[0::2])
+    assert 0 < len(stand_in.completed) < requests
+
+
 # --- the rows: each plays the tiny plan into ``out`` and checks its evidence
 
+def play_forked(out, tmp_path, monkeypatch):
+    """The calibrated mock, its runs dealt over two processes; the
+    responder notes the process that answered each request."""
+    force_processes(monkeypatch, 2)
+    answered = tmp_path / "pids.txt"
+
+    def build_transport(plan, taxonomy, scenario, *args, **kwargs):
+        inner = BUILD_TRANSPORT(plan, taxonomy, scenario, *args, **kwargs)
+
+        def respond(request):
+            with answered.open("a", encoding="utf-8") as lines:
+                lines.write(f"{os.getpid()} {request.request_tag}\n")
+            return inner.send_once(request).content
+
+        return MockTransport(respond, max_requests=plan.max_requests)
+
+    monkeypatch.setattr(experiments, "build_transport", build_transport)
+    assert run_experiment(tiny_plan(), out).new_requests == REQUESTS
+    pids = [line.split()[0] for line in answered.read_text("utf-8").splitlines()]
+    assert len(pids) == REQUESTS
+    assert len(set(pids)) == 2 and str(os.getpid()) in pids
+
+
 def play_straight(out, tmp_path, monkeypatch, concurrent, max_in_flight=None):
+    if not concurrent:
+        force_processes(monkeypatch, 1)
     built = wrap_transport(monkeypatch, concurrent, max_in_flight=max_in_flight)
     # Threads switch as often as they can, so a lost update would show.
     interval = sys.getswitchinterval()
@@ -154,6 +196,7 @@ def play_straight(out, tmp_path, monkeypatch, concurrent, max_in_flight=None):
     finally:
         sys.setswitchinterval(interval)
     assert_threads(built[0], concurrent)
+    assert len(built[0].completed) == REQUESTS  # all of them in this process
 
 
 def replay_plan(recorded: Path):
@@ -181,13 +224,16 @@ def play_record_replay(out, tmp_path, monkeypatch, busy_tag=None):
     assert not (out / METRICS_DIR).exists()
 
 
-def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
+def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False, processes=1):
     """One run aborts on a transport error on day 4, then a re-run plays
     its lost days.  With ``replay``, the first pass is also replayed from
     its transcripts into a fresh directory, the abort included, byte for
     byte.  Waiting, every run's metrics sidecar ends with one line per
     ``llm_call`` of its transcript, in order: the aborted run's lost day is
-    gone from both."""
+    gone from both.  In process, on ``processes`` processes: the request
+    tag drives the abort, so the statuses are exact on any number."""
+    if not concurrent:
+        force_processes(monkeypatch, processes)
     built = wrap_transport(monkeypatch, concurrent, fail_tag=OUTAGE_TAG)
     first = run_experiment(tiny_plan(), out)
     assert [run.status for run in first.runs] == ["completed", "aborted", "completed", "completed"]
@@ -195,6 +241,8 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
     assert aborted.abort_reason == "TransportError: endpoint outage"
     assert len(aborted.days) == 3
     assert_threads(built[0], concurrent)
+    if processes > 1:
+        assert_forked(built[0], first.new_requests)
     if replay:
         monkeypatch.setattr(experiments, "build_transport", BUILD_TRANSPORT)
         replayed = tmp_path / "replayed"
@@ -216,19 +264,23 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False):
             assert [json.loads(line)["tag"] for line in lines] == tags
 
 
-def play_budget_resume(out, tmp_path, monkeypatch, concurrent):
-    """In process the runs exhaust the budget in order.  In overlap which
-    runs it cuts depends on timing, so the row checks what holds whatever
-    the order: every run that did not complete aborted on the budget with
-    only whole days kept, and the re-run makes the requests of the days
-    the first pass did not keep."""
+def play_budget_resume(out, tmp_path, monkeypatch, concurrent, processes=1):
+    """In one process the runs exhaust the budget in order.  In overlap,
+    or on ``processes`` processes, which runs it cuts depends on timing, so
+    the row checks what holds whatever the order: every run that did not
+    complete aborted on the budget with only whole days kept, and the re-run
+    makes the requests of the days the first pass did not keep."""
+    if not concurrent:
+        force_processes(monkeypatch, processes)
     built = wrap_transport(monkeypatch, concurrent)
     first = run_experiment(tiny_plan(max_requests=BUDGET), out)
     assert_threads(built[0], concurrent)
     assert first.new_requests == BUDGET
+    if processes > 1:
+        assert_forked(built[0], BUDGET)
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
     statuses = [run["status"] for run in manifest]
-    if not concurrent:
+    if not concurrent and processes == 1:
         assert statuses == ["completed", "completed", "aborted", "aborted"]
         kept = (BUDGET - 2 * RUN_REQUESTS) // DAY_REQUESTS  # the third run's whole days
         assert len(first.runs[2].days) == kept
@@ -281,6 +333,7 @@ def play_kill_resume(out, tmp_path, monkeypatch):
 
 ROWS = {
     "inline": partial(play_straight, concurrent=False),
+    "fork": play_forked,
     "concurrent-days": partial(play_straight, concurrent=True),
     "overlap-width-1": partial(play_straight, concurrent=True, max_in_flight=1),
     "record-replay": play_record_replay,
@@ -288,8 +341,10 @@ ROWS = {
     "abort-resume": partial(play_abort_resume, concurrent=False),
     "abort-resume+concurrent-days": partial(play_abort_resume, concurrent=True),
     "abort-replay+concurrent-days": partial(play_abort_resume, concurrent=True, replay=True),
+    "fork+abort-resume": partial(play_abort_resume, concurrent=False, processes=2),
     "budget-resume": partial(play_budget_resume, concurrent=False),
     "budget-resume+concurrent-days": partial(play_budget_resume, concurrent=True),
+    "fork+budget-resume": partial(play_budget_resume, concurrent=False, processes=2),
     "kill-resume": play_kill_resume,
 }
 
@@ -298,4 +353,210 @@ ROWS = {
 def test_tiny_reference_experiment_bytes_are_pinned(path, tmp_path, monkeypatch):
     out = tmp_path / "experiment"
     ROWS[path](out, tmp_path, monkeypatch)
+    assert_pinned(out, tmp_path / "report")
+
+
+# --- the forked path when something goes wrong, and sidecars left behind
+
+class TwoPartError(Exception):
+    """An error that pickles but does not unpickle: its one ``args`` entry
+    is not both of the arguments its ``__init__`` needs."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+def ended_runs(out: Path) -> set[str]:
+    """The runs whose transcripts in ``out`` hold a ``run_end`` record."""
+    return {
+        path.stem for path in (out / "transcripts").glob("*.jsonl")
+        if any(record["type"] == ts.RUN_END
+               for record in ts.read_records(path, tolerate_partial_tail=True))
+    }
+
+
+@pytest.mark.parametrize("error, raised, match", [
+    (RuntimeError("disk on fire"), RuntimeError, "disk on fire"),
+    (TwoPartError("disk", "r01"), EsclabError, "TwoPartError: disk at r01"),
+])
+def test_an_error_in_a_forked_run_is_raised_in_the_caller(error, raised, match, tmp_path,
+                                                          monkeypatch):
+    """The second process's first run raises while the caller plays its
+    first: the caller raises it once that run ends (as an ``EsclabError``
+    naming it if it does not unpickle), lists in the manifest exactly the
+    runs that ended, and leaves no process behind."""
+    force_processes(monkeypatch, 2)
+    original = orchestrator.decide_with_retry
+    failed = tmp_path / "failed"
+
+    def failing(*args, run_id, **kwargs):
+        if run_id.endswith("-r01"):
+            failed.touch()
+            raise error
+        deadline = time.monotonic() + 10
+        while not failed.exists() and time.monotonic() < deadline:
+            time.sleep(0.001)
+        return original(*args, run_id=run_id, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "decide_with_retry", failing)
+    out = tmp_path / "experiment"
+    with pytest.raises(raised, match=match):
+        run_experiment(tiny_plan(), out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    assert [(Path(entry["transcript"]).stem, entry["status"]) for entry in runs] == [
+        (RUN_IDS[0], "completed")]
+    assert ended_runs(out) == {RUN_IDS[0]}
+
+
+def test_a_forked_process_killed_without_a_word_is_an_error(tmp_path, monkeypatch):
+    """The second process dies of SIGKILL in its first run: the caller plays
+    its own runs to their end, then raises an ``EsclabError`` naming the
+    signal; the manifest lists the caller's runs."""
+    force_processes(monkeypatch, 2)
+    original = orchestrator.decide_with_retry
+
+    def dying(*args, run_id, **kwargs):
+        if run_id.endswith("-r01"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return original(*args, run_id=run_id, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "decide_with_retry", dying)
+    out = tmp_path / "experiment"
+    with pytest.raises(EsclabError, match=r"ended with codes \[-9\]"):
+        run_experiment(tiny_plan(), out)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    assert [Path(entry["transcript"]).stem for entry in runs] == RUN_IDS[0::2]
+    assert ended_runs(out) == set(RUN_IDS[0::2])
+
+
+# Plays the tiny plan through ``esclab experiment`` on two processes, each
+# query slowed to 20 ms (about 4.5 s in all), and notes each forked pid.
+SLOW_FORKED_EXPERIMENT = """
+import os, sys, time
+from esclab import orchestrator
+from esclab.cli import main
+
+pids, plan, out = sys.argv[1:]
+orchestrator._processes = lambda pending: min(2, pending)
+fork, decide = os.fork, orchestrator.decide_with_retry
+
+def noted_fork():
+    pid = fork()
+    if pid:
+        with open(pids, "a") as lines:
+            lines.write(f"{pid}\\n")
+    return pid
+
+def slow_decide(*args, **kwargs):
+    time.sleep(0.02)
+    return decide(*args, **kwargs)
+
+os.fork, orchestrator.decide_with_retry = noted_fork, slow_decide
+sys.exit(main(["experiment", "--plan", plan, "--out", out]))
+"""
+
+
+def tiny_plan_file(tmp_path) -> Path:
+    """``tiny_plan`` as a plan file."""
+    labels = ("t1.0-default", "t1.0-reflection-planning")
+    lines = [
+        line for line in (DATA / "plan_reference.yaml").read_text("utf-8").splitlines()
+        if not line.startswith("  - {label:") or line.split()[2].rstrip(",") in labels
+    ]
+    text = "\n".join(lines).replace("runs_per_treatment: 10", "runs_per_treatment: 2")
+    for name in ("scenario", "taxonomy"):
+        key = f"{name}: "
+        start = text.index(key) + len(key)
+        end = text.index("\n", start)
+        text = text[:start] + str(DATA / text[start:end]) + text[end:]
+    path = tmp_path / "tiny_plan.yaml"
+    path.write_text(text + "\n", encoding="utf-8")
+    assert load_plan(path) == tiny_plan()
+    return path
+
+
+def test_sigint_ends_every_process_of_a_forked_experiment(tmp_path):
+    """A SIGINT to the caller of a forked ``esclab experiment`` ends it and
+    its other process at once, before the runs end, and a re-run ends at the
+    pinned bytes."""
+    pids, out = tmp_path / "pids.txt", tmp_path / "experiment"
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    caller = subprocess.Popen(
+        [sys.executable, "-c", SLOW_FORKED_EXPERIMENT, str(pids), str(tiny_plan_file(tmp_path)),
+         str(out)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(out.glob("transcripts/*.jsonl"))) < 2:  # both processes play
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        caller.send_signal(signal.SIGINT)
+        started = time.monotonic()
+        stderr = caller.communicate(timeout=30)[1].decode("utf-8")
+    finally:
+        caller.kill()
+    assert time.monotonic() - started < 2.0
+    assert caller.returncode != 0 and "KeyboardInterrupt" in stderr
+    (child,) = map(int, pids.read_text("utf-8").split())
+    with pytest.raises(ProcessLookupError):
+        os.kill(child, 0)
+    assert len(ended_runs(out)) < len(RUN_IDS)
+    assert run_experiment(tiny_plan(), out).new_requests > 0
+    assert_pinned(out, tmp_path / "report")
+
+
+def gone(pid: int) -> bool:
+    """Whether process ``pid`` has ended (a zombie no one reaped included)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    with open(f"/proc/{pid}/stat", encoding="utf-8") as stat:
+        return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def test_a_forked_process_leaves_once_its_caller_is_killed(tmp_path):
+    """A SIGKILL to the caller of a forked ``esclab experiment`` kills it
+    alone; its other process leaves before its next day, releasing the
+    manifest lock, so a re-run at once is not refused and ends at the
+    pinned bytes."""
+    pids, out = tmp_path / "pids.txt", tmp_path / "experiment"
+    env = dict(os.environ, PYTHONPATH=str(DATA.parent.parent))
+    caller = subprocess.Popen(
+        [sys.executable, "-c", SLOW_FORKED_EXPERIMENT, str(pids), str(tiny_plan_file(tmp_path)),
+         str(out)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while len(list(out.glob("transcripts/*.jsonl"))) < 2:  # both processes play
+            assert caller.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        (child,) = map(int, pids.read_text("utf-8").split())
+        caller.kill()
+        caller.wait(timeout=30)
+        deadline = time.monotonic() + 2.0  # a day of 8 queries takes about 0.2 s
+        while not gone(child):
+            assert time.monotonic() < deadline, "the forked process outlived its caller"
+            time.sleep(0.01)
+    finally:
+        caller.kill()
+    assert len(ended_runs(out)) < len(RUN_IDS)
+    assert run_experiment(tiny_plan(), out).new_requests > 0
+    assert_pinned(out, tmp_path / "report")
+
+
+def test_a_run_resumed_in_process_leaves_no_sidecar(tmp_path, monkeypatch):
+    """A run aborted behind the waiting stand-in, then resumed on the mock,
+    has no sidecar left: the mock writes none, and the old one would not
+    match the transcript.  The other runs' sidecars stay: they do."""
+    out = tmp_path / "experiment"
+    wrap_transport(monkeypatch, concurrent=True, fail_tag=OUTAGE_TAG)
+    run_experiment(tiny_plan(), out)
+    sidecars = {path.stem for path in (out / METRICS_DIR).iterdir()}
+    assert sidecars == set(RUN_IDS)
+    monkeypatch.setattr(experiments, "build_transport", BUILD_TRANSPORT)
+    assert run_experiment(tiny_plan(), out).new_requests == (DAYS - 3) * DAY_REQUESTS
+    assert {path.stem for path in (out / METRICS_DIR).iterdir()} == sidecars - {RUN_IDS[1]}
     assert_pinned(out, tmp_path / "report")

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import small_scenario
+from conftest import force_processes, small_scenario
 from esclab import experiments, orchestrator
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy, _first_json_object, load_script
@@ -735,7 +735,10 @@ def sealed_runs(small_experiment, tmp_path_factory, taxonomy):
     assert run.completed and run.fallbacks == 3
     paths.append(reflection)
 
-    aborted = run_experiment(llm_plan(root, runs=1, extra="max_requests: 140"), root / "aborted")
+    with pytest.MonkeyPatch.context() as patch:  # the budget cuts the runs in plan order
+        force_processes(patch, 1)
+        aborted = run_experiment(llm_plan(root, runs=1, extra="max_requests: 140"),
+                                 root / "aborted")
     assert [(r.status, len(r.days)) for r in aborted.runs] == [("completed", 14), ("aborted", 1)]
     paths += sorted((root / "aborted" / "transcripts").glob("*.jsonl"))
 
