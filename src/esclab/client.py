@@ -13,9 +13,8 @@ import os
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable
 
 from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
 from .transcript import LLM_CALL, Recorder
@@ -106,61 +105,47 @@ def wire_body(request: ChatRequest) -> dict:
 class Transport:
     """Base transport: request counting and an optional cap on requests.
 
+    The count lives, from construction on, in shared memory under a POSIX
+    named semaphore, so every process forked from the transport counts
+    against its one ``max_requests``, and its count holds their requests
+    too.  Building a transport therefore needs POSIX named semaphores (a
+    writable ``/dev/shm`` on Linux); without them it fails.  A wrapper whose
+    ``request_count`` is another transport's shares that one's count.
+
     ``in_process`` is true when ``send_once`` only computes in this process
     and never waits on a remote endpoint; callers then gain nothing from
     issuing requests on several threads.  An experiment over such a
     transport plays its runs on every usable CPU instead
-    (``orchestrator.play_runs``), in processes it forks, which count against
-    one budget through ``shared_count``.  What a transport keeps on the
-    Python side (``MockTransport.captured``, say) is then kept in the
-    process that made the request, and the caller sees only its own.
+    (``orchestrator.play_runs``), in processes it forks.  What a transport
+    keeps on the Python side (``MockTransport.captured``, say) is then kept
+    in the process that made the request, and the caller sees only its own.
     """
 
     in_process = False
     max_in_flight: int | None = None  # the most requests at once; None: no cap
 
     def __init__(self, max_requests: int | None = None):
+        import mmap
+        from _multiprocessing import SemLock  # here: ``import esclab`` needs neither
+
         self.max_requests = max_requests
-        # The requests made, at index 0: a list, or memory that forked
-        # processes share while ``shared_count`` lasts.
-        self._counts = [0]
-        self._lock = threading.Lock()
+        # The requests made, in anonymous memory that forked processes share.
+        self._count = memoryview(mmap.mmap(-1, 8)).cast("q")
+        # A semaphore of one (kind 1) is a lock; unlinked at once, it lives
+        # as long as a process maps it.
+        self._lock = SemLock(1, 1, 1, f"/esclab-{os.getpid()}-{os.urandom(6).hex()}", True)
 
     @property
     def request_count(self) -> int:
         with self._lock:
-            return self._counts[0]
+            return self._count[0]
 
     def _note_request(self) -> None:
         with self._lock:
-            count = self._counts[0]
+            count = self._count[0]
             if self.max_requests is not None and count >= self.max_requests:
                 raise BudgetExceeded(f"request budget of {self.max_requests} exhausted")
-            self._counts[0] = count + 1
-
-    @contextmanager
-    def shared_count(self):
-        """For the length of the block, count requests in shared memory
-        under a POSIX semaphore, so that the processes forked inside it
-        count against one ``max_requests`` and this one's count then holds
-        their requests too.  The block is for a caller with no other thread
-        that uses the transport.  A transport that counts through another
-        (a wrapper whose ``request_count`` is the inner one's) passes this
-        on to that one."""
-        import mmap
-        from _multiprocessing import SemLock  # here: only forked runs need it
-
-        counts = memoryview(mmap.mmap(-1, 8)).cast("q")  # anonymous: shared with children
-        # A semaphore of one (kind 1) is a lock; unlinked at once, it lives
-        # as long as a process maps it.
-        lock = SemLock(1, 1, 1, f"/esclab-{os.getpid()}-{os.urandom(6).hex()}", True)
-        counts[0] = self.request_count
-        saved, self._lock, self._counts = self._lock, lock, counts
-        try:
-            yield
-        finally:
-            self._lock, self._counts = saved, [counts[0]]
-            counts.release()
+            self._count[0] = count + 1
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError
@@ -316,10 +301,10 @@ def complete(
     request: ChatRequest,
     recorder: Recorder | None = None,
     sleep: Callable[[float], None] = time.sleep,
-    backoffs: Iterable[float] = RETRY_BACKOFFS,
     user_sha256: str | None = None,
 ) -> ChatResponse:
-    """Send one request, retrying transient transport failures with backoff.
+    """Send one request, retrying transient transport failures after each
+    wait of ``RETRY_BACKOFFS`` in turn, through ``sleep``.
 
     Retries never re-run on well-formed model output; only TransportError
     marked transient triggers another attempt.  The optional transcript
@@ -330,10 +315,9 @@ def complete(
     request tag, the seconds the answering attempt took and the attempts.
     The model and ``max_tokens`` are the run header's.
     """
-    backoffs = tuple(backoffs)
     attempts = 0
     last_error: TransportError | None = None
-    for wait in (None,) + backoffs:
+    for wait in (None,) + RETRY_BACKOFFS:
         if wait is not None:
             sleep(wait)
         attempts += 1

@@ -464,11 +464,12 @@ def run_experiment(
     best-effort.  A warning is logged first when ``max_requests`` is below
     what the pending runs may make at worst.  An in-process transport plays
     the runs on every usable CPU (``orchestrator.play_runs``): the budget
-    then holds across processes and aborts whichever runs ask after it runs
-    out, and a completed run in the result that a forked process played
-    reads its days when they are first used, as a skipped run does.  A run
-    played in process leaves no metrics sidecar, and one left by an earlier
-    waiting pass is removed.  The manifest is written once, atomically,
+    holds across processes, since every process forked from a transport
+    shares its count from the moment it is built, and aborts whichever runs
+    ask after it runs out, and a completed run in the result that a forked
+    process played reads its days when they are first used, as a skipped
+    run does.  A run played in process leaves no metrics sidecar, and one
+    left by an earlier waiting pass is removed.  The manifest is written once, atomically,
     when the runs end, listing every run that finished even when an
     exception ends them early; after a hard kill a re-run restores it.
     The advisory manifest lock is held for the whole execution.  A

@@ -86,13 +86,18 @@ class SvgDoc:
             '<desc id="provenance">' + _escape(json.dumps(payload, sort_keys=True)) + "</desc>"
         )
 
-    def render(self) -> str:
+    def save(self, path) -> Path:
+        """Write the document to ``path``, making its directory, and return the path."""
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         body = "\n".join(self.parts)
-        return (
+        path.write_text(
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{self.width:g}" '
             f'height="{self.height:g}" viewBox="0 0 {self.width:g} {self.height:g}">\n'
-            f"{body}\n</svg>\n"
+            f"{body}\n</svg>\n",
+            encoding="utf-8",
         )
+        return path
 
 
 def _axes(doc: SvgDoc, scale: Scale, left: float, right: float, ticks: int = 5) -> None:
@@ -172,10 +177,7 @@ def emit_boxplot(
         )
         doc.add("text", label, x=_fmt(cx), y=_fmt(bottom + 18), text_anchor="middle",
                 font_size="11", font_family="sans-serif")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(doc.render(), encoding="utf-8")
-    return path
+    return doc.save(path)
 
 
 def emit_timeseries(
@@ -232,10 +234,7 @@ def emit_timeseries(
                 stroke_width="2")
         doc.add("text", label, x=_fmt(right - 124), y=_fmt(top + 12 + 16 * i),
                 font_size="11", font_family="sans-serif")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(doc.render(), encoding="utf-8")
-    return path
+    return doc.save(path)
 
 
 def emit_category_chart(
@@ -306,7 +305,4 @@ def emit_category_chart(
         payload.update(provenance)
     doc.parts.insert(0, '<desc id="provenance">'
                      + _escape(json.dumps(payload, sort_keys=True)) + "</desc>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(doc.render(), encoding="utf-8")
-    return path
+    return doc.save(path)

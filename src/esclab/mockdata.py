@@ -19,8 +19,9 @@ from typing import Mapping
 
 from .client import ChatRequest
 from .errors import TransportError, ValidationError
+from .prompts import MAX_ACTIONS_PER_DAY
 from .scenario import Scenario
-from .taxonomy import ActionTaxonomy
+from .taxonomy import SCORE_MIN, ActionTaxonomy
 
 # Mean daily score per nation, final-day daily score, and the approximate
 # low/high of per-nation-per-run means, per shipped treatment label.
@@ -54,11 +55,11 @@ MOCK_THOUGHTS = (
 )
 
 
-def split_day_totals(total: int, weights: list[float], floor: int = -2) -> list[int]:
+def split_day_totals(total: int, weights: list[float]) -> list[int]:
     """Split an integer total across days proportionally to weights.
 
-    Largest-remainder rounding keeps the sum exact; values below the floor
-    are clamped with the deficit moved onto the largest day.
+    Largest-remainder rounding keeps the sum exact; values below
+    ``SCORE_MIN`` are clamped with the deficit moved onto the largest day.
     """
     n = len(weights)
     weight_sum = sum(weights)
@@ -70,9 +71,9 @@ def split_day_totals(total: int, weights: list[float], floor: int = -2) -> list[
     for i in range(abs(remainder)):
         base[order[i % n]] += step
     for d in range(n):
-        if base[d] < floor:
-            deficit = floor - base[d]
-            base[d] = floor
+        if base[d] < SCORE_MIN:
+            deficit = SCORE_MIN - base[d]
+            base[d] = SCORE_MIN
             base[max(range(n), key=lambda k: base[k])] += deficit
     return base
 
@@ -116,10 +117,9 @@ def build_score_plan(
 
 
 class ScoreDecomposer:
-    """Expresses an integer daily score as 1..5 menu actions."""
+    """Expresses an integer daily score as 1..MAX_ACTIONS_PER_DAY menu actions."""
 
-    def __init__(self, taxonomy: ActionTaxonomy, max_actions: int = 5):
-        self.max_actions = max_actions
+    def __init__(self, taxonomy: ActionTaxonomy):
         by_score: dict[int, list] = {}
         for spec in taxonomy.actions:
             by_score.setdefault(spec.score, []).append(spec)
@@ -154,9 +154,9 @@ class ScoreDecomposer:
 
     def actions_for(self, score: int, rotation: int) -> list:
         parts = self.score_parts(score)
-        if len(parts) > self.max_actions:
+        if len(parts) > MAX_ACTIONS_PER_DAY:
             raise ValidationError(
-                f"daily score {score} needs {len(parts)} actions (cap {self.max_actions})"
+                f"daily score {score} needs {len(parts)} actions (cap {MAX_ACTIONS_PER_DAY})"
             )
         specs = []
         for i, value in enumerate(parts):

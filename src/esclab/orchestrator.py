@@ -8,8 +8,9 @@ policy on anything but the in-process mock or a replay), ``play_runs``
 overlaps the pending runs on as many threads as the transport lets requests
 be in flight, and writes a day's records in roster order once its last query
 settles, so the bytes depend on neither completion order nor overlap.  Every
-other policy plays the runs on every usable CPU, in processes the caller
-forks, each its share of the runs one by one, asking the nations one by one.
+other policy, unless its transport waits, plays the runs on every usable
+CPU, in processes the caller forks, each its share of the runs one by one,
+asking the nations one by one.
 The transcript is written incrementally and a crashed run resumes from its
 last completed day, reproducing the uninterrupted bytes exactly.
 
@@ -330,28 +331,28 @@ def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
     as ``_play`` does into ``results``, by run id, and return it.
 
     ``transport`` is the one the policy and the world updater send through,
-    if any.  In process, over an in-process transport, the runs are dealt
-    over P processes, one per usable CPU and at most one per run
-    (``_processes``): the caller plays
-    ``pending[0::P]`` and forks P - 1 others to play the rest, each its share
-    one by one, asking the nations one by one.  They count their requests
-    against the transport's one budget (``Transport.shared_count``), so a
-    budget that runs out aborts whichever runs ask after it, not the last
-    runs in plan order.  The caller reads the runs the others report ended
-    back from their transcripts: a completed one as a skipped run, its days
-    when first used.  A forked process ends, at the start of its next day,
-    once the caller is gone without killing it.  At P = 1 (without a
-    transport or over one that waits, with a single run, with another
-    thread in the caller or without ``os.fork``) the caller plays every run
-    in plan order: an in-process policy whose world updater waits on an
-    endpoint sends from the caller alone, so the transport's rate and
-    in-flight limits hold.  A policy, updater or transport keeps what it
-    holds on the Python side in the process that played the run.
+    if any; one test, whether it waits (it is given and not ``in_process``),
+    decides the rest.  In process, unless it waits, the runs are dealt over
+    P processes, one per usable CPU and at most one per run (``_processes``):
+    the caller plays ``pending[0::P]`` and forks P - 1 others to play the
+    rest, each its share one by one, asking the nations one by one.  Every
+    process forked from the transport shares its count, so a budget that
+    runs out aborts whichever runs ask after it, not the last runs in plan
+    order.  The caller reads the runs the others report ended back from
+    their transcripts: a completed one as a skipped run, its days when first
+    used.  A forked process ends, at the start of its next day, once the
+    caller is gone without killing it.  At P = 1 (over a transport that
+    waits, with a single run, with another thread in the caller or without
+    ``os.fork``) the caller plays every run in plan order: an in-process
+    policy whose world updater waits on an endpoint sends from the caller
+    alone, so the transport's rate and in-flight limits hold.  A policy,
+    updater or transport keeps what it holds on the Python side in the
+    process that played the run.
 
-    With ``metrics_dir``, a waiting transport's runs write their transport
-    facts to ``<run_id>.jsonl`` there; an in-process one's write none and
-    remove the file, which an earlier waiting pass may have left and which
-    would not match the transcript.
+    With ``metrics_dir``, the runs write their transport facts to
+    ``<run_id>.jsonl`` there when the transport waits; otherwise they write
+    none and remove the file, which an earlier waiting pass may have left
+    and which would not match the transcript.
 
     Waiting, the runs play in twice the transport's in-flight cap of lanes
     (twice the roster size if it sets none), each its runs one by one, all
@@ -363,11 +364,11 @@ def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
     here once the others have stopped; ``results`` then holds every run that
     ended."""
     roster = scenario.nation_names
-    in_process = transport is None or transport.in_process
-    if in_process and metrics_dir is not None:
+    waits = transport is not None and not transport.in_process
+    if not waits and metrics_dir is not None:
         for _, header, *_ in pending:
             _remove(metrics_dir / f"{header['run_id']}.jsonl")
-    sidecars = None if in_process else metrics_dir
+    sidecars = metrics_dir if waits else None
 
     def lane(indices, ended):
         """The runs ``pending[i]`` for ``i`` in ``indices``, one by one, a
@@ -381,13 +382,8 @@ def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
 
     if policy.in_process:
         # Forked processes would each keep their own rate and in-flight limits.
-        forks = transport is not None and transport.in_process
-        processes = _processes(len(pending)) if forks else 1
-        if processes == 1:
-            _inline(lane(range(len(pending)), keep), roster)
-        else:
-            with transport.shared_count():
-                _play_forked(lane, pending, processes, roster, keep)
+        _play_in_processes(lane, pending, 1 if waits else _processes(len(pending)), roster,
+                           keep)
         return results
     import queue  # here, not with the module: only a waiting policy needs them
     from concurrent.futures import ThreadPoolExecutor
@@ -457,19 +453,20 @@ def _processes(pending: int) -> int:
     return min(cpus or 1, pending)
 
 
-def _play_forked(lane, pending: list[tuple], processes: int, roster: list[str],
-                 keep) -> None:
+def _play_in_processes(lane, pending: list[tuple], processes: int, roster: list[str],
+                       keep) -> None:
     """Play ``pending`` in ``processes`` processes, the k-th playing
     ``lane(range(k, len(pending), processes), ...)``: the caller is the first
-    and forks the others.  Each reports its ended runs on a pipe of its own,
-    one JSON line ``[index, status, abort_reason]`` per run, and an exception
-    other than an abort as ``[null, pickled exception in hex or null, its
-    name]``, then leaves through ``os._exit``.  The caller reads the pipes
+    and forks the others, none at P = 1, where it plays every run in plan
+    order.  Each reports its ended runs on a pipe of its own, one JSON line
+    ``[index, status, abort_reason]`` per run, and an exception other than
+    an abort as ``[null, pickled exception in hex or null, its name]``, then
+    leaves through ``os._exit``.  The caller reads the pipes
     after each of its own runs and at the end, hands ``keep`` each reported
     run as its transcript holds it, and raises a reported exception at once.
     When the caller stops on an exception, it kills the others first and
     still keeps the runs they reported."""
-    import select  # here, not with the module: only forked runs need them
+    import select  # here, not with the module: a waiting policy needs neither
     import signal
 
     pipes: dict[int, bytes] = {}  # read end -> what came after its last whole line

@@ -34,19 +34,16 @@ class EndpointStandIn(Transport):
         self.max_in_flight = max_in_flight
         self.completed = []
         self.threads = set()
-        self._lock = threading.Lock()
+        self._seen = threading.Lock()
 
     @property
     def request_count(self):
         return self.inner.request_count
 
-    def shared_count(self):
-        return self.inner.shared_count()
-
     def send_once(self, request):
         if self.fail_tag and self.fail_tag in request.request_tag:
             raise TransportError("endpoint outage")
-        with self._lock:
+        with self._seen:
             busy = request.request_tag == self.busy_tag
             if busy:
                 self.busy_tag = None  # it fails once
@@ -55,7 +52,7 @@ class EndpointStandIn(Transport):
         who = request.request_tag.split("|")[2]
         if self.step_s and who in self.roster:
             time.sleep(self.step_s * (len(self.roster) - self.roster.index(who)))
-        with self._lock:
+        with self._seen:
             self.threads.add(threading.get_ident())
             self.completed.append(request.request_tag)
         return self.inner.send_once(request)

@@ -42,7 +42,7 @@ class TestImports:
         assert _fresh_interpreter(probe) == ["False", "False"]
 
     def test_cli_import_and_a_report_leave_multiprocessing_unloaded(self, tmp_path):
-        # Only forked runs load _multiprocessing; nothing loads the rest.
+        # Only building a transport loads _multiprocessing; nothing loads the rest.
         modules = "('multiprocessing', '_multiprocessing', 'concurrent.futures')"
         probe = f"import sys, esclab.cli; print(*(m in sys.modules for m in {modules}))"
         assert _fresh_interpreter(probe) == ["False"] * 3

@@ -175,27 +175,42 @@ class TestBudget:
                     sent += 1
             return sent
 
-        with transport.shared_count():
-            for _ in range(2):
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        os.write(write, f"{race()}\n".encode())
-                    finally:
-                        os._exit(0)
-                pids.append(pid)
-            os.close(write)
-            sent = race()
-            deadline = time.monotonic() + 60
-            while pids and time.monotonic() < deadline:
-                pids = [pid for pid in pids if os.waitpid(pid, os.WNOHANG) == (0, 0)]
-                time.sleep(0.01)
+        for _ in range(2):
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    os.write(write, f"{race()}\n".encode())
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        os.close(write)
+        sent = race()
+        deadline = time.monotonic() + 60
+        while pids and time.monotonic() < deadline:
+            pids = [pid for pid in pids if os.waitpid(pid, os.WNOHANG) == (0, 0)]
+            time.sleep(0.01)
         assert pids == []
         with os.fdopen(read) as reports:
             sent += sum(map(int, reports.read().split()))
         assert sent == transport.request_count == 30_000
         with pytest.raises(BudgetExceeded):
             transport.send_once(one)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
+    def test_transports_leave_no_named_semaphore(self):
+        # Each transport counts under a named semaphore; unlinked as soon as
+        # it is made, it leaves no entry behind, alive or dropped.
+        mine = f"sem.esclab-{os.getpid()}-"
+
+        def left() -> list[str]:
+            return [name for name in os.listdir("/dev/shm") if name.startswith(mine)]
+
+        transports = [MockTransport("x", max_requests=1) for _ in range(300)]
+        for transport in transports:
+            transport.send_once(request())
+        assert left() == []
+        del transports, transport
+        assert left() == []
 
 
 class StubResponse:
