@@ -22,12 +22,11 @@ from .errors import EsclabError, ValidationError
 from .experiments import (
     DEFAULT_MODEL,
     TRANSCRIPT_DIR,
-    ExperimentPlan,
     inspect_experiment,
     load_plan,
+    parse_plan,
     run_experiment,
 )
-from .orchestrator import Treatment
 from .prompts import PromptVariant, build_prompts, extension_word_count
 from .scenario import initial_world, load_scenario, default_scenario_path
 from .scoring import Aggregator
@@ -80,36 +79,26 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _set(**entries) -> dict:
+    """The entries whose value is not None: a flag left unset is a key left out."""
+    return {key: value for key, value in entries.items() if value is not None}
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    treatment = Treatment(
-        label=args.label or f"t{args.temperature:g}-{args.variant}",
-        temperature=args.temperature,
-        variant=PromptVariant(args.variant),
-    )
-    transport_config: dict = {"kind": args.transport}
-    if args.transport == "replay":
-        if not args.manifest:
-            raise EsclabError("replay transport needs --manifest")
-        transport_config["manifest"] = str(Path(args.manifest).resolve())
-    if args.transport == "live":
-        if not args.base_url:
-            raise EsclabError("live transport needs --base-url")
-        transport_config["base_url"] = args.base_url
-    if args.policy == "scripted" and not args.script:
-        raise EsclabError("scripted policy needs --script")
-    plan = ExperimentPlan(
-        scenario_path=Path(args.scenario).resolve(),
-        taxonomy_path=Path(args.taxonomy).resolve(),
-        treatments=(treatment,),
-        base_seed=args.seed,
-        runs_per_treatment=1,
-        transport=transport_config,
-        policy={"kind": "scripted", "script": str(Path(args.script).resolve())}
-        if args.policy == "scripted" else {"kind": "llm"},
-        world_updater=args.updater,
-        model=args.model,
-        max_parse_retries=args.max_parse_retries,
-    )
+    # The flags as a one-run plan, checked as a plan file is.
+    plan = parse_plan({
+        "scenario": args.scenario,
+        "taxonomy": args.taxonomy,
+        "treatments": [{"label": args.label or f"t{args.temperature:g}-{args.variant}",
+                        "temperature": args.temperature, "variant": args.variant}],
+        "base_seed": args.seed,
+        "runs_per_treatment": 1,
+        "transport": _set(kind=args.transport, manifest=args.manifest, base_url=args.base_url),
+        "policy": _set(kind=args.policy, script=args.script),
+        "world_updater": args.updater,
+        "model": args.model,
+        "max_parse_retries": args.max_parse_retries,
+    }, Path.cwd())
     result = run_experiment(plan, args.out, api_key=os.environ.get(API_KEY_ENV))
     run = result.runs[0]
     print(json.dumps({

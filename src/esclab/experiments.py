@@ -180,15 +180,20 @@ def _typed(mapping: dict, types: dict, where: str) -> dict:
 
 
 def load_plan(path: str | Path) -> ExperimentPlan:
-    """Load and validate an experiment plan file; paths resolve next to it,
-    and a key it does not set keeps ``ExperimentPlan``'s default."""
-    path = Path(path)
-    document = require_keys(load_yaml_file(path, "plan"), "plan", _PLAN_KEYS, _REQUIRED_KEYS)
+    """The plan file at ``path`` as ``parse_plan`` checks it, with paths next to it."""
+    return parse_plan(load_yaml_file(path, "plan"), Path(path).parent)
+
+
+def parse_plan(document: object, base: Path) -> ExperimentPlan:
+    """Validate the plan ``document``: a key it does not set keeps
+    ``ExperimentPlan``'s default, and a relative path (after ``~`` and
+    ``$VAR`` expansion) resolves against ``base``."""
+    document = require_keys(document, "plan", _PLAN_KEYS, _REQUIRED_KEYS)
 
     def _resolve(value: object, where: str) -> Path:
         value = require_type(value, str, where, nonempty=True)
         candidate = Path(os.path.expandvars(value)).expanduser()
-        return candidate if candidate.is_absolute() else (path.parent / candidate).resolve()
+        return candidate if candidate.is_absolute() else (base / candidate).resolve()
 
     raw_treatments = require_type(document["treatments"], list, "plan: treatments", nonempty=True)
     treatments = tuple(_parse_treatment(t, i) for i, t in enumerate(raw_treatments))
@@ -214,11 +219,14 @@ def load_plan(path: str | Path) -> ExperimentPlan:
         policy = document["policy"]
         if isinstance(policy, str):
             policy = {"kind": policy}
-        require_keys(policy, "plan: policy", ("kind", "script"), ("kind",))
-        if policy["kind"] == "scripted":
-            script = _resolve(policy.get("script"), "plan: policy script")
-            policy = {"kind": "scripted", "script": str(script)}
-        elif policy["kind"] != "llm":
+        kind = require_keys(policy, "plan: policy", ("kind", "script"), ("kind",))["kind"]
+        if kind == "scripted":
+            require_keys(policy, "plan: scripted policy", ("kind", "script"), ("script",))
+            script = _resolve(policy["script"], "plan: policy script")
+            policy = {"kind": kind, "script": str(script)}
+        elif kind == "llm":
+            require_keys(policy, "plan: llm policy", ("kind",))
+        else:
             raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
         options["policy"] = policy
     if "world_updater" in document:

@@ -125,12 +125,10 @@ class ScoreDecomposer:
             by_score.setdefault(spec.score, []).append(spec)
         self._by_score = by_score
         self._positive = sorted((s for s in by_score if s > 0), reverse=True)
-        if 0 not in by_score:
-            raise ValidationError("decomposer needs a zero-score action")
-        if -2 not in by_score:
-            raise ValidationError("decomposer needs a -2 score action")
-        if 1 not in by_score:
-            raise ValidationError("decomposer needs a unit-score action")
+        for score, name in ((0, "zero-score"), (SCORE_MIN, f"{SCORE_MIN} score"),
+                            (1, "unit-score")):
+            if score not in by_score:
+                raise ValidationError(f"decomposer needs a {name} action")
 
     def score_parts(self, score: int) -> list[int]:
         if score == 0:
@@ -138,8 +136,8 @@ class ScoreDecomposer:
         parts: list[int] = []
         if score < 0:
             while score < 0:
-                parts.append(-2)
-                score += 2
+                parts.append(SCORE_MIN)
+                score -= SCORE_MIN
             if score == 1:
                 parts.append(1)
             return parts

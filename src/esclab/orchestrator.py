@@ -278,9 +278,9 @@ def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
         except Exception as exc:
             return records, exc
 
-    days, fallbacks = (list(prior.days), prior.fallbacks) if prior else ([], 0)
+    fallbacks = prior.fallbacks if prior else 0
     world = initial_world(scenario)
-    for record in days:
+    for record in prior.days if prior else ():
         world = advance_day(world, record)
     status, abort_reason = "completed", None
     # Replaces any file there with the kept records: none when no day
@@ -315,12 +315,11 @@ def _play(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
                                      summary)
                 writer.write(ts.DAY, {"scores": scores, "summary": summary}, day=day)
                 world = advance_day(world, record)
-                days.append(record)
         except (TransportError, BudgetExceeded) as exc:
             status, abort_reason = "aborted", f"{type(exc).__name__}: {exc}"
             log.error("run %s aborted on day %d: %s", run_id, day, exc)
         writer.write(ts.RUN_END, {"status": status, "reason": abort_reason})
-    return ts.run_from_header(header, status, abort_reason, days, fallbacks)
+    return ts.run_from_header(header, status, abort_reason, list(world.history), fallbacks)
 
 
 def play_runs(scenario: Scenario, taxonomy: ActionTaxonomy, policy: AgentPolicy,
@@ -465,7 +464,7 @@ def _play_in_processes(lane, pending: list[tuple], processes: int, roster: list[
     after each of its own runs and at the end, hands ``keep`` each reported
     run as its transcript holds it, and raises a reported exception at once.
     When the caller stops on an exception, it kills the others first and
-    still keeps the runs they reported."""
+    still keeps the runs they reported; a failed fork is an ``EsclabError``."""
     import select  # here, not with the module: a waiting policy needs neither
     import signal
 
@@ -506,7 +505,12 @@ def _play_in_processes(lane, pending: list[tuple], processes: int, roster: list[
             read, write = os.pipe()
             for stream in (sys.stdout, sys.stderr):  # or a child would write it again
                 stream.flush()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as exc:  # EAGAIN under a process limit, say
+                os.close(read)
+                os.close(write)
+                raise EsclabError(f"cannot fork a process to play runs: {exc}") from exc
             if pid == 0:
                 code = 1
                 try:

@@ -437,6 +437,46 @@ class TestRefusedInputs:
         assert self._one_error(capsys)["error"] == "ParseError"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,entry,message", [
+        (["--transport", "replay"], "transport: {kind: replay}",
+         "plan: replay transport: missing keys ['manifest']"),
+        (["--transport", "live"], "transport: {kind: live}",
+         "plan: live transport: missing keys ['base_url']"),
+        (["--policy", "scripted"], "policy: {kind: scripted}",
+         "plan: scripted policy: missing keys ['script']"),
+        (["--base-url", "http://localhost:9/v1"],
+         "transport: {kind: mock, base_url: 'http://localhost:9/v1'}",
+         "plan: mock transport: unknown keys ['base_url']"),
+        (["--script", "demo_script.yaml"], "policy: {kind: llm, script: demo_script.yaml}",
+         "plan: llm policy: unknown keys ['script']"),
+    ], ids=["replay-no-manifest", "live-no-base-url", "scripted-no-script", "mock-base-url",
+            "llm-script"])
+    def test_simulate_refuses_what_a_plan_refuses(self, tmp_path, capsys, flags, entry,
+                                                  message):
+        """``simulate`` with ``flags`` gives the error that ``experiment``
+        gives for the same one-run plan written as YAML, ``entry`` where it
+        differs from the defaults."""
+        defaults = build_parser().parse_args(["simulate", "--out", "-"])
+        plan = tmp_path / "plan.yaml"
+        plan.write_text(
+            f"scenario: {defaults.scenario}\ntaxonomy: {defaults.taxonomy}\n"
+            "treatments: [{label: t1-default, temperature: 1.0, variant: default}]\n"
+            "base_seed: 0\nruns_per_treatment: 1\nworld_updater: llm\n"
+            f"model: {defaults.model}\nmax_parse_retries: {defaults.max_parse_retries}\n"
+            f"{entry}\n",
+            encoding="utf-8",
+        )
+        errors = []
+        for argv in (["simulate", *flags], ["experiment", "--plan", str(plan)]):
+            out = tmp_path / argv[0]
+            assert main([*argv, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1 and captured.out == ""
+            errors.append(json.loads(lines[0]))
+            assert not out.exists()
+        assert errors[0] == errors[1] == {"error": "ParseError", "message": message}
+
     @pytest.mark.parametrize("command", ["report", "inspect"])
     def test_manifest_listing_a_deleted_transcript(self, tmp_path, capsys, command):
         exp = tmp_path / "exp"

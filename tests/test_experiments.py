@@ -224,6 +224,7 @@ class TestPlanValueChecks:
     @pytest.mark.parametrize("extra,match", [
         ("policy: {kind: llm, temperature: 1}", r"unknown keys \['temperature'\]"),
         ("policy: {kind: scripted, script: 5}", "script must be a nonempty string"),
+        ("policy: {kind: llm, script: x}", r"llm policy: unknown keys \['script'\]"),
         ("1: x\nsurprise: 2", r"unknown keys \[1, 'surprise'\]"),
         ("intra_day_visibility: true", r"unknown keys \['intra_day_visibility'\]"),
         ("intra_day_visibility: false", r"unknown keys \['intra_day_visibility'\]"),

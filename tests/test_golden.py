@@ -20,6 +20,7 @@ replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
 which garbles replies (``perfbench/expected.json`` pins it).
 """
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -431,6 +432,34 @@ def test_a_forked_process_killed_without_a_word_is_an_error(tmp_path, monkeypatc
     runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
     assert [Path(entry["transcript"]).stem for entry in runs] == RUN_IDS[0::2]
     assert ended_runs(out) == set(RUN_IDS[0::2])
+
+
+def test_a_failed_fork_is_one_error_and_leaks_nothing(tmp_path, monkeypatch):
+    """The second of two forks fails with EAGAIN: the caller closes the new
+    pipe, kills and reaps the process it forked, and raises an
+    ``EsclabError`` naming the errno; the manifest lists exactly the runs
+    that ended."""
+    force_processes(monkeypatch, 3)
+    fork, forks = os.fork, []
+
+    def failing_fork():
+        forks.append(None)
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    plan = dataclasses.replace(load_plan(DATA / "plan_demo.yaml"), runs_per_treatment=4)
+    out = tmp_path / "experiment"
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(EsclabError,
+                       match=rf"cannot fork a process to play runs: \[Errno {errno.EAGAIN}\]"):
+        run_experiment(plan, out)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    runs = json.loads((out / "manifest.json").read_text(encoding="utf-8"))["runs"]
+    assert {Path(entry["transcript"]).stem for entry in runs} == ended_runs(out)
 
 
 # Plays the tiny plan through ``esclab experiment`` on two processes, each

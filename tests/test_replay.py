@@ -187,4 +187,4 @@ def test_simulate_replays_from_a_manifest(tmp_path, capsys):
     assert code == 0 and again["requests"] == 14 * 9
     assert Path(again["transcript"]).read_bytes() == Path(first["transcript"]).read_bytes()
     code, err = simulate("--transport", "replay", "--out", str(tmp_path / "c"))
-    assert code == 1 and "replay transport needs --manifest" in err
+    assert code == 1 and "plan: replay transport: missing keys ['manifest']" in err
