@@ -12,11 +12,12 @@ from __future__ import annotations
 import os
 import threading
 import time
+import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
-from .errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from .errors import AuthError, BudgetExceeded, EsclabError, TransportError, ValidationError
 from .transcript import LLM_CALL, Recorder
 
 if TYPE_CHECKING:
@@ -105,12 +106,13 @@ def wire_body(request: ChatRequest) -> dict:
 class Transport:
     """Base transport: request counting and an optional cap on requests.
 
-    The count lives, from construction on, in shared memory under a POSIX
-    named semaphore, so every process forked from the transport counts
-    against its one ``max_requests``, and its count holds their requests
-    too.  Building a transport therefore needs POSIX named semaphores (a
-    writable ``/dev/shm`` on Linux); without them it fails.  A wrapper whose
-    ``request_count`` is another transport's shares that one's count.
+    The count lives, from construction on, in shared memory, guarded by a
+    pipe that holds one token byte: a process reads the byte to take the
+    lock and writes it back to release it.  So every process forked from
+    the transport counts against its one ``max_requests``, and its count
+    holds their requests too.  The pipe closes with the transport.  A
+    wrapper whose ``request_count`` is another transport's shares that
+    one's count.
 
     ``in_process`` is true when ``send_once`` only computes in this process
     and never waits on a remote endpoint; callers then gain nothing from
@@ -125,27 +127,36 @@ class Transport:
     max_in_flight: int | None = None  # the most requests at once; None: no cap
 
     def __init__(self, max_requests: int | None = None):
-        import mmap
-        from _multiprocessing import SemLock  # here: ``import esclab`` needs neither
+        import mmap  # here: ``import esclab`` does not need it
 
         self.max_requests = max_requests
-        # The requests made, in anonymous memory that forked processes share.
-        self._count = memoryview(mmap.mmap(-1, 8)).cast("q")
-        # A semaphore of one (kind 1) is a lock; unlinked at once, it lives
-        # as long as a process maps it.
-        self._lock = SemLock(1, 1, 1, f"/esclab-{os.getpid()}-{os.urandom(6).hex()}", True)
+        try:
+            # The requests made, in anonymous memory that forked processes share.
+            self._count = memoryview(mmap.mmap(-1, 8)).cast("q")
+            self._token = os.pipe()
+        except OSError as exc:  # EMFILE when out of file descriptors, say
+            raise EsclabError(f"cannot make a transport's request counter: {exc}") from exc
+        for fd in self._token:
+            weakref.finalize(self, os.close, fd)
+        os.write(self._token[1], b"\0")
 
     @property
     def request_count(self) -> int:
-        with self._lock:
+        os.read(self._token[0], 1)
+        try:
             return self._count[0]
+        finally:
+            os.write(self._token[1], b"\0")
 
     def _note_request(self) -> None:
-        with self._lock:
+        os.read(self._token[0], 1)
+        try:
             count = self._count[0]
             if self.max_requests is not None and count >= self.max_requests:
                 raise BudgetExceeded(f"request budget of {self.max_requests} exhausted")
             self._count[0] = count + 1
+        finally:
+            os.write(self._token[1], b"\0")
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         raise NotImplementedError

@@ -87,7 +87,11 @@ _TRANSPORT_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """Everything needed to execute and later report one experiment."""
+    """Everything needed to execute and later report one experiment.
+
+    The constructor is the one checker of a plan: a plan built in code is
+    refused, with the same ``plan: …`` error, for all that a plan file is.
+    """
 
     scenario_path: Path
     taxonomy_path: Path
@@ -105,6 +109,8 @@ class ExperimentPlan:
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
 
     def __post_init__(self):
+        for key, kind in _SCALAR_KEYS.items():
+            require_type(getattr(self, key), kind, f"plan: {key}", nonempty=key == "model")
         if self.runs_per_treatment < 1:
             raise ValidationError("plan: runs_per_treatment must be >= 1")
         if self.max_parse_retries < 0:
@@ -113,6 +119,38 @@ class ExperimentPlan:
             raise ValidationError("plan: max_requests must be >= 0")
         if self.parallelism != 1:
             raise ValidationError("plan: parallelism must be 1; the transport sets the overlap")
+        transport = require_type(self.transport, dict, "plan: transport")
+        kind = transport.get("kind")
+        if kind not in tuple(_TRANSPORT_KEYS):  # a tuple: kind may be unhashable
+            raise ParseError(
+                f"plan: transport kind must be one of {list(_TRANSPORT_KEYS)}, got {kind!r}"
+            )
+        types, required = _TRANSPORT_KEYS[kind]
+        require_keys(transport, f"plan: {kind} transport", {"kind", *types}, required)
+        for key, key_type in types.items():
+            if key in transport:
+                require_type(transport[key], key_type, f"plan: transport {key}")
+        if kind == "replay":
+            require_type(transport["manifest"], str, "plan: transport manifest", nonempty=True)
+        # Any other URL would fail only at the first request, after its retries.
+        if kind == "live" and not transport["base_url"].startswith(("http://", "https://")):
+            raise ParseError("plan: transport base_url must start with http:// or https://, "
+                             f"got {transport['base_url']!r}")
+        policy = require_keys(self.policy, "plan: policy", ("kind", "script"), ("kind",))
+        if policy["kind"] == "scripted":
+            require_keys(policy, "plan: scripted policy", ("kind", "script"), ("script",))
+            require_type(policy["script"], str, "plan: policy script", nonempty=True)
+        elif policy["kind"] == "llm":
+            require_keys(policy, "plan: llm policy", ("kind",))
+        else:
+            raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
+        if self.world_updater not in ("llm", "template"):
+            raise ParseError("plan: world_updater must be 'llm' or 'template'")
+        labels = [t.label for t in self.treatments]
+        if len(set(labels)) != len(labels):
+            raise ValidationError("plan: duplicate treatment labels")
+        if self.baseline is not None and self.baseline not in labels:
+            raise ValidationError(f"plan: baseline {self.baseline!r} is not a treatment label")
 
 
 @dataclass
@@ -170,82 +208,42 @@ def _parse_treatment(entry: object, index: int, prefix: str = "") -> Treatment:
     )
 
 
-def _typed(mapping: dict, types: dict, where: str) -> dict:
-    """The entries of ``mapping`` that ``types`` names, each of its type."""
-    return {
-        key: require_type(mapping[key], kind, f"{where}{key}")
-        for key, kind in types.items()
-        if key in mapping
-    }
-
-
 def load_plan(path: str | Path) -> ExperimentPlan:
-    """The plan file at ``path`` as ``parse_plan`` checks it, with paths next to it."""
+    """The plan file at ``path`` as ``parse_plan`` reads it, with paths next to it."""
     return parse_plan(load_yaml_file(path, "plan"), Path(path).parent)
 
 
 def parse_plan(document: object, base: Path) -> ExperimentPlan:
-    """Validate the plan ``document``: a key it does not set keeps
-    ``ExperimentPlan``'s default, and a relative path (after ``~`` and
+    """The plan ``document`` as ``ExperimentPlan`` checks it: a key it does
+    not set keeps the plan's default, and a relative path (after ``~`` and
     ``$VAR`` expansion) resolves against ``base``."""
     document = require_keys(document, "plan", _PLAN_KEYS, _REQUIRED_KEYS)
 
-    def _resolve(value: object, where: str) -> Path:
-        value = require_type(value, str, where, nonempty=True)
+    def _resolve(value: object) -> object:
+        if not (isinstance(value, str) and value.strip()):
+            return value  # not a path: the plan refuses it
         candidate = Path(os.path.expandvars(value)).expanduser()
-        return candidate if candidate.is_absolute() else (base / candidate).resolve()
+        return str(candidate if candidate.is_absolute() else (base / candidate).resolve())
 
     raw_treatments = require_type(document["treatments"], list, "plan: treatments", nonempty=True)
     treatments = tuple(_parse_treatment(t, i) for i, t in enumerate(raw_treatments))
-    labels = [t.label for t in treatments]
-    if len(set(labels)) != len(labels):
-        raise ValidationError("plan: duplicate treatment labels")
-    options = _typed(document, _SCALAR_KEYS, "plan: ")
-    if "transport" in document:
-        transport = require_type(document["transport"], dict, "plan: transport")
-        kind = transport.get("kind")
-        if kind not in tuple(_TRANSPORT_KEYS):  # a tuple: kind may be unhashable
-            raise ParseError(
-                f"plan: transport kind must be one of {list(_TRANSPORT_KEYS)}, got {kind!r}"
-            )
-        types, required = _TRANSPORT_KEYS[kind]
-        require_keys(transport, f"plan: {kind} transport", {"kind", *types}, required)
-        transport = {"kind": kind, **_typed(transport, types, "plan: transport ")}
-        if kind == "replay":
-            manifest = _resolve(transport["manifest"], "plan: transport manifest")
-            transport["manifest"] = str(manifest)
-        options["transport"] = transport
-    if "policy" in document:
-        policy = document["policy"]
-        if isinstance(policy, str):
-            policy = {"kind": policy}
-        kind = require_keys(policy, "plan: policy", ("kind", "script"), ("kind",))["kind"]
-        if kind == "scripted":
-            require_keys(policy, "plan: scripted policy", ("kind", "script"), ("script",))
-            script = _resolve(policy["script"], "plan: policy script")
-            policy = {"kind": kind, "script": str(script)}
-        elif kind == "llm":
-            require_keys(policy, "plan: llm policy", ("kind",))
-        else:
-            raise ParseError("plan: policy kind must be 'llm' or 'scripted'")
-        options["policy"] = policy
-    if "world_updater" in document:
-        if document["world_updater"] not in ("llm", "template"):
-            raise ParseError("plan: world_updater must be 'llm' or 'template'")
-        options["world_updater"] = document["world_updater"]
-    if "aggregator" in document:
+    options = {key: value for key, value in document.items()
+               if key not in ("scenario", "taxonomy", "treatments")}
+    if isinstance(options.get("policy"), str):
+        options["policy"] = {"kind": options["policy"]}
+    for spec, key in (("transport", "manifest"), ("policy", "script")):
+        if isinstance(options.get(spec), dict) and key in options[spec]:
+            options[spec] = {**options[spec], key: _resolve(options[spec][key])}
+    if "aggregator" in options:
         try:
-            options["aggregator"] = Aggregator(document["aggregator"])
+            options["aggregator"] = Aggregator(options["aggregator"])
         except ValueError as exc:
             raise ParseError(f"plan: {exc}") from exc
-    if "baseline" in document:
-        baseline = document["baseline"]
-        if baseline is not None and baseline not in labels:
-            raise ValidationError(f"plan: baseline {baseline!r} is not a treatment label")
-        options["baseline"] = baseline
+    for key in ("scenario", "taxonomy"):
+        require_type(document[key], str, f"plan: {key}", nonempty=True)
     return ExperimentPlan(
-        scenario_path=_resolve(document["scenario"], "plan: scenario"),
-        taxonomy_path=_resolve(document["taxonomy"], "plan: taxonomy"),
+        scenario_path=Path(_resolve(document["scenario"])),
+        taxonomy_path=Path(_resolve(document["taxonomy"])),
         treatments=treatments,
         **options,
     )
@@ -328,12 +326,10 @@ def build_transport(
         paths = [manifest_path.parent / entry["transcript"]
                  for entry in load_manifest(manifest_path)["runs"]]
         return ReplayTransport(paths, max_requests=plan.max_requests)
-    if kind == "live":
-        if not api_key:
-            raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
-        settings = {key: value for key, value in config.items() if key != "kind"}
-        return LiveTransport(api_key=api_key, max_requests=plan.max_requests, **settings)
-    raise ValidationError(f"unknown transport kind {kind!r}")
+    if not api_key:
+        raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
+    settings = {key: value for key, value in config.items() if key != "kind"}
+    return LiveTransport(api_key=api_key, max_requests=plan.max_requests, **settings)
 
 
 def build_policy(plan: ExperimentPlan, transport: Transport) -> AgentPolicy:

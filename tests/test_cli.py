@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import re
@@ -420,6 +421,21 @@ class TestRefusedInputs:
         assert self._one_error(capsys)["error"] == error
         assert not list(tmp_path.rglob("*.jsonl"))
         assert not out.exists()
+
+    def test_a_transport_without_its_pipe_is_one_error(self, tmp_path, capsys, monkeypatch):
+        """A transport that cannot make the pipe guarding its request count
+        (no file descriptor left, say) ends ``simulate`` with one
+        ``EsclabError`` naming the errno, not a traceback."""
+        def failing_pipe():
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        monkeypatch.setattr(os, "pipe", failing_pipe)
+        assert main(["simulate", "--out", str(tmp_path / "sim")]) == 1
+        error = self._one_error(capsys)
+        assert error["error"] == "EsclabError"
+        assert error["message"].startswith(
+            f"cannot make a transport's request counter: [Errno {errno.EMFILE}]")
+        assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_simulate_label_with_a_slash(self, tmp_path, capsys):
         out = tmp_path / "sim"

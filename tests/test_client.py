@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import json
 import os
 import sys
@@ -196,21 +197,17 @@ class TestBudget:
         with pytest.raises(BudgetExceeded):
             transport.send_once(one)
 
-    @pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="no /dev/shm")
-    def test_transports_leave_no_named_semaphore(self):
-        # Each transport counts under a named semaphore; unlinked as soon as
-        # it is made, it leaves no entry behind, alive or dropped.
-        mine = f"sem.esclab-{os.getpid()}-"
-
-        def left() -> list[str]:
-            return [name for name in os.listdir("/dev/shm") if name.startswith(mine)]
-
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_dropped_transports_leak_no_file_descriptor(self):
+        # Each transport's lock is a pipe; it closes when the transport goes.
+        before = len(os.listdir("/proc/self/fd"))
         transports = [MockTransport("x", max_requests=1) for _ in range(300)]
         for transport in transports:
             transport.send_once(request())
-        assert left() == []
+        assert len(os.listdir("/proc/self/fd")) == before + 2 * 300
         del transports, transport
-        assert left() == []
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 class StubResponse:

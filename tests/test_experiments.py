@@ -7,9 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 
 from esclab.client import MAX_IN_FLIGHT, LiveTransport
-from esclab.errors import ParseError, ValidationError
+from esclab.errors import EsclabError, ParseError, ValidationError
 from esclab.experiments import (
     ExperimentPlan,
     build_transport,
@@ -214,6 +215,9 @@ class TestPlanValueChecks:
         (f"{{{LIVE}, max_in_flight: 1.5}}", "max_in_flight must be an integer"),
         (f"{{{LIVE}, requests_per_minute: '60'}}", "requests_per_minute must be an integer"),
         (f"{{{LIVE}, api_key: sk-test}}", r"unknown keys \['api_key'\]"),
+        ("{kind: live, base_url: ''}", "base_url must start with http:// or https://, got ''"),
+        ("{kind: live, base_url: example.com/v1}", "base_url must start with http://"),
+        ("{kind: live, base_url: 'ftp://localhost/v1'}", "base_url must start with http://"),
         ("{kind: carrier-pigeon}", "transport kind must be one of"),
         ("{kind: [mock]}", "transport kind must be one of"),
     ])
@@ -229,6 +233,8 @@ class TestPlanValueChecks:
         ("intra_day_visibility: true", r"unknown keys \['intra_day_visibility'\]"),
         ("intra_day_visibility: false", r"unknown keys \['intra_day_visibility'\]"),
         ("parallelism: 4", r"unknown keys \['parallelism'\]"),
+        ("model: ''", "plan: model must be a nonempty string, got ''"),
+        ("model: ' '", "plan: model must be a nonempty string"),
     ])
     def test_bad_plan_entry_is_a_parse_error(self, tmp_path, extra, match):
         with pytest.raises(ParseError, match=match):
@@ -239,6 +245,32 @@ class TestPlanValueChecks:
                                     "treatments: [{label: a, temperature: 1.0}]\n")
         with pytest.raises(ParseError, match="plan: scenario must be a nonempty string"):
             load_plan(path)
+
+    @pytest.mark.parametrize("changes,entries", [
+        ({"runs_per_treatment": 1.5}, None),
+        ({"base_seed": "7"}, None),
+        ({"max_requests": "9"}, None),
+        ({"world_updater": "bogus"}, None),
+        ({"treatments": (Treatment("a", 1.0, PromptVariant.DEFAULT),) * 2},
+         {"treatments": [{"label": "a", "temperature": 1.0}] * 2}),
+        ({"baseline": "nope"}, None),
+        ({"transport": {"kind": "pigeon"}}, None),
+        ({"policy": {"kind": "llm", "script": "x"},
+          "transport": {"kind": "mock", "base_url": "http://x"}}, None),
+    ], ids=["runs-float", "seed-text", "budget-text", "updater", "duplicate-label",
+            "baseline", "transport-kind", "policy-and-transport-keys"])
+    def test_plan_built_in_code_is_checked_as_a_plan_file(self, tmp_path, changes, entries):
+        path = checked_plan(tmp_path)
+        document = yaml.safe_load(path.read_text(encoding="utf-8"))
+        plan = load_plan(path)
+        with pytest.raises(EsclabError) as in_code:
+            dataclasses.replace(plan, **changes)
+        path.write_text(yaml.safe_dump({**document, **(entries or changes)}), encoding="utf-8")
+        with pytest.raises(EsclabError) as in_file:
+            load_plan(path)
+        assert type(in_code.value) is type(in_file.value)
+        assert str(in_code.value) == str(in_file.value)
+        assert str(in_code.value).startswith("plan: ")
 
     @pytest.mark.parametrize("label", ["grp/a", "../../x", "a|b"])
     def test_label_that_is_not_one_file_name_component_is_refused(self, tmp_path, label):
@@ -482,16 +514,15 @@ class TestTransportConfig:
         with pytest.raises(ValidationError, match="API key"):
             build_transport(plan, taxonomy, scenario)
 
-    def test_unknown_transport_kind(self, tmp_path, scenario, taxonomy):
-        plan = ExperimentPlan(
-            scenario_path=DATA / "neutral_scenario.yaml",
-            taxonomy_path=DATA / "default_taxonomy.yaml",
-            treatments=(Treatment("t", 1.0, PromptVariant.DEFAULT),),
-            base_seed=1,
-            transport={"kind": "carrier-pigeon"},
-        )
-        with pytest.raises(ValidationError, match="carrier-pigeon"):
-            build_transport(plan, taxonomy, scenario)
+    def test_unknown_transport_kind(self):
+        with pytest.raises(ParseError, match="transport kind must be one of .*'carrier-pigeon'"):
+            ExperimentPlan(
+                scenario_path=DATA / "neutral_scenario.yaml",
+                taxonomy_path=DATA / "default_taxonomy.yaml",
+                treatments=(Treatment("t", 1.0, PromptVariant.DEFAULT),),
+                base_seed=1,
+                transport={"kind": "carrier-pigeon"},
+            )
 
 
 class TestManifestLock:
