@@ -109,6 +109,17 @@ class ExperimentPlan:
     max_requests: int = DEFAULT_EXPERIMENT_BUDGET
 
     def __post_init__(self):
+        for key in ("scenario_path", "taxonomy_path"):
+            if not isinstance(getattr(self, key), Path):
+                raise ParseError(f"plan: {key} must be a Path, got {getattr(self, key)!r}")
+        if not (isinstance(self.treatments, tuple) and self.treatments
+                and all(isinstance(t, Treatment) for t in self.treatments)):
+            raise ParseError(f"plan: treatments must be a nonempty tuple of Treatments, "
+                             f"got {self.treatments!r}")
+        if not isinstance(self.aggregator, Aggregator):
+            names = " or ".join(a.value for a in Aggregator)
+            raise ParseError(f"plan: aggregator must be an Aggregator ({names}), "
+                             f"got {self.aggregator!r}")
         for key, kind in _SCALAR_KEYS.items():
             require_type(getattr(self, key), kind, f"plan: {key}", nonempty=key == "model")
         if self.runs_per_treatment < 1:
@@ -235,10 +246,8 @@ def parse_plan(document: object, base: Path) -> ExperimentPlan:
         if isinstance(options.get(spec), dict) and key in options[spec]:
             options[spec] = {**options[spec], key: _resolve(options[spec][key])}
     if "aggregator" in options:
-        try:
+        with contextlib.suppress(ValueError):  # not an aggregator's name: the plan refuses it
             options["aggregator"] = Aggregator(options["aggregator"])
-        except ValueError as exc:
-            raise ParseError(f"plan: {exc}") from exc
     for key in ("scenario", "taxonomy"):
         require_type(document[key], str, f"plan: {key}", nonempty=True)
     return ExperimentPlan(

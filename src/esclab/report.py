@@ -17,15 +17,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .experiments import load_manifest, manifest_lock
 from .figures import emit_boxplot, emit_category_chart, emit_timeseries
-from .scoring import (
-    Aggregator,
-    CategoryCounts,
-    category_frequencies,
-    daily_mean_matrix,
-    per_sample_scores,
-    run_level_scores,
-    score_actions,
-)
+from .scoring import Aggregator, CategoryCounts, ScoreTally, score_actions
 from .stats import (
     QUARTILE_CONVENTION,
     SIGNIFICANCE_TEST_NAME,
@@ -116,7 +108,11 @@ def build_report(
         aggregator = aggregator or Aggregator(manifest["aggregator"])
         taxonomy = load_taxonomy(taxonomy_path or manifest["taxonomy_path"])
 
-        runs_by_label: dict[str, list[TranscriptRun]] = {}
+        # One run at a time: each is checked and folded into its label's
+        # tally before the next is read.
+        tallies: dict[str, ScoreTally] = {}
+        temperatures: dict[str, float] = {}  # of each label's first run
+        variants: dict[str, str] = {}
         excluded: list[dict] = []
         for entry in manifest["runs"]:
             if entry["status"] != "completed":
@@ -127,11 +123,14 @@ def build_report(
                 excluded.append(entry)
                 continue
             _verify_scores(run, taxonomy)
-            runs_by_label.setdefault(entry["label"], []).append(run)
-    labels = [t["label"] for t in manifest["treatments"] if runs_by_label.get(t["label"])]
+            label = entry["label"]
+            if label not in tallies:
+                tallies[label] = ScoreTally(aggregator, taxonomy)
+                temperatures[label], variants[label] = run.temperature, run.variant
+            tallies[label].add(run)
+    labels = [t["label"] for t in manifest["treatments"] if t["label"] in tallies]
     if not labels:
         raise ValidationError("manifest has no completed runs to report on")
-    variants = {label: runs_by_label[label][0].variant for label in labels}
     if excluded:
         log.warning("report excludes %d non-completed runs", len(excluded))
 
@@ -142,19 +141,17 @@ def build_report(
     summaries: dict[str, SummaryStats] = {}
     categories: dict[str, CategoryCounts] = {}
     daily: dict[str, DailySeriesStats] = {}
-    run_level: dict[str, list[float]] = {}
     for label in labels:
-        runs = runs_by_label[label]
-        summaries[label] = summarize(per_sample_scores(runs, aggregator))
-        categories[label] = category_frequencies(runs, taxonomy)
-        run_level[label] = run_level_scores(runs, aggregator)
-        if len(runs) >= 2:
-            daily[label] = ci95_per_day(daily_mean_matrix(runs))
+        tally = tallies[label]
+        summaries[label] = summarize(tally.samples)
+        categories[label] = tally.categories()
+        if tally.runs >= 2:
+            daily[label] = ci95_per_day(tally.daily_means)
 
     summary_rows = [
         [
             label,
-            runs_by_label[label][0].temperature,
+            temperatures[label],
             variants[label],
             summaries[label].n,
             summaries[label].mean,
@@ -181,8 +178,8 @@ def build_report(
             "p_value": None,
             "significant_at_0_05": None,
         }
-        if len(run_level[baseline]) >= 3 and len(run_level[label]) >= 3:
-            test = significance_test(run_level[baseline], run_level[label])
+        if tallies[baseline].runs >= 3 and tallies[label].runs >= 3:
+            test = significance_test(tallies[baseline].run_level, tallies[label].run_level)
             row["u_statistic"] = test.statistic
             row["p_value"] = test.p_value
             row["significant_at_0_05"] = test.significant_at_0_05

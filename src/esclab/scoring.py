@@ -6,7 +6,7 @@ weighting, no time discounting.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -104,61 +104,88 @@ def run_score(run, aggregator: Aggregator) -> dict[str, float]:
     return out
 
 
-def _check_same_scenario(runs: Sequence) -> None:
-    names = {run.scenario_name for run in runs}
+def _one_scenario(names: set[str]) -> None:
     if len(names) > 1:
         raise MixedScenario(f"runs span multiple scenarios: {sorted(names)}")
+
+
+@dataclass
+class ScoreTally:
+    """Completed runs of one scenario folded to the numbers a report needs.
+
+    ``add`` is the one reduction of a run: it calls ``run_score`` once and
+    keeps no reference to the run, so a report holds one run at a time.
+    Actions are counted by category only with a taxonomy.
+    """
+
+    aggregator: Aggregator
+    taxonomy: ActionTaxonomy | None = None
+    scenario_names: set[str] = field(default_factory=set)
+    samples: list[float] = field(default_factory=list)  # per nation per run
+    run_level: list[float] = field(default_factory=list)  # per run: the mean over nations
+    daily_means: list[list[float]] = field(default_factory=list)  # runs x days
+    category_totals: dict[ActionCategory, int] = field(
+        default_factory=lambda: dict.fromkeys(ActionCategory, 0)
+    )
+    nations: set[str] = field(default_factory=set)
+    runs: int = 0
+
+    def add(self, run) -> None:
+        self.scenario_names.add(run.scenario_name)
+        _one_scenario(self.scenario_names)
+        scores = run_score(run, self.aggregator)
+        self.samples.extend(scores.values())
+        self.run_level.append(sum(scores.values()) / len(scores))
+        row = []
+        for record in run.days:
+            values = list(record.daily_score_by_nation.values())
+            row.append(sum(values) / len(values))
+        self.daily_means.append(row)
+        if self.taxonomy is not None:
+            for record in run.days:
+                for nation, actions in record.actions_by_nation.items():
+                    self.nations.add(nation)
+                    for action in actions:
+                        spec = lookup_action(self.taxonomy, action.action_id)
+                        self.category_totals[spec.category] += 1
+        self.runs += 1
+
+    def categories(self) -> CategoryCounts:
+        """Actions per category per nation, averaged across the runs."""
+        nations = len(self.nations)
+        denominator = nations * self.runs
+        counts = {category: self.category_totals[category] / denominator
+                  for category in ActionCategory}
+        return CategoryCounts(counts=counts, nations=nations, runs=self.runs)
+
+
+def _tally(runs: Sequence, aggregator: Aggregator = Aggregator.MEAN_DAILY,
+           taxonomy: ActionTaxonomy | None = None) -> ScoreTally:
+    # Every run's scenario first: a mix is refused before any run is reduced.
+    _one_scenario({run.scenario_name for run in runs})
+    tally = ScoreTally(aggregator, taxonomy)
+    for run in runs:
+        tally.add(run)
+    return tally
 
 
 def category_frequencies(runs: Sequence, taxonomy: ActionTaxonomy) -> CategoryCounts:
     """Actions per category per nation, averaged across the given runs."""
     if not runs:
         raise ValidationError("category_frequencies needs at least one run")
-    _check_same_scenario(runs)
-    totals = {category: 0 for category in ActionCategory}
-    nation_names: set[str] = set()
-    for run in runs:
-        for record in _require_completed(run):
-            for nation, actions in record.actions_by_nation.items():
-                nation_names.add(nation)
-                for action in actions:
-                    spec = lookup_action(taxonomy, action.action_id)
-                    totals[spec.category] += 1
-    nations = len(nation_names)
-    denominator = nations * len(runs)
-    counts = {category: totals[category] / denominator for category in ActionCategory}
-    return CategoryCounts(counts=counts, nations=nations, runs=len(runs))
+    return _tally(runs, taxonomy=taxonomy).categories()
 
 
 def per_sample_scores(runs: Sequence, aggregator: Aggregator) -> list[float]:
     """Per-nation-per-run values (the Fig.-1 sample unit), in stable order."""
-    _check_same_scenario(runs)
-    samples: list[float] = []
-    for run in runs:
-        scores = run_score(run, aggregator)
-        samples.extend(scores[nation] for nation in scores)
-    return samples
+    return _tally(runs, aggregator).samples
 
 
 def run_level_scores(runs: Sequence, aggregator: Aggregator) -> list[float]:
     """One value per run: the mean over nations (significance-test unit)."""
-    _check_same_scenario(runs)
-    out = []
-    for run in runs:
-        scores = run_score(run, aggregator)
-        out.append(sum(scores.values()) / len(scores))
-    return out
+    return _tally(runs, aggregator).run_level
 
 
 def daily_mean_matrix(runs: Sequence) -> list[list[float]]:
     """runs x days matrix of per-day mean score over nations (Fig.-3 input)."""
-    _check_same_scenario(runs)
-    matrix = []
-    for run in runs:
-        days = _require_completed(run)
-        row = []
-        for record in days:
-            values = list(record.daily_score_by_nation.values())
-            row.append(sum(values) / len(values))
-        matrix.append(row)
-    return matrix
+    return _tally(runs).daily_means

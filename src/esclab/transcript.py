@@ -50,6 +50,7 @@ import hashlib
 import json
 import os
 import re
+import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -413,23 +414,31 @@ def turn_payload(turn: AgentTurn) -> dict:
     }
 
 
+def _shared(value):
+    """``value``, the one copy of its text if it is a string: the names and
+    ids of every run read back then share their strings.  Any other value
+    goes on unchanged to the check that refuses it."""
+    return sys.intern(value) if type(value) is str else value
+
+
 def turn_actions(record: dict) -> tuple[str, tuple[ChosenAction, ...]]:
     """The nation and the actions of a turn record: every reader's one
     decoder of them."""
     nation = record["nation"]
     if type(nation) is not str:
         raise TypeError(f"turn record {record['seq']} names no nation: {nation!r}")
-    return nation, tuple([ChosenAction(a["action"], a["target"])
-                          for a in record["payload"]["actions"]])
+    return sys.intern(nation), tuple([ChosenAction(_shared(a["action"]), _shared(a["target"]))
+                                      for a in record["payload"]["actions"]])
 
 
 def _day_record(record: dict, actions_by_nation: dict) -> DailyRecord:
     """The ``DailyRecord`` of a ``day`` record and the actions of its turns."""
     payload = record["payload"]
+    scores = {**payload["scores"]}  # a mapping, not a list of pairs
     return DailyRecord(
         day=record["day"],
         actions_by_nation=actions_by_nation,
-        daily_score_by_nation={**payload["scores"]},  # a mapping, not a list of pairs
+        daily_score_by_nation={_shared(nation): score for nation, score in scores.items()},
         world_summary_after=payload["summary"],
     )
 

@@ -257,8 +257,9 @@ class TestPlanValueChecks:
         ({"transport": {"kind": "pigeon"}}, None),
         ({"policy": {"kind": "llm", "script": "x"},
           "transport": {"kind": "mock", "base_url": "http://x"}}, None),
+        ({"aggregator": "bogus"}, None),
     ], ids=["runs-float", "seed-text", "budget-text", "updater", "duplicate-label",
-            "baseline", "transport-kind", "policy-and-transport-keys"])
+            "baseline", "transport-kind", "policy-and-transport-keys", "aggregator"])
     def test_plan_built_in_code_is_checked_as_a_plan_file(self, tmp_path, changes, entries):
         path = checked_plan(tmp_path)
         document = yaml.safe_load(path.read_text(encoding="utf-8"))
@@ -271,6 +272,26 @@ class TestPlanValueChecks:
         assert type(in_code.value) is type(in_file.value)
         assert str(in_code.value) == str(in_file.value)
         assert str(in_code.value).startswith("plan: ")
+
+    @pytest.mark.parametrize("changes,match", [
+        ({"aggregator": "mean_daily"},
+         r"plan: aggregator must be an Aggregator \(mean_daily or day14_cumulative\), "
+         r"got 'mean_daily'"),
+        ({"scenario_path": "scenario.yaml"},
+         r"plan: scenario_path must be a Path, got 'scenario.yaml'"),
+        ({"taxonomy_path": str(DATA / "default_taxonomy.yaml")},
+         r"plan: taxonomy_path must be a Path"),
+        ({"treatments": ()}, r"plan: treatments must be a nonempty tuple of Treatments, got \(\)"),
+        ({"treatments": ({"label": "a", "temperature": 1.0},)},
+         r"plan: treatments must be a nonempty tuple of Treatments"),
+    ], ids=["aggregator-name", "scenario-path-text", "taxonomy-path-text", "no-treatments",
+            "treatment-mapping"])
+    def test_field_a_plan_file_converts_is_checked_in_code(self, changes, match):
+        # parse_plan builds these, so no plan file can give the wrong type; in
+        # code it is a plan error, not an AttributeError in plan_digest.
+        plan = load_plan(DATA / "plan_demo.yaml")
+        with pytest.raises(ParseError, match=f"^{match}"):
+            dataclasses.replace(plan, **changes)
 
     @pytest.mark.parametrize("label", ["grp/a", "../../x", "a|b"])
     def test_label_that_is_not_one_file_name_component_is_refused(self, tmp_path, label):

@@ -1,14 +1,18 @@
 import csv
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from esclab import report
 from esclab import transcript as ts
-from esclab.errors import ValidationError
+from esclab.errors import MixedScenario, ValidationError
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
 from esclab.scoring import Aggregator
+
+from test_golden import REPORT_SHA256, digests, tiny_plan
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -168,3 +172,32 @@ class TestSmallReports:
         nation = "Red" if day == 2 else "Atlantis"
         with pytest.raises(ValidationError, match=rf"'t1.0-default-r01' day {day}: .*'{nation}'"):
             build_report(result.manifest_path, tmp_path / "report")
+
+
+class TestStreaming:
+    def test_report_holds_one_run_at_a_time(self, tmp_path, monkeypatch):
+        result = run_experiment(tiny_plan(), tmp_path / "exp")
+        loaded = []
+        load_run = report.load_run
+
+        def load_and_watch(path):
+            alive = [ref for ref in loaded if ref() is not None]
+            assert len(alive) <= 1, f"{len(alive)} runs alive when {path.name} is loaded"
+            run = load_run(path)
+            loaded.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(report, "load_run", load_and_watch)
+        build_report(result.manifest_path, tmp_path / "report", include_timestamp=False)
+        assert len(loaded) == len(result.runs) == 4
+        assert digests(tmp_path / "report", "*.csv") == REPORT_SHA256
+
+    def test_label_spanning_two_scenarios_is_refused_while_reading(self, tmp_path):
+        result = run_experiment(load_plan(DATA / "plan_demo.yaml"), tmp_path / "exp")
+        path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
+        records = ts.read_records(path)
+        records[0]["payload"]["scenario_name"] = "another scenario"
+        ts.rewrite(path, records)
+        with pytest.raises(MixedScenario, match="another scenario"):
+            build_report(result.manifest_path, tmp_path / "report")
+        assert not (tmp_path / "report").exists()

@@ -31,7 +31,7 @@ from esclab import transcript as ts
 from esclab.agents import LlmPolicy, _first_json_object, load_script
 from esclab.cli import main
 from esclab.client import MockTransport
-from esclab.errors import ParseError, TransportError, ValidationError
+from esclab.errors import ParseError, TransportError, UnknownAction, ValidationError
 from esclab.experiments import inspect_experiment, load_plan, run_experiment, run_seed
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, TemplateUpdater, Treatment, run_simulation
@@ -837,6 +837,37 @@ class TestSeal:
         # Each seal check decodes the run_end line once more.
         assert sorted(decoded) == sorted(used + [ts.RUN_END] * 4)
         assert len(used) == 4 * (1 + 14 * 8 + 14 + 1)
+
+
+class TestSharedStrings:
+    def test_runs_read_back_share_names_and_ids(self, small_experiment):
+        first, second = (ts.load_run(path) for path in
+                         sorted((small_experiment[1] / "transcripts").glob("*.jsonl"))[:2])
+        for one, other in zip(first.days, second.days):
+            nations = list(one.actions_by_nation)
+            assert [a is b for a, b in zip(nations, other.actions_by_nation)] == [True] * 8
+            scored = {nation: nation for nation in one.daily_score_by_nation}  # sorted order
+            assert [scored[nation] is nation for nation in nations] == [True] * 8
+        ids = {}
+        for run in (first, second):
+            for record in run.days:
+                for actions in record.actions_by_nation.values():
+                    for action in actions:
+                        for text in (action.action_id, action.target):
+                            if text is not None:
+                                assert ids.setdefault(text, text) is text
+        assert len(ids) > 8
+
+    def test_an_action_id_that_is_no_string_is_still_an_unknown_action(
+            self, experiment_copy, tmp_path):
+        path = experiment_copy[1] / "transcripts" / "t1.0-default-r01.jsonl"
+        records = ts.read_records(path)
+        turn = next(r for r in records if r["type"] == ts.TURN)
+        turn["payload"]["actions"][0]["action"] = ["wait"]
+        ts.rewrite(path, records)
+        assert ts.load_run(path).days[0].actions_by_nation[turn["nation"]][0].action_id == ["wait"]
+        with pytest.raises(UnknownAction, match=r"unknown action id: \['wait'\]"):
+            build_report(experiment_copy[1] / "manifest.json", tmp_path / "report")
 
 
 class TestMetricsSidecar:
