@@ -81,9 +81,12 @@ class SvgDoc:
         else:
             self.parts.append(f"<{tag} {rendered}>{_escape(text)}</{tag}>")
 
-    def desc(self, payload: dict) -> None:
-        self.parts.append(
-            '<desc id="provenance">' + _escape(json.dumps(payload, sort_keys=True)) + "</desc>"
+    def desc(self, geometry: dict, provenance: dict | None) -> None:
+        """Lead the document with its provenance block: ``geometry`` and
+        ``provenance`` as one JSON object."""
+        payload = {**geometry, **(provenance or {})}
+        self.parts.insert(
+            0, '<desc id="provenance">' + _escape(json.dumps(payload, sort_keys=True)) + "</desc>"
         )
 
     def save(self, path) -> Path:
@@ -114,16 +117,23 @@ def _axes(doc: SvgDoc, scale: Scale, left: float, right: float, ticks: int = 5) 
                 text_anchor="end", font_size="11", font_family="sans-serif")
 
 
-def _provenance_payload(scale: Scale, left: float, right: float,
-                        provenance: dict | None) -> dict:
-    payload = {
-        "y_min": scale.y_min,
-        "y_max": scale.y_max,
-        "plot": {"left": left, "right": right, "top": scale.top, "bottom": scale.bottom},
-    }
-    if provenance:
-        payload.update(provenance)
-    return payload
+def _frame(low: float, high: float, title: str,
+           provenance: dict | None) -> tuple[SvgDoc, Scale, float, float]:
+    """A 640 x 400 chart over the padded y-domain of ``low``..``high``, with
+    its provenance, title and axes: the document, its scale and the plot
+    rectangle's left and right."""
+    width, height = 640.0, 400.0
+    left, right, top, bottom = 70.0, width - 20.0, 50.0, height - 60.0
+    y_min, y_max = _padded_domain(low, high)
+    scale = Scale(y_min=y_min, y_max=y_max, top=top, bottom=bottom)
+    doc = SvgDoc(width, height)
+    doc.desc({"y_min": y_min, "y_max": y_max,
+              "plot": {"left": left, "right": right, "top": top, "bottom": bottom}},
+             provenance)
+    doc.add("text", title, x=_fmt(width / 2), y="28", text_anchor="middle",
+            font_size="15", font_family="sans-serif")
+    _axes(doc, scale, left, right)
+    return doc, scale, left, right
 
 
 def emit_boxplot(
@@ -136,17 +146,10 @@ def emit_boxplot(
     at min/max (range, not 1.5*IQR)."""
     if not stats_by_label:
         raise EmptyStats("boxplot needs at least one treatment")
-    width, height = 640.0, 400.0
-    left, right, top, bottom = 70.0, width - 20.0, 50.0, height - 60.0
-    y_min, y_max = _padded_domain(
-        min(s.min for _, s in stats_by_label), max(s.max for _, s in stats_by_label)
+    doc, scale, left, right = _frame(
+        min(s.min for _, s in stats_by_label), max(s.max for _, s in stats_by_label),
+        title, provenance,
     )
-    scale = Scale(y_min=y_min, y_max=y_max, top=top, bottom=bottom)
-    doc = SvgDoc(width, height)
-    doc.desc(_provenance_payload(scale, left, right, provenance))
-    doc.add("text", title, x=_fmt(width / 2), y="28", text_anchor="middle",
-            font_size="15", font_family="sans-serif")
-    _axes(doc, scale, left, right)
     slot = (right - left) / len(stats_by_label)
     box_w = slot * 0.45
     for i, (label, s) in enumerate(stats_by_label):
@@ -175,7 +178,7 @@ def emit_boxplot(
                    f"{_fmt(cx + 5)},{_fmt(y_mean + 4)}",
             fill=color, data_role="mean", data_label=label, data_value=repr(s.mean),
         )
-        doc.add("text", label, x=_fmt(cx), y=_fmt(bottom + 18), text_anchor="middle",
+        doc.add("text", label, x=_fmt(cx), y=_fmt(scale.bottom + 18), text_anchor="middle",
                 font_size="11", font_family="sans-serif")
     return doc.save(path)
 
@@ -189,18 +192,13 @@ def emit_timeseries(
     """Mean polyline plus 95% CI band per treatment over days 1..N."""
     if not series_by_label:
         raise EmptyStats("time series needs at least one treatment")
-    width, height = 640.0, 400.0
-    left, right, top, bottom = 70.0, width - 20.0, 50.0, height - 60.0
-    lows = [d.ci_low for _, series in series_by_label for d in series.days]
-    highs = [d.ci_high for _, series in series_by_label for d in series.days]
-    y_min, y_max = _padded_domain(min(lows), max(highs))
-    scale = Scale(y_min=y_min, y_max=y_max, top=top, bottom=bottom)
+    doc, scale, left, right = _frame(
+        min(d.ci_low for _, series in series_by_label for d in series.days),
+        max(d.ci_high for _, series in series_by_label for d in series.days),
+        title, provenance,
+    )
+    top, bottom = scale.top, scale.bottom
     n_days = max(len(series) for _, series in series_by_label)
-    doc = SvgDoc(width, height)
-    doc.desc(_provenance_payload(scale, left, right, provenance))
-    doc.add("text", title, x=_fmt(width / 2), y="28", text_anchor="middle",
-            font_size="15", font_family="sans-serif")
-    _axes(doc, scale, left, right)
 
     def x_px(day: int) -> float:
         if n_days == 1:
@@ -300,9 +298,5 @@ def emit_category_chart(
                 height="9", fill=color)
         doc.add("text", label, x=_fmt(margin + 18), y=_fmt(legend_y + 14 * i),
                 font_size="11", font_family="sans-serif")
-    payload = {"panels": panels}
-    if provenance:
-        payload.update(provenance)
-    doc.parts.insert(0, '<desc id="provenance">'
-                     + _escape(json.dumps(payload, sort_keys=True)) + "</desc>")
+    doc.desc({"panels": panels}, provenance)
     return doc.save(path)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import ParseError, ValidationError
 from .experiments import load_manifest, manifest_lock
 from .figures import emit_boxplot, emit_category_chart, emit_timeseries
-from .scoring import Aggregator, CategoryCounts, ScoreTally, score_actions
+from .scoring import Aggregator, CategoryCounts, ScoreTally
 from .stats import (
     QUARTILE_CONVENTION,
     SIGNIFICANCE_TEST_NAME,
@@ -28,8 +28,8 @@ from .stats import (
     significance_test,
     summarize,
 )
-from .taxonomy import ActionTaxonomy, load_taxonomy
-from .transcript import TranscriptRun, load_run
+from .taxonomy import load_taxonomy
+from .transcript import load_run
 
 log = logging.getLogger("esclab.report")
 
@@ -74,24 +74,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
             writer.writerow([_cell(v) for v in row])
 
 
-def _verify_scores(run: TranscriptRun, taxonomy: ActionTaxonomy) -> None:
-    for record in run.days:
-        unmatched = record.daily_score_by_nation.keys() ^ record.actions_by_nation.keys()
-        if unmatched:
-            raise ValidationError(
-                f"transcript {run.run_id!r} day {record.day}: nations "
-                f"{sorted(unmatched, key=str)} have a turn or a stored score, not both"
-            )
-        for nation, actions in record.actions_by_nation.items():
-            recomputed = score_actions(actions, taxonomy)
-            stored = record.daily_score_by_nation[nation]
-            if recomputed != stored:
-                raise ValidationError(
-                    f"transcript {run.run_id!r} day {record.day} {nation}: stored "
-                    f"score {stored} != recomputed {recomputed}"
-                )
-
-
 def build_report(
     manifest_path: str | Path,
     out_dir: str | Path,
@@ -108,8 +90,8 @@ def build_report(
         aggregator = aggregator or Aggregator(manifest["aggregator"])
         taxonomy = load_taxonomy(taxonomy_path or manifest["taxonomy_path"])
 
-        # One run at a time: each is checked and folded into its label's
-        # tally before the next is read.
+        # One run at a time: its label's tally checks and folds it before
+        # the next is read.
         tallies: dict[str, ScoreTally] = {}
         temperatures: dict[str, float] = {}  # of each label's first run
         variants: dict[str, str] = {}
@@ -122,7 +104,6 @@ def build_report(
             if not run.completed:
                 excluded.append(entry)
                 continue
-            _verify_scores(run, taxonomy)
             label = entry["label"]
             if label not in tallies:
                 tallies[label] = ScoreTally(aggregator, taxonomy)
@@ -228,14 +209,9 @@ def build_report(
             ["label", "temperature", "variant", "n", "mean", "median", "q1", "q3", "min", "max"],
             summary_rows,
         )
-        _write_csv(
-            reductions_csv,
-            ["label", "baseline", "baseline_mean", "mean", "percent_reduction",
-             "u_statistic", "p_value", "significant_at_0_05"],
-            [[r[k] for k in ("label", "baseline", "baseline_mean", "mean",
-                             "percent_reduction", "u_statistic", "p_value",
-                             "significant_at_0_05")] for r in reductions],
-        )
+        columns = ["label", "baseline", "baseline_mean", "mean", "percent_reduction",
+                   "u_statistic", "p_value", "significant_at_0_05"]
+        _write_csv(reductions_csv, columns, [[r[k] for k in columns] for r in reductions])
         _write_csv(daily_csv, ["label", "day", "mean", "ci_low", "ci_high"], daily_rows)
         _write_csv(categories_csv, ["label", "category", "actions_per_nation"], category_rows)
         provenance_json.write_text(

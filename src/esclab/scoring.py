@@ -86,22 +86,14 @@ def score_series(run, nation: str) -> ScoreSeries:
 
 
 def run_score(run, aggregator: Aggregator) -> dict[str, float]:
-    """Collapse a completed run to one value per nation.
-
-    MEAN_DAILY is the mean of the daily scores; DAY14_CUMULATIVE is the
-    running-sum endpoint.  The two are linked exactly by
-    day14_cumulative == days * mean_daily.
-    """
+    """Collapse a completed run to one value per nation of its first day:
+    its ``ScoreSeries``' ``mean_daily`` or ``day14_cumulative``, which are
+    linked exactly by day14_cumulative == days * mean_daily."""
     days = _require_completed(run)
-    nations = list(days[0].daily_score_by_nation)
-    out: dict[str, float] = {}
-    for nation in nations:
-        totals = [record.daily_score_by_nation[nation] for record in days]
-        if aggregator is Aggregator.MEAN_DAILY:
-            out[nation] = sum(totals) / len(totals)
-        else:
-            out[nation] = float(sum(totals))
-    return out
+    series = [score_series(run, nation) for nation in days[0].daily_score_by_nation]
+    if aggregator is Aggregator.MEAN_DAILY:
+        return {s.nation: s.mean_daily for s in series}
+    return {s.nation: float(s.day14_cumulative) for s in series}
 
 
 def _one_scenario(names: set[str]) -> None:
@@ -111,11 +103,12 @@ def _one_scenario(names: set[str]) -> None:
 
 @dataclass
 class ScoreTally:
-    """Completed runs of one scenario folded to the numbers a report needs.
+    """Completed runs of one scenario, each checked and folded to the numbers
+    a report needs.
 
-    ``add`` is the one reduction of a run: it calls ``run_score`` once and
-    keeps no reference to the run, so a report holds one run at a time.
-    Actions are counted by category only with a taxonomy.
+    ``add`` is the one pass over a run, and it keeps no reference to the
+    run, so a report holds one run at a time.  Actions are checked against
+    their stored scores and counted by category only with a taxonomy.
     """
 
     aggregator: Aggregator
@@ -131,23 +124,56 @@ class ScoreTally:
     runs: int = 0
 
     def add(self, run) -> None:
+        """Check a completed run and fold it in, or raise and fold nothing.
+
+        One walk over its days checks that every day's turns and stored
+        scores name the nations of its first day; with a taxonomy, it looks
+        each action up once, to recompute the stored score and to count the
+        category.  The walk also gives the row of daily means over nations.
+        """
+        _one_scenario(self.scenario_names | {run.scenario_name})
+        days = _require_completed(run)
+        if not days or not days[0].daily_score_by_nation:
+            raise ValidationError(f"transcript {run.run_id!r} completed without a nation's score")
+        first = days[0]
+        categories = dict.fromkeys(ActionCategory, 0)
+        row = []
+        for record in days:
+            stored = record.daily_score_by_nation
+            unmatched = stored.keys() ^ record.actions_by_nation.keys()
+            if unmatched:
+                raise ValidationError(
+                    f"transcript {run.run_id!r} day {record.day}: nations "
+                    f"{sorted(unmatched, key=str)} have a turn or a stored score, not both"
+                )
+            unmatched = stored.keys() ^ first.daily_score_by_nation.keys()
+            if unmatched:
+                raise ValidationError(
+                    f"transcript {run.run_id!r} day {record.day}: nations "
+                    f"{sorted(unmatched, key=str)} play on day {first.day} or on day "
+                    f"{record.day}, not both"
+                )
+            if self.taxonomy is not None:
+                for nation, actions in record.actions_by_nation.items():
+                    recomputed = 0
+                    for action in actions:
+                        spec = lookup_action(self.taxonomy, action.action_id)
+                        recomputed += spec.score
+                        categories[spec.category] += 1
+                    if recomputed != stored[nation]:
+                        raise ValidationError(
+                            f"transcript {run.run_id!r} day {record.day} {nation}: stored "
+                            f"score {stored[nation]} != recomputed {recomputed}"
+                        )
+            row.append(sum(stored.values()) / len(stored))
         self.scenario_names.add(run.scenario_name)
-        _one_scenario(self.scenario_names)
         scores = run_score(run, self.aggregator)
         self.samples.extend(scores.values())
         self.run_level.append(sum(scores.values()) / len(scores))
-        row = []
-        for record in run.days:
-            values = list(record.daily_score_by_nation.values())
-            row.append(sum(values) / len(values))
         self.daily_means.append(row)
-        if self.taxonomy is not None:
-            for record in run.days:
-                for nation, actions in record.actions_by_nation.items():
-                    self.nations.add(nation)
-                    for action in actions:
-                        spec = lookup_action(self.taxonomy, action.action_id)
-                        self.category_totals[spec.category] += 1
+        for category, count in categories.items():
+            self.category_totals[category] += count
+        self.nations.update(scores)
         self.runs += 1
 
     def categories(self) -> CategoryCounts:
@@ -159,31 +185,21 @@ class ScoreTally:
         return CategoryCounts(counts=counts, nations=nations, runs=self.runs)
 
 
-def _tally(runs: Sequence, aggregator: Aggregator = Aggregator.MEAN_DAILY,
-           taxonomy: ActionTaxonomy | None = None) -> ScoreTally:
+def _tally(runs: Sequence, taxonomy: ActionTaxonomy | None = None) -> ScoreTally:
     # Every run's scenario first: a mix is refused before any run is reduced.
     _one_scenario({run.scenario_name for run in runs})
-    tally = ScoreTally(aggregator, taxonomy)
+    tally = ScoreTally(Aggregator.MEAN_DAILY, taxonomy)
     for run in runs:
         tally.add(run)
     return tally
 
 
 def category_frequencies(runs: Sequence, taxonomy: ActionTaxonomy) -> CategoryCounts:
-    """Actions per category per nation, averaged across the given runs."""
+    """Actions per category per nation, averaged across the given runs, each
+    checked as ``ScoreTally.add`` checks it."""
     if not runs:
         raise ValidationError("category_frequencies needs at least one run")
-    return _tally(runs, taxonomy=taxonomy).categories()
-
-
-def per_sample_scores(runs: Sequence, aggregator: Aggregator) -> list[float]:
-    """Per-nation-per-run values (the Fig.-1 sample unit), in stable order."""
-    return _tally(runs, aggregator).samples
-
-
-def run_level_scores(runs: Sequence, aggregator: Aggregator) -> list[float]:
-    """One value per run: the mean over nations (significance-test unit)."""
-    return _tally(runs, aggregator).run_level
+    return _tally(runs, taxonomy).categories()
 
 
 def daily_mean_matrix(runs: Sequence) -> list[list[float]]:

@@ -12,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from esclab import experiments
+from esclab import transcript as ts
 from esclab.cli import build_parser, main
+
+from test_corrupt_transcripts import without_nation
+from test_transcript_format import reseal
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -814,6 +818,20 @@ class TestCorruptedRunFiles:
         manifest = _edited(json.loads(path.read_text(encoding="utf-8")), keys, value)
         path.write_text(json.dumps(manifest), encoding="utf-8")
         self._commands(llm_experiment, tmp_path, capsys, codes)
+
+    @pytest.mark.parametrize("day", [1, 5])
+    def test_transcript_without_a_nation_on_one_day(self, llm_experiment, tmp_path, capsys,
+                                                    day):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        path = tmp_path / "exp" / self.TRANSCRIPT
+        kept = without_nation(ts.read_records(path), day, "Red")
+        reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
+        errors = self._commands(llm_experiment, tmp_path, capsys, (1, 1, 0))
+        named = 2 if day == 1 else day  # the first day to differ from day 1
+        assert errors["report"] == {"error": "ValidationError", "message": (
+            f"transcript 't1.0-default-r01' day {named}: nations ['Red'] play on day 1 "
+            f"or on day {named}, not both"
+        )}
 
     def test_deeply_nested_transcript_line(self, llm_experiment, tmp_path, capsys):
         shutil.copytree(llm_experiment[1], tmp_path / "exp")

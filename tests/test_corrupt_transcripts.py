@@ -1,6 +1,9 @@
-"""A completed transcript with one corrupted line or field: every reader of
-it returns or raises an ``EsclabError``, never anything else."""
+"""A completed transcript with one corrupted line or field, or one record
+or nation-day gone: every reader of it returns or raises an ``EsclabError``,
+never anything else."""
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +13,16 @@ from conftest import small_scenario
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.client import MockTransport
-from esclab.errors import EsclabError
+from esclab.errors import EsclabError, ValidationError
+from esclab.experiments import inspect_experiment, load_plan, run_experiment
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
 from esclab.prompts import PromptVariant
+from esclab.report import build_report
+
+from test_transcript_format import reseal
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "esclab" / "data"
 
 JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
@@ -96,3 +105,60 @@ class TestOneCorruptedLine:
                 read()
             except EsclabError:
                 pass
+
+
+@pytest.fixture(scope="module")
+def demo_experiment(tmp_path_factory):
+    """The demo plan played once: the plan, its output directory, and the
+    name and records of its first transcript."""
+    plan = load_plan(DATA / "plan_demo.yaml")
+    out = tmp_path_factory.mktemp("demo") / "exp"
+    run_experiment(plan, out)
+    name = "t1.0-default-r00.jsonl"
+    return plan, out, name, ts.read_records(out / "transcripts" / name)
+
+
+def without_nation(records: list[dict], day: int, nation: str) -> list[dict]:
+    """``records`` without ``nation``'s turn and score of ``day``."""
+    kept = []
+    for record in records:
+        if (record["type"], record["day"], record["nation"]) == (ts.TURN, day, nation):
+            continue
+        if (record["type"], record["day"]) == (ts.DAY, day):
+            scores = {n: s for n, s in record["payload"]["scores"].items() if n != nation}
+            record = {**record, "payload": {**record["payload"], "scores": scores}}
+        kept.append(record)
+    return kept
+
+
+class TestOneRecordGone:
+    def test_every_reader_of_the_experiment_returns_or_raises_an_esclab_error(
+        self, demo_experiment, tmp_path
+    ):
+        """Each single record deleted, and Red's turn and score deleted from
+        each day, the transcript sealed anew: ``build_report``,
+        ``inspect_experiment`` and a re-run each return or raise an
+        ``EsclabError``, and no report is built on a nation-day gone."""
+        plan, out, name, records = demo_experiment
+        assert len(records) == 129
+        cases = [(f"record {i}", records[:i] + records[i + 1:], False)
+                 for i in range(len(records))]
+        cases += [(f"Red on day {day}", without_nation(records, day, "Red"), True)
+                  for day in range(1, 15)]
+        case = tmp_path / "case"
+        for label, kept, dropped in cases:
+            shutil.rmtree(case, ignore_errors=True)
+            shutil.copytree(out, case)
+            reseal(case / "transcripts" / name, [{**r, "seq": seq} for seq, r in enumerate(kept)])
+            try:
+                build_report(case / "manifest.json", case / "report", include_timestamp=False)
+            except EsclabError as exc:
+                assert isinstance(exc, ValidationError) or not dropped, (label, exc)
+            else:
+                assert not dropped, label
+            for read in (lambda: inspect_experiment(case / "manifest.json"),
+                         lambda: run_experiment(plan, case)):
+                try:
+                    read()
+                except EsclabError:
+                    pass

@@ -3,9 +3,9 @@
 The shipped reference plan cut to two treatments (the default prompt and a
 reflection variant) with two runs each.  Every transcript, the manifest
 (with the data directory's path replaced by a placeholder, so the digest
-holds wherever the checkout lives) and every report CSV must hash to the
-digests below, so a change meant to leave the output alone is checked byte
-for byte.  A change that means to alter the output re-pins them and says why.
+holds wherever the checkout lives), every report CSV and every figure of a
+report without a timestamp must hash to the digests below, so a change meant
+to leave the output alone is checked byte for byte.  A change that means to alter the output re-pins them and says why.
 
 Each row of the matrix plays the plan by one path and checks evidence that
 the path was taken: in process on the calling thread, in plan order or
@@ -62,6 +62,12 @@ REPORT_SHA256 = {
     "daily.csv": "91e0fc8e9bae115f43e2c9b13a19bbb63217f3896844dc9815d79f652692a0da",
     "reductions.csv": "d2153fead1d6996bb90d63cfd5346e109762f7f16badcaaee0dc77f2e52b14f1",
     "summary.csv": "51249394a6fa3f0b5505105c1c379df1634c8b79c9c52e14516ae5e9fa0c8a86",
+}
+FIGURE_SHA256 = {
+    "fig1.svg": "8ced5119b9bab4ee39afb75219f9b1f2fed565172f8e624c7e7439c8a44b15f1",
+    "fig2.svg": "73bcb0ee4a1ff1e75ee7da7efb4cfd7a7432d46fd941f320ede72f38b172cd6a",
+    "fig3.svg": "220f45846d0808ef8d42760eb035bf25eecca19c16f5431e21b7521430855cf5",
+    "fig4.svg": "3222e29b54ed26425261670b43fd5e3b80deac4cd56f209490722f897fbe3961",
 }
 
 RUN_IDS = [name.removesuffix(".jsonl") for name in TRANSCRIPT_SHA256]
@@ -355,6 +361,14 @@ def test_tiny_reference_experiment_bytes_are_pinned(path, tmp_path, monkeypatch)
     out = tmp_path / "experiment"
     ROWS[path](out, tmp_path, monkeypatch)
     assert_pinned(out, tmp_path / "report")
+
+
+def test_tiny_reference_report_figures_are_pinned(tmp_path):
+    run_experiment(tiny_plan(), tmp_path / "experiment")
+    bundle = build_report(tmp_path / "experiment" / "manifest.json", tmp_path / "report",
+                          include_timestamp=False)
+    assert sorted(bundle.figures) == ["fig1", "fig2", "fig3", "fig4"]
+    assert digests(tmp_path / "report" / "figures", "*.svg") == FIGURE_SHA256
 
 
 # --- the forked path when something goes wrong, and sidecars left behind

@@ -1,18 +1,21 @@
 import csv
 import json
+import re
 import weakref
 from pathlib import Path
 
 import pytest
 
-from esclab import report
+from esclab import report, scoring
 from esclab import transcript as ts
 from esclab.errors import MixedScenario, ValidationError
 from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
 from esclab.scoring import Aggregator
 
+from test_corrupt_transcripts import without_nation
 from test_golden import REPORT_SHA256, digests, tiny_plan
+from test_transcript_format import reseal
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -173,6 +176,36 @@ class TestSmallReports:
         with pytest.raises(ValidationError, match=rf"'t1.0-default-r01' day {day}: .*'{nation}'"):
             build_report(result.manifest_path, tmp_path / "report")
 
+    @pytest.mark.parametrize("day", [1, 2, 14])
+    def test_a_nation_missing_from_one_whole_day_is_refused(self, tmp_path, day):
+        result = run_experiment(load_plan(DATA / "plan_demo.yaml"), tmp_path / "exp")
+        path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
+        records = without_nation(ts.read_records(path), day, "Red")
+        ts.rewrite(path, [{**record, "seq": seq} for seq, record in enumerate(records)])
+        named = 2 if day == 1 else day  # the first day to differ from day 1
+        with pytest.raises(ValidationError, match=re.escape(
+            f"transcript 't1.0-default-r01' day {named}: nations ['Red'] play on day 1 "
+            f"or on day {named}, not both"
+        )):
+            build_report(result.manifest_path, tmp_path / "report")
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("emptied", ["no-day", "no-score"])
+    def test_a_completed_run_without_a_score_is_refused(self, tmp_path, emptied):
+        result = run_experiment(load_plan(DATA / "plan_demo.yaml"), tmp_path / "exp")
+        path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
+        gone = (ts.TURN, ts.DAY) if emptied == "no-day" else (ts.TURN,)
+        kept = [r for r in ts.read_records(path) if r["type"] not in gone]
+        for record in kept:
+            if record["type"] == ts.DAY:
+                record["payload"]["scores"] = {}
+        reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
+        assert ts.is_sealed(path) and ts.load_run(path).completed
+        with pytest.raises(ValidationError, match=(
+            "^transcript 't1.0-default-r01' completed without a nation's score$"
+        )):
+            build_report(result.manifest_path, tmp_path / "report")
+
 
 class TestStreaming:
     def test_report_holds_one_run_at_a_time(self, tmp_path, monkeypatch):
@@ -201,3 +234,19 @@ class TestStreaming:
         with pytest.raises(MixedScenario, match="another scenario"):
             build_report(result.manifest_path, tmp_path / "report")
         assert not (tmp_path / "report").exists()
+
+    def test_each_action_is_looked_up_once(self, tmp_path, monkeypatch):
+        result = run_experiment(tiny_plan(), tmp_path / "exp")
+        actions = sum(len(actions) for run in result.runs for record in run.days
+                      for actions in record.actions_by_nation.values())
+        looked_up = []
+        lookup = scoring.lookup_action
+
+        def counted(taxonomy, action_id):
+            looked_up.append(action_id)
+            return lookup(taxonomy, action_id)
+
+        monkeypatch.setattr(scoring, "lookup_action", counted)
+        build_report(result.manifest_path, tmp_path / "report", include_timestamp=False)
+        assert len(looked_up) == actions > 0
+        assert digests(tmp_path / "report", "*.csv") == REPORT_SHA256

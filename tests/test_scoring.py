@@ -1,15 +1,18 @@
+import copy
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
 from esclab.agents import AgentTurn, ScriptedPolicy
-from esclab.errors import IncompleteRun, MixedScenario
+from esclab.errors import IncompleteRun, MixedScenario, ValidationError
 from esclab.orchestrator import TemplateUpdater, Treatment, run_simulation
 from esclab.prompts import PromptVariant
 from esclab.scenario import ChosenAction
 from esclab.scoring import (
     Aggregator,
+    ScoreTally,
     category_frequencies,
     daily_mean_matrix,
     daily_score,
@@ -254,3 +257,50 @@ class TestDailyMeanMatrix:
         for day_index, record in enumerate(run.days):
             values = list(record.daily_score_by_nation.values())
             assert matrix[0][day_index] == sum(values) / len(values)
+
+
+def with_day(run, day: int, **changes):
+    """``run`` with the record of ``day`` changed."""
+    run.days[day - 1] = dataclasses.replace(run.days[day - 1], **changes)
+    return run
+
+
+class TestScoreTally:
+    def test_a_mis_scored_run_is_refused_and_folds_nothing(self, taxonomy, tmp_path):
+        rng = random.Random(32)
+        good, _, _ = synthetic_run(rng, taxonomy, tmp_path=tmp_path, tag="good")
+        bad, _, _ = synthetic_run(rng, taxonomy, tmp_path=tmp_path, tag="bad")
+        scores = dict(bad.days[2].daily_score_by_nation)
+        nation = next(iter(scores))
+        scores[nation] += 1
+        with_day(bad, 3, daily_score_by_nation=scores)
+        tally = ScoreTally(Aggregator.MEAN_DAILY, taxonomy)
+        tally.add(good)
+        before = copy.deepcopy(tally)
+        with pytest.raises(ValidationError, match=rf"day 3 {nation}: stored score "
+                                                  rf"{scores[nation]} != recomputed "):
+            tally.add(bad)
+        assert tally == before
+        with pytest.raises(ValidationError, match="stored score"):
+            category_frequencies([good, bad], taxonomy)
+
+    @pytest.mark.parametrize("day", [1, 2, 4])
+    def test_a_nation_missing_from_one_whole_day_is_refused(self, taxonomy, tmp_path, day):
+        run, _, scenario = synthetic_run(random.Random(33), taxonomy, tmp_path=tmp_path)
+        nation = scenario.nation_names[1]
+        record = run.days[day - 1]
+        with_day(
+            run, day,
+            actions_by_nation={n: a for n, a in record.actions_by_nation.items() if n != nation},
+            daily_score_by_nation={n: s for n, s in record.daily_score_by_nation.items()
+                                   if n != nation},
+        )
+        named = 2 if day == 1 else day  # the first day to differ from day 1
+        for tally in (ScoreTally(Aggregator.MEAN_DAILY),
+                      ScoreTally(Aggregator.DAY14_CUMULATIVE, taxonomy)):
+            with pytest.raises(ValidationError, match=(
+                rf"^transcript '{run.run_id}' day {named}: nations \['{nation}'\] play on "
+                rf"day 1 or on day {named}, not both$"
+            )):
+                tally.add(run)
+            assert tally.runs == 0 and tally.samples == []
