@@ -11,11 +11,12 @@ reply cap, the retry count, the policy and the world updater), and the
 template.  Each model call is one ``llm_call`` record; that of an agent
 query's first attempt, and that of a world update, also holds its user
 prompt's digest, which ``verify_prompts`` re-derives from the run's own
-records.  What a record's
-place rebuilds is not written: a nation's ``llm_call`` records of a day are
-its query's attempts in order, so they give the request tag
-(``request_tag``) and the turn's attempt count; a ``parse_failure`` follows
-the ``llm_call`` whose reply it refuses, and a turn the one it accepts.
+records.  What a record's place rebuilds is not written: a nation's
+``llm_call`` records of a day are its query's attempts in order, so they
+give the request tag (``request_tag``) and the turn's attempt count; a
+``parse_failure`` follows the ``llm_call`` whose reply it refuses, and a
+turn the one it accepts.  One walk, ``_days``, groups the records into days
+and attempts for every reader, and checks the days' sequence and turns.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files.  What the transport saw of a call (its
 latency and attempts, ``TRANSPORT_FACTS``) depends on more than what the
@@ -54,7 +55,7 @@ import sys
 from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Collection
+from typing import TYPE_CHECKING, BinaryIO, Callable, Collection, Iterator
 
 from .errors import ParseError, ValidationError
 from .prompts import PromptVariant, render_update_text, render_user_text, text_sha256
@@ -118,6 +119,7 @@ def request_tag(run_id: str, day: int, nation: str | None, attempt: int | None =
 
 # The records that rebuild a run's days and outcome.
 _RUN_TYPES = frozenset({RUN_START, TURN, DAY, RUN_END})
+_DAY_TYPES = frozenset({LLM_CALL, TURN, DAY})  # the records ``_days`` groups into days
 
 
 # Records whose write ends a unit that resume keeps: the writer writes its
@@ -487,35 +489,56 @@ def _reader(read):
     return checked
 
 
-def _replay(records: list[dict]) -> tuple[list[DailyRecord], int, dict | None]:
-    """The days of ``records``, their fallback turns, and their last
-    ``run_end`` payload (None if there is none)."""
-    today: dict[str, tuple[ChosenAction, ...]] = {}
-    days: list[DailyRecord] = []
-    fallbacks = 0
-    end = None
+def _last_end(records: list[dict]) -> dict | None:
+    """The payload of the last ``run_end`` record of ``records``; None if none."""
+    return next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
+
+
+def _days(records: list[dict], header: dict, path: str | Path) -> Iterator[tuple]:
+    """Each day of the run ``records`` whose ``run_start`` payload is
+    ``header``: its number, its ``llm_call`` records by nation (None: the
+    world update) in attempt order, its turn records by nation, and its
+    ``day`` record, None only for the open day that ends a run that did not
+    complete.  ``ValidationError`` naming ``path``: a record of another day
+    than the open one, a nation's second turn of a day, or a completed run
+    without exactly ``header["days"]`` days and no open one."""
+    day, calls, turns = 1, {}, {}
     for record in records:
         type_ = record["type"]
+        if type_ not in _DAY_TYPES:
+            continue
+        if type(record["day"]) is not int or record["day"] != day:
+            raise ValidationError(
+                f"transcript {path} day {day}: a {type_} record names day {record['day']!r}")
+        nation = record["nation"]
         if type_ == TURN:
-            nation, actions = turn_actions(record)
-            today[nation] = actions
-            if record["payload"]["fallback"]:
-                fallbacks += 1
-        elif type_ == DAY:
-            days.append(_day_record(record, today))
-            today = {}
-        elif type_ == RUN_END:
-            end = record["payload"]
-    return days, fallbacks, end
+            if nation in turns:
+                raise ValidationError(f"transcript {path} day {day}: a second turn of {nation!r}")
+            turns[nation] = record
+        elif type_ == LLM_CALL:
+            calls.setdefault(nation, []).append(record)
+        else:
+            yield day, calls, turns, record
+            day, calls, turns = day + 1, {}, {}
+    end = _last_end(records)
+    if end is None or end["status"] != "completed":
+        yield day, calls, turns, None
+    elif day - 1 != header["days"] or calls or turns:
+        open_day = f" and day {day} open" if calls or turns else ""
+        raise ValidationError(
+            f"transcript {path} completed after {day - 1} of {header['days']} days{open_day}")
 
 
 def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
-    """Rebuild the run's daily records and status from the records of the
-    transcript at ``path``."""
+    """The run of the transcript at ``path``, rebuilt from its ``records``."""
     header = _run_start(records, path)
-    days, fallbacks, end = _replay(records)
-    if end is None:
-        return run_from_header(header, "partial", None, days, fallbacks)
+    days, fallbacks = [], 0
+    for _, _, turns, closing in _days(records, header, path):
+        actions = dict(map(turn_actions, turns.values()))
+        fallbacks += sum(1 for turn in turns.values() if turn["payload"]["fallback"])
+        if closing is not None:
+            days.append(_day_record(closing, actions))
+    end = _last_end(records) or {"status": "partial", "reason": None}
     return run_from_header(header, end["status"], end["reason"], days, fallbacks)
 
 
@@ -565,15 +588,14 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
         del run.days, run.fallbacks  # read when first used: see __getattr__
         run._read_days = functools.partial(_sealed_days, path, header, end)
         return run, []
-    end = next((r["payload"] for r in reversed(records) if r["type"] == RUN_END), None)
+    end = _last_end(records)
     if end is not None and end["status"] == "completed":
         return reconstruct_run(records, path), []
     cut = next((i for i in range(len(records) - 1, 0, -1) if records[i]["type"] == DAY), 0)
     if not cut:
         return None, []
     kept = records[: cut + 1]
-    days, fallbacks, _ = _replay(kept)
-    return run_from_header(header, "partial", None, days, fallbacks), kept
+    return reconstruct_run(kept, path), kept
 
 
 @_reader
@@ -585,8 +607,8 @@ def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord]
         raise ValidationError(
             f"transcript {path} changed after its run was skipped; run the experiment again"
         )
-    days, fallbacks, _ = _replay(records)
-    return days, fallbacks
+    run = reconstruct_run(records, path)
+    return run.days, run.fallbacks
 
 
 @dataclass(frozen=True)
@@ -608,29 +630,19 @@ def read_recording(path: str | Path) -> Recording:
     each record's place rebuilds (``request_tag``), for a replay.  An agent
     query's system digest is the ``system_prompt`` record's, and every
     attempt shares the ``user_sha256`` of the query's first (``decide``
-    builds the same prompt on each); a world update holds its own.  A
-    transcript in another format is refused, as by every reader."""
+    builds the same prompt on each); a world update holds its own."""
     records = read_records(path)
     header = _run_start(records, path)
-    system = None
+    system = next((r["payload"]["sha256"] for r in records if r["type"] == SYSTEM_PROMPT), None)
     calls = {}
-    attempts: dict[tuple, list[dict]] = {}  # (day, nation) -> its llm_call payloads
-    days, end = 0, None
-    for record in records:
-        type_, payload = record["type"], record["payload"]
-        if type_ == SYSTEM_PROMPT:
-            system = payload["sha256"]
-        elif type_ == LLM_CALL:
-            key = record["day"], record["nation"]
-            asked = attempts.setdefault(key, [])
-            asked.append(payload)
-            calls[request_tag(header["run_id"], *key, len(asked))] = (
-                payload, None if key[1] is None else system, asked[0].get("user_sha256"))
-        elif type_ == DAY:
-            days = record["day"]
-        elif type_ == RUN_END:
-            end = payload
-    abort = (days + 1, end["reason"]) if end and end["status"] == "aborted" else None
+    for day, asked_by_nation, _, _ in _days(records, header, path):
+        for nation, asked in asked_by_nation.items():
+            user_sha256 = asked[0]["payload"].get("user_sha256")
+            for attempt, record in enumerate(asked, 1):
+                calls[request_tag(header["run_id"], day, nation, attempt)] = (
+                    record["payload"], None if nation is None else system, user_sha256)
+    end = _last_end(records)
+    abort = (day, end["reason"]) if end and end["status"] == "aborted" else None
     return Recording(header, calls, abort)
 
 
@@ -641,10 +653,9 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     A user prompt is a function of the scenario, the user template in the
     ``system_prompt`` record, the variant and the world at the start of its
     day, which the transcript's own ``turn`` and ``day`` records rebuild.
-    Its digest is the ``user_sha256`` of the query's first attempt:
-    a nation's first ``llm_call`` of the day (retries follow it).  A world
-    update's prompt is a function of that world and the day's turns, and
-    its ``llm_call`` (one a day, naming no nation) holds its digest.
+    Its digest is the ``user_sha256`` of a nation's first ``llm_call`` of
+    the day (retries follow it).  A world update's prompt is a function of
+    that world and the day's turns, and its ``llm_call`` holds its digest.
     Returns the number of prompts checked, one line per mismatch and
     whether the transcript is sealed (``is_sealed``), from one read of it.
     """
@@ -660,29 +671,18 @@ def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str]
     if text_sha256(system["payload"]["text"]) != system["payload"]["sha256"]:
         mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
     world = initial_world(scenario)
-    today: dict[str, tuple[ChosenAction, ...]] = {}
-    asked: set[str | None] = set()  # whose first call today was checked; None: the world
     checked = 0
-    for record in records:
-        type_ = record["type"]
-        nation = record["nation"]
-        if type_ == LLM_CALL and nation not in asked:
-            asked.add(nation)
+    for day, calls, turns, closing in _days(records, header, path):
+        today = dict(map(turn_actions, turns.values()))
+        for nation, (first, *_) in calls.items():
             checked += 1
             if nation is None:
                 user_text = render_update_text(world, today)
             else:
                 user_text = render_user_text(scenario, world, nation, variant, template)
-            if record["payload"].get("user_sha256") != text_sha256(user_text):
-                mismatches.append(
-                    f"seq {record['seq']} (day {record['day']}, {nation or 'world'}): "
-                    "user_sha256 not re-derived"
-                )
-        elif type_ == TURN:
-            nation, actions = turn_actions(record)
-            today[nation] = actions
-        elif type_ == DAY:
-            world = advance_day(world, _day_record(record, today))
-            today = {}
-            asked = set()
+            if first["payload"].get("user_sha256") != text_sha256(user_text):
+                mismatches.append(f"seq {first['seq']} (day {day}, {nation or 'world'}): "
+                                  "user_sha256 not re-derived")
+        if closing is not None:
+            world = advance_day(world, _day_record(closing, today))
     return checked, mismatches, _seal(data) is not None

@@ -15,7 +15,7 @@ from esclab import experiments
 from esclab import transcript as ts
 from esclab.cli import build_parser, main
 
-from test_corrupt_transcripts import without_nation
+from test_corrupt_transcripts import with_turn_doubled, without_day, without_nation
 from test_transcript_format import reseal
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
@@ -832,6 +832,23 @@ class TestCorruptedRunFiles:
             f"transcript 't1.0-default-r01' day {named}: nations ['Red'] play on day 1 "
             f"or on day {named}, not both"
         )}
+
+    @pytest.mark.parametrize("edit", [
+        lambda records: without_day(records, 5),
+        lambda records: without_day(records, 14),
+        lambda records: with_turn_doubled(records, 3, "Red"),
+    ], ids=["day-5-gone", "day-14-gone", "turn-doubled"])
+    def test_transcript_with_a_day_gone_or_a_turn_doubled(self, llm_experiment, tmp_path,
+                                                          capsys, edit):
+        shutil.copytree(llm_experiment[1], tmp_path / "exp")
+        path = tmp_path / "exp" / self.TRANSCRIPT
+        kept = edit(ts.read_records(path))
+        reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
+        # The re-run trusts the seal and skips the run without reading its days.
+        errors = self._commands(llm_experiment, tmp_path, capsys, (1, 1, 0))
+        for name in ("report", "inspect"):
+            assert errors[name]["error"] == "ValidationError"
+            assert errors[name]["message"].startswith(f"transcript {path} "), name
 
     def test_deeply_nested_transcript_line(self, llm_experiment, tmp_path, capsys):
         shutil.copytree(llm_experiment[1], tmp_path / "exp")

@@ -1,7 +1,8 @@
-"""A completed transcript with one corrupted line or field, or one record
-or nation-day gone: every reader of it returns or raises an ``EsclabError``,
-never anything else."""
+"""A completed transcript with one corrupted line or field, or one record,
+nation-day or day gone, or a turn doubled: every reader of it returns or
+raises an ``EsclabError``, never anything else."""
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -100,6 +101,7 @@ class TestOneCorruptedLine:
             lambda: ts.load_run(corrupted),
             lambda: ts.stored_run(corrupted, header),
             lambda: ts.verify_prompts(corrupted, scenario),
+            lambda: ts.read_recording(corrupted),
         ):
             try:
                 read()
@@ -131,18 +133,71 @@ def without_nation(records: list[dict], day: int, nation: str) -> list[dict]:
     return kept
 
 
+def without_day(records: list[dict], day: int) -> list[dict]:
+    """``records`` without the ``day`` record of ``day``."""
+    return [record for record in records if (record["type"], record["day"]) != (ts.DAY, day)]
+
+
+def with_turn_doubled(records: list[dict], day: int, nation: str) -> list[dict]:
+    """``records`` with a second turn of ``nation`` on ``day``, a fallback,
+    just after its first."""
+    i = next(i for i, record in enumerate(records)
+             if (record["type"], record["day"], record["nation"]) == (ts.TURN, day, nation))
+    second = {**records[i], "payload": {**records[i]["payload"], "fallback": True}}
+    return records[: i + 1] + [second] + records[i + 1:]
+
+
+# An edited completed transcript of the two-day ``completed`` run that every
+# reader refuses, and how the refusal ends after the file's name.
+DAY_SEQUENCE_CASES = {
+    "day-1-gone": (lambda records: without_day(records, 1),
+                   "day 1: a (llm_call|turn) record names day 2"),
+    "last-day-gone": (lambda records: without_day(records, 2),
+                      "completed after 1 of 2 days and day 2 open"),
+    "header-and-end-only": (lambda records: [*records[:2], records[-1]],  # and system_prompt
+                            "completed after 0 of 2 days"),
+    # A sealed read decodes no llm_call; the other readers meet day 2's first.
+    "no-turn-or-day": (lambda records: [r for r in records if r["type"] not in (ts.TURN, ts.DAY)],
+                       "(completed after 0 of 2 days|day 1: a llm_call record names day 2)"),
+    "turn-doubled": (lambda records: with_turn_doubled(records, 2, "Beta"),
+                     "day 2: a second turn of 'Beta'"),
+    "day-1-as-float": (lambda records: [{**r, "day": 1.0} if r["day"] == 1 else r
+                                        for r in records],
+                       "day 1: a (llm_call|turn) record names day 1.0"),
+}
+
+
+class TestDaySequence:
+    @pytest.mark.parametrize("case", DAY_SEQUENCE_CASES)
+    def test_every_reader_refuses_it_naming_the_file(self, completed, tmp_path, case):
+        """A day gone or misnumbered, no day at all, or a nation's second
+        turn of a day, the transcript sealed anew: each reader raises one
+        ``ValidationError`` naming the file."""
+        scenario, records, header, _ = completed
+        edit, refusal = DAY_SEQUENCE_CASES[case]
+        path = tmp_path / "run.jsonl"
+        reseal(path, [{**r, "seq": seq} for seq, r in enumerate(edit(records))])
+        for read in (lambda: ts.load_run(path), lambda: ts.read_recording(path),
+                     lambda: ts.verify_prompts(path, scenario),
+                     lambda: ts.stored_run(path, header)[0].days):
+            with pytest.raises(ValidationError,
+                               match=f"^transcript {re.escape(str(path))} {refusal}$"):
+                read()
+
+
 class TestOneRecordGone:
     def test_every_reader_of_the_experiment_returns_or_raises_an_esclab_error(
         self, demo_experiment, tmp_path
     ):
         """Each single record deleted, and Red's turn and score deleted from
         each day, the transcript sealed anew: ``build_report``,
-        ``inspect_experiment`` and a re-run each return or raise an
-        ``EsclabError``, and no report is built on a nation-day gone."""
+        ``inspect_experiment``, ``read_recording`` and a re-run each return or
+        raise an ``EsclabError``, and no report is built on a day or a
+        nation-day gone."""
         plan, out, name, records = demo_experiment
         assert len(records) == 129
-        cases = [(f"record {i}", records[:i] + records[i + 1:], False)
-                 for i in range(len(records))]
+        cases = [(f"record {i}", records[:i] + records[i + 1:], record["type"] == ts.DAY)
+                 for i, record in enumerate(records)]
         cases += [(f"Red on day {day}", without_nation(records, day, "Red"), True)
                   for day in range(1, 15)]
         case = tmp_path / "case"
@@ -157,6 +212,7 @@ class TestOneRecordGone:
             else:
                 assert not dropped, label
             for read in (lambda: inspect_experiment(case / "manifest.json"),
+                         lambda: ts.read_recording(case / "transcripts" / name),
                          lambda: run_experiment(plan, case)):
                 try:
                     read()

@@ -13,14 +13,18 @@ from pathlib import Path
 import pytest
 
 from esclab import orchestrator
+from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.cli import main
 from esclab.client import MockTransport, chat_request, complete
-from esclab.errors import ParseError, TransportError
+from esclab.errors import ParseError, TransportError, ValidationError
 from esclab.experiments import METRICS_DIR, ReplayTransport, load_plan, run_experiment
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
 from esclab.prompts import PromptVariant, default_templates
+
+from test_corrupt_transcripts import without_day
+from test_transcript_format import reseal
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 RUN_ID = "t1.0-default-r00"
@@ -97,6 +101,17 @@ class TestReplay:
         path = source / "transcripts" / f"{RUN_ID}.jsonl"
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ParseError, match=f"{RUN_ID}.jsonl"):
+            replay(tmp_path, source)
+        assert not (tmp_path / "out").exists()
+
+    def test_source_transcript_without_a_day_is_refused_before_any_request(self, recorded,
+                                                                          tmp_path):
+        source = tmp_path / "source"
+        shutil.copytree(recorded, source)
+        path = source / "transcripts" / f"{RUN_ID}.jsonl"
+        kept = without_day(ts.read_records(path), 5)
+        reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
+        with pytest.raises(ValidationError, match=f"{RUN_ID}.jsonl day 5: "):
             replay(tmp_path, source)
         assert not (tmp_path / "out").exists()
 

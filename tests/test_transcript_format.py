@@ -1033,15 +1033,14 @@ class TestSkippedRun:
 
     def test_unsealed_completed_header_and_end_are_decoded_at_once(self, sealed_runs,
                                                                     tmp_path):
-        records = ts.read_records(sealed_runs[0])
-        end = {"status": "completed", "reason": None}
         path = tmp_path / "run.jsonl"
-        ts.rewrite(path, [records[0], {**records[-1], "seq": 1, "payload": end}])
-        assert not ts.is_sealed(path)
-        run, kept = ts.stored_run(path, records[0]["payload"])
-        assert kept == [] and run == ts.load_run(path)
+        shutil.copyfile(sealed_runs[0], path)
+        break_seal(path)
+        loaded = ts.load_run(path)
+        assert loaded.completed and len(loaded.days) == 14
+        run, kept = ts.stored_run(path, ts.read_records(path)[0]["payload"])
         path.unlink()  # nothing is left to read
-        assert (run.days, run.fallbacks) == ([], 0)
+        assert kept == [] and run == loaded
 
     @pytest.mark.parametrize("edit,error", [
         (lambda lines: [], "does not start with a run_start record"),
