@@ -5,9 +5,11 @@ experiment layer sweeps sampling temperature and prompt variants across
 replicated runs and reports the resulting escalation statistics.
 
 The report and statistics names load on first use (PEP 562), so running
-simulations does not import the report's modules; ``requests`` loads only
-when a live transport is built.  ``import esclab.cli`` takes about 0.2 s.
-Nothing imports numpy or scipy: the statistics run on the standard library.
+simulations does not import the report's modules; ``urllib.request`` loads
+only when a live transport is built.  ``import esclab.cli`` takes about
+0.2 s.  The runtime needs only ``pyyaml``: nothing imports numpy, scipy or
+``requests``, and the statistics and the live transport run on the
+standard library.
 """
 import importlib
 

@@ -1,27 +1,25 @@
 """Wire-level client for OpenAI-compatible chat-completion endpoints.
 
-Transports share one request/response contract: Live (HTTPS) and Mock
-(scripted responder, used for desk-scale runs and tests) live here; replay
-from recorded transcripts is ``experiments.ReplayTransport``.  This module
-reads and writes no file.  Temperature is serialized into the request body
+Transports share one request/response contract: Live (HTTP or HTTPS, on
+``urllib.request``) and Mock (scripted responder, used for desk-scale runs
+and tests) live here; replay from recorded transcripts is
+``experiments.ReplayTransport``.  This module reads and writes no file.  Temperature is serialized into the request body
 exactly as given; the Mock transport can capture bodies so tests can verify
 that.
 """
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
 import weakref
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 from .errors import AuthError, BudgetExceeded, EsclabError, TransportError, ValidationError
 from .transcript import LLM_CALL, Recorder
-
-if TYPE_CHECKING:
-    import requests
 
 TEMPERATURE_MIN = 0.0
 TEMPERATURE_MAX = 2.0
@@ -207,12 +205,19 @@ class MockTransport(Transport):
 
 
 class LiveTransport(Transport):
-    """HTTPS chat-completions client with rate limiting.
+    """HTTP(S) chat-completions client with rate limiting, on ``urllib.request``.
 
     The API key comes from the environment (see cli module); the endpoint URL
     is configuration.  A global in-flight semaphore and a per-minute window
-    bound request pressure on shared gateways.  ``requests`` is imported
-    here, not with the module: only a live endpoint needs it.
+    bound request pressure on shared gateways.  ``urllib.request`` is
+    imported here, not with the module: only a live endpoint needs it.
+
+    Each request opens its own connection and closes it (``Connection:
+    close``).  TLS verifies against the system's trust store (``SSL_CERT_FILE``
+    and ``SSL_CERT_DIR`` name another), and ``http_proxy``, ``https_proxy``
+    and ``no_proxy`` are honoured.  No redirect is followed: a 3xx reply is a
+    hard ``TransportError``, so neither the key nor the body is sent on to
+    another address.
     """
 
     def __init__(
@@ -223,7 +228,6 @@ class LiveTransport(Transport):
         timeout: float = DEFAULT_TIMEOUT,
         max_in_flight: int = 4,
         requests_per_minute: int = 60,
-        session: requests.Session | None = None,
     ):
         # ``not 0 < timeout`` also refuses NaN; above TIMEOUT_MAX the socket
         # layer would refuse every request instead.
@@ -234,19 +238,38 @@ class LiveTransport(Transport):
                 f" >= 1 and 0 < timeout <= {threading.TIMEOUT_MAX:g}, got {max_in_flight}, "
                 f"{requests_per_minute} and {timeout}"
             )
-        import requests
+        # http.client sends the URL as ASCII and header values as Latin-1, and
+        # refuses a line break in a header; the message leaves the key out.
+        if not base_url.isascii():
+            raise ValidationError(
+                f"live transport: base_url must be ASCII (percent-encode the path, write an "
+                f"international host name in its xn-- form), got {base_url!r}"
+            )
+        if any(ord(c) > 0xFF or c in "\r\n" for c in api_key):
+            raise ValidationError(
+                "live transport: the API key cannot be an HTTP header value: "
+                "it must be Latin-1 text without CR or LF"
+            )
+        import urllib.request
 
         super().__init__(max_requests=max_requests)
-        self._requests = requests
         self.url = base_url.rstrip("/") + "/chat/completions"
-        self._api_key = api_key
+        self._headers = {
+            "Authorization": f"Bearer {api_key}",
+            "Content-Type": "application/json",
+        }
         self.timeout = timeout
         self.max_in_flight = max_in_flight
         self._in_flight = threading.BoundedSemaphore(max_in_flight)
         self._rpm = requests_per_minute
         self._recent: deque[float] = deque()
         self._rate_lock = threading.Lock()
-        self._session = session or requests.Session()
+        # Proxies and HTTP(S) only: with no error processor every status
+        # comes back as a reply, and no redirect is followed.
+        self._opener = urllib.request.OpenerDirector()
+        for handler in (urllib.request.ProxyHandler(), urllib.request.HTTPHandler(),
+                        urllib.request.HTTPSHandler()):
+            self._opener.add_handler(handler)
 
     def _respect_rate_limit(self) -> None:
         while True:
@@ -261,30 +284,30 @@ class LiveTransport(Transport):
             time.sleep(max(wait, 0.05))
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
-        body = wire_body(request)
+        # Loaded by ``__init__``; these only look the modules up.
+        from http.client import HTTPException
+        from urllib.request import Request
+
+        post = Request(self.url, data=json.dumps(wire_body(request)).encode(),
+                       headers=self._headers, method="POST")
         self._note_request()
         self._respect_rate_limit()
-        headers = {
-            "Authorization": f"Bearer {self._api_key}",
-            "Content-Type": "application/json",
-        }
         with self._in_flight:
             try:
-                http = self._session.post(
-                    self.url, json=body, headers=headers, timeout=self.timeout
-                )
-            except self._requests.Timeout as exc:
-                raise TransportError(f"timeout calling {self.url}: {exc}", transient=True)
-            except self._requests.RequestException as exc:
-                raise TransportError(f"network failure calling {self.url}: {exc}", transient=True)
-        if http.status_code in (401, 403):
-            raise AuthError(f"endpoint rejected credential (HTTP {http.status_code})")
-        if http.status_code in RETRYABLE_STATUS:
-            raise TransportError(f"HTTP {http.status_code} from {self.url}", transient=True)
-        if http.status_code != 200:
-            raise TransportError(f"HTTP {http.status_code} from {self.url}")
+                with self._opener.open(post, timeout=self.timeout) as reply:
+                    status, body = reply.status, reply.read()
+            except (OSError, HTTPException) as exc:
+                # A timeout, a refused or dropped connection, a body cut short.
+                raise TransportError(f"network failure calling {self.url}: {exc!r}",
+                                     transient=True)
+        if status in (401, 403):
+            raise AuthError(f"endpoint rejected credential (HTTP {status})")
+        if status in RETRYABLE_STATUS:
+            raise TransportError(f"HTTP {status} from {self.url}", transient=True)
+        if status != 200:
+            raise TransportError(f"HTTP {status} from {self.url}")
         try:
-            payload = http.json()
+            payload = json.loads(body)
             choice = payload["choices"][0]
             content = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
@@ -335,8 +358,6 @@ def complete(
         started = time.monotonic()
         try:
             response = transport.send_once(request)
-        except AuthError:
-            raise
         except TransportError as exc:
             last_error = exc
             if not exc.transient:

@@ -1,13 +1,15 @@
 """Acceptance suite: one test per exit criterion, each printing a status line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines.  Criterion 11 (live endpoint smoke) is skipped unless the environment
-provides ESCLAB_LIVE_BASE_URL and ESCLAB_API_KEY.
+lines.  Criterion 11 (live endpoint smoke) runs its plan against a loopback
+stand-in endpoint, and against a real one only when the environment provides
+ESCLAB_LIVE_BASE_URL and ESCLAB_API_KEY.
 """
 import json
 import math
 import os
 import random
+import sys
 import time
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from esclab.cli import main
 from esclab.client import MockTransport
 from esclab.experiments import load_plan, run_experiment
 from esclab.figures import emit_boxplot, emit_category_chart
@@ -36,6 +39,7 @@ from esclab.taxonomy import ActionCategory
 from esclab.transcript import read_records
 
 from conftest import small_scenario
+from standins import ChatEndpoint
 from oracles import (
     exact_mwu_p,
     quartiles,
@@ -335,15 +339,10 @@ LIVE_URL = os.environ.get("ESCLAB_LIVE_BASE_URL")
 LIVE_KEY = os.environ.get("ESCLAB_API_KEY")
 
 
-@pytest.mark.skipif(
-    not (LIVE_URL and LIVE_KEY),
-    reason="live smoke needs ESCLAB_LIVE_BASE_URL and ESCLAB_API_KEY",
-)
-class TestCriterion11LiveSmoke:
-    def test_live_two_run_experiment_reports(self, tmp_path):
-        plan_path = tmp_path / "live_plan.yaml"
-        plan_path.write_text(
-            f"""
+def live_plan(path: Path, base_url: str, transport_extra: str = "") -> Path:
+    """Criterion 11's two-run plan against the endpoint at ``base_url``."""
+    path.write_text(
+        f"""
 scenario: {DATA / 'neutral_scenario.yaml'}
 taxonomy: {DATA / 'default_taxonomy.yaml'}
 base_seed: 1
@@ -353,15 +352,48 @@ policy: llm
 world_updater: llm
 transport:
   kind: live
-  base_url: {LIVE_URL}
+  base_url: {base_url}
+{transport_extra}
 treatments:
   - {{label: t1.0-default, temperature: 1.0, variant: default}}
 """,
-            encoding="utf-8",
-        )
-        plan = load_plan(plan_path)
+        encoding="utf-8",
+    )
+    return path
+
+
+@pytest.mark.skipif(
+    not (LIVE_URL and LIVE_KEY),
+    reason="live smoke needs ESCLAB_LIVE_BASE_URL and ESCLAB_API_KEY",
+)
+class TestCriterion11LiveSmoke:
+    def test_live_two_run_experiment_reports(self, tmp_path):
+        plan = load_plan(live_plan(tmp_path / "live_plan.yaml", LIVE_URL))
         result = run_experiment(plan, tmp_path / "exp", api_key=LIVE_KEY)
         assert all(run.completed for run in result.runs)
         bundle = build_report(result.manifest_path, tmp_path / "report")
         assert set(bundle.figures) == {"fig1", "fig2", "fig3", "fig4"}
         ok(11, "live two-run smoke completed and produced all four figures")
+
+
+class TestCriterion11Loopback:
+    def test_live_plan_through_the_cli_on_loopback(self, tmp_path, monkeypatch, capsys):
+        """Criterion 11's plan, through ``esclab experiment`` and ``esclab
+        report``, against an endpoint on 127.0.0.1, with ``requests``
+        unimportable."""
+        monkeypatch.setitem(sys.modules, "requests", None)
+        monkeypatch.setenv("ESCLAB_API_KEY", "sk-loopback")
+        with ChatEndpoint() as endpoint:
+            plan = live_plan(tmp_path / "live_plan.yaml", endpoint.url,
+                             "  requests_per_minute: 100000")
+            assert main(["experiment", "--plan", str(plan), "--out",
+                         str(tmp_path / "exp")]) == 0
+        experiment = json.loads(capsys.readouterr().out)
+        assert experiment["new_requests"] == len(endpoint.received) == 2 * 14 * (8 + 1)
+        assert {headers["Authorization"] for headers, _ in endpoint.received} == {
+            "Bearer sk-loopback"}
+        assert main(["report", "--manifest", str(tmp_path / "exp" / "manifest.json"),
+                     "--out", str(tmp_path / "report")]) == 0
+        figures = (tmp_path / "report" / "figures").glob("*.svg")
+        assert sorted(path.name for path in figures) == [f"fig{n}.svg" for n in (1, 2, 3, 4)]
+        ok(11, "the live two-run plan on loopback completed and produced all four figures")

@@ -15,6 +15,7 @@ from esclab import experiments
 from esclab import transcript as ts
 from esclab.cli import build_parser, main
 
+from standins import ChatEndpoint
 from test_corrupt_transcripts import with_turn_doubled, without_day, without_nation
 from test_transcript_format import reseal
 
@@ -60,14 +61,15 @@ class TestImports:
         )
         assert _fresh_interpreter(probe, str(manifest), str(tmp_path / "report")) == ["False"] * 3
 
-    def test_live_transport_loads_requests(self):
+    def test_only_a_live_transport_loads_urllib_and_none_needs_requests(self):
         probe = (
-            "import sys; from esclab.client import LiveTransport; "
-            "loaded = 'requests' in sys.modules; "
+            "import sys; sys.modules['requests'] = None; import esclab.cli; "
+            "from esclab.client import LiveTransport; "
+            "cold = [m in sys.modules for m in ('urllib.request', 'http.client')]; "
             "LiveTransport('https://gateway.invalid/v1', 'key'); "
-            "print(loaded, 'requests' in sys.modules)"
+            "print(*cold, 'urllib.request' in sys.modules)"
         )
-        assert _fresh_interpreter(probe) == ["False", "True"]
+        assert _fresh_interpreter(probe) == ["False", "False", "True"]
 
     def test_report_leaves_numpy_and_scipy_unloaded(self, tmp_path):
         plan = tmp_path / "plan.yaml"
@@ -108,10 +110,10 @@ class TestImports:
                               if name.split(".")[0] in ("numpy", "scipy")]
         assert offenders == []
 
-    def test_runtime_dependencies_are_pyyaml_and_requests(self):
+    def test_the_runtime_depends_on_pyyaml_alone(self):
         tomllib = pytest.importorskip("tomllib")
         project = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]
-        assert project["dependencies"] == ["pyyaml", "requests"]
+        assert project["dependencies"] == ["pyyaml"]
         assert {"numpy", "scipy", "mpmath"} <= set(project["optional-dependencies"]["test"])
 
 
@@ -439,6 +441,21 @@ class TestRefusedInputs:
         assert error["error"] == "EsclabError"
         assert error["message"].startswith(
             f"cannot make a transport's request counter: [Errno {errno.EMFILE}]")
+        assert not list(tmp_path.rglob("*.jsonl"))
+
+    @pytest.mark.parametrize("key", ["sk-abc\u2026", "sk-abc\nX-Admin: 1"],
+                             ids=["not-latin-1", "line-break"])
+    def test_a_key_http_cannot_send_is_refused_before_any_request(self, tmp_path, capsys,
+                                                                  monkeypatch, key):
+        monkeypatch.setenv("ESCLAB_API_KEY", key)
+        out = tmp_path / "sim"
+        with ChatEndpoint() as endpoint:
+            assert main(["simulate", "--transport", "live", "--base-url", endpoint.url,
+                         "--updater", "template", "--out", str(out)]) == 1
+        error = self._one_error(capsys)
+        assert error["error"] == "ValidationError"
+        assert "API key cannot be an HTTP header value" in error["message"]
+        assert endpoint.received == []
         assert not list(tmp_path.rglob("*.jsonl"))
 
     def test_simulate_label_with_a_slash(self, tmp_path, capsys):

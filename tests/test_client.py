@@ -2,14 +2,21 @@ import contextlib
 import gc
 import json
 import os
+import socket
 import sys
 import threading
 import time
 
 import pytest
 
-from esclab.client import MockTransport, chat_request, complete, wire_body
-from esclab.errors import BudgetExceeded, TransportError, ValidationError
+from esclab.agents import LlmPolicy, ParseFailure
+from esclab.client import LiveTransport, MockTransport, chat_request, complete, wire_body
+from esclab.errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from esclab.orchestrator import Treatment
+from esclab.prompts import PromptVariant
+from esclab.scenario import initial_world
+
+from standins import WAIT, ChatEndpoint, Outcome, chat_reply
 
 
 def recorded(transport, req, **kwargs):
@@ -210,45 +217,22 @@ class TestBudget:
         assert len(os.listdir("/proc/self/fd")) == before
 
 
-class StubResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {
-            "choices": [{"message": {"content": "hello"}, "finish_reason": "stop"}]
-        }
-
-    def json(self):
-        if isinstance(self._payload, Exception):
-            raise self._payload
-        return self._payload
+@contextlib.contextmanager
+def live(outcomes=(), then=Outcome(), **kwargs):
+    """A ``LiveTransport`` to a ``ChatEndpoint`` serving ``outcomes``, then ``then``."""
+    with ChatEndpoint(outcomes, then) as endpoint:
+        yield LiveTransport(endpoint.url, "secret", **kwargs), endpoint
 
 
-class StubSession:
-    """Stands in for requests.Session; scripted by a list of outcomes."""
-
-    def __init__(self, outcomes):
-        self.outcomes = list(outcomes)
-        self.calls = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.calls.append({"url": url, "json": json, "headers": headers})
-        outcome = self.outcomes.pop(0)
-        if isinstance(outcome, Exception):
-            raise outcome
-        return outcome
+def refused_url():
+    """A loopback URL whose port is bound but not listening: a connection
+    to it is refused while the socket lives."""
+    sock = socket.socket()
+    sock.bind(("127.0.0.1", 0))
+    return sock, f"http://127.0.0.1:{sock.getsockname()[1]}/v1"
 
 
 class TestLiveTransport:
-    def _transport(self, outcomes, **kwargs):
-        from esclab.client import LiveTransport
-
-        return LiveTransport(
-            base_url="https://gateway.invalid/v1",
-            api_key="secret",
-            session=StubSession(outcomes),
-            **kwargs,
-        )
-
     @pytest.mark.parametrize("setting", [
         {"max_in_flight": 0}, {"max_in_flight": -1}, {"max_in_flight": 65},
         {"requests_per_minute": 0},
@@ -256,60 +240,115 @@ class TestLiveTransport:
     ])
     def test_out_of_range_setting_is_refused(self, setting):
         with pytest.raises(ValidationError, match="live transport needs"):
-            self._transport([], **setting)
+            LiveTransport("http://127.0.0.1:9/v1", "secret", **setting)
+
+    @pytest.mark.parametrize("url,key,message", [
+        ("http://127.0.0.1:9/v1", "sk-abc\u2026", "API key cannot be an HTTP header value"),
+        ("http://127.0.0.1:9/v1", "sk-abc\r\nX-Admin: 1", "API key cannot be an HTTP header value"),
+        ("http://127.0.0.1:9/v\u00fc1", "secret", "base_url must be ASCII"),
+    ], ids=["key-not-latin-1", "key-line-break", "url-not-ascii"])
+    def test_what_http_cannot_carry_is_refused_before_any_request(self, url, key, message):
+        with pytest.raises(ValidationError, match=message) as refused:
+            LiveTransport(url, key)
+        assert key not in str(refused.value)
 
     def test_parses_first_choice(self):
-        transport = self._transport([StubResponse()])
-        response, payload = recorded(transport, request())
-        assert response.content == "hello"
+        with live() as (transport, _):
+            response, payload = recorded(transport, request())
+        assert response.content == WAIT
         assert response.finish_reason == "stop"
         assert payload["latency"] >= 0.0
 
     def test_sends_bearer_auth_and_exact_body(self):
-        transport = self._transport([StubResponse()])
-        complete(transport, request(temperature=0.01))
-        call = transport._session.calls[0]
-        assert call["headers"]["Authorization"] == "Bearer secret"
-        assert call["json"]["temperature"] == 0.01
-        assert call["url"].endswith("/chat/completions")
+        with live() as (transport, endpoint):
+            complete(transport, request(temperature=0.01))
+        [(headers, body)] = endpoint.received
+        assert headers["Authorization"] == "Bearer secret"
+        assert headers["Content-Type"] == "application/json"
+        assert body == wire_body(request(temperature=0.01))
+        assert transport.url == endpoint.url + "/chat/completions"
+
+    @pytest.mark.parametrize("no_proxy,via_proxy", [("", True), ("127.0.0.1", False)])
+    def test_honours_http_proxy_and_no_proxy(self, monkeypatch, no_proxy, via_proxy):
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with ChatEndpoint() as proxy, ChatEndpoint() as endpoint:
+            monkeypatch.setenv("http_proxy", proxy.url.removesuffix("/v1"))
+            monkeypatch.setenv("no_proxy", no_proxy)
+            complete(LiveTransport(endpoint.url, "secret"), request())
+        assert (len(proxy.received), len(endpoint.received)) == (via_proxy, not via_proxy)
 
     def test_401_raises_auth_error_without_retry(self):
-        from esclab.errors import AuthError
-
-        transport = self._transport([StubResponse(status_code=401)])
-        with pytest.raises(AuthError):
-            complete(transport, request(), sleep=lambda s: None)
-        assert len(transport._session.calls) == 1
+        with live([Outcome(status=401)]) as (transport, endpoint):
+            with pytest.raises(AuthError):
+                complete(transport, request(), sleep=lambda s: None)
+        assert len(endpoint.received) == 1
 
     def test_5xx_retried_then_succeeds(self):
-        transport = self._transport(
-            [StubResponse(status_code=503), StubResponse(status_code=429),
-             StubResponse()]
-        )
-        response, payload = recorded(transport, request(), sleep=lambda s: None)
-        assert response.content == "hello"
+        with live([Outcome(status=503), Outcome(status=429)]) as (transport, _):
+            response, payload = recorded(transport, request(), sleep=lambda s: None)
+        assert response.content == WAIT
         assert payload["attempts"] == 3
 
     def test_timeout_is_transient(self):
-        import requests as requests_lib
-
-        transport = self._transport(
-            [requests_lib.Timeout("slow"), StubResponse()]
-        )
-        _, payload = recorded(transport, request(), sleep=lambda s: None)
+        with live([Outcome(delay_s=5.0)], timeout=0.5) as (transport, _):
+            _, payload = recorded(transport, request(), sleep=lambda s: None)
         assert payload["attempts"] == 2
 
-    def test_malformed_body_is_hard_failure(self):
-        transport = self._transport([StubResponse(payload={"nope": True})])
-        with pytest.raises(TransportError, match="unparseable"):
-            complete(transport, request(), sleep=lambda s: None)
 
-    def test_deeply_nested_body_is_hard_failure(self):
-        transport = self._transport([StubResponse(payload=RecursionError("too deep"))])
-        with pytest.raises(TransportError, match="unparseable response body: too deep"):
-            complete(transport, request(), sleep=lambda s: None)
+class TestLoopbackFaults:
+    """Whatever goes wrong on the wire, ``complete`` ends in an ``EsclabError``."""
 
-    def test_other_4xx_is_hard_failure(self):
-        transport = self._transport([StubResponse(status_code=404)])
-        with pytest.raises(TransportError, match="404"):
-            complete(transport, request(), sleep=lambda s: None)
+    @pytest.mark.parametrize("fault", [
+        Outcome(delay_s=5.0), Outcome(drop=True), Outcome(cut=True), "refused", "bad-host",
+    ], ids=["read-timeout", "dropped", "cut-short", "refused", "bad-host"])
+    def test_transient_faults_use_every_attempt(self, fault):
+        sleeps = []
+        with contextlib.ExitStack() as stack:
+            endpoint = None
+            if fault == "refused":
+                sock, url = refused_url()
+                stack.callback(sock.close)
+            elif fault == "bad-host":  # a space, which http.client refuses in a host
+                url = "http://127.0 .0.1/v1"
+            else:
+                endpoint = stack.enter_context(ChatEndpoint([fault] * 4))
+                url = endpoint.url
+            transport = LiveTransport(url, "secret", timeout=0.2)
+            with pytest.raises(TransportError, match="failed after 4 attempts") as failed:
+                complete(transport, request(), sleep=sleeps.append)
+        assert sleeps == [1.0, 4.0, 16.0]
+        assert transport.request_count == 4
+        if endpoint is not None:
+            assert len(endpoint.received) == 4
+
+    @pytest.mark.parametrize("fault,message", [
+        (Outcome(status=404), "HTTP 404 from"),
+        # No redirect is followed, not even to the same endpoint.
+        (Outcome(status=302, location="/v1/chat/completions"), "HTTP 302 from"),
+        (Outcome(body=b'{"nope": true}'), "unparseable response body"),
+        (Outcome(body=b"[" * 100_000), "unparseable response body"),
+    ], ids=["404", "redirect", "malformed", "deep-body"])
+    def test_hard_faults_use_one_attempt(self, fault, message):
+        """401 is ``TestLiveTransport.test_401_raises_auth_error_without_retry``."""
+        with live([fault]) as (transport, endpoint):
+            with pytest.raises(TransportError, match=message) as failed:
+                complete(transport, request(), sleep=lambda s: None)
+        assert type(failed.value) is TransportError and not failed.value.transient
+        assert transport.request_count == len(endpoint.received) == 1
+
+    @pytest.mark.parametrize("reply,reason", [
+        (chat_reply(content=None), "empty_reply"),
+        (chat_reply(content='{"actions": [{"act', finish_reason="length"), "truncated"),
+    ], ids=["null-content", "cut-at-max-tokens"])
+    def test_a_policy_records_a_bad_reply_as_a_parse_failure(self, scenario, taxonomy, reply,
+                                                             reason):
+        events = []
+        with live([Outcome(body=reply)]) as (transport, _):
+            result = LlmPolicy(transport, model="m").decide(
+                initial_world(scenario), scenario.nation_names[0],
+                Treatment("t", 1.0, PromptVariant.DEFAULT), taxonomy,
+                recorder=lambda kind, payload: events.append((kind, payload)),
+            )
+        assert isinstance(result, ParseFailure) and result.reason == reason
+        assert [kind for kind, _ in events] == ["llm_call", "parse_failure"]

@@ -24,7 +24,7 @@ from esclab.prompts import PromptVariant
 from esclab.scoring import Aggregator
 
 from conftest import force_processes
-from standins import EndpointStandIn
+from standins import ChatEndpoint, EndpointStandIn, Outcome
 
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 
@@ -819,48 +819,32 @@ treatments:
     def test_live_transport_caps_posts_across_runs(self, tmp_path, monkeypatch):
         from esclab import experiments
 
-        class Reply:
-            status_code = 200
+        threads = set()
 
-            def json(self):
-                content = '{"actions": [{"action": "wait"}]}'
-                return {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
+        class Senders(LiveTransport):
+            """Notes the threads that send its requests."""
 
-        class Session:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = self.peak = 0
-                self.temperatures, self.threads = [], set()
-
-            def post(self, url, json=None, headers=None, timeout=None):
-                with self.lock:
-                    self.in_flight += 1
-                    self.peak = max(self.peak, self.in_flight)
-                    self.temperatures.append(json["temperature"])
-                    self.threads.add(threading.get_ident())
-                time.sleep(0.001)
-                with self.lock:
-                    self.in_flight -= 1
-                return Reply()
-
-        session = Session()
+            def send_once(self, request):
+                threads.add(threading.get_ident())
+                return super().send_once(request)
 
         def build(plan, *args, **kwargs):
-            return LiveTransport("https://gateway.invalid/v1", "secret",
-                                 max_requests=plan.max_requests, max_in_flight=2,
-                                 requests_per_minute=10_000, session=session)
+            return Senders(endpoint.url, "secret", max_requests=plan.max_requests,
+                           max_in_flight=2, requests_per_minute=10_000)
 
         monkeypatch.setattr(experiments, "build_transport", build)
         plan = waiting_plan(tmp_path, temperatures=(0.1, 0.2, 0.3, 0.4), runs=1)
-        result = run_experiment(plan, tmp_path / "out")
+        with ChatEndpoint(then=Outcome(delay_s=0.001)) as endpoint:
+            result = run_experiment(plan, tmp_path / "out")
         assert [run.status for run in result.runs] == ["completed"] * 4
-        assert len(session.temperatures) == result.new_requests == 4 * 14 * 8
-        assert session.peak == 2
+        temperatures = [body["temperature"] for _, body in endpoint.received]
+        assert len(temperatures) == result.new_requests == 4 * 14 * 8
+        assert endpoint.peak == 2
         # One run's requests follow another's far more often than runs end.
-        switches = sum(a != b for a, b in zip(session.temperatures, session.temperatures[1:]))
+        switches = sum(a != b for a, b in zip(temperatures, temperatures[1:]))
         assert switches > 3
-        assert len(session.threads) <= 2
-        assert threading.get_ident() not in session.threads
+        assert len(threads) <= 2
+        assert threading.get_ident() not in threads
 
     def test_in_flight_cap_above_the_ceiling_is_refused_before_any_thread(self, tmp_path):
         plan = waiting_plan(tmp_path, extra=f"transport: {{{LIVE}, max_in_flight: 100000}}")

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import sys
 import threading
-import time
 
 import pytest
 
@@ -23,7 +22,7 @@ from esclab.transcript import is_sealed, load_run, read_records, verify_prompts
 
 from conftest import small_scenario
 from oracles import transcript_category_counts, transcript_scores
-from standins import EndpointStandIn, first_attempts
+from standins import ChatEndpoint, EndpointStandIn, Outcome, first_attempts
 
 
 def wait_policy():
@@ -393,41 +392,17 @@ class TestConcurrentDays:
         assert threads == {threading.get_ident()}
 
     def test_live_transport_caps_posts_in_flight(self, scenario, taxonomy, tmp_path):
-        class Reply:
-            status_code = 200
-
-            def json(self):
-                content = '{"actions": [{"action": "wait"}]}'
-                return {"choices": [{"message": {"content": content}, "finish_reason": "stop"}]}
-
-        class Session:
-            def __init__(self):
-                self.lock = threading.Lock()
-                self.in_flight = self.peak = self.posts = 0
-
-            def post(self, url, json=None, headers=None, timeout=None):
-                with self.lock:
-                    self.in_flight += 1
-                    self.posts += 1
-                    self.peak = max(self.peak, self.in_flight)
-                time.sleep(0.005)
-                with self.lock:
-                    self.in_flight -= 1
-                return Reply()
-
-        session = Session()
-        transport = LiveTransport(
-            "https://gateway.invalid/v1", "secret",
-            max_in_flight=2, requests_per_minute=10_000, session=session,
-        )
-        run = run_simulation(
-            dataclasses.replace(scenario, days=2), taxonomy, treatment(),
-            LlmPolicy(transport, model="m"), TemplateUpdater(),
-            seed=1, transcript_path=tmp_path / "run.jsonl",
-        )
+        with ChatEndpoint(then=Outcome(delay_s=0.005)) as endpoint:
+            transport = LiveTransport(endpoint.url, "secret", max_in_flight=2,
+                                      requests_per_minute=10_000)
+            run = run_simulation(
+                dataclasses.replace(scenario, days=2), taxonomy, treatment(),
+                LlmPolicy(transport, model="m"), TemplateUpdater(),
+                seed=1, transcript_path=tmp_path / "run.jsonl",
+            )
         assert run.completed
-        assert session.posts == 16
-        assert session.peak == 2
+        assert len(endpoint.received) == 16
+        assert endpoint.peak == 2
 
 
 class TestPolicyGetsTheRunsTreatment:
