@@ -17,6 +17,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable
+from urllib.parse import urlsplit  # pathlib loads it anyway
 
 from .errors import AuthError, BudgetExceeded, EsclabError, TransportError, ValidationError
 from .transcript import LLM_CALL, Recorder
@@ -99,6 +100,29 @@ def wire_body(request: ChatRequest) -> dict:
         "temperature": request.temperature,
         "max_tokens": request.max_tokens,
     }
+
+
+def check_base_url(base_url: str, where: str) -> str:
+    """``base_url`` if a request can go to it: an http:// or https:// URL
+    with a host, no whitespace or control character, and a port, if any, in
+    1-65535.  Otherwise a ``ValidationError`` naming ``where``, before any
+    request: sent, such a URL would fail only after every retry."""
+    try:
+        parts = urlsplit(base_url)
+        problem = (
+            "the scheme is not http or https" if parts.scheme not in ("http", "https")
+            else "it names no host" if not parts.hostname
+            else "it holds whitespace or a control character"
+            if any(c.isspace() or not c.isprintable() for c in base_url)
+            else "its port is 0" if parts.port == 0  # above 65535 raises ValueError
+            else None
+        )
+    except ValueError as exc:  # an unclosed IPv6 bracket or a bad port, say
+        problem = str(exc)
+    if problem is not None:
+        raise ValidationError(f"{where}: base_url must be an http:// or https:// URL with a "
+                              f"host, got {base_url!r}: {problem}")
+    return base_url
 
 
 class Transport:
@@ -250,6 +274,7 @@ class LiveTransport(Transport):
                 "live transport: the API key cannot be an HTTP header value: "
                 "it must be Latin-1 text without CR or LF"
             )
+        check_base_url(base_url, "live transport")
         import urllib.request
 
         super().__init__(max_requests=max_requests)

@@ -8,21 +8,24 @@ transcript and status and is written once per invocation, with atomic
 replace; re-invoking a finished experiment issues no new client requests.
 A transport that waits on an endpoint also leaves a metrics sidecar per
 run, and ``ReplayTransport`` plays an experiment back from the transcripts
-its manifest lists.
+its manifest lists: ``inspect_experiment`` replays every run that way and
+compares the bytes.
 """
 from __future__ import annotations
 
 import contextlib
 import fcntl
 import hashlib
+import itertools
 import json
 import logging
 import os
+import tempfile
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, LlmPolicy, load_script
+from .agents import DEFAULT_PARSE_RETRIES, AgentPolicy, LlmPolicy, ScriptedPolicy, load_script
 from .client import (
     DEFAULT_EXPERIMENT_BUDGET,
     ChatRequest,
@@ -30,8 +33,9 @@ from .client import (
     LiveTransport,
     MockTransport,
     Transport,
+    check_base_url,
 )
-from .errors import ParseError, TransportError, ValidationError
+from .errors import AuthError, BudgetExceeded, ParseError, TransportError, ValidationError
 from .mockdata import CalibratedResponder
 from .orchestrator import (
     LlmUpdater,
@@ -143,10 +147,8 @@ class ExperimentPlan:
                 require_type(transport[key], key_type, f"plan: transport {key}")
         if kind == "replay":
             require_type(transport["manifest"], str, "plan: transport manifest", nonempty=True)
-        # Any other URL would fail only at the first request, after its retries.
-        if kind == "live" and not transport["base_url"].startswith(("http://", "https://")):
-            raise ParseError("plan: transport base_url must start with http:// or https://, "
-                             f"got {transport['base_url']!r}")
+        if kind == "live":
+            check_base_url(transport["base_url"], "plan: transport")
         policy = require_keys(self.policy, "plan: policy", ("kind", "script"), ("kind",))
         if policy["kind"] == "scripted":
             require_keys(policy, "plan: scripted policy", ("kind", "script"), ("script",))
@@ -258,8 +260,9 @@ def parse_plan(document: object, base: Path) -> ExperimentPlan:
     )
 
 
-# How a run_end reason names the transport error that aborted the run.
-_TRANSPORT_ABORT = "TransportError: "
+# The errors that ``orchestrator._play`` records as an abort, by the name
+# that starts its run_end reason.
+_ABORTS = {error.__name__: error for error in (TransportError, AuthError, BudgetExceeded)}
 
 
 class ReplayTransport(Transport):
@@ -271,20 +274,19 @@ class ReplayTransport(Transport):
     ``transcript.read_recording`` gives (a world update's system text, the
     updater's constant, is not recorded).  One that differs, or whose tag no
     transcript holds, is a non-transient ``TransportError`` naming the tag,
-    which aborts its run.  On the day a run aborted by a ``TransportError``
-    ended, a request the transcript lacks raises that error again, so the
-    run ends as it did.  Nothing is consumed: a request is answered as often as
-    it is made, from any thread.
+    which aborts its run.  On the day an aborted run ended, a request the
+    transcript lacks raises the error its ``run_end`` reason names again
+    (``TransportError``, ``AuthError`` or ``BudgetExceeded``), so the run
+    ends as it did.  Nothing is consumed: a request is answered as often as
+    it is made, from any thread.  ``recordings`` are the transcripts' reads.
     """
 
     in_process = True
 
     def __init__(self, transcripts: list[Path], max_requests: int | None = None):
         super().__init__(max_requests=max_requests)
-        self._runs = {}
-        for path in transcripts:
-            recording = ts.read_recording(path)
-            self._runs[recording.header["run_id"]] = recording
+        self.recordings = [ts.read_recording(path) for path in transcripts]
+        self._runs = {recording.header["run_id"]: recording for recording in self.recordings}
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
         self._note_request()
@@ -294,16 +296,17 @@ class ReplayTransport(Transport):
         call = recording.calls.get(tag) if recording else None
         if call is None:
             abort = recording.abort if recording else None
-            if (abort and where.startswith(f"d{abort[0]:02d}|")
-                    and abort[1].startswith(_TRANSPORT_ABORT)):
-                raise TransportError(abort[1].removeprefix(_TRANSPORT_ABORT))
+            if abort and where.startswith(f"d{abort[0]:02d}|"):
+                name, _, message = abort[1].partition(": ")
+                if name in _ABORTS:
+                    raise _ABORTS[name](message)
             raise TransportError(f"replay: no recorded transcript holds a call tagged {tag!r}")
-        payload, system_sha256, user_sha256 = call
-        header = recording.header
+        content, finish_reason, system_sha256, user_sha256 = call
+        model, max_tokens, temperature = recording.sampling
         differs = [name for name, sent, recorded in (
-            ("model", request.model, header["model"]),
-            ("max_tokens", request.max_tokens, header["max_tokens"]),
-            ("temperature", request.temperature, header["treatment"]["temperature"]),
+            ("model", request.model, model),
+            ("max_tokens", request.max_tokens, max_tokens),
+            ("temperature", request.temperature, temperature),
             ("system prompt", None if system_sha256 is None
              else text_sha256(request.messages[0].content), system_sha256),
             ("user prompt", text_sha256(request.messages[-1].content), user_sha256),
@@ -311,7 +314,7 @@ class ReplayTransport(Transport):
         if differs:
             raise TransportError(
                 f"replay: request {tag!r} differs from its recording in {', '.join(differs)}")
-        return ChatResponse(content=payload["content"], finish_reason=payload["finish_reason"])
+        return ChatResponse(content=content, finish_reason=finish_reason)
 
 
 def build_transport(
@@ -356,35 +359,85 @@ def build_updater(plan: ExperimentPlan, transport: Transport) -> WorldUpdater:
 @dataclass
 class InspectResult:
     runs: int
-    prompts: int
-    mismatches: list[str]
-    # The transcripts whose bytes do not end in the seal of a run_end
-    # record: partial ones, or ones edited after they were written.
-    unsealed: list[str]
+    requests: int  # the model requests the replay answered
+    mismatches: list[str]  # one per transcript its replay does not reproduce
 
 
 def inspect_experiment(manifest_path: str | Path) -> InspectResult:
-    """Re-derive the prompt digests of every transcript a manifest lists,
-    and check each one's seal.
-
-    Prompts are rendered from each transcript's own records, its recorded
-    templates and the scenario at the manifest's ``scenario_path``.
-    """
+    """Replay every run a manifest lists, as ``_replay`` builds it, with one
+    ``ReplayTransport`` and ``play_runs`` into a temporary directory, under
+    the manifest's read lock and logging nothing (its lines are the runs').
+    A transcript that its replay does not reproduce byte for byte, or whose
+    manifest entry names another treatment, seed or outcome, is a mismatch."""
     manifest_path = Path(manifest_path)
-    with manifest_lock(manifest_path, shared=True):
+    quiet, shared, groups, results = logging.getLogger("esclab"), {}, {}, {}
+    level = quiet.level
+    with manifest_lock(manifest_path, shared=True), tempfile.TemporaryDirectory() as tmp:
         manifest = load_manifest(manifest_path)
         scenario = load_scenario(manifest["scenario_path"])
-        prompts = 0
-        mismatches: list[str] = []
-        unsealed: list[str] = []
-        for entry in manifest["runs"]:
-            path = manifest_path.parent / entry["transcript"]
-            checked, found, sealed = ts.verify_prompts(path, scenario)
-            prompts += checked
-            mismatches += [f"{entry['transcript']} {line}" for line in found]
-            if not sealed:
-                unsealed.append(entry["transcript"])
-    return InspectResult(len(manifest["runs"]), prompts, mismatches, unsealed)
+        taxonomy = load_taxonomy(manifest["taxonomy_path"])
+        paths = [manifest_path.parent / entry["transcript"] for entry in manifest["runs"]]
+        transport = ReplayTransport(paths)
+        items = []
+        for index, (path, recording) in enumerate(zip(paths, transport.recordings)):
+            policy, updater, item = _replay(path, recording, transport, scenario, taxonomy,
+                                            shared, Path(tmp) / f"{index}.jsonl")
+            groups.setdefault((policy, updater), []).append(item)
+            items.append(item)
+        quiet.setLevel(logging.CRITICAL)
+        try:
+            for (policy, updater), pending in groups.items():
+                play_runs(scenario, taxonomy, policy, updater, pending, results)
+        finally:
+            quiet.setLevel(level)
+        mismatches = []
+        for entry, path, (treatment, header, out, _, _) in zip(manifest["runs"], paths, items):
+            run = results[header["run_id"]]
+            expected = {**treatment.as_record(), "seed": header["seed"], "status": run.status,
+                        "abort_reason": run.abort_reason}
+            difference = _difference(path.read_bytes(), out.read_bytes()) or (
+                {key: entry[key] for key in expected} != expected
+                and "its manifest entry differs from its run")
+            if difference:
+                mismatches.append(f"{entry['transcript']}: {difference}")
+    return InspectResult(len(paths), transport.request_count, mismatches)
+
+
+@ts.reader
+def _replay(path: Path, recording: ts.Recording, transport: ReplayTransport,
+            scenario: Scenario, taxonomy: ActionTaxonomy, shared: dict, out: Path) -> tuple:
+    """The policy and world updater that the header of the transcript at
+    ``path`` names (one per model that calls it, in ``shared``), and the run
+    for ``play_runs`` to replay from ``recording`` into ``out``.  A scripted
+    run plays its own turns' actions; its ``script_sha256`` is as recorded."""
+    header, model = recording.header, recording.header["model"]
+    treatment = Treatment(**{**header["treatment"],
+                             "variant": PromptVariant(header["treatment"]["variant"])})
+    if type(header["max_parse_retries"]) is not int or header["max_parse_retries"] < 0:
+        raise ValueError(f"max_parse_retries {header['max_parse_retries']!r} is not a count")
+    if header["policy"]["kind"] == "scripted":
+        policy = ScriptedPolicy(recording.turns)
+        policy.script_sha256 = header["policy"]["script_sha256"]
+    else:
+        policy = shared.setdefault(("policy", model), LlmPolicy(transport, model))
+    updater = (shared.setdefault("template", TemplateUpdater())
+               if header["world_updater"] == "template"
+               else shared.setdefault(("updater", model), LlmUpdater(transport, model)))
+    return policy, updater, (treatment, run_header(
+        scenario, taxonomy, treatment, header["seed"], header["run_id"], policy, updater,
+        header["max_parse_retries"]), out, None, [])
+
+
+def _difference(recorded: bytes, replayed: bytes) -> str | None:
+    """Where the transcript bytes ``recorded`` first differ from those of
+    their replay, ``replayed``, as the replay's record there; None if nowhere."""
+    theirs = next((b for a, b in itertools.zip_longest(recorded.split(b"\n"),
+                                                        replayed.split(b"\n")) if a != b), False)
+    if not theirs:
+        return None if theirs is False else "it holds more than its replay"
+    record = json.loads(theirs)
+    return (f"seq {record['seq']} (day {record['day']}, nation {record['nation']}, "
+            f"{record['type']}) differs from its replay")
 
 
 @contextlib.contextmanager

@@ -3,19 +3,18 @@
 Every raw response, parse outcome, score and world summary for one run lands
 here; reports consume nothing else, and a recorded experiment is replayed
 from its transcripts (``read_recording`` reads one for
-``experiments.ReplayTransport``).  Each fact is stored
-once: the record's ``nation`` names a turn's nation, ``run_start`` the
-treatment and everything else that produced the run (the model and its
-reply cap, the retry count, the policy and the world updater), and the
-``system_prompt`` record the system text with its digest and the user
-template.  Each model call is one ``llm_call`` record; that of an agent
-query's first attempt, and that of a world update, also holds its user
-prompt's digest, which ``verify_prompts`` re-derives from the run's own
-records.  What a record's place rebuilds is not written: a nation's
-``llm_call`` records of a day are its query's attempts in order, so they
-give the request tag (``request_tag``) and the turn's attempt count; a
-``parse_failure`` follows the ``llm_call`` whose reply it refuses, and a
-turn the one it accepts.  One walk, ``_days``, groups the records into days
+``experiments.ReplayTransport``, which ``inspect`` plays every run on).
+Each fact is stored once: the record's ``nation`` names a turn's nation,
+``run_start`` the treatment and everything else that produced the run (the
+model and its reply cap, the retry count, the policy and the world
+updater), and the ``system_prompt`` record the system text with its digest
+and the user template.  Each model call is one ``llm_call`` record; that of
+an agent query's first attempt, and that of a world update, also holds its
+user prompt's digest.  What a record's place rebuilds is not written: a
+nation's ``llm_call`` records of a day are its query's attempts in order,
+so they give the request tag (``request_tag``) and the turn's attempt
+count; a ``parse_failure`` follows the ``llm_call`` whose reply it refuses,
+and a turn the one it accepts.  One walk, ``_days``, groups the records into days
 and attempts for every reader, and checks the days' sequence and turns.
 Records carry a logical sequence number as their timestamp so that identical
 runs produce byte-identical files.  What the transport saw of a call (its
@@ -38,11 +37,9 @@ completed transcript it then decodes the first line, ``run_start``, and
 splits nothing else.  Those two records decide the skip; the skipped run
 reads its days and fallbacks when either is first used, and refuses them
 unless the file is still sealed as the skip saw it.
-The seal guards against accident, not against a forger: a line that is
-not a record still fails unless someone recomputes the seal over it, and
-whoever can do that can as well write well-formed false records.
-``verify_prompts`` decodes every line whatever the seal says, and
-``is_sealed`` tells whether a file's bytes are those its writer sealed.
+The seal guards against accident, not against a forger: whoever can
+recompute it can as well write well-formed false records, which only a
+replay of the run tells apart.
 """
 from __future__ import annotations
 
@@ -58,14 +55,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Collection, Iterator
 
 from .errors import ParseError, ValidationError
-from .prompts import PromptVariant, render_update_text, render_user_text, text_sha256
-from .scenario import (
-    ChosenAction,
-    DailyRecord,
-    Scenario,
-    advance_day,
-    initial_world,
-)
+from .scenario import ChosenAction, DailyRecord
 
 if TYPE_CHECKING:
     from .agents import AgentTurn
@@ -474,7 +464,7 @@ def _run_start(records: list[dict], path: str | Path) -> dict:
     return header
 
 
-def _reader(read):
+def reader(read):
     """``read``, raising a missing or mistyped field as ``ParseError``."""
 
     @functools.wraps(read)
@@ -542,12 +532,12 @@ def reconstruct_run(records: list[dict], path: str | Path) -> TranscriptRun:
     return run_from_header(header, end["status"], end["reason"], days, fallbacks)
 
 
-@_reader
+@reader
 def load_run(path: str | Path) -> TranscriptRun:
     return reconstruct_run(read_records(path, types=_RUN_TYPES), path)
 
 
-@_reader
+@reader
 def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, list[dict]]:
     """What the transcript at ``path`` holds of the run whose ``run_start``
     payload is ``header``, as ``(run or None, records to keep)``.
@@ -598,7 +588,7 @@ def stored_run(path: str | Path, header: dict) -> tuple[TranscriptRun | None, li
     return reconstruct_run(kept, path), kept
 
 
-@_reader
+@reader
 def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord], int]:
     """The days and fallbacks of the run that ``stored_run`` skipped, its
     transcript still sealed with the ``run_end`` payload ``end``."""
@@ -614,17 +604,20 @@ def _sealed_days(path: Path, header: dict, end: dict) -> tuple[list[DailyRecord]
 @dataclass(frozen=True)
 class Recording:
     """What ``read_recording`` gives of one transcript: its ``run_start``
-    payload, its model calls and, for an aborted run, how it ended."""
+    payload, model calls, turns and, for an aborted run, how it ended."""
 
     header: dict
-    # Request tag -> (llm_call payload, the digests of the system and user
-    # text its request had; no system digest for a world update).
-    calls: dict[str, tuple[dict, str | None, str | None]]
+    sampling: tuple  # the model, max_tokens and temperature of every request
+    # Request tag -> (its reply's content and finish reason, the digests of
+    # its system and user text; no system digest for a world update).
+    calls: dict[str, tuple[object, object, str | None, str | None]]
+    # Nation -> day -> the actions of its turn: a scripted policy's table.
+    turns: dict[str, dict[int, tuple[ChosenAction, ...]]]
     # An aborted run: the day it did not complete and its run_end reason.
     abort: tuple[int, str] | None
 
 
-@_reader
+@reader
 def read_recording(path: str | Path) -> Recording:
     """The model calls of the transcript at ``path`` by request tag, which
     each record's place rebuilds (``request_tag``), for a replay.  An agent
@@ -633,56 +626,19 @@ def read_recording(path: str | Path) -> Recording:
     builds the same prompt on each); a world update holds its own."""
     records = read_records(path)
     header = _run_start(records, path)
+    run_id = sys.intern(header["run_id"])  # a TypeError unless a string
+    sampling = (header["model"], header["max_tokens"], header["treatment"]["temperature"])
     system = next((r["payload"]["sha256"] for r in records if r["type"] == SYSTEM_PROMPT), None)
-    calls = {}
-    for day, asked_by_nation, _, _ in _days(records, header, path):
+    calls, turns = {}, {}
+    for day, asked_by_nation, turned, _ in _days(records, header, path):
         for nation, asked in asked_by_nation.items():
             user_sha256 = asked[0]["payload"].get("user_sha256")
             for attempt, record in enumerate(asked, 1):
-                calls[request_tag(header["run_id"], day, nation, attempt)] = (
-                    record["payload"], None if nation is None else system, user_sha256)
+                reply = record["payload"]
+                calls[request_tag(run_id, day, nation, attempt)] = (
+                    reply["content"], reply["finish_reason"], nation and system, user_sha256)
+        for nation, actions in map(turn_actions, turned.values()):
+            turns.setdefault(nation, {})[day] = actions
     end = _last_end(records)
-    abort = (day, end["reason"]) if end and end["status"] == "aborted" else None
-    return Recording(header, calls, abort)
-
-
-@_reader
-def verify_prompts(path: str | Path, scenario: Scenario) -> tuple[int, list[str], bool]:
-    """Re-derive every prompt of a transcript and compare digests.
-
-    A user prompt is a function of the scenario, the user template in the
-    ``system_prompt`` record, the variant and the world at the start of its
-    day, which the transcript's own ``turn`` and ``day`` records rebuild.
-    Its digest is the ``user_sha256`` of a nation's first ``llm_call`` of
-    the day (retries follow it).  A world update's prompt is a function of
-    that world and the day's turns, and its ``llm_call`` holds its digest.
-    Returns the number of prompts checked, one line per mismatch and
-    whether the transcript is sealed (``is_sealed``), from one read of it.
-    """
-    data = _read_bytes(path)
-    records = _records(data, path, False)
-    header = _run_start(records, path)
-    system = next((r for r in records if r["type"] == SYSTEM_PROMPT), None)
-    if system is None:
-        raise ParseError(f"transcript {path} has no system_prompt record")
-    template = system["payload"]["user_template"]
-    variant = PromptVariant(header["treatment"]["variant"])
-    mismatches = []
-    if text_sha256(system["payload"]["text"]) != system["payload"]["sha256"]:
-        mismatches.append(f"seq {system['seq']}: system_prompt text does not match its sha256")
-    world = initial_world(scenario)
-    checked = 0
-    for day, calls, turns, closing in _days(records, header, path):
-        today = dict(map(turn_actions, turns.values()))
-        for nation, (first, *_) in calls.items():
-            checked += 1
-            if nation is None:
-                user_text = render_update_text(world, today)
-            else:
-                user_text = render_user_text(scenario, world, nation, variant, template)
-            if first["payload"].get("user_sha256") != text_sha256(user_text):
-                mismatches.append(f"seq {first['seq']} (day {day}, {nation or 'world'}): "
-                                  "user_sha256 not re-derived")
-        if closing is not None:
-            world = advance_day(world, _day_record(closing, today))
-    return checked, mismatches, _seal(data) is not None
+    abort = (day, str(end["reason"])) if end and end["status"] == "aborted" else None
+    return Recording(header, sampling, calls, turns, abort)

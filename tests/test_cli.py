@@ -720,17 +720,16 @@ TRANSCRIPT_CASES = [
     ("header-treatment-1", "run_start", ("payload", "treatment"), 1, 1, 1, 1),
     ("run-end-payload-list", "run_end", ("payload",), [], 1, 1, 1),
 ]
-# Every edit also breaks the transcript's seal, which alone fails inspect, so
-# each case pins the error inspect reports: verify_prompts' ParseError, except
-# where it reads the edit and inspect reports what it found instead.
-INSPECT_ERRORS = {
-    "turn-action-list": ("ValidationError", r"\d+ prompt digest mismatches in 378 prompts .*"),
-    # inspect reads no seed: the broken seal is all it finds.
-    "header-no-seed": ("ValidationError", re.escape(
-        "1 of 3 transcripts are not sealed (partial, or edited after they were written): "
-        "transcripts/t1.0-default-r01.jsonl"
-    )),
-}
+# Each case pins the error inspect reports: the ParseError of reading the
+# transcript or its run header, except where it replays the run and names the
+# first record that differs.  The edit writes every line anew, with other
+# spacing, so the replay differs from the first.
+_REWRITTEN = ("ValidationError", re.escape(
+    "1 of 3 transcripts differ from their replay; first: transcripts/t1.0-default-r01.jsonl: "
+    "seq 0 (day None, nation None, run_start) differs from its replay"
+))
+INSPECT_ERRORS = {"turn-action-list": _REWRITTEN, "day-no-scores": _REWRITTEN,
+                  "day-scores-list": _REWRITTEN}
 MANIFEST_CASES = [
     ("manifest-string", (), json.dumps, 1, 1, 0),
     ("runs-3", ("runs",), 3, 1, 1, 0),

@@ -6,12 +6,14 @@ import socket
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from esclab.agents import LlmPolicy, ParseFailure
 from esclab.client import LiveTransport, MockTransport, chat_request, complete, wire_body
 from esclab.errors import AuthError, BudgetExceeded, TransportError, ValidationError
+from esclab.experiments import ExperimentPlan
 from esclab.orchestrator import Treatment
 from esclab.prompts import PromptVariant
 from esclab.scenario import initial_world
@@ -296,12 +298,38 @@ class TestLiveTransport:
         assert payload["attempts"] == 2
 
 
+# URLs that no request can reach, each refused where it is first given.
+UNREQUESTABLE_URLS = {
+    "unclosed-ipv6": "http://[::1/v1",
+    "space-in-host": "http://127.0 .0.1/v1",  # http.client would refuse each attempt
+    "space-in-path": "http://127.0.0.1/v 1",
+    "port-too-high": "http://h:99999/v1",
+    "no-host": "http:///v1",
+    "ftp": "ftp://x/v1",
+    "no-scheme": "example.com/v1",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("url", UNREQUESTABLE_URLS.values(), ids=UNREQUESTABLE_URLS)
+@pytest.mark.parametrize("where", ["plan", "transport"])
+def test_unrequestable_base_url_is_refused_at_construction(where, url):
+    """Not one attempt, and no sleep between attempts, goes to such a URL."""
+    with pytest.raises(ValidationError, match="base_url must be an http:// or https:// URL"):
+        if where == "plan":
+            ExperimentPlan(Path("s.yaml"), Path("t.yaml"),
+                           (Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),), 1,
+                           transport={"kind": "live", "base_url": url})
+        else:
+            LiveTransport(url, "secret")
+
+
 class TestLoopbackFaults:
     """Whatever goes wrong on the wire, ``complete`` ends in an ``EsclabError``."""
 
     @pytest.mark.parametrize("fault", [
-        Outcome(delay_s=5.0), Outcome(drop=True), Outcome(cut=True), "refused", "bad-host",
-    ], ids=["read-timeout", "dropped", "cut-short", "refused", "bad-host"])
+        Outcome(delay_s=5.0), Outcome(drop=True), Outcome(cut=True), "refused",
+    ], ids=["read-timeout", "dropped", "cut-short", "refused"])
     def test_transient_faults_use_every_attempt(self, fault):
         sleeps = []
         with contextlib.ExitStack() as stack:
@@ -309,8 +337,6 @@ class TestLoopbackFaults:
             if fault == "refused":
                 sock, url = refused_url()
                 stack.callback(sock.close)
-            elif fault == "bad-host":  # a space, which http.client refuses in a host
-                url = "http://127.0 .0.1/v1"
             else:
                 endpoint = stack.enter_context(ChatEndpoint([fault] * 4))
                 url = endpoint.url

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_scenario
+from conftest import lone_manifest, small_scenario
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.client import MockTransport
@@ -97,10 +97,11 @@ class TestOneCorruptedLine:
         corrupted = path.with_name("corrupted.jsonl")
         lines = _apply(records, data.draw(_corruption(records)))
         corrupted.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        manifest = lone_manifest(corrupted, scenario, header)
         for read in (
             lambda: ts.load_run(corrupted),
             lambda: ts.stored_run(corrupted, header),
-            lambda: ts.verify_prompts(corrupted, scenario),
+            lambda: inspect_experiment(manifest),
             lambda: ts.read_recording(corrupted),
         ):
             try:
@@ -177,8 +178,9 @@ class TestDaySequence:
         edit, refusal = DAY_SEQUENCE_CASES[case]
         path = tmp_path / "run.jsonl"
         reseal(path, [{**r, "seq": seq} for seq, r in enumerate(edit(records))])
+        manifest = lone_manifest(path, scenario, header)
         for read in (lambda: ts.load_run(path), lambda: ts.read_recording(path),
-                     lambda: ts.verify_prompts(path, scenario),
+                     lambda: inspect_experiment(manifest),
                      lambda: ts.stored_run(path, header)[0].days):
             with pytest.raises(ValidationError,
                                match=f"^transcript {re.escape(str(path))} {refusal}$"):

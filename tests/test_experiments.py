@@ -215,9 +215,6 @@ class TestPlanValueChecks:
         (f"{{{LIVE}, max_in_flight: 1.5}}", "max_in_flight must be an integer"),
         (f"{{{LIVE}, requests_per_minute: '60'}}", "requests_per_minute must be an integer"),
         (f"{{{LIVE}, api_key: sk-test}}", r"unknown keys \['api_key'\]"),
-        ("{kind: live, base_url: ''}", "base_url must start with http:// or https://, got ''"),
-        ("{kind: live, base_url: example.com/v1}", "base_url must start with http://"),
-        ("{kind: live, base_url: 'ftp://localhost/v1'}", "base_url must start with http://"),
         ("{kind: carrier-pigeon}", "transport kind must be one of"),
         ("{kind: [mock]}", "transport kind must be one of"),
     ])

@@ -38,7 +38,7 @@ from esclab import experiments, orchestrator
 from esclab import transcript as ts
 from esclab.client import MockTransport
 from esclab.errors import EsclabError
-from esclab.experiments import METRICS_DIR, load_plan, run_experiment
+from esclab.experiments import METRICS_DIR, inspect_experiment, load_plan, run_experiment
 from esclab.report import build_report
 
 from conftest import force_processes
@@ -361,6 +361,7 @@ def test_tiny_reference_experiment_bytes_are_pinned(path, tmp_path, monkeypatch)
     out = tmp_path / "experiment"
     ROWS[path](out, tmp_path, monkeypatch)
     assert_pinned(out, tmp_path / "report")
+    assert inspect_experiment(out / "manifest.json").mismatches == []
 
 
 def test_tiny_reference_report_figures_are_pinned(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from esclab.agents import AgentPolicy, LlmPolicy, ScriptedPolicy
 from esclab.client import LiveTransport, MockTransport
 from esclab.errors import ValidationError
-from esclab.experiments import ReplayTransport
+from esclab.experiments import ReplayTransport, inspect_experiment
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import (
     LlmUpdater,
@@ -18,9 +18,9 @@ from esclab.orchestrator import (
 )
 from esclab.prompts import PromptTemplates, PromptVariant
 from esclab.scenario import ChosenAction, initial_world
-from esclab.transcript import is_sealed, load_run, read_records, verify_prompts
+from esclab.transcript import is_sealed, load_run, read_records
 
-from conftest import small_scenario
+from conftest import lone_manifest, small_scenario
 from oracles import transcript_category_counts, transcript_scores
 from standins import ChatEndpoint, EndpointStandIn, Outcome, first_attempts
 
@@ -507,7 +507,9 @@ class TestLoneSurrogateInReplies:
             "\ud800" in json.dumps(record, ensure_ascii=False) for record in records
         ]
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (18 if updater == "llm" else 16, [], True)
+        inspected = inspect_experiment(lone_manifest(path, short, records[0]["payload"]))
+        assert (inspected.requests, inspected.mismatches) == (
+            18 if updater == "llm" else 16, [])
         replayed = tmp_path / "replayed.jsonl"
         assert play(ReplayTransport([path]), replayed) == run
         assert replayed.read_bytes() == path.read_bytes()
@@ -533,7 +535,8 @@ class TestLoneSurrogateInReplies:
         assert run.completed and is_sealed(path)
         assert [day.world_summary_after for day in run.days] == ["Calm day.\U0001F600"] * 2
         assert load_run(path) == run
-        assert verify_prompts(path, short) == (18, [], True)
+        inspected = inspect_experiment(lone_manifest(path, short, read_records(path)[0]["payload"]))
+        assert (inspected.requests, inspected.mismatches) == (18, [])
 
 
 class TestRunRecordIsTranscriptRecord:

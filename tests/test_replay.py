@@ -17,8 +17,14 @@ from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.cli import main
 from esclab.client import MockTransport, chat_request, complete
-from esclab.errors import ParseError, TransportError, ValidationError
-from esclab.experiments import METRICS_DIR, ReplayTransport, load_plan, run_experiment
+from esclab.errors import AuthError, BudgetExceeded, ParseError, TransportError, ValidationError
+from esclab.experiments import (
+    METRICS_DIR,
+    ReplayTransport,
+    inspect_experiment,
+    load_plan,
+    run_experiment,
+)
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, Treatment, run_simulation
 from esclab.prompts import PromptVariant, default_templates
@@ -121,6 +127,64 @@ class TestReplay:
             with pytest.raises(TransportError, match=re.escape(
                     f"no recorded transcript holds a call tagged {tag!r}")):
                 complete(transport, chat_request("m", "s", "u", 1.0, request_tag=tag))
+
+
+    def test_budget_aborted_experiment_replays_to_its_own_aborts(self, tmp_path, caplog,
+                                                                 one_process):
+        """A two-run plan whose budget runs out: its replay, and ``inspect``,
+        end each run where and as it ended; ``inspect`` logs none of the
+        aborts it replays (in one process, where the test sees the log)."""
+        def plan(name: str, transport: str, extra: str = "") -> Path:
+            root = tmp_path / name
+            root.mkdir()
+            path = write_plan(root, transport, extra=extra)
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace("runs_per_treatment: 1", "runs_per_treatment: 2")
+                            .replace("world_updater: llm", "world_updater: template"),
+                            encoding="utf-8")
+            return path
+
+        recorded = tmp_path / "recorded"
+        first = run_experiment(load_plan(plan("a", "{kind: mock}", "max_requests: 200\n")),
+                               recorded)
+        assert [(run.status, run.abort_reason) for run in first.runs] == [
+            ("completed", None), ("aborted", "BudgetExceeded: request budget of 200 exhausted")]
+        transport = f"{{kind: replay, manifest: {recorded / 'manifest.json'}}}"
+        again = run_experiment(load_plan(plan("b", transport)), tmp_path / "out")
+        assert [(run.status, run.abort_reason) for run in again.runs] == [
+            (run.status, run.abort_reason) for run in first.runs]
+        assert {path.name: path.read_bytes() for path in (tmp_path / "out").glob("*/*.jsonl")} \
+            == {path.name: path.read_bytes() for path in recorded.glob("*/*.jsonl")}
+        caplog.clear()
+        assert inspect_experiment(recorded / "manifest.json").mismatches == []
+        assert caplog.records == []
+
+
+@pytest.mark.parametrize("error", [
+    TransportError("endpoint down"), AuthError("endpoint rejected credential"),
+    BudgetExceeded("request budget of 20 exhausted"),
+], ids=["transport", "auth", "budget"])
+def test_aborted_run_replays_to_its_own_abort(scenario, taxonomy, tmp_path, error):
+    """On the day a run aborted, the replay raises the error that its
+    run_end names again, so the run ends with the same bytes."""
+    short = dataclasses.replace(scenario, days=2)
+    calibrated = CalibratedResponder(taxonomy, short)
+
+    def respond(request):
+        if request.request_tag == f"{RUN_ID}|d02|Green|a1":
+            raise error
+        return calibrated(request)
+
+    def play(transport, name):
+        return run_simulation(short, taxonomy, Treatment("t1.0-default", 1.0,
+                                                         PromptVariant.DEFAULT),
+                              LlmPolicy(transport, model="m"), LlmUpdater(transport, model="m"),
+                              seed=1, transcript_path=tmp_path / name, run_id=RUN_ID)
+
+    run = play(MockTransport(respond), "recorded.jsonl")
+    assert (run.status, run.abort_reason) == ("aborted", f"{type(error).__name__}: {error}")
+    assert play(ReplayTransport([tmp_path / "recorded.jsonl"]), "replayed.jsonl") == run
+    assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "recorded.jsonl").read_bytes()
 
 
 class TestChangedPrompts:

@@ -5,8 +5,8 @@ every record type holds exactly its pinned payload keys, the records alone
 rebuild what a record's place gives (request tags, attempts, the reply a
 parse failure refuses and a turn's private thoughts), a re-run by
 another model, policy, script, world updater or retry count is refused
-before any request, `inspect` re-derives each prompt digest and lists the
-transcripts whose bytes no longer match their seal, a sealed transcript is
+before any request, `inspect` replays each run and names the transcripts that
+their replay does not reproduce, a sealed transcript is
 read as a broken-seal one is while only the records a reader uses are
 decoded, a no-op re-run decodes two lines of a sealed completed transcript
 and its skipped run reads the days later, only from the file the skip saw,
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import force_processes, small_scenario
+from conftest import force_processes, lone_manifest, small_scenario
 from esclab import experiments, orchestrator
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy, _first_json_object, load_script
@@ -461,7 +461,9 @@ class TestDigestRecords:
         assert system["text"].startswith("CUSTOM ")
         assert system["sha256"] == text_sha256(system["text"])
         assert system["user_template"] == templates.user
-        assert ts.verify_prompts(path, scenario) == (14 * 9, [], True)
+        # inspect replays the shipped templates, which every experiment plays.
+        inspected = inspect_experiment(lone_manifest(path, scenario, records[0]["payload"]))
+        assert inspected.mismatches == [differs_at("run.jsonl", records[1])]
 
 
 def producer_plan(root: Path, **keys) -> Path:
@@ -555,46 +557,123 @@ class TestHeaderNamesTheProducer:
         assert not (tmp_path / "run.jsonl").exists()
 
 
+def first_record(path: Path, match) -> dict:
+    """The first record of the transcript at ``path`` that ``match`` accepts."""
+    return next(r for r in ts.read_records(path) if match(r))
+
+
+def differs_at(name: str, record: dict) -> str:
+    """The mismatch ``inspect_experiment`` reports for the transcript
+    ``name`` whose replay first differs from it at ``record``."""
+    return (f"{name}: seq {record['seq']} (day {record['day']}, nation {record['nation']}, "
+            f"{record['type']}) differs from its replay")
+
+
+def inspect_error(out: Path, capsys) -> dict:
+    """The JSON error line of ``esclab inspect`` on the experiment in ``out``,
+    which must exit 1."""
+    capsys.readouterr()
+    assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    return json.loads(line)
+
+
+@pytest.fixture(scope="module")
+def template_experiment(tmp_path_factory):
+    """The 2x2 LLM plan of ``small_experiment`` with the template updater."""
+    root = tmp_path_factory.mktemp("template")
+    run_experiment(dataclasses.replace(llm_plan(root), world_updater="template"), root / "out")
+    return root / "out"
+
+
 class TestInspect:
-    def test_reference_plan_verifies_every_prompt(self, tmp_path, capsys):
+    """``inspect`` replays each listed run from its transcript: one that its
+    replay does not reproduce byte for byte is named, with its first record
+    that differs."""
+
+    def test_reference_plan_replays_every_request(self, tmp_path, capsys):
         run_experiment(load_plan(DATA / "plan_reference.yaml"), tmp_path)
         manifest = str(tmp_path / "manifest.json")
         assert main(["inspect", "--manifest", manifest]) == 0
         summary = json.loads(capsys.readouterr().out)
-        assert summary == {"manifest": manifest, "runs": 60, "prompts_verified": 7560}
+        assert summary == {"manifest": manifest, "runs": 60, "requests_replayed": 7560}
 
-    def test_edited_day_summary_fails(self, experiment_copy, capsys):
-        _, out = experiment_copy
-        path = out / "transcripts" / "t1.0-default-r01.jsonl"
-        edit_record(path, lambda r: r["type"] == ts.DAY and r["day"] == 3,
-                    lambda p: p.update(summary=p["summary"] + " Edited."))
+    def test_resealed_day_14_turns_and_scores_are_named(self, template_experiment, tmp_path,
+                                                        capsys):
+        """Every day-14 turn of one run set to nuclear disarmament, every
+        day-14 score to -2, and the file sealed anew: the seal holds, and
+        the replay tells the turns apart from the replies."""
+        out = tmp_path / "out"
+        shutil.copytree(template_experiment, out)
+        name = "transcripts/t1.0-default-r00.jsonl"
+        records = ts.read_records(out / name)
+        for record in records:
+            if record["day"] == 14 and record["type"] == ts.TURN:
+                record["payload"]["actions"] = [{"action": "do_nuclear_disarmament",
+                                                 "target": None}]
+            elif record["day"] == 14 and record["type"] == ts.DAY:
+                record["payload"]["scores"] = dict.fromkeys(record["payload"]["scores"], -2)
+        reseal(out / name, records)
+        assert ts.is_sealed(out / name)
+        first = first_record(out / name, lambda r: r["type"] == ts.TURN and r["day"] == 14)
         result = inspect_experiment(out / "manifest.json")
-        # Day 4's eight agent prompts and its world update start from it.
-        assert len(result.mismatches) == 9
-        assert all(line.startswith("transcripts/t1.0-default-r01.jsonl seq ")
-                   and "(day 4, " in line and "user_sha256 not re-derived" in line
-                   for line in result.mismatches)
-        assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["error"] == "ValidationError"
-        assert error["message"].startswith("9 prompt digest mismatches in 504 prompts of 4 runs")
+        assert (result.runs, result.mismatches) == (4, [differs_at(name, first)])
+        assert inspect_error(out, capsys) == {"error": "ValidationError", "message": (
+            f"1 of 4 transcripts differ from their replay; first: {differs_at(name, first)}")}
 
-    def test_edited_user_digest_fails(self, experiment_copy):
+    def test_resealed_nation_gone_from_every_day_is_named(self, experiment_copy):
+        from test_corrupt_transcripts import without_nation
+
         _, out = experiment_copy
-        path = out / "transcripts" / "t1.0-context-r00.jsonl"
+        name = "transcripts/t1.0-context-r01.jsonl"
+        # Red's replies are still there: the replay parses them into its turns.
+        first = first_record(out / name, lambda r: r["type"] == ts.TURN and r["nation"] == "Red")
+        records = ts.read_records(out / name)
+        for day in range(1, 15):
+            records = without_nation(records, day, "Red")
+        reseal(out / name, [{**r, "seq": seq} for seq, r in enumerate(records)])
+        assert inspect_experiment(out / "manifest.json").mismatches == [differs_at(name, first)]
+
+    def test_resealed_summary_of_a_scripted_run_is_named(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        run_experiment(load_plan(DATA / "plan_demo.yaml"), out)
+        name = "transcripts/t1.0-default-r01.jsonl"
+        records = ts.read_records(out / name)
+        day_5 = next(r for r in records if r["type"] == ts.DAY and r["day"] == 5)
+        day_5["payload"]["summary"] += " Edited."
+        reseal(out / name, records)
+        assert inspect_experiment(out / "manifest.json").mismatches == [
+            differs_at(name, day_5)]
+        assert inspect_error(out, capsys)["message"].startswith("1 of 2 transcripts differ")
+
+    def test_edited_day_summary_is_named(self, experiment_copy):
+        """The model updater's summary is its recorded reply: the replay
+        writes that reply again, not the edit."""
+        _, out = experiment_copy
+        name = "transcripts/t1.0-default-r01.jsonl"
+        edit_record(out / name, lambda r: r["type"] == ts.DAY and r["day"] == 3,
+                    lambda p: p.update(summary=p["summary"] + " Edited."))
+        day_3 = first_record(out / name, lambda r: r["type"] == ts.DAY and r["day"] == 3)
+        assert inspect_experiment(out / "manifest.json").mismatches == [
+            differs_at(name, day_3)]
+
+    def test_edited_user_digest_is_named(self, experiment_copy):
+        _, out = experiment_copy
+        name = "transcripts/t1.0-context-r00.jsonl"
+
         def first_attempt(record):
             return ("user_sha256" in record["payload"] and record["day"] == 9
                     and record["nation"] == "Purple")
 
-        edit_record(path, first_attempt, lambda p: p.update(user_sha256="0" * 64))
-        seq = next(r["seq"] for r in ts.read_records(path) if first_attempt(r))
-        result = inspect_experiment(out / "manifest.json")
-        assert result.mismatches == [
-            f"transcripts/t1.0-context-r00.jsonl seq {seq} (day 9, Purple): "
-            "user_sha256 not re-derived"
-        ]
+        edit_record(out / name, first_attempt, lambda p: p.update(user_sha256="0" * 64))
+        # The replay's request differs from it, which aborts the run there.
+        seq = first_record(out / name, first_attempt)["seq"]
+        assert inspect_experiment(out / "manifest.json").mismatches == [differs_at(name, {
+            "seq": seq, "day": None, "nation": None, "type": ts.RUN_END})]
 
-    def test_edited_reply_breaks_only_its_seal(self, experiment_copy, capsys):
+    def test_edited_reply_is_named(self, experiment_copy, capsys):
+        """A reply edited without a new seal: the replay parses the edited
+        reply, and seals its bytes anew."""
         _, out = experiment_copy
         name = "transcripts/t1.0-context-r01.jsonl"
         path = out / name
@@ -604,16 +683,12 @@ class TestInspect:
         assert lines[index][at] not in '\\"X'
         lines[index] = lines[index][:at] + "X" + lines[index][at + 1:]
         path.write_text("\n".join(lines), encoding="utf-8")
-        result = inspect_experiment(out / "manifest.json")
-        assert (result.runs, result.prompts, result.mismatches) == (4, 504, [])
-        assert result.unsealed == [name]
-        assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error == {"error": "ValidationError", "message": (
-            f"1 of 4 transcripts are not sealed "
-            f"(partial, or edited after they were written): {name}")}
+        (mismatch,) = inspect_experiment(out / "manifest.json").mismatches
+        assert mismatch.startswith(f"{name}: seq ")
+        assert inspect_error(out, capsys)["message"] == (
+            f"1 of 4 transcripts differ from their replay; first: {mismatch}")
 
-    def test_partial_transcript_is_listed_as_not_sealed(self, experiment_copy, capsys):
+    def test_partial_transcript_is_named(self, experiment_copy, capsys):
         # What a resume killed after writing back a run's kept records leaves
         # under the manifest of the invocation before it.
         _, out = experiment_copy
@@ -621,14 +696,19 @@ class TestInspect:
         records = ts.read_records(out / name)
         day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
         ts.rewrite(out / name, records[: day_3 + 1])
-        result = inspect_experiment(out / "manifest.json")
-        assert (result.runs, result.prompts, result.mismatches) == (4, 3 * 126 + 3 * 9, [])
-        assert result.unsealed == [name]
-        assert main(["inspect", "--manifest", str(out / "manifest.json")]) == 1
-        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert error["message"] == (
-            f"1 of 4 transcripts are not sealed (partial, or edited after they were written): "
-            f"{name}")
+        # Its replay finds no reply of day 4 and ends there, aborted.
+        first = {"seq": day_3 + 1, "day": None, "nation": None, "type": ts.RUN_END}
+        assert inspect_experiment(out / "manifest.json").mismatches == [differs_at(name, first)]
+        assert inspect_error(out, capsys)["message"] == (
+            f"1 of 4 transcripts differ from their replay; first: {differs_at(name, first)}")
+
+    def test_manifest_entry_that_is_not_its_run_is_named(self, experiment_copy):
+        _, out = experiment_copy
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        manifest["runs"][1]["status"] = "aborted"
+        (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        assert inspect_experiment(out / "manifest.json").mismatches == [
+            f"{manifest['runs'][1]['transcript']}: its manifest entry differs from its run"]
 
     def test_format_1_transcript_is_not_passed_unchecked(self, experiment_copy):
         _, out = experiment_copy
@@ -636,17 +716,17 @@ class TestInspect:
         with pytest.raises(ValidationError, match="t1.0-default-r00.jsonl is in format 1"):
             inspect_experiment(out / "manifest.json")
 
-    def test_missing_digest_is_a_mismatch_and_missing_template_an_error(
-        self, experiment_copy
-    ):
+    def test_missing_digest_or_template_is_named(self, experiment_copy):
         _, out = experiment_copy
-        path = out / "transcripts" / "t1.0-default-r00.jsonl"
-        edit_record(path, lambda r: "user_sha256" in r["payload"], lambda p: p.pop("user_sha256"))
-        assert len(inspect_experiment(out / "manifest.json").mismatches) == 1
-        edit_record(path, lambda r: r["type"] == ts.SYSTEM_PROMPT,
+        name = "transcripts/t1.0-default-r00.jsonl"
+        edit_record(out / name, lambda r: r["type"] == ts.SYSTEM_PROMPT,
                     lambda p: p.pop("user_template"))
-        with pytest.raises(ParseError, match="lacks the field 'user_template'"):
-            inspect_experiment(out / "manifest.json")
+        system = first_record(out / name, lambda r: r["type"] == ts.SYSTEM_PROMPT)
+        assert inspect_experiment(out / "manifest.json").mismatches == [
+            differs_at(name, system)]
+        edit_record(out / name, lambda r: "user_sha256" in r["payload"],
+                    lambda p: p.pop("user_sha256"))
+        assert len(inspect_experiment(out / "manifest.json").mismatches) == 1
 
 
 class TestOlderFormats:
