@@ -3,10 +3,12 @@
 LlmPolicy queries a transport with the assembled prompts and parses the
 untrusted reply; ScriptedPolicy plays a fixed day-to-actions table.  Both
 produce AgentTurn values whose action ids are guaranteed to resolve in the
-taxonomy: model replies and script entries pass the same action validator.
-A recorded experiment is replayed under LlmPolicy by answering its requests
-from its own transcripts (``experiments.ReplayTransport``).  The
-``llm_call`` record of each request is written by ``client.complete``.
+taxonomy: model replies and script entries pass the same action validator;
+a script entry that fails it is refused naming the run, day and nation.
+``esclab inspect`` replays a recorded model run under LlmPolicy, answering
+its requests from its own transcript (``experiments.ReplayTransport``), and
+a scripted run under a ScriptedPolicy of its own turns.  The ``llm_call``
+record of each request is written by ``client.complete``.
 
 A policy holds only how to reach a model: the run's treatment and taxonomy
 arrive with each call and the scenario with the world, so every request
@@ -310,8 +312,8 @@ class ScriptedPolicy(AgentPolicy):
             )
             if isinstance(outcome, ParseFailure):
                 raise ValidationError(
-                    f"scripted action {action.action_id!r} for {nation} day {day}: "
-                    f"{outcome.reason.replace('_', '-')} ({outcome.detail})"
+                    f"transcript {run_id!r} day {day} {nation}: scripted action "
+                    f"{action.action_id!r}: {outcome.reason.replace('_', '-')} ({outcome.detail})"
                 )
             validated.append(outcome)
         return AgentTurn(nation=nation, actions=tuple(validated))

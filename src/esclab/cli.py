@@ -93,7 +93,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                         "temperature": args.temperature, "variant": args.variant}],
         "base_seed": args.seed,
         "runs_per_treatment": 1,
-        "transport": _set(kind=args.transport, manifest=args.manifest, base_url=args.base_url),
+        "transport": _set(kind=args.transport, base_url=args.base_url),
         "policy": _set(kind=args.policy, script=args.script),
         "world_updater": args.updater,
         "model": args.model,
@@ -220,10 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[v.value for v in PromptVariant])
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--label", default=None)
-    p_sim.add_argument("--transport", default="mock",
-                       choices=["mock", "replay", "live"])
-    p_sim.add_argument("--manifest", default=None,
-                       help="replay: the manifest of the experiment to play back")
+    p_sim.add_argument("--transport", default="mock", choices=["mock", "live"])
     p_sim.add_argument("--base-url", default=None)
     p_sim.add_argument("--policy", default="llm", choices=["llm", "scripted"])
     p_sim.add_argument("--script", default=None)

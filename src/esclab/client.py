@@ -2,8 +2,11 @@
 
 Transports share one request/response contract: Live (HTTP or HTTPS, on
 ``urllib.request``) and Mock (scripted responder, used for desk-scale runs
-and tests) live here; replay from recorded transcripts is
-``experiments.ReplayTransport``.  This module reads and writes no file.  Temperature is serialized into the request body
+and tests) live here, and are the two kinds a plan names; the replay that
+``esclab inspect`` plays from recorded transcripts is
+``experiments.ReplayTransport``.  This module reads and writes no file, and
+``check_base_url`` is the one check of an endpoint URL, for a plan and the
+Live transport alike.  Temperature is serialized into the request body
 exactly as given; the Mock transport can capture bodies so tests can verify
 that.
 """
@@ -103,10 +106,16 @@ def wire_body(request: ChatRequest) -> dict:
 
 
 def check_base_url(base_url: str, where: str) -> str:
-    """``base_url`` if a request can go to it: an http:// or https:// URL
-    with a host, no whitespace or control character, and a port, if any, in
-    1-65535.  Otherwise a ``ValidationError`` naming ``where``, before any
+    """``base_url`` if a request can go to it: an ASCII http:// or https://
+    URL with a host, no whitespace or control character, and a port, if any,
+    in 1-65535.  Otherwise a ``ValidationError`` naming ``where``, before any
     request: sent, such a URL would fail only after every retry."""
+    # http.client sends the URL as ASCII.
+    if not base_url.isascii():
+        raise ValidationError(
+            f"{where}: base_url must be ASCII (percent-encode the path, write an "
+            f"international host name in its xn-- form), got {base_url!r}"
+        )
     try:
         parts = urlsplit(base_url)
         problem = (
@@ -262,19 +271,14 @@ class LiveTransport(Transport):
                 f" >= 1 and 0 < timeout <= {threading.TIMEOUT_MAX:g}, got {max_in_flight}, "
                 f"{requests_per_minute} and {timeout}"
             )
-        # http.client sends the URL as ASCII and header values as Latin-1, and
-        # refuses a line break in a header; the message leaves the key out.
-        if not base_url.isascii():
-            raise ValidationError(
-                f"live transport: base_url must be ASCII (percent-encode the path, write an "
-                f"international host name in its xn-- form), got {base_url!r}"
-            )
+        check_base_url(base_url, "live transport")
+        # http.client sends header values as Latin-1 and refuses a line break
+        # in one; the message leaves the key out.
         if any(ord(c) > 0xFF or c in "\r\n" for c in api_key):
             raise ValidationError(
                 "live transport: the API key cannot be an HTTP header value: "
                 "it must be Latin-1 text without CR or LF"
             )
-        check_base_url(base_url, "live transport")
         import urllib.request
 
         super().__init__(max_requests=max_requests)

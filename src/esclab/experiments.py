@@ -7,9 +7,9 @@ runs not yet completed.  The manifest maps every (treatment, run) to its
 transcript and status and is written once per invocation, with atomic
 replace; re-invoking a finished experiment issues no new client requests.
 A transport that waits on an endpoint also leaves a metrics sidecar per
-run, and ``ReplayTransport`` plays an experiment back from the transcripts
-its manifest lists: ``inspect_experiment`` replays every run that way and
-compares the bytes.
+run.  A plan's transport is the mock or a live endpoint.  The one replay is
+``inspect_experiment``: it plays every run its manifest lists back through
+``ReplayTransport``, from the transcripts alone, and compares the bytes.
 """
 from __future__ import annotations
 
@@ -81,7 +81,6 @@ _MANIFEST_KEYS = (
 # that must be set.
 _TRANSPORT_KEYS = {
     "mock": ({}, ()),
-    "replay": ({"manifest": str}, ("manifest",)),
     "live": (
         {"base_url": str, "timeout": float, "max_in_flight": int, "requests_per_minute": int},
         ("base_url",),
@@ -145,8 +144,6 @@ class ExperimentPlan:
         for key, key_type in types.items():
             if key in transport:
                 require_type(transport[key], key_type, f"plan: transport {key}")
-        if kind == "replay":
-            require_type(transport["manifest"], str, "plan: transport manifest", nonempty=True)
         if kind == "live":
             check_base_url(transport["base_url"], "plan: transport")
         policy = require_keys(self.policy, "plan: policy", ("kind", "script"), ("kind",))
@@ -244,9 +241,8 @@ def parse_plan(document: object, base: Path) -> ExperimentPlan:
                if key not in ("scenario", "taxonomy", "treatments")}
     if isinstance(options.get("policy"), str):
         options["policy"] = {"kind": options["policy"]}
-    for spec, key in (("transport", "manifest"), ("policy", "script")):
-        if isinstance(options.get(spec), dict) and key in options[spec]:
-            options[spec] = {**options[spec], key: _resolve(options[spec][key])}
+    if isinstance(options.get("policy"), dict) and "script" in options["policy"]:
+        options["policy"] = {**options["policy"], "script": _resolve(options["policy"]["script"])}
     if "aggregator" in options:
         with contextlib.suppress(ValueError):  # not an aggregator's name: the plan refuses it
             options["aggregator"] = Aggregator(options["aggregator"])
@@ -278,18 +274,18 @@ class ReplayTransport(Transport):
     transcript lacks raises the error its ``run_end`` reason names again
     (``TransportError``, ``AuthError`` or ``BudgetExceeded``), so the run
     ends as it did.  Nothing is consumed: a request is answered as often as
-    it is made, from any thread.  ``recordings`` are the transcripts' reads.
+    it is made, from any thread, and ``request_count`` counts the requests
+    answered.  ``recordings`` are the transcripts' reads.
     """
 
     in_process = True
 
-    def __init__(self, transcripts: list[Path], max_requests: int | None = None):
-        super().__init__(max_requests=max_requests)
+    def __init__(self, transcripts: list[Path]):
+        super().__init__()
         self.recordings = [ts.read_recording(path) for path in transcripts]
         self._runs = {recording.header["run_id"]: recording for recording in self.recordings}
 
     def send_once(self, request: ChatRequest) -> ChatResponse:
-        self._note_request()
         tag = request.request_tag
         run_id, _, where = tag.partition("|")
         recording = self._runs.get(run_id)
@@ -314,6 +310,7 @@ class ReplayTransport(Transport):
         if differs:
             raise TransportError(
                 f"replay: request {tag!r} differs from its recording in {', '.join(differs)}")
+        self._note_request()
         return ChatResponse(content=content, finish_reason=finish_reason)
 
 
@@ -324,8 +321,7 @@ def build_transport(
     api_key: str | None = None,
 ) -> Transport:
     config = plan.transport
-    kind = config["kind"]
-    if kind == "mock":
+    if config["kind"] == "mock":
         responder = CalibratedResponder(
             taxonomy,
             scenario,
@@ -333,11 +329,6 @@ def build_transport(
             runs_per_treatment=plan.runs_per_treatment,
         )
         return MockTransport(responder, max_requests=plan.max_requests)
-    if kind == "replay":
-        manifest_path = Path(config["manifest"])
-        paths = [manifest_path.parent / entry["transcript"]
-                 for entry in load_manifest(manifest_path)["runs"]]
-        return ReplayTransport(paths, max_requests=plan.max_requests)
     if not api_key:
         raise ValidationError("live transport needs an API key (see ESCLAB_API_KEY)")
     settings = {key: value for key, value in config.items() if key != "kind"}
@@ -368,7 +359,9 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
     ``ReplayTransport`` and ``play_runs`` into a temporary directory, under
     the manifest's read lock and logging nothing (its lines are the runs').
     A transcript that its replay does not reproduce byte for byte, or whose
-    manifest entry names another treatment, seed or outcome, is a mismatch."""
+    manifest entry names another treatment, seed or outcome, is a mismatch;
+    when the replay aborted and the transcript did not, the mismatch also
+    gives the replay's reason (a request that differs from its recording)."""
     manifest_path = Path(manifest_path)
     quiet, shared, groups, results = logging.getLogger("esclab"), {}, {}, {}
     level = quiet.level
@@ -391,13 +384,16 @@ def inspect_experiment(manifest_path: str | Path) -> InspectResult:
         finally:
             quiet.setLevel(level)
         mismatches = []
-        for entry, path, (treatment, header, out, _, _) in zip(manifest["runs"], paths, items):
+        for entry, path, recording, (treatment, header, out, _, _) in zip(
+                manifest["runs"], paths, transport.recordings, items):
             run = results[header["run_id"]]
             expected = {**treatment.as_record(), "seed": header["seed"], "status": run.status,
                         "abort_reason": run.abort_reason}
             difference = _difference(path.read_bytes(), out.read_bytes()) or (
                 {key: entry[key] for key in expected} != expected
                 and "its manifest entry differs from its run")
+            if difference and run.status == "aborted" and recording.abort is None:
+                difference += f"; its replay aborted: {run.abort_reason}"
             if difference:
                 mismatches.append(f"{entry['transcript']}: {difference}")
     return InspectResult(len(paths), transport.request_count, mismatches)
@@ -472,7 +468,9 @@ def manifest_lock(manifest_path: Path, shared: bool = False):
 
 def load_manifest(manifest_path: str | Path) -> dict:
     """The manifest at ``manifest_path``, with every key ``_execute`` writes,
-    string paths, a known aggregator, and runs whose labels are treatments."""
+    string paths, a known aggregator, and runs whose labels are treatments:
+    each run listed once, with a run index below ``runs_per_treatment``, at
+    the transcript ``_execute`` writes for it."""
     manifest_path = Path(manifest_path)
     where = f"manifest {manifest_path}"
     try:
@@ -488,12 +486,26 @@ def load_manifest(manifest_path: str | Path) -> dict:
         raise ParseError(f"{where}: unknown aggregator {manifest['aggregator']!r}")
     treatments = require_type(manifest["treatments"], list, f"{where}: treatments")
     labels = [_parse_treatment(t, i, f"{where}: ").label for i, t in enumerate(treatments)]
+    per_treatment = require_type(manifest["runs_per_treatment"], int,
+                                 f"{where}: runs_per_treatment")
+    listed = {}  # run id -> the index of its entry
     for index, entry in enumerate(require_type(manifest["runs"], list, f"{where}: runs")):
         entry_where = f"{where}: runs[{index}]"
         require_keys(entry, entry_where, _MANIFEST_RUN_KEYS, _MANIFEST_RUN_KEYS)
-        require_type(entry["transcript"], str, f"{entry_where}: transcript", nonempty=True)
-        if entry["label"] not in labels:
-            raise ParseError(f"{entry_where}: label {entry['label']!r} is not a treatment")
+        label, run_index = entry["label"], entry["run_index"]
+        if label not in labels:
+            raise ParseError(f"{entry_where}: label {label!r} is not a treatment")
+        if type(run_index) is not int or not 0 <= run_index < per_treatment:
+            raise ParseError(f"{entry_where}: run_index must be an integer in "
+                             f"range({per_treatment}), got {run_index!r}")
+        run_id = f"{label}-r{run_index:02d}"
+        if run_id in listed:
+            raise ParseError(f"{entry_where}: run {run_id!r} is listed again, "
+                             f"after runs[{listed[run_id]}]")
+        listed[run_id] = index
+        if entry["transcript"] != f"{TRANSCRIPT_DIR}/{run_id}.jsonl":
+            raise ParseError(f"{entry_where}: transcript must be "
+                             f"'{TRANSCRIPT_DIR}/{run_id}.jsonl', got {entry['transcript']!r}")
     return manifest
 
 

@@ -4,7 +4,7 @@ Within a day every nation sees the same start-of-day world (simultaneous-move
 semantics); the daily world update is the only inter-day information carrier.
 The day's nation queries are therefore independent, and so are the runs.
 When the policy waits on an endpoint (its ``in_process`` is false: a model
-policy on anything but the in-process mock or a replay), ``play_runs``
+policy on anything but the in-process mock or inspect's replay), ``play_runs``
 overlaps the pending runs on as many threads as the transport lets requests
 be in flight, and writes a day's records in roster order once its last query
 settles, so the bytes depend on neither completion order nor overlap.  Every

@@ -11,7 +11,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .agents import AgentTurn
-from .errors import IncompleteRun, MixedScenario, ValidationError
+from .errors import IncompleteRun, MixedScenario, UnknownAction, ValidationError
 from .scenario import ChosenAction, DailyRecord
 from .taxonomy import ActionCategory, ActionTaxonomy, lookup_action
 
@@ -156,10 +156,15 @@ class ScoreTally:
             if self.taxonomy is not None:
                 for nation, actions in record.actions_by_nation.items():
                     recomputed = 0
-                    for action in actions:
-                        spec = lookup_action(self.taxonomy, action.action_id)
-                        recomputed += spec.score
-                        categories[spec.category] += 1
+                    try:
+                        for action in actions:
+                            spec = lookup_action(self.taxonomy, action.action_id)
+                            recomputed += spec.score
+                            categories[spec.category] += 1
+                    except UnknownAction as exc:
+                        raise UnknownAction(
+                            f"transcript {run.run_id!r} day {record.day} {nation}: {exc}"
+                        ) from None
                     if recomputed != stored[nation]:
                         raise ValidationError(
                             f"transcript {run.run_id!r} day {record.day} {nation}: stored "

@@ -1,9 +1,9 @@
 """Append-only run transcripts: one canonical JSONL record per event.
 
 Every raw response, parse outcome, score and world summary for one run lands
-here; reports consume nothing else, and a recorded experiment is replayed
-from its transcripts (``read_recording`` reads one for
-``experiments.ReplayTransport``, which ``inspect`` plays every run on).
+here; reports consume nothing else, and ``esclab inspect`` replays a
+recorded experiment from its transcripts alone (``read_recording`` reads one
+for ``experiments.ReplayTransport``, which it plays every run on).
 Each fact is stored once: the record's ``nation`` names a turn's nation,
 ``run_start`` the treatment and everything else that produced the run (the
 model and its reply cap, the retry count, the policy and the world
@@ -295,12 +295,6 @@ def _read_bytes(path: str | Path) -> bytes:
         raise ParseError(f"cannot read transcript {path}: {exc}") from exc
 
 
-def is_sealed(path: str | Path) -> bool:
-    """Whether the transcript at ``path`` ends in the seal of its bytes: a
-    finished transcript that no one has edited since its writer closed it."""
-    return _seal(_read_bytes(path)) is not None
-
-
 def read_records(path: str | Path, tolerate_partial_tail: bool = False,
                  types: Collection[str] | None = None) -> list[dict]:
     """Read the records; optionally drop a torn final line (crashed writer).
@@ -351,11 +345,6 @@ def _records(data: bytes, path: str | Path, tolerate_partial_tail: bool,
         except (ValueError, RecursionError) as exc:
             raise ParseError(f"bad transcript line {line_no} in {path}: {exc}")
     return records
-
-
-def rewrite(path: str | Path, records: list[dict]) -> None:
-    """Atomically replace a transcript with the given records."""
-    TranscriptWriter(path, records).close()
 
 
 @dataclass

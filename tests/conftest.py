@@ -8,6 +8,7 @@ import yaml
 sys.path.insert(0, str(Path(__file__).parent))
 
 from esclab import orchestrator
+from esclab import transcript as ts
 from esclab.scenario import load_default_scenario, parse_scenario
 from esclab.taxonomy import default_taxonomy_path, load_default_taxonomy
 
@@ -44,6 +45,17 @@ def mini_scenario():
     return small_scenario()
 
 
+def is_sealed(path: Path) -> bool:
+    """Whether the transcript at ``path`` ends in the seal of its bytes: a
+    finished transcript that no one has edited since its writer closed it."""
+    return ts._seal(ts._read_bytes(path)) is not None
+
+
+def rewrite(path: Path, records: list[dict]) -> None:
+    """Atomically replace a transcript with the given records."""
+    ts.TranscriptWriter(path, records).close()
+
+
 def force_processes(monkeypatch, processes: int) -> None:
     """Make ``play_runs`` play runs in process on ``processes`` processes
     (at most one per run), whatever the CPUs."""
@@ -58,25 +70,35 @@ def one_process(monkeypatch):
     force_processes(monkeypatch, 1)
 
 
+def lone_path(root: Path, label: str) -> Path:
+    """Where an experiment in ``root`` keeps the transcript of the first run
+    of the treatment ``label``, its directory made: the transcript that
+    ``lone_manifest`` lists."""
+    (root / "transcripts").mkdir(parents=True, exist_ok=True)
+    return root / "transcripts" / f"{label}-r00.jsonl"
+
+
 def lone_manifest(path: Path, scenario, header: dict) -> Path:
-    """A manifest next to the transcript at ``path`` that lists it alone, as
-    the completed run whose ``run_start`` payload is ``header``, for
-    ``inspect_experiment``: ``scenario`` is written out beside it, and the
-    taxonomy is the shipped one."""
-    scenario_path = path.with_name("scenario.yaml")
+    """A manifest that lists the transcript at ``path`` (a ``lone_path``)
+    alone, as the completed run whose ``run_start`` payload is ``header``,
+    for ``inspect_experiment``: ``scenario`` is written out beside it, and
+    the taxonomy is the shipped one."""
+    root = path.parent.parent
+    scenario_path = root / "scenario.yaml"
     scenario_path.write_text(yaml.safe_dump({
         "name": scenario.name, "days": scenario.days, "initial_summary": scenario.initial_summary,
         "nations": [{"name": n.name, "background": n.background, "objectives": list(n.objectives)}
                     for n in scenario.nations],
     }), encoding="utf-8")
     treatment = header["treatment"]
-    manifest = path.with_name("manifest.json")
+    manifest = root / "manifest.json"
     manifest.write_text(json.dumps({
         "plan_sha256": "", "scenario_name": scenario.name, "scenario_path": str(scenario_path),
         "taxonomy_path": str(default_taxonomy_path()),
         "taxonomy_version": header["taxonomy_version"], "aggregator": "mean_daily",
         "baseline": None, "runs_per_treatment": 1, "treatments": [treatment],
-        "runs": [{**treatment, "run_index": 0, "seed": header["seed"], "transcript": path.name,
-                  "status": "completed", "abort_reason": None}],
+        "runs": [{**treatment, "run_index": 0, "seed": header["seed"],
+                  "transcript": f"transcripts/{path.name}", "status": "completed",
+                  "abort_reason": None}],
     }), encoding="utf-8")
     return manifest

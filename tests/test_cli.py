@@ -14,6 +14,7 @@ import pytest
 from esclab import experiments
 from esclab import transcript as ts
 from esclab.cli import build_parser, main
+from esclab.errors import ParseError
 
 from standins import ChatEndpoint
 from test_corrupt_transcripts import with_turn_doubled, without_day, without_nation
@@ -267,6 +268,21 @@ class TestSimulate:
             main(["simulate"])  # --out missing
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("flags", [["--transport", "replay"], ["--manifest", "m.json"]],
+                             ids=["replay-transport", "manifest"])
+    def test_simulate_has_no_replay(self, tmp_path, capsys, flags):
+        """``inspect`` is the one replay: ``simulate`` offers neither the
+        transport nor its manifest."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", *flags, "--out", str(tmp_path / "sim")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "sim").exists()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert "{mock,live}" in usage and "--manifest" not in usage
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
@@ -385,15 +401,11 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]", "{kind: mock, responder: calibrated}", None,
          "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock, text: a}", None, "ParseError"),
-        ("[{label: a, temperature: 1.0}]", "{kind: replay, manifest: m.json, mode: strict}",
-         None, "ParseError"),
-        ("[{label: a, temperature: 1.0}]", "{kind: replay, cassette: c.jsonl}", None,
+        ("[{label: a, temperature: 1.0}]", "{kind: replay, manifest: m.json}", None,
          "ParseError"),
         ("[{label: grp/a, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: ../../x, temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
         ("[{label: 'a|b', temperature: 1.0}]", "{kind: mock}", None, "ValidationError"),
-        ("[{label: a, temperature: 1.0}]", "{kind: replay, manifest: absent.json}", None,
-         "ParseError"),
         ("[{label: a, temperature: 1.0}]", "{kind: mock}",
          "nations:\n  Blue:\n    first:\n      - {action: wait}\n", "ParseError"),
         ("[{label: a, temperature: 1.0}]\nintra_day_visibility: true", "{kind: mock}", None,
@@ -403,9 +415,8 @@ class TestRefusedInputs:
         ("[{label: a, temperature: 1.0}]\nparallelism: 1", "{kind: mock}", None, "ParseError"),
     ], ids=["temperature-list", "rpm-0", "in-flight-negative", "in-flight-huge", "timeout-text",
             "timeout-nan", "timeout-inf", "timeout-1e10", "api-key", "misspelt-key",
-            "mock-responder", "mock-text", "replay-mode", "replay-cassette", "label-dir",
-            "label-escape", "label-pipe", "no-manifest", "script-day-key", "visibility-true", "visibility-false",
-            "parallelism"])
+            "mock-responder", "mock-text", "replay", "label-dir", "label-escape", "label-pipe",
+            "script-day-key", "visibility-true", "visibility-false", "parallelism"])
     def test_bad_plan(self, tmp_path, capsys, monkeypatch, treatments, transport, script,
                       error):
         monkeypatch.setenv("ESCLAB_API_KEY", "sk-test")
@@ -475,8 +486,6 @@ class TestRefusedInputs:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags,entry,message", [
-        (["--transport", "replay"], "transport: {kind: replay}",
-         "plan: replay transport: missing keys ['manifest']"),
         (["--transport", "live"], "transport: {kind: live}",
          "plan: live transport: missing keys ['base_url']"),
         (["--policy", "scripted"], "policy: {kind: scripted}",
@@ -486,8 +495,7 @@ class TestRefusedInputs:
          "plan: mock transport: unknown keys ['base_url']"),
         (["--script", "demo_script.yaml"], "policy: {kind: llm, script: demo_script.yaml}",
          "plan: llm policy: unknown keys ['script']"),
-    ], ids=["replay-no-manifest", "live-no-base-url", "scripted-no-script", "mock-base-url",
-            "llm-script"])
+    ], ids=["live-no-base-url", "scripted-no-script", "mock-base-url", "llm-script"])
     def test_simulate_refuses_what_a_plan_refuses(self, tmp_path, capsys, flags, entry,
                                                   message):
         """``simulate`` with ``flags`` gives the error that ``experiment``
@@ -527,6 +535,67 @@ class TestRefusedInputs:
         assert self._one_error(capsys)["error"] == "ParseError"
         assert not report.exists()
 
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda runs: runs + [runs[0]], "runs[2]: run 't1.0-default-r00' is listed again, "
+                                        "after runs[0]"),
+        (lambda runs: [runs[0], {**runs[1], "run_index": 2,
+                                 "transcript": "transcripts/t1.0-default-r02.jsonl"}],
+         "runs[1]: run_index must be an integer in range(2), got 2"),
+        (lambda runs: [runs[0], {**runs[1], "transcript": runs[0]["transcript"]}],
+         "runs[1]: transcript must be 'transcripts/t1.0-default-r01.jsonl', "
+         "got 'transcripts/t1.0-default-r00.jsonl'"),
+    ], ids=["run-listed-twice", "run-index-out-of-range", "another-runs-transcript"])
+    def test_manifest_that_lists_a_run_twice_or_elsewhere(self, tmp_path, capsys, edit,
+                                                          refusal):
+        """Each would have a report count one run twice (and, pointing at
+        another run's transcript, drop the run it names)."""
+        from esclab.report import build_report
+
+        exp = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(exp)]) == 0
+        capsys.readouterr()
+        manifest_path = exp / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest_path.write_text(json.dumps({**manifest, "runs": edit(manifest["runs"])}),
+                                 encoding="utf-8")
+        message = f"manifest {manifest_path}: {refusal}"
+        report = tmp_path / "report"
+        for read in (lambda: build_report(manifest_path, report),
+                     lambda: experiments.inspect_experiment(manifest_path)):
+            with pytest.raises(ParseError) as refused:
+                read()
+            assert str(refused.value) == message
+        for extra in (["report", "--out", str(report), "--no-timestamp"], ["inspect"]):
+            assert main([extra[0], "--manifest", str(manifest_path), *extra[1:]]) == 1
+            assert self._one_error(capsys) == {"error": "ParseError", "message": message}
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, error", [
+        ("inspect", "ValidationError"), ("report", "UnknownAction"),
+    ])
+    def test_action_not_in_the_taxonomy_names_its_run(self, tmp_path, capsys, command, error):
+        """Blue's day-2 action of a scripted run set to one the taxonomy
+        lacks, and the transcript sealed anew: the replay's scripted policy
+        and the report's score check each refuse it, naming the run."""
+        exp = tmp_path / "exp"
+        assert main(["experiment", "--plan", str(DATA / "plan_demo.yaml"),
+                     "--out", str(exp)]) == 0
+        capsys.readouterr()
+        path = exp / "transcripts" / "t1.0-default-r00.jsonl"
+        records = ts.read_records(path)
+        turn = next(r for r in records
+                    if (r["type"], r["day"], r["nation"]) == (ts.TURN, 2, "Blue"))
+        turn["payload"]["actions"][0]["action"] = "no_such_action"
+        reseal(path, records)
+        report = tmp_path / "report"
+        extra = ["--out", str(report), "--no-timestamp"] if command == "report" else []
+        assert main([command, "--manifest", str(exp / "manifest.json"), *extra]) == 1
+        refused = self._one_error(capsys)
+        assert refused["error"] == error
+        assert refused["message"].startswith("transcript 't1.0-default-r00' day 2 Blue: ")
+        assert "'no_such_action'" in refused["message"]
+        assert not report.exists()
 
     @pytest.mark.parametrize("command", ["report", "inspect"])
     def test_manifest_in_a_missing_directory(self, tmp_path, capsys, command):

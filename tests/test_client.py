@@ -308,6 +308,7 @@ UNREQUESTABLE_URLS = {
     "ftp": "ftp://x/v1",
     "no-scheme": "example.com/v1",
     "empty": "",
+    "non-ascii": "http://ex\u00e4mple.com/v1",  # http.client sends the URL as ASCII
 }
 
 
@@ -315,7 +316,9 @@ UNREQUESTABLE_URLS = {
 @pytest.mark.parametrize("where", ["plan", "transport"])
 def test_unrequestable_base_url_is_refused_at_construction(where, url):
     """Not one attempt, and no sleep between attempts, goes to such a URL."""
-    with pytest.raises(ValidationError, match="base_url must be an http:// or https:// URL"):
+    refusal = ("base_url must be an http:// or https:// URL" if url.isascii()
+               else "base_url must be ASCII")
+    with pytest.raises(ValidationError, match=refusal):
         if where == "plan":
             ExperimentPlan(Path("s.yaml"), Path("t.yaml"),
                            (Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),), 1,

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lone_manifest, small_scenario
+from conftest import lone_manifest, lone_path, small_scenario
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.client import MockTransport
@@ -94,7 +94,7 @@ class TestOneCorruptedLine:
     @given(data=st.data())
     def test_every_reader_returns_or_raises_an_esclab_error(self, completed, data):
         scenario, records, header, path = completed
-        corrupted = path.with_name("corrupted.jsonl")
+        corrupted = lone_path(path.parent / "corrupted", header["treatment"]["label"])
         lines = _apply(records, data.draw(_corruption(records)))
         corrupted.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
         manifest = lone_manifest(corrupted, scenario, header)
@@ -176,7 +176,7 @@ class TestDaySequence:
         ``ValidationError`` naming the file."""
         scenario, records, header, _ = completed
         edit, refusal = DAY_SEQUENCE_CASES[case]
-        path = tmp_path / "run.jsonl"
+        path = lone_path(tmp_path, header["treatment"]["label"])
         reseal(path, [{**r, "seq": seq} for seq, r in enumerate(edit(records))])
         manifest = lone_manifest(path, scenario, header)
         for read in (lambda: ts.load_run(path), lambda: ts.read_recording(path),

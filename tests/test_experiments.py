@@ -207,10 +207,8 @@ class TestPlanValueChecks:
         ("{kind: mock, respondr: static}", r"unknown keys \['respondr'\]"),
         ("{kind: mock, responder: calibrated}", r"unknown keys \['responder'\]"),
         ("{kind: mock, text: a}", r"unknown keys \['text'\]"),
-        ("{kind: replay, manifest: m.json, mode: strict}", r"unknown keys \['mode'\]"),
-        ("{kind: replay}", r"missing keys \['manifest'\]"),
-        ("{kind: replay, manifest: [a]}", "manifest must be a string"),
-        ("{kind: replay, cassette: c.jsonl}", r"unknown keys \['cassette'\]"),
+        ("{kind: replay, manifest: m.json}",
+         r"plan: transport kind must be one of \['mock', 'live'\], got 'replay'"),
         (f"{{{LIVE}, timeout: x}}", "timeout must be a number"),
         (f"{{{LIVE}, max_in_flight: 1.5}}", "max_in_flight must be an integer"),
         (f"{{{LIVE}, requests_per_minute: '60'}}", "requests_per_minute must be an integer"),

@@ -9,11 +9,11 @@ to leave the output alone is checked byte for byte.  A change that means to alte
 
 Each row of the matrix plays the plan by one path and checks evidence that
 the path was taken: in process on the calling thread, in plan order or
-dealt over two processes, with the runs in overlap on the transport's
-in-flight cap of threads, or replayed from the transcripts of a recording.
-Rows that assert which runs a budget or an error cuts in plan order play in
-one process.  Every other in-process row plays on as many processes as
-``play_runs`` picks here.  ``plan_digest`` leaves out the
+dealt over two processes, or with the runs in overlap on the transport's
+in-flight cap of threads; ``inspect`` then replays what the row left, every
+request of it, to the same bytes.  Rows that assert which runs a budget or
+an error cuts in plan order play in one process.  Every other in-process
+row plays on as many processes as ``play_runs`` picks here.  ``plan_digest`` leaves out the
 transport and ``max_requests``, so one manifest digest holds on every row.
 Not rows: ``esclab simulate``, whose one-run plan gets other calibrated
 replies (``test_cli.py`` pins it), and ``perfbench``'s ``LatencyTransport``,
@@ -206,39 +206,29 @@ def play_straight(out, tmp_path, monkeypatch, concurrent, max_in_flight=None):
     assert len(built[0].completed) == REQUESTS  # all of them in this process
 
 
-def replay_plan(recorded: Path):
-    return tiny_plan(transport={"kind": "replay", "manifest": str(recorded / "manifest.json")})
-
-
-def play_record_replay(out, tmp_path, monkeypatch, busy_tag=None):
+def play_record(out, tmp_path, monkeypatch, busy_tag=None):
     """Record through the waiting stand-in, where one request may fail once
-    and be retried, then replay from the recording's own transcripts.  The
-    waiting recording leaves a metrics sidecar per run, which alone tells
-    of the retry; the in-process replay leaves none."""
-    recorded = tmp_path / "recorded"
+    and be retried.  The waiting recording leaves a metrics sidecar per
+    run, which alone tells of the retry."""
     built = wrap_transport(monkeypatch, concurrent=True, busy_tag=busy_tag)
-    assert run_experiment(tiny_plan(), recorded).new_requests == REQUESTS
-    assert_pinned(recorded)
+    assert run_experiment(tiny_plan(), out).new_requests == REQUESTS
     assert_threads(built[0], concurrent=True)
-    sidecars = [recorded / METRICS_DIR / f"{run_id}.jsonl" for run_id in RUN_IDS]
+    sidecars = [out / METRICS_DIR / f"{run_id}.jsonl" for run_id in RUN_IDS]
     calls = [json.loads(line) for path in sidecars
              for line in path.read_text("utf-8").split("\n") if line]
     assert sorted(call["tag"] for call in calls) == sorted(built[0].completed)
     assert {call["tag"]: call["attempts"] for call in calls if call["attempts"] != 1} == (
         {busy_tag: 2} if busy_tag else {})
-    monkeypatch.undo()
-    assert run_experiment(replay_plan(recorded), out).new_requests == REQUESTS
-    assert not (out / METRICS_DIR).exists()
 
 
-def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False, processes=1):
+def play_abort_resume(out, tmp_path, monkeypatch, concurrent, inspect=False, processes=1):
     """One run aborts on a transport error on day 4, then a re-run plays
-    its lost days.  With ``replay``, the first pass is also replayed from
-    its transcripts into a fresh directory, the abort included, byte for
-    byte.  Waiting, every run's metrics sidecar ends with one line per
-    ``llm_call`` of its transcript, in order: the aborted run's lost day is
-    gone from both.  In process, on ``processes`` processes: the request
-    tag drives the abort, so the statuses are exact on any number."""
+    its lost days.  With ``inspect``, the first pass is also replayed
+    before the re-run, the abort included, to the same bytes.  Waiting,
+    every run's metrics sidecar ends with one line per ``llm_call`` of its
+    transcript, in order: the aborted run's lost day is gone from both.
+    In process, on ``processes`` processes: the request tag drives the
+    abort, so the statuses are exact on any number."""
     if not concurrent:
         force_processes(monkeypatch, processes)
     built = wrap_transport(monkeypatch, concurrent, fail_tag=OUTAGE_TAG)
@@ -250,15 +240,14 @@ def play_abort_resume(out, tmp_path, monkeypatch, concurrent, replay=False, proc
     assert_threads(built[0], concurrent)
     if processes > 1:
         assert_forked(built[0], first.new_requests)
-    if replay:
-        monkeypatch.setattr(experiments, "build_transport", BUILD_TRANSPORT)
-        replayed = tmp_path / "replayed"
-        again = run_experiment(replay_plan(out), replayed)
-        assert [(run.status, run.abort_reason) for run in again.runs] == [
-            (run.status, run.abort_reason) for run in first.runs]
-        assert digests(replayed / "transcripts", "*.jsonl") == digests(
-            out / "transcripts", "*.jsonl")
-        assert (replayed / "manifest.json").read_bytes() == (out / "manifest.json").read_bytes()
+    if inspect:
+        # The replay answers every query the pass kept.  In overlap the pass
+        # also asked the nations after the failing one on the lost day, and
+        # the abort dropped their records.
+        roster = built[0].roster
+        dropped = len(roster) - 1 - roster.index(OUTAGE_TAG.split("|")[2]) if concurrent else 0
+        inspected = inspect_experiment(out / "manifest.json")
+        assert (inspected.requests, inspected.mismatches) == (first.new_requests - dropped, [])
     wrap_transport(monkeypatch, concurrent)
     again = run_experiment(tiny_plan(), out)
     assert again.new_requests == (DAYS - 3) * DAY_REQUESTS
@@ -343,11 +332,11 @@ ROWS = {
     "fork": play_forked,
     "concurrent-days": partial(play_straight, concurrent=True),
     "overlap-width-1": partial(play_straight, concurrent=True, max_in_flight=1),
-    "record-replay": play_record_replay,
-    "record-replay+transient-retry": partial(play_record_replay, busy_tag=BUSY_TAG),
+    "record": play_record,
+    "record+transient-retry": partial(play_record, busy_tag=BUSY_TAG),
     "abort-resume": partial(play_abort_resume, concurrent=False),
     "abort-resume+concurrent-days": partial(play_abort_resume, concurrent=True),
-    "abort-replay+concurrent-days": partial(play_abort_resume, concurrent=True, replay=True),
+    "abort-inspect+concurrent-days": partial(play_abort_resume, concurrent=True, inspect=True),
     "fork+abort-resume": partial(play_abort_resume, concurrent=False, processes=2),
     "budget-resume": partial(play_budget_resume, concurrent=False),
     "budget-resume+concurrent-days": partial(play_budget_resume, concurrent=True),
@@ -361,7 +350,8 @@ def test_tiny_reference_experiment_bytes_are_pinned(path, tmp_path, monkeypatch)
     out = tmp_path / "experiment"
     ROWS[path](out, tmp_path, monkeypatch)
     assert_pinned(out, tmp_path / "report")
-    assert inspect_experiment(out / "manifest.json").mismatches == []
+    inspected = inspect_experiment(out / "manifest.json")
+    assert (inspected.requests, inspected.mismatches) == (REQUESTS, [])
 
 
 def test_tiny_reference_report_figures_are_pinned(tmp_path):

@@ -18,9 +18,9 @@ from esclab.orchestrator import (
 )
 from esclab.prompts import PromptTemplates, PromptVariant
 from esclab.scenario import ChosenAction, initial_world
-from esclab.transcript import is_sealed, load_run, read_records
+from esclab.transcript import load_run, read_records
 
-from conftest import lone_manifest, small_scenario
+from conftest import is_sealed, lone_manifest, lone_path, rewrite, small_scenario
 from oracles import transcript_category_counts, transcript_scores
 from standins import ChatEndpoint, EndpointStandIn, Outcome, first_attempts
 
@@ -495,7 +495,7 @@ class TestLoneSurrogateInReplies:
             return run_simulation(short, taxonomy, treatment(), LlmPolicy(transport, model="m"),
                                   world, seed=1, transcript_path=path)
 
-        path = tmp_path / "run.jsonl"
+        path = lone_path(tmp_path, "t1.0-default")
         run = play(MockTransport(self.REPLY), path)
         assert run.completed and run.fallbacks == 0
         assert is_sealed(path)
@@ -529,7 +529,7 @@ class TestLoneSurrogateInReplies:
 
         short = dataclasses.replace(scenario, days=2)
         transport = MockTransport(respond)
-        path = tmp_path / "run.jsonl"
+        path = lone_path(tmp_path, "t1.0-default")
         run = run_simulation(short, taxonomy, treatment(), LlmPolicy(transport, model="m"),
                              LlmUpdater(transport, model="m"), seed=1, transcript_path=path)
         assert run.completed and is_sealed(path)
@@ -591,7 +591,7 @@ class TestRunRecordIsTranscriptRecord:
         day_6 = next(i for i, r in enumerate(records) if r["type"] == "day" and r["day"] == 6)
         # Cut after four turns of day 7, which resume plays again undecoded.
         cut = [i for i, r in enumerate(records) if r["type"] == "turn" and r["day"] == 7][3]
-        ts.rewrite(path, records[: cut + 1])
+        rewrite(path, records[: cut + 1])
         decoded = []
         turn_actions = ts.turn_actions
 

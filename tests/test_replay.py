@@ -1,9 +1,9 @@
-"""Replay from transcripts: an experiment played back from the transcripts
-its manifest lists answers each request with the reply recorded at the
-place its tag names, and a request that differs from its recording (a
-changed scenario, template, world-update prompt, temperature or model) or
-that no transcript holds aborts its run with a ``TransportError`` naming
-the tag, never passing silently."""
+"""Replay from transcripts: ``ReplayTransport`` answers each request with
+the reply recorded at the place its tag names, and a request that differs
+from its recording (a changed scenario, template, world-update prompt,
+temperature or model) or that no transcript holds aborts its run with a
+``TransportError`` naming the tag, never passing silently.  ``inspect``
+replays every run of an experiment that way."""
 import dataclasses
 import json
 import re
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from esclab import orchestrator
+from esclab import experiments, orchestrator
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy
 from esclab.cli import main
@@ -35,18 +35,18 @@ from test_transcript_format import reseal
 DATA = Path(__file__).parent.parent / "src" / "esclab" / "data"
 RUN_ID = "t1.0-default-r00"
 FIRST_TAG = f"{RUN_ID}|d01|Blue|a1"  # the first request of an inline run
+TRANSCRIPT = f"transcripts/{RUN_ID}.jsonl"
 
 
-def write_plan(root: Path, transport="{kind: mock}", scenario=DATA / "neutral_scenario.yaml",
-               temperature=1.0, extra="") -> Path:
-    """A one-run LLM plan on ``scenario``, in ``root``."""
+def write_plan(root: Path, extra="") -> Path:
+    """A one-run LLM plan on the neutral scenario and the mock, in ``root``."""
     path = root / "plan.yaml"
     path.write_text(
-        f"scenario: {scenario}\n"
+        f"scenario: {DATA / 'neutral_scenario.yaml'}\n"
         f"taxonomy: {DATA / 'default_taxonomy.yaml'}\n"
         "base_seed: 5\nruns_per_treatment: 1\npolicy: llm\nworld_updater: llm\n"
-        f"transport: {transport}\n"
-        f"treatments: [{{label: t1.0-default, temperature: {temperature}, variant: default}}]\n"
+        "transport: {kind: mock}\n"
+        "treatments: [{label: t1.0-default, temperature: 1.0, variant: default}]\n"
         f"{extra}",
         encoding="utf-8",
     )
@@ -61,68 +61,58 @@ def recorded(tmp_path_factory) -> Path:
     return root / "out"
 
 
-def replay(tmp_path: Path, recorded: Path, **plan):
-    root = tmp_path / "replay"
-    root.mkdir()
-    transport = f"{{kind: replay, manifest: {recorded / 'manifest.json'}}}"
-    return run_experiment(load_plan(write_plan(root, transport, **plan)), tmp_path / "out")
+@pytest.fixture
+def source(recorded, tmp_path) -> Path:
+    """A copy of ``recorded`` to edit."""
+    shutil.copytree(recorded, tmp_path / "source")
+    return tmp_path / "source"
 
 
-def transcript(out: Path) -> bytes:
-    return (out / "transcripts" / f"{RUN_ID}.jsonl").read_bytes()
+@pytest.fixture
+def unplayed(monkeypatch):
+    """Make ``inspect`` fail the test if it plays a run."""
+    monkeypatch.setattr(experiments, "play_runs", lambda *args: pytest.fail("a run was played"))
 
 
 class TestReplay:
-    def test_same_plan_replays_every_request_to_the_same_bytes(self, recorded, tmp_path):
-        result = replay(tmp_path, recorded)
-        assert result.new_requests == 14 * 9
-        assert transcript(tmp_path / "out") == transcript(recorded)
+    def test_experiment_replays_every_request_to_the_same_bytes(self, recorded):
+        inspected = inspect_experiment(recorded / "manifest.json")
+        assert (inspected.runs, inspected.requests, inspected.mismatches) == (1, 14 * 9, [])
         assert not (recorded / METRICS_DIR).exists()  # an in-process transport's run
-        assert not (tmp_path / "out" / METRICS_DIR).exists()
 
-    def test_changed_scenario_text_aborts_naming_the_tag(self, recorded, tmp_path):
-        scenario = tmp_path / "scenario.yaml"
+    def test_changed_scenario_text_is_named_with_the_replays_abort(self, source, capsys):
+        scenario = source / "scenario.yaml"
         text = (DATA / "neutral_scenario.yaml").read_text(encoding="utf-8")
         scenario.write_text(text.replace("No armed conflict", "No open conflict"),
                             encoding="utf-8")
-        [run] = replay(tmp_path, recorded, scenario=scenario).runs
-        assert (run.status, len(run.days)) == ("aborted", 0)
-        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
-                                    "from its recording in user prompt")
+        manifest = json.loads((source / "manifest.json").read_text(encoding="utf-8"))
+        (source / "manifest.json").write_text(
+            json.dumps({**manifest, "scenario_path": str(scenario)}), encoding="utf-8")
+        # The replay ends on its first request: run_start, system_prompt, run_end.
+        mismatch = (f"{TRANSCRIPT}: seq 2 (day None, nation None, run_end) differs from its "
+                    f"replay; its replay aborted: TransportError: replay: request "
+                    f"{FIRST_TAG!r} differs from its recording in user prompt")
+        assert inspect_experiment(source / "manifest.json").mismatches == [mismatch]
+        assert main(["inspect", "--manifest", str(source / "manifest.json")]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "ValidationError", "message": (
+            f"1 of 1 transcripts differ from their replay; first: {mismatch}")}
 
-    @pytest.mark.parametrize("plan, differs", [
-        ({"temperature": 0.5}, "temperature"),
-        ({"extra": "model: another-model\n"}, "model"),
-    ], ids=["temperature", "model"])
-    def test_other_sampling_or_model_aborts_naming_the_tag(self, recorded, tmp_path, plan,
-                                                           differs):
-        [run] = replay(tmp_path, recorded, **plan).runs
-        assert run.status == "aborted"
-        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
-                                    f"from its recording in {differs}")
-
-    def test_torn_source_transcript_is_refused_before_any_request(self, recorded, tmp_path):
-        source = tmp_path / "source"
-        shutil.copytree(recorded, source)
-        path = source / "transcripts" / f"{RUN_ID}.jsonl"
+    def test_torn_source_transcript_is_refused_before_any_request(self, source, unplayed):
+        path = source / TRANSCRIPT
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(ParseError, match=f"{RUN_ID}.jsonl"):
-            replay(tmp_path, source)
-        assert not (tmp_path / "out").exists()
+            inspect_experiment(source / "manifest.json")
 
-    def test_source_transcript_without_a_day_is_refused_before_any_request(self, recorded,
-                                                                          tmp_path):
-        source = tmp_path / "source"
-        shutil.copytree(recorded, source)
-        path = source / "transcripts" / f"{RUN_ID}.jsonl"
+    def test_source_transcript_without_a_day_is_refused_before_any_request(self, source,
+                                                                          unplayed):
+        path = source / TRANSCRIPT
         kept = without_day(ts.read_records(path), 5)
         reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
         with pytest.raises(ValidationError, match=f"{RUN_ID}.jsonl day 5: "):
-            replay(tmp_path, source)
-        assert not (tmp_path / "out").exists()
+            inspect_experiment(source / "manifest.json")
 
     def test_request_no_transcript_holds_names_its_tag(self, recorded):
-        transport = ReplayTransport([recorded / "transcripts" / f"{RUN_ID}.jsonl"])
+        transport = ReplayTransport([recorded / TRANSCRIPT])
         for tag in (f"{RUN_ID}|d15|Blue|a1", f"{RUN_ID}|d01|Blue|a9", "other-r00|d01|Blue|a1"):
             with pytest.raises(TransportError, match=re.escape(
                     f"no recorded transcript holds a call tagged {tag!r}")):
@@ -131,32 +121,21 @@ class TestReplay:
 
     def test_budget_aborted_experiment_replays_to_its_own_aborts(self, tmp_path, caplog,
                                                                  one_process):
-        """A two-run plan whose budget runs out: its replay, and ``inspect``,
-        end each run where and as it ended; ``inspect`` logs none of the
-        aborts it replays (in one process, where the test sees the log)."""
-        def plan(name: str, transport: str, extra: str = "") -> Path:
-            root = tmp_path / name
-            root.mkdir()
-            path = write_plan(root, transport, extra=extra)
-            text = path.read_text(encoding="utf-8")
-            path.write_text(text.replace("runs_per_treatment: 1", "runs_per_treatment: 2")
-                            .replace("world_updater: llm", "world_updater: template"),
-                            encoding="utf-8")
-            return path
-
-        recorded = tmp_path / "recorded"
-        first = run_experiment(load_plan(plan("a", "{kind: mock}", "max_requests: 200\n")),
-                               recorded)
+        """A two-run plan whose budget runs out: ``inspect`` ends each run
+        where and as it ended, answering each of the requests made, and logs
+        none of the aborts it replays (in one process, where the test sees
+        the log)."""
+        plan = write_plan(tmp_path, "max_requests: 200\n")
+        text = plan.read_text(encoding="utf-8")
+        plan.write_text(text.replace("runs_per_treatment: 1", "runs_per_treatment: 2")
+                        .replace("world_updater: llm", "world_updater: template"),
+                        encoding="utf-8")
+        first = run_experiment(load_plan(plan), tmp_path / "out")
         assert [(run.status, run.abort_reason) for run in first.runs] == [
             ("completed", None), ("aborted", "BudgetExceeded: request budget of 200 exhausted")]
-        transport = f"{{kind: replay, manifest: {recorded / 'manifest.json'}}}"
-        again = run_experiment(load_plan(plan("b", transport)), tmp_path / "out")
-        assert [(run.status, run.abort_reason) for run in again.runs] == [
-            (run.status, run.abort_reason) for run in first.runs]
-        assert {path.name: path.read_bytes() for path in (tmp_path / "out").glob("*/*.jsonl")} \
-            == {path.name: path.read_bytes() for path in recorded.glob("*/*.jsonl")}
         caplog.clear()
-        assert inspect_experiment(recorded / "manifest.json").mismatches == []
+        inspected = inspect_experiment(tmp_path / "out" / "manifest.json")
+        assert (inspected.requests, inspected.mismatches) == (first.new_requests, [])
         assert caplog.records == []
 
 
@@ -194,12 +173,12 @@ class TestChangedPrompts:
     @pytest.fixture
     def played(self, scenario, taxonomy, tmp_path):
         short = dataclasses.replace(scenario, days=2)
-        treatment = Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT)
 
-        def play(transport, path, templates=None):
-            return run_simulation(short, taxonomy, treatment,
-                                  LlmPolicy(transport, model="m", templates=templates),
-                                  LlmUpdater(transport, model="m"), seed=1,
+        def play(transport, path, templates=None, temperature=1.0, model="m"):
+            return run_simulation(short, taxonomy,
+                                  Treatment("t1.0-default", temperature, PromptVariant.DEFAULT),
+                                  LlmPolicy(transport, model=model, templates=templates),
+                                  LlmUpdater(transport, model=model), seed=1,
                                   transcript_path=tmp_path / path, run_id=RUN_ID)
 
         transport = MockTransport(CalibratedResponder(taxonomy, short))
@@ -216,6 +195,16 @@ class TestChangedPrompts:
         assert (run.status, len(run.days)) == ("aborted", 0)
         assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
                                     f"from its recording in {part} prompt")
+
+    @pytest.mark.parametrize("sampling, differs", [
+        ({"temperature": 0.5}, "temperature"),
+        ({"model": "another-model"}, "model"),
+    ], ids=["temperature", "model"])
+    def test_other_sampling_or_model(self, played, sampling, differs):
+        run = played(**sampling)
+        assert (run.status, len(run.days)) == ("aborted", 0)
+        assert run.abort_reason == (f"TransportError: replay: request {FIRST_TAG!r} differs "
+                                    f"from its recording in {differs}")
 
     def test_changed_world_update_prompt(self, played, monkeypatch):
         render = orchestrator.render_update_text
@@ -251,19 +240,3 @@ def test_reply_with_unicode_line_breaks_replays(scenario, taxonomy, tmp_path):
     assert run.days[0].world_summary_after == "Calm.\u2028Tense.\u2029Calm.\x85Calm."
     assert play(ReplayTransport([tmp_path / "recorded.jsonl"]), "replayed.jsonl") == run
     assert (tmp_path / "replayed.jsonl").read_bytes() == (tmp_path / "recorded.jsonl").read_bytes()
-
-
-def test_simulate_replays_from_a_manifest(tmp_path, capsys):
-    def simulate(*args) -> tuple[int, dict | str]:
-        code = main(["simulate", "--seed", "4", *args])
-        out, err = capsys.readouterr()
-        return code, json.loads(out) if code == 0 else err
-
-    code, first = simulate("--out", str(tmp_path / "a"))
-    assert code == 0 and first["requests"] == 14 * 9
-    code, again = simulate("--transport", "replay", "--manifest",
-                           str(tmp_path / "a" / "manifest.json"), "--out", str(tmp_path / "b"))
-    assert code == 0 and again["requests"] == 14 * 9
-    assert Path(again["transcript"]).read_bytes() == Path(first["transcript"]).read_bytes()
-    code, err = simulate("--transport", "replay", "--out", str(tmp_path / "c"))
-    assert code == 1 and "plan: replay transport: missing keys ['manifest']" in err

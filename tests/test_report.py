@@ -13,6 +13,7 @@ from esclab.experiments import load_plan, run_experiment
 from esclab.report import build_report
 from esclab.scoring import Aggregator
 
+from conftest import is_sealed, rewrite
 from test_corrupt_transcripts import without_nation
 from test_golden import REPORT_SHA256, digests, tiny_plan
 from test_transcript_format import reseal
@@ -171,7 +172,7 @@ class TestSmallReports:
         records = ts.read_records(path)
         day_record = next(r for r in records if r["type"] == ts.DAY and r["day"] == day)
         edit(day_record["payload"]["scores"])
-        ts.rewrite(path, records)
+        rewrite(path, records)
         nation = "Red" if day == 2 else "Atlantis"
         with pytest.raises(ValidationError, match=rf"'t1.0-default-r01' day {day}: .*'{nation}'"):
             build_report(result.manifest_path, tmp_path / "report")
@@ -181,7 +182,7 @@ class TestSmallReports:
         result = run_experiment(load_plan(DATA / "plan_demo.yaml"), tmp_path / "exp")
         path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
         records = without_nation(ts.read_records(path), day, "Red")
-        ts.rewrite(path, [{**record, "seq": seq} for seq, record in enumerate(records)])
+        rewrite(path, [{**record, "seq": seq} for seq, record in enumerate(records)])
         named = 2 if day == 1 else day  # the first day to differ from day 1
         with pytest.raises(ValidationError, match=re.escape(
             f"transcript 't1.0-default-r01' day {named}: nations ['Red'] play on day 1 "
@@ -200,7 +201,7 @@ class TestSmallReports:
             if record["type"] == ts.DAY:
                 record["payload"]["scores"] = {}
         reseal(path, [{**record, "seq": seq} for seq, record in enumerate(kept)])
-        assert ts.is_sealed(path)
+        assert is_sealed(path)
         if emptied == "no-day":  # the loader counts the days
             refusal = f"^transcript {re.escape(str(path))} completed after 0 of 14 days$"
             with pytest.raises(ValidationError, match=refusal):
@@ -235,7 +236,7 @@ class TestStreaming:
         path = result.manifest_path.parent / "transcripts" / "t1.0-default-r01.jsonl"
         records = ts.read_records(path)
         records[0]["payload"]["scenario_name"] = "another scenario"
-        ts.rewrite(path, records)
+        rewrite(path, records)
         with pytest.raises(MixedScenario, match="another scenario"):
             build_report(result.manifest_path, tmp_path / "report")
         assert not (tmp_path / "report").exists()

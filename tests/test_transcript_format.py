@@ -25,14 +25,18 @@ from pathlib import Path
 
 import pytest
 
-from conftest import force_processes, lone_manifest, small_scenario
+from conftest import (
+    force_processes, is_sealed, lone_manifest, lone_path, rewrite, small_scenario,
+)
 from esclab import experiments, orchestrator
 from esclab import transcript as ts
 from esclab.agents import LlmPolicy, _first_json_object, load_script
 from esclab.cli import main
 from esclab.client import MockTransport
 from esclab.errors import ParseError, TransportError, UnknownAction, ValidationError
-from esclab.experiments import inspect_experiment, load_plan, run_experiment, run_seed
+from esclab.experiments import (
+    ReplayTransport, inspect_experiment, load_plan, run_experiment, run_seed,
+)
 from esclab.mockdata import CalibratedResponder
 from esclab.orchestrator import LlmUpdater, TemplateUpdater, Treatment, run_simulation
 from esclab.prompts import (
@@ -187,7 +191,7 @@ def to_format_3(path: Path) -> None:
             del record["payload"]["sha256"]
         elif record["type"] == ts.PARSE_FAILURE:
             record["payload"]["nation"] = record["nation"]
-    ts.rewrite(path, records)
+    rewrite(path, records)
 
 
 def to_format_2(path: Path) -> None:
@@ -213,7 +217,7 @@ def to_format_2(path: Path) -> None:
                 action["raw_text"] = json.dumps(action, sort_keys=True)
         elif record["type"] == ts.RUN_END:
             payload["days_completed"] = sum(r["type"] == ts.DAY for r in records)
-    ts.rewrite(path, records)
+    rewrite(path, records)
 
 
 def to_format_1(path: Path) -> None:
@@ -233,14 +237,14 @@ def to_format_1(path: Path) -> None:
                 "user_text": f"Day {record['day']}: the prompt {record['nation']} saw.",
                 "system_sha256": payload["system_sha256"],
             }
-    ts.rewrite(path, records)
+    rewrite(path, records)
 
 
 def edit_record(path: Path, match, change) -> None:
     records = ts.read_records(path)
     record = next(r for r in records if match(r))
     change(record["payload"])
-    ts.rewrite(path, records)
+    rewrite(path, records)
 
 
 @pytest.fixture(scope="module")
@@ -440,7 +444,7 @@ class TestDigestRecords:
             end = json.loads(data[start:])
             assert end["type"] == ts.RUN_END
             assert end["payload"]["sha256"] == hashlib.sha256(data[:start]).hexdigest()
-            assert ts.is_sealed(path)
+            assert is_sealed(path)
 
     def test_custom_templates_are_the_recorded_ones(self, scenario, taxonomy, tmp_path):
         shipped = default_templates()
@@ -448,7 +452,7 @@ class TestDigestRecords:
             system="CUSTOM " + shipped.system, user="Custom user prompt.\n" + shipped.user
         )
         transport = MockTransport(CalibratedResponder(taxonomy, scenario))
-        path = tmp_path / "run.jsonl"
+        path = lone_path(tmp_path, "t1.0-default")
         run_simulation(
             scenario, taxonomy,
             Treatment("t1.0-default", 1.0, PromptVariant.DEFAULT),
@@ -463,7 +467,10 @@ class TestDigestRecords:
         assert system["user_template"] == templates.user
         # inspect replays the shipped templates, which every experiment plays.
         inspected = inspect_experiment(lone_manifest(path, scenario, records[0]["payload"]))
-        assert inspected.mismatches == [differs_at("run.jsonl", records[1])]
+        assert inspected.mismatches == [differs_at(
+            f"transcripts/{path.name}", records[1], "TransportError: replay: request "
+            "'t1.0-default-s0|d01|Blue|a1' differs from its recording in system prompt, "
+            "user prompt")]
 
 
 def producer_plan(root: Path, **keys) -> Path:
@@ -562,11 +569,13 @@ def first_record(path: Path, match) -> dict:
     return next(r for r in ts.read_records(path) if match(r))
 
 
-def differs_at(name: str, record: dict) -> str:
+def differs_at(name: str, record: dict, aborted: str | None = None) -> str:
     """The mismatch ``inspect_experiment`` reports for the transcript
-    ``name`` whose replay first differs from it at ``record``."""
+    ``name`` whose replay first differs from it at ``record``, and that the
+    replay alone ended with the abort reason ``aborted``."""
     return (f"{name}: seq {record['seq']} (day {record['day']}, nation {record['nation']}, "
-            f"{record['type']}) differs from its replay")
+            f"{record['type']}) differs from its replay"
+            + (f"; its replay aborted: {aborted}" if aborted else ""))
 
 
 def inspect_error(out: Path, capsys) -> dict:
@@ -614,7 +623,7 @@ class TestInspect:
             elif record["day"] == 14 and record["type"] == ts.DAY:
                 record["payload"]["scores"] = dict.fromkeys(record["payload"]["scores"], -2)
         reseal(out / name, records)
-        assert ts.is_sealed(out / name)
+        assert is_sealed(out / name)
         first = first_record(out / name, lambda r: r["type"] == ts.TURN and r["day"] == 14)
         result = inspect_experiment(out / "manifest.json")
         assert (result.runs, result.mismatches) == (4, [differs_at(name, first)])
@@ -669,7 +678,9 @@ class TestInspect:
         # The replay's request differs from it, which aborts the run there.
         seq = first_record(out / name, first_attempt)["seq"]
         assert inspect_experiment(out / "manifest.json").mismatches == [differs_at(name, {
-            "seq": seq, "day": None, "nation": None, "type": ts.RUN_END})]
+            "seq": seq, "day": None, "nation": None, "type": ts.RUN_END}, (
+            "TransportError: replay: request 't1.0-context-r00|d09|Purple|a1' differs from "
+            "its recording in user prompt"))]
 
     def test_edited_reply_is_named(self, experiment_copy, capsys):
         """A reply edited without a new seal: the replay parses the edited
@@ -695,12 +706,14 @@ class TestInspect:
         name = "transcripts/t1.0-default-r00.jsonl"
         records = ts.read_records(out / name)
         day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
-        ts.rewrite(out / name, records[: day_3 + 1])
+        rewrite(out / name, records[: day_3 + 1])
         # Its replay finds no reply of day 4 and ends there, aborted.
         first = {"seq": day_3 + 1, "day": None, "nation": None, "type": ts.RUN_END}
-        assert inspect_experiment(out / "manifest.json").mismatches == [differs_at(name, first)]
+        mismatch = differs_at(name, first, "TransportError: replay: no recorded transcript "
+                                           "holds a call tagged 't1.0-default-r00|d04|Blue|a1'")
+        assert inspect_experiment(out / "manifest.json").mismatches == [mismatch]
         assert inspect_error(out, capsys)["message"] == (
-            f"1 of 4 transcripts differ from their replay; first: {differs_at(name, first)}")
+            f"1 of 4 transcripts differ from their replay; first: {mismatch}")
 
     def test_manifest_entry_that_is_not_its_run_is_named(self, experiment_copy):
         _, out = experiment_copy
@@ -745,7 +758,7 @@ class TestOlderFormats:
         if state == "partial":
             records = ts.read_records(path)
             day_3 = max(i for i, r in enumerate(records) if r["type"] == ts.DAY and r["day"] == 3)
-            ts.rewrite(path, records[: day_3 + 5])
+            rewrite(path, records[: day_3 + 5])
         {1: to_format_1, 2: to_format_2, 3: to_format_3, 4: to_format_4,
          5: to_format_5, 6: to_format_6, 7: to_format_7}[version](path)
         before = {file: file.read_bytes() for file in (path, manifest)}
@@ -763,9 +776,7 @@ class TestOlderFormats:
                 run_id="t1.0-default-r00",
             ),
             "inspect": lambda: inspect_experiment(manifest),
-            "replay": lambda: run_experiment(dataclasses.replace(
-                plan, transport={"kind": "replay", "manifest": str(manifest)}),
-                tmp_path / "replayed"),
+            "replay": lambda: ReplayTransport([path]),
         }[reader]
         with pytest.raises(
             ValidationError, match=f"t1.0-default-r00.jsonl is in format {version}, not 8"
@@ -777,9 +788,9 @@ class TestOlderFormats:
 
 def break_seal(path: Path) -> None:
     """Set the seal of a sealed transcript to a digest its bytes lack."""
-    assert ts.is_sealed(path)
+    assert is_sealed(path)
     edit_record(path, lambda r: r["type"] == ts.RUN_END, lambda p: p.update(sha256="0" * 64))
-    assert not ts.is_sealed(path)
+    assert not is_sealed(path)
 
 
 def readings(path: Path) -> tuple:
@@ -869,7 +880,7 @@ class TestSeal:
         lines = path.read_text(encoding="utf-8").split("\n")
         lines[-2] = json.dumps(json.loads(lines[-2]))
         edited.write_text("\n".join(lines), encoding="utf-8")
-        assert not ts.is_sealed(edited)
+        assert not is_sealed(edited)
         assert readings(edited) == readings(path)
         assert ts.load_run(edited).completed
 
@@ -879,7 +890,7 @@ class TestSeal:
         writer.write(ts.RUN_END, {"status": "aborted", "reason": "TransportError: \ud800"})
         writer.close()
         assert b"\\ud800" in path.read_bytes()
-        assert ts.is_sealed(path)
+        assert is_sealed(path)
 
     def test_aborted_sealed_run_keeps_every_record_to_its_last_day(self, sealed_runs):
         path = next(p for p in sealed_runs if p.parts[-3:-1] == ("aborted", "transcripts")
@@ -944,7 +955,7 @@ class TestSharedStrings:
         records = ts.read_records(path)
         turn = next(r for r in records if r["type"] == ts.TURN)
         turn["payload"]["actions"][0]["action"] = ["wait"]
-        ts.rewrite(path, records)
+        rewrite(path, records)
         assert ts.load_run(path).days[0].actions_by_nation[turn["nation"]][0].action_id == ["wait"]
         with pytest.raises(UnknownAction, match=r"unknown action id: \['wait'\]"):
             build_report(experiment_copy[1] / "manifest.json", tmp_path / "report")
@@ -1078,8 +1089,8 @@ class TestSkippedRun:
                 writer.write(ts.RUN_END, {"status": end["status"], "reason": end["reason"]})
                 writer.close()
             else:
-                ts.rewrite(path, records)
-            assert ts.is_sealed(path) == (change == "resealed")
+                rewrite(path, records)
+            assert is_sealed(path) == (change == "resealed")
             assert ts.load_run(path).completed
         error = ParseError if change == "deleted" else ValidationError
         with pytest.raises(error, match="r01.jsonl"):
@@ -1136,6 +1147,6 @@ class TestSkippedRun:
         end = {"status": "completed", "reason": None, "sha256": hashlib.sha256(data).hexdigest()}
         path = tmp_path / "run.jsonl"
         path.write_bytes(data + (ts.encode_record(len(body), ts.RUN_END, end) + "\n").encode())
-        assert ts.is_sealed(path)
+        assert is_sealed(path)
         with pytest.raises(ParseError, match=error):
             ts.stored_run(path, header)
